@@ -1,22 +1,8 @@
 #include "common/bfloat16.h"
 
-#include <cmath>
 #include <ostream>
 
 namespace opal {
-
-std::uint16_t bfloat16::round_from_f32(float v) {
-  std::uint32_t bits = f32_bits(v);
-  if (std::isnan(v)) {
-    // Quiet NaN, preserving sign; avoids accidentally rounding a NaN
-    // payload down to infinity.
-    return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);
-  }
-  // Round to nearest even on the 16 bits being discarded.
-  const std::uint32_t rounding_bias = 0x7FFFu + ((bits >> 16) & 1u);
-  bits += rounding_bias;
-  return static_cast<std::uint16_t>(bits >> 16);
-}
 
 std::ostream& operator<<(std::ostream& os, bfloat16 v) {
   return os << v.to_float();

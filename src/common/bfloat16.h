@@ -61,7 +61,18 @@ class bfloat16 {
   }
 
  private:
-  [[nodiscard]] static std::uint16_t round_from_f32(float v);
+  // Inline: every activation element passes through it several times.
+  // NaN stays a quiet NaN with its sign, rather than letting its payload
+  // round down to infinity.
+  [[nodiscard]] static std::uint16_t round_from_f32(float v) {
+    const std::uint32_t bits = f32_bits(v);
+    if ((bits & 0x7FFFFFFFu) > 0x7F800000u) {
+      return static_cast<std::uint16_t>((bits >> 16) | 0x0040u);
+    }
+    // Round to nearest even on the 16 bits being discarded.
+    const std::uint32_t rounding_bias = 0x7FFFu + ((bits >> 16) & 1u);
+    return static_cast<std::uint16_t>((bits + rounding_bias) >> 16);
+  }
 
   std::uint16_t bits_ = 0;
 };

@@ -73,4 +73,13 @@ inline constexpr int kBF16ExponentBias = 127;
   return f32_compose(0, e + kF32ExponentBias, 0);
 }
 
+/// 2^e as a float for e in [-149, 127]: exp2i extended through the
+/// subnormal powers of two, exact over the whole range.
+[[nodiscard]] inline float exp2i_subnormal(int e) noexcept {
+  return e >= 1 - kF32ExponentBias
+             ? exp2i(e)
+             : f32_from_bits(1u << (e + kF32ExponentBias - 1 +
+                                    kF32MantissaBits));
+}
+
 }  // namespace opal

@@ -44,8 +44,8 @@
 //    the table-local accumulation structure mirrored between fused and
 //    non-fused kernels (vector body + sequential scalar tail), guarded by
 //    the architecture's predefine (e.g. #if defined(__riscv_vector)).
-// 2. Give the TU its ISA flags + -ffp-contract=off in CMakeLists.txt, keyed
-//    on CMAKE_SYSTEM_PROCESSOR, and declare its
+// 2. Give the TU its ISA flags in CMakeLists.txt (-ffp-contract=off is
+//    tree-wide), keyed on CMAKE_SYSTEM_PROCESSOR, and declare its
 //    `const KernelOps* opal_<isa>_kernels()` probe in kernels.cpp's resolve
 //    chain (return nullptr when the running CPU lacks the extension).
 // 3. tests/test_kernels.cpp and bench/bench_kernels.cpp pick the new table

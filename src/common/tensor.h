@@ -73,5 +73,10 @@ void matvec_transposed(const Matrix& w, std::span<const float> x,
 inline void require(bool cond, const std::string& what) {
   if (!cond) throw std::invalid_argument(what);
 }
+/// Literal-message form: builds no std::string unless it throws, so hot
+/// paths can check their arguments without allocating.
+inline void require(bool cond, const char* what) {
+  if (!cond) throw std::invalid_argument(what);
+}
 
 }  // namespace opal

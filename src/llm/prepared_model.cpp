@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/bfloat16.h"
-#include "common/float_bits.h"
 #include "common/kernel_profiler.h"
 #include "common/kernels.h"
 #include "llm/sequence_state.h"
@@ -261,11 +260,8 @@ void PreparedModel::attend(std::size_t l, SequenceState& seq,
     // Attention weights, materialized once per head so the weighted value
     // sum runs through one kernel regardless of the softmax flavor.
     if (config_.log2_softmax) {
-      const auto codes =
-          log2_softmax_unit(scores, Log2SoftmaxConfig{config_.softmax_bits});
-      for (std::size_t u = 0; u < len; ++u) {
-        probs[u] = exp2i(-static_cast<int>(codes[u]));
-      }
+      log2_softmax_weights(scores, Log2SoftmaxConfig{config_.softmax_bits},
+                           probs);
     } else {
       softmax_reference(scores, probs);
     }

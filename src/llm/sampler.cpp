@@ -136,9 +136,7 @@ std::size_t PipelineSampler::sample(std::span<const float> logits,
   // 2^-code (unnormalized; the candidate walk below normalizes by mass).
   probs_.resize(n);
   if (log2_bits_ > 0) {
-    const auto codes =
-        log2_softmax_unit(scratch_, Log2SoftmaxConfig{log2_bits_});
-    attention_weights_from_codes(codes, probs_);
+    log2_softmax_weights(scratch_, Log2SoftmaxConfig{log2_bits_}, probs_);
   } else {
     softmax_reference(scratch_, probs_);
   }

@@ -34,8 +34,8 @@
 //     second exp/normalize implementation here. When the engine runs the
 //     paper's log2 softmax unit (EngineConfig::log2_softmax), pass its code
 //     width as `log2_bits` and the sampling distribution is built from the
-//     same log2_softmax_unit codes (weights 2^-code) the attention path
-//     uses, so sampling quantizes consistently with the datapath;
+//     same log2 unit weights (log2_softmax_weights: 2^-code) the attention
+//     path uses, so sampling quantizes consistently with the datapath;
 //     log2_bits == 0 uses the FP softmax_reference.
 //
 // The samplers compose as a temperature -> top-k -> top-p pipeline:

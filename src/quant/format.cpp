@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "common/float_bits.h"
 #include "common/tensor.h"
 
 namespace opal {
@@ -41,34 +40,6 @@ int bf16_exponent_of(float v) {
   // representable range.
   if (h.biased_exponent() == 255) return 127;
   return h.unbiased_exponent();
-}
-
-float dequantize_code(std::int16_t code, int shared_scale, int bits) {
-  if (code == 0) return 0.0f;
-  const int step_exp = shared_scale - (bits - 2);
-  return static_cast<float>(code) * exp2i(step_exp);
-}
-
-std::int16_t quantize_code(float v, int shared_scale, int bits,
-                           RoundingMode rounding) {
-  // Value as stored: bfloat16 precision is all the quantizer hardware sees.
-  const float x = to_bf16(v);
-  if (x == 0.0f) return 0;
-  if (std::isnan(x)) return 0;  // hardware treats NaN payloads as zero
-  if (std::isinf(x)) {          // infinities saturate at the grid edge
-    const auto max_code = static_cast<std::int16_t>((1 << (bits - 1)) - 1);
-    return x < 0.0f ? static_cast<std::int16_t>(-max_code) : max_code;
-  }
-  const int step_exp = shared_scale - (bits - 2);
-  const float scaled = x / exp2i(step_exp);  // exact: division by power of 2
-  const float magnitude = std::abs(scaled);
-  long q = (rounding == RoundingMode::kNearest)
-               ? std::lround(magnitude)
-               : static_cast<long>(magnitude);  // truncate toward zero
-  const long max_code = (1L << (bits - 1)) - 1;
-  if (q > max_code) q = max_code;  // saturating shifter output
-  const auto code = static_cast<std::int16_t>(x < 0.0f ? -q : q);
-  return code;
 }
 
 }  // namespace opal

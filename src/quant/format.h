@@ -20,12 +20,14 @@
 //    global scale (Fig 2(c)).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/bfloat16.h"
+#include "common/float_bits.h"
 
 namespace opal {
 
@@ -91,12 +93,63 @@ struct QuantizedTensor {
 inline constexpr int kZeroExponent = -127;
 [[nodiscard]] int bf16_exponent_of(float v);
 
-/// Dequantizes one code against a shared-scale exponent: code * 2^(s-(b-2)).
-[[nodiscard]] float dequantize_code(std::int16_t code, int shared_scale,
-                                    int bits);
+/// Exponent of the grid step of a b-bit element under shared scale s:
+/// s - (b - 2), in [-139, 127] for every scale a block can carry.
+[[nodiscard]] inline int mx_step_exponent(int shared_scale, int bits) {
+  return shared_scale - (bits - 2);
+}
 
-/// Quantizes one value against a shared-scale exponent with saturation.
-[[nodiscard]] std::int16_t quantize_code(float v, int shared_scale, int bits,
-                                         RoundingMode rounding);
+/// Signed code of one bfloat16 value (raw bits `h`) on the grid of step
+/// 2^step_exp, as the hardware shifter makes it: the 8-bit significand is
+/// shifted right by (step_exp - exponent of its last bit), rounded per
+/// `rounding` (nearest: half away from zero), and saturated to
+/// +/-max_code. NaN gives 0; infinities saturate. Integer arithmetic
+/// only: no divide and no libm call.
+[[nodiscard]] inline int mx_code_of_bf16(std::uint16_t h, int step_exp,
+                                         int max_code, RoundingMode rounding) {
+  const int mag = h & 0x7FFF;
+  const int biased = mag >> kBF16MantissaBits;
+  const int mantissa = mag & ((1 << kBF16MantissaBits) - 1);
+  int q = 0;
+  if (biased == 0xFF) {
+    q = mantissa != 0 ? 0 : max_code;
+  } else {
+    // Subnormals have no implicit bit and the exponent of the smallest
+    // normal.
+    const int sig = biased != 0 ? mantissa | (1 << kBF16MantissaBits) : mag;
+    const int shift = step_exp - (std::max(biased, 1) - kBF16ExponentBias -
+                                  kBF16MantissaBits);
+    if (shift <= 0) {
+      // max_code < 2^14, so any nonzero significand shifted left by 15 or
+      // more saturates.
+      q = shift <= -15 ? (sig != 0 ? max_code : 0)
+                       : std::min(sig << -shift, max_code);
+    } else {
+      // sig < 2^8: from a shift of 9 on, both modes give 0.
+      const int s = std::min(shift, 9);
+      q = rounding == RoundingMode::kNearest ? (sig + (1 << (s - 1))) >> s
+                                             : sig >> s;
+      q = std::min(q, max_code);
+    }
+  }
+  return (h & 0x8000) != 0 ? -q : q;
+}
+
+/// Dequantizes one code against a shared-scale exponent: code * 2^(s-(b-2)).
+[[nodiscard]] inline float dequantize_code(std::int16_t code, int shared_scale,
+                                           int bits) {
+  return static_cast<float>(code) *
+         exp2i_subnormal(mx_step_exponent(shared_scale, bits));
+}
+
+/// Quantizes one value, rounded to bfloat16 first (all the quantizer
+/// hardware sees), against a shared-scale exponent with saturation.
+[[nodiscard]] inline std::int16_t quantize_code(float v, int shared_scale,
+                                                int bits,
+                                                RoundingMode rounding) {
+  return static_cast<std::int16_t>(
+      mx_code_of_bf16(bfloat16(v).bits(), mx_step_exponent(shared_scale, bits),
+                      (1 << (bits - 1)) - 1, rounding));
+}
 
 }  // namespace opal

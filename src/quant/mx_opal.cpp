@@ -1,11 +1,9 @@
 #include "quant/mx_opal.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/float_bits.h"
 #include "common/tensor.h"
-#include "quant/mxint.h"
+#include "quant/mx_block.h"
 
 namespace opal {
 
@@ -23,71 +21,22 @@ std::string MxOpalQuantizer::name() const {
 
 std::vector<std::size_t> top_n_magnitude_indices(std::span<const float> block,
                                                  std::size_t n) {
-  n = std::min(n, block.size());
-  std::vector<std::size_t> idx(block.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  // Ties broken by position so the selection is deterministic.
-  std::partial_sort(idx.begin(), idx.begin() + static_cast<long>(n), idx.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      const float ma = std::abs(block[a]);
-                      const float mb = std::abs(block[b]);
-                      return ma != mb ? ma > mb : a < b;
-                    });
-  idx.resize(n);
+  std::vector<OutlierSlot> top(std::min(n, block.size()));
+  select_block_outliers(block, top);
+  std::vector<std::size_t> idx;
+  idx.reserve(top.size());
+  for (const OutlierSlot& o : top) idx.push_back(o.index);
   std::sort(idx.begin(), idx.end());
   return idx;
 }
 
 QuantizedTensor MxOpalQuantizer::encode(std::span<const float> in) const {
-  QuantizedTensor qt;
-  qt.format = format_;
-  qt.count = in.size();
-
-  // Pass 1: pick outliers and block scales.
-  std::vector<int> scales;
-  std::vector<std::vector<std::size_t>> outlier_idx;
-  for (std::size_t off = 0; off < in.size(); off += format_.block_size) {
-    const std::size_t len = std::min(format_.block_size, in.size() - off);
-    const auto block = in.subspan(off, len);
-    auto top = top_n_magnitude_indices(block, format_.outliers);
-    // Shared scale = (n+1)-th highest exponent = max exponent of the
-    // non-outlier remainder.
-    scales.push_back(select_shared_scale(block, top.size() + 1));
-    outlier_idx.push_back(std::move(top));
-    qt.blocks.emplace_back();
-    qt.blocks.back().codes.resize(len, 0);
-  }
-  assign_global_scale(qt, scales);
-
-  // Pass 2: encode against the (possibly offset-saturated) effective scale.
-  for (std::size_t b = 0; b < qt.blocks.size(); ++b) {
-    const std::size_t off = b * format_.block_size;
-    const auto block =
-        in.subspan(off, std::min(format_.block_size, in.size() - off));
-    auto& qb = qt.blocks[b];
-    const int scale = qt.block_scale(b);
-
-    std::vector<bool> is_outlier(block.size(), false);
-    for (const std::size_t i : outlier_idx[b]) {
-      is_outlier[i] = true;
-      qb.outliers.push_back(
-          {static_cast<std::uint16_t>(i), bfloat16(block[i])});
-    }
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      qb.codes[i] = is_outlier[i] ? std::int16_t{0}
-                                  : quantize_code(block[i], scale,
-                                                  format_.bits,
-                                                  format_.rounding);
-    }
-  }
-  return qt;
+  return mx_encode(format_, in);
 }
 
 void MxOpalQuantizer::quantize_dequantize(std::span<const float> in,
                                           std::span<float> out) const {
-  require(in.size() == out.size(), "MX-OPAL: size mismatch");
-  const auto decoded = decode(encode(in));
-  std::copy(decoded.begin(), decoded.end(), out.begin());
+  mx_quantize_dequantize(format_, in, out);
 }
 
 std::size_t MxOpalQuantizer::storage_bits(std::size_t count) const {

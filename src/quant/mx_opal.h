@@ -49,8 +49,10 @@ class MxOpalQuantizer final : public Quantizer {
   BlockFormat format_;
 };
 
-/// Indices of the top-n magnitudes within `block` (n smallest first by
-/// index). Exposed for tests and for the data-distributor model.
+/// Indices of the top-n magnitudes within `block`, ranked as in
+/// quant/mx_block.h (NaN above inf, ties to the lower index), returned in
+/// ascending index order. Exposed for tests and for the data-distributor
+/// model.
 [[nodiscard]] std::vector<std::size_t> top_n_magnitude_indices(
     std::span<const float> block, std::size_t n);
 

@@ -1,10 +1,9 @@
 #include "quant/mxint.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/float_bits.h"
 #include "common/tensor.h"
+#include "quant/mx_block.h"
 
 namespace opal {
 
@@ -21,13 +20,10 @@ std::string MxIntQuantizer::name() const {
 
 int select_shared_scale(std::span<const float> block, std::size_t m) {
   require(m >= 1, "select_shared_scale: m >= 1");
-  std::vector<int> exps;
-  exps.reserve(block.size());
-  for (const float v : block) exps.push_back(bf16_exponent_of(v));
-  if (m > exps.size()) return kZeroExponent;
-  std::nth_element(exps.begin(), exps.begin() + static_cast<long>(m - 1),
-                   exps.end(), std::greater<int>());
-  return exps[m - 1];
+  if (m > block.size()) return kZeroExponent;
+  // The m-th highest exponent is the highest one left after the top m-1.
+  std::vector<OutlierSlot> top(m - 1);
+  return select_block_outliers(block, top);
 }
 
 void assign_global_scale(QuantizedTensor& qt,
@@ -41,43 +37,17 @@ void assign_global_scale(QuantizedTensor& qt,
     global = any ? std::min(global, s) : s;
     any = true;
   }
-  if (!any) global = 0;
   qt.global_scale = global;
   for (std::size_t i = 0; i < qt.blocks.size(); ++i) {
-    int off = block_scales[i] == kZeroExponent ? 0 : block_scales[i] - global;
     // 4-bit offset field: blocks whose scale sits more than 15 octaves above
     // the global scale saturate; their large elements clip to max code.
-    off = std::clamp(off, 0, 15);
-    qt.blocks[i].scale_offset = static_cast<std::uint8_t>(off);
+    qt.blocks[i].scale_offset = static_cast<std::uint8_t>(
+        effective_block_scale(block_scales[i], global) - global);
   }
 }
 
 QuantizedTensor MxIntQuantizer::encode(std::span<const float> in) const {
-  QuantizedTensor qt;
-  qt.format = format_;
-  qt.count = in.size();
-
-  std::vector<int> scales;
-  for (std::size_t off = 0; off < in.size(); off += format_.block_size) {
-    const std::size_t len = std::min(format_.block_size, in.size() - off);
-    const auto block = in.subspan(off, len);
-    scales.push_back(select_shared_scale(block, 1));
-    qt.blocks.emplace_back();
-    qt.blocks.back().codes.resize(len, 0);
-  }
-  assign_global_scale(qt, scales);
-
-  for (std::size_t b = 0; b < qt.blocks.size(); ++b) {
-    const std::size_t off = b * format_.block_size;
-    const auto block = in.subspan(
-        off, std::min(format_.block_size, in.size() - off));
-    const int scale = qt.block_scale(b);
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      qt.blocks[b].codes[i] =
-          quantize_code(block[i], scale, format_.bits, format_.rounding);
-    }
-  }
-  return qt;
+  return mx_encode(format_, in);
 }
 
 std::vector<float> decode(const QuantizedTensor& qt) {
@@ -99,9 +69,7 @@ std::vector<float> decode(const QuantizedTensor& qt) {
 
 void MxIntQuantizer::quantize_dequantize(std::span<const float> in,
                                          std::span<float> out) const {
-  require(in.size() == out.size(), "MXINT: size mismatch");
-  const auto decoded = decode(encode(in));
-  std::copy(decoded.begin(), decoded.end(), out.begin());
+  mx_quantize_dequantize(format_, in, out);
 }
 
 std::size_t MxIntQuantizer::storage_bits(std::size_t count) const {

@@ -37,11 +37,17 @@ std::vector<std::uint8_t> log2_softmax_exact(std::span<const float> in,
   return codes;
 }
 
-std::vector<std::uint8_t> log2_softmax_unit(std::span<const float> in,
-                                            const Log2SoftmaxConfig& config) {
+namespace {
+
+/// The log2 unit's datapath. `exps` (same size as `in`, may alias it)
+/// receives the bf16 exponentials; emit(i, code) is called once per element
+/// in order, after every exponential is in place.
+template <typename Emit>
+void run_log2_unit(std::span<const float> in, int bits,
+                   std::span<float> exps, Emit emit) {
   require(!in.empty(), "log2_softmax_unit: empty input");
-  require(config.bits >= 1 && config.bits <= 8,
-          "log2_softmax_unit: bits in [1,8]");
+  require(in.size() == exps.size(), "log2_softmax_unit: size mismatch");
+  require(bits >= 1 && bits <= 8, "log2_softmax_unit: bits in [1,8]");
 
   // Max subtraction keeps exp() in range; it cancels in the ratio e_i / S so
   // the produced codes are unaffected.
@@ -49,48 +55,64 @@ std::vector<std::uint8_t> log2_softmax_unit(std::span<const float> in,
   for (const float v : in) max_v = std::max(max_v, v);
 
   // Exponentials land in the Exp Softmax Buffer as bfloat16 (Fig 6(c)).
-  std::vector<bfloat16> exps;
-  exps.reserve(in.size());
   double sum_acc = 0.0;
-  for (const float v : in) {
-    const bfloat16 e(std::exp(v - max_v));
-    exps.push_back(e);
-    sum_acc += e.to_float();  // FP adder tree accumulation
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    exps[i] = to_bf16(std::exp(in[i] - max_v));
+    sum_acc += exps[i];  // FP adder tree accumulation
   }
   const bfloat16 sum(static_cast<float>(sum_acc));
 
   const int e_sum = sum.biased_exponent();
   const int m_sum = sum.mantissa();  // 7-bit fraction of 1.Ms
-  const int max_code = (1 << config.bits) - 1;
+  const int max_code = (1 << bits) - 1;
 
-  std::vector<std::uint8_t> codes(in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
-    if (exps[i].is_zero()) {  // fully underflowed: weight rounds to zero
-      codes[i] = static_cast<std::uint8_t>(max_code);
+    // Exact: exps[i] is already bf16.
+    const bfloat16 e = bfloat16::from_bits(
+        static_cast<std::uint16_t>(f32_bits(exps[i]) >> 16));
+    if (e.is_zero()) {  // fully underflowed: weight rounds to zero
+      emit(i, static_cast<std::uint8_t>(max_code));
       continue;
     }
     // Eq. (3): INT exponent subtraction ...
-    int log2_ratio = exps[i].biased_exponent() - e_sum;
+    int log2_ratio = e.biased_exponent() - e_sum;
     // ... plus the mantissa comparator: +/-1 when the 7-bit mantissa
     // difference is at least 0.5 (64 counts).
-    const int m_diff = exps[i].mantissa() - m_sum;
+    const int m_diff = e.mantissa() - m_sum;
     if (m_diff >= 64) {
       log2_ratio += 1;
     } else if (m_diff <= -64) {
       log2_ratio -= 1;
     }
     // log2(softmax) <= 0; the negation gives the attention code.
-    codes[i] = static_cast<std::uint8_t>(
-        std::clamp(-log2_ratio, 0, max_code));
+    emit(i, static_cast<std::uint8_t>(std::clamp(-log2_ratio, 0, max_code)));
   }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> log2_softmax_unit(std::span<const float> in,
+                                            const Log2SoftmaxConfig& config) {
+  std::vector<float> exps(in.size());
+  std::vector<std::uint8_t> codes(in.size());
+  run_log2_unit(in, config.bits, exps,
+                [&codes](std::size_t i, std::uint8_t code) { codes[i] = code; });
   return codes;
+}
+
+void log2_softmax_weights(std::span<const float> in,
+                          const Log2SoftmaxConfig& config,
+                          std::span<float> out) {
+  run_log2_unit(in, config.bits, out, [out](std::size_t i, std::uint8_t code) {
+    out[i] = log2_code_weight(code);
+  });
 }
 
 void attention_weights_from_codes(std::span<const std::uint8_t> codes,
                                   std::span<float> out) {
   require(codes.size() == out.size(), "attention_weights: size mismatch");
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    out[i] = exp2i(-static_cast<int>(codes[i]));
+    out[i] = log2_code_weight(codes[i]);
   }
 }
 
@@ -100,7 +122,7 @@ void shift_accumulate_attn_v(std::span<const std::uint8_t> codes,
   require(out.size() == v.cols(), "shift_accumulate: out vs V cols");
   std::fill(out.begin(), out.end(), 0.0f);
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    const float w = exp2i(-static_cast<int>(codes[i]));
+    const float w = log2_code_weight(codes[i]);
     const auto row = v.row(i);
     for (std::size_t c = 0; c < out.size(); ++c) out[c] += w * row[c];
   }

@@ -22,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "common/float_bits.h"
 #include "common/tensor.h"
 
 namespace opal {
@@ -46,6 +47,21 @@ struct Log2SoftmaxConfig {
 /// ratio is produced by the Eq. (3) integer datapath.
 [[nodiscard]] std::vector<std::uint8_t> log2_softmax_unit(
     std::span<const float> in, const Log2SoftmaxConfig& config);
+
+/// The same unit with each code's weight (log2_code_weight) written straight
+/// into `out`, which the bf16 exponentials use as their buffer: no
+/// allocation, and `out` may alias `in`. What the attention path and the
+/// sampler consume.
+void log2_softmax_weights(std::span<const float> in,
+                          const Log2SoftmaxConfig& config,
+                          std::span<float> out);
+
+/// Weight 2^-code of one log2-domain code. Codes from 127 up (8-bit codes
+/// reach 255) lie below fp32's normal range and weigh 0, as the fully
+/// underflowed code of the 7-bit unit always has.
+[[nodiscard]] inline float log2_code_weight(std::uint8_t code) {
+  return code >= 127 ? 0.0f : exp2i(-static_cast<int>(code));
+}
 
 /// Reconstructs attention weights 2^-code from log2-domain codes.
 void attention_weights_from_codes(std::span<const std::uint8_t> codes,

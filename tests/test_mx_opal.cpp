@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "common/error_metrics.h"
 #include "common/rng.h"
+#include "mx_reference.h"
 #include "quant/mxint.h"
 
 namespace opal {
@@ -180,6 +182,87 @@ TEST(MxOpal, OffsetSaturationClipsHotBlock) {
 
 TEST(MxOpal, RejectsOutliersGEBlockSize) {
   EXPECT_THROW(MxOpalQuantizer(4, 4, 4), std::invalid_argument);
+}
+
+TEST(MxOpal, FusedMatchesPreFusionReferenceBitwise) {
+  // Randomized differential test of the fused kernel and encode() against
+  // the pre-fusion decode(encode()) in mx_reference.h: every block size,
+  // outlier count and bit-width of the sweep, both rounding modes, short
+  // tail blocks, zeros, ties, +/-inf, subnormals, all-zero tensors,
+  // saturated offsets, and in == out.
+  Rng rng = make_rng(2024);
+  std::size_t cases = 0;
+  for (const std::size_t k : {8, 64, 128, 256}) {
+    for (std::size_t n = 0; n <= 8 && n < k; ++n) {
+      for (int bits = 2; bits <= 8; ++bits) {
+        for (const RoundingMode mode :
+             {RoundingMode::kNearest, RoundingMode::kTruncate}) {
+          const MxOpalQuantizer quant(k, bits, n, mode);
+          for (int t = 0; t < 6; ++t) {
+            const auto in = mx_reference::random_tensor(
+                rng, mx_reference::random_length(rng, k), k);
+            ASSERT_TRUE(mx_reference::matches_reference(quant, in))
+                << "k=" << k << " n=" << n << " bits=" << bits
+                << " truncate=" << (mode == RoundingMode::kTruncate);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2940u);
+}
+
+TEST(MxOpal, SelectionHelpersMatchPreFusionReference) {
+  Rng rng = make_rng(77);
+  for (int t = 0; t < 400; ++t) {
+    const auto block = mx_reference::random_tensor(rng, 1 + t % 130, 256);
+    for (std::size_t n = 0; n <= block.size() + 1; n += 1 + n / 4) {
+      EXPECT_EQ(top_n_magnitude_indices(block, n),
+                mx_reference::top_n_magnitude_indices(block, n));
+      EXPECT_EQ(select_shared_scale(block, n + 1),
+                mx_reference::select_shared_scale(block, n + 1));
+    }
+  }
+}
+
+TEST(MxOpal, NaNRanksAboveInfinityAndSurvivesAsOutlier) {
+  // Magnitudes rank by their bits: NaN above infinity, so a NaN is always
+  // kept at bf16 (a quiet NaN, sign kept) before any finite value or inf.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = -std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> block = {0.5f, inf, 1.25f, nan, -3.0f, -inf, 0.75f, 2.0f};
+  EXPECT_EQ(top_n_magnitude_indices(block, 1),
+            (std::vector<std::size_t>{3}));
+  EXPECT_EQ(top_n_magnitude_indices(block, 3),
+            (std::vector<std::size_t>{1, 3, 5}));
+  for (const std::size_t n : {1, 2, 3, 4}) {
+    const MxOpalQuantizer quant(8, 4, n);
+    std::vector<float> first(block.size());
+    quant.quantize_dequantize(block, first);
+    EXPECT_TRUE(std::isnan(first[3]));
+    EXPECT_TRUE(std::signbit(first[3]));
+    for (int run = 0; run < 3; ++run) {
+      std::vector<float> again(block.size());
+      quant.quantize_dequantize(block, again);
+      const auto decoded = decode(quant.encode(block));
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        EXPECT_TRUE(mx_reference::same_bits(again[i], first[i]))
+            << "n=" << n << " i=" << i;
+        EXPECT_TRUE(mx_reference::same_bits(decoded[i], first[i]))
+            << "n=" << n << " i=" << i;
+      }
+    }
+  }
+  // With n = 3 the outliers are NaN, inf and -inf; the rest shares the
+  // scale of -3.0 (exponent 1) and quantizes normally.
+  const MxOpalQuantizer quant(8, 4, 3);
+  std::vector<float> out(block.size());
+  quant.quantize_dequantize(block, out);
+  EXPECT_EQ(out[1], inf);
+  EXPECT_EQ(out[5], -inf);
+  EXPECT_EQ(out[4], -3.0f);
+  EXPECT_EQ(out[7], 2.0f);
 }
 
 // Parameterized property sweep across (bits, n): MX-OPAL never does worse

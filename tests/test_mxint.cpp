@@ -7,6 +7,7 @@
 
 #include "common/error_metrics.h"
 #include "common/rng.h"
+#include "mx_reference.h"
 
 namespace opal {
 namespace {
@@ -152,6 +153,47 @@ TEST(AssignGlobalScale, AllZeroBlocksGetZero) {
   assign_global_scale(qt, scales);
   EXPECT_EQ(qt.global_scale, 0);
   EXPECT_EQ(qt.blocks[0].scale_offset, 0);
+}
+
+TEST(MxInt, FusedMatchesPreFusionReferenceBitwise) {
+  // MXINT is the fused kernel's n = 0 case: randomized differential test
+  // against the pre-fusion decode(encode()) in mx_reference.h across block
+  // sizes, bit-widths, both rounding modes, short tails, zeros, ties,
+  // +/-inf, subnormals, all-zero tensors, saturated offsets and in == out.
+  Rng rng = make_rng(4048);
+  for (const std::size_t k : {8, 64, 128, 256}) {
+    for (int bits = 2; bits <= 8; ++bits) {
+      for (const RoundingMode mode :
+           {RoundingMode::kNearest, RoundingMode::kTruncate}) {
+        const MxIntQuantizer quant(k, bits, mode);
+        for (int t = 0; t < 40; ++t) {
+          const auto in = mx_reference::random_tensor(
+              rng, mx_reference::random_length(rng, k), k);
+          ASSERT_TRUE(mx_reference::matches_reference(quant, in))
+              << "k=" << k << " bits=" << bits
+              << " truncate=" << (mode == RoundingMode::kTruncate);
+        }
+      }
+    }
+  }
+}
+
+TEST(MxInt, StepBelowNormalRangeIsExact) {
+  // Scale -126 at 8 bits puts the grid step at 2^-132, below fp32's normal
+  // range: codes are still the shifted significands (the step is an exact
+  // subnormal power of two), not zeros from a wrapped exponent field.
+  const float tiny = std::ldexp(1.5f, -126);
+  const std::vector<float> block = {tiny, -tiny / 2.0f, 0.0f, tiny / 64.0f};
+  MxIntQuantizer quant(4, 8);
+  const auto qt = quant.encode(block);
+  EXPECT_EQ(qt.block_scale(0), -126);
+  // 1.5 * 2^6, a subnormal at half that, and 1.5 rounded to 2.
+  EXPECT_EQ(qt.blocks[0].codes, (std::vector<std::int16_t>{96, -48, 0, 2}));
+  std::vector<float> out(block.size());
+  quant.quantize_dequantize(block, out);
+  EXPECT_EQ(out[0], tiny);
+  EXPECT_EQ(out[1], -tiny / 2.0f);
+  EXPECT_EQ(out[3], std::ldexp(1.0f, -131));
 }
 
 // Property sweep: MXINT error is bounded by one quantization step of the

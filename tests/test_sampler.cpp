@@ -203,6 +203,23 @@ TEST(Sampler, Log2SoftmaxPathSamplesFromUnitCodes) {
   }
 }
 
+TEST(Sampler, Log2EightBitUnderflowedTokenNeverSampled) {
+  // At 8 bits the underflowed token's code is 255; its weight must be 0,
+  // not the 2.0 a wrapped 2^-255 once gave it (which made it the likeliest
+  // token).
+  const std::vector<float> logits = {0.0f, -200.0f, -0.5f};
+  SamplingParams params;
+  params.policy = SamplePolicy::kTopP;
+  params.top_p = 1.0f;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    params.seed = seed;
+    auto sampler = make_sampler(params, 8);
+    SamplerState state;
+    state.rng = CounterRng(seed);
+    EXPECT_NE(sampler->sample(logits, {}, state), 1u) << "seed " << seed;
+  }
+}
+
 // --- stop conditions ---
 
 TEST(Sampler, CheckStopPriorityAndRegions) {

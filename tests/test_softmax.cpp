@@ -111,6 +111,51 @@ TEST(Log2SoftmaxUnit, LowBitWidthClips) {
   for (std::size_t i = 1; i < codes.size(); ++i) EXPECT_EQ(codes[i], 7);
 }
 
+TEST(Log2SoftmaxUnit, EightBitUnderflowWeighsZero) {
+  // At 8 bits a fully underflowed score gets code 255, past fp32's normal
+  // range: its weight is 0 (exp2i's field wrap once gave 2.0, and code 128
+  // gave +inf).
+  const std::vector<float> in = {0.0f, -200.0f};
+  const auto codes = log2_softmax_unit(in, Log2SoftmaxConfig{8});
+  ASSERT_EQ(codes, (std::vector<std::uint8_t>{0, 255}));
+  std::vector<float> w(2);
+  attention_weights_from_codes(codes, w);
+  EXPECT_EQ(w, (std::vector<float>{1.0f, 0.0f}));
+  log2_softmax_weights(in, Log2SoftmaxConfig{8}, w);
+  EXPECT_EQ(w, (std::vector<float>{1.0f, 0.0f}));
+
+  EXPECT_EQ(log2_code_weight(126), std::ldexp(1.0f, -126));
+  for (int code = 127; code <= 255; ++code) {
+    EXPECT_EQ(log2_code_weight(static_cast<std::uint8_t>(code)), 0.0f)
+        << code;
+  }
+  Matrix v(2, 3, 1.0f);
+  std::vector<float> z(3);
+  shift_accumulate_attn_v(codes, v, z);
+  EXPECT_EQ(z, (std::vector<float>{1.0f, 1.0f, 1.0f}));
+}
+
+TEST(Log2SoftmaxUnit, WeightsIntoSpanMatchCodesBitwise) {
+  // The allocation-free form is the code path plus log2_code_weight, for
+  // every width, and may write over its input.
+  Rng rng = make_rng(8);
+  for (int bits = 1; bits <= 8; ++bits) {
+    for (const std::size_t n : {1, 7, 64, 300}) {
+      std::vector<float> in(n);
+      fill_gaussian(rng, in, 0.0f, 6.0f);
+      if (n > 2) in[1] = -400.0f;  // fully underflowed
+      std::vector<float> want(n);
+      attention_weights_from_codes(
+          log2_softmax_unit(in, Log2SoftmaxConfig{bits}), want);
+      std::vector<float> got(n);
+      log2_softmax_weights(in, Log2SoftmaxConfig{bits}, got);
+      EXPECT_EQ(got, want) << "bits=" << bits << " n=" << n;
+      log2_softmax_weights(in, Log2SoftmaxConfig{bits}, in);
+      EXPECT_EQ(in, want) << "aliased, bits=" << bits << " n=" << n;
+    }
+  }
+}
+
 TEST(ShiftAccumulate, MatchesWeightedSum) {
   Rng rng = make_rng(4);
   Matrix v(16, 8);
