@@ -8,9 +8,9 @@
 // populated index). Reported per run: token-decodes executed, wall time,
 // and tokens/s. The warm run's decode count drops by ~the shared prefill
 // — repeated-prompt serving goes from O(prompt x requests) towards
-// O(prompt) — while outputs stay bitwise identical across all three runs
-// (asserted).
-#include <algorithm>
+// O(prompt) — while outputs stay bitwise identical across all three runs.
+// Exits nonzero unless outputs match and the warm round hits the cache and
+// runs fewer decodes; prints a PASS line otherwise.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -104,116 +104,19 @@ int main() {
   row("cache on, cold", cold, 0, 0);
   row("cache on, warm", warm, cold.stats.prefix_hits,
       cold.stats.prefix_hit_tokens);
-  std::printf("\nwarm round executed %zu fewer decodes than cache-off "
-              "(%.1fx fewer), outputs bitwise identical\n",
+  const std::size_t warm_hits =
+      warm.stats.prefix_hits - cold.stats.prefix_hits;
+  if (warm_hits == 0 || warm.decodes >= off.decodes) {
+    std::printf("ERROR: warm round saw %zu prefix hits and %zu decodes "
+                "(cache off: %zu)\n",
+                warm_hits, warm.decodes, off.decodes);
+    return 1;
+  }
+  std::printf("\nPASS: prefix reuse outputs bitwise identical cold/warm; "
+              "warm round executed %zu fewer decodes than cache-off "
+              "(%.1fx fewer)\n",
               off.decodes - warm.decodes,
               static_cast<double>(off.decodes) /
                   static_cast<double>(warm.decodes));
-
-  // --- fp32 zero-copy block attend ---
-  // Decode at long context through two identical paged sequences: one
-  // reads KV straight from pool block storage (the default), one is forced
-  // through the old gather-copy path (bitwise identical data — fp32 blocks
-  // hold the written bits — so only the copy cost differs).
-  {
-    using clock = std::chrono::steady_clock;
-    auto pool = prepared->make_kv_pool(2.0);
-    SequenceState zero_copy = prepared->make_sequence(pool);
-    SequenceState gathered = prepared->make_sequence(pool);
-    gathered.set_force_gather(true);
-    std::vector<std::size_t> ctx;
-    for (std::size_t i = 0; i < 80; ++i) ctx.push_back((i * 17 + 1) % 256);
-    prepared->prefill_chunk(zero_copy, ctx);
-    prepared->prefill_chunk(gathered, ctx);
-
-    constexpr std::size_t kRounds = 40, kSteps = 14;
-    auto time_decode = [&](SequenceState& seq) {
-      const auto t0 = clock::now();
-      for (std::size_t round = 0; round < kRounds; ++round) {
-        seq.truncate(ctx.size());
-        for (std::size_t i = 0; i < kSteps; ++i) {
-          prepared->step(seq, (round + i) % 256);
-        }
-      }
-      return std::chrono::duration<double, std::milli>(clock::now() - t0)
-          .count();
-    };
-    time_decode(gathered);  // warmup: touch both paths' working sets
-    time_decode(zero_copy);
-    const double ms_gather = time_decode(gathered);
-    const double ms_zero_copy = time_decode(zero_copy);
-    const auto a = zero_copy.logits();
-    const auto b = gathered.logits();
-    if (!std::equal(a.begin(), a.end(), b.begin())) {
-      std::printf("ERROR: zero-copy attend diverged from gather\n");
-      return 1;
-    }
-    std::printf("\nfp32 zero-copy block attend, %zu decode steps at context "
-                ">= %zu: gather %.1f ms, zero-copy %.1f ms (%.0f%% less; "
-                "logits bitwise identical)\n",
-                kRounds * kSteps, ctx.size(), ms_gather, ms_zero_copy,
-                100.0 * (1.0 - ms_zero_copy / ms_gather));
-  }
-
-  // --- fused dequantize-dot attend (quantized KV) ---
-  // Same split for int8 and log2 pools: the fused path feeds attention the
-  // blocks' quantized codes directly (kernels dequantize in-register, no
-  // fp32 gather scratch is ever materialized — asserted via gather_count),
-  // while the forced-gather sequence dequantizes the prefix into scratch
-  // first. Within one kernel table the two are bitwise identical.
-  for (const KvQuantMode mode : {KvQuantMode::kInt8, KvQuantMode::kLog2}) {
-    using clock = std::chrono::steady_clock;
-    EngineConfig qcfg = cfg;
-    qcfg.kv_mode = mode;
-    auto qprepared = std::make_shared<const PreparedModel>(model, qcfg);
-    auto pool = qprepared->make_kv_pool(2.0);
-    SequenceState fused = qprepared->make_sequence(pool);
-    SequenceState gathered = qprepared->make_sequence(pool);
-    gathered.set_force_gather(true);
-    std::vector<std::size_t> ctx;
-    for (std::size_t i = 0; i < 80; ++i) ctx.push_back((i * 17 + 1) % 256);
-    qprepared->prefill_chunk(fused, ctx);
-    qprepared->prefill_chunk(gathered, ctx);
-
-    constexpr std::size_t kRounds = 40, kSteps = 14;
-    auto time_decode = [&](SequenceState& seq) {
-      const auto t0 = clock::now();
-      for (std::size_t round = 0; round < kRounds; ++round) {
-        seq.truncate(ctx.size());
-        for (std::size_t i = 0; i < kSteps; ++i) {
-          qprepared->step(seq, (round + i) % 256);
-        }
-      }
-      return std::chrono::duration<double, std::milli>(clock::now() - t0)
-          .count();
-    };
-    time_decode(gathered);  // warmup: touch both paths' working sets
-    time_decode(fused);
-    const double ms_gather = time_decode(gathered);
-    const double ms_fused = time_decode(fused);
-    if (fused.gather_count() != 0) {
-      std::printf("ERROR: fused %s path materialized gather scratch "
-                  "(%zu gathers)\n",
-                  to_string(mode).c_str(), fused.gather_count());
-      return 1;
-    }
-    if (gathered.gather_count() == 0) {
-      std::printf("ERROR: forced-gather %s path never gathered\n",
-                  to_string(mode).c_str());
-      return 1;
-    }
-    const auto a = fused.logits();
-    const auto b = gathered.logits();
-    if (!std::equal(a.begin(), a.end(), b.begin())) {
-      std::printf("ERROR: fused %s attend diverged from gather\n",
-                  to_string(mode).c_str());
-      return 1;
-    }
-    std::printf("fused %s dequant attend, %zu decode steps at context >= "
-                "%zu: gather %.1f ms, fused %.1f ms (%.0f%% less; 0 scratch "
-                "materializations, logits bitwise identical)\n",
-                to_string(mode).c_str(), kRounds * kSteps, ctx.size(),
-                ms_gather, ms_fused, 100.0 * (1.0 - ms_fused / ms_gather));
-  }
   return 0;
 }

@@ -14,7 +14,7 @@
 //
 // Asserted (exit 1):
 //   * the greedy streams match an independently computed argmax decode
-//     (inline max loop, dense facade — no Sampler code involved), so the
+//     (inline max loop, batch-of-1 facade — no Sampler code involved), so the
 //     default path regressing cannot slip through as "zero divergence";
 //   * re-serving the identical seeded request set yields bitwise identical
 //     streams (same engine config, fresh engine);
@@ -172,17 +172,17 @@ int main(int argc, char** argv) {
 
   // --- assertions ---
   // Greedy regression guard: the sampled greedy streams must match an
-  // independently computed argmax decode (inline max loop over a dense
-  // facade — no Sampler involved), token for token.
+  // independently computed argmax decode (inline max loop over the
+  // batch-of-1 facade — no Sampler involved), token for token.
   {
     const auto requests = workload(greedy);
     for (std::size_t r = 0; r < requests.size(); ++r) {
-      InferenceEngine dense(prepared);
+      InferenceEngine solo(prepared);
       std::vector<std::size_t> ref = requests[r].prompt;
       const std::size_t target = ref.size() + requests[r].max_new_tokens;
       std::size_t fed = 0;
       while (fed < ref.size()) {
-        const auto logits = dense.step(ref[fed]);
+        const auto logits = solo.step(ref[fed]);
         ++fed;
         if (fed == ref.size() && ref.size() < target) {
           std::size_t best = 0;

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   EngineConfig cfg;
   cfg.max_seq_len = 256;
   cfg.kv_block_size = 16;
-  cfg.kv_mode = KvQuantMode::kInt8;  // gather cost makes chunking visible
+  cfg.kv_mode = KvQuantMode::kInt8;  // fused dequantize-dot attend path
   auto prepared = std::make_shared<const PreparedModel>(model, cfg);
 
   constexpr std::size_t kLongs = 2, kShorts = 6;

@@ -131,8 +131,8 @@ int main() {
 
   std::printf("\n=== Paged KV-cache storage mode (W4A4/7 MX-OPAL, batched "
               "serving path) ===\n");
-  std::printf("(delta vs fp32-paged KV, which is bitwise identical to the "
-              "dense cache)\n");
+  std::printf("(delta vs fp32-paged KV, which stores the written bits "
+              "exactly)\n");
   std::printf("%-20s", "KV mode");
   for (const auto& run : runs) std::printf(" %12s", run.name.c_str());
   std::printf("\n");

@@ -74,8 +74,9 @@ int main() {
   // The same serving path drives seeded sampling (the generation workload
   // beyond greedy scoring): a temperature/top-k/top-p request submitted
   // twice yields the identical stream, and the batch-of-1 facade's
-  // generate() — same sampler subsystem, dense KV — matches it bitwise
-  // (sampling is invariant to batching and scheduling; see sampler.h).
+  // generate() — same sampler subsystem, private fp32 KV — matches it
+  // bitwise (sampling is invariant to batching and scheduling; see
+  // sampler.h).
   Request sampled;
   sampled.prompt = requests[0].prompt;
   sampled.max_new_tokens = 24;

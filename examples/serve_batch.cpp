@@ -1,7 +1,7 @@
 // Batched serving demo on the paged KV cache with prefix caching and a
 // priority scheduler over chunked prefill: one shared PreparedModel
 // (quantized once), a ServingEngine whose block pool is deliberately sized
-// to ~1/4 of the dense-cache footprint, and more requests than batch slots
+// to ~1/4 of the full-length footprint, and more requests than batch slots
 // — all sharing a 16-token system prefix, half of them marked interactive
 // (priority 1) and half batch (priority 0). Prompts prefill in 8-token
 // chunks (bitwise identical to token-by-token; see scheduler.h), the
@@ -11,7 +11,7 @@
 // index as sequences retire; round 2 finds its prompts' block-aligned
 // prefixes already cached and skips that prefill entirely. Under pool
 // pressure the engine reclaims unreferenced cache entries first; every
-// result in both rounds is checked bitwise against a dense fp32
+// result in both rounds is checked bitwise against an fp32
 // single-sequence decode — scheduling policy and chunking change latency
 // ordering only, never tokens.
 //
@@ -64,7 +64,7 @@ void print_stats(const char* when, const opal::ServingEngine& engine) {
 }
 
 /// Serves `requests`, drains the engine, and checks every result bitwise
-/// against a dense fp32 single-sequence decode. Returns the mismatches.
+/// against an fp32 single-sequence decode. Returns the mismatches.
 std::size_t serve_round(
     opal::ServingEngine& engine,
     const std::shared_ptr<const opal::PreparedModel>& prepared,
@@ -88,12 +88,12 @@ std::size_t serve_round(
   std::size_t mismatches = 0;
   for (std::size_t r = 0; r < ids.size(); ++r) {
     const auto result = engine.result(ids[r]);
-    InferenceEngine dense(prepared);
+    InferenceEngine solo(prepared);
     std::vector<std::size_t> ref = requests[r].prompt;
     const std::size_t target = ref.size() + requests[r].max_new_tokens;
     std::size_t fed = 0;
     while (fed < ref.size()) {
-      const auto logits = dense.step(ref[fed]);
+      const auto logits = solo.step(ref[fed]);
       ++fed;
       if (fed == ref.size() && ref.size() < target) {
         std::size_t best = 0;
@@ -108,7 +108,7 @@ std::size_t serve_round(
     engine.release(ids[r]);  // drop the harvested result immediately
   }
   std::printf("  [%s] %zu requests in %.2fs, %zu steps, %zu token-decodes, "
-              "%.1f tokens/s, %zu dense-baseline mismatches\n\n",
+              "%.1f tokens/s, %zu baseline mismatches\n\n",
               label, ids.size(), serve_s, steps, decoded,
               static_cast<double>(decoded) / serve_s, mismatches);
   return mismatches;
@@ -149,17 +149,17 @@ int main() {
   // the FIFO token-by-token schedule — only latency ordering moves.
   serving_cfg.scheduler = std::make_shared<PriorityScheduler>();
   serving_cfg.prefill_chunk_tokens = 8;
-  // Dense-equivalent footprint would be max_batch full-length sequences;
+  // The full-length footprint would be max_batch max_seq_len sequences;
   // give the pool a quarter of that and let paging absorb the difference.
-  const std::size_t dense_blocks =
+  const std::size_t full_blocks =
       serving_cfg.max_batch * prepared->kv_blocks_per_sequence();
-  serving_cfg.kv_pool_blocks = dense_blocks / 4;
+  serving_cfg.kv_pool_blocks = full_blocks / 4;
   ServingEngine engine(prepared, serving_cfg);
   std::printf("KV pool: %zu blocks of %zu positions (%s entries, %zu KiB) "
-              "— 1/4 of the %zu-block dense-equivalent footprint\n",
+              "— 1/4 of the %zu-block full-length footprint\n",
               engine.kv_pool().n_blocks(), engine.kv_pool().block_size(),
               to_string(engine.kv_pool().mode()).c_str(),
-              engine.kv_pool().storage_bytes() / 1024, dense_blocks);
+              engine.kv_pool().storage_bytes() / 1024, full_blocks);
 
   // A 16-token "system prompt" shared by every request (two full KV block
   // columns), followed by per-request tails.
@@ -254,7 +254,7 @@ int main() {
   // The event stream must be non-empty and balanced (every submitted
   // request retires in exactly one finish or evict), the Chrome trace must
   // land on disk, and the traced results must stay bitwise identical to
-  // the dense baseline — tracing observes, never steers.
+  // the single-sequence baseline — tracing observes, never steers.
   {
     setenv("OPAL_TRACE", "1", 1);
     ServingEngine traced(prepared, serving_cfg);
@@ -264,7 +264,7 @@ int main() {
       return 1;
     }
     if (serve_round(traced, prepared, requests, "round 3 traced") != 0) {
-      std::printf("ERROR: traced round diverged from the dense baseline\n");
+      std::printf("ERROR: traced round diverged from the baseline\n");
       return 1;
     }
     const auto events = traced.tracer().events();
@@ -302,7 +302,7 @@ int main() {
   }
 
   if (mismatches != 0) {
-    std::printf("ERROR: %zu results diverged from the dense baseline\n",
+    std::printf("ERROR: %zu results diverged from the baseline\n",
                 mismatches);
     return 1;
   }
@@ -311,7 +311,7 @@ int main() {
                 "cache\n");
     return 1;
   }
-  std::printf("all %zu results (both rounds) bitwise identical to the dense "
-              "fp32 baseline\n", 2 * requests.size());
+  std::printf("all %zu results (both rounds) bitwise identical to the "
+              "single-sequence fp32 baseline\n", 2 * requests.size());
   return 0;
 }

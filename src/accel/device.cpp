@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/tensor.h"
-#include "llm/kv_cache.h"
+#include "llm/paged_kv_cache.h"
 #include "quant/format.h"
 
 namespace opal {
@@ -204,7 +204,7 @@ OpBytes op_bytes(const DeviceConfig& device, const ModelConfig& model,
       // K or V cache streamed from DRAM through the activation buffer.
       // Block-granular: the paged cache stores whole blocks (the op's
       // kv_len rounded up) plus a per-block scale at sub-32-bit precision.
-      const double kv_bytes = static_cast<double>(KvCache::matrix_bytes(
+      const double kv_bytes = static_cast<double>(matrix_bytes(
           model.d_model, op.kv_len,
           static_cast<std::size_t>(device.act.max()),
           device.kv_block_size));

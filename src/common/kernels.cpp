@@ -161,7 +161,6 @@ bool env_forces_scalar() {
 }
 
 std::atomic<const KernelOps*> g_active{nullptr};
-std::atomic<bool> g_force_gather_attend{false};
 
 }  // namespace
 
@@ -204,14 +203,6 @@ void set_force_scalar_kernels(bool force) {
 
 void set_active_kernels(const KernelOps* table) {
   g_active.store(table, std::memory_order_release);
-}
-
-bool force_gather_attend() {
-  return g_force_gather_attend.load(std::memory_order_acquire);
-}
-
-void set_force_gather_attend(bool force) {
-  g_force_gather_attend.store(force, std::memory_order_release);
 }
 
 }  // namespace opal

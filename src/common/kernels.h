@@ -23,8 +23,7 @@
 //
 // * The scalar table is the reference. kernels.cpp is compiled with
 //   -ffp-contract=off, so its arithmetic is exactly the source-order IEEE
-//   sequence written there — same pattern as the forced-gather vs zero-copy
-//   attend reference in sequence_state.h.
+//   sequence written there.
 // * SIMD tables are *tolerance*-equal to scalar (vector lanes change the
 //   reduction order of dot products), and every table is deterministic: the
 //   same inputs through the same table give the same bits, every time.
@@ -35,8 +34,8 @@
 //   kv_decode_log2 below), and accumulate them with exactly the same
 //   structure as the corresponding non-fused kernel of the same table. Hence
 //   within ANY single table, the fused quantized attend path is bitwise
-//   identical to gather-into-scratch-then-dot — fusion removes the fp32
-//   scratch materialization, never a bit of the result.
+//   identical to PagedKvCache::gather() then the plain kernel — fusion
+//   removes the fp32 scratch materialization, never a bit of the result.
 //
 // ## Adding an ISA variant
 //
@@ -158,15 +157,6 @@ void set_force_scalar_kernels(bool force);
 /// (env switch, CPU probe, scalar fallback) on the next kernels() call.
 /// Same thread-safety contract as set_force_scalar_kernels.
 void set_active_kernels(const KernelOps* table);
-
-/// True when the attend path should read quantized KV through the gather
-/// scratch (the pre-fusion reference) instead of the fused dequantize
-/// kernels. Default off; tests/benches flip it with
-/// set_force_gather_attend() to compare the fused path against its bitwise
-/// reference engine-wide (SequenceState::set_force_gather is the
-/// per-sequence equivalent).
-[[nodiscard]] bool force_gather_attend();
-void set_force_gather_attend(bool force);
 
 // --- log2-7bit KV code layout -----------------------------------------------
 // Shared between KvBlockPool (encode/rescale/read_row) and the fused kernels

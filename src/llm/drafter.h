@@ -182,7 +182,7 @@ class RepeatDrafter final : public Drafter {
 };
 
 /// Draft-model plumbing: runs a (small) PreparedModel greedily over its own
-/// dense KV state to propose the next k tokens. The drafter keeps the
+/// private-pool KV state to propose the next k tokens. The drafter keeps the
 /// history it has fed and resyncs on every call by truncating to the
 /// common prefix with the request's stream — accepted drafts stay cached,
 /// rejected ones are rolled back, exactly mirroring the target's KV.
@@ -200,7 +200,7 @@ class ModelDrafter final : public Drafter {
   [[nodiscard]] std::size_t argmax_logits() const;
 
   std::shared_ptr<const PreparedModel> model_;
-  std::unique_ptr<SequenceState> state_;      // dense KV, lazily created
+  std::unique_ptr<SequenceState> state_;      // private KV, lazily created
   std::vector<std::size_t> history_;          // tokens fed into state_
 };
 

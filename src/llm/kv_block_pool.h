@@ -7,9 +7,9 @@
 // max_seq_len rows per sequence up front. Entries are stored in one of three
 // modes:
 //
-//   * kFp32 — raw binary32; reads return the written bits verbatim, so a
-//     paged fp32 cache is bitwise identical to the dense KvCache (the
-//     equivalence tests depend on this).
+//   * kFp32 — raw binary32; reads return the written bits verbatim, so
+//     attention over fp32 blocks sees exactly the floats the model wrote
+//     (the bitwise equivalence tests depend on this).
 //   * kInt8 — symmetric int8 with one fp32 scale per block (scale =
 //     amax / 127). The block's amax only grows: when a newly written row
 //     exceeds it, the block's existing codes are rescaled to the new amax.

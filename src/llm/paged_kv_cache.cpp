@@ -222,20 +222,12 @@ void PagedKvCache::reset_block_column(std::size_t layer, std::size_t column) {
 
 void PagedKvCache::gather(std::size_t layer, std::span<float> k_out,
                           std::span<float> v_out) const {
-  gather_range(layer, 0, len_, k_out, v_out);
-}
-
-void PagedKvCache::gather_range(std::size_t layer, std::size_t from,
-                                std::size_t to, std::span<float> k_out,
-                                std::span<float> v_out) const {
-  require(layer < k_blocks_.size(), "PagedKvCache::gather_range: bad layer");
-  require(from <= to && to <= len_,
-          "PagedKvCache::gather_range: bad row range");
+  require(layer < k_blocks_.size(), "PagedKvCache::gather: bad layer");
   const std::size_t d = pool_->d_model();
-  require(k_out.size() >= to * d && v_out.size() >= to * d,
-          "PagedKvCache::gather_range: output spans too small");
+  require(k_out.size() >= len_ * d && v_out.size() >= len_ * d,
+          "PagedKvCache::gather: output spans too small");
   const std::size_t bs = pool_->block_size();
-  for (std::size_t t = from; t < to; ++t) {
+  for (std::size_t t = 0; t < len_; ++t) {
     pool_->read_row(k_blocks_[layer][t / bs], t % bs,
                     k_out.subspan(t * d, d));
     pool_->read_row(v_blocks_[layer][t / bs], t % bs,
@@ -243,46 +235,31 @@ void PagedKvCache::gather_range(std::size_t layer, std::size_t from,
   }
 }
 
-void PagedKvCache::append_block_segments(std::size_t layer, std::size_t len,
-                                         std::vector<KvSegment>& out) const {
+void PagedKvCache::append_segments(std::size_t layer, std::size_t len,
+                                   std::vector<KvSegment>& out) const {
   require(layer < k_blocks_.size(),
-          "PagedKvCache::append_block_segments: bad layer");
+          "PagedKvCache::append_segments: bad layer");
   require(len <= len_,
-          "PagedKvCache::append_block_segments: len exceeds cached length");
+          "PagedKvCache::append_segments: len exceeds cached length");
   const std::size_t bs = pool_->block_size();
   const std::size_t d = pool_->d_model();
-  for (std::size_t col = 0; col * bs < len; ++col) {
-    const std::size_t rows = std::min(bs, len - col * bs);
-    KvSegment seg;
-    seg.k = pool_->block_data(k_blocks_[layer][col]).first(rows * d);
-    seg.v = pool_->block_data(v_blocks_[layer][col]).first(rows * d);
-    seg.rows = rows;
-    out.push_back(seg);
-  }
-}
-
-void PagedKvCache::append_quant_segments(std::size_t layer, std::size_t len,
-                                         std::vector<KvSegment>& out) const {
-  require(layer < k_blocks_.size(),
-          "PagedKvCache::append_quant_segments: bad layer");
-  require(len <= len_,
-          "PagedKvCache::append_quant_segments: len exceeds cached length");
-  require(pool_->mode() != KvQuantMode::kFp32,
-          "PagedKvCache::append_quant_segments: fp32 pools expose float "
-          "segments (append_block_segments)");
-  const std::size_t bs = pool_->block_size();
-  const std::size_t d = pool_->d_model();
+  const KvQuantMode mode = pool_->mode();
   for (std::size_t col = 0; col * bs < len; ++col) {
     const std::size_t rows = std::min(bs, len - col * bs);
     const KvBlockPool::BlockId kb = k_blocks_[layer][col];
     const KvBlockPool::BlockId vb = v_blocks_[layer][col];
     KvSegment seg;
     seg.rows = rows;
-    seg.mode = pool_->mode();
-    seg.k_codes = pool_->block_codes(kb).first(rows * d);
-    seg.v_codes = pool_->block_codes(vb).first(rows * d);
-    seg.k_scale = pool_->block_scale(kb);
-    seg.v_scale = pool_->block_scale(vb);
+    seg.mode = mode;
+    if (mode == KvQuantMode::kFp32) {
+      seg.k = pool_->block_data(kb).first(rows * d);
+      seg.v = pool_->block_data(vb).first(rows * d);
+    } else {
+      seg.k_codes = pool_->block_codes(kb).first(rows * d);
+      seg.v_codes = pool_->block_codes(vb).first(rows * d);
+      seg.k_scale = pool_->block_scale(kb);
+      seg.v_scale = pool_->block_scale(vb);
+    }
     out.push_back(seg);
   }
 }
@@ -301,6 +278,18 @@ void PagedKvCache::append_held_block_ids(
       out.insert(out.end(), blocks.begin(), blocks.end());
     }
   }
+}
+
+std::size_t matrix_bytes(std::size_t d_model, std::size_t len,
+                         std::size_t bits_per_value, std::size_t block_size) {
+  require(block_size >= 1,
+          "matrix_bytes: block_size must be >= 1 (1 = unblocked)");
+  const std::size_t blocks = (len + block_size - 1) / block_size;
+  std::size_t bytes = blocks * block_size * d_model * bits_per_value / 8;
+  if (block_size > 1 && bits_per_value < 32) {
+    bytes += blocks * sizeof(float);  // per-block quantization scale
+  }
+  return bytes;
 }
 
 }  // namespace opal

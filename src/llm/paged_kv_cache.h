@@ -1,17 +1,20 @@
-// Per-sequence paged KV cache: a position -> block mapping over a shared
-// KvBlockPool.
+// Per-sequence paged KV cache: a position -> block mapping over a
+// KvBlockPool, the one KV backend of SequenceState.
 //
-// Where the dense KvCache reserves n_layers x 2 x max_seq_len x d_model
-// floats up front, a PagedKvCache holds blocks only for positions actually
-// written: per layer, one list of K blocks and one of V blocks, each block
-// covering `block_size` consecutive positions. advance() acquires the
-// 2*n_layers blocks of a new block column lazily (or finds them already
-// reserved — see reserve_next()), truncate() returns now-unused blocks to
-// the pool, and the destructor returns everything, so cache memory follows
-// the actual working set instead of the worst case.
+// A PagedKvCache holds blocks only for positions actually written rather
+// than max_seq_len rows up front: per layer, one list of K blocks and one
+// of V blocks, each block covering `block_size` consecutive positions.
+// advance() acquires the 2*n_layers blocks of a new block column lazily (or
+// finds them already reserved — see reserve_next()), truncate() returns
+// now-unused blocks to the pool, and the destructor returns everything, so
+// cache memory follows the actual working set instead of the worst case.
 //
-// Reads go through gather(), which dequantizes one layer's K and V into
-// caller scratch; in fp32 mode this reproduces the written bits exactly.
+// Attention reads through append_segments(): one KvSegment per block over
+// the pool's live storage — float spans in fp32 mode, quantized codes plus
+// the block's decode scale in int8/log2 mode — so no prefix is ever copied.
+// gather() dequantizes one layer into caller scratch; it is the read-back
+// reference the fused kernels are tested against, and in fp32 mode it
+// reproduces the written bits exactly.
 //
 // Prefix sharing: map_shared() adopts full, already-written block columns
 // (a PrefixCache hit) as this cache's leading positions, taking a pool
@@ -32,14 +35,12 @@
 namespace opal {
 
 /// One contiguous run of cached KV rows: `rows` consecutive positions of a
-/// single layer, row-major [rows x d_model]. Attention consumes a sequence's
-/// cached prefix as a short list of these — dense caches and gather scratch
-/// yield one segment, fp32 block pools yield one zero-copy segment per block
-/// (spans straight into pool storage, no per-step copy), and quantized block
-/// pools yield one *code* segment per block (mode != kFp32: k_codes/v_codes
-/// span the pool's raw quantized storage with the per-block decode scales,
-/// consumed by the fused dequantize-dot kernels in common/kernels.h; the
-/// float spans are empty).
+/// single layer, row-major [rows x d_model], spanning one pool block.
+/// Attention consumes a sequence's cached prefix as a list of these. In
+/// fp32 pools `k`/`v` span the block's floats directly; in quantized pools
+/// (mode != kFp32) `k_codes`/`v_codes` span the block's raw codes with the
+/// per-block decode scales, consumed by the fused dequantize-dot kernels in
+/// common/kernels.h, and the float spans are empty.
 struct KvSegment {
   std::span<const float> k;
   std::span<const float> v;
@@ -163,31 +164,16 @@ class PagedKvCache {
   void gather(std::size_t layer, std::span<float> k_out,
               std::span<float> v_out) const;
 
-  /// Dequantizes only rows [from, to) of `layer` into the same row-major
-  /// layout (row r lands at offset r*d_model of the spans, which must hold
-  /// at least to*d_model floats). Chunked prefill uses this to refresh just
-  /// the block a new row landed in — a quantized write can grow the block
-  /// scale and rescale that block's earlier codes, but never touches other
-  /// blocks — instead of re-gathering the whole prefix per token.
-  void gather_range(std::size_t layer, std::size_t from, std::size_t to,
-                    std::span<float> k_out, std::span<float> v_out) const;
-
-  /// Appends zero-copy segments covering positions [0, len) of `layer` —
-  /// one KvSegment per block, spanning the pool's storage directly. fp32
-  /// pools only (see KvBlockPool::block_data); len <= length(). The spans
-  /// stay valid until a block of the range is released.
-  void append_block_segments(std::size_t layer, std::size_t len,
-                             std::vector<KvSegment>& out) const;
-
-  /// Quantized counterpart of append_block_segments: appends one code
-  /// segment per block covering positions [0, len) of `layer`, spanning the
-  /// pool's raw quantized storage (KvBlockPool::block_codes) with each
-  /// block's current decode scale — the fused dequantize-dot attend path.
-  /// kInt8/kLog2 pools only; len <= length(). Spans and scales reflect the
-  /// blocks' live state: a later write may rescale a block's codes, so
-  /// segments are taken fresh per attend, like gather would re-read.
-  void append_quant_segments(std::size_t layer, std::size_t len,
-                             std::vector<KvSegment>& out) const;
+  /// Appends one KvSegment per block covering positions [0, len) of
+  /// `layer`, spanning the pool's storage directly: float spans for fp32
+  /// pools (KvBlockPool::block_data), code spans plus each block's current
+  /// decode scale for int8/log2 pools (KvBlockPool::block_codes /
+  /// block_scale). len <= length(). Segments reflect the blocks' live
+  /// state — a later quantized write may rescale a block's codes — so take
+  /// them fresh per attend; the spans stay valid until a block of the range
+  /// is released.
+  void append_segments(std::size_t layer, std::size_t len,
+                       std::vector<KvSegment>& out) const;
 
   [[nodiscard]] std::size_t length() const { return len_; }
   [[nodiscard]] std::size_t max_seq_len() const { return max_seq_len_; }
@@ -219,5 +205,15 @@ class PagedKvCache {
 
   void release_from(std::size_t first_block);
 };
+
+/// Bytes to store one layer's K (or V) matrix at length `len` with
+/// `bits_per_value`-bit entries, allocated block-granularly in blocks of
+/// `block_size` positions (len rounds up to whole blocks; 1 = unblocked).
+/// Sub-32-bit blocked layouts (block_size > 1) carry one fp32 scale per
+/// block, matching KvBlockPool's quantized storage. The accelerator model
+/// sizes its KV traffic with this (accel/device.cpp).
+[[nodiscard]] std::size_t matrix_bytes(std::size_t d_model, std::size_t len,
+                                       std::size_t bits_per_value,
+                                       std::size_t block_size = 1);
 
 }  // namespace opal

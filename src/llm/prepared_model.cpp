@@ -70,7 +70,10 @@ void PreparedModel::finish_construction() {
 }
 
 SequenceState PreparedModel::make_sequence() const {
-  return SequenceState(model_->config(), config_.max_seq_len);
+  return SequenceState(model_->config(), config_.max_seq_len,
+                       std::make_unique<KvBlockPool>(
+                           kv_blocks_per_sequence(), config_.kv_block_size,
+                           model_->config().d_model, KvQuantMode::kFp32));
 }
 
 SequenceState PreparedModel::make_sequence(KvBlockPool& pool) const {
@@ -219,13 +222,12 @@ void PreparedModel::attend(std::size_t l, SequenceState& seq,
   const auto& cfg = model_->config();
   const std::size_t d_head = cfg.d_head();
   const std::size_t d_model = cfg.d_model;
-  // The cached prefix [0, len) as row-major segments: dense caches and
-  // forced gathers yield one contiguous fp32 segment, fp32 block pools one
-  // zero-copy segment per block, quantized block pools one code segment per
-  // block (decoded in-register by the fused kernels below). Iterating
-  // segments outer / rows inner visits positions 0..len-1 in order, so the
-  // arithmetic is identical across all backings: within one kernel table
-  // the fused quantized path is bitwise equal to gather-then-attend.
+  // The cached prefix [0, len) as one row-major segment per block: float
+  // spans for fp32 pools, code spans for quantized pools (decoded
+  // in-register by the fused kernels below). Iterating segments outer /
+  // rows inner visits positions 0..len-1 in order, so within one kernel
+  // table the result is bitwise equal to attending over gather()'s floats
+  // as one contiguous segment.
   const std::span<const KvSegment> kv = seq.attend_view(l, len);
   const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(d_head));
   const KernelOps& ops = kernels();
@@ -414,19 +416,17 @@ std::span<const float> PreparedModel::prefill_chunk(
     std::copy(emb.begin(), emb.end(), seq.chunk_x_row(t).begin());
   }
 
-  // Layer-major sweep: each weight matrix is loaded once per chunk and each
-  // layer's cached prefix is gathered once per chunk, yet every token's ops
-  // run in the token-by-token order *within* its own computation — token t
-  // writes its K/V at p0+t before attending over [0, p0+t], exactly like a
-  // step() at that position — so the results are bitwise identical to n
-  // single steps.
+  // Layer-major sweep: each weight matrix is loaded once per chunk, yet
+  // every token's ops run in the token-by-token order *within* its own
+  // computation — token t writes its K/V at p0+t before attending over
+  // [0, p0+t], exactly like a step() at that position. Attention reads the
+  // blocks' live storage, so a rescale caused by a quantized write is
+  // already visible. The results are bitwise identical to n single steps.
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    seq.begin_chunk_layer(l, p0);
     for (std::size_t t = 0; t < n; ++t) {
       forward_token_layer(l, seq, seq.chunk_x_row(t), p0 + t, recorder);
     }
   }
-  seq.end_chunk();
 
   for (std::size_t t = 0; t < n; ++t) {
     finish_logits(seq, seq.chunk_x_row(t), seq.chunk_logits_row_mut(t));

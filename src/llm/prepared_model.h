@@ -85,10 +85,10 @@ struct EngineConfig {
   bool log2_softmax = false;
   int softmax_bits = 7;  // attention-map code width for the log2 unit
   std::size_t max_seq_len = 512;
-  /// KV-cache entry storage for the paged serving path (the dense
-  /// batch-of-1 facade always keeps fp32). kFp32 is bitwise identical to
-  /// the dense cache; kInt8/kLog2 trade a small perplexity delta for 4x
-  /// less KV memory (see bench_table1_ppl).
+  /// KV-cache entry storage of the serving pools (make_kv_pool); the
+  /// batch-of-1 facade's private pool (make_sequence()) always keeps fp32.
+  /// kFp32 stores the written bits exactly; kInt8/kLog2 trade a small
+  /// perplexity delta for 4x less KV memory (see bench_table1_ppl).
   KvQuantMode kv_mode = KvQuantMode::kFp32;
   /// Positions per KV block (block-granular allocation unit).
   std::size_t kv_block_size = 16;
@@ -139,12 +139,13 @@ class PreparedModel {
       SequenceState& seq, std::span<const std::size_t> tokens,
       ActivationRecorder* recorder = nullptr) const;
 
-  /// Fresh per-sequence state sized for this model (dense KV cache at
-  /// config().max_seq_len plus scratch buffers).
+  /// Fresh per-sequence state sized for this model, owning a private fp32
+  /// pool of kv_blocks_per_sequence() blocks (one sequence at
+  /// config().max_seq_len) plus scratch buffers — the batch-of-1 facade.
   [[nodiscard]] SequenceState make_sequence() const;
 
-  /// Paged variant: the sequence allocates KV blocks from `pool` on demand
-  /// (quantized per the pool's mode) instead of reserving max_seq_len rows.
+  /// Shared-pool variant: the sequence allocates KV blocks from `pool` on
+  /// demand, quantized per the pool's mode.
   [[nodiscard]] SequenceState make_sequence(KvBlockPool& pool) const;
 
   /// A pool whose blocks match this model (kv_block_size positions x

@@ -3,44 +3,28 @@
 // layer can keep one per in-flight request while every sequence shares a
 // single immutable PreparedModel.
 //
-// The KV backend is either the dense KvCache (max_seq_len rows reserved up
-// front; the single-sequence facade's default) or a PagedKvCache drawing
-// fixed-size blocks from a shared KvBlockPool (the serving path, optionally
-// quantized). PreparedModel reads the cache through attend_view(), which
-// yields the cached prefix as a short list of row-major KvSegments:
-//   * dense        — one segment spanning the cache rows themselves;
-//   * paged fp32   — one zero-copy segment per KV block, spanning the
-//     pool's storage directly (entries are the written bits, so there is
-//     nothing to dequantize and nothing to copy);
-//   * paged int8/log2 — one *code* segment per KV block, spanning the
-//     pool's raw quantized storage with the per-block decode scales; the
-//     fused dequantize-dot kernels (common/kernels.h) decode in-register,
-//     so no fp32 gather scratch is materialized. Forcing gather
-//     (set_force_gather / set_force_gather_attend) restores the
-//     pre-fusion reference: dequantize the prefix into per-sequence
-//     scratch and attend over the floats — bitwise identical to the fused
-//     path within any one kernel table.
-// All paths feed attention the same values in the same order, so the paged
-// fp32 path stays bitwise identical to dense.
-//
-// Chunked prefill (PreparedModel::prefill_chunk) processes N known tokens
-// layer by layer through one state. When gather is forced, the chunk
-// protocol below keeps the quantized gather scratch exact without
-// re-gathering the whole prefix per token: begin_chunk_layer() gathers the
-// pre-chunk prefix once, and each write_kv_at() re-reads just the written
-// block's rows — the only rows a quantized scale-growth rescale can touch —
-// so every attend sees exactly the bytes a token-by-token run would have
-// seen. The fused code-segment path needs none of that: it reads the
-// blocks' live codes directly, which IS what a token-by-token re-gather
-// would dequantize.
+// The KV backend is always a PagedKvCache. Serving sequences draw its
+// fixed-size blocks from a shared KvBlockPool (fp32, int8 or log2); the
+// batch-of-1 facade (PreparedModel::make_sequence() without a pool) owns a
+// private fp32 pool sized for one sequence at max_seq_len. PreparedModel
+// reads the cache through attend_view(), which yields the cached prefix as
+// one KvSegment per block, spanning the pool's live storage (see
+// PagedKvCache::append_segments):
+//   * fp32     — float spans; entries are the written bits, so there is
+//     nothing to dequantize and nothing to copy;
+//   * int8/log2 — code spans plus the per-block decode scales; the fused
+//     dequantize-dot kernels (common/kernels.h) decode in-register, bitwise
+//     equal to attending over PagedKvCache::gather()'s floats.
+// Segments read live storage, so chunked prefill needs no bookkeeping: a
+// quantized write that rescales its block is seen by the next attend, which
+// is exactly what a token-by-token run reads.
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "llm/kv_cache.h"
 #include "llm/model_config.h"
 #include "llm/paged_kv_cache.h"
 #include "llm/sampler.h"
@@ -49,33 +33,32 @@ namespace opal {
 
 class SequenceState {
  public:
-  /// Dense KV backend (one max_seq_len x d_model matrix pair per layer).
-  SequenceState(const ModelConfig& config, std::size_t max_seq_len);
-
-  /// Paged KV backend allocating from `pool` (which must outlive the state).
+  /// KV blocks allocated from `pool` (which must outlive the state).
   SequenceState(const ModelConfig& config, std::size_t max_seq_len,
                 KvBlockPool& pool);
 
-  /// Number of tokens decoded into the KV cache so far.
-  [[nodiscard]] std::size_t position() const {
-    return dense_ ? dense_->length() : paged_->length();
-  }
-  [[nodiscard]] std::size_t max_seq_len() const { return max_seq_len_; }
-  [[nodiscard]] bool paged() const { return paged_.has_value(); }
+  /// KV blocks allocated from `pool`, which the state owns (the batch-of-1
+  /// facade's private pool).
+  SequenceState(const ModelConfig& config, std::size_t max_seq_len,
+                std::unique_ptr<KvBlockPool> pool);
 
-  /// Drops all cached context; the next step decodes at position 0. In
-  /// paged mode every held block returns to the pool.
+  /// Number of tokens decoded into the KV cache so far.
+  [[nodiscard]] std::size_t position() const { return kv_.length(); }
+  [[nodiscard]] std::size_t max_seq_len() const { return max_seq_len_; }
+
+  /// Drops all cached context; every held block returns to the pool and
+  /// the next step decodes at position 0.
   void reset() { truncate(0); }
 
   /// Rolls the cached context back to `len` positions (scheduler eviction /
-  /// partial-recompute preemption); paged mode frees the blocks past the
-  /// new boundary. Throws if len exceeds position().
-  void truncate(std::size_t len);
+  /// partial-recompute preemption), freeing the blocks past the new
+  /// boundary. Throws if len exceeds position().
+  void truncate(std::size_t len) { kv_.truncate(len); }
 
   // --- speculative decode-verify rollback (ServingEngine) ---
   //
   // A speculative burst feeds 1 + k tokens through prefill_chunk and may
-  // commit only the first C of them. In fp32 (and dense) KV, truncate()
+  // commit only the first C of them. In fp32 KV, truncate()
   // alone rewinds exactly — writes are row-local. In quantized modes the
   // rejected rows can have GROWN the boundary block's scale and rescaled
   // the kept rows' codes, so truncate() alone would leave the kept prefix
@@ -92,7 +75,7 @@ class SequenceState {
   //     only the committed tokens — the prefix stays canonical and
   //     prefix-cacheable, no non_canonical_from watermark needed;
   //   * end_spec_capture() — when every row was committed (no rollback).
-  // Capture is a no-op in fp32/dense modes, where spec_rollback() is just
+  // Capture is a no-op in fp32 mode, where spec_rollback() is just
   // truncate(). Buffers are grow-only and reused across bursts.
   void begin_spec_capture(std::size_t n_tokens);
   void end_spec_capture() { spec_capture_ = false; }
@@ -100,42 +83,32 @@ class SequenceState {
 
   /// Adopts shared, already-written block columns (a PrefixCache hit) as
   /// this sequence's first `n_positions` cached positions, so prefill can
-  /// skip ahead and resume decoding from there. Paged mode only; the cache
-  /// must be empty (see PagedKvCache::map_shared).
+  /// skip ahead and resume decoding from there. The cache must be empty
+  /// (see PagedKvCache::map_shared).
   void adopt_prefix(std::span<const KvBlockColumn> columns,
                     std::size_t n_positions) {
-    require(paged_.has_value(),
-            "SequenceState::adopt_prefix: dense KV cannot share blocks");
-    paged_->map_shared(columns, n_positions);
+    kv_.map_shared(columns, n_positions);
   }
 
-  /// Paged-mode KV cache, for PrefixCache insertion (null in dense mode).
-  [[nodiscard]] const PagedKvCache* paged_cache() const {
-    return paged_ ? &*paged_ : nullptr;
-  }
+  /// The KV cache, for PrefixCache insertion and block accounting.
+  [[nodiscard]] const PagedKvCache& paged_cache() const { return kv_; }
 
-  /// Pool blocks currently held (0 in dense mode).
-  [[nodiscard]] std::size_t blocks_held() const {
-    return paged_ ? paged_->blocks_held() : 0;
-  }
-  /// Pool blocks the next decode step would take (0 in dense mode).
+  /// Pool blocks currently held.
+  [[nodiscard]] std::size_t blocks_held() const { return kv_.blocks_held(); }
+  /// Pool blocks the next decode step would take.
   [[nodiscard]] std::size_t blocks_needed_for_next() const {
-    return paged_ ? paged_->blocks_needed_for_next() : 0;
+    return kv_.blocks_needed_for_next();
   }
-  /// Pool blocks an `n`-token chunk would take right now (0 in dense mode).
+  /// Pool blocks an `n`-token chunk would take right now.
   [[nodiscard]] std::size_t blocks_needed_for(std::size_t n) const {
-    return paged_ ? paged_->blocks_needed_for(n) : 0;
+    return kv_.blocks_needed_for(n);
   }
-  /// Pre-acquires the next step's blocks (no-op in dense mode); lets a
-  /// serving layer keep pool mutation out of its parallel decode phase.
-  void reserve_next() {
-    if (paged_) paged_->reserve_next();
-  }
+  /// Pre-acquires the next step's blocks; lets a serving layer keep pool
+  /// mutation out of its parallel decode phase.
+  void reserve_next() { kv_.reserve_next(); }
   /// Multi-token reserve_next(): pre-acquires everything an `n`-token
-  /// prefill chunk needs (idempotent; no-op in dense mode).
-  void reserve_for(std::size_t n) {
-    if (paged_) paged_->reserve_for(n);
-  }
+  /// prefill chunk needs (idempotent).
+  void reserve_for(std::size_t n) { kv_.reserve_for(n); }
 
   /// Logits produced by the most recent PreparedModel::step (or the final
   /// position of the most recent prefill_chunk) with this state — zeros
@@ -166,52 +139,23 @@ class SequenceState {
     return sampler_state_;
   }
 
-  /// Bench/test hook: route the paged attend path through the gather
-  /// scratch (the pre-zero-copy / pre-fusion behavior) instead of
-  /// block-span or fused code-segment views. Both splits are bitwise
-  /// identical — fp32 read_row returns the written bits, and the fused
-  /// dequantize kernels decode exactly read_row's floats with the same
-  /// accumulation structure — so this only exists to measure what the
-  /// scratch materialization used to cost and to pin the reference in
-  /// tests. No effect in dense mode. set_force_gather_attend()
-  /// (common/kernels.h) is the engine-wide equivalent.
-  void set_force_gather(bool force) { force_gather_ = force; }
-
-  /// Number of gather-scratch materializations (full or partial
-  /// dequantize-into-fp32-scratch passes) this state has performed. Stays 0
-  /// on the fused quantized decode path — the observable "no fp32 gather
-  /// scratch" guarantee — and counts up when gather is forced.
-  [[nodiscard]] std::size_t gather_count() const { return gather_count_; }
-
  private:
   friend class PreparedModel;
 
-  /// The cached positions [0, len) of `layer` as row-major KvSegments (see
-  /// the header comment for the three backing paths). Gather-backed views
-  /// are valid until the next attend_view()/write on this state; zero-copy
-  /// views follow the pool storage and are always current.
+  /// The cached positions [0, len) of `layer`, one KvSegment per block
+  /// over the pool's live storage (see the header comment).
   [[nodiscard]] std::span<const KvSegment> attend_view(std::size_t layer,
-                                                       std::size_t len);
+                                                       std::size_t len) {
+    segments_.clear();
+    kv_.append_segments(layer, len, segments_);
+    return segments_;
+  }
 
   void init_scratch(const ModelConfig& config);
 
-  /// True when this state must read paged KV through the fp32 gather
-  /// scratch instead of zero-copy/fused segment views (the reference path).
-  [[nodiscard]] bool gather_active() const;
-
-  /// Lazily sizes the gather scratch, dequantizes rows [from, to) of
-  /// `layer` into it, and counts the materialization.
-  void gather_into_scratch(std::size_t layer, std::size_t from,
-                           std::size_t to);
-
-  // --- chunk protocol (driven by PreparedModel::prefill_chunk) ---
-  /// Sizes the chunk activation/logits buffers for `n` tokens.
+  /// Sizes the chunk activation/logits buffers for `n` tokens
+  /// (PreparedModel::prefill_chunk).
   void begin_chunk(std::size_t n);
-  /// Prepares `layer` for in-chunk attends: quantized paths gather the
-  /// pre-chunk prefix [0, prefix_len) once; write_kv_at keeps it fresh.
-  void begin_chunk_layer(std::size_t layer, std::size_t prefix_len);
-  /// Leaves chunk mode: attend_view() re-gathers fully again.
-  void end_chunk() { chunk_layer_ = kNoChunkLayer; }
   [[nodiscard]] std::span<float> chunk_x_row(std::size_t i) {
     return std::span<float>(chunk_x_).subspan(i * x_.size(), x_.size());
   }
@@ -220,42 +164,29 @@ class SequenceState {
         .subspan(i * logits_.size(), logits_.size());
   }
 
-  void advance_cache() { dense_ ? dense_->advance() : paged_->advance(); }
-  void advance_cache_by(std::size_t n) {
-    dense_ ? dense_->advance_by(n) : paged_->advance_by(n);
-  }
-  /// Writes one position's K/V for `layer`; inside a chunk on a quantized
-  /// (or force-gather) paged cache, also refreshes the written block's rows
-  /// in the gather scratch so in-chunk attends read post-rescale bytes.
+  void advance_cache() { kv_.advance(); }
+  void advance_cache_by(std::size_t n) { kv_.advance_by(n); }
+  /// Writes one position's K/V for `layer`, recording the rows while a
+  /// speculative capture is armed.
   void write_kv_at(std::size_t layer, std::size_t pos,
                    std::span<const float> k, std::span<const float> v);
 
   std::size_t max_seq_len_;
   std::size_t n_layers_ = 0;
   SamplerState sampler_state_;
-  std::optional<KvCache> dense_;
-  std::optional<PagedKvCache> paged_;
-  // Speculative-rollback capture (quantized paged mode only; see the
-  // protocol comment above): fp32 copies of the rows written during the
-  // current burst, [n_layers x spec_cap_ x d_model], plus the boundary
-  // block's pre-burst snapshot per layer.
+  std::unique_ptr<KvBlockPool> own_pool_;  // facade only; outlives kv_
+  PagedKvCache kv_;
+  // Speculative-rollback capture (quantized pools only; see the protocol
+  // comment above): fp32 copies of the rows written during the current
+  // burst, [n_layers x spec_cap_ x d_model], plus the boundary block's
+  // pre-burst snapshot per layer.
   bool spec_capture_ = false;
   bool spec_snap_valid_ = false;
   std::size_t spec_base_ = 0;  // position() when capture began
   std::size_t spec_cap_ = 0;   // tokens the capture covers
   std::vector<float> spec_rows_k_, spec_rows_v_;
   std::vector<KvBlockPool::BlockSnapshot> spec_snap_k_, spec_snap_v_;
-  // Paged mode, gather path only: one layer's dequantized KV. Allocated
-  // lazily on the first forced gather — the fused/zero-copy paths never
-  // touch (or pay for) this scratch.
-  std::vector<float> gather_k_, gather_v_;
   std::vector<KvSegment> segments_;  // attend_view scratch
-  bool force_gather_ = false;
-  std::size_t gather_count_ = 0;
-  // Chunk state: the layer whose gather scratch prefill_chunk currently
-  // maintains incrementally (kNoChunkLayer outside a chunk).
-  static constexpr std::size_t kNoChunkLayer = static_cast<std::size_t>(-1);
-  std::size_t chunk_layer_ = kNoChunkLayer;
   std::size_t chunk_tokens_ = 0;
   std::vector<float> chunk_x_;       // [chunk_tokens x d_model] residuals
   std::vector<float> chunk_logits_;  // [chunk_tokens x vocab]

@@ -265,8 +265,6 @@ void ServingEngine::restore_cached_prefix(Sequence& seq) {
 
 void ServingEngine::maybe_cache_prefix(const Sequence& seq) {
   if (prefix_cache_ == nullptr || seq.state == nullptr) return;
-  const PagedKvCache* cache = seq.state->paged_cache();
-  if (cache == nullptr) return;
   const std::size_t bs = model_->config().kv_block_size;
   // Full columns only, capped at the canonical watermark: columns at or
   // past a quantized mid-block truncation would index KV that is not a
@@ -274,7 +272,7 @@ void ServingEngine::maybe_cache_prefix(const Sequence& seq) {
   const std::size_t aligned =
       std::min((seq.fed / bs) * bs, seq.non_canonical_from);
   if (aligned == 0) return;
-  prefix_cache_->insert(seq.result.tokens, aligned, *cache);
+  prefix_cache_->insert(seq.result.tokens, aligned, seq.state->paged_cache());
 }
 
 void ServingEngine::release_sequence_kv(Sequence& seq) {
@@ -444,13 +442,10 @@ bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
       // blocks_held() would inflate `ours` past blocks_in_use() and
       // misread a sibling engine's transient hold as an unservable pool.
       std::vector<KvBlockPool::BlockId> held;
-      if (const PagedKvCache* cache = batch_.front().state->paged_cache()) {
-        cache->append_held_block_ids(held);
-      }
+      batch_.front().state->paged_cache().append_held_block_ids(held);
       for (const auto& seq : queue_) {
-        if (seq.state == nullptr) continue;
-        if (const PagedKvCache* cache = seq.state->paged_cache()) {
-          cache->append_held_block_ids(held);
+        if (seq.state != nullptr) {
+          seq.state->paged_cache().append_held_block_ids(held);
         }
       }
       std::sort(held.begin(), held.end());

@@ -19,7 +19,8 @@ struct Decoded {
   std::vector<std::vector<float>> logits;
 };
 
-/// Greedy dense fp32 reference: the bitwise baseline for the paged path.
+/// Greedy single-sequence fp32 reference (InferenceEngine): the bitwise
+/// baseline for the serving path.
 inline Decoded reference_decode(
     const std::shared_ptr<const PreparedModel>& model,
     std::vector<std::size_t> prompt, std::size_t max_new) {

@@ -18,6 +18,7 @@
 
 #include "common/kernels.h"
 #include "eval/schemes.h"
+#include "llm/engine.h"
 #include "llm/serving_engine.h"
 
 namespace opal {
@@ -107,6 +108,89 @@ TEST_F(GoldenBits, MxOpalLog2ServingInt8Kv) {
 
 TEST_F(GoldenBits, MxOpalLog2ServingLog2Kv) {
   EXPECT_EQ(serve_hash(KvQuantMode::kLog2), 0x0aec89d766a889ffull);
+}
+
+// --- the batch-of-1 facade ---
+//
+// InferenceEngine and ModelDrafter decode through a SequenceState that owns
+// its KV storage; ServingEngine never touches it, so the hashes above do not
+// cover it. These were recorded while the facade still ran on the dense KV
+// backend.
+
+EngineConfig facade_config(EngineConfig ecfg) {
+  ecfg.max_seq_len = 64;
+  ecfg.kv_block_size = 8;
+  return ecfg;
+}
+
+std::vector<std::size_t> facade_prompt() {
+  // 21 tokens: two full KV blocks and a partly filled third.
+  std::vector<std::size_t> prompt;
+  for (std::size_t i = 0; i < 21; ++i) prompt.push_back((i * 41 + 7) % 96);
+  return prompt;
+}
+
+/// Every logit of every InferenceEngine::step over facade_prompt().
+std::uint64_t facade_step_hash(const EngineConfig& ecfg) {
+  InferenceEngine engine(std::make_shared<const PreparedModel>(
+      golden_model(), facade_config(ecfg)));
+  std::uint64_t h = kFnvOffset;
+  for (const std::size_t token : facade_prompt()) {
+    for (const float v : engine.step(token)) {
+      fnv_mix(h, std::bit_cast<std::uint32_t>(v));
+    }
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFacadeMxOpalHash = 0x3f9acd1fada48bc4ull;
+
+TEST_F(GoldenBits, FacadeStepBf16) {
+  EXPECT_EQ(facade_step_hash(scheme_bf16()), 0xab3f6a82aa070c7eull);
+}
+
+TEST_F(GoldenBits, FacadeStepMxOpalLog2) {
+  EXPECT_EQ(facade_step_hash(scheme_mx_opal(4, 4, 7, true)),
+            kFacadeMxOpalHash);
+}
+
+TEST_F(GoldenBits, FacadeKeepsFp32KvWhateverKvMode) {
+  // kv_mode lays out the serving pools only; the facade's own KV is fp32.
+  EngineConfig ecfg = scheme_mx_opal(4, 4, 7, true);
+  ecfg.kv_mode = KvQuantMode::kInt8;
+  EXPECT_EQ(facade_step_hash(ecfg), kFacadeMxOpalHash);
+}
+
+TEST_F(GoldenBits, FacadeGenerateTopP) {
+  InferenceEngine engine(std::make_shared<const PreparedModel>(
+      golden_model(), facade_config(scheme_mx_opal(4, 4, 7, true))));
+  SamplingParams params;
+  params.policy = SamplePolicy::kTopP;
+  params.temperature = 0.8f;
+  params.top_p = 0.9f;
+  params.seed = 29;
+  const GenerationResult out = engine.generate(facade_prompt(), 16, params);
+  std::uint64_t h = kFnvOffset;
+  for (const std::size_t t : out.tokens) fnv_mix(h, t);
+  EXPECT_EQ(out.tokens.size(), facade_prompt().size() + 16);
+  EXPECT_EQ(h, 0xb59e95d1d6e36320ull);
+}
+
+TEST_F(GoldenBits, ModelDrafterSpecAccepted) {
+  // A bf16 drafter proposing for the MX-OPAL target: acceptance depends on
+  // every logit the drafter's private state produces.
+  const auto target = std::make_shared<const PreparedModel>(
+      golden_model(), facade_config(scheme_mx_opal(4, 4, 7, true)));
+  ServingConfig scfg;
+  scfg.max_batch = 2;
+  scfg.speculative.policy = DraftPolicy::kModel;
+  scfg.speculative.draft_tokens = 3;
+  scfg.speculative.draft_model = std::make_shared<const PreparedModel>(
+      golden_model(), facade_config(scheme_bf16()));
+  ServingEngine engine(target, scfg);
+  for (const Request& req : golden_requests()) engine.submit(req);
+  engine.run();
+  EXPECT_EQ(engine.stats().spec_accepted, 15u);
 }
 
 }  // namespace

@@ -6,12 +6,15 @@
 //  * fused dequantize-dot kernels are BITWISE equal to decode-into-scratch
 //    then plain-kernel, within each table — the guarantee the quantized
 //    attend path builds on;
+//  * attention over a PagedKvCache's per-block segments (float spans for
+//    fp32 pools, code segments for int8/log2) is BITWISE equal to the plain
+//    kernels over PagedKvCache::gather()'s floats as one contiguous
+//    segment, within each table, across scale growth and mid-block
+//    rescales;
 //  * the in-register log2/int8 decodes match KvBlockPool's scalar decode
 //    exactly for every byte value;
 //  * end-to-end: ServingEngine token streams agree between SIMD and
-//    forced-scalar kernels, and the fused attend path matches the
-//    forced-gather reference bitwise in every kv_mode without ever
-//    materializing fp32 gather scratch.
+//    forced-scalar kernels in every kv_mode.
 #include "common/kernels.h"
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "eval/schemes.h"
+#include "llm/paged_kv_cache.h"
 #include "llm/serving_engine.h"
 
 namespace opal {
@@ -267,6 +271,93 @@ TEST(KernelsFused, SimdFusedEqualsGatherThenDotBitwise) {
   check_fused_bitwise(*simd);
 }
 
+// --- block segments == gather() as one segment, bitwise, per table ----------
+
+TEST(KernelsFused, BlockSegmentsEqualGatheredSegmentBitwise) {
+  // The view PreparedModel::attend reads: one segment per block, scored and
+  // accumulated with the same per-mode dispatch. Row amplitudes grow within
+  // blocks, so quantized blocks rescale their earlier codes mid-block; 10
+  // rows in blocks of 4 leave the last block partly filled.
+  const std::size_t bs = 4, len = 10, n_heads = 3, d_head = 12;
+  const std::size_t d = n_heads * d_head;  // d_head % 8 != 0: vector tails
+  const float amps[len] = {1.0f, 0.5f, 3.0f, 1.0f, 2.0f,
+                           8.0f, 0.25f, 1.0f, 4.0f, 16.0f};
+  std::vector<const KernelOps*> tables = {&scalar_kernels()};
+  if (const KernelOps* simd = simd_kernels()) tables.push_back(simd);
+
+  for (const KvQuantMode mode :
+       {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
+    KvBlockPool pool(8, bs, d, mode);
+    PagedKvCache cache(pool, 1, 16);
+    for (const float amp : amps) {
+      cache.advance();
+      auto k = rand_vec(d), v = rand_vec(d);
+      for (std::size_t c = 0; c < d; ++c) {
+        k[c] *= amp;
+        v[c] *= amp;
+      }
+      cache.append(0, k, v);
+    }
+    std::vector<KvSegment> segs;
+    cache.append_segments(0, len, segs);
+    ASSERT_EQ(segs.size(), 3u);
+    ASSERT_EQ(segs.back().rows, 2u);
+    std::vector<float> gk(len * d), gv(len * d);
+    cache.gather(0, gk, gv);
+
+    const auto q = rand_vec(d);
+    const auto w = rand_vec(len);
+    for (const KernelOps* ops : tables) {
+      for (std::size_t head = 0; head < n_heads; ++head) {
+        const std::size_t base = head * d_head;
+        std::vector<float> got(len), want(len);
+        std::vector<float> z_got(d_head, 0.0f), z_want(d_head, 0.0f);
+        std::size_t t = 0;
+        for (const KvSegment& seg : segs) {
+          ASSERT_EQ(seg.mode, mode);
+          switch (mode) {
+            case KvQuantMode::kFp32:
+              ops->attend_scores(q.data() + base, seg.k.data() + base,
+                                 seg.rows, d, d_head, 0.5f, got.data() + t);
+              ops->attend_accum(w.data() + t, seg.v.data() + base, seg.rows,
+                                d, d_head, z_got.data());
+              break;
+            case KvQuantMode::kInt8:
+              ops->dequant_scores_int8(q.data() + base,
+                                       seg.k_codes.data() + base, seg.rows,
+                                       d, d_head, seg.k_scale / 127.0f, 0.5f,
+                                       got.data() + t);
+              ops->dequant_accum_int8(w.data() + t, seg.v_codes.data() + base,
+                                      seg.rows, d, d_head,
+                                      seg.v_scale / 127.0f, z_got.data());
+              break;
+            case KvQuantMode::kLog2:
+              ops->dequant_scores_log2(q.data() + base,
+                                       seg.k_codes.data() + base, seg.rows,
+                                       d, d_head,
+                                       static_cast<int>(seg.k_scale), 0.5f,
+                                       got.data() + t);
+              ops->dequant_accum_log2(w.data() + t, seg.v_codes.data() + base,
+                                      seg.rows, d, d_head,
+                                      static_cast<int>(seg.v_scale),
+                                      z_got.data());
+              break;
+          }
+          t += seg.rows;
+        }
+        ops->attend_scores(q.data() + base, gk.data() + base, len, d, d_head,
+                           0.5f, want.data());
+        ops->attend_accum(w.data(), gv.data() + base, len, d, d_head,
+                          z_want.data());
+        EXPECT_EQ(got, want) << ops->name << " " << to_string(mode)
+                             << " scores, head " << head;
+        EXPECT_EQ(z_got, z_want) << ops->name << " " << to_string(mode)
+                                 << " accum, head " << head;
+      }
+    }
+  }
+}
+
 // --- in-register decodes vs the scalar decode, every byte value -------------
 
 TEST(KernelsFused, SimdLog2DecodeExactForAllByteValues) {
@@ -308,10 +399,7 @@ TEST(KernelsFused, SimdInt8DecodeExactForAllCodes) {
 
 class KernelsEndToEnd : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_force_scalar_kernels(false);
-    set_force_gather_attend(false);
-  }
+  void TearDown() override { set_force_scalar_kernels(false); }
 
   static const SyntheticModel& tiny_model() {
     static const SyntheticModel model(scaled_for_eval(llama2_7b(), 128, 2, 64),
@@ -357,65 +445,6 @@ TEST_F(KernelsEndToEnd, ServingTokensMatchForcedScalarInEveryKvMode) {
     set_force_scalar_kernels(true);
     const auto scalar_tokens = serve_tokens(model);
     EXPECT_EQ(simd_tokens, scalar_tokens) << to_string(mode);
-  }
-}
-
-TEST_F(KernelsEndToEnd, FusedAttendMatchesForcedGatherBitwise) {
-  // The engine-wide hook pins the pre-fusion reference; within one kernel
-  // table the fused path must reproduce it bit for bit, in and out of
-  // chunked prefill, while never materializing the fp32 gather scratch.
-  for (const KvQuantMode mode : {KvQuantMode::kInt8, KvQuantMode::kLog2}) {
-    EngineConfig cfg;
-    cfg.max_seq_len = 48;
-    cfg.kv_block_size = 4;
-    cfg.kv_mode = mode;
-    auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-    auto pool = model->make_kv_pool(2.0);
-    SequenceState fused = model->make_sequence(pool);
-    SequenceState gathered = model->make_sequence(pool);
-
-    std::vector<std::size_t> prompt;
-    for (std::size_t i = 0; i < 11; ++i) prompt.push_back((i * 29 + 5) % 64);
-
-    model->prefill_chunk(fused, prompt);
-    for (std::size_t i = 0; i < 9; ++i) model->step(fused, (i * 7) % 64);
-    EXPECT_EQ(fused.gather_count(), 0u) << to_string(mode);
-
-    set_force_gather_attend(true);
-    model->prefill_chunk(gathered, prompt);
-    for (std::size_t i = 0; i < 9; ++i) model->step(gathered, (i * 7) % 64);
-    set_force_gather_attend(false);
-    EXPECT_GT(gathered.gather_count(), 0u) << to_string(mode);
-
-    const auto a = fused.logits();
-    const auto b = gathered.logits();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]) << to_string(mode) << " logit " << i;
-    }
-  }
-}
-
-TEST_F(KernelsEndToEnd, PerSequenceForceGatherAlsoMatchesFused) {
-  EngineConfig cfg;
-  cfg.max_seq_len = 32;
-  cfg.kv_block_size = 8;
-  cfg.kv_mode = KvQuantMode::kInt8;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  auto pool = model->make_kv_pool(2.0);
-  SequenceState fused = model->make_sequence(pool);
-  SequenceState gathered = model->make_sequence(pool);
-  gathered.set_force_gather(true);
-  for (std::size_t i = 0; i < 13; ++i) {
-    model->step(fused, (i * 11 + 2) % 64);
-    model->step(gathered, (i * 11 + 2) % 64);
-  }
-  EXPECT_EQ(fused.gather_count(), 0u);
-  EXPECT_GT(gathered.gather_count(), 0u);
-  const auto a = fused.logits();
-  const auto b = gathered.logits();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "logit " << i;
   }
 }
 

@@ -1,106 +1,37 @@
-#include "llm/kv_cache.h"
+// The KV backend the batch-of-1 facade runs on: a PagedKvCache over a
+// private fp32 pool. Block churn, sharing and quantized modes live in
+// test_kv_pool.cpp; this file covers the single-sequence contract (clock,
+// capacity, dimension checks, rollback), the facade's capacity error, and
+// the KV byte accounting the accelerator model uses.
+#include "llm/paged_kv_cache.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
+
+#include "eval/schemes.h"
+#include "llm/engine.h"
 
 namespace opal {
 namespace {
 
-TEST(KvCache, AdvanceOpensStep) {
-  KvCache cache(2, 4, 8);
-  EXPECT_EQ(cache.length(), 0u);
-  cache.advance();
-  EXPECT_EQ(cache.length(), 1u);
-  std::vector<float> k = {1, 2, 3, 4}, v = {5, 6, 7, 8};
-  cache.append(0, k, v);
-  cache.append(1, k, v);
-  EXPECT_EQ(cache.length(), 1u);  // appends don't move the clock
-}
-
-TEST(KvCache, AppendBeforeAdvanceThrows) {
-  KvCache cache(1, 2, 4);
+TEST(Fp32PagedKvCache, AppendBeforeAdvanceThrows) {
+  KvBlockPool pool(4, 2, 2);
+  PagedKvCache cache(pool, 1, 4);
   std::vector<float> kv = {1.0f, 2.0f};
   EXPECT_THROW(cache.append(0, kv, kv), std::invalid_argument);
 }
 
-TEST(KvCache, StoredValuesReadable) {
-  KvCache cache(1, 3, 4);
-  cache.advance();
-  std::vector<float> k = {1, 2, 3}, v = {4, 5, 6};
-  cache.append(0, k, v);
-  EXPECT_EQ(cache.keys(0)(0, 1), 2.0f);
-  EXPECT_EQ(cache.values(0)(0, 2), 6.0f);
-}
-
-TEST(KvCache, MultipleSteps) {
-  KvCache cache(1, 2, 4);
-  for (int t = 0; t < 3; ++t) {
-    cache.advance();
-    std::vector<float> k = {static_cast<float>(t), 0.0f};
-    cache.append(0, k, k);
-  }
-  EXPECT_EQ(cache.length(), 3u);
-  EXPECT_EQ(cache.keys(0)(2, 0), 2.0f);
-  EXPECT_EQ(cache.keys(0)(0, 0), 0.0f);
-}
-
-TEST(KvCache, OverwriteWithinStep) {
-  // A layer may re-append within the same step (idempotent writes).
-  KvCache cache(1, 2, 4);
-  cache.advance();
-  std::vector<float> a = {1.0f, 1.0f}, b = {2.0f, 2.0f};
-  cache.append(0, a, a);
-  cache.append(0, b, b);
-  EXPECT_EQ(cache.keys(0)(0, 0), 2.0f);
-}
-
-TEST(KvCache, ClearResetsLength) {
-  KvCache cache(1, 2, 4);
-  cache.advance();
-  std::vector<float> kv = {1.0f, 2.0f};
-  cache.append(0, kv, kv);
-  cache.clear();
-  EXPECT_EQ(cache.length(), 0u);
-  cache.advance();
-  cache.append(0, kv, kv);
-  EXPECT_EQ(cache.length(), 1u);
-}
-
-TEST(KvCache, FullCacheThrows) {
-  KvCache cache(1, 2, 1);
+TEST(Fp32PagedKvCache, FullCacheThrows) {
+  KvBlockPool pool(4, 2, 2);
+  PagedKvCache cache(pool, 1, 1);
   cache.advance();
   EXPECT_THROW(cache.advance(), std::invalid_argument);
 }
 
-TEST(KvCache, DimChecks) {
-  KvCache cache(1, 4, 4);
-  cache.advance();
-  std::vector<float> bad(3);
-  EXPECT_THROW(cache.append(0, bad, bad), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(cache.keys(5)), std::invalid_argument);
-}
-
-TEST(KvCache, TruncateRollsBackLength) {
-  KvCache cache(1, 2, 8);
-  for (int t = 0; t < 5; ++t) {
-    cache.advance();
-    std::vector<float> k = {static_cast<float>(t), 0.0f};
-    cache.append(0, k, k);
-  }
-  cache.truncate(2);
-  EXPECT_EQ(cache.length(), 2u);
-  // The kept prefix is untouched.
-  EXPECT_EQ(cache.keys(0)(0, 0), 0.0f);
-  EXPECT_EQ(cache.keys(0)(1, 0), 1.0f);
-  // Rolled-back positions are writable again.
-  cache.advance();
-  std::vector<float> k = {9.0f, 9.0f};
-  cache.append(0, k, k);
-  EXPECT_EQ(cache.length(), 3u);
-  EXPECT_EQ(cache.keys(0)(2, 0), 9.0f);
-}
-
-TEST(KvCache, TruncateBeyondLengthThrows) {
-  KvCache cache(1, 2, 4);
+TEST(Fp32PagedKvCache, TruncateBeyondLengthThrows) {
+  KvBlockPool pool(4, 2, 2);
+  PagedKvCache cache(pool, 1, 4);
   cache.advance();
   EXPECT_THROW(cache.truncate(2), std::invalid_argument);
   cache.truncate(1);  // no-op truncate to current length is fine
@@ -109,21 +40,33 @@ TEST(KvCache, TruncateBeyondLengthThrows) {
   EXPECT_EQ(cache.length(), 0u);
 }
 
-TEST(KvCache, TruncateToZeroMatchesClear) {
-  KvCache cache(2, 2, 4);
+TEST(Fp32PagedKvCache, DimChecks) {
+  KvBlockPool pool(4, 2, 4);
+  PagedKvCache cache(pool, 1, 4);
   cache.advance();
-  std::vector<float> kv = {1.0f, 2.0f};
-  cache.append(0, kv, kv);
-  cache.append(1, kv, kv);
-  cache.truncate(0);
-  EXPECT_EQ(cache.length(), 0u);
-  cache.advance();
-  cache.append(0, kv, kv);
-  EXPECT_EQ(cache.length(), 1u);
+  std::vector<float> bad(3), good(4);
+  EXPECT_THROW(cache.append(0, bad, bad), std::invalid_argument);
+  EXPECT_THROW(cache.append(5, good, good), std::invalid_argument);
+  std::vector<float> k(4), v(4);
+  EXPECT_THROW(cache.gather(5, k, v), std::invalid_argument);
 }
 
-TEST(KvCache, AdvanceToCapacityThenTruncateReopensSpace) {
-  KvCache cache(1, 2, 2);
+TEST(Fp32PagedKvCache, OverwriteWithinStep) {
+  // A layer may re-append within the same step (idempotent writes).
+  KvBlockPool pool(4, 2, 2);
+  PagedKvCache cache(pool, 1, 4);
+  cache.advance();
+  std::vector<float> a = {1.0f, 1.0f}, b = {2.0f, 2.0f};
+  cache.append(0, a, a);
+  cache.append(0, b, b);
+  std::vector<float> k(2), v(2);
+  cache.gather(0, k, v);
+  EXPECT_EQ(k, b);
+}
+
+TEST(Fp32PagedKvCache, AdvanceToCapacityThenTruncateReopensSpace) {
+  KvBlockPool pool(4, 2, 2);
+  PagedKvCache cache(pool, 1, 2);
   cache.advance();
   cache.advance();
   EXPECT_THROW(cache.advance(), std::invalid_argument);
@@ -132,11 +75,41 @@ TEST(KvCache, AdvanceToCapacityThenTruncateReopensSpace) {
   EXPECT_EQ(cache.length(), 2u);
 }
 
-TEST(KvCache, StorageBytesScalesWithBits) {
-  const auto b16 = KvCache::storage_bytes(32, 4096, 2048, 16);
-  const auto b7 = KvCache::storage_bytes(32, 4096, 2048, 7);
-  EXPECT_EQ(b16, 32u * 2 * 4096 * 2048 * 2);
-  EXPECT_LT(b7, b16 / 2);
+TEST(Fp32PagedKvCache, FacadeStepPastMaxSeqLenIsInvalidArgument) {
+  // The facade's private pool holds exactly one sequence at max_seq_len,
+  // so running out of positions is a usage error, never pool pressure.
+  static const SyntheticModel model(scaled_for_eval(llama2_7b(), 128, 2, 64),
+                                    42);
+  EngineConfig cfg;
+  cfg.max_seq_len = 6;
+  cfg.kv_block_size = 4;
+  InferenceEngine engine(model, cfg);
+  for (std::size_t t = 0; t < cfg.max_seq_len; ++t) engine.step(t);
+  ASSERT_EQ(engine.position(), cfg.max_seq_len);
+  try {
+    engine.step(0);
+    FAIL() << "step at max_seq_len must throw";
+  } catch (const KvPoolExhausted&) {
+    FAIL() << "step at max_seq_len threw KvPoolExhausted";
+  } catch (const std::invalid_argument&) {
+  }
+  EXPECT_EQ(engine.position(), cfg.max_seq_len);
+}
+
+TEST(MatrixBytes, ScalesWithBits) {
+  const auto b16 = matrix_bytes(4096, 2048, 16);
+  EXPECT_EQ(b16, 4096u * 2048 * 2);
+  EXPECT_LT(matrix_bytes(4096, 2048, 7), b16 / 2);
+}
+
+TEST(MatrixBytes, BlockGranular) {
+  // Length rounds up to whole blocks, and sub-32-bit layouts carry one
+  // fp32 scale per block.
+  EXPECT_EQ(matrix_bytes(64, 17, 32, 16), 32u * 64 * 4);
+  EXPECT_EQ(matrix_bytes(64, 17, 8, 16), 32u * 64 + 2 * 4);
+  // Quantized paged storage is ~4x below fp32.
+  EXPECT_LT(matrix_bytes(4096, 2048, 8, 16),
+            matrix_bytes(4096, 2048, 32, 16) / 3);
 }
 
 }  // namespace

@@ -174,14 +174,15 @@ TEST(Profiler, RegistryCountersMirrorProfile) {
 // --- counts exactly match hand-counted kernel invocations ---
 
 TEST(Profiler, CountsMatchHandCountedInvocations) {
-  // Dense fp32 facade of the tiny model, driven token by token with the
+  // fp32 facade of the tiny model, driven token by token with the
   // profiler bound to one local slot. Every dispatch-table call in the
   // forward pass is enumerable by hand:
   //   per step: 6L+1 matvec (Wq,Wk,Wv,Wo,fc1,fc2 per layer + tied
   //   embedding), 2L axpy (both residual adds), 1 scale (logit scale), and
-  //   L*H attend_scores + L*H attend_accum (dense cache = one KV segment
-  //   per layer, one call per head); norm, softmax, and the activation are
-  //   plain loops that never enter the dispatch table.
+  //   L*H attend_scores + L*H attend_accum (three positions fit one KV
+  //   block = one segment per layer, one call per head); norm, softmax,
+  //   and the activation are plain loops that never enter the dispatch
+  //   table.
   const ModelConfig mc = tiny_config();
   const std::size_t L = mc.n_layers;
   const std::size_t H = mc.n_heads;
@@ -230,7 +231,7 @@ TEST(Profiler, CountsMatchHandCountedInvocations) {
             (1 + 2 + 3) * L * H * mc.d_head());
   EXPECT_EQ(stat(KernelKind::kAttendAccum).elems,
             (1 + 2 + 3) * L * H * mc.d_head());
-  // Nothing else fires on the dense fp32 path.
+  // Nothing else fires on the fp32 path.
   EXPECT_EQ(stat(KernelKind::kDot).calls, 0u);
   EXPECT_EQ(stat(KernelKind::kMatvecTransposed).calls, 0u);
   EXPECT_EQ(stat(KernelKind::kDequantDotInt8).calls, 0u);

@@ -148,10 +148,10 @@ TEST(PrefillChunk, MatchesTokenByTokenBitwise_AllKvModes) {
   }
 }
 
-TEST(PrefillChunk, WholePromptInOneChunkMatchesOnDenseState) {
+TEST(PrefillChunk, WholePromptInOneChunkMatchesOnPrivatePool) {
   const auto tokens = prompt_tokens(13);
   const PreparedModel model(tiny_model(), engine_config(KvQuantMode::kFp32));
-  SequenceState ref = model.make_sequence();  // dense backend
+  SequenceState ref = model.make_sequence();  // facade's private pool
   std::vector<std::vector<float>> ref_logits;
   for (const std::size_t token : tokens) {
     const auto logits = model.step(ref, token);
@@ -163,35 +163,6 @@ TEST(PrefillChunk, WholePromptInOneChunkMatchesOnDenseState) {
     const auto row = chunked.chunk_logits_row(j);
     EXPECT_EQ(ref_logits[j], std::vector<float>(row.begin(), row.end()))
         << "position " << j;
-  }
-}
-
-TEST(PrefillChunk, ZeroCopyBlockAttendMatchesForcedGather) {
-  // fp32 paged attention reads pool storage directly; forcing the old
-  // gather-copy path must reproduce identical bits at every position.
-  const auto tokens = prompt_tokens(21);
-  const PreparedModel model(tiny_model(), engine_config(KvQuantMode::kFp32));
-  auto pool = model.make_kv_pool(4.0);  // four live sequences below
-  SequenceState zero_copy = model.make_sequence(pool);
-  SequenceState gathered = model.make_sequence(pool);
-  gathered.set_force_gather(true);
-  for (const std::size_t token : tokens) {
-    const auto a = model.step(zero_copy, token);
-    const auto b = model.step(gathered, token);
-    ASSERT_EQ(std::vector<float>(a.begin(), a.end()),
-              std::vector<float>(b.begin(), b.end()));
-  }
-  // And chunked prefill over both paths.
-  SequenceState zc_chunk = model.make_sequence(pool);
-  SequenceState fg_chunk = model.make_sequence(pool);
-  fg_chunk.set_force_gather(true);
-  model.prefill_chunk(zc_chunk, tokens);
-  model.prefill_chunk(fg_chunk, tokens);
-  for (std::size_t j = 0; j < tokens.size(); ++j) {
-    const auto a = zc_chunk.chunk_logits_row(j);
-    const auto b = fg_chunk.chunk_logits_row(j);
-    ASSERT_EQ(std::vector<float>(a.begin(), a.end()),
-              std::vector<float>(b.begin(), b.end()));
   }
 }
 

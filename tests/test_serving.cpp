@@ -417,11 +417,11 @@ TEST(ServingEngine, QuarterFootprintPoolServesFullBatchIdentically) {
   cfg.kv_block_size = 8;
   auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
 
-  const std::size_t dense_blocks = 4 * model->kv_blocks_per_sequence();
-  ServingConfig serving = scfg(4, 0, dense_blocks / 4);
-  ASSERT_EQ(dense_blocks / 4, 16u);  // 2 layers * 2 (K,V) * 4 columns
+  const std::size_t full_blocks = 4 * model->kv_blocks_per_sequence();
+  ServingConfig serving = scfg(4, 0, full_blocks / 4);
+  ASSERT_EQ(full_blocks / 4, 16u);  // 2 layers * 2 (K,V) * 4 columns
   ServingEngine engine(model, serving);
-  EXPECT_EQ(engine.kv_pool().n_blocks(), dense_blocks / 4);
+  EXPECT_EQ(engine.kv_pool().n_blocks(), full_blocks / 4);
 
   // Every request stays within one block column (<= 8 fed positions), so
   // four of them fit the squeezed pool simultaneously.

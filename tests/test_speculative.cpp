@@ -225,7 +225,7 @@ TEST(Speculative, GreedyBitwiseAcrossModesDraftersAndEngineShapes) {
 // --- all-accepted: self-drafting with the target model itself ---
 
 TEST(Speculative, ModelDrafterOnTargetModelAcceptsAllAndSavesSteps) {
-  // fp32 KV: the drafter's dense state computes bitwise the same logits as
+  // fp32 KV: the drafter's private state computes bitwise the same logits as
   // the engine's paged state, so greedy drafts are always the engine's own
   // next token — every draft accepts, and tokens/burst is maximal.
   auto model = std::make_shared<const PreparedModel>(
