@@ -1,16 +1,17 @@
 // Kernel-layer micro bench: scalar reference vs the runtime-dispatched SIMD
-// table (common/kernels.h) on the serving hot path's shapes — GEMV, dot, the
-// fused dequantize-dot kernels per kv_mode, and attention score/accumulate
-// over realistic block-segment shapes — plus the in-process serving headline
+// table (common/kernels.h) on the serving hot path's shapes — GEMV, the
+// attention score kernel and its fused dequantize twins per kv_mode, and
+// attention score/accumulate over realistic block-segment shapes — plus
+// the in-process serving headline
 // numbers (fifo chunk-1 vs chunk-8 short-request p50 TTFT steps, decode
 // tokens/s) that bench_scheduler/bench_sampling report, persisted together
 // as BENCH_kernels.json (path = argv[1], default ./BENCH_kernels.json) to
 // start the cross-PR perf trajectory.
 //
 // Asserted (exit 1): every dispatched kernel matches the scalar reference
-// within reduction-reorder tolerance; the fused dequant kernels match
-// gather-then-dot BITWISE within each table; with a SIMD table present, the
-// dispatched GEMV is not slower than scalar.
+// within reduction-reorder tolerance; the fused dequant score kernels match
+// decode-then-attend_scores BITWISE within each table; with a SIMD table
+// present, the dispatched GEMV is not slower than scalar.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -154,32 +155,33 @@ int main(int argc, char** argv) {
 
   // --- parity ---------------------------------------------------------------
   {
+    // One score row of n MACs: attend_scores with scale 1 is the dot body.
     const std::size_t n = 1037;  // vector body + tail
-    const auto a = rand_vec(n), b = rand_vec(n);
-    const float got = dispatched.dot(a.data(), b.data(), n);
-    const float want = scalar.dot(a.data(), b.data(), n);
+    const auto q = rand_vec(n), k = rand_vec(n);
+    float got = 0.0f, want = 0.0f;
+    dispatched.attend_scores(q.data(), k.data(), 1, n, n, 1.0f, &got);
+    scalar.attend_scores(q.data(), k.data(), 1, n, n, 1.0f, &want);
     check(std::fabs(got - want) <= 1e-4f * (1.0f + std::fabs(want)),
-          "dispatched dot within tolerance of scalar");
+          "dispatched attend_scores within tolerance of scalar");
 
     const auto codes = rand_codes(n);
     const float s = 0.0173f;
-    std::vector<float> dec(n);
+    std::vector<float> dec(n), lg(n);
     for (std::size_t i = 0; i < n; ++i) {
       dec[i] = static_cast<float>(codes[i]) * s;
+      lg[i] = kv_decode_log2(codes[i], 2);
     }
     for (const KernelOps* ops : {&scalar, &dispatched}) {
-      check(ops->dequant_dot_int8(a.data(), codes.data(), n, s) ==
-                ops->dot(a.data(), dec.data(), n),
-            "fused int8 dequant-dot bitwise == gather-then-dot");
-      std::vector<float> lg(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        lg[i] = kv_decode_log2(codes[i], 2);
-      }
-      check(ops->dequant_dot_log2(a.data(), codes.data(), n, 2) ==
-                ops->dot(a.data(), lg.data(), n),
-            "fused log2 dequant-dot bitwise == gather-then-dot");
+      ops->dequant_scores_int8(q.data(), codes.data(), 1, n, n, s, 1.0f, &got);
+      ops->attend_scores(q.data(), dec.data(), 1, n, n, 1.0f, &want);
+      check(got == want,
+            "fused int8 dequant-scores bitwise == decode-then-attend_scores");
+      ops->dequant_scores_log2(q.data(), codes.data(), 1, n, n, 2, 1.0f, &got);
+      ops->attend_scores(q.data(), lg.data(), 1, n, n, 1.0f, &want);
+      check(got == want,
+            "fused log2 dequant-scores bitwise == decode-then-attend_scores");
     }
-    std::printf("parity: dispatched-vs-scalar tolerance and fused-vs-gather "
+    std::printf("parity: dispatched-vs-scalar tolerance and fused-vs-decoded "
                 "bitwise checks %s\n\n",
                 g_ok ? "PASS" : "FAIL");
   }
@@ -210,33 +212,40 @@ int main(int argc, char** argv) {
   const double gemv_gflops_simd =
       2.0 * static_cast<double>(rows * cols) / gemv_simd / 1e3;
 
-  const std::size_t n = 4096;
-  const auto a = rand_vec(n), b = rand_vec(n);
-  const double dot_scalar =
-      us_per_call([&] { g_sink += scalar.dot(a.data(), b.data(), n); }, 2000);
-  const double dot_simd = us_per_call(
-      [&] { g_sink += dispatched.dot(a.data(), b.data(), n); }, 2000);
-  const double dot_speedup = row("dot 4096", dot_scalar, dot_simd);
-
-  const auto codes = rand_codes(n);
-  const double i8_scalar = us_per_call(
-      [&] { g_sink += scalar.dequant_dot_int8(a.data(), codes.data(), n,
-                                              0.01f); },
-      2000);
-  const double i8_simd = us_per_call(
-      [&] { g_sink += dispatched.dequant_dot_int8(a.data(), codes.data(), n,
-                                                  0.01f); },
-      2000);
-  const double i8_speedup = row("dequant-dot int8 4096", i8_scalar, i8_simd);
-
-  const double lg_scalar = us_per_call(
-      [&] { g_sink += scalar.dequant_dot_log2(a.data(), codes.data(), n, 2); },
-      2000);
-  const double lg_simd = us_per_call(
-      [&] { g_sink += dispatched.dequant_dot_log2(a.data(), codes.data(), n,
-                                                  2); },
-      2000);
-  const double lg_speedup = row("dequant-dot log2 4096", lg_scalar, lg_simd);
+  // Score kernels over 4096 MACs (64 contiguous KV rows of d_head 64), one
+  // per kv_mode: attend_scores, then its fused int8 / log2 twins.
+  const std::size_t sc_rows = 64, sc_d = 64;
+  const auto sq = rand_vec(sc_d), sk = rand_vec(sc_rows * sc_d);
+  const auto sk_codes = rand_codes(sc_rows * sc_d);
+  std::vector<float> sc_out(sc_rows);
+  auto scores_us = [&](const KernelOps& ops, KvQuantMode mode) {
+    return us_per_call(
+        [&] {
+          if (mode == KvQuantMode::kFp32) {
+            ops.attend_scores(sq.data(), sk.data(), sc_rows, sc_d, sc_d,
+                              0.125f, sc_out.data());
+          } else if (mode == KvQuantMode::kInt8) {
+            ops.dequant_scores_int8(sq.data(), sk_codes.data(), sc_rows, sc_d,
+                                    sc_d, 0.01f, 0.125f, sc_out.data());
+          } else {
+            ops.dequant_scores_log2(sq.data(), sk_codes.data(), sc_rows, sc_d,
+                                    sc_d, 2, 0.125f, sc_out.data());
+          }
+          g_sink += sc_out[0];
+        },
+        2000);
+  };
+  const double sc_scalar = scores_us(scalar, KvQuantMode::kFp32);
+  const double sc_simd = scores_us(dispatched, KvQuantMode::kFp32);
+  const double sc_speedup = row("attend_scores 64x64", sc_scalar, sc_simd);
+  const double i8_scalar = scores_us(scalar, KvQuantMode::kInt8);
+  const double i8_simd = scores_us(dispatched, KvQuantMode::kInt8);
+  const double i8_speedup =
+      row("dequant_scores int8 64x64", i8_scalar, i8_simd);
+  const double lg_scalar = scores_us(scalar, KvQuantMode::kLog2);
+  const double lg_simd = scores_us(dispatched, KvQuantMode::kLog2);
+  const double lg_speedup =
+      row("dequant_scores log2 64x64", lg_scalar, lg_simd);
 
   // Attend over realistic paged-KV segment shapes: context 256 in 16-row
   // blocks (16 segments), d_model 128, d_head 64, scores then weighted sum.
@@ -325,13 +334,13 @@ int main(int argc, char** argv) {
        << ", \"dispatched_us\": " << gemv_simd << ", \"scalar_gflops\": "
        << gemv_gflops_scalar << ", \"dispatched_gflops\": "
        << gemv_gflops_simd << ", \"speedup\": " << gemv_speedup << "},\n"
-       << "    \"dot_4096\": {\"scalar_us\": " << dot_scalar
-       << ", \"dispatched_us\": " << dot_simd << ", \"speedup\": "
-       << dot_speedup << "},\n"
-       << "    \"dequant_dot_int8_4096\": {\"scalar_us\": " << i8_scalar
+       << "    \"attend_scores_64x64\": {\"scalar_us\": " << sc_scalar
+       << ", \"dispatched_us\": " << sc_simd << ", \"speedup\": "
+       << sc_speedup << "},\n"
+       << "    \"dequant_scores_int8_64x64\": {\"scalar_us\": " << i8_scalar
        << ", \"dispatched_us\": " << i8_simd << ", \"speedup\": "
        << i8_speedup << "},\n"
-       << "    \"dequant_dot_log2_4096\": {\"scalar_us\": " << lg_scalar
+       << "    \"dequant_scores_log2_64x64\": {\"scalar_us\": " << lg_scalar
        << ", \"dispatched_us\": " << lg_simd << ", \"speedup\": "
        << lg_speedup << "},\n"
        << "    \"attend_fp32_segments\": {\"scalar_us\": " << at_scalar

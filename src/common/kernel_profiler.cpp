@@ -34,30 +34,12 @@ inline void record(KernelKind kind, std::uint64_t elems, std::uint64_t ns) {
 // table's) and, when this thread has a bound slot, times the call. With no
 // slot bound the clock is never read.
 
-float prof_dot(const float* a, const float* b, std::size_t n) {
-  if (t_slot == nullptr) return g_underlying->dot(a, b, n);
-  const std::uint64_t t0 = now_ns();
-  const float r = g_underlying->dot(a, b, n);
-  record(KernelKind::kDot, n, now_ns() - t0);
-  return r;
-}
-
 void prof_matvec(const float* w, std::size_t rows, std::size_t cols,
                  const float* x, float* y) {
   if (t_slot == nullptr) return g_underlying->matvec(w, rows, cols, x, y);
   const std::uint64_t t0 = now_ns();
   g_underlying->matvec(w, rows, cols, x, y);
   record(KernelKind::kMatvec, rows * cols, now_ns() - t0);
-}
-
-void prof_matvec_transposed(const float* w, std::size_t rows, std::size_t cols,
-                            const float* x, float* y) {
-  if (t_slot == nullptr) {
-    return g_underlying->matvec_transposed(w, rows, cols, x, y);
-  }
-  const std::uint64_t t0 = now_ns();
-  g_underlying->matvec_transposed(w, rows, cols, x, y);
-  record(KernelKind::kMatvecTransposed, rows * cols, now_ns() - t0);
 }
 
 void prof_axpy(float a, const float* x, float* y, std::size_t n) {
@@ -93,26 +75,6 @@ void prof_attend_accum(const float* w, const float* v, std::size_t rows,
   const std::uint64_t t0 = now_ns();
   g_underlying->attend_accum(w, v, rows, stride, d_head, z);
   record(KernelKind::kAttendAccum, rows * d_head, now_ns() - t0);
-}
-
-float prof_dequant_dot_int8(const float* a, const std::int8_t* codes,
-                            std::size_t n, float s) {
-  if (t_slot == nullptr) return g_underlying->dequant_dot_int8(a, codes, n, s);
-  const std::uint64_t t0 = now_ns();
-  const float r = g_underlying->dequant_dot_int8(a, codes, n, s);
-  record(KernelKind::kDequantDotInt8, n, now_ns() - t0);
-  return r;
-}
-
-float prof_dequant_dot_log2(const float* a, const std::int8_t* codes,
-                            std::size_t n, int exponent) {
-  if (t_slot == nullptr) {
-    return g_underlying->dequant_dot_log2(a, codes, n, exponent);
-  }
-  const std::uint64_t t0 = now_ns();
-  const float r = g_underlying->dequant_dot_log2(a, codes, n, exponent);
-  record(KernelKind::kDequantDotLog2, n, now_ns() - t0);
-  return r;
 }
 
 void prof_dequant_scores_int8(const float* q, const std::int8_t* k_codes,
@@ -168,17 +130,17 @@ void prof_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
   record(KernelKind::kDequantAccumLog2, rows * d_head, now_ns() - t0);
 }
 
+// One KernelKind per KernelOps entry (the table is `name` + function
+// pointers): a new entry must bring its kind and wrapper with it.
+static_assert(sizeof(KernelOps) == (kKernelKindCount + 1) * sizeof(void*));
+
 constexpr KernelOps kProfiledOps = {
     "profiled",
-    prof_dot,
     prof_matvec,
-    prof_matvec_transposed,
     prof_axpy,
     prof_scale,
     prof_attend_scores,
     prof_attend_accum,
-    prof_dequant_dot_int8,
-    prof_dequant_dot_log2,
     prof_dequant_scores_int8,
     prof_dequant_scores_log2,
     prof_dequant_accum_int8,
@@ -189,15 +151,11 @@ constexpr KernelOps kProfiledOps = {
 
 std::string to_string(KernelKind kind) {
   switch (kind) {
-    case KernelKind::kDot: return "dot";
     case KernelKind::kMatvec: return "matvec";
-    case KernelKind::kMatvecTransposed: return "matvec_transposed";
     case KernelKind::kAxpy: return "axpy";
     case KernelKind::kScale: return "scale";
     case KernelKind::kAttendScores: return "attend_scores";
     case KernelKind::kAttendAccum: return "attend_accum";
-    case KernelKind::kDequantDotInt8: return "dequant_dot_int8";
-    case KernelKind::kDequantDotLog2: return "dequant_dot_log2";
     case KernelKind::kDequantScoresInt8: return "dequant_scores_int8";
     case KernelKind::kDequantScoresLog2: return "dequant_scores_log2";
     case KernelKind::kDequantAccumInt8: return "dequant_accum_int8";

@@ -5,7 +5,7 @@
 // ## What it measures
 //
 // Two attribution planes, both accumulated into a KernelProfile:
-//   * per-kernel-kind counters — one row per KernelOps entry (dot, matvec,
+//   * per-kernel-kind counters — one row per KernelOps entry (matvec,
 //     attend_scores, fused dequant kernels, ...) holding call count, element
 //     count (MAC-shaped work: rows x cols for a GEMV, rows x d_head for an
 //     attend primitive), and wall-clock nanoseconds;
@@ -44,9 +44,9 @@
 // slot bound, a wrapped kernel skips the clock reads entirely and just
 // delegates.
 //
-// Nested kernel calls inside one table (e.g. a scalar matvec looping over
-// scalar_dot) are NOT double-counted: the wrapper counts entries through the
-// dispatch table only, one sample per public kernel call.
+// Helper calls inside one table (e.g. scalar_matvec looping over its
+// file-local scalar_dot) are invisible to the wrapper: it counts entries
+// through the dispatch table only, one sample per public kernel call.
 //
 // Enabling: ServingConfig::profile, or the OPAL_PROFILE environment
 // variable (non-empty, not "0") force-enables profiling on every engine
@@ -65,21 +65,17 @@ namespace opal {
 
 /// One row per KernelOps entry, in declaration order.
 enum class KernelKind : std::uint8_t {
-  kDot,
   kMatvec,
-  kMatvecTransposed,
   kAxpy,
   kScale,
   kAttendScores,
   kAttendAccum,
-  kDequantDotInt8,
-  kDequantDotLog2,
   kDequantScoresInt8,
   kDequantScoresLog2,
   kDequantAccumInt8,
   kDequantAccumLog2,
 };
-inline constexpr std::size_t kKernelKindCount = 13;
+inline constexpr std::size_t kKernelKindCount = 9;
 
 [[nodiscard]] std::string to_string(KernelKind kind);
 

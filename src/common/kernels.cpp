@@ -29,16 +29,6 @@ void scalar_matvec(const float* w, std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows; ++r) y[r] = scalar_dot(w + r * cols, x, cols);
 }
 
-void scalar_matvec_transposed(const float* w, std::size_t rows,
-                              std::size_t cols, const float* x, float* y) {
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0f;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = w + r * cols;
-    const float xr = x[r];
-    for (std::size_t c = 0; c < cols; ++c) y[c] += row[c] * xr;
-  }
-}
-
 void scalar_axpy(float a, const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
@@ -65,8 +55,8 @@ void scalar_attend_accum(const float* w, const float* v, std::size_t rows,
 }
 
 // Fused dequantize kernels: decode one element to the exact read_row float,
-// then accumulate with the same structure as the non-fused kernel above, so
-// fused == gather-then-dot bitwise within this table.
+// then accumulate with the same structure as the plain kernel above, so
+// fused == decode-then-plain bitwise within this table.
 
 float scalar_dequant_dot_int8(const float* a, const std::int8_t* codes,
                               std::size_t n, float s) {
@@ -137,15 +127,11 @@ void scalar_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
 
 constexpr KernelOps kScalarOps = {
     "scalar",
-    scalar_dot,
     scalar_matvec,
-    scalar_matvec_transposed,
     scalar_axpy,
     scalar_scale,
     scalar_attend_scores,
     scalar_attend_accum,
-    scalar_dequant_dot_int8,
-    scalar_dequant_dot_log2,
     scalar_dequant_scores_int8,
     scalar_dequant_scores_log2,
     scalar_dequant_accum_int8,

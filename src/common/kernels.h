@@ -1,6 +1,7 @@
-// SIMD kernel layer for the serving hot path: vectorized GEMV / dot / axpy
-// and the attention score / weighted-sum primitives, including fused
-// dequantize-dot kernels that consume quantized KV block codes directly.
+// SIMD kernel layer for the serving hot path: the nine primitives a decode
+// step runs — vectorized GEMV, axpy and scale, the attention score /
+// weighted-sum kernels over row-major KV segments, and their fused
+// dequantize twins that consume quantized KV block codes directly.
 //
 // ## Dispatch rules
 //
@@ -27,28 +28,31 @@
 // * SIMD tables are *tolerance*-equal to scalar (vector lanes change the
 //   reduction order of dot products), and every table is deterministic: the
 //   same inputs through the same table give the same bits, every time.
-// * Dot products accumulate in double (both scalar and SIMD), preserving the
-//   precision contract of opal::dot.
+// * Within one table, `matvec`, `attend_scores` and `dequant_scores_*` are
+//   built on file-local dot bodies with one accumulation structure (vector
+//   body + sequential scalar tail), in double in every table.
 // * Fused dequantize kernels decode quantized codes to *exactly* the floats
 //   KvBlockPool::read_row produces (int8: float(code) * (scale/127); log2:
-//   kv_decode_log2 below), and accumulate them with exactly the same
-//   structure as the corresponding non-fused kernel of the same table. Hence
-//   within ANY single table, the fused quantized attend path is bitwise
-//   identical to PagedKvCache::gather() then the plain kernel — fusion
-//   removes the fp32 scratch materialization, never a bit of the result.
+//   kv_decode_log2 below) and accumulate them with exactly the structure of
+//   their plain twin. Hence within ANY single table, over the decoded rows:
+//     dequant_scores_* == attend_scores   and
+//     dequant_accum_*  == attend_accum,   bitwise —
+//   fusion removes the fp32 scratch materialization, never a bit of the
+//   result.
 //
 // ## Adding an ISA variant
 //
-// 1. Add src/common/kernels_<isa>.cpp defining every KernelOps entry with
-//    the table-local accumulation structure mirrored between fused and
-//    non-fused kernels (vector body + sequential scalar tail), guarded by
-//    the architecture's predefine (e.g. #if defined(__riscv_vector)).
+// 1. Add src/common/kernels_<isa>.cpp defining every KernelOps entry, with
+//    one accumulation structure (vector body + sequential scalar tail) for
+//    the dot bodies under matvec / attend_scores / dequant_scores_* and
+//    each dequant_accum_* mirroring attend_accum's, guarded by the
+//    architecture's predefine (e.g. #if defined(__riscv_vector)).
 // 2. Give the TU its ISA flags in CMakeLists.txt (-ffp-contract=off is
 //    tree-wide), keyed on CMAKE_SYSTEM_PROCESSOR, and declare its
 //    `const KernelOps* opal_<isa>_kernels()` probe in kernels.cpp's resolve
 //    chain (return nullptr when the running CPU lacks the extension).
 // 3. tests/test_kernels.cpp and bench/bench_kernels.cpp pick the new table
-//    up automatically through kernels().
+//    up automatically through simd_kernels().
 #pragma once
 
 #include <cmath>
@@ -65,17 +69,10 @@ struct KernelOps {
   /// Dispatch target name: "scalar", "avx2", "neon".
   const char* name;
 
-  /// Dot product, accumulated in double: sum_i a[i] * b[i].
-  float (*dot)(const float* a, const float* b, std::size_t n);
-
-  /// y[r] = dot(w_row_r, x) for a row-major [rows x cols] matrix.
+  /// y[r] = sum_c w[r, c] * x[c] for a row-major [rows x cols] matrix
+  /// (accumulated in double).
   void (*matvec)(const float* w, std::size_t rows, std::size_t cols,
                  const float* x, float* y);
-
-  /// y[c] = sum_r w[r, c] * x[r] for a row-major [rows x cols] matrix
-  /// (axpy-accumulated in float, row-major streaming order).
-  void (*matvec_transposed)(const float* w, std::size_t rows,
-                            std::size_t cols, const float* x, float* y);
 
   /// y[i] += a * x[i].
   void (*axpy)(float a, const float* x, float* y, std::size_t n);
@@ -84,8 +81,9 @@ struct KernelOps {
   void (*scale)(float s, float* x, std::size_t n);
 
   /// Attention scores over one row-major KV segment:
-  ///   out[r] = dot(q, k + r*stride, d_head) * scale       for r in [0, rows)
-  /// (dot accumulated in double, the product with `scale` in float).
+  ///   out[r] = (sum_c q[c] * k[r*stride + c]) * scale    for r in [0, rows)
+  /// (the sum over c accumulated in double, the product with `scale` in
+  /// float).
   void (*attend_scores)(const float* q, const float* k, std::size_t rows,
                         std::size_t stride, std::size_t d_head, float scale,
                         float* out);
@@ -96,28 +94,19 @@ struct KernelOps {
   void (*attend_accum)(const float* w, const float* v, std::size_t rows,
                        std::size_t stride, std::size_t d_head, float* z);
 
-  // --- fused dequantize-dot kernels (quantized KV blocks, no fp32 scratch) -
+  // --- fused dequantize kernels (quantized KV blocks, no fp32 scratch) ----
 
-  /// Dot against int8 codes dequantized in-register: each code decodes to
+  /// attend_scores against int8 K codes: each code decodes in-register to
   /// float(code) * s (s = block amax / 127, pre-divided by the caller, the
   /// exact value KvBlockPool::read_row multiplies by).
-  float (*dequant_dot_int8)(const float* a, const std::int8_t* codes,
-                            std::size_t n, float s);
-
-  /// Dot against log2-7bit codes (sign | 7-bit code, block scale 2^exponent)
-  /// dequantized in-register via kv_decode_log2 — shift-based scaling, no
-  /// multiply needed to form the magnitude.
-  float (*dequant_dot_log2)(const float* a, const std::int8_t* codes,
-                            std::size_t n, int exponent);
-
-  /// attend_scores against int8 K codes: out[r] =
-  /// dequant_dot_int8(q, k_codes + r*stride, d_head, s) * scale.
   void (*dequant_scores_int8)(const float* q, const std::int8_t* k_codes,
                               std::size_t rows, std::size_t stride,
                               std::size_t d_head, float s, float scale,
                               float* out);
 
-  /// attend_scores against log2 K codes.
+  /// attend_scores against log2-7bit K codes (sign | 7-bit code, block
+  /// scale 2^exponent), decoded in-register via kv_decode_log2 — shift-based
+  /// scaling, no multiply needed to form the magnitude.
   void (*dequant_scores_log2)(const float* q, const std::int8_t* k_codes,
                               std::size_t rows, std::size_t stride,
                               std::size_t d_head, int exponent, float scale,

@@ -3,11 +3,12 @@
 // probe at the bottom checks the *running* CPU before the table is ever
 // dispatched to, so a generic build stays safe on pre-AVX2 hardware.
 //
-// Structure contract (see kernels.h): every dot-shaped kernel — plain or
-// fused — uses the same 8-float-per-iteration body (two 4-wide double FMA
-// accumulators) and the same sequential scalar tail for n % 8 leftovers, and
-// the fused decode produces exactly KvBlockPool::read_row's floats. That
-// keeps "fused == gather" bitwise within this table; only scalar-vs-AVX2 is
+// Structure contract (see kernels.h): matvec, attend_scores and the fused
+// dequant_scores_* are built on file-local dot bodies that share one
+// 8-float-per-iteration body (two 4-wide double FMA accumulators) and one
+// sequential scalar tail for n % 8 leftovers, and the fused decode produces
+// exactly KvBlockPool::read_row's floats. That keeps "fused ==
+// decode-then-plain" bitwise within this table; only scalar-vs-AVX2 is
 // tolerance-level (lane reduction reorders the double sums).
 
 #if defined(__x86_64__) || defined(__amd64__) || defined(__i386__)
@@ -114,23 +115,6 @@ float avx2_dequant_dot_log2(const float* a, const std::int8_t* codes,
 void avx2_matvec(const float* w, std::size_t rows, std::size_t cols,
                  const float* x, float* y) {
   for (std::size_t r = 0; r < rows; ++r) y[r] = avx2_dot(w + r * cols, x, cols);
-}
-
-void avx2_matvec_transposed(const float* w, std::size_t rows,
-                            std::size_t cols, const float* x, float* y) {
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0f;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = w + r * cols;
-    const float xr = x[r];
-    const __m256 xv = _mm256_set1_ps(xr);
-    std::size_t c = 0;
-    for (; c + 8 <= cols; c += 8) {
-      const __m256 yv = _mm256_fmadd_ps(_mm256_loadu_ps(row + c), xv,
-                                        _mm256_loadu_ps(y + c));
-      _mm256_storeu_ps(y + c, yv);
-    }
-    for (; c < cols; ++c) y[c] += row[c] * xr;
-  }
 }
 
 void avx2_axpy(float a, const float* x, float* y, std::size_t n) {
@@ -241,15 +225,11 @@ void avx2_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
 
 constexpr KernelOps kAvx2Ops = {
     "avx2",
-    avx2_dot,
     avx2_matvec,
-    avx2_matvec_transposed,
     avx2_axpy,
     avx2_scale,
     avx2_attend_scores,
     avx2_attend_accum,
-    avx2_dequant_dot_int8,
-    avx2_dequant_dot_log2,
     avx2_dequant_scores_int8,
     avx2_dequant_scores_log2,
     avx2_dequant_accum_int8,

@@ -1,11 +1,12 @@
 // NEON kernel table (AArch64, where Advanced SIMD is baseline — no runtime
 // probe needed beyond compiling for the architecture). Mirrors the AVX2
-// table's structure contract (kernels.h): every dot-shaped kernel — plain or
-// fused — consumes 8 floats per iteration through the same pair of 2-wide
-// double FMA accumulator vectors and finishes with the same sequential
-// scalar tail for n % 8 leftovers, and the fused decodes reproduce
-// KvBlockPool::read_row's floats exactly, so "fused == gather" stays bitwise
-// within this table. Compiled with -ffp-contract=off like the others.
+// table's structure contract (kernels.h): the file-local dot bodies under
+// matvec, attend_scores and the fused dequant_scores_* consume 8 floats per
+// iteration through the same pair of 2-wide double FMA accumulator vectors
+// and finish with the same sequential scalar tail for n % 8 leftovers, and
+// the fused decodes reproduce KvBlockPool::read_row's floats exactly, so
+// "fused == decode-then-plain" stays bitwise within this table. Compiled
+// with -ffp-contract=off like the others.
 
 #if defined(__aarch64__)
 
@@ -128,21 +129,6 @@ void neon_matvec(const float* w, std::size_t rows, std::size_t cols,
   for (std::size_t r = 0; r < rows; ++r) y[r] = neon_dot(w + r * cols, x, cols);
 }
 
-void neon_matvec_transposed(const float* w, std::size_t rows,
-                            std::size_t cols, const float* x, float* y) {
-  for (std::size_t c = 0; c < cols; ++c) y[c] = 0.0f;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* row = w + r * cols;
-    const float xr = x[r];
-    const float32x4_t xv = vdupq_n_f32(xr);
-    std::size_t c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      vst1q_f32(y + c, vfmaq_f32(vld1q_f32(y + c), vld1q_f32(row + c), xv));
-    }
-    for (; c < cols; ++c) y[c] += row[c] * xr;
-  }
-}
-
 void neon_axpy(float a, const float* x, float* y, std::size_t n) {
   const float32x4_t av = vdupq_n_f32(a);
   std::size_t i = 0;
@@ -176,8 +162,11 @@ void neon_attend_accum(const float* w, const float* v, std::size_t rows,
     const float32x4_t wv = vdupq_n_f32(wr);
     const float* vr = v + r * stride;
     std::size_t c = 0;
-    for (; c + 4 <= d_head; c += 4) {
+    // 8 per iteration, like dequant_accum_*: the same lanes fuse in both.
+    for (; c + 8 <= d_head; c += 8) {
       vst1q_f32(z + c, vfmaq_f32(vld1q_f32(z + c), vld1q_f32(vr + c), wv));
+      vst1q_f32(z + c + 4,
+                vfmaq_f32(vld1q_f32(z + c + 4), vld1q_f32(vr + c + 4), wv));
     }
     for (; c < d_head; ++c) z[c] += wr * vr[c];
   }
@@ -247,15 +236,11 @@ void neon_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
 
 constexpr KernelOps kNeonOps = {
     "neon",
-    neon_dot,
     neon_matvec,
-    neon_matvec_transposed,
     neon_axpy,
     neon_scale,
     neon_attend_scores,
     neon_attend_accum,
-    neon_dequant_dot_int8,
-    neon_dequant_dot_log2,
     neon_dequant_scores_int8,
     neon_dequant_scores_log2,
     neon_dequant_accum_int8,

@@ -384,7 +384,6 @@ bool ServingEngine::reclaim_queued_prefix() {
       it->downgraded = true;  // must not hold a re-adoption through failure
       const std::size_t fed_before = it->fed;
       release_sequence_kv(*it);
-      ++stat_preemptions_;
       em_.preemptions->add();
       trace_.emit({.kind = TraceEventKind::kPreempt,
                    .step = step_counter_,
@@ -476,7 +475,6 @@ bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
     const std::size_t fed_before = victim.fed;
     release_sequence_kv(victim);
     victim.result.status = RequestStatus::kQueued;
-    ++stat_preemptions_;
     em_.preemptions->add();
     trace_.emit({.kind = TraceEventKind::kPreempt,
                  .step = step_counter_,
@@ -493,7 +491,6 @@ void ServingEngine::finish(Sequence&& seq, RequestStatus status) {
   maybe_cache_prefix(seq);
   seq.state.reset();  // unshared blocks return to the pool immediately
   if (status == RequestStatus::kEvicted) {
-    ++stat_evictions_;
     ++prio_stats_[seq.priority].evicted;
     em_.evictions->add();
     trace_.emit({.kind = TraceEventKind::kEvict,
@@ -556,7 +553,6 @@ void ServingEngine::preempt(RequestId id, std::size_t keep_positions) {
   }
   seq->fed = keep_positions;  // replay the rest on readmission
   seq->result.status = RequestStatus::kQueued;
-  ++stat_preemptions_;
   em_.preemptions->add();
   trace_.emit({.kind = TraceEventKind::kPreempt,
                .step = step_counter_,
@@ -763,8 +759,7 @@ std::size_t ServingEngine::step() {
     const std::size_t n = budgets_[i];
     const bool spec = !seq.spec_drafts.empty() && n > 1;
     fed_pos_[i] = seq.fed;  // first position fed this step
-    stat_tokens_ += n;      // rows executed, including rejected verify rows
-    em_.tokens_decoded->add(n);
+    em_.tokens_decoded->add(n);  // rows executed, incl. rejected verify rows
     rows_fed_total += n;
     auto& prio = prio_stats_[seq.priority];
     if (!seq.wait_counted) {
@@ -821,10 +816,6 @@ std::size_t ServingEngine::step() {
         seq.state->end_spec_capture();
       }
       seq.fed += committed;  // tokens.size() - 1: the frontier invariant
-      ++stat_spec_bursts_;
-      stat_spec_drafted_ += n - 1;
-      stat_spec_accepted_ += committed - 1;
-      stat_spec_rejected_ += n - committed;
       em_.spec_bursts->add();
       em_.spec_drafted->add(n - 1);
       em_.spec_accepted->add(committed - 1);
@@ -1000,14 +991,14 @@ ServingEngine::Stats ServingEngine::stats() const {
   s.blocks_reclaimable = kv_pool_->reclaimable_blocks();
   s.running = batch_.size();
   s.queued = queue_.size();
-  s.evictions = stat_evictions_;
-  s.preemptions = stat_preemptions_;
-  s.tokens_decoded = stat_tokens_;
+  s.evictions = static_cast<std::size_t>(em_.evictions->value());
+  s.preemptions = static_cast<std::size_t>(em_.preemptions->value());
+  s.tokens_decoded = static_cast<std::size_t>(em_.tokens_decoded->value());
   s.steps = static_cast<std::size_t>(step_counter_);
-  s.spec_bursts = stat_spec_bursts_;
-  s.spec_drafted = stat_spec_drafted_;
-  s.spec_accepted = stat_spec_accepted_;
-  s.spec_rejected = stat_spec_rejected_;
+  s.spec_bursts = static_cast<std::size_t>(em_.spec_bursts->value());
+  s.spec_drafted = static_cast<std::size_t>(em_.spec_drafted->value());
+  s.spec_accepted = static_cast<std::size_t>(em_.spec_accepted->value());
+  s.spec_rejected = static_cast<std::size_t>(em_.spec_rejected->value());
   if (prefix_cache_ != nullptr) {
     const auto p = prefix_cache_->stats();
     s.prefix_hits = p.hits;

@@ -138,10 +138,10 @@
 // of series:
 //   * deterministic counters (serving.steps / tokens_decoded /
 //     tokens_committed / admissions / preemptions / evictions / finished /
-//     stalls / budget_shrinks / spec_*) that exactly mirror the
-//     corresponding Stats fields — same increments, same call sites — plus
-//     the subsystems' own counters (prefix_cache.*, kv_pool.*,
-//     scheduler.*, drafter.*);
+//     stalls / budget_shrinks / spec_*); stats() reads its evictions,
+//     preemptions, tokens_decoded and spec_* fields straight from them,
+//     so the two views cannot drift — plus the subsystems' own counters
+//     (prefix_cache.*, kv_pool.*, scheduler.*, drafter.*);
 //   * wall-clock latency histograms (serving.queue_wait_ms / ttft_ms /
 //     itl_ms / step_ms / decode_ms / prefill_chunk_ms / spec_verify_ms)
 //     with p50/p95/p99 extraction — TTFT and inter-token latency are
@@ -663,6 +663,8 @@ class ServingEngine {
   Tracer trace_;
   /// Metric handles cached at construction (stable for the registry's
   /// lifetime) so the hot path increments pointers, never looks up names.
+  /// The counters are the only copy of Stats' cumulative event counts:
+  /// stats() reads them back.
   struct EngineMetrics {
     Counter* steps = nullptr;
     Counter* stalls = nullptr;
@@ -728,13 +730,6 @@ class ServingEngine {
   TokenLogprobObserver logprob_observer_;
   RequestId next_id_ = 1;
   std::uint64_t step_counter_ = 0;
-  std::size_t stat_evictions_ = 0;
-  std::size_t stat_preemptions_ = 0;
-  std::size_t stat_tokens_ = 0;
-  std::size_t stat_spec_bursts_ = 0;
-  std::size_t stat_spec_drafted_ = 0;
-  std::size_t stat_spec_accepted_ = 0;
-  std::size_t stat_spec_rejected_ = 0;
 };
 
 }  // namespace opal

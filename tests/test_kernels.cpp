@@ -3,8 +3,9 @@
 //  * the dispatched SIMD table matches the scalar reference within
 //    reduction-reorder tolerance across odd lengths, unaligned spans, and
 //    tails;
-//  * fused dequantize-dot kernels are BITWISE equal to decode-into-scratch
-//    then plain-kernel, within each table — the guarantee the quantized
+//  * fused dequantize kernels are BITWISE equal to decode-into-scratch
+//    then plain-kernel (dequant_scores_* == attend_scores, dequant_accum_*
+//    == attend_accum), within each table — the guarantee the quantized
 //    attend path builds on;
 //  * attention over a PagedKvCache's per-block segments (float spans for
 //    fp32 pools, code segments for int8/log2) is BITWISE equal to the plain
@@ -85,12 +86,21 @@ TEST_F(KernelDispatch, ForceScalarSwitchPinsAndReleases) {
 TEST(Kernels, ScalarTableAlwaysAvailable) {
   const KernelOps& ops = scalar_kernels();
   EXPECT_STREQ(ops.name, "scalar");
-  const auto a = rand_vec(16), b = rand_vec(16);
-  double ref = 0.0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    ref += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+  // The scalar reference is the plain double-accumulated loop, cast once
+  // and then scaled in float.
+  const std::size_t rows = 3, stride = 19, d_head = 16;
+  const auto q = rand_vec(d_head), k = rand_vec(rows * stride);
+  std::vector<float> out(rows);
+  ops.attend_scores(q.data(), k.data(), rows, stride, d_head, 0.5f,
+                    out.data());
+  for (std::size_t r = 0; r < rows; ++r) {
+    double ref = 0.0;
+    for (std::size_t c = 0; c < d_head; ++c) {
+      ref += static_cast<double>(q[c]) *
+             static_cast<double>(k[r * stride + c]);
+    }
+    EXPECT_EQ(out[r], static_cast<float>(ref) * 0.5f) << "row " << r;
   }
-  EXPECT_EQ(ops.dot(a.data(), b.data(), 16), static_cast<float>(ref));
 }
 
 // --- dispatched vs scalar: tolerance across lengths / alignments ------------
@@ -107,33 +117,32 @@ TEST(KernelsSimd, DotMatchesScalarAcrossLengthsAndAlignment) {
   for (const std::size_t n : kLengths) {
     // +3 slack so the same data can be re-read at unaligned offsets.
     const auto a = rand_vec(n + 3), b = rand_vec(n + 3);
+    // attend_scores over one row with scale 1 is the table's dot body.
     for (const std::size_t off : {std::size_t{0}, std::size_t{1},
                                   std::size_t{3}}) {
-      expect_near_rel(simd->dot(a.data() + off, b.data() + off, n),
-                      ref.dot(a.data() + off, b.data() + off, n), "dot", n);
+      float got = 0.0f, want = 0.0f;
+      simd->attend_scores(a.data() + off, b.data() + off, 1, n, n, 1.0f,
+                          &got);
+      ref.attend_scores(a.data() + off, b.data() + off, 1, n, n, 1.0f,
+                        &want);
+      expect_near_rel(got, want, "dot", n);
     }
   }
 }
 
-TEST(KernelsSimd, MatvecBothOrientationsMatchScalar) {
+TEST(KernelsSimd, MatvecMatchesScalar) {
   const KernelOps* simd = simd_kernels();
   if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
   const KernelOps& ref = scalar_kernels();
   for (const std::size_t cols : {3u, 8u, 17u, 33u}) {
     for (const std::size_t rows : {1u, 5u, 16u}) {
       const auto w = rand_vec(rows * cols);
-      const auto x = rand_vec(cols), xt = rand_vec(rows);
+      const auto x = rand_vec(cols);
       std::vector<float> y_simd(rows), y_ref(rows);
       simd->matvec(w.data(), rows, cols, x.data(), y_simd.data());
       ref.matvec(w.data(), rows, cols, x.data(), y_ref.data());
       for (std::size_t r = 0; r < rows; ++r) {
         expect_near_rel(y_simd[r], y_ref[r], "matvec", cols);
-      }
-      std::vector<float> t_simd(cols), t_ref(cols);
-      simd->matvec_transposed(w.data(), rows, cols, xt.data(), t_simd.data());
-      ref.matvec_transposed(w.data(), rows, cols, xt.data(), t_ref.data());
-      for (std::size_t c = 0; c < cols; ++c) {
-        expect_near_rel(t_simd[c], t_ref[c], "matvec_transposed", cols);
       }
     }
   }
@@ -195,70 +204,52 @@ TEST(KernelsSimd, AttendPrimitivesMatchScalar) {
 // --- fused == decode-then-plain, bitwise, per table -------------------------
 
 void check_fused_bitwise(const KernelOps& ops) {
-  for (const std::size_t n : kLengths) {
-    const auto a = rand_vec(n);
-    const auto i8 = rand_codes(n, false);
-    const auto lg = rand_codes(n, true);
-    const float s = 0.0123f;
-    const int exponent = 3;
-
-    std::vector<float> dec(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dec[i] = static_cast<float>(i8[i]) * s;
-    }
-    EXPECT_EQ(ops.dequant_dot_int8(a.data(), i8.data(), n, s),
-              ops.dot(a.data(), dec.data(), n))
-        << ops.name << " int8 n=" << n;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      dec[i] = kv_decode_log2(lg[i], exponent);
-    }
-    EXPECT_EQ(ops.dequant_dot_log2(a.data(), lg.data(), n, exponent),
-              ops.dot(a.data(), dec.data(), n))
-        << ops.name << " log2 n=" << n;
-  }
-  // Strided score/accum forms, d_head with a tail.
-  const std::size_t rows = 7, stride = 24, d_head = 19;
-  const auto q = rand_vec(d_head);
-  const auto w = rand_vec(rows);
-  const auto k8 = rand_codes(rows * stride, false);
-  const auto klg = rand_codes(rows * stride, true);
+  // Strided score/accum forms over every d_head in kLengths: vector body
+  // only, tail only, and both.
+  const std::size_t rows = 7;
   const float s = 0.004f;
   const int exponent = -2;
-  std::vector<float> kdec(rows * stride), got(rows), want(rows);
+  for (const std::size_t d_head : kLengths) {
+    const std::size_t stride = d_head + 5;
+    const auto q = rand_vec(d_head);
+    const auto w = rand_vec(rows);
+    const auto k8 = rand_codes(rows * stride, false);
+    const auto klg = rand_codes(rows * stride, true);
+    std::vector<float> kdec(rows * stride), got(rows), want(rows);
 
-  for (std::size_t i = 0; i < kdec.size(); ++i) {
-    kdec[i] = static_cast<float>(k8[i]) * s;
+    for (std::size_t i = 0; i < kdec.size(); ++i) {
+      kdec[i] = static_cast<float>(k8[i]) * s;
+    }
+    ops.dequant_scores_int8(q.data(), k8.data(), rows, stride, d_head, s,
+                            0.5f, got.data());
+    ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
+                      want.data());
+    EXPECT_EQ(got, want) << ops.name << " dequant_scores_int8 d=" << d_head;
+
+    std::vector<float> z_got(d_head, 0.0f), z_want(d_head, 0.0f);
+    ops.dequant_accum_int8(w.data(), k8.data(), rows, stride, d_head, s,
+                           z_got.data());
+    ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
+                     z_want.data());
+    EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_int8 d=" << d_head;
+
+    for (std::size_t i = 0; i < kdec.size(); ++i) {
+      kdec[i] = kv_decode_log2(klg[i], exponent);
+    }
+    ops.dequant_scores_log2(q.data(), klg.data(), rows, stride, d_head,
+                            exponent, 0.5f, got.data());
+    ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
+                      want.data());
+    EXPECT_EQ(got, want) << ops.name << " dequant_scores_log2 d=" << d_head;
+
+    std::fill(z_got.begin(), z_got.end(), 0.0f);
+    std::fill(z_want.begin(), z_want.end(), 0.0f);
+    ops.dequant_accum_log2(w.data(), klg.data(), rows, stride, d_head,
+                           exponent, z_got.data());
+    ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
+                     z_want.data());
+    EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_log2 d=" << d_head;
   }
-  ops.dequant_scores_int8(q.data(), k8.data(), rows, stride, d_head, s, 0.5f,
-                          got.data());
-  ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
-                    want.data());
-  EXPECT_EQ(got, want) << ops.name << " dequant_scores_int8";
-
-  std::vector<float> z_got(d_head, 0.0f), z_want(d_head, 0.0f);
-  ops.dequant_accum_int8(w.data(), k8.data(), rows, stride, d_head, s,
-                         z_got.data());
-  ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
-                   z_want.data());
-  EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_int8";
-
-  for (std::size_t i = 0; i < kdec.size(); ++i) {
-    kdec[i] = kv_decode_log2(klg[i], exponent);
-  }
-  ops.dequant_scores_log2(q.data(), klg.data(), rows, stride, d_head,
-                          exponent, 0.5f, got.data());
-  ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
-                    want.data());
-  EXPECT_EQ(got, want) << ops.name << " dequant_scores_log2";
-
-  std::fill(z_got.begin(), z_got.end(), 0.0f);
-  std::fill(z_want.begin(), z_want.end(), 0.0f);
-  ops.dequant_accum_log2(w.data(), klg.data(), rows, stride, d_head,
-                         exponent, z_got.data());
-  ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
-                   z_want.data());
-  EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_log2";
 }
 
 TEST(KernelsFused, ScalarFusedEqualsGatherThenDotBitwise) {
@@ -363,8 +354,9 @@ TEST(KernelsFused, BlockSegmentsEqualGatheredSegmentBitwise) {
 TEST(KernelsFused, SimdLog2DecodeExactForAllByteValues) {
   const KernelOps* simd = simd_kernels();
   if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
-  // One-hot probes through the fused dot: with a = e_i the dot returns
-  // decode(codes[i]) exactly (single product in double, cast once).
+  // One-hot probes through one fused score row with scale 1: with q = e_i
+  // the score is decode(codes[i]) exactly (single product in double, cast
+  // once, times 1.0f).
   // Exponents cover normals, deep denormals (exponent - 127 down to -137),
   // and the flush-to-zero region.
   for (const int exponent : {-10, -3, 0, 7, 40}) {
@@ -372,8 +364,9 @@ TEST(KernelsFused, SimdLog2DecodeExactForAllByteValues) {
       std::vector<std::int8_t> codes(8, static_cast<std::int8_t>(b));
       std::vector<float> a(8, 0.0f);
       a[3] = 1.0f;  // lands in the 8-wide vector body, not the tail
-      const float got =
-          simd->dequant_dot_log2(a.data(), codes.data(), 8, exponent);
+      float got = 0.0f;
+      simd->dequant_scores_log2(a.data(), codes.data(), 1, 8, 8, exponent,
+                                1.0f, &got);
       const float want = kv_decode_log2(static_cast<std::int8_t>(b), exponent);
       EXPECT_EQ(got, want) << "byte=" << b << " exponent=" << exponent;
     }
@@ -388,7 +381,9 @@ TEST(KernelsFused, SimdInt8DecodeExactForAllCodes) {
       std::vector<std::int8_t> codes(8, static_cast<std::int8_t>(c));
       std::vector<float> a(8, 0.0f);
       a[5] = 1.0f;
-      const float got = simd->dequant_dot_int8(a.data(), codes.data(), 8, s);
+      float got = 0.0f;
+      simd->dequant_scores_int8(a.data(), codes.data(), 1, 8, 8, s, 1.0f,
+                                &got);
       const float want = static_cast<float>(c) * s;
       EXPECT_EQ(got, want) << "code=" << c << " s=" << s;
     }

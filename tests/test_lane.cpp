@@ -64,7 +64,11 @@ TEST(Lane, ApproximatesUnquantizedDot) {
   const auto routed = route_block(qt.blocks[0], 0, {});
   const auto result =
       lane_block_dot(qt.blocks[0], qt.block_scale(0), 7, w_row, routed);
-  const float reference = dot(x, w_row);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < 128; ++i) {
+    acc += static_cast<double>(x[i]) * static_cast<double>(w_row[i]);
+  }
+  const float reference = static_cast<float>(acc);
   // 7-bit quantization keeps the dot product within a few percent of the
   // activation magnitude scale.
   EXPECT_NEAR(result.value, reference,
