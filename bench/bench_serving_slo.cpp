@@ -47,7 +47,6 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -258,9 +257,7 @@ PolicyRun serve(const std::shared_ptr<const PreparedModel>& model,
   out.itl = summarize(out.snap, "serving.itl_ms");
   if (trace) {
     out.trace = step_trace_from_tracer(engine.tracer());
-    std::ostringstream ts;
-    engine.tracer().write_step_trace(ts);
-    out.trace_json = ts.str();
+    out.trace_json = out.trace.to_json();
   }
   if (profile) out.profile = engine.profile();
   return out;

@@ -18,11 +18,11 @@
 //   quantize once -> 6 shared-prefix requests (2 priority classes)
 //   -> 4 slots, 1/4 memory, chunked prefill -> round 1 (cold)
 //   -> round 2 (warm prefix cache) -> verify both
-//   -> sampled round (seeded, streamed) -> traced round (OPAL_TRACE=1,
-//      balanced event stream, Chrome trace on disk, results unchanged)
+//   -> sampled round (seeded, streamed) -> traced round (ServingConfig::
+//      trace, balanced event stream, Chrome trace on disk, results
+//      unchanged)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <vector>
 
@@ -250,19 +250,15 @@ int main() {
   engine.release(gen_b);
 
   // Traced round: the same workload once more through a fresh engine with
-  // OPAL_TRACE set — the opt-in a deployment flips without recompiling.
-  // The event stream must be non-empty and balanced (every submitted
-  // request retires in exactly one finish or evict), the Chrome trace must
-  // land on disk, and the traced results must stay bitwise identical to
-  // the single-sequence baseline — tracing observes, never steers.
+  // ServingConfig::trace set. The event stream must be non-empty and
+  // balanced (every submitted request retires in exactly one finish or
+  // evict), the Chrome trace must land on disk, and the traced results must
+  // stay bitwise identical to the single-sequence baseline — tracing
+  // observes, never steers.
   {
-    setenv("OPAL_TRACE", "1", 1);
-    ServingEngine traced(prepared, serving_cfg);
-    unsetenv("OPAL_TRACE");
-    if (!traced.tracer().enabled()) {
-      std::printf("ERROR: OPAL_TRACE did not enable the tracer\n");
-      return 1;
-    }
+    ServingConfig traced_cfg = serving_cfg;
+    traced_cfg.trace = true;
+    ServingEngine traced(prepared, traced_cfg);
     if (serve_round(traced, prepared, requests, "round 3 traced") != 0) {
       std::printf("ERROR: traced round diverged from the baseline\n");
       return 1;

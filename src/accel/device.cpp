@@ -189,7 +189,7 @@ OpBytes op_bytes(const DeviceConfig& device, const ModelConfig& model,
   OpBytes bytes;
   switch (op.kind) {
     case OpKind::kWeightMxv: {
-      // Weights stream from DRAM once regardless of batch (the prefill
+      // Weights stream from DRAM once regardless of batch (the batching
       // advantage); activations scale with the positions processed.
       const double elems =
           static_cast<double>(op.rows) * static_cast<double>(op.cols);
@@ -222,116 +222,61 @@ OpBytes op_bytes(const DeviceConfig& device, const ModelConfig& model,
   return bytes;
 }
 
-}  // namespace
+// One op priced on `device`: its core cost, its bytes, and its latency —
+// the larger of the compute time (cores tile the op's output rows) and the
+// DRAM streaming time (shared by all cores).
+struct PricedOp {
+  OpCost cost;
+  OpBytes bytes;
+  double compute_s = 0.0;
+  double dram_s = 0.0;
+  double latency_s = 0.0;
+};
 
-std::vector<OpTraceEntry> trace_token(const DeviceConfig& device,
-                                      const ModelConfig& model,
-                                      std::size_t seq_len) {
-  const auto ops = token_ops(model, seq_len, device.weight_bits, device.act,
-                             device.log2_softmax, device.quantize_acts);
-  const OpalCore core(device.core, device.tech);
-  std::vector<OpTraceEntry> trace;
-  trace.reserve(ops.size());
-  for (const auto& op : ops) {
-    const OpCost cost = device.kind == DeviceKind::kOpal
-                            ? cost_op_opal(core, device, op)
-                            : cost_op_baseline(device, op);
-    const auto bytes = op_bytes(device, model, op);
-    const double compute_s =
-        cost.compute_s / static_cast<double>(device.n_cores);
-    const double dram_s = device.dram.transfer_seconds(
-        static_cast<std::size_t>(bytes.dram));
-    OpTraceEntry entry;
-    entry.name = op.name;
-    entry.kind = op.kind;
-    entry.latency_s = std::max(compute_s, dram_s);
-    entry.dram_bytes = bytes.dram;
-    entry.core_energy_j = cost.core_energy_j;
-    entry.dram_bound = dram_s >= compute_s;
-    trace.push_back(std::move(entry));
-  }
-  return trace;
+PricedOp price_op(const OpalCore& core, const DeviceConfig& device,
+                  const ModelConfig& model, const TokenOp& op) {
+  PricedOp p;
+  p.cost = device.kind == DeviceKind::kOpal ? cost_op_opal(core, device, op)
+                                            : cost_op_baseline(device, op);
+  p.bytes = op_bytes(device, model, op);
+  p.compute_s = p.cost.compute_s / static_cast<double>(device.n_cores);
+  p.dram_s =
+      device.dram.transfer_seconds(static_cast<std::size_t>(p.bytes.dram));
+  p.latency_s = std::max(p.compute_s, p.dram_s);
+  return p;
 }
 
-namespace {
-
-TokenReport simulate_ops(const DeviceConfig& device, const ModelConfig& model,
-                         const std::vector<TokenOp>& ops);
+// The step that generates one token at KV length `seq_len`: one sequence
+// feeding one row at start length seq_len - 1.
+StepComposition one_token(std::size_t seq_len) {
+  require(seq_len >= 1,
+          "device: seq_len must be >= 1 (it counts the generated token)");
+  return {{{0, seq_len - 1, 1}}};
+}
 
 }  // namespace
 
 TokenReport simulate_token(const DeviceConfig& device,
                            const ModelConfig& model, std::size_t seq_len) {
-  return simulate_ops(device, model,
-                      token_ops(model, seq_len, device.weight_bits,
-                                device.act, device.log2_softmax,
-                                device.quantize_acts));
+  return simulate_step(device, model, one_token(seq_len)).totals;
 }
 
-TokenReport simulate_prefill(const DeviceConfig& device,
-                             const ModelConfig& model,
-                             std::size_t prompt_len) {
-  return simulate_ops(device, model,
-                      prefill_ops(model, prompt_len, device.weight_bits,
-                                  device.act, device.log2_softmax,
-                                  device.quantize_acts));
-}
-
-namespace {
-
-TokenReport simulate_ops(const DeviceConfig& device, const ModelConfig& model,
-                         const std::vector<TokenOp>& ops) {
-  TokenReport report;
-  report.device = device.name;
-  report.total_macs = total_macs(ops);
-
+std::vector<OpTraceEntry> trace_token(const DeviceConfig& device,
+                                      const ModelConfig& model,
+                                      std::size_t seq_len) {
+  const auto ops =
+      step_ops(model, one_token(seq_len), device.weight_bits, device.act,
+               device.log2_softmax, device.quantize_acts);
   const OpalCore core(device.core, device.tech);
-  const SramModel weight_buffer(device.weight_buffer_bytes(), device.sram);
-  const SramModel act_buffer(device.act_buffer_bytes(), device.sram);
-  const SramModel softmax_buffer(2 * 1024, device.sram);
-
-  double latency = 0.0;
-  double dram_energy = 0.0;
-  double weight_buf_dyn = 0.0;
-  double act_buf_dyn = 0.0;
-  std::size_t int_macs = 0, fp_macs = 0;
-
+  std::vector<OpTraceEntry> trace;
+  trace.reserve(ops.size());
   for (const auto& op : ops) {
-    const OpCost cost = device.kind == DeviceKind::kOpal
-                            ? cost_op_opal(core, device, op)
-                            : cost_op_baseline(device, op);
-    const auto bytes = op_bytes(device, model, op);
-    const double dram_s = device.dram.transfer_seconds(
-        static_cast<std::size_t>(bytes.dram));
-    // Cores tile the output rows of each op; DRAM streaming is shared.
-    const double compute_s =
-        cost.compute_s / static_cast<double>(device.n_cores);
-    latency += std::max(compute_s, dram_s);
-    dram_energy += device.dram.transfer_energy_j(
-        static_cast<std::size_t>(bytes.dram));
-    weight_buf_dyn += weight_buffer.read_energy_j(
-        static_cast<std::size_t>(bytes.weight_buffer));
-    act_buf_dyn += act_buffer.read_energy_j(
-        static_cast<std::size_t>(bytes.act_buffer));
-    report.core_energy_j += cost.core_energy_j;
-    int_macs += cost.int_macs;
-    fp_macs += cost.fp_macs;
+    const PricedOp p = price_op(core, device, model, op);
+    trace.push_back({op.name, op.kind, p.latency_s, p.bytes.dram,
+                     p.cost.core_energy_j, p.dram_s >= p.compute_s});
   }
-
-  report.latency_s = latency;
-  report.mem_access_j = dram_energy + weight_buf_dyn + act_buf_dyn;
-  report.weight_leak_j = weight_buffer.leakage_energy_j(latency);
-  report.act_leak_j = act_buffer.leakage_energy_j(latency) +
-                      softmax_buffer.leakage_energy_j(latency);
-  report.int_mac_fraction =
-      int_macs + fp_macs == 0
-          ? 0.0
-          : static_cast<double>(int_macs) /
-                static_cast<double>(int_macs + fp_macs);
-  return report;
+  return trace;
 }
-
-}  // namespace
 
 TokenReport simulate_generation(const DeviceConfig& device,
                                 const ModelConfig& model,
@@ -376,9 +321,8 @@ StepReport simulate_step(const DeviceConfig& device, const ModelConfig& model,
   const std::size_t total_rows = step.total_rows();
   if (total_rows == 0) return report;
 
-  const auto ops =
-      step_ops(model, step, device.weight_bits, device.act,
-               device.log2_softmax, device.quantize_acts);
+  const auto ops = step_ops(model, step, device.weight_bits, device.act,
+                            device.log2_softmax, device.quantize_acts);
   report.totals.total_macs = total_macs(ops);
 
   const OpalCore core(device.core, device.tech);
@@ -386,9 +330,8 @@ StepReport simulate_step(const DeviceConfig& device, const ModelConfig& model,
   const SramModel act_buffer(device.act_buffer_bytes(), device.sram);
   const SramModel softmax_buffer(2 * 1024, device.sram);
 
-  // Same accumulation order as simulate_ops, so a single rows == 1 pass
-  // reproduces simulate_token bitwise. Attribution runs on separate
-  // accumulators and never feeds back into the totals.
+  // Attribution runs on separate accumulators and never feeds back into the
+  // totals.
   double latency = 0.0;
   double dram_energy = 0.0;
   double weight_buf_dyn = 0.0;
@@ -397,50 +340,42 @@ StepReport simulate_step(const DeviceConfig& device, const ModelConfig& model,
   std::size_t int_macs = 0, fp_macs = 0;
 
   for (const auto& op : ops) {
-    const OpCost cost = device.kind == DeviceKind::kOpal
-                            ? cost_op_opal(core, device, op)
-                            : cost_op_baseline(device, op);
-    const auto bytes = op_bytes(device, model, op);
-    const double dram_s = device.dram.transfer_seconds(
-        static_cast<std::size_t>(bytes.dram));
-    const double compute_s =
-        cost.compute_s / static_cast<double>(device.n_cores);
-    const double op_latency = std::max(compute_s, dram_s);
-    latency += op_latency;
+    const PricedOp p = price_op(core, device, model, op);
+    latency += p.latency_s;
     const double op_dram_j = device.dram.transfer_energy_j(
-        static_cast<std::size_t>(bytes.dram));
+        static_cast<std::size_t>(p.bytes.dram));
     const double op_wbuf_j = weight_buffer.read_energy_j(
-        static_cast<std::size_t>(bytes.weight_buffer));
+        static_cast<std::size_t>(p.bytes.weight_buffer));
     const double op_abuf_j = act_buffer.read_energy_j(
-        static_cast<std::size_t>(bytes.act_buffer));
+        static_cast<std::size_t>(p.bytes.act_buffer));
     dram_energy += op_dram_j;
     weight_buf_dyn += op_wbuf_j;
     act_buf_dyn += op_abuf_j;
-    report.totals.core_energy_j += cost.core_energy_j;
-    int_macs += cost.int_macs;
-    fp_macs += cost.fp_macs;
+    report.totals.core_energy_j += p.cost.core_energy_j;
+    int_macs += p.cost.int_macs;
+    fp_macs += p.cost.fp_macs;
 
-    report.dram_bytes += bytes.dram;
-    report.compute_s += compute_s;
-    report.dram_s += dram_s;
-    if (dram_s >= compute_s) dram_bound_latency += op_latency;
+    report.dram_bytes += p.bytes.dram;
+    report.compute_s += p.compute_s;
+    report.dram_s += p.dram_s;
+    if (p.dram_s >= p.compute_s) dram_bound_latency += p.latency_s;
 
     // Attribution: sequence-owned attention ops in full; batch-shared ops
     // (weights, quantize) by fed-rows share.
     const double op_energy =
-        cost.core_energy_j + op_dram_j + op_wbuf_j + op_abuf_j;
+        p.cost.core_energy_j + op_dram_j + op_wbuf_j + op_abuf_j;
     if (op.owner != TokenOp::kShared) {
       SeqStepCost& c = report.seqs[op.owner];
-      c.latency_s += op_latency;
+      c.latency_s += p.latency_s;
       c.energy_j += op_energy;
-      c.dram_bytes += bytes.dram;
+      c.dram_bytes += p.bytes.dram;
     } else {
       for (SeqStepCost& c : report.seqs) {
         const double share = static_cast<double>(c.rows) /
                              static_cast<double>(total_rows);
-        c.latency_s += op_latency * share;
+        c.latency_s += p.latency_s * share;
         c.energy_j += op_energy * share;
-        c.dram_bytes += bytes.dram * share;
+        c.dram_bytes += p.bytes.dram * share;
       }
     }
   }

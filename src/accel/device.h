@@ -8,10 +8,13 @@
 //             traffic) but BF16 activations and BF16 compute, per the paper.
 //   * OPAL  — OWQ weights + MX-OPAL activations on the OPAL core.
 //
-// Per-token latency is the sum over ops of max(compute time, DRAM streaming
-// time); energy splits into the Fig 8 components: core energy, memory access
+// The device prices one engine step (accel/workload.h step_ops): its
+// latency is the sum over ops of max(compute time, DRAM streaming time);
+// energy splits into the Fig 8 components: core energy, memory access
 // energy (DRAM + global buffer dynamic), weight-buffer leakage, and
-// activation-buffer leakage (both scale with per-token latency).
+// activation-buffer leakage (both scale with the step's latency).
+// Generating one token is the one-row step, so simulate_token and
+// trace_token are views of simulate_step, not separate models.
 #pragma once
 
 #include <string>
@@ -96,7 +99,10 @@ struct TokenReport {
 /// choice).
 [[nodiscard]] double device_core_area_mm2(const DeviceConfig& device);
 
-/// Simulates generating one token at KV length `seq_len`.
+/// Simulates generating one token at KV length `seq_len` (the new token's
+/// own position included, so seq_len >= 1; throws std::invalid_argument
+/// otherwise): the totals of simulate_step over the single pass
+/// {0, seq_len - 1, 1}.
 [[nodiscard]] TokenReport simulate_token(const DeviceConfig& device,
                                          const ModelConfig& model,
                                          std::size_t seq_len);
@@ -111,16 +117,13 @@ struct OpTraceEntry {
   bool dram_bound = false;
 };
 
-/// Per-op trace of one token (same model as simulate_token).
+/// Per-op trace of one token: the op list simulate_token prices, one entry
+/// per op in order, so the entries' latencies and core energies sum to the
+/// token's report bitwise. Attention ops carry the step's per-sequence
+/// names (layerN.s0.qk, layerN.s0.softmax, layerN.s0.av).
 [[nodiscard]] std::vector<OpTraceEntry> trace_token(
     const DeviceConfig& device, const ModelConfig& model,
     std::size_t seq_len);
-
-/// Simulates prefilling a `prompt_len`-token prompt (weights streamed once,
-/// reused across positions — compute-bound, unlike decode).
-[[nodiscard]] TokenReport simulate_prefill(const DeviceConfig& device,
-                                           const ModelConfig& model,
-                                           std::size_t prompt_len);
 
 /// Average per-token report over a decode of `n_tokens` starting from
 /// `prompt_len` (KV length grows by one each step).
@@ -157,9 +160,9 @@ struct StepReport {
 
 /// Simulates one batched engine step: a mix of prefill chunks, decodes and
 /// spec-verify bursts, each at its own KV length, sharing one weight
-/// stream. A single rows == 1 pass reproduces
-/// simulate_token(start_len + 1) bitwise — same op list, same accumulation
-/// order.
+/// stream. A single {0, P} pass prices prefilling a P-token prompt as one
+/// chunk (weights streamed once, reused across positions — compute-bound,
+/// unlike decode).
 [[nodiscard]] StepReport simulate_step(const DeviceConfig& device,
                                        const ModelConfig& model,
                                        const StepComposition& step);

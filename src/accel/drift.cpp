@@ -44,13 +44,8 @@ DriftReport audit_drift(const DeviceConfig& device, const StepTrace& trace) {
   ratios.reserve(trace.steps.size());
 
   for (const TraceStep& ts : trace.steps) {
-    // The same composition replay_trace costs: every pass that fed rows,
-    // at its recorded KV depth; prefix hits fed nothing.
-    StepComposition comp;
-    for (const TracePass& pass : ts.passes) {
-      if (pass.kind == TraceEventKind::kPrefixHit) continue;
-      comp.seqs.push_back({pass.request, pass.pos, pass.rows});
-    }
+    // The same composition replay_trace costs.
+    const StepComposition comp = ts.composition();
     if (comp.total_rows() == 0 || ts.dur_us == 0) {
       ++report.skipped_steps;
       continue;

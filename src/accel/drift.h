@@ -91,8 +91,9 @@ struct DriftReport {
                       const std::string& prefix = "drift") const;
 };
 
-/// Audits `trace` against `device`. Prediction uses the same
-/// StepComposition replay_trace builds (prefix hits feed no rows); the
+/// Audits `trace` against `device`. Prediction costs each step's
+/// TraceStep::composition(), as replay_trace does (prefix hits feed no
+/// rows); the
 /// trace's KV block size overrides the device's, like replay. Throws
 /// std::invalid_argument when the trace is not self-describing.
 [[nodiscard]] DriftReport audit_drift(const DeviceConfig& device,

@@ -20,11 +20,15 @@ std::string fmt(double v) {
   return buf;
 }
 
+// The event kinds a step's seqs[] records, named as to_string names them.
+constexpr TraceEventKind kPassKinds[] = {
+    TraceEventKind::kChunk, TraceEventKind::kDecode,
+    TraceEventKind::kSpecBurst, TraceEventKind::kPrefixHit};
+
 TraceEventKind pass_kind_from_string(const std::string& kind) {
-  if (kind == "chunk") return TraceEventKind::kChunk;
-  if (kind == "decode") return TraceEventKind::kDecode;
-  if (kind == "spec_burst") return TraceEventKind::kSpecBurst;
-  if (kind == "prefix_hit") return TraceEventKind::kPrefixHit;
+  for (const TraceEventKind k : kPassKinds) {
+    if (to_string(k) == kind) return k;
+  }
   throw std::invalid_argument("replay: unknown pass kind \"" + kind + "\"");
 }
 
@@ -47,13 +51,22 @@ ModelConfig StepTrace::model() const {
   return m;
 }
 
+StepComposition TraceStep::composition() const {
+  StepComposition comp;
+  for (const TracePass& pass : passes) {
+    if (pass.kind == TraceEventKind::kPrefixHit) continue;
+    comp.seqs.push_back({pass.request, pass.pos, pass.rows});
+  }
+  return comp;
+}
+
 StepTrace step_trace_from_tracer(const Tracer& tracer) {
   StepTrace trace;
   trace.info = tracer.step_info();
   trace.dropped_steps = tracer.dropped_steps();
   trace.truncated_events = tracer.truncated_events();
-  // Same forward scan as Tracer::write_step_trace: a step's per-sequence
-  // events precede its kStep record in emission order.
+  // A step's per-sequence events precede its kStep record in emission
+  // order, so a single forward scan groups them.
   std::vector<TraceEvent> pending;
   for (const TraceEvent& e : tracer.events()) {
     switch (e.kind) {
@@ -69,8 +82,12 @@ StepTrace step_trace_from_tracer(const Tracer& tracer) {
         step.batch = static_cast<std::size_t>(e.a);
         step.rows = static_cast<std::size_t>(e.b);
         step.dur_us = e.dur_us;
+        step.blocks_in_use = static_cast<std::size_t>(e.c);
+        step.blocks_free = static_cast<std::size_t>(e.d);
         for (const TraceEvent& s : pending) {
           if (s.step != e.step) continue;  // orphan from an evicted step
+          // kPrefixHit carries (positions restored, columns) in (a, b):
+          // normalize it to the pass shape — rows = restores, pos 0.
           TracePass pass;
           pass.request = s.request;
           pass.kind = s.kind;
@@ -78,6 +95,7 @@ StepTrace step_trace_from_tracer(const Tracer& tracer) {
           pass.pos = hit ? 0 : static_cast<std::size_t>(s.b);
           pass.rows = static_cast<std::size_t>(s.a);
           pass.kv_bytes = hit ? 0 : static_cast<std::size_t>(s.c);
+          pass.dur_us = s.dur_us;
           if (s.kind == TraceEventKind::kSpecBurst) {
             pass.committed = static_cast<std::size_t>(s.d);
           }
@@ -92,6 +110,46 @@ StepTrace step_trace_from_tracer(const Tracer& tracer) {
     }
   }
   return trace;
+}
+
+std::string StepTrace::to_json() const {
+  std::ostringstream out;
+  out << "{\"schema\": \"opal.step_trace/v2\",\n"
+      << " \"model\": {\"n_layers\": " << info.n_layers
+      << ", \"d_model\": " << info.d_model
+      << ", \"n_heads\": " << info.n_heads << ", \"d_ffn\": " << info.d_ffn
+      << ", \"vocab\": " << info.vocab << "},\n"
+      << " \"kv\": {\"mode\": \"" << info.kv_mode
+      << "\", \"block_size\": " << info.kv_block_size
+      << ", \"bits_per_entry\": " << info.kv_bits_per_entry << "},\n"
+      << " \"dropped_steps\": " << dropped_steps
+      << ", \"truncated_events\": " << truncated_events << ",\n"
+      << " \"steps\": [";
+  bool first = true;
+  for (const TraceStep& s : steps) {
+    if (!first) out << ",";
+    first = false;
+    out << "\n  {\"step\": " << s.step << ", \"dur_us\": " << s.dur_us
+        << ", \"batch\": " << s.batch << ", \"rows\": " << s.rows
+        << ", \"blocks_in_use\": " << s.blocks_in_use
+        << ", \"blocks_free\": " << s.blocks_free << ", \"seqs\": [";
+    bool seq_first = true;
+    for (const TracePass& p : s.passes) {
+      if (!seq_first) out << ", ";
+      seq_first = false;
+      out << "{\"request\": " << p.request << ", \"kind\": \""
+          << to_string(p.kind) << "\", \"pos\": " << p.pos
+          << ", \"rows\": " << p.rows << ", \"kv_bytes\": " << p.kv_bytes
+          << ", \"dur_us\": " << p.dur_us;
+      if (p.kind == TraceEventKind::kSpecBurst) {
+        out << ", \"committed\": " << p.committed;
+      }
+      out << "}";
+    }
+    out << "]}";
+  }
+  out << "\n]}\n";
+  return out.str();
 }
 
 StepTrace parse_step_trace(std::string_view json_text) {
@@ -126,6 +184,9 @@ StepTrace parse_step_trace(std::string_view json_text) {
     step.batch = s.at("batch").as_uint("steps[].batch");
     step.rows = s.at("rows").as_uint("steps[].rows");
     step.dur_us = s.at("dur_us").as_uint("steps[].dur_us");
+    step.blocks_in_use =
+        s.at("blocks_in_use").as_uint("steps[].blocks_in_use");
+    step.blocks_free = s.at("blocks_free").as_uint("steps[].blocks_free");
     const JsonValue& seqs = s.at("seqs");
     if (!seqs.is_array()) {
       throw std::invalid_argument("replay: \"seqs\" must be an array");
@@ -137,8 +198,17 @@ StepTrace parse_step_trace(std::string_view json_text) {
       pass.pos = q.at("pos").as_uint("seqs[].pos");
       pass.rows = q.at("rows").as_uint("seqs[].rows");
       pass.kv_bytes = q.at("kv_bytes").as_uint("seqs[].kv_bytes");
-      if (const JsonValue* committed = q.find("committed")) {
-        pass.committed = committed->as_uint("seqs[].committed");
+      pass.dur_us = q.at("dur_us").as_uint("seqs[].dur_us");
+      if (pass.kind == TraceEventKind::kSpecBurst) {
+        pass.committed = q.at("committed").as_uint("seqs[].committed");
+        // Replay prices each committed row as a decode: a count outside
+        // [1, rows] is corrupt, and a huge one would stall the replay.
+        if (pass.committed < 1 || pass.committed > pass.rows) {
+          throw std::invalid_argument(
+              "replay: \"seqs[].committed\" must be in [1, rows] for a "
+              "spec_burst (got " + std::to_string(pass.committed) + " of " +
+              std::to_string(pass.rows) + " rows)");
+        }
       }
       step.passes.push_back(std::move(pass));
     }
@@ -193,11 +263,29 @@ ReplayReport replay_trace(const DeviceConfig& device,
   };
 
   for (const TraceStep& ts : trace.steps) {
-    StepComposition comp;
-    // comp.seqs index -> ts.passes index (prefix hits feed no rows).
-    std::vector<std::size_t> pass_of;
-    for (std::size_t i = 0; i < ts.passes.size(); ++i) {
-      const TracePass& pass = ts.passes[i];
+    const StepComposition comp = ts.composition();
+    // A step that fed no rows costs nothing: simulate_step returns zeros.
+    const StepReport sr = simulate_step(dev, model, comp);
+    ReplayStepSummary summary;
+    summary.step = ts.step;
+    summary.rows = comp.total_rows();
+    summary.latency_s = sr.totals.latency_s;
+    summary.energy_j = sr.totals.total_j();
+    summary.dram_bytes = sr.dram_bytes;
+    summary.dram_bound = sr.dram_bound;
+    report.latency_s += sr.totals.latency_s;
+    report.energy_j += sr.totals.total_j();
+    report.core_energy_j += sr.totals.core_energy_j;
+    report.mem_access_j += sr.totals.mem_access_j;
+    report.weight_leak_j += sr.totals.weight_leak_j;
+    report.act_leak_j += sr.totals.act_leak_j;
+    report.dram_bytes += sr.dram_bytes;
+    report.total_macs += sr.totals.total_macs;
+    if (sr.dram_bound) ++report.dram_bound_steps;
+
+    // sr.seqs follows comp.seqs: the passes that fed rows, in pass order.
+    std::size_t fed = 0;
+    for (const TracePass& pass : ts.passes) {
       ReplayRequestReport& r = request_of(pass.request);
       if (pass.kind == TraceEventKind::kPrefixHit) {
         // Decodes SKIPPED thanks to the cache: credit the hypothetical
@@ -209,8 +297,7 @@ ReplayReport replay_trace(const DeviceConfig& device,
         report.prefix_saved_j += saved;
         continue;
       }
-      pass_of.push_back(i);
-      comp.seqs.push_back({pass.request, pass.pos, pass.rows});
+      const SeqStepCost& cost = sr.seqs[fed++];
       r.rows_fed += pass.rows;
       report.rows_fed += pass.rows;
       report.kv_bytes_written += pass.kv_bytes;
@@ -221,44 +308,19 @@ ReplayReport replay_trace(const DeviceConfig& device,
           pass.kind == TraceEventKind::kChunk ? 0 : committed;
       r.tokens_committed += tokens;
       report.tokens_committed += tokens;
-    }
-
-    ReplayStepSummary summary;
-    summary.step = ts.step;
-    summary.rows = comp.total_rows();
-    if (summary.rows > 0) {
-      const StepReport sr = simulate_step(dev, model, comp);
-      summary.latency_s = sr.totals.latency_s;
-      summary.energy_j = sr.totals.total_j();
-      summary.dram_bytes = sr.dram_bytes;
-      summary.dram_bound = sr.dram_bound;
-      report.latency_s += sr.totals.latency_s;
-      report.energy_j += sr.totals.total_j();
-      report.core_energy_j += sr.totals.core_energy_j;
-      report.mem_access_j += sr.totals.mem_access_j;
-      report.weight_leak_j += sr.totals.weight_leak_j;
-      report.act_leak_j += sr.totals.act_leak_j;
-      report.dram_bytes += sr.dram_bytes;
-      report.total_macs += sr.totals.total_macs;
-      if (sr.dram_bound) ++report.dram_bound_steps;
-      for (std::size_t j = 0; j < sr.seqs.size(); ++j) {
-        const SeqStepCost& cost = sr.seqs[j];
-        const TracePass& pass = ts.passes[pass_of[j]];
-        ReplayRequestReport& r = request_of(pass.request);
-        r.latency_s += cost.latency_s;
-        r.energy_j += cost.energy_j;
-        r.dram_bytes += cost.dram_bytes;
-        if (pass.kind == TraceEventKind::kSpecBurst) {
-          // What the committed rows would have cost as plain decodes,
-          // minus what the verify burst actually cost this request.
-          double as_decodes = 0.0;
-          for (std::size_t k = 0; k < pass.committed; ++k) {
-            as_decodes += decode_j(pass.pos + k);
-          }
-          const double saved = as_decodes - cost.energy_j;
-          r.spec_saved_j += saved;
-          report.spec_saved_j += saved;
+      r.latency_s += cost.latency_s;
+      r.energy_j += cost.energy_j;
+      r.dram_bytes += cost.dram_bytes;
+      if (pass.kind == TraceEventKind::kSpecBurst) {
+        // What the committed rows would have cost as plain decodes,
+        // minus what the verify burst actually cost this request.
+        double as_decodes = 0.0;
+        for (std::size_t k = 0; k < pass.committed; ++k) {
+          as_decodes += decode_j(pass.pos + k);
         }
+        const double saved = as_decodes - cost.energy_j;
+        r.spec_saved_j += saved;
+        report.spec_saved_j += saved;
       }
     }
     ++report.n_steps;

@@ -24,10 +24,40 @@
 //     consumers can refuse partial attributions.
 //
 // Sources: step_trace_from_tracer() lifts the trace straight out of an
-// in-process Tracer; parse_step_trace() reads an opal.step_trace/v2 JSON
-// file (via common/json.h), which is self-describing — the header carries
-// the model dims and KV layout, so a file replays without the producing
-// process. Both yield the same StepTrace, hence the same report.
+// in-process Tracer — the one place events are grouped into steps;
+// StepTrace::to_json() writes it as an opal.step_trace/v2 JSON file and
+// parse_step_trace() reads one back (via common/json.h). The file is
+// self-describing — the header carries the model dims and KV layout, so it
+// replays without the producing process. parse_step_trace(t.to_json())
+// equals t, hence yields the same report.
+//
+// Step-trace schema (opal.step_trace/v2) — what StepTrace::to_json emits:
+//
+//   field                       meaning
+//   schema                      "opal.step_trace/v2"
+//   model.{n_layers,d_model,    ModelConfig dims of the producing engine
+//          n_heads,d_ffn,vocab} (all 0 when no StepTraceInfo was set)
+//   kv.{mode,block_size,        serving KV layout: kv_mode name, positions
+//       bits_per_entry}         per block, stored bits per KV entry
+//   dropped_steps               kStep records overwritten in the ring —
+//                               nonzero means the trace is INCOMPLETE
+//   truncated_events            total events overwritten in the ring
+//   steps[]                     one record per surviving kStep event:
+//     step / dur_us             engine step counter, wall duration
+//     batch / rows              sequences decoded, total rows fed
+//     blocks_in_use/blocks_free pool occupancy after the step
+//     seqs[]                    the step's per-sequence events, in emission
+//                               order:
+//       request / kind          RequestId; chunk | decode | spec_burst |
+//                               prefix_hit
+//       pos                     start position (KV length before the pass);
+//                               0 for prefix_hit
+//       rows                    rows fed this pass; for prefix_hit, the
+//                               positions restored from the cache (decodes
+//                               SKIPPED, not executed)
+//       kv_bytes                KV bytes written by the pass (0: prefix_hit)
+//       dur_us                  model-pass wall duration (0: prefix_hit)
+//       committed               spec_burst only: rows that survived verify
 //
 // Attribution (mirrors simulate_step):
 //   * per-sequence attention ops: fully to the owning request;
@@ -61,7 +91,10 @@ struct TracePass {
   std::size_t pos = 0;       // KV length before the pass (0 for prefix_hit)
   std::size_t rows = 0;      // rows fed; prefix_hit: positions restored
   std::size_t kv_bytes = 0;  // engine-side KV bytes written by the pass
+  std::uint64_t dur_us = 0;  // measured model-pass wall time (0: prefix_hit)
   std::size_t committed = 0;  // spec_burst only: rows surviving verify
+
+  bool operator==(const TracePass&) const = default;
 };
 
 /// One engine step: its kStep record plus the per-sequence passes grouped
@@ -74,7 +107,16 @@ struct TraceStep {
   /// Replay itself ignores it per the contract above; the drift auditor
   /// (accel/drift.h) joins it against the device model's prediction.
   std::uint64_t dur_us = 0;
+  std::size_t blocks_in_use = 0;  // pool occupancy after the step
+  std::size_t blocks_free = 0;
   std::vector<TracePass> passes;
+
+  /// The batch this step fed through the model: every pass that fed rows,
+  /// in pass order, at its recorded KV depth. Prefix hits restored
+  /// positions from the cache and fed nothing, so they are skipped.
+  [[nodiscard]] StepComposition composition() const;
+
+  bool operator==(const TraceStep&) const = default;
 };
 
 /// A replayable trace: self-description + the surviving steps.
@@ -88,16 +130,25 @@ struct StepTrace {
   /// std::invalid_argument when any dim is zero (trace not self-describing
   /// — its producer never called Tracer::set_step_info).
   [[nodiscard]] ModelConfig model() const;
+
+  /// The opal.step_trace/v2 document (schema table above).
+  [[nodiscard]] std::string to_json() const;
+
+  bool operator==(const StepTrace&) const = default;
 };
 
-/// Lifts the step trace out of an in-process tracer (same grouping as
-/// Tracer::write_step_trace, no serialization round-trip).
+/// Lifts the step trace out of an in-process tracer: one record per
+/// surviving kStep event, holding the per-sequence kChunk / kDecode /
+/// kSpecBurst / kPrefixHit events emitted before it in the same step.
+/// Events whose step record was overwritten in the ring are dropped (and
+/// the loss is counted in dropped_steps / truncated_events).
 [[nodiscard]] StepTrace step_trace_from_tracer(const Tracer& tracer);
 
 /// Parses an opal.step_trace/v2 JSON document. Throws
 /// std::invalid_argument naming the offending field / position on any
 /// schema violation (wrong schema string, missing keys, type mismatches,
-/// unknown pass kinds).
+/// integers above 2^53, unknown pass kinds, a spec_burst whose committed
+/// count is not in [1, rows]).
 [[nodiscard]] StepTrace parse_step_trace(std::string_view json_text);
 
 /// Whole-run attribution for one request.

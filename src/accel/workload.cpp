@@ -2,88 +2,6 @@
 
 namespace opal {
 
-std::vector<TokenOp> token_ops(const ModelConfig& model, std::size_t seq_len,
-                               int weight_bits, ActBits act,
-                               bool log2_softmax, bool quantize_acts) {
-  std::vector<TokenOp> ops;
-  const std::size_t d = model.d_model;
-  const std::size_t f = model.d_ffn;
-
-  auto quantize = [&](const std::string& name, std::size_t len) {
-    if (quantize_acts) {
-      ops.push_back({name, OpKind::kQuantize, 1, len, 0, 0});
-    }
-  };
-
-  for (std::size_t l = 0; l < model.n_layers; ++l) {
-    const std::string p = "layer" + std::to_string(l) + ".";
-    // Attention block: post-LN activations are low-bit.
-    quantize(p + "quant.attn_in", d);
-    ops.push_back({p + "wq", OpKind::kWeightMxv, d, d, weight_bits, act.low});
-    ops.push_back({p + "wk", OpKind::kWeightMxv, d, d, weight_bits, act.low});
-    ops.push_back({p + "wv", OpKind::kWeightMxv, d, d, weight_bits, act.low});
-    quantize(p + "quant.qkv", 3 * d);
-
-    // Q.K^T over all heads: seq_len outputs of d_model reduction total.
-    // kv_len sizes the K/V DRAM stream the op reads through.
-    ops.push_back(
-        {p + "qk", OpKind::kKvMxv, seq_len, d, act.high, act.high, 1,
-         seq_len});
-    ops.push_back({p + "softmax", OpKind::kSoftmax, model.n_heads, seq_len,
-                   0, 0});
-    if (log2_softmax) {
-      ops.push_back({p + "av", OpKind::kShiftAccAv, d, seq_len, act.high,
-                     act.high, 1, seq_len});
-    } else {
-      ops.push_back({p + "av", OpKind::kKvMxv, d, seq_len, act.high,
-                     act.high, 1, seq_len});
-    }
-    quantize(p + "quant.z", d);
-    ops.push_back(
-        {p + "wo", OpKind::kWeightMxv, d, d, weight_bits, act.high});
-
-    // FFN block.
-    quantize(p + "quant.ffn_in", d);
-    ops.push_back(
-        {p + "fc1", OpKind::kWeightMxv, f, d, weight_bits, act.low});
-    quantize(p + "quant.hidden", f);
-    ops.push_back(
-        {p + "fc2", OpKind::kWeightMxv, d, f, weight_bits, act.high});
-  }
-  // LM head over the tied embedding.
-  ops.push_back({"lm_head", OpKind::kWeightMxv, model.vocab, d, weight_bits,
-                 act.high});
-  return ops;
-}
-
-std::vector<TokenOp> prefill_ops(const ModelConfig& model,
-                                 std::size_t prompt_len, int weight_bits,
-                                 ActBits act, bool log2_softmax,
-                                 bool quantize_acts) {
-  // Same walk as one decode step over the full prompt...
-  auto ops = token_ops(model, prompt_len, weight_bits, act, log2_softmax,
-                       quantize_acts);
-  for (auto& op : ops) {
-    switch (op.kind) {
-      case OpKind::kWeightMxv:
-        // ...with each streamed weight serving every prompt position.
-        op.batch = prompt_len;
-        break;
-      case OpKind::kKvMxv:
-      case OpKind::kShiftAccAv:
-        // Causal attention: position t attends to t+1 keys; the triangle
-        // averages to ~(T+1)/2 per position.
-        op.batch = (prompt_len + 1) / 2;
-        break;
-      case OpKind::kSoftmax:
-      case OpKind::kQuantize:
-        op.batch = prompt_len;
-        break;
-    }
-  }
-  return ops;
-}
-
 std::vector<TokenOp> step_ops(const ModelConfig& model,
                               const StepComposition& step, int weight_bits,
                               ActBits act, bool log2_softmax,
@@ -128,7 +46,7 @@ std::vector<TokenOp> step_ops(const ModelConfig& model,
     const std::string p = "layer" + std::to_string(l) + ".";
     // Shared across the batch: each weight matrix streams from DRAM once
     // and serves every fed row of every sequence (the continuous-batching
-    // amortization a per-token simulation cannot see).
+    // amortization).
     quantize(p + "quant.attn_in", d);
     ops.push_back(
         {p + "wq", OpKind::kWeightMxv, d, d, weight_bits, act.low, total});
@@ -151,7 +69,7 @@ std::vector<TokenOp> step_ops(const ModelConfig& model,
     ops.push_back(
         {p + "fc2", OpKind::kWeightMxv, d, f, weight_bits, act.high, total});
   }
-  // Logits for every fed row, matching prefill_ops' accounting.
+  // Logits for every fed row (LM head over the tied embedding).
   ops.push_back({"lm_head", OpKind::kWeightMxv, model.vocab, d, weight_bits,
                  act.high, total});
   return ops;

@@ -1,5 +1,7 @@
-// Per-token operation list of a decoder model — the workload consumed by the
-// device-level simulator (Fig 8, latency/energy per token).
+// Operation list of one engine step of a decoder model — the workload
+// consumed by the device-level simulator (Fig 8, latency/energy per token,
+// and the replay of batched serving steps). Generating one token is the
+// one-row step: step_ops over a single rows == 1 pass.
 //
 // Every op is one of: a matrix-vector product (projection / FFN weights
 // streamed from DRAM, or attention ops against the KV cache), a softmax over
@@ -36,16 +38,16 @@ struct TokenOp {
   std::size_t cols = 0;  // reduction length
   int weight_bits = 16;  // second operand precision
   int act_bits = 16;     // first operand precision
-  /// Tokens processed together (1 for decode; prompt length for prefill,
-  /// where the same streamed weights serve every prompt position).
+  /// Rows processed together: the step's total_rows for batch-shared ops,
+  /// where the same streamed weights serve every fed row; 1 for attention
+  /// ops, whose rows/cols already cover the owning pass.
   std::size_t batch = 1;
   /// KV length this op's K/V stream covers (kKvMxv / kShiftAccAv only, 0
   /// otherwise): sizes the block-granular DRAM/buffer traffic per op, so a
   /// batched step can mix sequences at different cache depths.
   std::size_t kv_len = 0;
   /// Index into the producing StepComposition's seqs for per-sequence ops;
-  /// kShared for ops amortized across the batch. Single-stream builders
-  /// (token_ops / prefill_ops) leave it kShared.
+  /// kShared for ops amortized across the batch.
   std::size_t owner = kShared;
 };
 
@@ -55,26 +57,6 @@ struct ActBits {
   int high = 16;
   [[nodiscard]] int max() const { return low > high ? low : high; }
 };
-
-/// Builds the op list for generating one token at KV length `seq_len`.
-/// `log2_softmax` replaces the AV matmul with shift-accumulate ops and is
-/// only used by OPAL devices.
-[[nodiscard]] std::vector<TokenOp> token_ops(const ModelConfig& model,
-                                             std::size_t seq_len,
-                                             int weight_bits, ActBits act,
-                                             bool log2_softmax,
-                                             bool quantize_acts);
-
-/// Builds the op list for prefilling a `prompt_len`-token prompt: the same
-/// layer walk, but every weight matrix is reused across all prompt
-/// positions (batch = prompt_len) and the attention ops cover the causal
-/// triangle — which is why prefill is compute-bound while decode is
-/// DRAM-bound.
-[[nodiscard]] std::vector<TokenOp> prefill_ops(const ModelConfig& model,
-                                               std::size_t prompt_len,
-                                               int weight_bits, ActBits act,
-                                               bool log2_softmax,
-                                               bool quantize_acts);
 
 /// One sequence's model pass within a batched engine step: `rows` new
 /// positions fed at KV length `start_len` (a decode is rows == 1, a prefill
@@ -88,8 +70,7 @@ struct SeqPass {
 /// The mixed batch one continuous-batching engine step feeds through the
 /// model: any combination of prefill chunks, single decodes, and spec-verify
 /// bursts, each at its own KV depth. Weight streaming is shared across all
-/// of them — the amortization simulate_step models and per-token simulation
-/// cannot see.
+/// of them — the continuous-batching amortization simulate_step models.
 struct StepComposition {
   std::vector<SeqPass> seqs;
 
@@ -105,8 +86,9 @@ struct StepComposition {
 /// once for the whole batch); per sequence, the attention ops cover the
 /// exact causal work of its pass — rows·start + rows·(rows+1)/2 key visits
 /// against a KV stream of start + rows positions — and carry `owner` so the
-/// device model can attribute them. With a single rows == 1 pass the list
-/// degenerates to token_ops(start_len + 1) op for op (same costs, bitwise).
+/// device model can attribute them. A single rows == 1 pass at start_len is
+/// the op list of generating one token at KV length start_len + 1; a single
+/// {0, P} pass is prefilling a P-token prompt as one chunk.
 [[nodiscard]] std::vector<TokenOp> step_ops(const ModelConfig& model,
                                             const StepComposition& step,
                                             int weight_bits, ActBits act,

@@ -292,6 +292,12 @@ std::uint64_t JsonValue::as_uint(std::string_view what) const {
     throw std::invalid_argument("json: \"" + std::string(what) +
                                 "\" must be a non-negative integer");
   }
+  // Above 2^53 a double no longer holds every integer, and above 2^64 (or
+  // at inf, from an overflowing literal) the cast is undefined.
+  if (n > 9007199254740992.0) {
+    throw std::invalid_argument("json: \"" + std::string(what) +
+                                "\" exceeds 2^53");
+  }
   return static_cast<std::uint64_t>(n);
 }
 

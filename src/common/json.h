@@ -56,7 +56,8 @@ class JsonValue {
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
 
   /// The number as an unsigned integer; throws when this is not a number,
-  /// is negative, or is not integral.
+  /// is negative, is not integral, or exceeds 2^53 (past which a double
+  /// cannot hold every integer exactly).
   [[nodiscard]] std::uint64_t as_uint(std::string_view what) const;
   /// The number; throws (naming `what`) when this is not a number.
   [[nodiscard]] double as_number(std::string_view what) const;

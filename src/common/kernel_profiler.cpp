@@ -1,7 +1,6 @@
 #include "common/kernel_profiler.h"
 
 #include <chrono>
-#include <cstdlib>
 
 namespace opal {
 
@@ -225,12 +224,6 @@ void KernelProfiler::disable() {
     set_active_kernels(g_underlying);
     g_underlying = nullptr;
   }
-}
-
-bool KernelProfiler::env_enabled() {
-  const char* v = std::getenv("OPAL_PROFILE");
-  if (v == nullptr) return false;
-  return v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
 void KernelProfiler::bind_slot(KernelProfile* slot) { t_slot = slot; }

@@ -48,9 +48,7 @@
 // file-local scalar_dot) are invisible to the wrapper: it counts entries
 // through the dispatch table only, one sample per public kernel call.
 //
-// Enabling: ServingConfig::profile, or the OPAL_PROFILE environment
-// variable (non-empty, not "0") force-enables profiling on every engine
-// constructed afterwards — the same convention as OPAL_TRACE.
+// Enabling: ServingConfig::profile.
 #pragma once
 
 #include <array>
@@ -146,9 +144,6 @@ class KernelProfiler {
   static void enable();
   /// Releases one enable(); the last release restores the captured table.
   static void disable();
-
-  /// True when OPAL_PROFILE is set, non-empty, and not "0".
-  [[nodiscard]] static bool env_enabled();
 
   /// Binds `slot` as this thread's sample destination (nullptr unbinds).
   /// The serving engine binds each batch slot's scratch inside its decode

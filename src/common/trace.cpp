@@ -1,7 +1,5 @@
 #include "common/trace.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <ostream>
 
 namespace opal {
@@ -34,24 +32,8 @@ std::string to_string(TraceEventKind kind) {
   return "?";
 }
 
-bool Tracer::env_enabled() {
-  const char* v = std::getenv("OPAL_TRACE");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-std::size_t Tracer::env_capacity(std::size_t fallback) {
-  const char* v = std::getenv("OPAL_TRACE_CAPACITY");
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || parsed == 0) return fallback;
-  return static_cast<std::size_t>(parsed);
-}
-
 Tracer::Tracer(bool enabled, std::size_t capacity)
-    : enabled_(enabled || env_enabled()),
-      epoch_(std::chrono::steady_clock::now()) {
-  capacity = env_capacity(capacity);
+    : enabled_(enabled), epoch_(std::chrono::steady_clock::now()) {
   if (enabled_) ring_.reserve(capacity == 0 ? 1 : capacity);
 }
 
@@ -69,7 +51,7 @@ void Tracer::emit(TraceEvent event) {
     ring_.push_back(event);
   } else {
     // Oldest-first overwrite loses an event to the exports: account for it
-    // so write_step_trace's header can flag an incomplete trace.
+    // so the step-trace header can flag an incomplete trace.
     ++truncated_;
     if (ring_[head_].kind == TraceEventKind::kStep) ++dropped_steps_;
     ring_[head_] = event;
@@ -122,71 +104,6 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
   out << "\n], \"otherData\": {\"truncated_events\": " << truncated_
       << ", \"dropped_steps\": " << dropped_steps_
       << ", \"total_emitted\": " << total_ << "}}\n";
-}
-
-void Tracer::write_step_trace(std::ostream& out) const {
-  const std::vector<TraceEvent> all = events();
-  // Self-describing header (schema table in trace.h): the producing model's
-  // dims + KV layout, and the ring-loss counters a replay checks to detect
-  // an incomplete trace.
-  out << "{\"schema\": \"opal.step_trace/v2\",\n"
-      << " \"model\": {\"n_layers\": " << info_.n_layers
-      << ", \"d_model\": " << info_.d_model
-      << ", \"n_heads\": " << info_.n_heads
-      << ", \"d_ffn\": " << info_.d_ffn << ", \"vocab\": " << info_.vocab
-      << "},\n"
-      << " \"kv\": {\"mode\": \"" << info_.kv_mode
-      << "\", \"block_size\": " << info_.kv_block_size
-      << ", \"bits_per_entry\": " << info_.kv_bits_per_entry << "},\n"
-      << " \"dropped_steps\": " << dropped_steps_
-      << ", \"truncated_events\": " << truncated_ << ",\n"
-      << " \"steps\": [";
-  // Per-sequence events of a step precede its kStep record in emission
-  // order, so a single forward scan groups them.
-  std::vector<const TraceEvent*> pending;
-  bool first = true;
-  for (const TraceEvent& e : all) {
-    switch (e.kind) {
-      case TraceEventKind::kChunk:
-      case TraceEventKind::kDecode:
-      case TraceEventKind::kSpecBurst:
-      case TraceEventKind::kPrefixHit:
-        pending.push_back(&e);
-        break;
-      case TraceEventKind::kStep: {
-        if (!first) out << ",";
-        first = false;
-        out << "\n  {\"step\": " << e.step << ", \"dur_us\": " << e.dur_us
-            << ", \"batch\": " << e.a << ", \"rows\": " << e.b
-            << ", \"blocks_in_use\": " << e.c << ", \"blocks_free\": " << e.d
-            << ", \"seqs\": [";
-        bool seq_first = true;
-        for (const TraceEvent* s : pending) {
-          if (s->step != e.step) continue;  // orphan from an evicted step
-          if (!seq_first) out << ", ";
-          seq_first = false;
-          // kPrefixHit carries (positions restored, columns) in (a, b) —
-          // normalize it to the seqs schema: rows = restores, pos 0.
-          const bool hit = s->kind == TraceEventKind::kPrefixHit;
-          out << "{\"request\": " << s->request << ", \"kind\": \""
-              << to_string(s->kind) << "\", \"pos\": " << (hit ? 0 : s->b)
-              << ", \"rows\": " << s->a
-              << ", \"kv_bytes\": " << (hit ? 0 : s->c)
-              << ", \"dur_us\": " << s->dur_us;
-          if (s->kind == TraceEventKind::kSpecBurst) {
-            out << ", \"committed\": " << s->d;
-          }
-          out << "}";
-        }
-        out << "]}";
-        pending.clear();
-        break;
-      }
-      default:
-        break;  // lifecycle events are not part of the step replay record
-    }
-  }
-  out << "\n]}\n";
 }
 
 }  // namespace opal

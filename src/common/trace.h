@@ -1,8 +1,10 @@
 // Structured event tracer for the serving stack: a fixed-capacity ring
 // buffer of POD events, near-zero cost when disabled (one predictable
 // branch per would-be event), exportable as Chrome trace_event JSON
-// (about://tracing / ui.perfetto.dev) and as a replayable step-trace JSON
-// the accelerator-model replay (accel/replay.h) consumes.
+// (about://tracing / ui.perfetto.dev). The accelerator-model replay
+// (accel/replay.h) groups its events into steps (step_trace_from_tracer)
+// and owns the replayable step-trace JSON (StepTrace::to_json and
+// parse_step_trace).
 //
 // Event taxonomy (what ServingEngine emits; see the Observability block in
 // llm/serving_engine.h for exactly when each fires):
@@ -32,43 +34,8 @@
 // (steady clock). Tracing never feeds back into control flow, so a traced
 // run is bitwise identical to an untraced one.
 //
-// Enabling: construct with enabled = true (ServingConfig::trace), or set
-// the OPAL_TRACE environment variable (non-empty, not "0") to force-enable
-// every tracer constructed afterwards. OPAL_TRACE_CAPACITY (a positive
-// integer) overrides the ring capacity of every tracer constructed
-// afterwards, so a long SLO run can be sized to lose nothing.
-//
-// Step-trace schema (opal.step_trace/v2) — what write_step_trace emits:
-//
-//   field                       meaning
-//   schema                      "opal.step_trace/v2"
-//   model.{n_layers,d_model,    ModelConfig dims of the producing engine
-//          n_heads,d_ffn,vocab} (all 0 when no StepTraceInfo was set)
-//   kv.{mode,block_size,        serving KV layout: kv_mode name, positions
-//       bits_per_entry}         per block, stored bits per KV entry
-//   dropped_steps               kStep records overwritten in the ring —
-//                               nonzero means the trace is INCOMPLETE
-//   truncated_events            total events overwritten in the ring
-//   steps[]                     one record per surviving kStep event:
-//     step / dur_us             engine step counter, wall duration
-//     batch / rows              sequences decoded, total rows fed
-//     blocks_in_use/blocks_free pool occupancy after the step
-//     seqs[]                    the step's per-sequence events, in emission
-//                               order:
-//       request / kind          RequestId; chunk | decode | spec_burst |
-//                               prefix_hit
-//       pos                     start position (KV length before the pass);
-//                               0 for prefix_hit
-//       rows                    rows fed this pass; for prefix_hit, the
-//                               positions restored from the cache (decodes
-//                               SKIPPED, not executed)
-//       kv_bytes                KV bytes written by the pass (0: prefix_hit)
-//       dur_us                  model-pass wall duration (0: prefix_hit)
-//       committed               spec_burst only: rows that survived verify
-//
-// A v2 trace with nonzero model dims is self-describing: accel/replay.h
-// parses it back and replays it through the device model without the
-// producing process.
+// Enabling: construct with enabled = true (ServingConfig::trace); size the
+// ring with ServingConfig::trace_capacity so a long run loses nothing.
 #pragma once
 
 #include <chrono>
@@ -111,7 +78,7 @@ struct TraceEvent {
 /// Self-description the producing engine attaches to its tracer so a
 /// step-trace file is replayable without the producing process: the served
 /// model's dims (enough to rebuild a ModelConfig) and the serving KV
-/// layout. All-zero dims mean "not set" (write_step_trace still emits the
+/// layout. All-zero dims mean "not set" (StepTrace::to_json still emits the
 /// header; accel/replay refuses to replay it).
 struct StepTraceInfo {
   std::size_t n_layers = 0;
@@ -122,22 +89,17 @@ struct StepTraceInfo {
   std::string kv_mode;             // to_string(KvQuantMode)
   std::size_t kv_block_size = 0;   // positions per KV block
   std::size_t kv_bits_per_entry = 0;
+
+  bool operator==(const StepTraceInfo&) const = default;
 };
 
 class Tracer {
  public:
-  /// `enabled || env_enabled()` activates the tracer; capacity is the ring
-  /// size in events (oldest overwritten first).
+  /// `enabled` activates the tracer; capacity is the ring size in events
+  /// (oldest overwritten first).
   explicit Tracer(bool enabled = false, std::size_t capacity = 1 << 16);
 
   [[nodiscard]] bool enabled() const { return enabled_; }
-
-  /// True when OPAL_TRACE is set, non-empty, and not "0".
-  [[nodiscard]] static bool env_enabled();
-
-  /// OPAL_TRACE_CAPACITY as a positive event count, or `fallback` when the
-  /// variable is unset/empty/unparsable.
-  [[nodiscard]] static std::size_t env_capacity(std::size_t fallback);
 
   /// Stores `event` (stamping ts_us if the caller left it 0). No-op when
   /// disabled.
@@ -152,8 +114,8 @@ class Tracer {
   [[nodiscard]] std::uint64_t total_emitted() const { return total_; }
   /// Events overwritten in the ring (lost to the exports).
   [[nodiscard]] std::uint64_t truncated_events() const { return truncated_; }
-  /// kStep records overwritten in the ring: nonzero means write_step_trace
-  /// emits an INCOMPLETE trace (replays must check the header).
+  /// kStep records overwritten in the ring: nonzero means the step trace
+  /// is INCOMPLETE (replays must check the header).
   [[nodiscard]] std::uint64_t dropped_steps() const { return dropped_steps_; }
   /// Events currently held (<= capacity).
   [[nodiscard]] std::size_t size() const;
@@ -171,18 +133,6 @@ class Tracer {
   /// step lane tid 0), instant events "i", all with their payload in args.
   /// Loads in about://tracing and ui.perfetto.dev.
   void write_chrome_trace(std::ostream& out) const;
-
-  /// Replayable step-trace JSON (opal.step_trace/v2 — schema table in the
-  /// header comment): a self-describing header (StepTraceInfo dims, KV
-  /// layout, dropped_steps / truncated_events ring-loss counts) followed by
-  /// one record per kStep event holding the step's wall duration, batch
-  /// composition, and the per-sequence kChunk/kDecode/kSpecBurst/kPrefixHit
-  /// events of that step (request, start position, rows, KV bytes touched,
-  /// verify commits, cache restores). Steps whose per-sequence events were
-  /// already overwritten in the ring are emitted with the events that
-  /// survive; steps whose kStep record itself was overwritten are dropped —
-  /// and counted in the header so replays can detect an incomplete trace.
-  void write_step_trace(std::ostream& out) const;
 
  private:
   bool enabled_;

@@ -416,7 +416,8 @@ std::span<const float> PreparedModel::prefill_chunk(
     std::copy(emb.begin(), emb.end(), seq.chunk_x_row(t).begin());
   }
 
-  // Layer-major sweep: each weight matrix is loaded once per chunk, yet
+  // Layer-major sweep: every token still calls matvec once per weight
+  // matrix (the sweep buys cache locality, not fewer weight passes), and
   // every token's ops run in the token-by-token order *within* its own
   // computation — token t writes its K/V at p0+t before attending over
   // [0, p0+t], exactly like a step() at that position. Attention reads the

@@ -118,8 +118,9 @@ class PreparedModel {
 
   /// Chunked prefill: feeds `tokens` — the next known tokens at `seq`'s
   /// current position — in one multi-token call, processing the chunk layer
-  /// by layer so each weight matrix and each layer's cached KV prefix is
-  /// visited once per chunk instead of once per token. Every per-token
+  /// by layer. Each token still runs its own matvec per weight matrix; the
+  /// layer-major order only keeps a layer's weights and cached KV prefix
+  /// warm in cache across the chunk's tokens. Every per-token
   /// arithmetic operation (and, in quantized kv_modes, every block-scale
   /// update and read-back) happens in the same order a token-by-token
   /// step() loop would produce, so the results — cache contents and all

@@ -108,7 +108,7 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   // table for this engine's lifetime and registers the profile.* counters.
   // Off (the common case) none of this happens — the dispatch table and the
   // registry shape are exactly the silent engine's.
-  profiling_ = config_.profile || KernelProfiler::env_enabled();
+  profiling_ = config_.profile;
   if (profiling_) {
     KernelProfiler::enable();
     for (std::size_t k = 0; k < kKernelKindCount; ++k) {
@@ -961,7 +961,7 @@ std::size_t ServingEngine::step() {
   batch_.resize(keep);
 
   // Step record: per-sequence events above precede it in emission order,
-  // which is what write_step_trace's single forward scan groups on.
+  // which is what step_trace_from_tracer's single forward scan groups on.
   const std::uint64_t step_end_us = trace_.now_us();
   em_.step_ms->observe(static_cast<double>(step_end_us - step_t0_us) /
                        1000.0);

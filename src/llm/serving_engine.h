@@ -147,12 +147,12 @@
 //     with p50/p95/p99 extraction — TTFT and inter-token latency are
 //     measured per sampled token, chunk and spec-verify costs per model
 //     pass, step_ms per decoding step.
-// Structured tracing (ServingConfig::trace, or the OPAL_TRACE env var)
-// records per-request lifecycle events (enqueue, admit, prefix-hit, chunk,
-// decode, spec-burst, budget-shrink, preempt, evict, finish) and one
-// engine-scoped record per step (batch composition, rows fed, block
-// occupancy) into tracer()'s ring buffer, exportable as Chrome trace JSON
-// and as a replayable step-trace JSON (see trace.h for the event payloads).
+// Structured tracing (ServingConfig::trace) records per-request lifecycle
+// events (enqueue, admit, prefix-hit, chunk, decode, spec-burst,
+// budget-shrink, preempt, evict, finish) and one engine-scoped record per
+// step (batch composition, rows fed, block occupancy) into tracer()'s ring
+// buffer, exportable as Chrome trace JSON and, through accel/replay.h, as a
+// replayable step-trace JSON (see trace.h for the event payloads).
 // The contract for ALL of it: instrumentation never feeds back into
 // control flow, so an instrumented run is bitwise identical to an
 // uninstrumented one — metrics are always on (cheap integer bumps and a
@@ -265,8 +265,9 @@ struct ServingConfig {
   /// prefill chunk). 1 (the default) reproduces single-token stepping
   /// decision-for-decision; larger values let prompts prefill in
   /// multi-token chunks (PreparedModel::prefill_chunk — bitwise identical
-  /// results in every kv_mode, fewer steps and one KV-prefix pass per
-  /// layer per chunk instead of per token).
+  /// results in every kv_mode and fewer steps; each row still runs its own
+  /// weight matvecs, so a chunk row saves cache misses, not weight
+  /// passes).
   std::size_t prefill_chunk_tokens = 1;
   /// Speculative multi-token decoding (see drafter.h and the header
   /// comment): when enabled(), sequences at their generation frontier
@@ -279,23 +280,19 @@ struct ServingConfig {
   /// Structured event tracing (see common/trace.h and the Observability
   /// block above): per-request lifecycle and per-step events into a ring
   /// buffer, exportable via ServingEngine::tracer() as Chrome trace JSON
-  /// or replayable step-trace JSON. The OPAL_TRACE environment variable
-  /// (non-empty, not "0") force-enables tracing regardless of this flag.
-  /// Tracing never feeds control flow — traced runs are bitwise identical.
+  /// or replayable step-trace JSON. Tracing never feeds control flow —
+  /// traced runs are bitwise identical.
   bool trace = false;
   /// Trace ring capacity in events (oldest overwritten first; overwrites
   /// are counted in the step-trace header as dropped_steps /
-  /// truncated_events). The OPAL_TRACE_CAPACITY environment variable (a
-  /// positive integer) overrides this, so a long SLO run can be sized to
-  /// lose nothing without recompiling.
+  /// truncated_events); size it to the run to lose nothing.
   std::size_t trace_capacity = 1 << 16;
   /// Kernel/layer profiling (see common/kernel_profiler.h): swaps the
   /// KernelOps dispatch table for a timing wrapper that delegates to the
   /// real table, accumulating per-kernel-kind call/element/wall-clock
   /// counts and per-layer phase timings (ServingEngine::profile(), plus
-  /// profile.* counters in the metrics registry). The OPAL_PROFILE
-  /// environment variable (non-empty, not "0") force-enables it. Off (the
-  /// default), the wrapper is not installed — the hot path is untouched.
+  /// profile.* counters in the metrics registry). Off (the default), the
+  /// wrapper is not installed — the hot path is untouched.
   /// The wrapper calls the underlying kernels with unchanged arguments, so
   /// profiled runs are bitwise identical in every kv_mode.
   bool profile = false;
@@ -451,13 +448,14 @@ class ServingEngine {
   [[nodiscard]] MetricsRegistry& metrics_registry() { return registry_; }
 
   /// The engine's event tracer — disabled (and empty) unless
-  /// ServingConfig::trace or OPAL_TRACE is set. Export with
-  /// Tracer::write_chrome_trace / write_step_trace.
+  /// ServingConfig::trace is set. Export with Tracer::write_chrome_trace,
+  /// or lift it with step_trace_from_tracer (accel/replay.h) and
+  /// StepTrace::to_json.
   [[nodiscard]] Tracer& tracer() { return trace_; }
   [[nodiscard]] const Tracer& tracer() const { return trace_; }
 
   /// True when this engine profiles its kernel dispatch
-  /// (ServingConfig::profile or OPAL_PROFILE).
+  /// (ServingConfig::profile).
   [[nodiscard]] bool profiling() const { return profiling_; }
   /// The run's accumulated kernel/layer profile: per-kernel-kind
   /// call/element/wall-clock counts and per-layer phase timings, merged

@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "accel/replay.h"
 #include "common/trace.h"
 
 namespace opal {
@@ -170,20 +170,6 @@ TEST(Trace, EmitStampsTimestamps) {
   EXPECT_EQ(t.events()[1].ts_us, 12345u);
 }
 
-TEST(Trace, EnvVarForceEnables) {
-  ASSERT_EQ(std::getenv("OPAL_TRACE"), nullptr);
-  setenv("OPAL_TRACE", "1", 1);
-  EXPECT_TRUE(Tracer::env_enabled());
-  Tracer on(false, 8);
-  EXPECT_TRUE(on.enabled());
-  setenv("OPAL_TRACE", "0", 1);
-  EXPECT_FALSE(Tracer::env_enabled());
-  unsetenv("OPAL_TRACE");
-  EXPECT_FALSE(Tracer::env_enabled());
-  Tracer off(false, 8);
-  EXPECT_FALSE(off.enabled());
-}
-
 TEST(Trace, ChromeExportIsWellFormed) {
   Tracer t(true, 16);
   t.emit({.kind = TraceEventKind::kEnqueue, .request = 3, .a = 10, .b = 18});
@@ -236,9 +222,7 @@ TEST(Trace, StepTraceGroupsSequenceEventsUnderTheirStep) {
           .b = 11,
           .c = 5,
           .d = 3});
-  std::ostringstream out;
-  t.write_step_trace(out);
-  const std::string json = out.str();
+  const std::string json = step_trace_from_tracer(t).to_json();
   EXPECT_NE(json.find("\"opal.step_trace/v2\""), std::string::npos);
   EXPECT_NE(json.find("\"step\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"chunk\""), std::string::npos);
@@ -259,9 +243,7 @@ TEST(Trace, StepTraceHeaderCarriesInfoAndDropCounts) {
   t.emit({.kind = TraceEventKind::kStep, .step = 3, .a = 1, .b = 1});
   EXPECT_EQ(t.truncated_events(), 2u);
   EXPECT_EQ(t.dropped_steps(), 1u);
-  std::ostringstream out;
-  t.write_step_trace(out);
-  const std::string json = out.str();
+  const std::string json = step_trace_from_tracer(t).to_json();
   EXPECT_NE(json.find("\"opal.step_trace/v2\""), std::string::npos);
   EXPECT_NE(json.find("\"d_model\": 128"), std::string::npos);
   EXPECT_NE(json.find("\"mode\": \"int8\""), std::string::npos);
@@ -271,22 +253,6 @@ TEST(Trace, StepTraceHeaderCarriesInfoAndDropCounts) {
   t.clear();
   EXPECT_EQ(t.truncated_events(), 0u);
   EXPECT_EQ(t.dropped_steps(), 0u);
-}
-
-TEST(Trace, EnvVarOverridesRingCapacity) {
-  ASSERT_EQ(std::getenv("OPAL_TRACE_CAPACITY"), nullptr);
-  EXPECT_EQ(Tracer::env_capacity(64), 64u);
-  setenv("OPAL_TRACE_CAPACITY", "8", 1);
-  EXPECT_EQ(Tracer::env_capacity(64), 8u);
-  Tracer t(true, 64);
-  EXPECT_EQ(t.capacity(), 8u);
-  // Unparsable / non-positive values fall back.
-  setenv("OPAL_TRACE_CAPACITY", "banana", 1);
-  EXPECT_EQ(Tracer::env_capacity(64), 64u);
-  setenv("OPAL_TRACE_CAPACITY", "0", 1);
-  EXPECT_EQ(Tracer::env_capacity(64), 64u);
-  unsetenv("OPAL_TRACE_CAPACITY");
-  EXPECT_EQ(Tracer::env_capacity(64), 64u);
 }
 
 TEST(Registry, PrometheusExposition) {

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -295,9 +294,7 @@ TEST(Profiler, DriftAuditDeterministicAcrossSerialization) {
   engine.run();
 
   const StepTrace lifted = step_trace_from_tracer(engine.tracer());
-  std::ostringstream serialized;
-  engine.tracer().write_step_trace(serialized);
-  const StepTrace parsed = parse_step_trace(serialized.str());
+  const StepTrace parsed = parse_step_trace(lifted.to_json());
 
   const DeviceConfig dev = make_opal_device(4, 7, 4);
   const DriftReport a = audit_drift(dev, lifted);

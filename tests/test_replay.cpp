@@ -1,15 +1,14 @@
-// Hardware-in-the-loop replay invariants: a batched step degenerates to
-// simulate_token bitwise, batching amortizes weight streaming, per-sequence
-// attribution sums to the step totals, replay is deterministic and
-// conserves the trace's row/KV accounting, the v2 JSON round-trips to the
-// in-process replay, and malformed traces are rejected with useful errors.
+// Hardware-in-the-loop replay invariants: a lone pass owns its whole step,
+// batching amortizes weight streaming, per-sequence attribution sums to the
+// step totals, replay is deterministic and conserves the trace's row/KV
+// accounting, the v2 JSON round-trips to the in-process replay, and
+// malformed traces are rejected with useful errors.
 #include "accel/replay.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -59,27 +58,25 @@ std::vector<DeviceConfig> all_devices() {
 
 // --- simulate_step -----------------------------------------------------
 
-TEST(SimulateStep, SingleDecodeMatchesSimulateTokenBitwise) {
+TEST(SimulateStep, SinglePassOwnsEverything) {
   const ModelConfig model = tiny_config();
   for (const DeviceConfig& dev : all_devices()) {
-    for (const std::size_t pos : {std::size_t{0}, std::size_t{17},
-                                  std::size_t{63}}) {
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{5}}) {
       StepComposition one;
-      one.seqs.push_back({1, pos, 1});
+      one.seqs.push_back({1, 17, rows});
       const StepReport step = simulate_step(dev, model, one);
-      const TokenReport token = simulate_token(dev, model, pos + 1);
-      // Identical op list and accumulation order: bitwise, not approximate.
-      EXPECT_EQ(step.totals.latency_s, token.latency_s) << dev.name;
-      EXPECT_EQ(step.totals.core_energy_j, token.core_energy_j) << dev.name;
-      EXPECT_EQ(step.totals.mem_access_j, token.mem_access_j) << dev.name;
-      EXPECT_EQ(step.totals.weight_leak_j, token.weight_leak_j) << dev.name;
-      EXPECT_EQ(step.totals.act_leak_j, token.act_leak_j) << dev.name;
-      EXPECT_EQ(step.totals.total_macs, token.total_macs) << dev.name;
       ASSERT_EQ(step.seqs.size(), 1u);
-      // A single pass owns everything (up to fp rounding on shared splits,
-      // which are exact here because its share is rows/rows == 1).
+      // Every shared op splits at share rows/rows == 1, so the lone pass
+      // carries the whole step up to rounding in the per-op sums.
       EXPECT_NEAR(step.seqs[0].energy_j, step.totals.total_j(),
-                  1e-12 * step.totals.total_j());
+                  1e-12 * step.totals.total_j())
+          << dev.name;
+      EXPECT_NEAR(step.seqs[0].latency_s, step.totals.latency_s,
+                  1e-12 * step.totals.latency_s)
+          << dev.name;
+      EXPECT_NEAR(step.seqs[0].dram_bytes, step.dram_bytes,
+                  1e-12 * step.dram_bytes)
+          << dev.name;
     }
   }
 }
@@ -157,9 +154,7 @@ TracedRun traced_run(ServingConfig cfg) {
   TracedRun out;
   out.trace = step_trace_from_tracer(engine.tracer());
   out.stats = engine.stats();
-  std::ostringstream json;
-  engine.tracer().write_step_trace(json);
-  out.trace_json = json.str();
+  out.trace_json = out.trace.to_json();
   return out;
 }
 
@@ -218,6 +213,20 @@ TEST(Replay, FileRoundTripEqualsInProcessReplay) {
     const ReplayReport from_file = replay_trace(dev, parsed);
     const ReplayReport in_process = replay_trace(dev, run.trace);
     EXPECT_EQ(from_file.to_json(), in_process.to_json()) << dev.name;
+  }
+}
+
+TEST(Replay, StepTraceJsonRoundTripsEveryField) {
+  ServingConfig spec;
+  spec.max_batch = 2;
+  spec.speculative.policy = DraftPolicy::kRepeat;
+  spec.speculative.draft_tokens = 3;
+  for (const ServingConfig& cfg : {stressed_config(), spec}) {
+    const TracedRun run = traced_run(cfg);
+    ASSERT_FALSE(run.trace.steps.empty());
+    const StepTrace parsed = parse_step_trace(run.trace_json);
+    EXPECT_TRUE(parsed == run.trace);
+    EXPECT_EQ(parsed.to_json(), run.trace_json);
   }
 }
 
@@ -280,19 +289,58 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("model"), std::string::npos);
   }
+  // A well-formed one-step trace around one pass, with `step` as the step
+  // counter's literal.
+  const auto one_step = [](const std::string& step, const std::string& pass) {
+    return "{\"schema\": \"opal.step_trace/v2\","
+           " \"model\": {\"n_layers\": 2, \"d_model\": 128, \"n_heads\": 4,"
+           " \"d_ffn\": 344, \"vocab\": 64},"
+           " \"kv\": {\"mode\": \"int8\", \"block_size\": 8,"
+           " \"bits_per_entry\": 8},"
+           " \"dropped_steps\": 0, \"truncated_events\": 0,"
+           " \"steps\": [{\"step\": " +
+           step +
+           ", \"dur_us\": 5, \"batch\": 1, \"rows\": 4,"
+           " \"blocks_in_use\": 2, \"blocks_free\": 6, \"seqs\": [" +
+           pass + "]}]}";
+  };
+  const auto burst = [](const std::string& request,
+                        const std::string& committed) {
+    return "{\"request\": " + request +
+           ", \"kind\": \"spec_burst\", \"pos\": 9, \"rows\": 4,"
+           " \"kv_bytes\": 0, \"dur_us\": 3, \"committed\": " +
+           committed + "}";
+  };
+  const auto expect_rejected = [](const std::string& json,
+                                  const std::string& names) {
+    try {
+      (void)parse_step_trace(json);
+      ADD_FAILURE() << "expected std::invalid_argument naming " << names;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+          << e.what();
+    }
+  };
+  // The template itself is valid and replays.
+  const StepTrace good = parse_step_trace(one_step("1", burst("1", "2")));
+  ASSERT_EQ(good.steps.size(), 1u);
+  EXPECT_EQ(good.steps[0].passes[0].committed, 2u);
+  EXPECT_EQ(replay_trace(make_bf16_device(), good).tokens_committed, 2u);
   // Unknown pass kinds are named.
-  EXPECT_THROW(
-      parse_step_trace(
-          "{\"schema\": \"opal.step_trace/v2\","
-          " \"model\": {\"n_layers\": 2, \"d_model\": 128, \"n_heads\": 4,"
-          " \"d_ffn\": 344, \"vocab\": 64},"
-          " \"kv\": {\"mode\": \"int8\", \"block_size\": 8,"
-          " \"bits_per_entry\": 8},"
-          " \"dropped_steps\": 0, \"truncated_events\": 0,"
-          " \"steps\": [{\"step\": 1, \"batch\": 1, \"rows\": 1, \"seqs\":"
-          " [{\"request\": 1, \"kind\": \"warp\", \"pos\": 0, \"rows\": 1,"
-          " \"kv_bytes\": 0}]}]}"),
-      std::invalid_argument);
+  expect_rejected(
+      one_step("1",
+               "{\"request\": 1, \"kind\": \"warp\", \"pos\": 0,"
+               " \"rows\": 1, \"kv_bytes\": 0, \"dur_us\": 0}"),
+      "warp");
+  // Integers a double cannot hold exactly — an overflowing literal parses
+  // to inf, 1e20 is above 2^64 — are refused, not cast.
+  expect_rejected(one_step("1e400", burst("1", "2")), "steps[].step");
+  expect_rejected(one_step("1", burst("1e20", "2")), "seqs[].request");
+  // A verify burst commits between 1 and rows tokens; replay would price a
+  // huge count one decode at a time.
+  expect_rejected(one_step("1", burst("1", "1e12")), "seqs[].committed");
+  expect_rejected(one_step("1", burst("1", "5")), "seqs[].committed");
+  expect_rejected(one_step("1", burst("1", "0")), "seqs[].committed");
   // A trace without self-description parses but refuses to replay.
   Tracer bare(true, 8);
   bare.emit({.kind = TraceEventKind::kStep, .step = 1});

@@ -7,9 +7,15 @@
 namespace opal {
 namespace {
 
+// The one-row step that generates a token at KV length `seq`.
+StepComposition decode_at(std::size_t seq) { return {{{0, seq - 1, 1}}}; }
+
+// One pass prefilling a `prompt`-token prompt from position 0.
+StepComposition prefill(std::size_t prompt) { return {{{0, 0, prompt}}}; }
+
 TEST(Workload, OpCountsPerLayer) {
   const auto model = scaled_for_eval(llama2_7b(), 256, 2, 128);
-  const auto ops = token_ops(model, 64, 4, {4, 7}, true, true);
+  const auto ops = step_ops(model, decode_at(64), 4, {4, 7}, true, true);
   // Per layer: 5 quantize + 4 weight MxV + fc1 + fc2 (6 weight ops total)
   // + qk + softmax + av = 13; plus the LM head.
   const auto weight_ops = std::count_if(
@@ -24,8 +30,9 @@ TEST(Workload, OpCountsPerLayer) {
 
 TEST(Workload, Log2SoftmaxSwapsAvToShiftAcc) {
   const auto model = scaled_for_eval(llama2_7b(), 256, 2, 128);
-  const auto with = token_ops(model, 64, 4, {4, 7}, true, true);
-  const auto without = token_ops(model, 64, 4, {4, 7}, false, true);
+  const auto with = step_ops(model, decode_at(64), 4, {4, 7}, true, true);
+  const auto without =
+      step_ops(model, decode_at(64), 4, {4, 7}, false, true);
   const auto count_kind = [](const std::vector<TokenOp>& ops, OpKind kind) {
     return std::count_if(ops.begin(), ops.end(), [kind](const TokenOp& op) {
       return op.kind == kind;
@@ -40,7 +47,8 @@ TEST(Workload, Log2SoftmaxSwapsAvToShiftAcc) {
 
 TEST(Workload, QuantizeOpsOnlyWhenRequested) {
   const auto model = scaled_for_eval(llama2_7b(), 256, 2, 128);
-  const auto no_quant = token_ops(model, 64, 16, {16, 16}, false, false);
+  const auto no_quant =
+      step_ops(model, decode_at(64), 16, {16, 16}, false, false);
   for (const auto& op : no_quant) {
     EXPECT_NE(op.kind, OpKind::kQuantize);
   }
@@ -48,7 +56,7 @@ TEST(Workload, QuantizeOpsOnlyWhenRequested) {
 
 TEST(Workload, PostLnOpsUseLowBits) {
   const auto model = scaled_for_eval(llama2_7b(), 256, 1, 128);
-  const auto ops = token_ops(model, 64, 4, {4, 7}, true, true);
+  const auto ops = step_ops(model, decode_at(64), 4, {4, 7}, true, true);
   for (const auto& op : ops) {
     if (op.name.ends_with(".wq") || op.name.ends_with(".fc1")) {
       EXPECT_EQ(op.act_bits, 4) << op.name;
@@ -66,28 +74,35 @@ TEST(Workload, PostLnOpsUseLowBits) {
 TEST(Workload, TotalMacsMatchModelFormula) {
   const auto model = scaled_for_eval(llama2_7b(), 256, 2, 128);
   const std::size_t seq = 48;
-  const auto ops = token_ops(model, seq, 4, {4, 7}, true, true);
+  const auto ops = step_ops(model, decode_at(seq), 4, {4, 7}, true, true);
   EXPECT_EQ(total_macs(ops), model.macs_per_token(seq));
 }
 
 TEST(Workload, PrefillBatchesWeightOps) {
   const auto model = scaled_for_eval(llama2_7b(), 256, 2, 128);
   const std::size_t prompt = 64;
-  const auto ops = prefill_ops(model, prompt, 4, {4, 7}, true, true);
+  const auto ops = step_ops(model, prefill(prompt), 4, {4, 7}, true, true);
   for (const auto& op : ops) {
     if (op.kind == OpKind::kWeightMxv) {
       EXPECT_EQ(op.batch, prompt);
     }
+    if (op.name.ends_with(".qk")) {
+      // Causal triangle: position t attends to t + 1 keys.
+      EXPECT_EQ(op.rows, prompt * (prompt + 1) / 2);
+      EXPECT_EQ(op.kv_len, prompt);
+    }
   }
   // Prefill MACs ~= prompt_len x decode MACs for the projection part.
-  const auto decode = token_ops(model, prompt, 4, {4, 7}, true, true);
+  const auto decode =
+      step_ops(model, decode_at(prompt), 4, {4, 7}, true, true);
   EXPECT_GT(total_macs(ops), total_macs(decode) * (prompt / 2));
 }
 
 TEST(Workload, MacsGrowWithSeqLen) {
   const auto model = scaled_for_eval(llama2_7b(), 256, 2, 128);
-  const auto short_ops = token_ops(model, 8, 4, {4, 7}, true, true);
-  const auto long_ops = token_ops(model, 512, 4, {4, 7}, true, true);
+  const auto short_ops = step_ops(model, decode_at(8), 4, {4, 7}, true, true);
+  const auto long_ops =
+      step_ops(model, decode_at(512), 4, {4, 7}, true, true);
   EXPECT_GT(total_macs(long_ops), total_macs(short_ops));
 }
 
