@@ -24,7 +24,7 @@
 // (argv[1] overrides the path).
 //
 // Hardware-in-the-loop section: every scenario x policy run is traced
-// (opal.step_trace/v2) and replayed through the accelerator device model
+// (opal.step_trace/v3) and replayed through the accelerator device model
 // (accel/replay.h) on the BF16, OWQ-W4, and OPAL devices, attributing
 // energy per token, device latency, DRAM traffic, core area, and TOPS/W to
 // each policy — and persisted to BENCH_hw_replay.json (argv[2] overrides
@@ -40,7 +40,9 @@
 // an untraced re-run of the first scenario produces bitwise identical
 // outputs (observability never steers); replay is deterministic (same
 // trace replayed twice -> byte-identical report JSON) and conserving
-// (replayed rows == engine rows); the serialized v2 trace replays
+// (replayed rows == engine rows); replay's generated-token count balances
+// (it equals the engine's summed RequestResult::generated() in every run,
+// hence is equal across policies); the serialized v3 trace replays
 // identically to the in-process one; and the OPAL device beats BF16 on
 // energy per token in every scenario under every policy.
 #include <cmath>
@@ -205,7 +207,7 @@ struct PolicyRun {
   ServingEngine::Stats stats;
   MetricsRegistry::Snapshot snap;
   StepTrace trace;         // only when traced
-  std::string trace_json;  // serialized opal.step_trace/v2, only when traced
+  std::string trace_json;  // serialized opal.step_trace/v3, only when traced
   KernelProfile profile;   // only when profiled
 };
 
@@ -314,7 +316,7 @@ int main(int argc, char** argv) {
   std::ofstream hw(hw_path);
   hw.precision(9);
   hw << "{\n  \"bench\": \"hw_replay\",\n"
-     << "  \"trace_schema\": \"opal.step_trace/v2\",\n"
+     << "  \"trace_schema\": \"opal.step_trace/v3\",\n"
      << "  \"scenarios\": [\n";
 
   const std::vector<DeviceConfig> devices = {
@@ -419,7 +421,18 @@ int main(int argc, char** argv) {
                     r.stats.tokens_decoded);
         failed = true;
       }
-      // Determinism + file round-trip: the serialized v2 trace replays to
+      // Balance: replay counts exactly the tokens the engine generated, so
+      // the count (and the energy it divides) is schedule-independent.
+      if (reps[0].tokens_generated != r.generated ||
+          reps[0].tokens_generated != runs[0].generated) {
+        std::printf("ERROR: %s / %s replay counts %zu generated tokens, "
+                    "engine generated %zu (fifo %zu)\n",
+                    sc.name.c_str(), r.policy.c_str(),
+                    reps[0].tokens_generated, r.generated,
+                    runs[0].generated);
+        failed = true;
+      }
+      // Determinism + file round-trip: the serialized v3 trace replays to
       // the byte-identical report, twice.
       const StepTrace parsed = parse_step_trace(r.trace_json);
       const std::string once = replay_trace(devices[0], parsed).to_json();
@@ -431,7 +444,7 @@ int main(int argc, char** argv) {
         failed = true;
       }
       // The paper's point, end to end: OPAL spends less energy per
-      // committed token than the BF16 baseline on the same trace.
+      // generated token than the BF16 baseline on the same trace.
       if (reps[2].energy_per_token_j() >= reps[0].energy_per_token_j()) {
         std::printf("ERROR: %s / %s OPAL energy/token %.3e !< BF16 %.3e\n",
                     sc.name.c_str(), r.policy.c_str(),
@@ -441,7 +454,7 @@ int main(int argc, char** argv) {
       }
       hw << "    {\"policy\": \"" << r.policy << "\", \"steps\": "
          << reps[0].n_steps << ", \"rows_fed\": " << reps[0].rows_fed
-         << ", \"tokens_committed\": " << reps[0].tokens_committed
+         << ", \"tokens_generated\": " << reps[0].tokens_generated
          << ", \"prefix_rows_restored\": " << reps[0].prefix_rows_restored
          << ", \"kv_bytes_written\": " << reps[0].kv_bytes_written
          << ",\n     \"devices\": [\n";
@@ -498,9 +511,16 @@ int main(int argc, char** argv) {
     for (const DeviceConfig& dev : devices) {
       reps.push_back(replay_trace(dev, specrun.trace));
     }
+    if (reps[0].tokens_generated != specrun.generated) {
+      std::printf("ERROR: %s replay counts %zu generated tokens, engine "
+                  "generated %zu\n",
+                  specrun.policy.c_str(), reps[0].tokens_generated,
+                  specrun.generated);
+      failed = true;
+    }
     hw << "    {\"policy\": \"" << specrun.policy << "\", \"steps\": "
        << reps[0].n_steps << ", \"rows_fed\": " << reps[0].rows_fed
-       << ", \"tokens_committed\": " << reps[0].tokens_committed
+       << ", \"tokens_generated\": " << reps[0].tokens_generated
        << ", \"prefix_rows_restored\": " << reps[0].prefix_rows_restored
        << ", \"kv_bytes_written\": " << reps[0].kv_bytes_written
        << ",\n     \"devices\": [\n";
@@ -573,9 +593,10 @@ int main(int argc, char** argv) {
               "per-policy TTFT/ITL percentiles written to %s\n",
               path.c_str());
   std::printf("PASS: hw replay — deterministic across serialization, row "
-              "accounting conserved, OPAL < BF16 energy/token in every "
-              "scenario under every policy, speculative savings attributed; "
-              "per-policy attribution written to %s\n",
+              "accounting conserved, generated tokens balanced (replay == "
+              "engine, equal across policies), OPAL < BF16 energy/token in "
+              "every scenario under every policy, speculative savings "
+              "attributed; per-policy attribution written to %s\n",
               hw_path.c_str());
   return 0;
 }

@@ -96,9 +96,7 @@ StepTrace step_trace_from_tracer(const Tracer& tracer) {
           pass.rows = static_cast<std::size_t>(s.a);
           pass.kv_bytes = hit ? 0 : static_cast<std::size_t>(s.c);
           pass.dur_us = s.dur_us;
-          if (s.kind == TraceEventKind::kSpecBurst) {
-            pass.committed = static_cast<std::size_t>(s.d);
-          }
+          pass.generated = hit ? 0 : static_cast<std::size_t>(s.d);
           step.passes.push_back(pass);
         }
         pending.clear();
@@ -114,7 +112,7 @@ StepTrace step_trace_from_tracer(const Tracer& tracer) {
 
 std::string StepTrace::to_json() const {
   std::ostringstream out;
-  out << "{\"schema\": \"opal.step_trace/v2\",\n"
+  out << "{\"schema\": \"opal.step_trace/v3\",\n"
       << " \"model\": {\"n_layers\": " << info.n_layers
       << ", \"d_model\": " << info.d_model
       << ", \"n_heads\": " << info.n_heads << ", \"d_ffn\": " << info.d_ffn
@@ -141,8 +139,8 @@ std::string StepTrace::to_json() const {
           << to_string(p.kind) << "\", \"pos\": " << p.pos
           << ", \"rows\": " << p.rows << ", \"kv_bytes\": " << p.kv_bytes
           << ", \"dur_us\": " << p.dur_us;
-      if (p.kind == TraceEventKind::kSpecBurst) {
-        out << ", \"committed\": " << p.committed;
+      if (p.kind != TraceEventKind::kPrefixHit) {
+        out << ", \"generated\": " << p.generated;
       }
       out << "}";
     }
@@ -155,9 +153,9 @@ std::string StepTrace::to_json() const {
 StepTrace parse_step_trace(std::string_view json_text) {
   const JsonValue root = parse_json(json_text);
   const std::string& schema = root.at("schema").as_string("schema");
-  if (schema != "opal.step_trace/v2") {
+  if (schema != "opal.step_trace/v3") {
     throw std::invalid_argument("replay: unsupported schema \"" + schema +
-                                "\" (want opal.step_trace/v2)");
+                                "\" (want opal.step_trace/v3)");
   }
   StepTrace trace;
   const JsonValue& model = root.at("model");
@@ -199,15 +197,20 @@ StepTrace parse_step_trace(std::string_view json_text) {
       pass.rows = q.at("rows").as_uint("seqs[].rows");
       pass.kv_bytes = q.at("kv_bytes").as_uint("seqs[].kv_bytes");
       pass.dur_us = q.at("dur_us").as_uint("seqs[].dur_us");
-      if (pass.kind == TraceEventKind::kSpecBurst) {
-        pass.committed = q.at("committed").as_uint("seqs[].committed");
-        // Replay prices each committed row as a decode: a count outside
-        // [1, rows] is corrupt, and a huge one would stall the replay.
-        if (pass.committed < 1 || pass.committed > pass.rows) {
+      if (pass.kind != TraceEventKind::kPrefixHit) {
+        pass.generated = q.at("generated").as_uint("seqs[].generated");
+        // A plain pass samples at most once; a verify burst commits between
+        // 1 and rows tokens, and replay prices each as a decode, so a huge
+        // count would stall it.
+        const bool spec = pass.kind == TraceEventKind::kSpecBurst;
+        const std::size_t lo = spec ? 1 : 0;
+        const std::size_t hi = spec ? pass.rows : 1;
+        if (pass.generated < lo || pass.generated > hi) {
           throw std::invalid_argument(
-              "replay: \"seqs[].committed\" must be in [1, rows] for a "
-              "spec_burst (got " + std::to_string(pass.committed) + " of " +
-              std::to_string(pass.rows) + " rows)");
+              "replay: \"seqs[].generated\" must be in [" +
+              std::to_string(lo) + ", " + std::to_string(hi) + "] for a " +
+              to_string(pass.kind) + " of " + std::to_string(pass.rows) +
+              " rows (got " + std::to_string(pass.generated) + ")");
         }
       }
       step.passes.push_back(std::move(pass));
@@ -301,21 +304,17 @@ ReplayReport replay_trace(const DeviceConfig& device,
       r.rows_fed += pass.rows;
       report.rows_fed += pass.rows;
       report.kv_bytes_written += pass.kv_bytes;
-      const std::size_t committed =
-          pass.kind == TraceEventKind::kSpecBurst ? pass.committed
-                                                  : pass.rows;
-      const std::size_t tokens =
-          pass.kind == TraceEventKind::kChunk ? 0 : committed;
-      r.tokens_committed += tokens;
-      report.tokens_committed += tokens;
+      r.tokens_generated += pass.generated;
+      report.tokens_generated += pass.generated;
       r.latency_s += cost.latency_s;
       r.energy_j += cost.energy_j;
       r.dram_bytes += cost.dram_bytes;
       if (pass.kind == TraceEventKind::kSpecBurst) {
-        // What the committed rows would have cost as plain decodes,
-        // minus what the verify burst actually cost this request.
+        // What the burst's generated tokens (one per kept row) would have
+        // cost as plain decodes, minus what the verify burst actually cost
+        // this request.
         double as_decodes = 0.0;
-        for (std::size_t k = 0; k < pass.committed; ++k) {
+        for (std::size_t k = 0; k < pass.generated; ++k) {
           as_decodes += decode_j(pass.pos + k);
         }
         const double saved = as_decodes - cost.energy_j;
@@ -336,7 +335,7 @@ std::string ReplayReport::to_json() const {
   std::ostringstream out;
   out << "{\n \"device\": \"" << device << "\",\n"
       << " \"n_steps\": " << n_steps << ", \"rows_fed\": " << rows_fed
-      << ", \"tokens_committed\": " << tokens_committed
+      << ", \"tokens_generated\": " << tokens_generated
       << ", \"prefix_rows_restored\": " << prefix_rows_restored << ",\n"
       << " \"kv_bytes_written\": " << kv_bytes_written
       << ", \"dropped_steps\": " << dropped_steps << ",\n"
@@ -372,7 +371,7 @@ std::string ReplayReport::to_json() const {
     first = false;
     out << "\n  {\"request\": " << r.request
         << ", \"rows_fed\": " << r.rows_fed
-        << ", \"tokens_committed\": " << r.tokens_committed
+        << ", \"tokens_generated\": " << r.tokens_generated
         << ", \"prefix_rows_restored\": " << r.prefix_rows_restored
         << ", \"latency_s\": " << fmt(r.latency_s)
         << ", \"energy_j\": " << fmt(r.energy_j)
@@ -388,7 +387,7 @@ void ReplayReport::export_metrics(MetricsRegistry& registry,
                                   const std::string& prefix) const {
   registry.counter(prefix + ".steps").add(n_steps);
   registry.counter(prefix + ".rows_fed").add(rows_fed);
-  registry.counter(prefix + ".tokens_committed").add(tokens_committed);
+  registry.counter(prefix + ".tokens_generated").add(tokens_generated);
   registry.counter(prefix + ".dram_bound_steps").add(dram_bound_steps);
   registry.counter(prefix + ".dropped_steps").add(dropped_steps);
   registry.counter(prefix + ".total_macs").add(total_macs);

@@ -1,5 +1,5 @@
 // Hardware-in-the-loop trace replay: feeds a serving step trace
-// (common/trace.h, opal.step_trace/v2) back through the accelerator device
+// (common/trace.h, opal.step_trace/v3) back through the accelerator device
 // model (accel/device.h) to attribute energy, device latency, and DRAM
 // traffic per step, per request, and per run — for any device family, from
 // a single serving run.
@@ -25,16 +25,16 @@
 //
 // Sources: step_trace_from_tracer() lifts the trace straight out of an
 // in-process Tracer — the one place events are grouped into steps;
-// StepTrace::to_json() writes it as an opal.step_trace/v2 JSON file and
+// StepTrace::to_json() writes it as an opal.step_trace/v3 JSON file and
 // parse_step_trace() reads one back (via common/json.h). The file is
 // self-describing — the header carries the model dims and KV layout, so it
 // replays without the producing process. parse_step_trace(t.to_json())
 // equals t, hence yields the same report.
 //
-// Step-trace schema (opal.step_trace/v2) — what StepTrace::to_json emits:
+// Step-trace schema (opal.step_trace/v3) — what StepTrace::to_json emits:
 //
 //   field                       meaning
-//   schema                      "opal.step_trace/v2"
+//   schema                      "opal.step_trace/v3"
 //   model.{n_layers,d_model,    ModelConfig dims of the producing engine
 //          n_heads,d_ffn,vocab} (all 0 when no StepTraceInfo was set)
 //   kv.{mode,block_size,        serving KV layout: kv_mode name, positions
@@ -49,7 +49,7 @@
 //     seqs[]                    the step's per-sequence events, in emission
 //                               order:
 //       request / kind          RequestId; chunk | decode | spec_burst |
-//                               prefix_hit
+//                               prefix_hit (the kind rule: common/trace.h)
 //       pos                     start position (KV length before the pass);
 //                               0 for prefix_hit
 //       rows                    rows fed this pass; for prefix_hit, the
@@ -57,7 +57,10 @@
 //                               SKIPPED, not executed)
 //       kv_bytes                KV bytes written by the pass (0: prefix_hit)
 //       dur_us                  model-pass wall duration (0: prefix_hit)
-//       committed               spec_burst only: rows that survived verify
+//       generated               tokens the pass generated (every kind but
+//                               prefix_hit): at most 1 for chunk / decode,
+//                               in [1, rows] for spec_burst (the rows
+//                               that survived verify)
 //
 // Attribution (mirrors simulate_step):
 //   * per-sequence attention ops: fully to the owning request;
@@ -65,9 +68,12 @@
 //   * buffer leakage: by latency share;
 //   * energy SAVED by a prefix-cache hit: the hypothetical cost of
 //     prefilling the restored rows as one chunk from position 0;
-//   * energy saved by speculation: the cost of the committed rows as
-//     separate single-decode steps minus the verify burst's attributed
-//     cost (negative when rejected rows outweigh the batching win).
+//   * energy saved by speculation: the cost of a burst's generated tokens
+//     as separate single-decode steps minus the verify burst's attributed
+//     cost (negative when rejected rows outweigh the batching win);
+//   * energy per token: energy over tokens_generated, the sum of the
+//     passes' generated counts, which equals the engine's generated tokens
+//     under any schedule.
 #pragma once
 
 #include <cstddef>
@@ -92,7 +98,7 @@ struct TracePass {
   std::size_t rows = 0;      // rows fed; prefix_hit: positions restored
   std::size_t kv_bytes = 0;  // engine-side KV bytes written by the pass
   std::uint64_t dur_us = 0;  // measured model-pass wall time (0: prefix_hit)
-  std::size_t committed = 0;  // spec_burst only: rows surviving verify
+  std::size_t generated = 0;  // tokens the pass generated (0: prefix_hit)
 
   bool operator==(const TracePass&) const = default;
 };
@@ -131,7 +137,7 @@ struct StepTrace {
   /// — its producer never called Tracer::set_step_info).
   [[nodiscard]] ModelConfig model() const;
 
-  /// The opal.step_trace/v2 document (schema table above).
+  /// The opal.step_trace/v3 document (schema table above).
   [[nodiscard]] std::string to_json() const;
 
   bool operator==(const StepTrace&) const = default;
@@ -144,18 +150,18 @@ struct StepTrace {
 /// the loss is counted in dropped_steps / truncated_events).
 [[nodiscard]] StepTrace step_trace_from_tracer(const Tracer& tracer);
 
-/// Parses an opal.step_trace/v2 JSON document. Throws
+/// Parses an opal.step_trace/v3 JSON document. Throws
 /// std::invalid_argument naming the offending field / position on any
-/// schema violation (wrong schema string, missing keys, type mismatches,
-/// integers above 2^53, unknown pass kinds, a spec_burst whose committed
-/// count is not in [1, rows]).
+/// schema violation (wrong schema string — v2 included, missing keys, type
+/// mismatches, integers above 2^53, unknown pass kinds, a generated count
+/// above 1 for a chunk / decode or outside [1, rows] for a spec_burst).
 [[nodiscard]] StepTrace parse_step_trace(std::string_view json_text);
 
 /// Whole-run attribution for one request.
 struct ReplayRequestReport {
   std::uint64_t request = 0;
   std::size_t rows_fed = 0;
-  std::size_t tokens_committed = 0;
+  std::size_t tokens_generated = 0;
   std::size_t prefix_rows_restored = 0;
   double latency_s = 0.0;   // attributed device time across its steps
   double energy_j = 0.0;    // attributed device energy (leakage included)
@@ -179,7 +185,7 @@ struct ReplayReport {
   std::string device;
   std::size_t n_steps = 0;
   std::size_t rows_fed = 0;
-  std::size_t tokens_committed = 0;    // decode rows + spec commits
+  std::size_t tokens_generated = 0;    // summed pass generated counts
   std::size_t prefix_rows_restored = 0;
   std::size_t kv_bytes_written = 0;    // engine-side, summed from the trace
   std::uint64_t dropped_steps = 0;     // copied from the trace header
@@ -202,9 +208,9 @@ struct ReplayReport {
   std::vector<ReplayRequestReport> requests;  // ascending request id
 
   [[nodiscard]] double energy_per_token_j() const {
-    return tokens_committed == 0
+    return tokens_generated == 0
                ? 0.0
-               : energy_j / static_cast<double>(tokens_committed);
+               : energy_j / static_cast<double>(tokens_generated);
   }
 
   /// Run-level efficiency: tera-ops (2 ops per MAC) per joule — the
@@ -220,7 +226,7 @@ struct ReplayReport {
   [[nodiscard]] std::string to_json() const;
 
   /// Binds the run totals into `registry` under the repo's dotted naming
-  /// scheme: <prefix>.steps, .rows_fed, .tokens_committed,
+  /// scheme: <prefix>.steps, .rows_fed, .tokens_generated,
   /// .dram_bound_steps, .dropped_steps, .total_macs (counters);
   /// <prefix>.latency_s, .energy_j, .energy_per_token_j, .dram_bytes,
   /// .prefix_saved_j, .spec_saved_j, .core_area_mm2, .tops_per_watt

@@ -1,5 +1,5 @@
 // Minimal strict JSON reader — just enough to parse the repo's own trace
-// and bench artifacts (opal.step_trace/v2 in particular) without a
+// and bench artifacts (opal.step_trace/v3 in particular) without a
 // dependency.
 //
 // Strictness: the full input must be exactly one JSON value (trailing

@@ -15,16 +15,24 @@
 //                           blocks held / 0                         -
 //   kPrefixHit    request   positions restored / columns / 0 / 0    -
 //   kChunk        request   rows fed / start position / KV bytes
-//                           written / 0                             decode us
-//   kDecode       request   1 / start position / KV bytes / 0       decode us
+//                           written / tokens generated              decode us
+//   kDecode       request   1 / start position / KV bytes /
+//                           tokens generated                        decode us
 //   kSpecBurst    request   rows fed / start position / KV bytes /
-//                           rows committed                          verify us
+//                           tokens generated (rows committed)       verify us
 //   kBudgetShrink request   budget before / 1 / 0 / 0               -
 //   kPreempt      request   kept positions / fed before / 0 / 0     -
 //   kEvict        request   generated so far / 0 / 0 / 0            -
 //   kFinish       request   generated / finish reason / 0 / 0       -
 //   kStep         engine    batch size / rows fed / blocks in use /
 //                           blocks free                             step us
+//
+// Pass kinds: the engine types each slot's pass once per step. kSpecBurst
+// is a verify burst [frontier, drafts...]; kDecode is a single row that is
+// the frontier (the last known token); kChunk is any other feed of known
+// prompt or replayed tokens, one row or many. A chunk or decode generates
+// at most one token (sampled from its final row at the frontier); a burst
+// generates one per row that survived verify.
 //
 // The tracer itself is engine-agnostic: it stores whatever events it is
 // handed. Like MetricsRegistry and KvBlockPool it is not internally

@@ -377,22 +377,7 @@ void PreparedModel::finish_logits(SequenceState& seq,
 std::span<const float> PreparedModel::step(SequenceState& seq,
                                            std::size_t token,
                                            ActivationRecorder* recorder) const {
-  const auto& cfg = model_->config();
-  require(token < cfg.vocab, "PreparedModel::step: token out of range");
-  require(seq.x_.size() == cfg.d_model && seq.logits_.size() == cfg.vocab,
-          "PreparedModel::step: sequence state sized for a different model");
-  const auto emb = model_->embedding().row(token);
-  std::copy(emb.begin(), emb.end(), seq.x_.begin());
-
-  seq.advance_cache();  // open this step's KV slot for every layer
-  const std::size_t pos = seq.position() - 1;
-  std::span<float> x = seq.x_;
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    forward_token_layer(l, seq, x, pos, recorder);
-  }
-
-  finish_logits(seq, x, seq.logits_);
-  return seq.logits_;
+  return prefill_chunk(seq, {&token, 1}, recorder);
 }
 
 std::span<const float> PreparedModel::prefill_chunk(
@@ -405,12 +390,12 @@ std::span<const float> PreparedModel::prefill_chunk(
     require(token < cfg.vocab,
             "PreparedModel::prefill_chunk: token out of range");
   }
-  require(seq.x_.size() == cfg.d_model && seq.logits_.size() == cfg.vocab,
+  require(seq.d_model_ == cfg.d_model && seq.vocab_ == cfg.vocab,
           "PreparedModel::prefill_chunk: state sized for a different model");
 
   const std::size_t p0 = seq.position();
-  seq.begin_chunk(n);
   seq.advance_cache_by(n);  // opens (and reserves) the whole chunk's KV
+  seq.begin_chunk(n);
   for (std::size_t t = 0; t < n; ++t) {
     const auto emb = model_->embedding().row(tokens[t]);
     std::copy(emb.begin(), emb.end(), seq.chunk_x_row(t).begin());
@@ -420,9 +405,10 @@ std::span<const float> PreparedModel::prefill_chunk(
   // matrix (the sweep buys cache locality, not fewer weight passes), and
   // every token's ops run in the token-by-token order *within* its own
   // computation — token t writes its K/V at p0+t before attending over
-  // [0, p0+t], exactly like a step() at that position. Attention reads the
-  // blocks' live storage, so a rescale caused by a quantized write is
-  // already visible. The results are bitwise identical to n single steps.
+  // [0, p0+t], exactly like a one-row pass at that position. Attention
+  // reads the blocks' live storage, so a rescale caused by a quantized
+  // write is already visible. The results are bitwise identical to n
+  // one-row passes.
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
     for (std::size_t t = 0; t < n; ++t) {
       forward_token_layer(l, seq, seq.chunk_x_row(t), p0 + t, recorder);
@@ -432,10 +418,7 @@ std::span<const float> PreparedModel::prefill_chunk(
   for (std::size_t t = 0; t < n; ++t) {
     finish_logits(seq, seq.chunk_x_row(t), seq.chunk_logits_row_mut(t));
   }
-  // logits() keeps its "most recent decode" meaning for generation.
-  const auto last = seq.chunk_logits_row(n - 1);
-  std::copy(last.begin(), last.end(), seq.logits_.begin());
-  return seq.logits_;
+  return seq.logits();
 }
 
 double PreparedModel::fp_weight_fraction() const {

@@ -3,10 +3,10 @@
 // A PreparedModel is built once per EngineConfig: it quantizes (OWQ or GPTQ)
 // or bf16-rounds every decoder weight, instantiates the norms and the
 // activation quantizers, and records the storage accounting. After
-// construction it is strictly read-only: step() is const and touches no
-// member state, so any number of sequences (threads) can decode against one
-// PreparedModel concurrently. All per-sequence mutability lives in
-// SequenceState.
+// construction it is strictly read-only: prefill_chunk() (and step(), its
+// one-row case) is const and touches no member state, so any number of
+// sequences (threads) can decode against one PreparedModel concurrently.
+// All per-sequence mutability lives in SequenceState.
 #pragma once
 
 #include <cstddef>
@@ -109,28 +109,26 @@ class PreparedModel {
   PreparedModel(const SyntheticModel& model, EngineConfig config,
                 const HessianSet& hessians);
 
-  /// Runs one decode step for `seq`; returns logits over the vocabulary.
-  /// The returned span points into `seq`'s logits buffer and is valid until
-  /// the next step() with the same state. Const and thread-safe: concurrent
-  /// calls are fine as long as each thread passes a distinct SequenceState.
+  /// One decode step for `seq`: exactly prefill_chunk(seq, {token}), a
+  /// one-row chunk. Returns logits over the vocabulary (seq.logits(), the
+  /// chunk's only row), valid until the next pass with the same state.
+  /// Const and thread-safe: concurrent calls are fine as long as each
+  /// thread passes a distinct SequenceState.
   std::span<const float> step(SequenceState& seq, std::size_t token,
                               ActivationRecorder* recorder = nullptr) const;
 
-  /// Chunked prefill: feeds `tokens` — the next known tokens at `seq`'s
-  /// current position — in one multi-token call, processing the chunk layer
-  /// by layer. Each token still runs its own matvec per weight matrix; the
-  /// layer-major order only keeps a layer's weights and cached KV prefix
-  /// warm in cache across the chunk's tokens. Every per-token
-  /// arithmetic operation (and, in quantized kv_modes, every block-scale
-  /// update and read-back) happens in the same order a token-by-token
-  /// step() loop would produce, so the results — cache contents and all
-  /// chunk logits — are bitwise identical to tokens.size() single steps in
-  /// every kv_mode. Returns the final token's logits (same span as
-  /// logits()); per-position logits are at seq.chunk_logits_row(i). The
-  /// chunk-final logits land in seq.logits() exactly as a step() would
-  /// leave them, so a sampler extending the sequence (llm/sampler.h) reads
-  /// the same handoff regardless of whether the frontier was reached by
-  /// single steps or a chunk.
+  /// The one model pass: feeds `tokens` — the next known tokens at `seq`'s
+  /// current position — processing the chunk layer by layer. Each token
+  /// still runs its own matvec per weight matrix; the layer-major order
+  /// only keeps a layer's weights and cached KV prefix warm in cache across
+  /// the chunk's tokens. Every per-token arithmetic operation (and, in
+  /// quantized kv_modes, every block-scale update and read-back) happens in
+  /// the same order a loop of one-row passes would produce, so the results
+  /// — cache contents and all chunk logits — are bitwise identical to
+  /// tokens.size() step() calls in every kv_mode. Position i's logits are
+  /// at seq.chunk_logits_row(i); returns the final row (seq.logits()), so a
+  /// sampler extending the sequence (llm/sampler.h) reads the same handoff
+  /// whether the frontier was reached by single steps or a chunk.
   /// Blocks for the whole chunk are acquired up front (all-or-nothing
   /// KvPoolExhausted on a dry pool, unless reserve_for() pre-acquired
   /// them). `recorder`, when given, observes activations layer-major
@@ -188,9 +186,9 @@ class PreparedModel {
   void prepare_layers(const CalibrationSet* calibration);
   void prepare_layers_gptq(const HessianSet& hessians);
   /// One token through layer `l`: writes its K/V at cache position `pos`
-  /// and attends over [0, pos+1). step() calls it token-major (all layers
-  /// for one token), prefill_chunk layer-major (all chunk tokens for one
-  /// layer); the per-token arithmetic is identical either way.
+  /// and attends over [0, pos+1). prefill_chunk calls it layer-major (all
+  /// chunk tokens for one layer); the per-token arithmetic is the same as
+  /// a one-row pass at that position.
   void forward_token_layer(std::size_t l, SequenceState& seq,
                            std::span<float> x, std::size_t pos,
                            ActivationRecorder* recorder) const;

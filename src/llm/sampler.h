@@ -4,10 +4,12 @@
 // Design contract (mirrors scheduler.h):
 //
 //   * A Sampler is a per-request policy object. sample(logits, context,
-//     state) reads the logits the model just produced (for a chunked
-//     prefill, the chunk-final position's logits — SequenceState::logits()
-//     after either step() or prefill_chunk()) plus the tokens decoded so
-//     far (for the repetition-penalty hook), and returns the chosen token.
+//     state) reads one row of logits the model just produced — at the
+//     frontier, the pass's final row, which SequenceState::logits()
+//     returns after step() (a one-row pass) or prefill_chunk(); a verify
+//     burst samples each row it commits through chunk_logits_row() — plus
+//     the tokens decoded so far (for the repetition-penalty hook), and
+//     returns the chosen token.
 //     sample() mutates internal scratch, so one Sampler instance must not
 //     be shared between concurrently-sampled requests; ServingEngine builds
 //     one per request and only samples from its serial bookkeeping phase.

@@ -5,14 +5,12 @@
 namespace opal {
 
 void SequenceState::init_scratch(const ModelConfig& config) {
-  x_.resize(config.d_model);
   h_.resize(config.d_model);
   q_.resize(config.d_model);
   k_.resize(config.d_model);
   v_.resize(config.d_model);
   z_.resize(config.d_model);
   hidden_.resize(config.d_ffn);
-  logits_.resize(config.vocab);
   attn_out_.resize(config.d_model);
   ffn_out_.resize(config.d_model);
   scores_.resize(max_seq_len_);
@@ -22,6 +20,7 @@ void SequenceState::init_scratch(const ModelConfig& config) {
 SequenceState::SequenceState(const ModelConfig& config,
                              std::size_t max_seq_len, KvBlockPool& pool)
     : max_seq_len_(max_seq_len), n_layers_(config.n_layers),
+      d_model_(config.d_model), vocab_(config.vocab),
       kv_(pool, config.n_layers, max_seq_len) {
   require(pool.d_model() == config.d_model,
           "SequenceState: pool d_model does not match the model");
@@ -106,10 +105,8 @@ void SequenceState::spec_rollback(std::size_t new_len) {
 void SequenceState::begin_chunk(std::size_t n) {
   chunk_tokens_ = n;
   // Grow-only: chunk buffers keep their high-water capacity across chunks.
-  if (chunk_x_.size() < n * x_.size()) chunk_x_.resize(n * x_.size());
-  if (chunk_logits_.size() < n * logits_.size()) {
-    chunk_logits_.resize(n * logits_.size());
-  }
+  if (chunk_x_.size() < n * d_model_) chunk_x_.resize(n * d_model_);
+  if (chunk_logits_.size() < n * vocab_) chunk_logits_.resize(n * vocab_);
 }
 
 void SequenceState::write_kv_at(std::size_t layer, std::size_t pos,

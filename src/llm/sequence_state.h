@@ -103,19 +103,19 @@ class SequenceState {
   [[nodiscard]] std::size_t blocks_needed_for(std::size_t n) const {
     return kv_.blocks_needed_for(n);
   }
-  /// Pre-acquires the next step's blocks; lets a serving layer keep pool
-  /// mutation out of its parallel decode phase.
-  void reserve_next() { kv_.reserve_next(); }
-  /// Multi-token reserve_next(): pre-acquires everything an `n`-token
-  /// prefill chunk needs (idempotent).
+  /// Pre-acquires everything an `n`-token pass needs (idempotent); lets a
+  /// serving layer keep pool mutation out of its parallel decode phase.
   void reserve_for(std::size_t n) { kv_.reserve_for(n); }
 
-  /// Logits produced by the most recent PreparedModel::step (or the final
-  /// position of the most recent prefill_chunk) with this state — zeros
-  /// before the first step.
-  [[nodiscard]] std::span<const float> logits() const { return logits_; }
+  /// Logits of the most recent pass's final row — chunk_logits_row(
+  /// chunk_tokens() - 1), the handoff a sampler extends the sequence from.
+  /// Empty before the first pass.
+  [[nodiscard]] std::span<const float> logits() const {
+    if (chunk_tokens_ == 0) return {};
+    return chunk_logits_row(chunk_tokens_ - 1);
+  }
 
-  /// Tokens the most recent prefill_chunk processed (0 before the first).
+  /// Rows the most recent pass fed (0 before the first; a step() is 1).
   [[nodiscard]] std::size_t chunk_tokens() const { return chunk_tokens_; }
   /// Logits of chunk position `i` (the logits observed after feeding the
   /// chunk's i-th token); valid until the next step()/prefill_chunk() with
@@ -123,8 +123,7 @@ class SequenceState {
   [[nodiscard]] std::span<const float> chunk_logits_row(std::size_t i) const {
     require(i < chunk_tokens_,
             "SequenceState::chunk_logits_row: row out of range");
-    return std::span<const float>(chunk_logits_)
-        .subspan(i * logits_.size(), logits_.size());
+    return std::span<const float>(chunk_logits_).subspan(i * vocab_, vocab_);
   }
 
   /// The request's sampler checkpoint (counter-based RNG stream position;
@@ -157,14 +156,12 @@ class SequenceState {
   /// (PreparedModel::prefill_chunk).
   void begin_chunk(std::size_t n);
   [[nodiscard]] std::span<float> chunk_x_row(std::size_t i) {
-    return std::span<float>(chunk_x_).subspan(i * x_.size(), x_.size());
+    return std::span<float>(chunk_x_).subspan(i * d_model_, d_model_);
   }
   [[nodiscard]] std::span<float> chunk_logits_row_mut(std::size_t i) {
-    return std::span<float>(chunk_logits_)
-        .subspan(i * logits_.size(), logits_.size());
+    return std::span<float>(chunk_logits_).subspan(i * vocab_, vocab_);
   }
 
-  void advance_cache() { kv_.advance(); }
   void advance_cache_by(std::size_t n) { kv_.advance_by(n); }
   /// Writes one position's K/V for `layer`, recording the rows while a
   /// speculative capture is armed.
@@ -173,6 +170,8 @@ class SequenceState {
 
   std::size_t max_seq_len_;
   std::size_t n_layers_ = 0;
+  std::size_t d_model_ = 0;
+  std::size_t vocab_ = 0;
   SamplerState sampler_state_;
   std::unique_ptr<KvBlockPool> own_pool_;  // facade only; outlives kv_
   PagedKvCache kv_;
@@ -190,9 +189,9 @@ class SequenceState {
   std::size_t chunk_tokens_ = 0;
   std::vector<float> chunk_x_;       // [chunk_tokens x d_model] residuals
   std::vector<float> chunk_logits_;  // [chunk_tokens x vocab]
-  // Scratch buffers reused across steps (sized once at construction); the
+  // Scratch buffers reused across passes (sized once at construction); the
   // decode hot path performs no heap allocation.
-  std::vector<float> x_, h_, q_, k_, v_, z_, hidden_, logits_;
+  std::vector<float> h_, q_, k_, v_, z_, hidden_;
   std::vector<float> attn_out_, ffn_out_;  // d_model
   std::vector<float> scores_, probs_;      // max_seq_len
 };

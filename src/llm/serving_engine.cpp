@@ -669,17 +669,31 @@ std::size_t ServingEngine::step() {
 
   // Serial reservation phase: all pool allocation for this step happens
   // here, so the parallel decode below never mutates shared pool state.
-  // Speculative bursts also open their rollback capture here — after
-  // reserve_for's copy-on-write, the boundary block is exclusively owned,
-  // which snapshot restore requires.
+  // Each slot's pass is typed here, once, and every later phase reads the
+  // SlotPass. Speculative bursts also open their rollback capture here —
+  // after reserve_for's copy-on-write, the boundary block is exclusively
+  // owned, which snapshot restore requires.
+  // Grow-only, so each slot's emitted-token buffer keeps its capacity.
+  if (passes_.size() < batch_.size()) passes_.resize(batch_.size());
   for (std::size_t i = 0; i < batch_.size(); ++i) {
-    batch_[i].state->reserve_for(budgets_[i]);
-    if (budgets_[i] > 1 && !batch_[i].spec_drafts.empty()) {
-      batch_[i].state->begin_spec_capture(budgets_[i]);
-    }
+    Sequence& seq = batch_[i];
+    SlotPass& pass = passes_[i];
+    const std::size_t n = budgets_[i];
+    const std::span<const std::size_t> known(seq.result.tokens);
+    // A burst whose budget pressure shrank to 1 feeds spec_drafts[0] ==
+    // tokens[fed]: the plain decode of the frontier.
+    const bool spec = n > 1 && !seq.spec_drafts.empty();
+    pass.kind = spec ? TraceEventKind::kSpecBurst
+                : n == 1 && seq.fed + 1 == known.size()
+                    ? TraceEventKind::kDecode
+                    : TraceEventKind::kChunk;
+    pass.feed = spec ? std::span<const std::size_t>(seq.spec_drafts).first(n)
+                     : known.subspan(seq.fed, n);
+    pass.pos = seq.fed;
+    pass.emitted.clear();
+    seq.state->reserve_for(n);
+    if (spec) seq.state->begin_spec_capture(n);
   }
-  decode_end_us_.resize(batch_.size());
-  decode_dur_us_.resize(batch_.size());
   if (profiling_) {
     // Per-slot profiling scratch, cleared in place (capacity is retained,
     // so steady-state steps allocate nothing).
@@ -687,34 +701,21 @@ std::size_t ServingEngine::step() {
     for (KernelProfile& slot : profile_slots_) slot.clear();
   }
 
-  // Parallel phase: decode each sequence's budget — one token through
-  // step(), a multi-token chunk through prefill_chunk() (bitwise identical
-  // to that many single steps). A speculative burst feeds its planned
-  // [frontier, drafts...] list the same way; a burst whose budget pressure
-  // shrank to 1 feeds spec_drafts[0] == tokens[fed] — the plain step.
-  // Disjoint SequenceStates against a const PreparedModel — safe and
-  // bitwise order-independent.
+  // Parallel phase: one prefill_chunk per slot over its planned feed — a
+  // one-row decode, a multi-row chunk (bitwise identical to that many
+  // one-row passes) or a verify burst alike. Disjoint SequenceStates
+  // against a const PreparedModel — safe and bitwise order-independent.
   auto decode_one = [this](std::size_t i) {
-    Sequence& seq = batch_[i];
-    const std::size_t n = budgets_[i];
-    // Per-slot timing into disjoint scratch slots: the registry itself is
+    SlotPass& pass = passes_[i];
+    // Per-slot timing into the slot's own record: the registry itself is
     // only touched later, on the serial phase. Profiling samples follow the
     // same discipline: this thread's slot scratch is bound for exactly the
     // model pass, merged serially below.
     if (profiling_) KernelProfiler::bind_slot(&profile_slots_[i]);
     const std::uint64_t t0 = trace_.now_us();
-    if (!seq.spec_drafts.empty() && n > 1) {
-      model_->prefill_chunk(
-          *seq.state, std::span<const std::size_t>(seq.spec_drafts).first(n));
-    } else if (n == 1) {
-      model_->step(*seq.state, seq.result.tokens[seq.fed]);
-    } else {
-      model_->prefill_chunk(
-          *seq.state,
-          std::span<const std::size_t>(seq.result.tokens).subspan(seq.fed, n));
-    }
-    decode_end_us_[i] = trace_.now_us();
-    decode_dur_us_[i] = decode_end_us_[i] - t0;
+    model_->prefill_chunk(*batch_[i].state, pass.feed);
+    pass.end_us = trace_.now_us();
+    pass.dur_us = pass.end_us - t0;
     if (profiling_) KernelProfiler::bind_slot(nullptr);
   };
   if (pool_ != nullptr) {
@@ -751,14 +752,11 @@ std::size_t ServingEngine::step() {
     return std::chrono::duration<double, std::milli>(d).count();
   };
   std::size_t rows_fed_total = 0;
-  fed_pos_.resize(decoded);
-  if (emitted_.size() < decoded) emitted_.resize(decoded);
-  for (std::size_t i = 0; i < decoded; ++i) emitted_[i].clear();
   for (std::size_t i = 0; i < decoded; ++i) {
     Sequence& seq = batch_[i];
-    const std::size_t n = budgets_[i];
-    const bool spec = !seq.spec_drafts.empty() && n > 1;
-    fed_pos_[i] = seq.fed;  // first position fed this step
+    SlotPass& pass = passes_[i];
+    const std::size_t n = pass.feed.size();
+    const bool spec = pass.kind == TraceEventKind::kSpecBurst;
     em_.tokens_decoded->add(n);  // rows executed, incl. rejected verify rows
     rows_fed_total += n;
     auto& prio = prio_stats_[seq.priority];
@@ -769,74 +767,28 @@ std::size_t ServingEngine::step() {
       ++prio.first_decodes;
       em_.queue_wait_ms->observe(to_ms(now_tp - seq.submit_tp));
     }
-    std::size_t committed = n;
-    if (spec) {
-      // Verify-commit walk over the burst's per-row logits. Row j's logits
-      // are bitwise what a plain step at that position produces, and the
-      // request's own sampler draws from them exactly as a plain step
-      // would (one draw per generated token — rejected rows are never
-      // sampled from), so every committed token IS the non-speculative
-      // stream's token. The burst continues while the sample matches the
-      // next fed draft; the first mismatch (or stop) ends it and the
-      // unused fed rows roll back bitwise below.
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t next =
-            seq.sampler->sample(seq.state->chunk_logits_row(j),
-                                seq.result.tokens,
-                                seq.state->sampler_state());
-        seq.result.tokens.push_back(next);
+    // Sampling walk over the pass's chunk rows. Row j's logits are bitwise
+    // what a one-row pass at that position produces, and the request's own
+    // sampler draws from them (one draw per generated token, ever — replay
+    // never re-enters here for a token that already exists). A plain pass
+    // samples once, from its final row, when it fed every known token and
+    // generation remains. A verify burst samples row by row while the
+    // sample matches the next fed draft — rejected rows are never sampled
+    // from, so every committed token IS the non-speculative stream's token;
+    // the first mismatch (or stop) ends it and the unused fed rows roll
+    // back bitwise below.
+    const bool frontier = seq.fed + n == seq.result.tokens.size() &&
+                          seq.result.tokens.size() < seq.target_len;
+    if (spec || frontier) {
+      for (std::size_t j = spec ? 0 : n - 1; j < n; ++j) {
         EmittedTok tok;
-        tok.token = next;
+        tok.token = seq.sampler->sample(seq.state->chunk_logits_row(j),
+                                        seq.result.tokens,
+                                        seq.state->sampler_state());
         tok.row = j;
-        tok.speculative = true;
-        tok.draft_hit = j + 1 < n && next == seq.spec_drafts[j + 1];
-        emitted_[i].push_back(tok);
-        if (!seq.ttft_counted) {
-          seq.ttft_counted = true;
-          prio.ttft_steps +=
-              static_cast<std::size_t>(step_counter_ - seq.submit_step);
-          ++prio.first_tokens;
-        }
-        seq.result.finish_reason =
-            check_stop(seq.sampling, seq.result.tokens,
-                       seq.result.prompt_len, seq.target_len);
-        if (seq.result.finish_reason != FinishReason::kNone) {
-          seq.done = true;
-          break;
-        }
-        if (!tok.draft_hit) break;
-      }
-      committed = emitted_[i].size();
-      if (committed < n) {
-        // Rejected suffix: rewind the KV to the committed rows — bitwise,
-        // so the kept prefix stays canonical (prefix-cacheable, and no
-        // non_canonical_from watermark is spent).
-        seq.state->spec_rollback(seq.fed + committed);
-      } else {
-        seq.state->end_spec_capture();
-      }
-      seq.fed += committed;  // tokens.size() - 1: the frontier invariant
-      em_.spec_bursts->add();
-      em_.spec_drafted->add(n - 1);
-      em_.spec_accepted->add(committed - 1);
-      em_.spec_rejected->add(n - committed);
-      seq.drafter->observe(seq.result.tokens, committed - 1);
-    } else {
-      const std::span<const float> logits = seq.state->logits();
-      seq.fed += n;
-      if (seq.fed == seq.result.tokens.size() &&
-          seq.result.tokens.size() < seq.target_len) {
-        // Frontier: every known token is fed, so these logits (after a
-        // chunk, the chunk-final position's) extend the stream through the
-        // request's sampler. Replay never re-enters here for a token that
-        // already exists, so the RNG stream advances once per generated
-        // token, ever.
-        const std::size_t next = seq.sampler->sample(
-            logits, seq.result.tokens, seq.state->sampler_state());
-        seq.result.tokens.push_back(next);
-        EmittedTok tok;
-        tok.token = next;  // row kNoRow: sampled from state->logits()
-        emitted_[i].push_back(tok);
+        tok.draft_hit = spec && j + 1 < n && tok.token == pass.feed[j + 1];
+        seq.result.tokens.push_back(tok.token);
+        pass.emitted.push_back(tok);
         if (!seq.ttft_counted) {
           seq.ttft_counted = true;
           prio.ttft_steps +=
@@ -849,16 +801,39 @@ std::size_t ServingEngine::step() {
         seq.result.finish_reason =
             check_stop(seq.sampling, seq.result.tokens,
                        seq.result.prompt_len, seq.target_len);
-        seq.done = seq.result.finish_reason != FinishReason::kNone;
+        if (seq.result.finish_reason != FinishReason::kNone) {
+          seq.done = true;
+          break;
+        }
+        if (!tok.draft_hit) break;
       }
-      if (seq.fed == seq.result.tokens.size() &&
-          seq.result.tokens.size() >= seq.target_len) {
-        seq.done = true;  // scoring request: every prompt token has been fed
+    }
+    // Rows that stuck: every row of a plain pass, the sampled prefix of a
+    // verify burst.
+    const std::size_t committed = spec ? pass.emitted.size() : n;
+    if (spec) {
+      if (committed < n) {
+        // Rejected suffix: rewind the KV to the committed rows — bitwise,
+        // so the kept prefix stays canonical (prefix-cacheable, and no
+        // non_canonical_from watermark is spent).
+        seq.state->spec_rollback(seq.fed + committed);
+      } else {
+        seq.state->end_spec_capture();
       }
+      em_.spec_bursts->add();
+      em_.spec_drafted->add(n - 1);
+      em_.spec_accepted->add(committed - 1);
+      em_.spec_rejected->add(n - committed);
+      seq.drafter->observe(seq.result.tokens, committed - 1);
+    }
+    seq.fed += committed;  // a burst lands on tokens.size() - 1, the frontier
+    if (seq.fed == seq.result.tokens.size() &&
+        seq.result.tokens.size() >= seq.target_len) {
+      seq.done = true;  // scoring request: every prompt token has been fed
     }
     // Served accounting is charged with tokens actually committed — a
     // fair-share policy must not bill a request for rejected rows it never
-    // kept (committed == n on every non-speculative path).
+    // kept.
     seq.tokens_served += committed;
     prio.tokens_served += committed;
     em_.tokens_committed->add(committed);
@@ -867,7 +842,7 @@ std::size_t ServingEngine::step() {
     // generated token, ITL between consecutive ones. Tokens of one verify
     // burst share the step's timestamp, so intra-burst ITL is ~0 — the
     // stream really does arrive in bursts.
-    for (std::size_t j = 0; j < emitted_[i].size(); ++j) {
+    for (std::size_t j = 0; j < pass.emitted.size(); ++j) {
       if (!seq.has_token) {
         seq.has_token = true;
         em_.ttft_ms->observe(to_ms(now_tp - seq.submit_tp));
@@ -876,26 +851,21 @@ std::size_t ServingEngine::step() {
       }
       seq.last_token_tp = now_tp;
     }
-    // Per-slot model-pass cost, from the parallel phase's scratch.
-    const double pass_ms = static_cast<double>(decode_dur_us_[i]) / 1000.0;
-    if (spec) {
-      em_.spec_verify_ms->observe(pass_ms);
-    } else if (n > 1) {
-      em_.prefill_chunk_ms->observe(pass_ms);
-    } else {
-      em_.decode_ms->observe(pass_ms);
-    }
-    trace_.emit({.kind = spec ? TraceEventKind::kSpecBurst
-                              : (n > 1 ? TraceEventKind::kChunk
-                                       : TraceEventKind::kDecode),
-                 .ts_us = decode_end_us_[i],
-                 .dur_us = decode_dur_us_[i],
+    // Per-slot model-pass cost, in the histogram of the pass's kind.
+    Histogram* const pass_hist = spec ? em_.spec_verify_ms
+                                 : pass.kind == TraceEventKind::kChunk
+                                     ? em_.prefill_chunk_ms
+                                     : em_.decode_ms;
+    pass_hist->observe(static_cast<double>(pass.dur_us) / 1000.0);
+    trace_.emit({.kind = pass.kind,
+                 .ts_us = pass.end_us,
+                 .dur_us = pass.dur_us,
                  .step = step_counter_,
                  .request = seq.id,
                  .a = n,
-                 .b = fed_pos_[i],
+                 .b = pass.pos,
                  .c = n * kv_row_bytes_,
-                 .d = spec ? committed : 0});
+                 .d = pass.emitted.size()});
   }
 
   // Observer pass: sequence states (and their logits buffers) are all still
@@ -906,41 +876,33 @@ std::size_t ServingEngine::step() {
   if (observer_ || token_observer_ || logprob_observer_) {
     for (std::size_t i = 0; i < decoded; ++i) {
       const Sequence& seq = batch_[i];
-      // Rows that survived the step: the full budget on every plain path,
+      const SlotPass& pass = passes_[i];
+      // Rows that survived the step: the full feed on every plain path,
       // only the committed prefix of a speculative burst — rejected rows'
       // positions no longer exist, and a baseline run never fed them.
-      const std::size_t rows = seq.fed - fed_pos_[i];
       if (observer_) {
-        if (budgets_[i] == 1) {
-          observer_(seq.id, fed_pos_[i], seq.state->logits());
-        } else {
-          for (std::size_t j = 0; j < rows; ++j) {
-            observer_(seq.id, fed_pos_[i] + j,
-                      seq.state->chunk_logits_row(j));
-          }
+        for (std::size_t j = 0; j < seq.fed - pass.pos; ++j) {
+          observer_(seq.id, pass.pos + j, seq.state->chunk_logits_row(j));
         }
       }
       // Streamed tokens follow their positions' logits, in generation
       // order; kNone reason means the stream continues past that token.
-      for (std::size_t j = 0; j < emitted_[i].size(); ++j) {
-        const EmittedTok& tok = emitted_[i][j];
-        const std::size_t gen_index =
-            seq.result.generated() - emitted_[i].size() + j;
-        const FinishReason reason = j + 1 == emitted_[i].size()
+      const std::size_t n_emitted = pass.emitted.size();
+      for (std::size_t j = 0; j < n_emitted; ++j) {
+        const EmittedTok& tok = pass.emitted[j];
+        const std::size_t gen_index = seq.result.generated() - n_emitted + j;
+        const FinishReason reason = j + 1 == n_emitted
                                         ? seq.result.finish_reason
                                         : FinishReason::kNone;
         if (token_observer_) {
           token_observer_(seq.id, gen_index, tok.token, reason);
         }
         if (logprob_observer_) {
-          const std::span<const float> row_logits =
-              tok.row == EmittedTok::kNoRow ? seq.state->logits()
-                                            : seq.state->chunk_logits_row(
-                                                  tok.row);
           TokenLogprobInfo info;
           info.token = tok.token;
-          info.logprob = token_logprob(row_logits, tok.token);
-          info.speculative = tok.speculative;
+          info.logprob = token_logprob(seq.state->chunk_logits_row(tok.row),
+                                       tok.token);
+          info.speculative = pass.kind == TraceEventKind::kSpecBurst;
           info.draft_hit = tok.draft_hit;
           logprob_observer_(seq.id, gen_index, info);
         }

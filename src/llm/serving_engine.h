@@ -145,8 +145,11 @@
 //   * wall-clock latency histograms (serving.queue_wait_ms / ttft_ms /
 //     itl_ms / step_ms / decode_ms / prefill_chunk_ms / spec_verify_ms)
 //     with p50/p95/p99 extraction — TTFT and inter-token latency are
-//     measured per sampled token, chunk and spec-verify costs per model
-//     pass, step_ms per decoding step.
+//     measured per sampled token, step_ms per decoding step, and each
+//     model pass lands in the histogram of its kind (SlotPass::kind):
+//     decode_ms holds one-row passes of the frontier token, prefill_chunk_ms
+//     every other prompt or replay feed (one row or many), spec_verify_ms
+//     verify bursts.
 // Structured tracing (ServingConfig::trace) records per-request lifecycle
 // events (enqueue, admit, prefix-hit, chunk, decode, spec-burst,
 // budget-shrink, preempt, evict, finish) and one engine-scoped record per
@@ -600,7 +603,7 @@ class ServingEngine {
     // null when speculation is off) and this step's planned burst — the
     // full feed list [frontier, d1..dk], so budgets_[i] ==
     // spec_drafts.size() and a budget shrunk to 1 under pool pressure
-    // degrades to feeding spec_drafts[0] (== tokens[fed]) as a plain step.
+    // degrades to a plain decode of the frontier (spec_drafts[0]).
     // Replanned (cleared) every step; rides on the Sequence so scheduler
     // erases and preemption moves keep it aligned with its owner.
     std::unique_ptr<Drafter> drafter;
@@ -616,16 +619,33 @@ class ServingEngine {
     std::unique_ptr<SequenceState> state;  // kept across preemption
   };
 
-  /// One sampled token of the current step (per-step scratch): enough to
-  /// replay the observer cadence after bookkeeping — which logits row
-  /// produced it (kNoRow: the sequence's frontier logits buffer) and its
-  /// speculative provenance.
+  /// One sampled token of the current step: the chunk logits row that
+  /// produced it and whether it matched the next fed draft — enough to
+  /// replay the observer cadence after bookkeeping.
   struct EmittedTok {
-    static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
     std::size_t token = 0;
-    std::size_t row = kNoRow;  // chunk logits row, kNoRow = state->logits()
-    bool speculative = false;
+    std::size_t row = 0;
     bool draft_hit = false;
+  };
+
+  /// One slot's model pass this step (per-step scratch, reused). The serial
+  /// reservation phase decides everything but the results, once; the model
+  /// call, the sampling walk, the histograms, the trace and the observers
+  /// all read it from here.
+  struct SlotPass {
+    /// kSpecBurst: a verify burst [frontier, drafts...]. kDecode: a single
+    /// row that is the frontier (the last known token). kChunk: any other
+    /// feed of known prompt or replayed tokens, one row or many.
+    TraceEventKind kind = TraceEventKind::kDecode;
+    /// The rows fed, in order: a span of the request's tokens, valid until
+    /// the sampling walk extends them (only feed.size() is read after),
+    /// or, for a burst, of its spec_drafts, valid for the whole step.
+    std::span<const std::size_t> feed;
+    std::size_t pos = 0;  // first position fed (KV length before the pass)
+    // Written by the parallel phase (distinct slots), observed serially.
+    std::uint64_t end_us = 0;
+    std::uint64_t dur_us = 0;
+    std::vector<EmittedTok> emitted;  // tokens sampled from this pass
   };
 
   void admit_from_queue();
@@ -704,20 +724,14 @@ class ServingEngine {
   std::vector<KernelProfile> profile_slots_;
   KernelProfile profile_total_;
   std::size_t kv_row_bytes_ = 0;  // KV bytes one fed row writes (all layers)
-  // Per-slot timing scratch: written by the parallel decode phase (distinct
-  // indices per slot), observed into histograms serially — the registry
-  // itself is never touched off the serial phase.
-  std::vector<std::uint64_t> decode_end_us_;
-  std::vector<std::uint64_t> decode_dur_us_;
   std::shared_ptr<Scheduler> scheduler_;
   std::unique_ptr<ThreadPool> pool_;  // null when n_threads == 0
   std::shared_ptr<KvBlockPool> kv_pool_;
   std::unique_ptr<PrefixCache> prefix_cache_;  // null unless enabled
   std::deque<Sequence> queue_;
   std::vector<Sequence> batch_;
-  std::vector<std::size_t> fed_pos_;       // per-step scratch, reused
   std::vector<std::size_t> budgets_;       // per-step scratch, reused
-  std::vector<std::vector<EmittedTok>> emitted_;  // per-slot sampled tokens
+  std::vector<SlotPass> passes_;           // one per batch slot, reused
   std::vector<std::size_t> blocked_;       // admission candidates w/o blocks
   std::vector<SchedRequest> views_;        // scheduler-snapshot scratch
   std::unordered_map<RequestId, RequestResult> done_;

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "eval/perplexity.h"
 #include "eval/schemes.h"
+#include "llm/sequence_state.h"
 
 namespace opal {
 namespace {
@@ -256,6 +259,25 @@ TEST(Engine, PrefillMatchesStepByStep) {
     EXPECT_EQ(via_prefill[i], via_steps[i]) << i;
   }
   EXPECT_EQ(a.position(), prompt.size());
+}
+
+TEST(Engine, StepIsAOneRowChunk) {
+  const PreparedModel model(tiny_model(), EngineConfig{});
+  SequenceState state = model.make_sequence();
+  EXPECT_TRUE(state.logits().empty());  // no pass yet
+  for (const std::size_t token : {3u, 1u, 4u}) {
+    const auto returned = model.step(state, token);
+    ASSERT_EQ(state.chunk_tokens(), 1u);
+    const auto row = state.chunk_logits_row(0);
+    const auto logits = state.logits();
+    ASSERT_EQ(logits.size(), row.size());
+    EXPECT_EQ(logits.data(), returned.data());
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(logits[i]),
+                std::bit_cast<std::uint32_t>(row[i]))
+          << i;
+    }
+  }
 }
 
 TEST(Engine, PrefillEmptyThrows) {

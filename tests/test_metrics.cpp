@@ -223,11 +223,11 @@ TEST(Trace, StepTraceGroupsSequenceEventsUnderTheirStep) {
           .c = 5,
           .d = 3});
   const std::string json = step_trace_from_tracer(t).to_json();
-  EXPECT_NE(json.find("\"opal.step_trace/v2\""), std::string::npos);
+  EXPECT_NE(json.find("\"opal.step_trace/v3\""), std::string::npos);
   EXPECT_NE(json.find("\"step\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"chunk\""), std::string::npos);
   EXPECT_NE(json.find("\"spec_burst\""), std::string::npos);
-  EXPECT_NE(json.find("\"committed\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"generated\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"blocks_free\": 3"), std::string::npos);
 }
 
@@ -244,7 +244,7 @@ TEST(Trace, StepTraceHeaderCarriesInfoAndDropCounts) {
   EXPECT_EQ(t.truncated_events(), 2u);
   EXPECT_EQ(t.dropped_steps(), 1u);
   const std::string json = step_trace_from_tracer(t).to_json();
-  EXPECT_NE(json.find("\"opal.step_trace/v2\""), std::string::npos);
+  EXPECT_NE(json.find("\"opal.step_trace/v3\""), std::string::npos);
   EXPECT_NE(json.find("\"d_model\": 128"), std::string::npos);
   EXPECT_NE(json.find("\"mode\": \"int8\""), std::string::npos);
   EXPECT_NE(json.find("\"bits_per_entry\": 8"), std::string::npos);

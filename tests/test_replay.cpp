@@ -1,8 +1,9 @@
 // Hardware-in-the-loop replay invariants: a lone pass owns its whole step,
 // batching amortizes weight streaming, per-sequence attribution sums to the
 // step totals, replay is deterministic and conserves the trace's row/KV
-// accounting, the v2 JSON round-trips to the in-process replay, and
-// malformed traces are rejected with useful errors.
+// accounting, the v3 JSON round-trips to the in-process replay, replay's
+// generated-token count balances against the engine's under any schedule,
+// and malformed traces are rejected with useful errors.
 #include "accel/replay.h"
 
 #include <gtest/gtest.h>
@@ -239,10 +240,10 @@ TEST(Replay, SpeculativeBurstsAttributeSavedEnergy) {
   ASSERT_GT(run.stats.spec_bursts, 0u);
   const ReplayReport rep = replay_trace(make_opal_device(4, 7, 4), run.trace);
   EXPECT_EQ(rep.rows_fed, run.stats.tokens_decoded);
-  // Commits = decode rows + verify-survivor rows; rejected rows were fed
-  // (rows_fed) but never committed.
-  EXPECT_GT(rep.tokens_committed, 0u);
-  EXPECT_LE(rep.tokens_committed, rep.rows_fed);
+  // Generated = one per frontier sample + verify-survivor rows; rejected
+  // rows were fed (rows_fed) but never generated anything.
+  EXPECT_GT(rep.tokens_generated, 0u);
+  EXPECT_LE(rep.tokens_generated, rep.rows_fed);
   // At least one burst exists, so the spec-saved term was computed (its
   // sign depends on acceptance; it only must be attributed somewhere).
   double spec_saved = 0.0;
@@ -256,11 +257,86 @@ TEST(Replay, OpalDeviceBeatsBf16EnergyPerToken) {
   const TracedRun run = traced_run(stressed_config());
   const ReplayReport bf16 = replay_trace(make_bf16_device(), run.trace);
   const ReplayReport opal = replay_trace(make_opal_device(4, 7, 4), run.trace);
-  ASSERT_GT(bf16.tokens_committed, 0u);
-  EXPECT_EQ(bf16.tokens_committed, opal.tokens_committed);
+  ASSERT_GT(bf16.tokens_generated, 0u);
+  EXPECT_EQ(bf16.tokens_generated, opal.tokens_generated);
   // The paper's headline, now measured on a replayed serving run.
   EXPECT_LT(opal.energy_per_token_j(), bf16.energy_per_token_j());
   EXPECT_LT(opal.dram_bytes, bf16.dram_bytes);
+}
+
+// --- generated-token balance ------------------------------------------
+
+struct BalanceRun {
+  StepTrace trace;
+  ServingEngine::Stats stats;
+  std::size_t generated = 0;  // sum of RequestResult::generated()
+};
+
+// Serves workload() with two priority classes. When `preempt` is set, the
+// first running request with two generated tokens is fully preempted, so
+// its readmission replays those tokens as known rows.
+BalanceRun balance_run(std::shared_ptr<Scheduler> policy, bool preempt) {
+  ServingConfig cfg;
+  cfg.max_batch = 3;
+  cfg.prefill_chunk_tokens = 4;
+  cfg.scheduler = std::move(policy);
+  cfg.trace = true;
+  ServingEngine engine(prepared(), cfg);
+  std::vector<RequestId> ids;
+  std::vector<Request> requests = workload();
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    requests[r].priority = r % 2 == 0 ? 1 : 0;
+    ids.push_back(engine.submit(requests[r]));
+  }
+  while (preempt && engine.step() > 0) {
+    for (const RequestId id : ids) {
+      const RequestResult res = engine.result(id);
+      if (res.status == RequestStatus::kRunning && res.generated() >= 2) {
+        engine.preempt(id);
+        preempt = false;
+        break;
+      }
+    }
+  }
+  engine.run();
+  BalanceRun out;
+  out.trace = step_trace_from_tracer(engine.tracer());
+  out.stats = engine.stats();
+  for (const RequestId id : ids) out.generated += engine.result(id).generated();
+  return out;
+}
+
+TEST(Replay, GeneratedTokensBalanceAcrossSchedules) {
+  const BalanceRun fifo =
+      balance_run(std::make_shared<FifoScheduler>(), /*preempt=*/false);
+  const BalanceRun prio =
+      balance_run(std::make_shared<PriorityScheduler>(), /*preempt=*/true);
+  ASSERT_EQ(prio.trace.dropped_steps, 0u);
+  ASSERT_GE(prio.stats.preemptions, 1u);
+  // The priority run feeds one-row prompt or replay passes — the low class
+  // trickles at one token per step — and those generate nothing.
+  bool one_row_chunk = false;
+  for (const TraceStep& step : prio.trace.steps) {
+    for (const TracePass& pass : step.passes) {
+      if (pass.kind == TraceEventKind::kChunk && pass.rows == 1) {
+        one_row_chunk = true;
+      }
+    }
+  }
+  EXPECT_TRUE(one_row_chunk);
+  const DeviceConfig dev = make_opal_device(4, 7, 4);
+  const ReplayReport fifo_rep = replay_trace(dev, fifo.trace);
+  const ReplayReport prio_rep = replay_trace(dev, prio.trace);
+  ASSERT_GT(fifo.generated, 0u);
+  EXPECT_EQ(fifo_rep.tokens_generated, fifo.generated);
+  EXPECT_EQ(prio_rep.tokens_generated, prio.generated);
+  EXPECT_EQ(prio_rep.tokens_generated, fifo_rep.tokens_generated);
+  // Per-request attribution balances too.
+  std::size_t per_request = 0;
+  for (const ReplayRequestReport& r : prio_rep.requests) {
+    per_request += r.tokens_generated;
+  }
+  EXPECT_EQ(per_request, prio_rep.tokens_generated);
 }
 
 // --- malformed traces --------------------------------------------------
@@ -280,11 +356,11 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("opal.step_trace/v1"), std::string::npos);
-    EXPECT_NE(what.find("opal.step_trace/v2"), std::string::npos);
+    EXPECT_NE(what.find("opal.step_trace/v3"), std::string::npos);
   }
   // Missing keys are named.
   try {
-    (void)parse_step_trace("{\"schema\": \"opal.step_trace/v2\"}");
+    (void)parse_step_trace("{\"schema\": \"opal.step_trace/v3\"}");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("model"), std::string::npos);
@@ -292,7 +368,7 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   // A well-formed one-step trace around one pass, with `step` as the step
   // counter's literal.
   const auto one_step = [](const std::string& step, const std::string& pass) {
-    return "{\"schema\": \"opal.step_trace/v2\","
+    return "{\"schema\": \"opal.step_trace/v3\","
            " \"model\": {\"n_layers\": 2, \"d_model\": 128, \"n_heads\": 4,"
            " \"d_ffn\": 344, \"vocab\": 64},"
            " \"kv\": {\"mode\": \"int8\", \"block_size\": 8,"
@@ -305,11 +381,11 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
            pass + "]}]}";
   };
   const auto burst = [](const std::string& request,
-                        const std::string& committed) {
+                        const std::string& generated) {
     return "{\"request\": " + request +
            ", \"kind\": \"spec_burst\", \"pos\": 9, \"rows\": 4,"
-           " \"kv_bytes\": 0, \"dur_us\": 3, \"committed\": " +
-           committed + "}";
+           " \"kv_bytes\": 0, \"dur_us\": 3, \"generated\": " +
+           generated + "}";
   };
   const auto expect_rejected = [](const std::string& json,
                                   const std::string& names) {
@@ -324,8 +400,13 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   // The template itself is valid and replays.
   const StepTrace good = parse_step_trace(one_step("1", burst("1", "2")));
   ASSERT_EQ(good.steps.size(), 1u);
-  EXPECT_EQ(good.steps[0].passes[0].committed, 2u);
-  EXPECT_EQ(replay_trace(make_bf16_device(), good).tokens_committed, 2u);
+  EXPECT_EQ(good.steps[0].passes[0].generated, 2u);
+  EXPECT_EQ(replay_trace(make_bf16_device(), good).tokens_generated, 2u);
+  // The v2 layout (no per-pass generated count) is refused by name, and
+  // the error points at the supported version.
+  std::string v2 = one_step("1", burst("1", "2"));
+  v2.replace(v2.find("/v3"), 3, "/v2");
+  expect_rejected(v2, "opal.step_trace/v3");
   // Unknown pass kinds are named.
   expect_rejected(
       one_step("1",
@@ -336,11 +417,24 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   // to inf, 1e20 is above 2^64 — are refused, not cast.
   expect_rejected(one_step("1e400", burst("1", "2")), "steps[].step");
   expect_rejected(one_step("1", burst("1e20", "2")), "seqs[].request");
-  // A verify burst commits between 1 and rows tokens; replay would price a
-  // huge count one decode at a time.
-  expect_rejected(one_step("1", burst("1", "1e12")), "seqs[].committed");
-  expect_rejected(one_step("1", burst("1", "5")), "seqs[].committed");
-  expect_rejected(one_step("1", burst("1", "0")), "seqs[].committed");
+  // A verify burst generates between 1 and rows tokens; replay would price
+  // a huge count one decode at a time.
+  expect_rejected(one_step("1", burst("1", "1e12")), "seqs[].generated");
+  expect_rejected(one_step("1", burst("1", "5")), "seqs[].generated");
+  expect_rejected(one_step("1", burst("1", "0")), "seqs[].generated");
+  // A plain pass samples at most once, from its final row; every pass but
+  // a prefix hit must carry the count.
+  const std::string decode_pass =
+      "{\"request\": 1, \"kind\": \"decode\", \"pos\": 9, \"rows\": 1,"
+      " \"kv_bytes\": 0, \"dur_us\": 3";
+  expect_rejected(one_step("1", decode_pass + ", \"generated\": 2}"),
+                  "seqs[].generated");
+  expect_rejected(one_step("1", decode_pass + "}"), "generated");
+  EXPECT_EQ(parse_step_trace(one_step("1", decode_pass + ", \"generated\": 1}"))
+                .steps[0]
+                .passes[0]
+                .generated,
+            1u);
   // A trace without self-description parses but refuses to replay.
   Tracer bare(true, 8);
   bare.emit({.kind = TraceEventKind::kStep, .step = 1});
