@@ -15,6 +15,7 @@ void SequenceState::init_scratch(const ModelConfig& config) {
   ffn_out_.resize(config.d_model);
   scores_.resize(max_seq_len_);
   probs_.resize(max_seq_len_);
+  grow_chunk(1);  // every one-row pass runs on construction-time storage
 }
 
 SequenceState::SequenceState(const ModelConfig& config,
@@ -102,11 +103,20 @@ void SequenceState::spec_rollback(std::size_t new_len) {
   end_spec_capture();
 }
 
-void SequenceState::begin_chunk(std::size_t n) {
-  chunk_tokens_ = n;
+void SequenceState::reserve_for(std::size_t n) {
+  kv_.reserve_for(n);
+  grow_chunk(n);
+}
+
+void SequenceState::grow_chunk(std::size_t n) {
   // Grow-only: chunk buffers keep their high-water capacity across chunks.
   if (chunk_x_.size() < n * d_model_) chunk_x_.resize(n * d_model_);
   if (chunk_logits_.size() < n * vocab_) chunk_logits_.resize(n * vocab_);
+}
+
+void SequenceState::begin_chunk(std::size_t n) {
+  chunk_tokens_ = n;
+  grow_chunk(n);  // a no-op after reserve_for(n)
 }
 
 void SequenceState::write_kv_at(std::size_t layer, std::size_t pos,

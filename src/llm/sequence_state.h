@@ -103,9 +103,11 @@ class SequenceState {
   [[nodiscard]] std::size_t blocks_needed_for(std::size_t n) const {
     return kv_.blocks_needed_for(n);
   }
-  /// Pre-acquires everything an `n`-token pass needs (idempotent); lets a
-  /// serving layer keep pool mutation out of its parallel decode phase.
-  void reserve_for(std::size_t n) { kv_.reserve_for(n); }
+  /// Pre-acquires everything an `n`-token pass needs (idempotent): its KV
+  /// blocks and its chunk buffers. Lets a serving layer keep pool mutation
+  /// and heap allocation out of its parallel decode phase, so every buffer
+  /// a pass touches comes from the serial thread's heap, run after run.
+  void reserve_for(std::size_t n);
 
   /// Logits of the most recent pass's final row — chunk_logits_row(
   /// chunk_tokens() - 1), the handoff a sampler extends the sequence from.
@@ -152,8 +154,10 @@ class SequenceState {
 
   void init_scratch(const ModelConfig& config);
 
-  /// Sizes the chunk activation/logits buffers for `n` tokens
-  /// (PreparedModel::prefill_chunk).
+  /// Grows the chunk activation/logits buffers to hold `n` rows.
+  void grow_chunk(std::size_t n);
+  /// Opens an `n`-token pass over the chunk buffers, growing them unless
+  /// reserve_for(n) already did (PreparedModel::prefill_chunk).
   void begin_chunk(std::size_t n);
   [[nodiscard]] std::span<float> chunk_x_row(std::size_t i) {
     return std::span<float>(chunk_x_).subspan(i * d_model_, d_model_);
