@@ -31,6 +31,12 @@
 // * Within one table, `matvec`, `attend_scores` and `dequant_scores_*` are
 //   built on file-local dot bodies with one accumulation structure (vector
 //   body + sequential scalar tail), in double in every table.
+// * Blocking never changes a bit. A SIMD body may interleave independent
+//   output rows (to overlap FMA latency) or hold output columns in
+//   registers across input rows, but it never reorders any single output's
+//   accumulation. So within ANY single table, a multi-row call equals one
+//   `rows = 1` call per row, bitwise: `matvec` / `*_scores` row by row, and
+//   `*_accum` over R rows as R successive one-row calls on the same z.
 // * Fused dequantize kernels decode quantized codes to *exactly* the floats
 //   KvBlockPool::read_row produces (int8: float(code) * (scale/127); log2:
 //   kv_decode_log2 below) and accumulate them with exactly the structure of
@@ -45,7 +51,8 @@
 // 1. Add src/common/kernels_<isa>.cpp defining every KernelOps entry, with
 //    one accumulation structure (vector body + sequential scalar tail) for
 //    the dot bodies under matvec / attend_scores / dequant_scores_* and
-//    each dequant_accum_* mirroring attend_accum's, guarded by the
+//    each dequant_accum_* mirroring attend_accum's, blocked across rows or
+//    columns only as the contract above allows, guarded by the
 //    architecture's predefine (e.g. #if defined(__riscv_vector)).
 // 2. Give the TU its ISA flags in CMakeLists.txt (-ffp-contract=off is
 //    tree-wide), keyed on CMAKE_SYSTEM_PROCESSOR, and declare its

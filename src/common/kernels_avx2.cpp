@@ -4,12 +4,19 @@
 // dispatched to, so a generic build stays safe on pre-AVX2 hardware.
 //
 // Structure contract (see kernels.h): matvec, attend_scores and the fused
-// dequant_scores_* are built on file-local dot bodies that share one
-// 8-float-per-iteration body (two 4-wide double FMA accumulators) and one
-// sequential scalar tail for n % 8 leftovers, and the fused decode produces
-// exactly KvBlockPool::read_row's floats. That keeps "fused ==
+// dequant_scores_* share one dot body per output row — 8 floats per
+// iteration into two 4-wide double FMA accumulators, hsum, then a
+// sequential scalar tail for n % 8 leftovers — and the fused decode
+// produces exactly KvBlockPool::read_row's floats. That keeps "fused ==
 // decode-then-plain" bitwise within this table; only scalar-vs-AVX2 is
 // tolerance-level (lane reduction reorders the double sums).
+//
+// Latency hiding never reorders one output's accumulation: the dot bodies
+// run four rows interleaved (independent FMA chains, the shared vector
+// converted once), and the accumulate bodies hold 64 output columns in
+// registers across all input rows, in row order. Either way each output
+// sees exactly the one-row sequence, so a multi-row call is bitwise equal
+// to one call per row.
 
 #if defined(__x86_64__) || defined(__amd64__) || defined(__i386__)
 
@@ -21,13 +28,10 @@ namespace opal {
 
 namespace {
 
-// acc0/acc1 += a[0..7] * b[0..7] in double lanes.
-inline void dacc8(const float* a, __m256 bv, __m256d& acc0, __m256d& acc1) {
-  const __m256 av = _mm256_loadu_ps(a);
-  acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(av)),
-                         _mm256_cvtps_pd(_mm256_castps256_ps128(bv)), acc0);
-  acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(av, 1)),
-                         _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1)), acc1);
+// v[0..7] widened to double: lo holds lanes 0..3, hi lanes 4..7.
+inline void widen8(__m256 v, __m256d& lo, __m256d& hi) {
+  lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+  hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
 }
 
 inline double hsum(__m256d acc0, __m256d acc1) {
@@ -69,52 +73,159 @@ inline __m256 decode8_log2(const std::int8_t* c, __m256i ebias) {
       _mm256_cmpeq_epi32(code, _mm256_set1_epi32(kKvLog2CodeMax)), bits));
 }
 
-float avx2_dot(const float* a, const float* b, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) dacc8(a + i, _mm256_loadu_ps(b + i), acc0, acc1);
-  double acc = hsum(acc0, acc1);
+// Row sources shared by both kernel families: load8 gives eight values of a
+// row exactly as read_row produces them, load8_pd the same widened to
+// double, at one value for a scalar tail.
+struct F32Rows {
+  const float* base;
+  std::size_t stride;
+  const float* row(std::size_t r) const { return base + r * stride; }
+  static __m256 load8(const float* p) { return _mm256_loadu_ps(p); }
+  // Two 4-float loads widen straight from memory, with no lane extract.
+  static void load8_pd(const float* p, __m256d& lo, __m256d& hi) {
+    lo = _mm256_cvtps_pd(_mm_loadu_ps(p));
+    hi = _mm256_cvtps_pd(_mm_loadu_ps(p + 4));
+  }
+  static float at(const float* p) { return *p; }
+};
+
+struct Int8Rows {
+  const std::int8_t* base;
+  std::size_t stride;
+  float s;
+  __m256 sv = _mm256_set1_ps(s);
+  const std::int8_t* row(std::size_t r) const { return base + r * stride; }
+  __m256 load8(const std::int8_t* p) const { return decode8_int8(p, sv); }
+  void load8_pd(const std::int8_t* p, __m256d& lo, __m256d& hi) const {
+    widen8(load8(p), lo, hi);
+  }
+  float at(const std::int8_t* p) const { return static_cast<float>(*p) * s; }
+};
+
+struct Log2Rows {
+  const std::int8_t* base;
+  std::size_t stride;
+  int exponent;
+  __m256i ebias = _mm256_set1_epi32(exponent + 127);
+  const std::int8_t* row(std::size_t r) const { return base + r * stride; }
+  __m256 load8(const std::int8_t* p) const { return decode8_log2(p, ebias); }
+  void load8_pd(const std::int8_t* p, __m256d& lo, __m256d& hi) const {
+    widen8(load8(p), lo, hi);
+  }
+  float at(const std::int8_t* p) const { return kv_decode_log2(*p, exponent); }
+};
+
+// acc0/acc1 += row[0..7] * (x0 | x1) in double lanes, x already widened.
+// The double product of two floats is exact, so operand order cannot
+// change a bit.
+template <typename Rows, typename T>
+void dacc8(const Rows& src, const T* row, __m256d x0, __m256d x1,
+           __m256d& acc0, __m256d& acc1) {
+  __m256d lo, hi;
+  src.load8_pd(row, lo, hi);
+  acc0 = _mm256_fmadd_pd(lo, x0, acc0);
+  acc1 = _mm256_fmadd_pd(hi, x1, acc1);
+}
+
+// Sequential scalar tail of one dot row from column i on, after hsum.
+template <typename Rows, typename T>
+float dot_tail(const float* x, const Rows& src, const T* row, std::size_t i,
+               std::size_t n, double acc) {
   for (; i < n; ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
+    acc += static_cast<double>(x[i]) * static_cast<double>(src.at(row + i));
   }
   return static_cast<float>(acc);
 }
 
-float avx2_dequant_dot_int8(const float* a, const std::int8_t* codes,
-                            std::size_t n, float s) {
-  const __m256 sv = _mm256_set1_ps(s);
+// The one-row dot body: 8 floats per iteration into two double
+// accumulators, hsum, then the scalar tail.
+template <typename Rows>
+float dot_row(const float* x, const Rows& src, std::size_t r, std::size_t n) {
+  const auto* row = src.row(r);
   __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    dacc8(a + i, decode8_int8(codes + i, sv), acc0, acc1);
+    __m256d x0, x1;
+    F32Rows::load8_pd(x + i, x0, x1);
+    dacc8(src, row + i, x0, x1, acc0, acc1);
   }
-  double acc = hsum(acc0, acc1);
-  for (; i < n; ++i) {
-    const float dv = static_cast<float>(codes[i]) * s;
-    acc += static_cast<double>(a[i]) * static_cast<double>(dv);
-  }
-  return static_cast<float>(acc);
+  return dot_tail(x, src, row, i, n, hsum(acc0, acc1));
 }
 
-float avx2_dequant_dot_log2(const float* a, const std::int8_t* codes,
-                            std::size_t n, int exponent) {
-  const __m256i ebias = _mm256_set1_epi32(exponent + 127);
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    dacc8(a + i, decode8_log2(codes + i, ebias), acc0, acc1);
+// out[r] = dot(x, row r) for r in [0, rows). Four rows run interleaved so
+// their FMA chains overlap: per 8 columns x converts to double once and each
+// row advances its own acc0/acc1 pair with dot_row's exact sequence, then
+// gets the same hsum and tail. rows % 4 leftovers use dot_row.
+template <typename Rows>
+void dot_rows(const float* x, const Rows& src, std::size_t rows, std::size_t n,
+              float* out) {
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    const auto* r0 = src.row(r);
+    const auto* r1 = src.row(r + 1);
+    const auto* r2 = src.row(r + 2);
+    const auto* r3 = src.row(r + 3);
+    __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
+    __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
+    __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
+    __m256d a30 = _mm256_setzero_pd(), a31 = _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      __m256d x0, x1;
+      F32Rows::load8_pd(x + i, x0, x1);
+      dacc8(src, r0 + i, x0, x1, a00, a01);
+      dacc8(src, r1 + i, x0, x1, a10, a11);
+      dacc8(src, r2 + i, x0, x1, a20, a21);
+      dacc8(src, r3 + i, x0, x1, a30, a31);
+    }
+    out[r] = dot_tail(x, src, r0, i, n, hsum(a00, a01));
+    out[r + 1] = dot_tail(x, src, r1, i, n, hsum(a10, a11));
+    out[r + 2] = dot_tail(x, src, r2, i, n, hsum(a20, a21));
+    out[r + 3] = dot_tail(x, src, r3, i, n, hsum(a30, a31));
   }
-  double acc = hsum(acc0, acc1);
-  for (; i < n; ++i) {
-    const float dv = kv_decode_log2(codes[i], exponent);
-    acc += static_cast<double>(a[i]) * static_cast<double>(dv);
+  for (; r < rows; ++r) out[r] = dot_row(x, src, r, n);
+}
+
+// z[c] += w[r] * row r[c] for r in [0, rows), c in [0, d_head), rows in
+// order for every column. Each full 64-column block stays in eight
+// registers across all rows and is stored once; the columns past the last
+// full block take the row loop (8-wide body, then scalar tail). Either way
+// every z[c] sees the same FMA sequence.
+template <typename Rows>
+void accum_rows(const float* w, const Rows& src, std::size_t rows,
+                std::size_t d_head, float* z) {
+  std::size_t c0 = 0;
+  for (; c0 + 64 <= d_head; c0 += 64) {
+    __m256 zv[8];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < 8; ++j) zv[j] = _mm256_loadu_ps(z + c0 + 8 * j);
+    for (std::size_t r = 0; r < rows; ++r) {
+      const __m256 wv = _mm256_set1_ps(w[r]);
+      const auto* vr = src.row(r) + c0;
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < 8; ++j) {
+        zv[j] = _mm256_fmadd_ps(src.load8(vr + 8 * j), wv, zv[j]);
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < 8; ++j) _mm256_storeu_ps(z + c0 + 8 * j, zv[j]);
   }
-  return static_cast<float>(acc);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float wr = w[r];
+    const __m256 wv = _mm256_set1_ps(wr);
+    const auto* vr = src.row(r);
+    std::size_t c = c0;
+    for (; c + 8 <= d_head; c += 8) {
+      _mm256_storeu_ps(z + c, _mm256_fmadd_ps(src.load8(vr + c), wv,
+                                              _mm256_loadu_ps(z + c)));
+    }
+    for (; c < d_head; ++c) z[c] += wr * src.at(vr + c);
+  }
 }
 
 void avx2_matvec(const float* w, std::size_t rows, std::size_t cols,
                  const float* x, float* y) {
-  for (std::size_t r = 0; r < rows; ++r) y[r] = avx2_dot(w + r * cols, x, cols);
+  dot_rows(x, F32Rows{w, cols}, rows, cols, y);
 }
 
 void avx2_axpy(float a, const float* x, float* y, std::size_t n) {
@@ -137,90 +248,50 @@ void avx2_scale(float s, float* x, std::size_t n) {
   for (; i < n; ++i) x[i] *= s;
 }
 
+// Scores are the float dots times `scale`, rounded once more in float.
+template <typename Rows>
+void scores_rows(const float* q, const Rows& src, std::size_t rows,
+                 std::size_t d_head, float scale, float* out) {
+  dot_rows(q, src, rows, d_head, out);
+  for (std::size_t r = 0; r < rows; ++r) out[r] *= scale;
+}
+
 void avx2_attend_scores(const float* q, const float* k, std::size_t rows,
                         std::size_t stride, std::size_t d_head, float scale,
                         float* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = avx2_dot(q, k + r * stride, d_head) * scale;
-  }
+  scores_rows(q, F32Rows{k, stride}, rows, d_head, scale, out);
 }
 
 void avx2_attend_accum(const float* w, const float* v, std::size_t rows,
                        std::size_t stride, std::size_t d_head, float* z) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float wr = w[r];
-    const __m256 wv = _mm256_set1_ps(wr);
-    const float* vr = v + r * stride;
-    std::size_t c = 0;
-    for (; c + 8 <= d_head; c += 8) {
-      _mm256_storeu_ps(
-          z + c, _mm256_fmadd_ps(_mm256_loadu_ps(vr + c), wv,
-                                 _mm256_loadu_ps(z + c)));
-    }
-    for (; c < d_head; ++c) z[c] += wr * vr[c];
-  }
+  accum_rows(w, F32Rows{v, stride}, rows, d_head, z);
 }
 
 void avx2_dequant_scores_int8(const float* q, const std::int8_t* k_codes,
                               std::size_t rows, std::size_t stride,
                               std::size_t d_head, float s, float scale,
                               float* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = avx2_dequant_dot_int8(q, k_codes + r * stride, d_head, s) * scale;
-  }
+  scores_rows(q, Int8Rows{k_codes, stride, s}, rows, d_head, scale, out);
 }
 
 void avx2_dequant_scores_log2(const float* q, const std::int8_t* k_codes,
                               std::size_t rows, std::size_t stride,
                               std::size_t d_head, int exponent, float scale,
                               float* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] =
-        avx2_dequant_dot_log2(q, k_codes + r * stride, d_head, exponent) *
-        scale;
-  }
+  scores_rows(q, Log2Rows{k_codes, stride, exponent}, rows, d_head, scale,
+              out);
 }
 
 void avx2_dequant_accum_int8(const float* w, const std::int8_t* v_codes,
                              std::size_t rows, std::size_t stride,
                              std::size_t d_head, float s, float* z) {
-  const __m256 sv = _mm256_set1_ps(s);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float wr = w[r];
-    const __m256 wv = _mm256_set1_ps(wr);
-    const std::int8_t* vr = v_codes + r * stride;
-    std::size_t c = 0;
-    for (; c + 8 <= d_head; c += 8) {
-      _mm256_storeu_ps(
-          z + c, _mm256_fmadd_ps(decode8_int8(vr + c, sv), wv,
-                                 _mm256_loadu_ps(z + c)));
-    }
-    for (; c < d_head; ++c) {
-      const float dv = static_cast<float>(vr[c]) * s;
-      z[c] += wr * dv;
-    }
-  }
+  accum_rows(w, Int8Rows{v_codes, stride, s}, rows, d_head, z);
 }
 
 void avx2_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
                              std::size_t rows, std::size_t stride,
                              std::size_t d_head, int exponent, float* z) {
-  const __m256i ebias = _mm256_set1_epi32(exponent + 127);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float wr = w[r];
-    const __m256 wv = _mm256_set1_ps(wr);
-    const std::int8_t* vr = v_codes + r * stride;
-    std::size_t c = 0;
-    for (; c + 8 <= d_head; c += 8) {
-      _mm256_storeu_ps(
-          z + c, _mm256_fmadd_ps(decode8_log2(vr + c, ebias), wv,
-                                 _mm256_loadu_ps(z + c)));
-    }
-    for (; c < d_head; ++c) {
-      const float dv = kv_decode_log2(vr[c], exponent);
-      z[c] += wr * dv;
-    }
-  }
+  accum_rows(w, Log2Rows{v_codes, stride, exponent}, rows, d_head, z);
 }
 
 constexpr KernelOps kAvx2Ops = {

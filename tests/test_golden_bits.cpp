@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/kernels.h"
@@ -61,13 +62,21 @@ std::vector<Request> golden_requests() {
   return requests;
 }
 
-/// Pins the scalar kernel table, the source-order IEEE reference, so the
-/// hashes do not depend on which SIMD table the host resolves.
-class GoldenBits : public ::testing::Test {
+/// Runs every hash under the forced-scalar table (the source-order IEEE
+/// reference) and under the table the host dispatches to, so a SIMD kernel
+/// change that moves served bits fails here too. At W4 A4/7 every double sum
+/// is exact, so those hashes are the same on every table; only
+/// FacadeStepBf16, whose fp32 sums round, is recorded per table.
+class GoldenBits : public ::testing::TestWithParam<bool> {
  protected:
-  void SetUp() override { set_force_scalar_kernels(true); }
+  void SetUp() override { set_force_scalar_kernels(GetParam()); }
   void TearDown() override { set_force_scalar_kernels(false); }
 };
+
+INSTANTIATE_TEST_SUITE_P(Tables, GoldenBits, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "ForcedScalar" : "Dispatched";
+                         });
 
 std::uint64_t serve_hash(KvQuantMode mode) {
   EngineConfig ecfg = scheme_mx_opal(4, 4, 7, /*log2_softmax=*/true);
@@ -98,15 +107,15 @@ std::uint64_t serve_hash(KvQuantMode mode) {
   return h;
 }
 
-TEST_F(GoldenBits, MxOpalLog2ServingFp32Kv) {
+TEST_P(GoldenBits, MxOpalLog2ServingFp32Kv) {
   EXPECT_EQ(serve_hash(KvQuantMode::kFp32), 0x16e758c26127343bull);
 }
 
-TEST_F(GoldenBits, MxOpalLog2ServingInt8Kv) {
+TEST_P(GoldenBits, MxOpalLog2ServingInt8Kv) {
   EXPECT_EQ(serve_hash(KvQuantMode::kInt8), 0x4393bb76422f6c14ull);
 }
 
-TEST_F(GoldenBits, MxOpalLog2ServingLog2Kv) {
+TEST_P(GoldenBits, MxOpalLog2ServingLog2Kv) {
   EXPECT_EQ(serve_hash(KvQuantMode::kLog2), 0x0aec89d766a889ffull);
 }
 
@@ -145,23 +154,35 @@ std::uint64_t facade_step_hash(const EngineConfig& ecfg) {
 
 constexpr std::uint64_t kFacadeMxOpalHash = 0x3f9acd1fada48bc4ull;
 
-TEST_F(GoldenBits, FacadeStepBf16) {
-  EXPECT_EQ(facade_step_hash(scheme_bf16()), 0xab3f6a82aa070c7eull);
+TEST_P(GoldenBits, FacadeStepBf16) {
+  // bf16 weights with fp32 activations round their double sums, so these
+  // bits follow each table's reduction order.
+  const std::string_view table = kernels().name;
+  std::uint64_t want = 0;
+  if (table == "scalar") {
+    want = 0xab3f6a82aa070c7eull;
+  } else if (table == "avx2") {
+    want = 0x46467fd7b3af4559ull;
+  } else {
+    GTEST_SKIP() << "no FacadeStepBf16 hash recorded for the " << table
+                 << " table";
+  }
+  EXPECT_EQ(facade_step_hash(scheme_bf16()), want);
 }
 
-TEST_F(GoldenBits, FacadeStepMxOpalLog2) {
+TEST_P(GoldenBits, FacadeStepMxOpalLog2) {
   EXPECT_EQ(facade_step_hash(scheme_mx_opal(4, 4, 7, true)),
             kFacadeMxOpalHash);
 }
 
-TEST_F(GoldenBits, FacadeKeepsFp32KvWhateverKvMode) {
+TEST_P(GoldenBits, FacadeKeepsFp32KvWhateverKvMode) {
   // kv_mode lays out the serving pools only; the facade's own KV is fp32.
   EngineConfig ecfg = scheme_mx_opal(4, 4, 7, true);
   ecfg.kv_mode = KvQuantMode::kInt8;
   EXPECT_EQ(facade_step_hash(ecfg), kFacadeMxOpalHash);
 }
 
-TEST_F(GoldenBits, FacadeGenerateTopP) {
+TEST_P(GoldenBits, FacadeGenerateTopP) {
   InferenceEngine engine(std::make_shared<const PreparedModel>(
       golden_model(), facade_config(scheme_mx_opal(4, 4, 7, true))));
   SamplingParams params;
@@ -176,7 +197,7 @@ TEST_F(GoldenBits, FacadeGenerateTopP) {
   EXPECT_EQ(h, 0xb59e95d1d6e36320ull);
 }
 
-TEST_F(GoldenBits, ModelDrafterSpecAccepted) {
+TEST_P(GoldenBits, ModelDrafterSpecAccepted) {
   // A bf16 drafter proposing for the MX-OPAL target: acceptance depends on
   // every logit the drafter's private state produces.
   const auto target = std::make_shared<const PreparedModel>(

@@ -12,6 +12,9 @@
 //    kernels over PagedKvCache::gather()'s floats as one contiguous
 //    segment, within each table, across scale growth and mid-block
 //    rescales;
+//  * blocking never changes a row's bits: a multi-row call of any dot- or
+//    accumulate-shaped kernel is BITWISE equal to one single-row call per
+//    row, within each table;
 //  * the in-register log2/int8 decodes match KvBlockPool's scalar decode
 //    exactly for every byte value;
 //  * end-to-end: ServingEngine token streams agree between SIMD and
@@ -22,7 +25,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "eval/schemes.h"
@@ -134,17 +139,22 @@ TEST(KernelsSimd, MatvecMatchesScalar) {
   const KernelOps* simd = simd_kernels();
   if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
   const KernelOps& ref = scalar_kernels();
-  for (const std::size_t cols : {3u, 8u, 17u, 33u}) {
-    for (const std::size_t rows : {1u, 5u, 16u}) {
-      const auto w = rand_vec(rows * cols);
-      const auto x = rand_vec(cols);
-      std::vector<float> y_simd(rows), y_ref(rows);
-      simd->matvec(w.data(), rows, cols, x.data(), y_simd.data());
-      ref.matvec(w.data(), rows, cols, x.data(), y_ref.data());
-      for (std::size_t r = 0; r < rows; ++r) {
-        expect_near_rel(y_simd[r], y_ref[r], "matvec", cols);
-      }
+  const auto check = [&](std::size_t rows, std::size_t cols) {
+    const auto w = rand_vec(rows * cols);
+    const auto x = rand_vec(cols);
+    std::vector<float> y_simd(rows), y_ref(rows);
+    simd->matvec(w.data(), rows, cols, x.data(), y_simd.data());
+    ref.matvec(w.data(), rows, cols, x.data(), y_ref.data());
+    for (std::size_t r = 0; r < rows; ++r) {
+      expect_near_rel(y_simd[r], y_ref[r], "matvec", cols);
     }
+  };
+  for (const std::size_t cols : {3u, 8u, 17u, 33u}) {
+    for (const std::size_t rows : {1u, 5u, 16u}) check(rows, cols);
+  }
+  // Served widths: whole row blocks, a row remainder, and a column tail.
+  for (const std::size_t cols : {128u, 130u}) {
+    for (const std::size_t rows : {4u, 7u, 128u}) check(rows, cols);
   }
 }
 
@@ -347,6 +357,125 @@ TEST(KernelsFused, BlockSegmentsEqualGatheredSegmentBitwise) {
       }
     }
   }
+}
+
+// --- multi-row == one row per call, bitwise, per table ----------------------
+
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+void check_blocking_bitwise(const KernelOps& ops) {
+  // Row counts cover whole row blocks, every remainder and both at once;
+  // widths cover the 8-wide body, the scalar tail and register-held column
+  // blocks with and without leftover columns.
+  const float s = 0.004f;
+  const int exponent = -2;
+  for (const std::size_t n : {1u, 3u, 8u, 17u, 20u, 63u, 64u, 65u, 128u, 130u,
+                              136u, 200u}) {
+    for (const std::size_t rows :
+         {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u, 17u}) {
+      const std::size_t stride = n + 3;
+      const std::string shape = std::string(ops.name) + " rows=" +
+                                std::to_string(rows) +
+                                " n=" + std::to_string(n);
+      auto x = rand_vec(n);
+      auto dense = rand_vec(rows * n);
+      auto m = rand_vec(rows * stride);
+      auto k8 = rand_codes(rows * stride, false);
+      auto klg = rand_codes(rows * stride, true);
+      const auto w = rand_vec(rows);
+      // Exact double products rarely round a dot's float, so plant a pair
+      // that does: x[0] = x[1] = 2^40 and each row's column 1 negates its
+      // column 0. The pair cancels exactly, but only after the other
+      // products have rounded against it, so any change to a row's
+      // accumulation order shows in its bits.
+      if (n >= 2) {
+        x[0] = x[1] = 0x1p40f;
+        for (std::size_t r = 0; r < rows; ++r) {
+          dense[r * n + 1] = -dense[r * n];
+          m[r * stride + 1] = -m[r * stride];
+          k8[r * stride + 1] = static_cast<std::int8_t>(-k8[r * stride]);
+          klg[r * stride + 1] = static_cast<std::int8_t>(
+              static_cast<std::uint8_t>(klg[r * stride]) ^ kKvLog2SignBit);
+        }
+      }
+      std::vector<float> got(rows), want(rows);
+
+      ops.matvec(dense.data(), rows, n, x.data(), got.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ops.matvec(dense.data() + r * n, 1, n, x.data(), &want[r]);
+      }
+      expect_same_bits(got, want, "matvec " + shape);
+
+      ops.attend_scores(x.data(), m.data(), rows, stride, n, 0.3f, got.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ops.attend_scores(x.data(), m.data() + r * stride, 1, stride, n, 0.3f,
+                          &want[r]);
+      }
+      expect_same_bits(got, want, "attend_scores " + shape);
+
+      ops.dequant_scores_int8(x.data(), k8.data(), rows, stride, n, s, 0.3f,
+                              got.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ops.dequant_scores_int8(x.data(), k8.data() + r * stride, 1, stride, n,
+                                s, 0.3f, &want[r]);
+      }
+      expect_same_bits(got, want, "dequant_scores_int8 " + shape);
+
+      ops.dequant_scores_log2(x.data(), klg.data(), rows, stride, n, exponent,
+                              0.3f, got.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ops.dequant_scores_log2(x.data(), klg.data() + r * stride, 1, stride,
+                                n, exponent, 0.3f, &want[r]);
+      }
+      expect_same_bits(got, want, "dequant_scores_log2 " + shape);
+
+      // Accumulations start from a nonzero z, as a later KV segment does.
+      const auto z0 = rand_vec(n);
+      auto z_got = z0, z_want = z0;
+      ops.attend_accum(w.data(), m.data(), rows, stride, n, z_got.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ops.attend_accum(w.data() + r, m.data() + r * stride, 1, stride, n,
+                         z_want.data());
+      }
+      expect_same_bits(z_got, z_want, "attend_accum " + shape);
+
+      z_got = z0;
+      z_want = z0;
+      ops.dequant_accum_int8(w.data(), k8.data(), rows, stride, n, s,
+                             z_got.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ops.dequant_accum_int8(w.data() + r, k8.data() + r * stride, 1, stride,
+                               n, s, z_want.data());
+      }
+      expect_same_bits(z_got, z_want, "dequant_accum_int8 " + shape);
+
+      z_got = z0;
+      z_want = z0;
+      ops.dequant_accum_log2(w.data(), klg.data(), rows, stride, n, exponent,
+                             z_got.data());
+      for (std::size_t r = 0; r < rows; ++r) {
+        ops.dequant_accum_log2(w.data() + r, klg.data() + r * stride, 1,
+                               stride, n, exponent, z_want.data());
+      }
+      expect_same_bits(z_got, z_want, "dequant_accum_log2 " + shape);
+    }
+  }
+}
+
+TEST(KernelsBlocked, ScalarRowsEqualOneRowCallsBitwise) {
+  check_blocking_bitwise(scalar_kernels());
+}
+
+TEST(KernelsBlocked, SimdRowsEqualOneRowCallsBitwise) {
+  const KernelOps* simd = simd_kernels();
+  if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
+  check_blocking_bitwise(*simd);
 }
 
 // --- in-register decodes vs the scalar decode, every byte value -------------

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "accel/replay.h"
@@ -100,8 +101,9 @@ TEST(Registry, HandlesAreStableAndNamed) {
   Histogram& h = reg.histogram("h");
   // Registering more metrics must not move earlier handles.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i));
-    reg.histogram("h" + std::to_string(i));
+    const std::string n = std::to_string(i);
+    reg.counter("c" + n);
+    reg.histogram("h" + n);
   }
   EXPECT_EQ(&reg.counter("a"), &a);
   EXPECT_EQ(&reg.gauge("g"), &g);
