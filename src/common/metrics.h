@@ -3,9 +3,12 @@
 //
 // This is the wall-clock side of the stack's observability layer (the
 // structured event tracer is common/trace.h). ServingEngine owns one
-// MetricsRegistry per engine; the subsystems it composes — Scheduler,
-// Drafter, PrefixCache, KvBlockPool — bind into the same registry
-// (bind_metrics on each), so one snapshot covers the whole serving stack.
+// MetricsRegistry per engine for its own event counters and latency
+// histograms. The subsystems it composes — Scheduler, KvBlockPool,
+// PrefixCache — keep their counts as plain members and hold no registry
+// handle; ServingEngine::metrics() appends those counts to the registry's
+// snapshot, so one snapshot covers the whole serving stack and every event
+// is counted in exactly one place.
 //
 // Contract:
 //   * Metric objects are registered once by name and live as long as the
@@ -20,10 +23,12 @@
 //   * Metrics never feed back into control flow, so an instrumented run is
 //     bitwise identical to an uninstrumented one (asserted in
 //     tests/test_observability.cpp).
-//   * Counters count deterministic engine events (tokens, steps,
-//     preemptions, ...) and exactly mirror the corresponding
-//     ServingEngine::Stats fields; histograms hold wall-clock measurements
-//     (milliseconds by convention — names end in "_ms").
+//   * Counters count deterministic engine events (tokens, preemptions,
+//     ...) and exactly mirror the corresponding ServingEngine::Stats
+//     fields; histograms hold wall-clock measurements (milliseconds by
+//     convention — names end in "_ms").
+//   * A Snapshot is plain data: a producer may append values it counted
+//     elsewhere (ServingEngine::metrics() does) before exporting it.
 //
 // Histogram quantiles are extracted from the fixed buckets by linear
 // interpolation within the bucket that crosses the requested rank, clamped

@@ -9,12 +9,6 @@
 
 namespace opal {
 
-void Drafter::bind_metrics(MetricsRegistry& registry) {
-  m_calls_ = &registry.counter("drafter.calls");
-  m_proposed_ = &registry.counter("drafter.proposed");
-  m_accepted_ = &registry.counter("drafter.accepted");
-}
-
 std::string to_string(DraftPolicy policy) {
   switch (policy) {
     case DraftPolicy::kNone:
@@ -43,11 +37,7 @@ NgramDrafter::NgramDrafter(std::size_t ngram_max, std::size_t ngram_min)
 void NgramDrafter::draft(std::span<const std::size_t> tokens,
                          std::size_t max_tokens,
                          std::vector<std::size_t>& out) {
-  const std::size_t base = out.size();
-  if (max_tokens == 0 || tokens.size() < 2) {
-    note_draft(0);
-    return;
-  }
+  if (max_tokens == 0 || tokens.size() < 2) return;
   const std::size_t len = tokens.size();
   for (std::size_t n = std::min(ngram_max_, len - 1); n >= ngram_min_; --n) {
     const auto suffix = tokens.last(n);
@@ -62,11 +52,9 @@ void NgramDrafter::draft(std::span<const std::size_t> tokens,
       const std::size_t take = std::min(max_tokens, len - cont);
       out.insert(out.end(), tokens.begin() + cont,
                  tokens.begin() + cont + take);
-      note_draft(out.size() - base);
       return;
     }
   }
-  note_draft(0);
 }
 
 // --- RepeatDrafter ---
@@ -75,7 +63,6 @@ void RepeatDrafter::draft(std::span<const std::size_t> tokens,
                           std::size_t max_tokens,
                           std::vector<std::size_t>& out) {
   if (!tokens.empty()) out.insert(out.end(), max_tokens, tokens.back());
-  note_draft(tokens.empty() ? 0 : max_tokens);
 }
 
 // --- ModelDrafter ---
@@ -96,14 +83,6 @@ std::size_t ModelDrafter::argmax_logits() const {
 void ModelDrafter::draft(std::span<const std::size_t> tokens,
                          std::size_t max_tokens,
                          std::vector<std::size_t>& out) {
-  const std::size_t base = out.size();
-  // note_draft at every exit, including the early-outs inside the loops.
-  struct NoteOnExit {
-    ModelDrafter* self;
-    const std::vector<std::size_t>* out;
-    std::size_t base;
-    ~NoteOnExit() { self->note_draft(out->size() - base); }
-  } note{this, &out, base};
   if (max_tokens == 0 || tokens.empty()) return;
   if (!state_) {
     state_ = std::make_unique<SequenceState>(model_->make_sequence());

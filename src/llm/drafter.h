@@ -57,8 +57,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
-
 namespace opal {
 
 class PreparedModel;
@@ -77,47 +75,12 @@ class Drafter {
   /// is the still-unfed frontier token the proposals would follow).
   /// Appends the proposals to `out` (cleared by the caller). Proposing
   /// fewer tokens (or none) shrinks (or skips) the burst; it never changes
-  /// the generated stream.
+  /// the generated stream. ServingEngine counts every call and the tokens
+  /// it appended (drafter.calls / drafter.proposed), so drafters keep no
+  /// counts of their own.
   virtual void draft(std::span<const std::size_t> tokens,
                      std::size_t max_tokens,
                      std::vector<std::size_t>& out) = 0;
-
-  /// Verification feedback: of the last proposals for this request,
-  /// `accepted` were committed. `tokens` is the stream after the burst.
-  /// Stateful drafters (ModelDrafter) use it to resync; an override should
-  /// also call note_accept(accepted) to keep the drafter.accepted counter
-  /// truthful.
-  virtual void observe(std::span<const std::size_t> tokens,
-                       std::size_t accepted) {
-    (void)tokens;
-    note_accept(accepted);
-  }
-
-  /// Registers the shared drafter counters (drafter.calls / proposed /
-  /// accepted) in `registry`. Drafters are per-request objects; every
-  /// drafter of one engine binds the same three counters, so they aggregate
-  /// across requests. The built-in policies report through the protected
-  /// note_* helpers (no-ops until bound); ServingEngine binds each
-  /// request's drafter at submit().
-  void bind_metrics(MetricsRegistry& registry);
-
- protected:
-  /// One draft() invocation proposing `proposed` tokens.
-  void note_draft(std::size_t proposed) {
-    if (m_calls_ != nullptr) {
-      m_calls_->add();
-      m_proposed_->add(proposed);
-    }
-  }
-  /// `accepted` of the last proposals were committed.
-  void note_accept(std::size_t accepted) {
-    if (m_accepted_ != nullptr) m_accepted_->add(accepted);
-  }
-
- private:
-  Counter* m_calls_ = nullptr;
-  Counter* m_proposed_ = nullptr;
-  Counter* m_accepted_ = nullptr;
 };
 
 /// Which drafter make_drafter() builds.

@@ -85,24 +85,27 @@ void InferenceEngine::reset() { state_.reset(); }
 
 namespace {
 
-class CalibrationRecorder final : public ActivationRecorder {
+/// Accumulates each recorded site into the matching field of one layer's
+/// entry in a CalibrationSet or a HessianSet (same fields, same sites).
+template <typename Set>
+class SetRecorder final : public ActivationRecorder {
  public:
-  explicit CalibrationRecorder(CalibrationSet& set) : set_(&set) {}
+  explicit SetRecorder(Set& set) : set_(&set) {}
   void record(std::size_t layer, RecordSite site,
               std::span<const float> values) override {
-    auto& cal = (*set_)[layer];
+    auto& entry = (*set_)[layer];
     switch (site) {
       case RecordSite::kAttnIn:
-        cal.attn_in.accumulate(values);
+        entry.attn_in.accumulate(values);
         break;
       case RecordSite::kProjIn:
-        cal.proj_in.accumulate(values);
+        entry.proj_in.accumulate(values);
         break;
       case RecordSite::kFc1In:
-        cal.fc1_in.accumulate(values);
+        entry.fc1_in.accumulate(values);
         break;
       case RecordSite::kFc2In:
-        cal.fc2_in.accumulate(values);
+        entry.fc2_in.accumulate(values);
         break;
       default:
         break;
@@ -110,35 +113,7 @@ class CalibrationRecorder final : public ActivationRecorder {
   }
 
  private:
-  CalibrationSet* set_;
-};
-
-class HessianRecorder final : public ActivationRecorder {
- public:
-  explicit HessianRecorder(HessianSet& set) : set_(&set) {}
-  void record(std::size_t layer, RecordSite site,
-              std::span<const float> values) override {
-    auto& hess = (*set_)[layer];
-    switch (site) {
-      case RecordSite::kAttnIn:
-        hess.attn_in.accumulate(values);
-        break;
-      case RecordSite::kProjIn:
-        hess.proj_in.accumulate(values);
-        break;
-      case RecordSite::kFc1In:
-        hess.fc1_in.accumulate(values);
-        break;
-      case RecordSite::kFc2In:
-        hess.fc2_in.accumulate(values);
-        break;
-      default:
-        break;
-    }
-  }
-
- private:
-  HessianSet* set_;
+  Set* set_;
 };
 
 /// Greedy-free token stream: samples from the model's own softmax so the
@@ -161,13 +136,13 @@ std::size_t sample_token(std::span<const float> logits, Rng& rng) {
   return probs.size() - 1;
 }
 
-}  // namespace
-
-HessianSet calibrate_model_hessians(const SyntheticModel& model,
-                                    std::size_t n_tokens,
-                                    std::uint64_t seed) {
+/// Runs the BF16 model over `n_tokens` self-sampled tokens and records the
+/// activations at every quantized site into a fresh `Set`.
+template <typename Set>
+Set record_activations(const SyntheticModel& model, std::size_t n_tokens,
+                       std::uint64_t seed) {
   const auto& cfg = model.config();
-  HessianSet set;
+  Set set;
   set.reserve(cfg.n_layers);
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
     set.emplace_back(cfg.d_model, cfg.d_ffn);
@@ -175,7 +150,7 @@ HessianSet calibrate_model_hessians(const SyntheticModel& model,
   EngineConfig bf16;
   bf16.max_seq_len = n_tokens + 1;
   InferenceEngine engine(model, bf16);
-  HessianRecorder recorder(set);
+  SetRecorder<Set> recorder(set);
   engine.set_recorder(&recorder);
   Rng rng = make_rng(seed);
   std::size_t token = 0;
@@ -186,28 +161,17 @@ HessianSet calibrate_model_hessians(const SyntheticModel& model,
   return set;
 }
 
+}  // namespace
+
+HessianSet calibrate_model_hessians(const SyntheticModel& model,
+                                    std::size_t n_tokens,
+                                    std::uint64_t seed) {
+  return record_activations<HessianSet>(model, n_tokens, seed);
+}
+
 CalibrationSet calibrate_model(const SyntheticModel& model,
                                std::size_t n_tokens, std::uint64_t seed) {
-  const auto& cfg = model.config();
-  CalibrationSet set;
-  set.reserve(cfg.n_layers);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    set.emplace_back(cfg.d_model, cfg.d_ffn);
-  }
-
-  EngineConfig bf16;
-  bf16.max_seq_len = n_tokens + 1;
-  InferenceEngine engine(model, bf16);
-  CalibrationRecorder recorder(set);
-  engine.set_recorder(&recorder);
-
-  Rng rng = make_rng(seed);
-  std::size_t token = 0;
-  for (std::size_t t = 0; t < n_tokens; ++t) {
-    const auto logits = engine.step(token);
-    token = sample_token(logits, rng);
-  }
-  return set;
+  return record_activations<CalibrationSet>(model, n_tokens, seed);
 }
 
 void calibrate_logit_scale(SyntheticModel& model, std::size_t n_tokens,

@@ -90,10 +90,7 @@ KvBlockPool::BlockId KvBlockPool::allocate() {
   scales_[id] = 0.0f;
   fill_[id] = 0;
   peak_in_use_ = std::max(peak_in_use_, blocks_in_use());
-  if (m_allocations_ != nullptr) {
-    m_allocations_->add();
-    m_blocks_in_use_->set(static_cast<double>(blocks_in_use()));
-  }
+  ++counts_.allocations;
   return id;
 }
 
@@ -107,10 +104,7 @@ void KvBlockPool::free(BlockId id) {
     require(cached_[id] == 0,
             "KvBlockPool::free: cached block lost its cache reference");
     free_list_.push_back(id);
-    if (m_frees_ != nullptr) {
-      m_frees_->add();
-      m_blocks_in_use_->set(static_cast<double>(blocks_in_use()));
-    }
+    ++counts_.frees;
   } else if (refs_[id] == 1 && cached_[id] != 0) {
     ++reclaimable_;  // only the prefix cache still holds it
   }
@@ -141,7 +135,7 @@ KvBlockPool::BlockId KvBlockPool::clone_rows(BlockId src, std::size_t n_rows) {
   }
   scales_[id] = scales_[src];
   fill_[id] = n_rows;
-  if (m_cow_clones_ != nullptr) m_cow_clones_->add();
+  ++counts_.cow_clones;
   return id;
 }
 
@@ -370,33 +364,13 @@ void KvBlockPool::unregister_reclaimer(const void* owner) {
 std::size_t KvBlockPool::request_reclaim(std::size_t min_blocks,
                                          const void* skip) {
   std::size_t freed = 0;
-  if (m_reclaim_requests_ != nullptr) m_reclaim_requests_->add();
+  ++counts_.reclaim_requests;
   for (const auto& [owner, reclaim] : reclaimers_) {
     if (freed >= min_blocks) break;
     if (owner == skip) continue;
     freed += reclaim(min_blocks - freed);
   }
   return freed;
-}
-
-void KvBlockPool::unbind_metrics(const MetricsRegistry& registry) {
-  if (m_registry_ != &registry) return;
-  m_registry_ = nullptr;
-  m_allocations_ = nullptr;
-  m_frees_ = nullptr;
-  m_cow_clones_ = nullptr;
-  m_reclaim_requests_ = nullptr;
-  m_blocks_in_use_ = nullptr;
-}
-
-void KvBlockPool::bind_metrics(MetricsRegistry& registry) {
-  m_registry_ = &registry;
-  m_allocations_ = &registry.counter("kv_pool.allocations");
-  m_frees_ = &registry.counter("kv_pool.frees");
-  m_cow_clones_ = &registry.counter("kv_pool.cow_clones");
-  m_reclaim_requests_ = &registry.counter("kv_pool.reclaim_requests");
-  m_blocks_in_use_ = &registry.gauge("kv_pool.blocks_in_use");
-  m_blocks_in_use_->set(static_cast<double>(blocks_in_use()));
 }
 
 float KvBlockPool::block_scale(BlockId id) const {

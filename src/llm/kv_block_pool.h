@@ -51,8 +51,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/metrics.h"
-
 namespace opal {
 
 enum class KvQuantMode : std::uint8_t { kFp32, kInt8, kLog2 };
@@ -214,18 +212,17 @@ class KvBlockPool {
   std::size_t request_reclaim(std::size_t min_blocks,
                               const void* skip = nullptr);
 
-  /// Registers the pool's counters (kv_pool.allocations / frees /
-  /// cow_clones / reclaim_requests) and the kv_pool.blocks_in_use gauge in
-  /// `registry` and updates them from here on (no back-fill of earlier
-  /// activity). A pool shared between engines keeps ONE binding — the last
-  /// bind_metrics call wins, so pool traffic from every sharer lands in
-  /// that registry.
-  void bind_metrics(MetricsRegistry& registry);
-  /// Clears the binding when `registry` is the currently bound one — a
-  /// no-op otherwise, so an engine unbinding on destruction never severs a
-  /// sibling that bound later. Keeps a shared pool from holding pointers
-  /// into a dead registry.
-  void unbind_metrics(const MetricsRegistry& registry);
+  /// Lifetime event counts, published by ServingEngine::metrics() as
+  /// kv_pool.allocations / frees / cow_clones / reclaim_requests (next to
+  /// the kv_pool.blocks_in_use gauge, read from blocks_in_use()). A pool
+  /// shared between engines counts the traffic of every sharer.
+  struct Counts {
+    std::uint64_t allocations = 0;       // allocate(), clone_rows included
+    std::uint64_t frees = 0;             // blocks returned to the free list
+    std::uint64_t cow_clones = 0;        // clone_rows()
+    std::uint64_t reclaim_requests = 0;  // request_reclaim()
+  };
+  [[nodiscard]] const Counts& counts() const { return counts_; }
 
  private:
   void check_block(BlockId id, const char* what) const;
@@ -245,13 +242,7 @@ class KvBlockPool {
   std::vector<std::pair<const void*, CacheReclaimer>> reclaimers_;
   std::size_t reclaimable_ = 0;        // cached && refcount == 1
   std::size_t peak_in_use_ = 0;
-  // Optional bound metrics (see bind_metrics); null until bound.
-  const MetricsRegistry* m_registry_ = nullptr;
-  Counter* m_allocations_ = nullptr;
-  Counter* m_frees_ = nullptr;
-  Counter* m_cow_clones_ = nullptr;
-  Counter* m_reclaim_requests_ = nullptr;
-  Gauge* m_blocks_in_use_ = nullptr;
+  Counts counts_;
 };
 
 /// One block column: the K and V block of every layer covering one

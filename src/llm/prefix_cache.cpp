@@ -30,8 +30,7 @@ PrefixCache::~PrefixCache() {
 
 PrefixCache::Match PrefixCache::lookup(std::span<const std::size_t> tokens,
                                        std::size_t max_positions) {
-  ++stat_lookups_;
-  if (m_lookups_ != nullptr) m_lookups_->add();
+  ++stats_.lookups;
   ++clock_;
   const std::size_t bs = pool_->block_size();
   const std::size_t max_cols = std::min(tokens.size(), max_positions) / bs;
@@ -49,12 +48,8 @@ PrefixCache::Match PrefixCache::lookup(std::span<const std::size_t> tokens,
     match.positions += bs;
   }
   if (match.positions > 0) {
-    ++stat_hits_;
-    stat_hit_positions_ += match.positions;
-    if (m_hits_ != nullptr) {
-      m_hits_->add();
-      m_hit_positions_->add(match.positions);
-    }
+    ++stats_.hits;
+    stats_.hit_positions += match.positions;
   }
   return match;
 }
@@ -91,15 +86,14 @@ std::size_t PrefixCache::insert(std::span<const std::size_t> tokens,
       pool_->pin_cached(child->column.k[l]);
       pool_->pin_cached(child->column.v[l]);
     }
-    cached_blocks_ += 2 * n_layers_;
-    ++node_count_;
+    stats_.cached_blocks += 2 * n_layers_;
+    ++stats_.nodes;
     ++new_columns;
     Node* next = child.get();
     node->children.emplace(std::move(key), std::move(child));
     node = next;
   }
-  stat_inserted_columns_ += new_columns;
-  if (m_inserted_columns_ != nullptr) m_inserted_columns_->add(new_columns);
+  stats_.inserted_columns += new_columns;
   return new_columns;
 }
 
@@ -141,8 +135,8 @@ std::size_t PrefixCache::reclaim(std::size_t min_blocks) {
         pool_->release_cached(victim->column.v[l]);
       }
       freed += 2 * n_layers_;
-      cached_blocks_ -= 2 * n_layers_;
-      --node_count_;
+      stats_.cached_blocks -= 2 * n_layers_;
+      --stats_.nodes;
       Node* parent = victim->parent;
       for (auto it = parent->children.begin(); it != parent->children.end();
            ++it) {
@@ -153,29 +147,8 @@ std::size_t PrefixCache::reclaim(std::size_t min_blocks) {
       }
     }
   }
-  stat_reclaimed_blocks_ += freed;
-  if (m_reclaimed_blocks_ != nullptr) m_reclaimed_blocks_->add(freed);
+  stats_.reclaimed_blocks += freed;
   return freed;
-}
-
-void PrefixCache::bind_metrics(MetricsRegistry& registry) {
-  m_lookups_ = &registry.counter("prefix_cache.lookups");
-  m_hits_ = &registry.counter("prefix_cache.hits");
-  m_hit_positions_ = &registry.counter("prefix_cache.hit_positions");
-  m_inserted_columns_ = &registry.counter("prefix_cache.inserted_columns");
-  m_reclaimed_blocks_ = &registry.counter("prefix_cache.reclaimed_blocks");
-}
-
-PrefixCache::Stats PrefixCache::stats() const {
-  Stats s;
-  s.lookups = stat_lookups_;
-  s.hits = stat_hits_;
-  s.hit_positions = stat_hit_positions_;
-  s.inserted_columns = stat_inserted_columns_;
-  s.reclaimed_blocks = stat_reclaimed_blocks_;
-  s.cached_blocks = cached_blocks_;
-  s.nodes = node_count_;
-  return s;
 }
 
 }  // namespace opal

@@ -44,7 +44,6 @@
 #include <span>
 #include <vector>
 
-#include "common/metrics.h"
 #include "llm/kv_block_pool.h"
 #include "llm/paged_kv_cache.h"
 
@@ -90,7 +89,9 @@ class PrefixCache {
   void clear() { reclaim(static_cast<std::size_t>(-1)); }
 
   /// Pool blocks currently pinned by the cache.
-  [[nodiscard]] std::size_t cached_blocks() const { return cached_blocks_; }
+  [[nodiscard]] std::size_t cached_blocks() const {
+    return stats_.cached_blocks;
+  }
 
   struct Stats {
     std::size_t lookups = 0;
@@ -101,14 +102,10 @@ class PrefixCache {
     std::size_t cached_blocks = 0;  // current
     std::size_t nodes = 0;          // current
   };
-  [[nodiscard]] Stats stats() const;
-
-  /// Registers the cache's counters in `registry` (prefix_cache.lookups /
-  /// hits / hit_positions / inserted_columns / reclaimed_blocks) and
-  /// increments them alongside the Stats fields from here on. Counts
-  /// accumulated before binding are not back-filled. ServingEngine binds
-  /// its cache into the engine registry at construction.
-  void bind_metrics(MetricsRegistry& registry);
+  /// The cache's only record of its traffic. ServingEngine::metrics()
+  /// publishes the cumulative fields as prefix_cache.lookups / hits /
+  /// hit_positions / inserted_columns / reclaimed_blocks.
+  [[nodiscard]] Stats stats() const { return stats_; }
 
  private:
   struct Node {
@@ -126,19 +123,7 @@ class PrefixCache {
   std::size_t n_layers_;
   std::unique_ptr<Node> root_;
   std::uint64_t clock_ = 0;
-  std::size_t cached_blocks_ = 0;
-  std::size_t node_count_ = 0;
-  std::size_t stat_lookups_ = 0;
-  std::size_t stat_hits_ = 0;
-  std::size_t stat_hit_positions_ = 0;
-  std::size_t stat_inserted_columns_ = 0;
-  std::size_t stat_reclaimed_blocks_ = 0;
-  // Optional bound metrics (see bind_metrics); null until bound.
-  Counter* m_lookups_ = nullptr;
-  Counter* m_hits_ = nullptr;
-  Counter* m_hit_positions_ = nullptr;
-  Counter* m_inserted_columns_ = nullptr;
-  Counter* m_reclaimed_blocks_ = nullptr;
+  Stats stats_;
 };
 
 }  // namespace opal

@@ -6,42 +6,25 @@
 
 namespace opal {
 
-void Scheduler::bind_metrics(MetricsRegistry& registry) {
-  m_registry_ = &registry;
-  m_admission_picks_ = &registry.counter("scheduler.admission_picks");
-  m_blocked_picks_ = &registry.counter("scheduler.blocked_picks");
-  m_victim_picks_ = &registry.counter("scheduler.victim_picks");
-  m_budget_plans_ = &registry.counter("scheduler.budget_plans");
-}
-
-void Scheduler::unbind_metrics(const MetricsRegistry& registry) {
-  if (m_registry_ != &registry) return;
-  m_registry_ = nullptr;
-  m_admission_picks_ = nullptr;
-  m_blocked_picks_ = nullptr;
-  m_victim_picks_ = nullptr;
-  m_budget_plans_ = nullptr;
-}
-
 // --- FifoScheduler ---
 
 std::size_t FifoScheduler::pick_admission(
     std::span<const SchedRequest> queued) {
   if (queued.empty()) return kNone;
-  note_admission_pick();
+  ++counts_.admission_picks;
   return 0;
 }
 
 void FifoScheduler::plan_budgets(std::span<const SchedRequest> running,
                                  std::span<std::size_t> budgets,
                                  std::size_t max_chunk) {
-  if (!running.empty()) note_budget_plan();
+  if (!running.empty()) ++counts_.budget_plans;
   for (auto& b : budgets) b = max_chunk;
 }
 
 std::size_t FifoScheduler::pick_victim(
     std::span<const SchedRequest> running) {
-  note_victim_pick();
+  ++counts_.victim_picks;
   // Youngest first: admissions append, so the last slot is the newest — the
   // engine's historical hardcode.
   return running.size() - 1;
@@ -57,7 +40,7 @@ std::size_t PriorityScheduler::pick_admission(
     // Strictly higher priority wins; FIFO (lower index) within a level.
     if (queued[i].priority > queued[best].priority) best = i;
   }
-  note_admission_pick();
+  ++counts_.admission_picks;
   return best;
 }
 
@@ -72,7 +55,7 @@ std::size_t PriorityScheduler::pick_admission_blocked(
     if (std::binary_search(blocked.begin(), blocked.end(), i)) continue;
     if (best == kNone || queued[i].priority > queued[best].priority) best = i;
   }
-  if (best != kNone) note_blocked_pick();
+  if (best != kNone) ++counts_.blocked_picks;
   return best;
 }
 
@@ -80,7 +63,7 @@ void PriorityScheduler::plan_budgets(std::span<const SchedRequest> running,
                                      std::span<std::size_t> budgets,
                                      std::size_t max_chunk) {
   if (running.empty()) return;
-  note_budget_plan();
+  ++counts_.budget_plans;
   int top = running[0].priority;
   for (const auto& seq : running) top = std::max(top, seq.priority);
   // Only the most urgent class present prefills at full chunk width; lower
@@ -94,7 +77,7 @@ void PriorityScheduler::plan_budgets(std::span<const SchedRequest> running,
 
 std::size_t PriorityScheduler::pick_victim(
     std::span<const SchedRequest> running) {
-  note_victim_pick();
+  ++counts_.victim_picks;
   std::size_t victim = 0;
   for (std::size_t i = 1; i < running.size(); ++i) {
     // Lowest priority first; youngest (highest index) within a level.
@@ -118,7 +101,7 @@ std::size_t FairShareScheduler::pick_admission(
   // the only order that gives every request a bounded wait unconditionally.
   // The sharing happens in plan_budgets, between requests already running.
   if (queued.empty()) return kNone;
-  note_admission_pick();
+  ++counts_.admission_picks;
   return 0;
 }
 
@@ -129,7 +112,7 @@ std::size_t FairShareScheduler::pick_admission_blocked(
   // actually start. The blocked ones stay first in line for later steps.
   for (std::size_t i = 0; i < queued.size(); ++i) {
     if (!std::binary_search(blocked.begin(), blocked.end(), i)) {
-      note_blocked_pick();
+      ++counts_.blocked_picks;
       return i;
     }
   }
@@ -139,7 +122,7 @@ std::size_t FairShareScheduler::pick_admission_blocked(
 void FairShareScheduler::plan_budgets(std::span<const SchedRequest> running,
                                       std::span<std::size_t> budgets,
                                       std::size_t max_chunk) {
-  if (!running.empty()) note_budget_plan();
+  if (!running.empty()) ++counts_.budget_plans;
   const std::size_t quantum =
       config_.quantum != 0 ? config_.quantum : max_chunk;
   const long long cap = static_cast<long long>(quantum) *
@@ -158,7 +141,7 @@ void FairShareScheduler::plan_budgets(std::span<const SchedRequest> running,
 
 std::size_t FairShareScheduler::pick_victim(
     std::span<const SchedRequest> running) {
-  note_victim_pick();
+  ++counts_.victim_picks;
   std::size_t victim = 0;
   for (std::size_t i = 1; i < running.size(); ++i) {
     // Most-served first — it has had the largest share of the engine; ties

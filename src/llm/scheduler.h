@@ -74,8 +74,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "common/metrics.h"
-
 namespace opal {
 
 using RequestId = std::uint64_t;
@@ -142,41 +140,21 @@ class Scheduler {
   /// `id` retired (finished or evicted) — drop any per-request state.
   virtual void on_retired(RequestId id) { (void)id; }
 
-  /// Registers the scheduler's decision counters in `registry`
-  /// (scheduler.admission_picks / blocked_picks / victim_picks /
-  /// budget_plans) and counts from here on. The built-in policies report
-  /// through the protected note_* helpers below; custom schedulers may call
-  /// them too (they are no-ops until bound). ServingEngine binds its
-  /// scheduler at construction.
-  void bind_metrics(MetricsRegistry& registry);
-  /// Clears the binding when `registry` is the currently bound one (no-op
-  /// otherwise) — engines unbind a shared scheduler on destruction so it
-  /// never keeps pointers into a dead registry.
-  void unbind_metrics(const MetricsRegistry& registry);
+  /// Lifetime decision counts, published by ServingEngine::metrics() as
+  /// scheduler.admission_picks / blocked_picks / victim_picks /
+  /// budget_plans. A scheduler shared between engines counts the decisions
+  /// it made for every sharer.
+  struct Counts {
+    std::uint64_t admission_picks = 0;  // pick_admission chose a candidate
+    std::uint64_t blocked_picks = 0;    // pick_admission_blocked chose one
+    std::uint64_t victim_picks = 0;     // pick_victim chose a victim
+    std::uint64_t budget_plans = 0;     // plan_budgets ran for a batch
+  };
+  [[nodiscard]] const Counts& counts() const { return counts_; }
 
  protected:
-  /// pick_admission / pick_admission_blocked returned a candidate.
-  void note_admission_pick() {
-    if (m_admission_picks_ != nullptr) m_admission_picks_->add();
-  }
-  void note_blocked_pick() {
-    if (m_blocked_picks_ != nullptr) m_blocked_picks_->add();
-  }
-  /// pick_victim chose a preemption victim.
-  void note_victim_pick() {
-    if (m_victim_picks_ != nullptr) m_victim_picks_->add();
-  }
-  /// plan_budgets ran for a non-empty batch.
-  void note_budget_plan() {
-    if (m_budget_plans_ != nullptr) m_budget_plans_->add();
-  }
-
- private:
-  const MetricsRegistry* m_registry_ = nullptr;
-  Counter* m_admission_picks_ = nullptr;
-  Counter* m_blocked_picks_ = nullptr;
-  Counter* m_victim_picks_ = nullptr;
-  Counter* m_budget_plans_ = nullptr;
+  /// The built-in policies bump these; custom policies may too.
+  Counts counts_;
 };
 
 /// Arrival order, full chunks, youngest-first preemption: the engine's

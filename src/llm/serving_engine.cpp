@@ -68,9 +68,8 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
     });
   }
   // Observability (see the header's Observability block): register the
-  // engine's series once and cache the handles; bind every composed
-  // subsystem into the same registry. None of it is ever read back by a
-  // control path.
+  // engine's own series once and cache the handles. None of it is ever
+  // read back by a control path.
   trace_ = Tracer(config_.trace, config_.trace_capacity);
   // Self-description for the step-trace header: enough to rebuild the
   // model + KV layout, making the exported trace replayable offline
@@ -79,7 +78,6 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
                         mcfg.d_ffn, mcfg.vocab, to_string(ecfg.kv_mode),
                         ecfg.kv_block_size,
                         kv_bits_per_entry(ecfg.kv_mode)});
-  em_.steps = &registry_.counter("serving.steps");
   em_.stalls = &registry_.counter("serving.stalls");
   em_.admissions = &registry_.counter("serving.admissions");
   em_.preemptions = &registry_.counter("serving.preemptions");
@@ -92,8 +90,6 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   em_.spec_drafted = &registry_.counter("serving.spec_drafted");
   em_.spec_accepted = &registry_.counter("serving.spec_accepted");
   em_.spec_rejected = &registry_.counter("serving.spec_rejected");
-  em_.running = &registry_.gauge("serving.running");
-  em_.queued = &registry_.gauge("serving.queued");
   em_.queue_wait_ms = &registry_.histogram("serving.queue_wait_ms");
   em_.ttft_ms = &registry_.histogram("serving.ttft_ms");
   em_.itl_ms = &registry_.histogram("serving.itl_ms");
@@ -101,30 +97,11 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   em_.decode_ms = &registry_.histogram("serving.decode_ms");
   em_.prefill_chunk_ms = &registry_.histogram("serving.prefill_chunk_ms");
   em_.spec_verify_ms = &registry_.histogram("serving.spec_verify_ms");
-  scheduler_->bind_metrics(registry_);
-  kv_pool_->bind_metrics(registry_);
-  if (prefix_cache_ != nullptr) prefix_cache_->bind_metrics(registry_);
   // Kernel/layer profiling: installs the timing wrapper over the dispatch
-  // table for this engine's lifetime and registers the profile.* counters.
-  // Off (the common case) none of this happens — the dispatch table and the
-  // registry shape are exactly the silent engine's.
+  // table for this engine's lifetime. Off (the common case) the dispatch
+  // table is exactly the silent engine's.
   profiling_ = config_.profile;
-  if (profiling_) {
-    KernelProfiler::enable();
-    for (std::size_t k = 0; k < kKernelKindCount; ++k) {
-      const std::string base =
-          "profile.kernel." + to_string(static_cast<KernelKind>(k));
-      pm_.kernel_calls[k] = &registry_.counter(base + ".calls");
-      pm_.kernel_elems[k] = &registry_.counter(base + ".elems");
-      pm_.kernel_ns[k] = &registry_.counter(base + ".ns");
-    }
-    for (std::size_t p = 0; p < kLayerPhaseCount; ++p) {
-      const std::string base =
-          "profile.phase." + to_string(static_cast<LayerPhase>(p));
-      pm_.phase_calls[p] = &registry_.counter(base + ".calls");
-      pm_.phase_ns[p] = &registry_.counter(base + ".ns");
-    }
-  }
+  if (profiling_) KernelProfiler::enable();
   // KV bytes one fed row writes: K and V, every layer, at the mode's width.
   kv_row_bytes_ =
       2 * mcfg.n_layers * mcfg.d_model * kv_bits_per_entry(ecfg.kv_mode) / 8;
@@ -139,10 +116,6 @@ ServingEngine::ServingEngine(const PreparedModel& model, ServingConfig config)
 ServingEngine::~ServingEngine() {
   if (profiling_) KernelProfiler::disable();
   if (prefix_cache_ != nullptr) kv_pool_->unregister_reclaimer(this);
-  // A shared pool/scheduler can outlive this engine's registry: sever
-  // their bindings (no-ops when a sibling engine bound after us).
-  kv_pool_->unbind_metrics(registry_);
-  scheduler_->unbind_metrics(registry_);
 }
 
 RequestId ServingEngine::submit(Request request) {
@@ -175,8 +148,6 @@ RequestId ServingEngine::submit(Request request) {
   // serial planning phase, so stateful drafters need no synchronization.
   if (config_.speculative.enabled()) {
     seq.drafter = make_drafter(config_.speculative);
-    // Per-request drafters share one engine's drafter.* counters.
-    if (seq.drafter != nullptr) seq.drafter->bind_metrics(registry_);
   }
   // The RNG stream starts at draw 0 of the request's seed; the checkpoint
   // is moved into the SequenceState at admission and back here whenever the
@@ -192,7 +163,6 @@ RequestId ServingEngine::submit(Request request) {
                    static_cast<std::int64_t>(seq.priority))});
   const RequestId id = seq.id;
   queue_.push_back(std::move(seq));
-  em_.queued->set(static_cast<double>(queue_.size()));
   return id;
 }
 
@@ -566,7 +536,6 @@ void ServingEngine::preempt(RequestId id, std::size_t keep_positions) {
 
 std::size_t ServingEngine::step() {
   ++step_counter_;
-  em_.steps->add();
   const std::uint64_t step_t0_us = trace_.now_us();
   admit_from_queue();
 
@@ -635,6 +604,8 @@ std::size_t ServingEngine::step() {
       if (k == 0) continue;
       seq.spec_drafts.push_back(seq.result.tokens[seq.fed]);  // frontier
       seq.drafter->draft(seq.result.tokens, k, seq.spec_drafts);
+      ++drafter_calls_;
+      drafter_proposed_ += seq.spec_drafts.size() - 1;
       const std::size_t vocab = model_->model_config().vocab;
       std::size_t valid = 1;
       while (valid < std::min(seq.spec_drafts.size(), 1 + k) &&
@@ -657,15 +628,9 @@ std::size_t ServingEngine::step() {
   // decode into exhaustion.
   if (!ensure_kv_capacity(budgets_)) {
     em_.stalls->add();
-    em_.running->set(static_cast<double>(batch_.size()));
-    em_.queued->set(static_cast<double>(queue_.size()));
     return 0;
   }
-  if (batch_.empty()) {
-    em_.running->set(0.0);
-    em_.queued->set(static_cast<double>(queue_.size()));
-    return 0;
-  }
+  if (batch_.empty()) return 0;
 
   // Serial reservation phase: all pool allocation for this step happens
   // here, so the parallel decode below never mutates shared pool state.
@@ -724,19 +689,10 @@ std::size_t ServingEngine::step() {
     for (std::size_t i = 0; i < batch_.size(); ++i) decode_one(i);
   }
   if (profiling_) {
-    // Serial merge of the fan-out's per-slot samples: the run total and the
-    // profile.* counters advance only here, never off the serial phase.
+    // Serial merge of the fan-out's per-slot samples: the run total
+    // advances only here, never off the serial phase.
     for (const KernelProfile& slot : profile_slots_) {
       profile_total_.merge(slot);
-      for (std::size_t k = 0; k < kKernelKindCount; ++k) {
-        pm_.kernel_calls[k]->add(slot.kernels[k].calls);
-        pm_.kernel_elems[k]->add(slot.kernels[k].elems);
-        pm_.kernel_ns[k]->add(slot.kernels[k].ns);
-      }
-      for (std::size_t p = 0; p < kLayerPhaseCount; ++p) {
-        pm_.phase_calls[p]->add(slot.phases[p].calls);
-        pm_.phase_ns[p]->add(slot.phases[p].ns);
-      }
     }
   }
 
@@ -824,7 +780,6 @@ std::size_t ServingEngine::step() {
       em_.spec_drafted->add(n - 1);
       em_.spec_accepted->add(committed - 1);
       em_.spec_rejected->add(n - committed);
-      seq.drafter->observe(seq.result.tokens, committed - 1);
     }
     seq.fed += committed;  // a burst lands on tokens.size() - 1, the frontier
     if (seq.fed == seq.result.tokens.size() &&
@@ -935,14 +890,70 @@ std::size_t ServingEngine::step() {
                .b = rows_fed_total,
                .c = kv_pool_->blocks_in_use(),
                .d = kv_pool_->free_blocks()});
-  em_.running->set(static_cast<double>(batch_.size()));
-  em_.queued->set(static_cast<double>(queue_.size()));
   return decoded;
 }
 
 void ServingEngine::run() {
   while (step() > 0) {
   }
+}
+
+MetricsRegistry::Snapshot ServingEngine::metrics() const {
+  // The registry holds the engine's own event counters and latency
+  // histograms. Every other series is counted once, by its owner, and
+  // copied in here.
+  MetricsRegistry::Snapshot s = registry_.snapshot();
+  const auto counter = [&s](std::string name, std::uint64_t value) {
+    s.counters.push_back({std::move(name), value});
+  };
+  const auto gauge = [&s](std::string name, std::size_t value) {
+    s.gauges.push_back({std::move(name), static_cast<double>(value)});
+  };
+  counter("serving.steps", step_counter_);
+  gauge("serving.running", batch_.size());
+  gauge("serving.queued", queue_.size());
+  const Scheduler::Counts& sched = scheduler_->counts();
+  counter("scheduler.admission_picks", sched.admission_picks);
+  counter("scheduler.blocked_picks", sched.blocked_picks);
+  counter("scheduler.victim_picks", sched.victim_picks);
+  counter("scheduler.budget_plans", sched.budget_plans);
+  const KvBlockPool::Counts& kv = kv_pool_->counts();
+  counter("kv_pool.allocations", kv.allocations);
+  counter("kv_pool.frees", kv.frees);
+  counter("kv_pool.cow_clones", kv.cow_clones);
+  counter("kv_pool.reclaim_requests", kv.reclaim_requests);
+  gauge("kv_pool.blocks_in_use", kv_pool_->blocks_in_use());
+  if (prefix_cache_ != nullptr) {
+    const PrefixCache::Stats p = prefix_cache_->stats();
+    counter("prefix_cache.lookups", p.lookups);
+    counter("prefix_cache.hits", p.hits);
+    counter("prefix_cache.hit_positions", p.hit_positions);
+    counter("prefix_cache.inserted_columns", p.inserted_columns);
+    counter("prefix_cache.reclaimed_blocks", p.reclaimed_blocks);
+  }
+  if (config_.speculative.enabled()) {
+    counter("drafter.calls", drafter_calls_);
+    counter("drafter.proposed", drafter_proposed_);
+    counter("drafter.accepted", em_.spec_accepted->value());
+  }
+  if (profiling_) {
+    for (std::size_t k = 0; k < kKernelKindCount; ++k) {
+      const std::string base =
+          "profile.kernel." + to_string(static_cast<KernelKind>(k));
+      const KernelStat& stat = profile_total_.kernels[k];
+      counter(base + ".calls", stat.calls);
+      counter(base + ".elems", stat.elems);
+      counter(base + ".ns", stat.ns);
+    }
+    for (std::size_t p = 0; p < kLayerPhaseCount; ++p) {
+      const std::string base =
+          "profile.phase." + to_string(static_cast<LayerPhase>(p));
+      const PhaseStat& stat = profile_total_.phases[p];
+      counter(base + ".calls", stat.calls);
+      counter(base + ".ns", stat.ns);
+    }
+  }
+  return s;
 }
 
 ServingEngine::Stats ServingEngine::stats() const {

@@ -131,17 +131,15 @@
 // discarded rows — is fenced off: columns at or past such a truncation are
 // never indexed (see Sequence::non_canonical_from).
 //
-// Observability (common/metrics.h, common/trace.h): the engine owns a
-// MetricsRegistry that every composed subsystem binds into — Scheduler,
-// per-request Drafters, PrefixCache, and the KvBlockPool — so metrics()
-// snapshots the whole serving stack at once. The registry holds two kinds
-// of series:
-//   * deterministic counters (serving.steps / tokens_decoded /
+// Observability (common/metrics.h, common/trace.h): every serving event
+// is counted once, by whoever owns it, and metrics() snapshots the whole
+// serving stack at once. The engine's MetricsRegistry holds the engine's
+// own series:
+//   * deterministic event counters (serving.tokens_decoded /
 //     tokens_committed / admissions / preemptions / evictions / finished /
 //     stalls / budget_shrinks / spec_*); stats() reads its evictions,
 //     preemptions, tokens_decoded and spec_* fields straight from them,
-//     so the two views cannot drift — plus the subsystems' own counters
-//     (prefix_cache.*, kv_pool.*, scheduler.*, drafter.*);
+//     so the two views cannot drift;
 //   * wall-clock latency histograms (serving.queue_wait_ms / ttft_ms /
 //     itl_ms / step_ms / decode_ms / prefill_chunk_ms / spec_verify_ms)
 //     with p50/p95/p99 extraction — TTFT and inter-token latency are
@@ -150,6 +148,15 @@
 //     decode_ms holds one-row passes of the frontier token, prefill_chunk_ms
 //     every other prompt or replay feed (one row or many), spec_verify_ms
 //     verify bursts.
+// The rest are plain counts their owners keep, which metrics() copies into
+// the snapshot when it is called: serving.steps and the serving.running /
+// serving.queued gauges from the engine's step counter and queues;
+// scheduler.* from Scheduler::counts(); kv_pool.* from KvBlockPool::counts()
+// and blocks_in_use(); prefix_cache.* from PrefixCache::stats();
+// drafter.calls / proposed, counted at the engine's one draft() call site,
+// and drafter.accepted, which is serving.spec_accepted; profile.* from
+// profile(). A pool or scheduler shared between engines keeps one set of
+// lifetime counts, so every sharer reports the traffic of all of them.
 // Structured tracing (ServingConfig::trace) records per-request lifecycle
 // events (enqueue, admit, prefix-hit, chunk, decode, spec-burst,
 // budget-shrink, preempt, evict, finish) and one engine-scoped record per
@@ -165,7 +172,6 @@
 // registry needs no synchronization (see metrics.h).
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -293,8 +299,11 @@ struct ServingConfig {
   /// Kernel/layer profiling (see common/kernel_profiler.h): swaps the
   /// KernelOps dispatch table for a timing wrapper that delegates to the
   /// real table, accumulating per-kernel-kind call/element/wall-clock
-  /// counts and per-layer phase timings (ServingEngine::profile(), plus
-  /// profile.* counters in the metrics registry). Off (the default), the
+  /// counts and per-layer phase timings (ServingEngine::profile(), which
+  /// metrics() publishes as the profile.* counters). The profile holds
+  /// this engine's passes only, unlike the kv_pool.* and scheduler.*
+  /// counts of a pool or scheduler shared between engines, which cover
+  /// every sharer over the subsystem's lifetime. Off (the default), the
   /// wrapper is not installed — the hot path is untouched.
   /// The wrapper calls the underlying kernels with unchanged arguments, so
   /// profiled runs are bitwise identical in every kv_mode.
@@ -436,19 +445,13 @@ class ServingEngine {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Point-in-time snapshot of the engine's metrics registry: the
-  /// deterministic counters mirroring Stats, the wall-clock latency
-  /// histograms (p50/p95/p99), and the bound subsystem metrics
-  /// (prefix_cache.*, kv_pool.*, scheduler.*, drafter.*) — see the
-  /// Observability block in the header comment. Serial-phase only, like
-  /// stats().
-  [[nodiscard]] MetricsRegistry::Snapshot metrics() const {
-    return registry_.snapshot();
-  }
-  /// The registry itself, so callers can put their own series next to the
-  /// engine's (the SLO bench does) or cache metric handles. Same
-  /// external-serialization contract as every other engine call.
-  [[nodiscard]] MetricsRegistry& metrics_registry() { return registry_; }
+  /// Point-in-time snapshot of the serving stack's metrics: the engine's
+  /// deterministic counters mirroring Stats and its wall-clock latency
+  /// histograms (p50/p95/p99), plus the counts its subsystems keep
+  /// (scheduler.*, kv_pool.*, prefix_cache.*, drafter.*, profile.*) — see
+  /// the Observability block in the header comment. Serial-phase only,
+  /// like stats().
+  [[nodiscard]] MetricsRegistry::Snapshot metrics() const;
 
   /// The engine's event tracer — disabled (and empty) unless
   /// ServingConfig::trace is set. Export with Tracer::write_chrome_trace,
@@ -684,7 +687,6 @@ class ServingEngine {
   /// The counters are the only copy of Stats' cumulative event counts:
   /// stats() reads them back.
   struct EngineMetrics {
-    Counter* steps = nullptr;
     Counter* stalls = nullptr;
     Counter* admissions = nullptr;
     Counter* preemptions = nullptr;
@@ -697,8 +699,6 @@ class ServingEngine {
     Counter* spec_drafted = nullptr;
     Counter* spec_accepted = nullptr;
     Counter* spec_rejected = nullptr;
-    Gauge* running = nullptr;
-    Gauge* queued = nullptr;
     Histogram* queue_wait_ms = nullptr;
     Histogram* ttft_ms = nullptr;
     Histogram* itl_ms = nullptr;
@@ -708,16 +708,10 @@ class ServingEngine {
     Histogram* spec_verify_ms = nullptr;
   };
   EngineMetrics em_;
-  /// profile.* counter handles, registered (and non-null) only while
-  /// profiling_ — silent engines' registries keep their exact shape.
-  struct ProfileMetrics {
-    std::array<Counter*, kKernelKindCount> kernel_calls{};
-    std::array<Counter*, kKernelKindCount> kernel_elems{};
-    std::array<Counter*, kKernelKindCount> kernel_ns{};
-    std::array<Counter*, kLayerPhaseCount> phase_calls{};
-    std::array<Counter*, kLayerPhaseCount> phase_ns{};
-  };
-  ProfileMetrics pm_;
+  /// Drafter calls and the tokens they proposed (drafter.calls /
+  /// drafter.proposed in metrics()).
+  std::uint64_t drafter_calls_ = 0;
+  std::uint64_t drafter_proposed_ = 0;
   bool profiling_ = false;
   /// Per-slot profiling scratch (parallel decode phase, disjoint indices)
   /// and the serial-phase run total the slots merge into.

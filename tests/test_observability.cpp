@@ -3,12 +3,18 @@
 // every kv_mode, the registry's counters exactly mirror the Stats fields
 // they recount, and the latency histograms hold exactly one TTFT sample
 // per request and one inter-token sample per non-first generated token.
+// Subsystem counts are the subsystem's own: drafter.* holds for a custom
+// drafter that counts nothing, and every engine on a shared pool reports
+// the pool's lifetime traffic.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "eval/schemes.h"
+#include "llm/drafter.h"
 #include "llm/scheduler.h"
 #include "llm/serving_engine.h"
 
@@ -162,12 +168,29 @@ TEST(Observability, CountersMirrorStats) {
   EXPECT_EQ(queued->value, 0.0);
 }
 
-TEST(Observability, SpecCountersMirrorStats) {
+// A custom drafter that only appends tokens, like most user drafters: it
+// keeps no counts, so every drafter.* series must come from the engine.
+class AppendOnlyDrafter final : public Drafter {
+ public:
+  [[nodiscard]] std::string name() const override { return "append-only"; }
+  void draft(std::span<const std::size_t> tokens, std::size_t max_tokens,
+             std::vector<std::size_t>& out) override {
+    out.insert(out.end(), max_tokens, tokens.back());
+  }
+};
+
+class SpecCountersMirrorStats : public ::testing::TestWithParam<DraftPolicy> {
+};
+
+TEST_P(SpecCountersMirrorStats, ForDrafter) {
   const auto model = prepared(KvQuantMode::kFp32);
   ServingConfig cfg;
   cfg.max_batch = 2;
-  cfg.speculative.policy = DraftPolicy::kRepeat;
+  cfg.speculative.policy = GetParam();
   cfg.speculative.draft_tokens = 3;
+  cfg.speculative.make_custom = [] {
+    return std::make_unique<AppendOnlyDrafter>();
+  };
   const Served r = serve(model, cfg);
   EXPECT_GT(r.stats.spec_bursts, 0u);
   EXPECT_EQ(r.snap.counter_value("serving.spec_bursts"),
@@ -183,6 +206,45 @@ TEST(Observability, SpecCountersMirrorStats) {
             r.stats.spec_accepted);
   EXPECT_GE(r.snap.counter_value("drafter.proposed"),
             r.stats.spec_drafted);
+  // Every burst took one draft() call that proposed its drafts.
+  EXPECT_GE(r.snap.counter_value("drafter.calls"), r.stats.spec_bursts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Observability, SpecCountersMirrorStats,
+                         ::testing::Values(DraftPolicy::kRepeat,
+                                           DraftPolicy::kCustom),
+                         [](const ::testing::TestParamInfo<DraftPolicy>& i) {
+                           return to_string(i.param);
+                         });
+
+// --- a shared pool reports every sharer's traffic, for its whole life ---
+
+TEST(Observability, SharedPoolCountsEverySharer) {
+  const auto model = prepared(KvQuantMode::kFp32);
+  ServingConfig cfg;
+  cfg.kv_pool = std::make_shared<KvBlockPool>(model->make_kv_pool(2.0));
+  const auto serve_one = [](ServingEngine& engine) {
+    engine.submit(workload().front());
+    engine.run();
+  };
+  const auto allocations = [](const ServingEngine& engine) {
+    return engine.metrics().counter_value("kv_pool.allocations");
+  };
+  ServingEngine a(model, cfg);
+  serve_one(a);
+  const std::uint64_t alone = allocations(a);
+  EXPECT_GT(alone, 0u);
+  std::uint64_t shared = 0;
+  {
+    ServingEngine b(model, cfg);
+    serve_one(b);
+    serve_one(a);
+    shared = allocations(a);
+    EXPECT_GT(shared, alone);  // A's traffic counts while B is alive
+    EXPECT_EQ(allocations(b), shared);  // one pool, one count
+  }
+  serve_one(a);
+  EXPECT_GT(allocations(a), shared);  // and after B is gone
 }
 
 // --- latency histograms hold exactly the right sample counts ---
