@@ -34,11 +34,11 @@ inline void record(KernelKind kind, std::uint64_t elems, std::uint64_t ns) {
 // slot bound the clock is never read.
 
 void prof_matvec(const float* w, std::size_t rows, std::size_t cols,
-                 const float* x, float* y) {
-  if (t_slot == nullptr) return g_underlying->matvec(w, rows, cols, x, y);
+                 const float* x, std::size_t n, float* y) {
+  if (t_slot == nullptr) return g_underlying->matvec(w, rows, cols, x, n, y);
   const std::uint64_t t0 = now_ns();
-  g_underlying->matvec(w, rows, cols, x, y);
-  record(KernelKind::kMatvec, rows * cols, now_ns() - t0);
+  g_underlying->matvec(w, rows, cols, x, n, y);
+  record(KernelKind::kMatvec, n * rows * cols, now_ns() - t0);
 }
 
 void prof_axpy(float a, const float* x, float* y, std::size_t n) {

@@ -7,13 +7,16 @@
 // Two attribution planes, both accumulated into a KernelProfile:
 //   * per-kernel-kind counters — one row per KernelOps entry (matvec,
 //     attend_scores, fused dequant kernels, ...) holding call count, element
-//     count (MAC-shaped work: rows x cols for a GEMV, rows x d_head for an
-//     attend primitive), and wall-clock nanoseconds;
+//     count (MAC-shaped work: n x rows x cols for an n-input-row GEMV,
+//     rows x d_head for an attend primitive), and wall-clock nanoseconds.
+//     A multi-row matvec is one call, so calls count weight passes and
+//     elems / ns stays a true MAC rate;
 //   * per-layer phase counters — the decoder pass split the way a serving
 //     profiler reports it (norm / qkv / attend / ffn / logits), per layer
-//     and aggregated, filled in by PreparedModel::forward_token_layer and
-//     finish_logits. The logits phase is model-level (final norm + embedding
-//     GEMV), so it accrues only in the aggregate row.
+//     and aggregated, filled in by PreparedModel::prefill_chunk once per
+//     phase per layer for all of a pass's rows. The logits phase is
+//     model-level (final norm + embedding GEMV), so it accrues only in the
+//     aggregate row.
 //
 // ## How interposition works (zero overhead when off)
 //

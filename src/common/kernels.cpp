@@ -25,8 +25,12 @@ float scalar_dot(const float* a, const float* b, std::size_t n) {
 }
 
 void scalar_matvec(const float* w, std::size_t rows, std::size_t cols,
-                   const float* x, float* y) {
-  for (std::size_t r = 0; r < rows; ++r) y[r] = scalar_dot(w + r * cols, x, cols);
+                   const float* x, std::size_t n, float* y) {
+  for (std::size_t i = 0; i < n; ++i, x += cols, y += rows) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      y[r] = scalar_dot(w + r * cols, x, cols);
+    }
+  }
 }
 
 void scalar_axpy(float a, const float* x, float* y, std::size_t n) {

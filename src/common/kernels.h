@@ -32,11 +32,13 @@
 //   built on file-local dot bodies with one accumulation structure (vector
 //   body + sequential scalar tail), in double in every table.
 // * Blocking never changes a bit. A SIMD body may interleave independent
-//   output rows (to overlap FMA latency) or hold output columns in
-//   registers across input rows, but it never reorders any single output's
-//   accumulation. So within ANY single table, a multi-row call equals one
-//   `rows = 1` call per row, bitwise: `matvec` / `*_scores` row by row, and
-//   `*_accum` over R rows as R successive one-row calls on the same z.
+//   output rows (to overlap FMA latency), share one widened weight vector
+//   across several input rows, or hold output columns in registers across
+//   input rows, but it never reorders any single output's accumulation. So
+//   within ANY single table, a multi-row call equals one `rows = 1` call
+//   per row, bitwise: `matvec` / `*_scores` row by row, and `*_accum` over
+//   R rows as R successive one-row calls on the same z. Likewise an
+//   `n`-input-row `matvec` equals n `n = 1` calls, one per input row.
 // * Fused dequantize kernels decode quantized codes to *exactly* the floats
 //   KvBlockPool::read_row produces (int8: float(code) * (scale/127); log2:
 //   kv_decode_log2 below) and accumulate them with exactly the structure of
@@ -76,10 +78,12 @@ struct KernelOps {
   /// Dispatch target name: "scalar", "avx2", "neon".
   const char* name;
 
-  /// y[r] = sum_c w[r, c] * x[c] for a row-major [rows x cols] matrix
-  /// (accumulated in double).
+  /// y[i*rows + r] = sum_c w[r, c] * x[i*cols + c] for a row-major
+  /// [rows x cols] matrix and n input rows: x is [n x cols] and y is
+  /// [n x rows], both row-major (accumulated in double). One n-row call is
+  /// bitwise equal to n one-row calls.
   void (*matvec)(const float* w, std::size_t rows, std::size_t cols,
-                 const float* x, float* y);
+                 const float* x, std::size_t n, float* y);
 
   /// y[i] += a * x[i].
   void (*axpy)(float a, const float* x, float* y, std::size_t n);

@@ -13,10 +13,11 @@
 //
 // Latency hiding never reorders one output's accumulation: the dot bodies
 // run four rows interleaved (independent FMA chains, the shared vector
-// converted once), and the accumulate bodies hold 64 output columns in
-// registers across all input rows, in row order. Either way each output
-// sees exactly the one-row sequence, so a multi-row call is bitwise equal
-// to one call per row.
+// converted once), matvec over four (or a leftover two) input rows
+// converts each weight vector once for all of them, and the accumulate
+// bodies hold 64 output columns in registers across all input rows, in
+// row order. Either way each output sees exactly the one-row sequence, so
+// a multi-row call is bitwise equal to one call per row.
 
 #if defined(__x86_64__) || defined(__amd64__) || defined(__i386__)
 
@@ -223,9 +224,125 @@ void accum_rows(const float* w, const Rows& src, std::size_t rows,
   }
 }
 
+// Widest input row the multi-row matvec bodies tile (16 KB of stack for
+// four widened rows); wider shapes take dot_rows once per input row.
+constexpr std::size_t kTileCols = 512;
+
+// Four input rows x (row-major, cols apart) against every weight row, into
+// y (rows apart). The input rows' 8-column bodies are widened to double
+// once, into a stack tile; each weight row's 8 columns are then widened
+// once for all four. Every (weight row, input row) pair advances its own
+// acc0/acc1 with dot_row's exact sequence and gets the same hsum and
+// scalar tail, so each output is bitwise a one-row call's.
+void matvec_rows4(const float* w, std::size_t rows, std::size_t cols,
+                  const float* x, float* y) {
+  __m256d tile[kTileCols / 8][4][2];
+  const std::size_t body = cols / 8 * 8;
+  const float* x0 = x;
+  const float* x1 = x + cols;
+  const float* x2 = x + 2 * cols;
+  const float* x3 = x + 3 * cols;
+  for (std::size_t i = 0; i < body; i += 8) {
+    __m256d(&t)[4][2] = tile[i / 8];
+    F32Rows::load8_pd(x0 + i, t[0][0], t[0][1]);
+    F32Rows::load8_pd(x1 + i, t[1][0], t[1][1]);
+    F32Rows::load8_pd(x2 + i, t[2][0], t[2][1]);
+    F32Rows::load8_pd(x3 + i, t[3][0], t[3][1]);
+  }
+  const F32Rows src{w, cols};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* wr = src.row(r);
+    __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
+    __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
+    __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
+    __m256d a30 = _mm256_setzero_pd(), a31 = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < body; i += 8) {
+      const __m256d(&t)[4][2] = tile[i / 8];
+      __m256d lo, hi;
+      F32Rows::load8_pd(wr + i, lo, hi);
+      a00 = _mm256_fmadd_pd(lo, t[0][0], a00);
+      a01 = _mm256_fmadd_pd(hi, t[0][1], a01);
+      a10 = _mm256_fmadd_pd(lo, t[1][0], a10);
+      a11 = _mm256_fmadd_pd(hi, t[1][1], a11);
+      a20 = _mm256_fmadd_pd(lo, t[2][0], a20);
+      a21 = _mm256_fmadd_pd(hi, t[2][1], a21);
+      a30 = _mm256_fmadd_pd(lo, t[3][0], a30);
+      a31 = _mm256_fmadd_pd(hi, t[3][1], a31);
+    }
+    y[r] = dot_tail(x0, src, wr, body, cols, hsum(a00, a01));
+    y[rows + r] = dot_tail(x1, src, wr, body, cols, hsum(a10, a11));
+    y[2 * rows + r] = dot_tail(x2, src, wr, body, cols, hsum(a20, a21));
+    y[3 * rows + r] = dot_tail(x3, src, wr, body, cols, hsum(a30, a31));
+  }
+}
+
+// Two input rows (a 2- or 3-row verify burst, or a chunk's leftover pair)
+// against the weight rows two at a time: widened into a tile like
+// matvec_rows4, with two weight rows sharing each tile load so eight FMA
+// chains stay in flight. Each (weight row, input row) pair keeps dot_row's
+// exact sequence; an odd last weight row takes dot_row itself.
+void matvec_rows2(const float* w, std::size_t rows, std::size_t cols,
+                  const float* x, float* y) {
+  __m256d tile[kTileCols / 8][2][2];
+  const std::size_t body = cols / 8 * 8;
+  const float* x0 = x;
+  const float* x1 = x + cols;
+  for (std::size_t i = 0; i < body; i += 8) {
+    F32Rows::load8_pd(x0 + i, tile[i / 8][0][0], tile[i / 8][0][1]);
+    F32Rows::load8_pd(x1 + i, tile[i / 8][1][0], tile[i / 8][1][1]);
+  }
+  const F32Rows src{w, cols};
+  std::size_t r = 0;
+  for (; r + 2 <= rows; r += 2) {
+    const float* w0 = src.row(r);
+    const float* w1 = src.row(r + 1);
+    __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
+    __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
+    __m256d b00 = _mm256_setzero_pd(), b01 = _mm256_setzero_pd();
+    __m256d b10 = _mm256_setzero_pd(), b11 = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < body; i += 8) {
+      const __m256d(&t)[2][2] = tile[i / 8];
+      __m256d lo0, hi0, lo1, hi1;
+      F32Rows::load8_pd(w0 + i, lo0, hi0);
+      F32Rows::load8_pd(w1 + i, lo1, hi1);
+      a00 = _mm256_fmadd_pd(lo0, t[0][0], a00);
+      a01 = _mm256_fmadd_pd(hi0, t[0][1], a01);
+      a10 = _mm256_fmadd_pd(lo0, t[1][0], a10);
+      a11 = _mm256_fmadd_pd(hi0, t[1][1], a11);
+      b00 = _mm256_fmadd_pd(lo1, t[0][0], b00);
+      b01 = _mm256_fmadd_pd(hi1, t[0][1], b01);
+      b10 = _mm256_fmadd_pd(lo1, t[1][0], b10);
+      b11 = _mm256_fmadd_pd(hi1, t[1][1], b11);
+    }
+    y[r] = dot_tail(x0, src, w0, body, cols, hsum(a00, a01));
+    y[rows + r] = dot_tail(x1, src, w0, body, cols, hsum(a10, a11));
+    y[r + 1] = dot_tail(x0, src, w1, body, cols, hsum(b00, b01));
+    y[rows + r + 1] = dot_tail(x1, src, w1, body, cols, hsum(b10, b11));
+  }
+  if (r < rows) {
+    y[r] = dot_row(x0, src, r, cols);
+    y[rows + r] = dot_row(x1, src, r, cols);
+  }
+}
+
+// n input rows: whole 4-row blocks through matvec_rows4, then a leftover
+// pair through matvec_rows2; a last odd row (and every row of a shape
+// wider than the tile) takes dot_rows, one input row at a time.
 void avx2_matvec(const float* w, std::size_t rows, std::size_t cols,
-                 const float* x, float* y) {
-  dot_rows(x, F32Rows{w, cols}, rows, cols, y);
+                 const float* x, std::size_t n, float* y) {
+  std::size_t i = 0;
+  if (cols <= kTileCols) {
+    for (; i + 4 <= n; i += 4) {
+      matvec_rows4(w, rows, cols, x + i * cols, y + i * rows);
+    }
+    if (i + 2 <= n) {
+      matvec_rows2(w, rows, cols, x + i * cols, y + i * rows);
+      i += 2;
+    }
+  }
+  for (; i < n; ++i) {
+    dot_rows(x + i * cols, F32Rows{w, cols}, rows, cols, y + i * rows);
+  }
 }
 
 void avx2_axpy(float a, const float* x, float* y, std::size_t n) {

@@ -125,8 +125,12 @@ float neon_dequant_dot_log2(const float* a, const std::int8_t* codes,
 }
 
 void neon_matvec(const float* w, std::size_t rows, std::size_t cols,
-                 const float* x, float* y) {
-  for (std::size_t r = 0; r < rows; ++r) y[r] = neon_dot(w + r * cols, x, cols);
+                 const float* x, std::size_t n, float* y) {
+  for (std::size_t i = 0; i < n; ++i, x += cols, y += rows) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      y[r] = neon_dot(w + r * cols, x, cols);
+    }
+  }
 }
 
 void neon_axpy(float a, const float* x, float* y, std::size_t n) {

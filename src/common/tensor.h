@@ -59,7 +59,9 @@ class Matrix {
 
 using Vector = std::vector<float>;
 
-/// y = W x for a [rows x cols] matrix and a cols-long vector.
+/// y = W x for a [rows x cols] matrix, row by row over x: x holds n
+/// cols-long input rows and y receives n rows-long outputs, both row-major,
+/// with n inferred as x.size() / cols. Bitwise equal to n one-row calls.
 void matvec(const Matrix& w, std::span<const float> x, std::span<float> y);
 
 /// Throws std::invalid_argument with a formatted message when `cond` is false.

@@ -101,16 +101,24 @@ void ModelDrafter::draft(std::span<const std::size_t> tokens,
   }
   const std::size_t limit = model_->config().max_seq_len;
   const std::size_t vocab = model_->model_config().vocab;
-  // Teacher-force the known tokens except the frontier; the frontier feed
-  // below doubles as the first autoregressive step.
-  for (std::size_t i = history_.size(); i + 1 < tokens.size(); ++i) {
-    if (history_.size() >= limit || tokens[i] >= vocab) return;
-    model_->step(*state_, tokens[i]);
-    history_.push_back(tokens[i]);
+  // Teacher-force the unfed known tokens and the frontier in one chunk,
+  // whose final row doubles as the first autoregressive step. The chunk
+  // stops short at max_seq_len or before an out-of-vocab token, and then
+  // no proposal is made.
+  const std::size_t first = history_.size();
+  std::size_t end = first;
+  while (end < tokens.size() && end < limit && tokens[end] < vocab) ++end;
+  const bool reaches_frontier = end == tokens.size();
+  if (end > first) {
+    model_->prefill_chunk(*state_, tokens.subspan(first, end - first),
+                          nullptr, reaches_frontier ? 1 : 0);
+    history_.insert(history_.end(), tokens.begin() + first,
+                    tokens.begin() + end);
   }
-  for (std::size_t produced = 0; produced < max_tokens; ++produced) {
-    const std::size_t feed =
-        history_.size() + 1 == tokens.size() ? tokens.back() : out.back();
+  if (!reaches_frontier) return;
+  out.push_back(argmax_logits());
+  for (std::size_t produced = 1; produced < max_tokens; ++produced) {
+    const std::size_t feed = out.back();
     if (history_.size() >= limit || feed >= vocab) return;
     model_->step(*state_, feed);
     history_.push_back(feed);

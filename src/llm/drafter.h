@@ -148,8 +148,11 @@ class RepeatDrafter final : public Drafter {
 /// private-pool KV state to propose the next k tokens. The drafter keeps the
 /// history it has fed and resyncs on every call by truncating to the
 /// common prefix with the request's stream — accepted drafts stay cached,
-/// rejected ones are rolled back, exactly mirroring the target's KV.
-/// Proposals stop early at the draft model's max_seq_len or vocab edge.
+/// rejected ones are rolled back, exactly mirroring the target's KV. The
+/// unfed known tokens and the frontier go through one prefill_chunk that
+/// computes logits for its final row only; each further proposal is one
+/// step(). Proposals stop early at the draft model's max_seq_len or vocab
+/// edge.
 class ModelDrafter final : public Drafter {
  public:
   explicit ModelDrafter(std::shared_ptr<const PreparedModel> draft_model);

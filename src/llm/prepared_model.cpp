@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/bfloat16.h"
 #include "common/kernel_profiler.h"
@@ -291,86 +292,29 @@ void PreparedModel::attend(std::size_t l, SequenceState& seq,
   }
 }
 
-void PreparedModel::forward_token_layer(std::size_t l, SequenceState& seq,
-                                        std::span<float> x, std::size_t pos,
-                                        ActivationRecorder* recorder) const {
-  const auto& layer = layers_[l];
-  auto maybe_record = [&](RecordSite site, std::span<const float> v) {
-    if (recorder != nullptr) recorder->record(l, site, v);
-  };
-  std::span<float> h = seq.h_;
-  std::span<float> q = seq.q_;
-  std::span<float> k = seq.k_;
-  std::span<float> v = seq.v_;
-  std::span<float> z = seq.z_;
-  std::span<float> hidden = seq.hidden_;
-  // Phase attribution (nullptr slot — the common case — makes every scope a
-  // no-op). The scopes wrap the existing statements without reordering or
-  // touching data, so the output bits are unchanged.
-  KernelProfile* prof = KernelProfiler::slot();
+namespace {
 
-  // --- Attention block (Fig 5(c)) ---
-  {
-    PhaseScope phase(prof, LayerPhase::kNorm, l);
-    layer.attn_norm->apply(x, h);
-    maybe_record(RecordSite::kAttnIn, h);
-    maybe_quantize(ActivationSite::kPostLayerNorm, h);
-  }
-
-  {
-    PhaseScope phase(prof, LayerPhase::kQkv, l);
-    matvec(layer.wq, h, q);
-    matvec(layer.wk, h, k);
-    matvec(layer.wv, h, v);
-    maybe_record(RecordSite::kQuery, q);
-    maybe_record(RecordSite::kKey, k);
-    maybe_record(RecordSite::kValue, v);
-    // Q, K enter Q.K^T and V enters Attn.V at the high bit-width.
-    maybe_quantize(ActivationSite::kAttentionInput, q);
-    maybe_quantize(ActivationSite::kAttentionInput, k);
-    maybe_quantize(ActivationSite::kAttentionInput, v);
-    seq.write_kv_at(l, pos, k, v);
-  }
-
-  {
-    PhaseScope phase(prof, LayerPhase::kAttend, l);
-    attend(l, seq, q, z, pos + 1);
-    maybe_record(RecordSite::kProjIn, z);
-    maybe_quantize(ActivationSite::kGeneral, z);
-
-    const std::span<float> attn_out = seq.attn_out_;
-    matvec(layer.wo, z, attn_out);
-    kernels().axpy(1.0f, attn_out.data(), x.data(), x.size());
-  }
-
-  // --- FFN block (Fig 5(b)) ---
-  {
-    PhaseScope phase(prof, LayerPhase::kNorm, l);
-    layer.ffn_norm->apply(x, h);
-    maybe_record(RecordSite::kFc1In, h);
-    maybe_quantize(ActivationSite::kPostLayerNorm, h);
-  }
-
-  {
-    PhaseScope phase(prof, LayerPhase::kFfn, l);
-    matvec(layer.w_fc1, h, hidden);
-    apply_activation(model_->config().activation, hidden);
-    maybe_record(RecordSite::kFc2In, hidden);
-    maybe_quantize(ActivationSite::kGeneral, hidden);
-
-    const std::span<float> ffn_out = seq.ffn_out_;
-    matvec(layer.w_fc2, hidden, ffn_out);
-    kernels().axpy(1.0f, ffn_out.data(), x.data(), x.size());
-  }
+// Rows [first, first + count) of a row-major buffer `width` floats wide.
+std::span<float> rows_of(std::vector<float>& buf, std::size_t width,
+                         std::size_t first, std::size_t count) {
+  return std::span<float>(buf).subspan(first * width, count * width);
 }
 
-void PreparedModel::finish_logits(SequenceState& seq,
-                                  std::span<const float> x,
-                                  std::span<float> out) const {
+}  // namespace
+
+void PreparedModel::finish_logits(SequenceState& seq, std::size_t first,
+                                  std::size_t count) const {
+  if (count == 0) return;
   PhaseScope phase(KernelProfiler::slot(), LayerPhase::kLogits);
-  final_norm_->apply(x, seq.h_);
-  // Tied embedding head: logit[v] = E[v,:] . h.
-  matvec(model_->embedding(), seq.h_, out);
+  const std::size_t d = model_->config().d_model;
+  const std::size_t vocab = model_->config().vocab;
+  for (std::size_t t = first; t < first + count; ++t) {
+    final_norm_->apply(rows_of(seq.chunk_x_, d, t, 1),
+                       rows_of(seq.h_, d, t, 1));
+  }
+  // Tied embedding head: logit[v] = E[v,:] . h, one pass for every row.
+  const std::span<float> out = rows_of(seq.chunk_logits_, vocab, first, count);
+  matvec(model_->embedding(), rows_of(seq.h_, d, first, count), out);
   kernels().scale(model_->logit_scale(), out.data(), out.size());
 }
 
@@ -382,7 +326,7 @@ std::span<const float> PreparedModel::step(SequenceState& seq,
 
 std::span<const float> PreparedModel::prefill_chunk(
     SequenceState& seq, std::span<const std::size_t> tokens,
-    ActivationRecorder* recorder) const {
+    ActivationRecorder* recorder, std::size_t logit_rows) const {
   const auto& cfg = model_->config();
   const std::size_t n = tokens.size();
   require(n >= 1, "PreparedModel::prefill_chunk: empty chunk");
@@ -394,30 +338,118 @@ std::span<const float> PreparedModel::prefill_chunk(
           "PreparedModel::prefill_chunk: state sized for a different model");
 
   const std::size_t p0 = seq.position();
+  const std::size_t k = std::min(logit_rows, n);
   seq.advance_cache_by(n);  // opens (and reserves) the whole chunk's KV
-  seq.begin_chunk(n);
-  for (std::size_t t = 0; t < n; ++t) {
+  seq.begin_chunk(n, k);
+  const std::size_t d = cfg.d_model;
+  auto row = [](std::vector<float>& buf, std::size_t width, std::size_t t) {
+    return rows_of(buf, width, t, 1);
+  };
+  auto all = [n](std::vector<float>& buf, std::size_t width) {
+    return rows_of(buf, width, 0, n);
+  };
+  auto each_row = [n](auto&& fn) {
+    for (std::size_t t = 0; t < n; ++t) fn(t);
+  };
+  each_row([&](std::size_t t) {
     const auto emb = model_->embedding().row(tokens[t]);
-    std::copy(emb.begin(), emb.end(), seq.chunk_x_row(t).begin());
-  }
+    std::copy(emb.begin(), emb.end(), row(seq.chunk_x_, d, t).begin());
+  });
 
-  // Layer-major sweep: every token still calls matvec once per weight
-  // matrix (the sweep buys cache locality, not fewer weight passes), and
-  // every token's ops run in the token-by-token order *within* its own
-  // computation — token t writes its K/V at p0+t before attending over
-  // [0, p0+t], exactly like a one-row pass at that position. Attention
-  // reads the blocks' live storage, so a rescale caused by a quantized
-  // write is already visible. The results are bitwise identical to n
-  // one-row passes.
+  // Layer-major sweep, each layer's weights streamed once for all n rows
+  // (one multi-row matvec per weight matrix). Every row's own ops run in
+  // the order a one-row pass runs them, and an n-row matvec is bitwise n
+  // one-row calls, so the results are bitwise identical to n one-row
+  // passes. Phase attribution: a nullptr slot (the common case) makes
+  // every scope a no-op, and the scopes only wrap statements, so the
+  // output bits are unchanged.
+  KernelProfile* prof = KernelProfiler::slot();
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    for (std::size_t t = 0; t < n; ++t) {
-      forward_token_layer(l, seq, seq.chunk_x_row(t), p0 + t, recorder);
+    const auto& layer = layers_[l];
+    // The recorder sees each site's rows in row order.
+    auto maybe_record = [&](RecordSite site, std::span<const float> v) {
+      if (recorder != nullptr) recorder->record(l, site, v);
+    };
+
+    // --- Attention block (Fig 5(c)) ---
+    {
+      PhaseScope phase(prof, LayerPhase::kNorm, l);
+      each_row([&](std::size_t t) {
+        const std::span<float> h = row(seq.h_, d, t);
+        layer.attn_norm->apply(row(seq.chunk_x_, d, t), h);
+        maybe_record(RecordSite::kAttnIn, h);
+        maybe_quantize(ActivationSite::kPostLayerNorm, h);
+      });
+    }
+
+    {
+      PhaseScope phase(prof, LayerPhase::kQkv, l);
+      matvec(layer.wq, all(seq.h_, d), all(seq.q_, d));
+      matvec(layer.wk, all(seq.h_, d), all(seq.k_, d));
+      matvec(layer.wv, all(seq.h_, d), all(seq.v_, d));
+      // Q, K enter Q.K^T and V enters Attn.V at the high bit-width.
+      const std::pair<RecordSite, std::vector<float>*> qkv[] = {
+          {RecordSite::kQuery, &seq.q_},
+          {RecordSite::kKey, &seq.k_},
+          {RecordSite::kValue, &seq.v_}};
+      for (const auto& [site, buf] : qkv) {
+        each_row([&](std::size_t t) {
+          maybe_record(site, row(*buf, d, t));
+          maybe_quantize(ActivationSite::kAttentionInput, row(*buf, d, t));
+        });
+      }
+    }
+
+    {
+      PhaseScope phase(prof, LayerPhase::kAttend, l);
+      // Token t writes its K/V at p0+t, then attends over [0, p0+t], as a
+      // one-row pass at that position does. Quantized blocks' scales only
+      // grow, so writing row t+1 before row t attends would change the
+      // bits. Attention reads the blocks' live storage, so a rescale caused
+      // by a write is already visible to the attend after it.
+      each_row([&](std::size_t t) {
+        seq.write_kv_at(l, p0 + t, row(seq.k_, d, t), row(seq.v_, d, t));
+        attend(l, seq, row(seq.q_, d, t), row(seq.z_, d, t), p0 + t + 1);
+      });
+      each_row([&](std::size_t t) {
+        maybe_record(RecordSite::kProjIn, row(seq.z_, d, t));
+        maybe_quantize(ActivationSite::kGeneral, row(seq.z_, d, t));
+      });
+      matvec(layer.wo, all(seq.z_, d), all(seq.attn_out_, d));
+      each_row([&](std::size_t t) {
+        kernels().axpy(1.0f, row(seq.attn_out_, d, t).data(),
+                       row(seq.chunk_x_, d, t).data(), d);
+      });
+    }
+
+    // --- FFN block (Fig 5(b)) ---
+    {
+      PhaseScope phase(prof, LayerPhase::kNorm, l);
+      each_row([&](std::size_t t) {
+        const std::span<float> h = row(seq.h_, d, t);
+        layer.ffn_norm->apply(row(seq.chunk_x_, d, t), h);
+        maybe_record(RecordSite::kFc1In, h);
+        maybe_quantize(ActivationSite::kPostLayerNorm, h);
+      });
+    }
+
+    {
+      PhaseScope phase(prof, LayerPhase::kFfn, l);
+      matvec(layer.w_fc1, all(seq.h_, d), all(seq.hidden_, cfg.d_ffn));
+      each_row([&](std::size_t t) {
+        const std::span<float> hidden = row(seq.hidden_, cfg.d_ffn, t);
+        apply_activation(cfg.activation, hidden);
+        maybe_record(RecordSite::kFc2In, hidden);
+        maybe_quantize(ActivationSite::kGeneral, hidden);
+      });
+      matvec(layer.w_fc2, all(seq.hidden_, cfg.d_ffn), all(seq.ffn_out_, d));
+      each_row([&](std::size_t t) {
+        kernels().axpy(1.0f, row(seq.ffn_out_, d, t).data(),
+                       row(seq.chunk_x_, d, t).data(), d);
+      });
     }
   }
-
-  for (std::size_t t = 0; t < n; ++t) {
-    finish_logits(seq, seq.chunk_x_row(t), seq.chunk_logits_row_mut(t));
-  }
+  finish_logits(seq, n - k, k);
   return seq.logits();
 }
 

@@ -117,26 +117,39 @@ class PreparedModel {
   std::span<const float> step(SequenceState& seq, std::size_t token,
                               ActivationRecorder* recorder = nullptr) const;
 
+  /// prefill_chunk's default `logit_rows`: logits for every row.
+  static constexpr std::size_t kAllLogitRows = static_cast<std::size_t>(-1);
+
   /// The one model pass: feeds `tokens` — the next known tokens at `seq`'s
-  /// current position — processing the chunk layer by layer. Each token
-  /// still runs its own matvec per weight matrix; the layer-major order
-  /// only keeps a layer's weights and cached KV prefix warm in cache across
-  /// the chunk's tokens. Every per-token arithmetic operation (and, in
-  /// quantized kv_modes, every block-scale update and read-back) happens in
-  /// the same order a loop of one-row passes would produce, so the results
-  /// — cache contents and all chunk logits — are bitwise identical to
-  /// tokens.size() step() calls in every kv_mode. Position i's logits are
-  /// at seq.chunk_logits_row(i); returns the final row (seq.logits()), so a
-  /// sampler extending the sequence (llm/sampler.h) reads the same handoff
-  /// whether the frontier was reached by single steps or a chunk.
+  /// current position — processing the chunk layer by layer with one
+  /// row-batched layer body: per layer, every row is normed and quantized,
+  /// then Wq, Wk and Wv each run ONE multi-row matvec over all the rows,
+  /// each token writes its K/V and attends in row order, then one Wo call,
+  /// one fc1 call and one fc2 call cover all rows. So each weight matrix is
+  /// streamed once per chunk, not once per row. Every row's own arithmetic
+  /// (and, in quantized kv_modes, every block-scale update and read-back)
+  /// happens in the order a loop of one-row passes would produce, and a
+  /// multi-row matvec is bitwise one-row calls, so the results — cache
+  /// contents and every computed logits row — are bitwise identical to
+  /// tokens.size() step() calls in every kv_mode.
+  ///
+  /// `logit_rows` is how many trailing rows get logits (final norm, one
+  /// multi-row embedding matvec, then the logit scale); a value above
+  /// tokens.size() means all rows. Position i's logits are at
+  /// seq.chunk_logits_row(i) for i in [n - logit_rows, n); the other rows'
+  /// logits are never computed. Returns the final row (seq.logits(), empty
+  /// when logit_rows is 0), so a sampler extending the sequence
+  /// (llm/sampler.h) reads the same handoff whether the frontier was
+  /// reached by single steps or a chunk.
   /// Blocks for the whole chunk are acquired up front (all-or-nothing
   /// KvPoolExhausted on a dry pool, unless reserve_for() pre-acquired
   /// them). `recorder`, when given, observes activations layer-major
-  /// (layer 0 for all chunk tokens, then layer 1, ...) instead of
-  /// token-major. Const and thread-safe like step().
+  /// (layer 0 for all chunk tokens, then layer 1, ...), each site's rows
+  /// in row order. Const and thread-safe like step().
   std::span<const float> prefill_chunk(
       SequenceState& seq, std::span<const std::size_t> tokens,
-      ActivationRecorder* recorder = nullptr) const;
+      ActivationRecorder* recorder = nullptr,
+      std::size_t logit_rows = kAllLogitRows) const;
 
   /// Fresh per-sequence state sized for this model, owning a private fp32
   /// pool of kv_blocks_per_sequence() blocks (one sequence at
@@ -185,17 +198,12 @@ class PreparedModel {
   void finish_construction();
   void prepare_layers(const CalibrationSet* calibration);
   void prepare_layers_gptq(const HessianSet& hessians);
-  /// One token through layer `l`: writes its K/V at cache position `pos`
-  /// and attends over [0, pos+1). prefill_chunk calls it layer-major (all
-  /// chunk tokens for one layer); the per-token arithmetic is the same as
-  /// a one-row pass at that position.
-  void forward_token_layer(std::size_t l, SequenceState& seq,
-                           std::span<float> x, std::size_t pos,
-                           ActivationRecorder* recorder) const;
   void attend(std::size_t l, SequenceState& seq, std::span<const float> q,
               std::span<float> z, std::size_t len) const;
-  void finish_logits(SequenceState& seq, std::span<const float> x,
-                     std::span<float> out) const;
+  /// Logits of chunk rows [first, first + count) into the chunk logits
+  /// buffer: final norm, one multi-row embedding matvec, then the scale.
+  void finish_logits(SequenceState& seq, std::size_t first,
+                     std::size_t count) const;
   void maybe_quantize(ActivationSite site, std::span<float> v) const;
 
   const SyntheticModel* model_;

@@ -4,30 +4,18 @@
 
 namespace opal {
 
-void SequenceState::init_scratch(const ModelConfig& config) {
-  h_.resize(config.d_model);
-  q_.resize(config.d_model);
-  k_.resize(config.d_model);
-  v_.resize(config.d_model);
-  z_.resize(config.d_model);
-  hidden_.resize(config.d_ffn);
-  attn_out_.resize(config.d_model);
-  ffn_out_.resize(config.d_model);
-  scores_.resize(max_seq_len_);
-  probs_.resize(max_seq_len_);
-  grow_chunk(1);  // every one-row pass runs on construction-time storage
-}
-
 SequenceState::SequenceState(const ModelConfig& config,
                              std::size_t max_seq_len, KvBlockPool& pool)
     : max_seq_len_(max_seq_len), n_layers_(config.n_layers),
-      d_model_(config.d_model), vocab_(config.vocab),
+      d_model_(config.d_model), d_ffn_(config.d_ffn), vocab_(config.vocab),
       kv_(pool, config.n_layers, max_seq_len) {
   require(pool.d_model() == config.d_model,
           "SequenceState: pool d_model does not match the model");
   // Sized once so the segment list never allocates mid-decode.
   segments_.reserve(max_seq_len / pool.block_size() + 1);
-  init_scratch(config);
+  scores_.resize(max_seq_len_);
+  probs_.resize(max_seq_len_);
+  grow_chunk(1);  // every one-row pass runs on construction-time storage
 }
 
 SequenceState::SequenceState(const ModelConfig& config,
@@ -41,7 +29,7 @@ void SequenceState::begin_spec_capture(std::size_t n_tokens) {
   // fp32 KV needs no capture: writes are row-local, so truncate() alone
   // rewinds bitwise.
   if (kv_.pool().mode() == KvQuantMode::kFp32) return;
-  const std::size_t d = k_.size();
+  const std::size_t d = d_model_;
   const std::size_t need = n_layers_ * n_tokens * d;
   if (spec_rows_k_.size() < need) {
     spec_rows_k_.resize(need);
@@ -83,7 +71,7 @@ void SequenceState::spec_rollback(std::size_t new_len) {
           "SequenceState::spec_rollback: no speculative capture active");
   const std::size_t col = new_len / bs;
   const std::size_t from = std::max(col * bs, spec_base_);
-  const std::size_t d = k_.size();
+  const std::size_t d = d_model_;
   for (std::size_t l = 0; l < n_layers_; ++l) {
     if (spec_snap_valid_ && col == spec_base_ / bs) {
       kv_.restore_block_column(l, col, spec_snap_k_[l], spec_snap_v_[l]);
@@ -110,12 +98,20 @@ void SequenceState::reserve_for(std::size_t n) {
 
 void SequenceState::grow_chunk(std::size_t n) {
   // Grow-only: chunk buffers keep their high-water capacity across chunks.
-  if (chunk_x_.size() < n * d_model_) chunk_x_.resize(n * d_model_);
-  if (chunk_logits_.size() < n * vocab_) chunk_logits_.resize(n * vocab_);
+  auto grow = [n](std::vector<float>& buf, std::size_t width) {
+    if (buf.size() < n * width) buf.resize(n * width);
+  };
+  for (auto* buf : {&chunk_x_, &h_, &q_, &k_, &v_, &z_, &attn_out_,
+                    &ffn_out_}) {
+    grow(*buf, d_model_);
+  }
+  grow(hidden_, d_ffn_);
+  grow(chunk_logits_, vocab_);
 }
 
-void SequenceState::begin_chunk(std::size_t n) {
+void SequenceState::begin_chunk(std::size_t n, std::size_t logit_rows) {
   chunk_tokens_ = n;
+  chunk_logit_rows_ = logit_rows;
   grow_chunk(n);  // a no-op after reserve_for(n)
 }
 
@@ -127,7 +123,7 @@ void SequenceState::write_kv_at(std::size_t layer, std::size_t pos,
     // Record the fp32 inputs so a speculative rollback can replay the kept
     // rows through a restored boundary block (see spec_rollback).
     const std::size_t idx =
-        (layer * spec_cap_ + (pos - spec_base_)) * k_.size();
+        (layer * spec_cap_ + (pos - spec_base_)) * d_model_;
     std::copy(k.begin(), k.end(), spec_rows_k_.begin() + idx);
     std::copy(v.begin(), v.end(), spec_rows_v_.begin() + idx);
   }

@@ -111,9 +111,9 @@ class SequenceState {
 
   /// Logits of the most recent pass's final row — chunk_logits_row(
   /// chunk_tokens() - 1), the handoff a sampler extends the sequence from.
-  /// Empty before the first pass.
+  /// Empty before the first pass and after a pass that computed no logits.
   [[nodiscard]] std::span<const float> logits() const {
-    if (chunk_tokens_ == 0) return {};
+    if (chunk_logit_rows_ == 0) return {};
     return chunk_logits_row(chunk_tokens_ - 1);
   }
 
@@ -121,10 +121,14 @@ class SequenceState {
   [[nodiscard]] std::size_t chunk_tokens() const { return chunk_tokens_; }
   /// Logits of chunk position `i` (the logits observed after feeding the
   /// chunk's i-th token); valid until the next step()/prefill_chunk() with
-  /// this state.
+  /// this state, and only for the rows that pass computed logits for: the
+  /// last `logit_rows` of its chunk (PreparedModel::prefill_chunk; all rows
+  /// by default). Throws std::invalid_argument for any other row.
   [[nodiscard]] std::span<const float> chunk_logits_row(std::size_t i) const {
     require(i < chunk_tokens_,
             "SequenceState::chunk_logits_row: row out of range");
+    require(i + chunk_logit_rows_ >= chunk_tokens_,
+            "SequenceState::chunk_logits_row: row's logits not computed");
     return std::span<const float>(chunk_logits_).subspan(i * vocab_, vocab_);
   }
 
@@ -152,19 +156,13 @@ class SequenceState {
     return segments_;
   }
 
-  void init_scratch(const ModelConfig& config);
-
-  /// Grows the chunk activation/logits buffers to hold `n` rows.
+  /// Grows every n-row chunk buffer (residuals, layer scratch, logits) to
+  /// hold `n` rows. The only place they grow.
   void grow_chunk(std::size_t n);
-  /// Opens an `n`-token pass over the chunk buffers, growing them unless
-  /// reserve_for(n) already did (PreparedModel::prefill_chunk).
-  void begin_chunk(std::size_t n);
-  [[nodiscard]] std::span<float> chunk_x_row(std::size_t i) {
-    return std::span<float>(chunk_x_).subspan(i * d_model_, d_model_);
-  }
-  [[nodiscard]] std::span<float> chunk_logits_row_mut(std::size_t i) {
-    return std::span<float>(chunk_logits_).subspan(i * vocab_, vocab_);
-  }
+  /// Opens an `n`-token pass whose last `logit_rows` rows get logits,
+  /// growing the chunk buffers unless reserve_for(n) already did
+  /// (PreparedModel::prefill_chunk).
+  void begin_chunk(std::size_t n, std::size_t logit_rows);
 
   void advance_cache_by(std::size_t n) { kv_.advance_by(n); }
   /// Writes one position's K/V for `layer`, recording the rows while a
@@ -175,6 +173,7 @@ class SequenceState {
   std::size_t max_seq_len_;
   std::size_t n_layers_ = 0;
   std::size_t d_model_ = 0;
+  std::size_t d_ffn_ = 0;
   std::size_t vocab_ = 0;
   SamplerState sampler_state_;
   std::unique_ptr<KvBlockPool> own_pool_;  // facade only; outlives kv_
@@ -191,12 +190,16 @@ class SequenceState {
   std::vector<KvBlockPool::BlockSnapshot> spec_snap_k_, spec_snap_v_;
   std::vector<KvSegment> segments_;  // attend_view scratch
   std::size_t chunk_tokens_ = 0;
+  std::size_t chunk_logit_rows_ = 0;
+  // Chunk buffers, row-major with one row per chunk token, grow-only (see
+  // grow_chunk); a pass that fits the high-water mark allocates nothing.
   std::vector<float> chunk_x_;       // [chunk_tokens x d_model] residuals
   std::vector<float> chunk_logits_;  // [chunk_tokens x vocab]
-  // Scratch buffers reused across passes (sized once at construction); the
-  // decode hot path performs no heap allocation.
-  std::vector<float> h_, q_, k_, v_, z_, hidden_;
-  std::vector<float> attn_out_, ffn_out_;  // d_model
+  std::vector<float> h_, q_, k_, v_, z_;   // [chunk_tokens x d_model]
+  std::vector<float> attn_out_, ffn_out_;  // [chunk_tokens x d_model]
+  std::vector<float> hidden_;              // [chunk_tokens x d_ffn]
+  // Attention scratch, one token's attend at a time (sized at
+  // construction).
   std::vector<float> scores_, probs_;      // max_seq_len
 };
 

@@ -655,6 +655,11 @@ std::size_t ServingEngine::step() {
     pass.feed = spec ? std::span<const std::size_t>(seq.spec_drafts).first(n)
                      : known.subspan(seq.fed, n);
     pass.pos = seq.fed;
+    // Only rows someone reads get logits: the sampling walk reads a
+    // burst's rows and a frontier pass's final row; an observer reads all.
+    const bool frontier = seq.fed + n == known.size() &&
+                          known.size() < seq.target_len;
+    pass.logit_rows = spec || observer_ ? n : frontier ? 1 : 0;
     pass.emitted.clear();
     seq.state->reserve_for(n);
     if (spec) seq.state->begin_spec_capture(n);
@@ -678,7 +683,8 @@ std::size_t ServingEngine::step() {
     // model pass, merged serially below.
     if (profiling_) KernelProfiler::bind_slot(&profile_slots_[i]);
     const std::uint64_t t0 = trace_.now_us();
-    model_->prefill_chunk(*batch_[i].state, pass.feed);
+    model_->prefill_chunk(*batch_[i].state, pass.feed, nullptr,
+                          pass.logit_rows);
     pass.end_us = trace_.now_us();
     pass.dur_us = pass.end_us - t0;
     if (profiling_) KernelProfiler::bind_slot(nullptr);

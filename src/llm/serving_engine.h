@@ -46,7 +46,8 @@
 // reaches its first generated token in prompt/chunk steps instead of
 // prompt steps, and short requests interleave with it instead of waiting
 // behind a token-by-token prefill. The logits observer still fires once
-// per fed position.
+// per fed position; with no observer set, a pass computes logits only for
+// the rows the sampling walk reads (SlotPass::logit_rows).
 //
 // Sampling (Request::sampling, see sampler.h): once a sequence's known
 // tokens are fed, the frontier logits — after a chunk, the chunk-final
@@ -274,9 +275,9 @@ struct ServingConfig {
   /// prefill chunk). 1 (the default) reproduces single-token stepping
   /// decision-for-decision; larger values let prompts prefill in
   /// multi-token chunks (PreparedModel::prefill_chunk — bitwise identical
-  /// results in every kv_mode and fewer steps; each row still runs its own
-  /// weight matvecs, so a chunk row saves cache misses, not weight
-  /// passes).
+  /// results in every kv_mode and fewer steps; each weight matrix runs one
+  /// multi-row matvec per chunk, and prompt rows nobody samples from skip
+  /// the vocab GEMV).
   std::size_t prefill_chunk_tokens = 1;
   /// Speculative multi-token decoding (see drafter.h and the header
   /// comment): when enabled(), sequences at their generation frontier
@@ -645,6 +646,10 @@ class ServingEngine {
     /// or, for a burst, of its spec_drafts, valid for the whole step.
     std::span<const std::size_t> feed;
     std::size_t pos = 0;  // first position fed (KV length before the pass)
+    /// Trailing rows whose logits the pass computes: every row of a burst
+    /// or when a logits observer is set, the final row of a plain pass
+    /// that reaches the frontier with generation remaining, else none.
+    std::size_t logit_rows = 0;
     // Written by the parallel phase (distinct slots), observed serially.
     std::uint64_t end_us = 0;
     std::uint64_t dur_us = 0;

@@ -14,7 +14,8 @@
 //    rescales;
 //  * blocking never changes a row's bits: a multi-row call of any dot- or
 //    accumulate-shaped kernel is BITWISE equal to one single-row call per
-//    row, within each table;
+//    row, and an n-input-row matvec to n one-input-row calls, within each
+//    table;
 //  * the in-register log2/int8 decodes match KvBlockPool's scalar decode
 //    exactly for every byte value;
 //  * end-to-end: ServingEngine token streams agree between SIMD and
@@ -143,8 +144,8 @@ TEST(KernelsSimd, MatvecMatchesScalar) {
     const auto w = rand_vec(rows * cols);
     const auto x = rand_vec(cols);
     std::vector<float> y_simd(rows), y_ref(rows);
-    simd->matvec(w.data(), rows, cols, x.data(), y_simd.data());
-    ref.matvec(w.data(), rows, cols, x.data(), y_ref.data());
+    simd->matvec(w.data(), rows, cols, x.data(), 1, y_simd.data());
+    ref.matvec(w.data(), rows, cols, x.data(), 1, y_ref.data());
     for (std::size_t r = 0; r < rows; ++r) {
       expect_near_rel(y_simd[r], y_ref[r], "matvec", cols);
     }
@@ -406,9 +407,9 @@ void check_blocking_bitwise(const KernelOps& ops) {
       }
       std::vector<float> got(rows), want(rows);
 
-      ops.matvec(dense.data(), rows, n, x.data(), got.data());
+      ops.matvec(dense.data(), rows, n, x.data(), 1, got.data());
       for (std::size_t r = 0; r < rows; ++r) {
-        ops.matvec(dense.data() + r * n, 1, n, x.data(), &want[r]);
+        ops.matvec(dense.data() + r * n, 1, n, x.data(), 1, &want[r]);
       }
       expect_same_bits(got, want, "matvec " + shape);
 
@@ -466,6 +467,55 @@ void check_blocking_bitwise(const KernelOps& ops) {
       expect_same_bits(z_got, z_want, "dequant_accum_log2 " + shape);
     }
   }
+}
+
+void check_input_rows_bitwise(const KernelOps& ops) {
+  // n covers every 4-row block remainder and several blocks; cols cover
+  // the 8-wide body, the scalar tail, both at once, the served widths and
+  // one width past the AVX2 body's stack tile; rows cover one weight row,
+  // a 4-row block, a remainder and a served height.
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u, 17u}) {
+    for (const std::size_t cols :
+         {1u, 3u, 8u, 17u, 63u, 64u, 65u, 128u, 130u, 256u, 600u}) {
+      for (const std::size_t rows : {1u, 4u, 7u, 128u}) {
+        const std::string shape = std::string(ops.name) +
+                                  " n=" + std::to_string(n) +
+                                  " rows=" + std::to_string(rows) +
+                                  " cols=" + std::to_string(cols);
+        auto w = rand_vec(rows * cols);
+        auto x = rand_vec(n * cols);
+        // The planted cancellation pair of check_blocking_bitwise, in every
+        // input row: x[0] = x[1] = 2^40 and each weight row's column 1
+        // negates its column 0, so any change to one output's accumulation
+        // order shows in its bits.
+        if (cols >= 2) {
+          for (std::size_t i = 0; i < n; ++i) {
+            x[i * cols] = x[i * cols + 1] = 0x1p40f;
+          }
+          for (std::size_t r = 0; r < rows; ++r) {
+            w[r * cols + 1] = -w[r * cols];
+          }
+        }
+        std::vector<float> got(n * rows), want(n * rows);
+        ops.matvec(w.data(), rows, cols, x.data(), n, got.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ops.matvec(w.data(), rows, cols, x.data() + i * cols, 1,
+                     want.data() + i * rows);
+        }
+        expect_same_bits(got, want, "matvec " + shape);
+      }
+    }
+  }
+}
+
+TEST(KernelsBlocked, ScalarInputRowsEqualOneRowCallsBitwise) {
+  check_input_rows_bitwise(scalar_kernels());
+}
+
+TEST(KernelsBlocked, SimdInputRowsEqualOneRowCallsBitwise) {
+  const KernelOps* simd = simd_kernels();
+  if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
+  check_input_rows_bitwise(*simd);
 }
 
 TEST(KernelsBlocked, ScalarRowsEqualOneRowCallsBitwise) {

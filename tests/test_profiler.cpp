@@ -256,6 +256,41 @@ TEST(Profiler, CountsMatchHandCountedInvocations) {
   }
 }
 
+TEST(Profiler, ChunkCountsMatchHandCountedInvocations) {
+  // One 3-row prefill_chunk with logits for its last row only: each weight
+  // matrix is one multi-row matvec call over all three rows, and the tied
+  // embedding one call over the one logits row. elems counts every MAC.
+  const ModelConfig mc = tiny_config();
+  const std::size_t L = mc.n_layers;
+  const std::size_t d = mc.d_model;
+  const auto model = prepared(KvQuantMode::kFp32);
+  const std::vector<std::size_t> tokens = {3, 17, 42};
+
+  SequenceState silent_seq = model->make_sequence();
+  const auto silent = model->prefill_chunk(silent_seq, tokens, nullptr, 1);
+  const std::vector<float> silent_logits(silent.begin(), silent.end());
+
+  KernelProfile prof;
+  KernelProfiler::enable();
+  KernelProfiler::bind_slot(&prof);
+  SequenceState seq = model->make_sequence();
+  const auto out = model->prefill_chunk(seq, tokens, nullptr, 1);
+  const std::vector<float> logits(out.begin(), out.end());
+  KernelProfiler::bind_slot(nullptr);
+  KernelProfiler::disable();
+
+  EXPECT_EQ(logits, silent_logits);  // bit-for-bit through the wrapper
+  const KernelStat& mv =
+      prof.kernels[static_cast<std::size_t>(KernelKind::kMatvec)];
+  EXPECT_EQ(mv.calls, 6 * L + 1);
+  EXPECT_EQ(mv.elems,
+            3 * L * (4 * d * d + 2 * d * mc.d_ffn) + mc.vocab * d);
+  const KernelStat& sc =
+      prof.kernels[static_cast<std::size_t>(KernelKind::kScale)];
+  EXPECT_EQ(sc.calls, 1u);
+  EXPECT_EQ(sc.elems, mc.vocab);
+}
+
 // --- zero overhead when off, restore on disable ---
 
 TEST(Profiler, DispatchTableUntouchedWhenOffAndRestoredAfter) {

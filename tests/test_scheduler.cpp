@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "eval/schemes.h"
@@ -163,6 +166,68 @@ TEST(PrefillChunk, WholePromptInOneChunkMatchesOnPrivatePool) {
     const auto row = chunked.chunk_logits_row(j);
     EXPECT_EQ(ref_logits[j], std::vector<float>(row.begin(), row.end()))
         << "position " << j;
+  }
+}
+
+TEST(PrefillChunk, TrailingLogitRowsMatchAllRowsAndSteps_AllKvModes) {
+  // A 3-token chunk, then a 9-token chunk that crosses blocks and ends
+  // unaligned, computing logits for only its last k rows.
+  const auto tokens = prompt_tokens(12);
+  const std::size_t head = 3;
+  const std::size_t n = tokens.size() - head;
+  const auto first = std::span<const std::size_t>(tokens).first(head);
+  const auto chunk = std::span<const std::size_t>(tokens).subspan(head);
+  const std::size_t next = 11;  // one step past the chunk
+  for (const KvQuantMode mode :
+       {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
+    const PreparedModel model(tiny_model(), engine_config(mode));
+    auto pool = model.make_kv_pool(3.0);
+    SequenceState ref = model.make_sequence(pool);
+    std::vector<std::vector<float>> step_logits;
+    for (const std::size_t token : tokens) {
+      const auto logits = model.step(ref, token);
+      step_logits.emplace_back(logits.begin(), logits.end());
+    }
+    const auto ref_next = model.step(ref, next);
+    const std::vector<float> want_next(ref_next.begin(), ref_next.end());
+
+    SequenceState all_rows = model.make_sequence(pool);
+    model.prefill_chunk(all_rows, first);
+    model.prefill_chunk(all_rows, chunk);
+
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n}) {
+      const std::string what =
+          to_string(mode) + " logit_rows=" + std::to_string(k);
+      SequenceState seq = model.make_sequence(pool);
+      model.prefill_chunk(seq, first);
+      const auto last = model.prefill_chunk(seq, chunk, nullptr, k);
+      ASSERT_EQ(seq.chunk_tokens(), n) << what;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j + k < n) {
+          EXPECT_THROW((void)seq.chunk_logits_row(j), std::invalid_argument)
+              << what << " row " << j;
+          continue;
+        }
+        const auto row = seq.chunk_logits_row(j);
+        const std::vector<float> got(row.begin(), row.end());
+        const auto full = all_rows.chunk_logits_row(j);
+        EXPECT_EQ(got, std::vector<float>(full.begin(), full.end()))
+            << what << " row " << j;
+        EXPECT_EQ(got, step_logits[head + j]) << what << " row " << j;
+      }
+      if (k == 0) {
+        EXPECT_TRUE(last.empty()) << what;
+        EXPECT_TRUE(seq.logits().empty()) << what;
+      } else {
+        EXPECT_EQ(std::vector<float>(last.begin(), last.end()),
+                  step_logits.back())
+            << what;
+      }
+      // Skipping logits leaves the KV cache exactly as the steps left it.
+      const auto after = model.step(seq, next);
+      EXPECT_EQ(std::vector<float>(after.begin(), after.end()), want_next)
+          << what;
+    }
   }
 }
 

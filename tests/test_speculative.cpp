@@ -10,8 +10,11 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "accel/device.h"
+#include "accel/replay.h"
 #include "eval/schemes.h"
 #include "llm/sampler.h"
 #include "llm/scheduler.h"
@@ -381,6 +384,104 @@ TEST(Speculative, StatsInvariants) {
   }
   EXPECT_EQ(run_served, base_served);
   EXPECT_EQ(run.stats.tokens_decoded - run.stats.spec_rejected, run_served);
+}
+
+// --- logits only for the rows someone reads ---
+
+TEST(Speculative, LogitsObserverChangesNoServedBitOrCount) {
+  // Chunk-16 prefill of 40-token repetitive prompts, then n-gram verify
+  // bursts. Without a logits observer the engine computes logits only for
+  // the rows it samples; with one, every row. Both must serve the same
+  // tokens, the same Stats and the same replayed generated-token count.
+  EngineConfig ecfg = engine_config(KvQuantMode::kInt8);
+  ecfg.max_seq_len = 64;
+  auto model = std::make_shared<const PreparedModel>(tiny_model(), ecfg);
+  std::vector<Request> requests;
+  for (std::size_t r = 0; r < 3; ++r) {
+    Request req;
+    for (std::size_t i = 0; i < 40; ++i) {
+      req.prompt.push_back((i % (5 + r)) * 7 + r);
+    }
+    req.max_new_tokens = 14;
+    requests.push_back(req);
+  }
+  ServingConfig cfg;
+  cfg.max_batch = 2;
+  cfg.prefill_chunk_tokens = 16;
+  cfg.speculative.policy = DraftPolicy::kNgram;
+  cfg.speculative.draft_tokens = 4;
+  cfg.trace = true;
+
+  struct Run {
+    std::vector<std::vector<std::size_t>> tokens;
+    ServingEngine::Stats stats;
+    std::size_t replay_generated = 0;
+    std::size_t observed_rows = 0;
+  };
+  const auto run = [&](bool observe) {
+    ServingEngine engine(model, cfg);
+    Run out;
+    if (observe) {
+      engine.set_logits_observer(
+          [&](RequestId, std::size_t, std::span<const float> logits) {
+            EXPECT_EQ(logits.size(), tiny_config().vocab);
+            ++out.observed_rows;
+          });
+    }
+    std::vector<RequestId> ids;
+    for (const Request& req : requests) ids.push_back(engine.submit(req));
+    engine.run();
+    for (const RequestId id : ids) out.tokens.push_back(engine.result(id).tokens);
+    out.stats = engine.stats();
+    out.replay_generated =
+        replay_trace(make_opal_device(4, 7, 4),
+                     step_trace_from_tracer(engine.tracer()))
+            .tokens_generated;
+    return out;
+  };
+  const Run silent = run(false);
+  const Run observed = run(true);
+
+  ASSERT_GT(silent.stats.spec_bursts, 0u);
+  EXPECT_EQ(observed.observed_rows,
+            observed.stats.tokens_decoded - observed.stats.spec_rejected);
+  EXPECT_EQ(silent.tokens, observed.tokens);
+  EXPECT_EQ(silent.replay_generated, observed.replay_generated);
+  EXPECT_GT(silent.replay_generated, 0u);
+  const ServingEngine::Stats& a = silent.stats;
+  const ServingEngine::Stats& b = observed.stats;
+  EXPECT_EQ(a.blocks_in_use, b.blocks_in_use);
+  EXPECT_EQ(a.blocks_free, b.blocks_free);
+  EXPECT_EQ(a.blocks_peak, b.blocks_peak);
+  EXPECT_EQ(a.blocks_reclaimable, b.blocks_reclaimable);
+  EXPECT_EQ(a.running, b.running);
+  EXPECT_EQ(a.queued, b.queued);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.preemptions, b.preemptions);
+  EXPECT_EQ(a.tokens_decoded, b.tokens_decoded);
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.prefix_hits, b.prefix_hits);
+  EXPECT_EQ(a.prefix_misses, b.prefix_misses);
+  EXPECT_EQ(a.prefix_hit_tokens, b.prefix_hit_tokens);
+  EXPECT_EQ(a.prefix_cached_blocks, b.prefix_cached_blocks);
+  EXPECT_EQ(a.prefix_reclaimed_blocks, b.prefix_reclaimed_blocks);
+  EXPECT_EQ(a.spec_bursts, b.spec_bursts);
+  EXPECT_EQ(a.spec_drafted, b.spec_drafted);
+  EXPECT_EQ(a.spec_accepted, b.spec_accepted);
+  EXPECT_EQ(a.spec_rejected, b.spec_rejected);
+  ASSERT_EQ(a.by_priority.size(), b.by_priority.size());
+  for (const auto& [prio, pa] : a.by_priority) {
+    const auto& pb = b.by_priority.at(prio);
+    EXPECT_EQ(pa.submitted, pb.submitted);
+    EXPECT_EQ(pa.finished, pb.finished);
+    EXPECT_EQ(pa.evicted, pb.evicted);
+    EXPECT_EQ(pa.tokens_served, pb.tokens_served);
+    EXPECT_EQ(pa.queue_wait_steps, pb.queue_wait_steps);
+    EXPECT_EQ(pa.first_decodes, pb.first_decodes);
+    EXPECT_EQ(pa.ttft_steps, pb.ttft_steps);
+    EXPECT_EQ(pa.first_tokens, pb.first_tokens);
+  }
+  EXPECT_EQ(a.finish_reasons, b.finish_reasons);
 }
 
 // --- per-token logprobs: normalized, and invariant to speculation ---
