@@ -119,6 +119,154 @@ TEST_P(GoldenBits, MxOpalLog2ServingLog2Kv) {
   EXPECT_EQ(serve_hash(KvQuantMode::kLog2), 0x0aec89d766a889ffull);
 }
 
+// --- the engine's decisions ---
+//
+// The hashes above pin what is served; this one pins how: every admission,
+// budget shrink, preemption, prefix hit, pass and retirement of one mixed,
+// squeezed run. Hashed: each TraceEvent's kind, step, request and payload
+// (not its timestamps), every Stats field, and every counter and gauge of
+// metrics(). Recorded before ServingEngine::step was split into phases;
+// a restructuring of the engine must leave it unchanged.
+
+void mix_stats(std::uint64_t& h, const ServingEngine::Stats& s) {
+  for (const std::size_t v :
+       {s.blocks_in_use, s.blocks_free, s.blocks_peak, s.blocks_reclaimable,
+        s.running, s.queued, s.evictions, s.preemptions, s.tokens_decoded,
+        s.steps, s.prefix_hits, s.prefix_misses, s.prefix_hit_tokens,
+        s.prefix_cached_blocks, s.prefix_reclaimed_blocks, s.spec_bursts,
+        s.spec_drafted, s.spec_accepted, s.spec_rejected}) {
+    fnv_mix(h, v);
+  }
+  for (const auto& [priority, c] : s.by_priority) {
+    fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(priority)));
+    for (const std::size_t v :
+         {c.submitted, c.finished, c.evicted, c.tokens_served,
+          c.queue_wait_steps, c.first_decodes, c.ttft_steps, c.first_tokens}) {
+      fnv_mix(h, v);
+    }
+  }
+  for (const auto& [reason, count] : s.finish_reasons) {
+    fnv_mix(h, static_cast<std::uint64_t>(reason));
+    fnv_mix(h, count);
+  }
+}
+
+void mix_name(std::uint64_t& h, std::string_view name) {
+  for (const char c : name) fnv_mix(h, static_cast<unsigned char>(c));
+}
+
+TEST_P(GoldenBits, ServingDecisionTrace) {
+  EngineConfig ecfg = scheme_mx_opal(4, 4, 7, /*log2_softmax=*/true);
+  ecfg.max_seq_len = 64;
+  ecfg.kv_block_size = 8;
+  ecfg.kv_mode = KvQuantMode::kInt8;
+  const auto model = std::make_shared<const PreparedModel>(golden_model(), ecfg);
+
+  ServingConfig scfg;
+  scfg.max_batch = 4;
+  scfg.n_threads = 2;
+  scfg.prefill_chunk_tokens = 8;
+  scfg.scheduler = std::make_shared<PriorityScheduler>();
+  scfg.speculative.policy = DraftPolicy::kNgram;
+  scfg.speculative.draft_tokens = 4;
+  scfg.enable_prefix_cache = true;
+  scfg.kv_pool_blocks = 24;  // six block columns for four slots
+  scfg.trace = true;
+  ServingEngine engine(model, scfg);
+  std::uint64_t h = kFnvOffset;
+  engine.set_logits_observer(
+      [&h](RequestId id, std::size_t pos, std::span<const float>) {
+        fnv_mix(h, id);
+        fnv_mix(h, pos);
+      });
+
+  // Two shared 16-token histories (two full blocks each), repetitive enough
+  // for the n-gram drafter, under two priority classes.
+  const auto request = [](std::size_t history, std::size_t tail, int priority,
+                          bool top_p) {
+    Request req;
+    for (std::size_t i = 0; i < 16; ++i) {
+      req.prompt.push_back((history * 29 + (i % 6) * 7) % 96);
+    }
+    for (std::size_t i = 0; i < tail; ++i) {
+      req.prompt.push_back((tail * 13 + i * 5) % 96);
+    }
+    req.max_new_tokens = 12;
+    req.priority = priority;
+    if (top_p) {
+      req.sampling.policy = SamplePolicy::kTopP;
+      req.sampling.temperature = 0.8f;
+      req.sampling.top_p = 0.9f;
+      req.sampling.seed = 7 + tail;
+    }
+    return req;
+  };
+  std::vector<RequestId> ids;
+  for (std::size_t r = 0; r < 5; ++r) {
+    ids.push_back(engine.submit(
+        request(r % 2, 3 + r, static_cast<int>(r % 2), r % 3 == 1)));
+  }
+  bool manual_preempt = false;
+  for (std::size_t s = 0; s < 400; ++s) {
+    if (s == 6) {
+      // Late arrivals over the same histories: prefix hits.
+      for (std::size_t r = 5; r < 9; ++r) {
+        ids.push_back(engine.submit(
+            request(r % 2, 2 + r, static_cast<int>(r % 2), r % 3 == 0)));
+      }
+    }
+    if (s == 4) {
+      for (const RequestId id : ids) {
+        const RequestResult res = engine.result(id);
+        if (res.status == RequestStatus::kRunning && res.tokens.size() > 6) {
+          engine.preempt(id, 5);  // mid-block: the kept prefix is tainted
+          manual_preempt = true;
+          break;
+        }
+      }
+    }
+    if (engine.step() == 0 && engine.queued() == 0) break;
+  }
+  ASSERT_TRUE(manual_preempt);
+  ASSERT_EQ(engine.running(), 0u);
+  ASSERT_EQ(engine.queued(), 0u);
+
+  std::size_t shrinks = 0, preempts = 0, hits = 0, rejecting_bursts = 0;
+  for (const TraceEvent& e : engine.tracer().events()) {
+    fnv_mix(h, static_cast<std::uint64_t>(e.kind));
+    for (const std::uint64_t v : {e.step, e.request, e.a, e.b, e.c, e.d}) {
+      fnv_mix(h, v);
+    }
+    shrinks += e.kind == TraceEventKind::kBudgetShrink;
+    preempts += e.kind == TraceEventKind::kPreempt;
+    hits += e.kind == TraceEventKind::kPrefixHit;
+    rejecting_bursts += e.kind == TraceEventKind::kSpecBurst && e.d < e.a;
+  }
+  EXPECT_EQ(engine.tracer().truncated_events(), 0u);
+  EXPECT_GT(shrinks, 0u);
+  EXPECT_GT(preempts, 1u);  // the manual one and at least one under pressure
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(rejecting_bursts, 0u);
+
+  mix_stats(h, engine.stats());
+  const MetricsRegistry::Snapshot m = engine.metrics();
+  for (const auto& c : m.counters) {
+    mix_name(h, c.name);
+    fnv_mix(h, c.value);
+  }
+  for (const auto& g : m.gauges) {
+    mix_name(h, g.name);
+    fnv_mix(h, std::bit_cast<std::uint64_t>(g.value));
+  }
+  for (const RequestId id : ids) {
+    const RequestResult res = engine.result(id);
+    fnv_mix(h, static_cast<std::uint64_t>(res.status));
+    fnv_mix(h, static_cast<std::uint64_t>(res.finish_reason));
+    for (const std::size_t t : res.tokens) fnv_mix(h, t);
+  }
+  EXPECT_EQ(h, 0x9d08affa16e7d540ull);
+}
+
 // --- the batch-of-1 facade ---
 //
 // InferenceEngine and ModelDrafter decode through a SequenceState that owns
