@@ -35,11 +35,6 @@ void PagedKvCache::release_from(std::size_t first_block) {
   }
 }
 
-std::size_t PagedKvCache::blocks_needed_for_next() const {
-  if (len_ >= max_seq_len_) return 0;  // advance() will throw, not allocate
-  return blocks_needed_for(1);
-}
-
 std::size_t PagedKvCache::blocks_needed_for(std::size_t n) const {
   require(len_ + n <= max_seq_len_,
           "PagedKvCache::blocks_needed_for: chunk exceeds max_seq_len");
@@ -63,8 +58,6 @@ std::size_t PagedKvCache::blocks_needed_for(std::size_t n) const {
   }
   return need;
 }
-
-void PagedKvCache::reserve_next() { reserve_for(1); }
 
 void PagedKvCache::reserve_for(std::size_t n) {
   require(len_ + n <= max_seq_len_,
@@ -155,24 +148,11 @@ KvBlockColumn PagedKvCache::block_column(std::size_t column) const {
   return col;
 }
 
-void PagedKvCache::advance() {
-  require(len_ < max_seq_len_,
-          "PagedKvCache::advance: cache full (length == max_seq_len)");
-  reserve_next();
-  ++len_;
-}
-
 void PagedKvCache::advance_by(std::size_t n) {
   require(len_ + n <= max_seq_len_,
           "PagedKvCache::advance_by: chunk exceeds max_seq_len");
   reserve_for(n);
   len_ += n;
-}
-
-void PagedKvCache::append(std::size_t layer, std::span<const float> k,
-                          std::span<const float> v) {
-  require(len_ >= 1, "PagedKvCache::append: call advance() first");
-  write_at(layer, len_ - 1, k, v);
 }
 
 void PagedKvCache::write_at(std::size_t layer, std::size_t pos,

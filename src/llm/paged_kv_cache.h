@@ -4,10 +4,11 @@
 // A PagedKvCache holds blocks only for positions actually written rather
 // than max_seq_len rows up front: per layer, one list of K blocks and one
 // of V blocks, each block covering `block_size` consecutive positions.
-// advance() acquires the 2*n_layers blocks of a new block column lazily (or
-// finds them already reserved — see reserve_next()), truncate() returns
-// now-unused blocks to the pool, and the destructor returns everything, so
-// cache memory follows the actual working set instead of the worst case.
+// advance_by() acquires the 2*n_layers blocks of each new block column
+// lazily (or finds them already reserved — see reserve_for()), truncate()
+// returns now-unused blocks to the pool, and the destructor returns
+// everything, so cache memory follows the actual working set instead of
+// the worst case.
 //
 // Attention reads through append_segments(): one KvSegment per block over
 // the pool's live storage — float spans in fp32 mode, quantized codes plus
@@ -20,8 +21,8 @@
 // (a PrefixCache hit) as this cache's leading positions, taking a pool
 // reference per block instead of recomputing them. Shared blocks are
 // immutable; when a truncate() lands mid-way into a shared block and the
-// sequence re-advances over it, reserve_next() copies the written prefix
-// into a private block first (copy-on-write), so append() always writes
+// sequence re-advances over it, reserve_for() copies the written prefix
+// into a private block first (copy-on-write), so write_at() always writes
 // exclusively-owned storage and the parallel decode phase never touches
 // the pool.
 #pragma once
@@ -66,43 +67,24 @@ class PagedKvCache {
   PagedKvCache(const PagedKvCache&) = delete;
   PagedKvCache& operator=(const PagedKvCache&) = delete;
 
-  /// Opens a new time step, acquiring a fresh block per layer per K/V when
-  /// the position crosses a block boundary (no-op when reserve_next() was
-  /// called). Throws std::invalid_argument at max_seq_len and
-  /// KvPoolExhausted when the pool cannot supply the blocks (all-or-nothing:
-  /// on throw, no blocks were taken).
-  void advance();
-
-  /// Pre-acquires the blocks the next advance()+append() needs — a fresh
-  /// block column at a boundary, or private copy-on-write copies of any
-  /// shared blocks the next write position lands in — so a serving layer
-  /// can do all pool mutation in its serial phase and keep the parallel
-  /// decode phase free of shared-state writes. Idempotent; throws
-  /// KvPoolExhausted like advance().
-  void reserve_next();
-
-  /// Blocks the next advance() would take from the pool right now
-  /// (2*n_layers at an unreserved boundary, the copy-on-write count when
-  /// the write position lands in shared blocks, else 0).
-  [[nodiscard]] std::size_t blocks_needed_for_next() const;
-
   /// Blocks an advance_by(n) would take right now: fresh columns covering
   /// positions [length(), length()+n) plus copy-on-write copies of shared
   /// blocks the first write position lands in. Requires
-  /// length()+n <= max_seq_len; blocks_needed_for(1) ==
-  /// blocks_needed_for_next().
+  /// length()+n <= max_seq_len.
   [[nodiscard]] std::size_t blocks_needed_for(std::size_t n) const;
 
-  /// Multi-row reserve_next(): pre-acquires everything advance_by(n) needs
-  /// (all-or-nothing capacity check, idempotent), so a serving layer can
-  /// reserve a whole prefill chunk in its serial phase and the parallel
-  /// decode phase never touches the pool. Throws KvPoolExhausted like
-  /// advance() without taking any block.
+  /// Pre-acquires everything advance_by(n) needs — fresh block columns,
+  /// and private copy-on-write copies of any shared blocks the first write
+  /// position lands in (all-or-nothing capacity check, idempotent) — so a
+  /// serving layer can reserve a whole pass in its serial phase and the
+  /// parallel decode phase never touches the pool. Throws KvPoolExhausted
+  /// without taking any block when the pool cannot supply them.
   void reserve_for(std::size_t n);
 
-  /// Opens `n` time steps at once (chunked prefill): positions
-  /// [length(), length()+n) become writable through write_at(). Acquires
-  /// blocks like reserve_for(n) unless already reserved.
+  /// Opens `n` time steps at once: positions [length(), length()+n) become
+  /// writable through write_at(). Acquires blocks like reserve_for(n)
+  /// unless already reserved. Throws std::invalid_argument past
+  /// max_seq_len and KvPoolExhausted like reserve_for(n).
   void advance_by(std::size_t n);
 
   /// Adopts `columns` of full, already-written shared blocks as this
@@ -118,13 +100,8 @@ class PagedKvCache {
   /// insertion).
   [[nodiscard]] KvBlockColumn block_column(std::size_t column) const;
 
-  /// Writes this step's key and value vectors for `layer` at the position
-  /// opened by the last advance() (quantizing per the pool's mode).
-  void append(std::size_t layer, std::span<const float> k,
-              std::span<const float> v);
-
   /// Writes `layer`'s key/value vectors at an explicit opened position
-  /// (pos < length()); append() is write_at at length()-1. Chunked prefill
+  /// (pos < length()), quantizing per the pool's mode. Chunked prefill
   /// opens a whole chunk with advance_by() and fills it layer by layer, in
   /// ascending position order per block — required in quantized modes,
   /// where a block's grow-only scale must see the same write order a

@@ -95,10 +95,6 @@ class SequenceState {
 
   /// Pool blocks currently held.
   [[nodiscard]] std::size_t blocks_held() const { return kv_.blocks_held(); }
-  /// Pool blocks the next decode step would take.
-  [[nodiscard]] std::size_t blocks_needed_for_next() const {
-    return kv_.blocks_needed_for_next();
-  }
   /// Pool blocks an `n`-token chunk would take right now.
   [[nodiscard]] std::size_t blocks_needed_for(std::size_t n) const {
     return kv_.blocks_needed_for(n);

@@ -187,8 +187,12 @@ std::span<const SchedRequest> ServingEngine::sched_views(
 
 std::size_t ServingEngine::blocks_needed(const Sequence& seq) const {
   // A sequence preempted with a kept prefix still owns its blocks and may
-  // need none; a fresh (or fully released) sequence needs one block column.
-  if (seq.state != nullptr) return seq.state->blocks_needed_for_next();
+  // need none (nor any at a full cache, where it evicts instead of
+  // decoding); a fresh (or fully released) sequence needs one block column.
+  if (seq.state != nullptr) {
+    return seq.state->blocks_needed_for(std::min<std::size_t>(
+        1, seq.state->max_seq_len() - seq.state->position()));
+  }
   return PagedKvCache::blocks_for(model_->model_config().n_layers, 1,
                                   model_->config().kv_block_size);
 }

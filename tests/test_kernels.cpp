@@ -292,13 +292,13 @@ TEST(KernelsFused, BlockSegmentsEqualGatheredSegmentBitwise) {
     KvBlockPool pool(8, bs, d, mode);
     PagedKvCache cache(pool, 1, 16);
     for (const float amp : amps) {
-      cache.advance();
+      cache.advance_by(1);
       auto k = rand_vec(d), v = rand_vec(d);
       for (std::size_t c = 0; c < d; ++c) {
         k[c] *= amp;
         v[c] *= amp;
       }
-      cache.append(0, k, v);
+      cache.write_at(0, cache.length() - 1, k, v);
     }
     std::vector<KvSegment> segs;
     cache.append_segments(0, len, segs);

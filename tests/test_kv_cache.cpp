@@ -15,24 +15,24 @@
 namespace opal {
 namespace {
 
-TEST(Fp32PagedKvCache, AppendBeforeAdvanceThrows) {
+TEST(Fp32PagedKvCache, WriteBeforeAdvanceThrows) {
   KvBlockPool pool(4, 2, 2);
   PagedKvCache cache(pool, 1, 4);
   std::vector<float> kv = {1.0f, 2.0f};
-  EXPECT_THROW(cache.append(0, kv, kv), std::invalid_argument);
+  EXPECT_THROW(cache.write_at(0, 0, kv, kv), std::invalid_argument);
 }
 
 TEST(Fp32PagedKvCache, FullCacheThrows) {
   KvBlockPool pool(4, 2, 2);
   PagedKvCache cache(pool, 1, 1);
-  cache.advance();
-  EXPECT_THROW(cache.advance(), std::invalid_argument);
+  cache.advance_by(1);
+  EXPECT_THROW(cache.advance_by(1), std::invalid_argument);
 }
 
 TEST(Fp32PagedKvCache, TruncateBeyondLengthThrows) {
   KvBlockPool pool(4, 2, 2);
   PagedKvCache cache(pool, 1, 4);
-  cache.advance();
+  cache.advance_by(1);
   EXPECT_THROW(cache.truncate(2), std::invalid_argument);
   cache.truncate(1);  // no-op truncate to current length is fine
   EXPECT_EQ(cache.length(), 1u);
@@ -43,22 +43,22 @@ TEST(Fp32PagedKvCache, TruncateBeyondLengthThrows) {
 TEST(Fp32PagedKvCache, DimChecks) {
   KvBlockPool pool(4, 2, 4);
   PagedKvCache cache(pool, 1, 4);
-  cache.advance();
+  cache.advance_by(1);
   std::vector<float> bad(3), good(4);
-  EXPECT_THROW(cache.append(0, bad, bad), std::invalid_argument);
-  EXPECT_THROW(cache.append(5, good, good), std::invalid_argument);
+  EXPECT_THROW(cache.write_at(0, 0, bad, bad), std::invalid_argument);
+  EXPECT_THROW(cache.write_at(5, 0, good, good), std::invalid_argument);
   std::vector<float> k(4), v(4);
   EXPECT_THROW(cache.gather(5, k, v), std::invalid_argument);
 }
 
 TEST(Fp32PagedKvCache, OverwriteWithinStep) {
-  // A layer may re-append within the same step (idempotent writes).
+  // A layer may rewrite its row within the same step (idempotent writes).
   KvBlockPool pool(4, 2, 2);
   PagedKvCache cache(pool, 1, 4);
-  cache.advance();
+  cache.advance_by(1);
   std::vector<float> a = {1.0f, 1.0f}, b = {2.0f, 2.0f};
-  cache.append(0, a, a);
-  cache.append(0, b, b);
+  cache.write_at(0, cache.length() - 1, a, a);
+  cache.write_at(0, cache.length() - 1, b, b);
   std::vector<float> k(2), v(2);
   cache.gather(0, k, v);
   EXPECT_EQ(k, b);
@@ -67,11 +67,11 @@ TEST(Fp32PagedKvCache, OverwriteWithinStep) {
 TEST(Fp32PagedKvCache, AdvanceToCapacityThenTruncateReopensSpace) {
   KvBlockPool pool(4, 2, 2);
   PagedKvCache cache(pool, 1, 2);
-  cache.advance();
-  cache.advance();
-  EXPECT_THROW(cache.advance(), std::invalid_argument);
+  cache.advance_by(1);
+  cache.advance_by(1);
+  EXPECT_THROW(cache.advance_by(1), std::invalid_argument);
   cache.truncate(1);
-  cache.advance();  // space reopened by the rollback
+  cache.advance_by(1);  // space reopened by the rollback
   EXPECT_EQ(cache.length(), 2u);
 }
 

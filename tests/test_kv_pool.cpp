@@ -220,15 +220,15 @@ TEST(PagedKvCache, AdvanceAllocatesPerBlockColumn) {
   KvBlockPool pool(16, 4, 8);
   PagedKvCache cache(pool, 2, 12);  // 2 layers
   EXPECT_EQ(cache.blocks_held(), 0u);
-  EXPECT_EQ(cache.blocks_needed_for_next(), 4u);  // K+V per layer
-  cache.advance();
+  EXPECT_EQ(cache.blocks_needed_for(1), 4u);  // K+V per layer
+  cache.advance_by(1);
   EXPECT_EQ(cache.blocks_held(), 4u);
   for (int t = 1; t < 4; ++t) {
-    EXPECT_EQ(cache.blocks_needed_for_next(), 0u);
-    cache.advance();
+    EXPECT_EQ(cache.blocks_needed_for(1), 0u);
+    cache.advance_by(1);
   }
   EXPECT_EQ(cache.blocks_held(), 4u);  // still within the first column
-  cache.advance();                     // position 4 opens a second column
+  cache.advance_by(1);                 // position 4 opens a second column
   EXPECT_EQ(cache.blocks_held(), 8u);
   EXPECT_EQ(pool.free_blocks(), 8u);
 }
@@ -238,8 +238,8 @@ TEST(PagedKvCache, TruncateReturnsBlocksToPool) {
   PagedKvCache cache(pool, 1, 12);
   std::vector<float> row(8, 1.0f);
   for (int t = 0; t < 9; ++t) {
-    cache.advance();
-    cache.append(0, row, row);
+    cache.advance_by(1);
+    cache.write_at(0, cache.length() - 1, row, row);
   }
   EXPECT_EQ(cache.blocks_held(), 6u);  // 3 columns x (K+V)
   cache.truncate(4);                   // exactly one column survives
@@ -249,7 +249,7 @@ TEST(PagedKvCache, TruncateReturnsBlocksToPool) {
   EXPECT_EQ(cache.blocks_held(), 0u);
   EXPECT_EQ(pool.free_blocks(), 12u);
   // Space reopened: the cache grows again from the pool.
-  cache.advance();
+  cache.advance_by(1);
   EXPECT_EQ(cache.blocks_held(), 2u);
 }
 
@@ -257,27 +257,27 @@ TEST(PagedKvCache, PoolExhaustionThrowsWithoutPartialAllocation) {
   KvBlockPool pool(2, 2, 4);
   PagedKvCache cache(pool, 1, 8);
   std::vector<float> row(4, 1.0f);
-  cache.advance();
-  cache.append(0, row, row);
-  cache.advance();
-  cache.append(0, row, row);
+  cache.advance_by(1);
+  cache.write_at(0, cache.length() - 1, row, row);
+  cache.advance_by(1);
+  cache.write_at(0, cache.length() - 1, row, row);
   EXPECT_EQ(pool.free_blocks(), 0u);
   // The third position needs a fresh column the pool cannot supply.
-  EXPECT_THROW(cache.advance(), KvPoolExhausted);
+  EXPECT_THROW(cache.advance_by(1), KvPoolExhausted);
   EXPECT_EQ(cache.length(), 2u);       // length unchanged
   EXPECT_EQ(cache.blocks_held(), 2u);  // nothing leaked, nothing taken
 }
 
-TEST(PagedKvCache, ReserveNextIsIdempotentAndConsumedByAdvance) {
+TEST(PagedKvCache, ReserveIsIdempotentAndConsumedByAdvance) {
   KvBlockPool pool(8, 4, 4);
   PagedKvCache cache(pool, 1, 8);
-  EXPECT_EQ(cache.blocks_needed_for_next(), 2u);
-  cache.reserve_next();
+  EXPECT_EQ(cache.blocks_needed_for(1), 2u);
+  cache.reserve_for(1);
   EXPECT_EQ(cache.blocks_held(), 2u);
-  EXPECT_EQ(cache.blocks_needed_for_next(), 0u);  // already covered
-  cache.reserve_next();                           // no-op
+  EXPECT_EQ(cache.blocks_needed_for(1), 0u);  // already covered
+  cache.reserve_for(1);                           // no-op
   EXPECT_EQ(cache.blocks_held(), 2u);
-  cache.advance();  // uses the reservation, no new allocation
+  cache.advance_by(1);  // uses the reservation, no new allocation
   EXPECT_EQ(cache.blocks_held(), 2u);
 }
 
@@ -285,7 +285,7 @@ TEST(PagedKvCache, DestructorAndMoveReturnBlocksExactlyOnce) {
   KvBlockPool pool(8, 2, 4);
   {
     PagedKvCache cache(pool, 1, 8);
-    cache.advance();
+    cache.advance_by(1);
     EXPECT_EQ(pool.free_blocks(), 6u);
     PagedKvCache moved(std::move(cache));
     EXPECT_EQ(moved.length(), 1u);
@@ -303,10 +303,10 @@ TEST(PagedKvCache, Fp32GatherReturnsWrittenRowsBitwise) {
   std::vector<std::vector<float>> want_k(n_layers), want_v(n_layers);
   Rng rng = make_rng(3);
   for (std::size_t t = 0; t < len; ++t) {
-    paged.advance();
+    paged.advance_by(1);
     for (std::size_t l = 0; l < n_layers; ++l) {
       const auto k = random_row(rng, d), v = random_row(rng, d);
-      paged.append(l, k, v);
+      paged.write_at(l, paged.length() - 1, k, v);
       want_k[l].insert(want_k[l].end(), k.begin(), k.end());
       want_v[l].insert(want_v[l].end(), v.begin(), v.end());
     }
@@ -325,9 +325,9 @@ TEST(PagedKvCache, MapSharedAliasesBlocksAndCopiesOnWrite) {
   PagedKvCache donor(pool, n_layers, 16);
   Rng rng = make_rng(11);
   for (std::size_t t = 0; t < bs; ++t) {
-    donor.advance();
+    donor.advance_by(1);
     for (std::size_t l = 0; l < n_layers; ++l) {
-      donor.append(l, random_row(rng, d), random_row(rng, d));
+      donor.write_at(l, t, random_row(rng, d), random_row(rng, d));
     }
   }
   const KvBlockColumn col = donor.block_column(0);
@@ -349,20 +349,22 @@ TEST(PagedKvCache, MapSharedAliasesBlocksAndCopiesOnWrite) {
   }
 
   // Growing past the shared prefix allocates a private column — no copy.
-  reader.advance();
+  reader.advance_by(1);
   for (std::size_t l = 0; l < n_layers; ++l) {
-    reader.append(l, random_row(rng, d), random_row(rng, d));
+    reader.write_at(l, bs, random_row(rng, d), random_row(rng, d));
   }
   EXPECT_EQ(pool.ref_count(col.k[0]), 2u);  // still aliased
 
   // Truncating into the shared block and re-advancing copy-on-writes it:
   // the donor's block is untouched and the reader owns a private copy.
   reader.truncate(2);
-  EXPECT_EQ(reader.blocks_needed_for_next(), 2 * n_layers);  // all shared
-  reader.advance();
+  EXPECT_EQ(reader.blocks_needed_for(1), 2 * n_layers);  // all shared
+  reader.advance_by(1);
   EXPECT_EQ(pool.ref_count(col.k[0]), 1u);  // donor's copy only
   const auto fresh = random_row(rng, d);
-  for (std::size_t l = 0; l < n_layers; ++l) reader.append(l, fresh, fresh);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    reader.write_at(l, 2, fresh, fresh);
+  }
   donor.gather(0, dk, dv);  // donor sees its original rows
   reader.gather(0, rk, rv);
   for (std::size_t i = 0; i < 2 * d; ++i) {
@@ -396,8 +398,8 @@ TEST(PagedKvCache, MidBlockTruncateThenReadvanceIsDeterministicQuantized) {
         rows.push_back(random_row(rng, d, t == 3 ? 8.0f : 1.0f));
       }
       for (std::size_t t = 0; t < 6; ++t) {
-        cache.advance();
-        cache.append(0, rows[t], rows[t]);
+        cache.advance_by(1);
+        cache.write_at(0, cache.length() - 1, rows[t], rows[t]);
       }
       const KvBlockPool::BlockId block0 = cache.block_column(0).k[0];
       const float scale_before = pool.block_scale(block0);
@@ -410,8 +412,8 @@ TEST(PagedKvCache, MidBlockTruncateThenReadvanceIsDeterministicQuantized) {
       // Re-advance with different data over the rolled-back positions.
       for (std::size_t t = 2; t < 6; ++t) {
         const auto row = random_row(rng, d, 1.0f);
-        cache.advance();
-        cache.append(0, row, row);
+        cache.advance_by(1);
+        cache.write_at(0, cache.length() - 1, row, row);
       }
       std::vector<float> k(6 * d), v(6 * d);
       cache.gather(0, k, v);
@@ -451,10 +453,10 @@ TEST(PagedKvCache, AdvanceByWriteAtMatchesStepwiseAllModes) {
       return row;
     };
     for (std::size_t t = 0; t < n_tokens; ++t) {
-      stepwise.advance();
+      stepwise.advance_by(1);
       for (std::size_t l = 0; l < n_layers; ++l) {
         const auto row = row_for(t, l);
-        stepwise.append(l, row, row);
+        stepwise.write_at(l, stepwise.length() - 1, row, row);
       }
     }
     chunked.advance_by(n_tokens);
@@ -480,7 +482,7 @@ TEST(PagedKvCache, BlocksNeededForMatchesReserveConsumption) {
   KvBlockPool pool(64, bs, d);
   PagedKvCache cache(pool, n_layers, 40);
   EXPECT_EQ(cache.blocks_needed_for(0), 0u);
-  EXPECT_EQ(cache.blocks_needed_for(1), cache.blocks_needed_for_next());
+  EXPECT_EQ(cache.blocks_needed_for(1), 2 * n_layers);
   // From empty: n positions need ceil(n/bs) columns of 2*n_layers blocks.
   EXPECT_EQ(cache.blocks_needed_for(4), 4u);
   EXPECT_EQ(cache.blocks_needed_for(5), 8u);
@@ -507,8 +509,8 @@ TEST(PagedKvCache, ReserveForIsAllOrNothingAndCopyOnWritesSharedBlocks) {
   PagedKvCache donor(pool, n_layers, 16);
   std::vector<float> row(d, 1.5f);
   for (std::size_t t = 0; t < 8; ++t) {
-    donor.advance();
-    donor.append(0, row, row);
+    donor.advance_by(1);
+    donor.write_at(0, donor.length() - 1, row, row);
   }
   std::vector<KvBlockColumn> columns = {donor.block_column(0),
                                         donor.block_column(1)};

@@ -39,10 +39,10 @@ std::vector<std::size_t> reference_tokens(
 void fill_from_tokens(PagedKvCache& cache,
                       std::span<const std::size_t> tokens, std::size_t d) {
   for (const std::size_t token : tokens) {
-    cache.advance();
+    cache.advance_by(1);
     std::vector<float> row(d, static_cast<float>(token) * 0.125f);
     for (std::size_t l = 0; l < cache.n_layers(); ++l) {
-      cache.append(l, row, row);
+      cache.write_at(l, cache.length() - 1, row, row);
     }
   }
 }
