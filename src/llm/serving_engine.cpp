@@ -33,6 +33,7 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   if (config_.n_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(config_.n_threads);
   }
+  passes_.resize(config_.max_batch);
   const auto& mcfg = model_->model_config();
   const auto& ecfg = model_->config();
   if (config_.kv_pool != nullptr) {
@@ -316,7 +317,6 @@ void ServingEngine::admit_from_queue() {
           Sequence seq = std::move(queue_[pick]);
           queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
           seq.downgraded = false;
-          seq.spec_drafts.clear();  // a pre-preemption burst is stale
           seq.result.status = RequestStatus::kRunning;
           batch_.push_back(std::move(seq));
           em_.admissions->add();
@@ -369,11 +369,11 @@ bool ServingEngine::reclaim_queued_prefix() {
   return false;
 }
 
-bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
+bool ServingEngine::ensure_kv_capacity() {
   for (;;) {
     std::size_t need = 0;
     for (std::size_t i = 0; i < batch_.size(); ++i) {
-      need += batch_[i].state->blocks_needed_for(budgets[i]);
+      need += batch_[i].state->blocks_needed_for(passes_[i].rows);
     }
     // Reclaims LRU cached prefixes first (ours, then siblings'): the prefix
     // cache never costs a running sequence its blocks. True covers the
@@ -382,22 +382,26 @@ bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
     // A chunk is a luxury, a running sequence is a commitment: shrink the
     // widest budget to single-token stepping (ties to the highest slot,
     // the youngest) before disturbing anyone. Single-token budgets are the
-    // invariant admission guaranteed blocks for.
+    // invariant admission guaranteed blocks for. A shrunk burst drops its
+    // drafts and decodes the frontier plainly.
     std::size_t widest = Scheduler::kNone;
     for (std::size_t i = 0; i < batch_.size(); ++i) {
-      if (budgets[i] > 1 &&
-          (widest == Scheduler::kNone || budgets[i] >= budgets[widest])) {
+      if (passes_[i].rows > 1 &&
+          (widest == Scheduler::kNone ||
+           passes_[i].rows >= passes_[widest].rows)) {
         widest = i;
       }
     }
     if (widest != Scheduler::kNone) {
+      SlotPass& pass = passes_[widest];
       em_.budget_shrinks->add();
       trace_.emit({.kind = TraceEventKind::kBudgetShrink,
                    .step = step_counter_,
                    .request = batch_[widest].id,
-                   .a = budgets[widest],
+                   .a = pass.rows,
                    .b = 1});
-      budgets[widest] = 1;
+      pass.rows = 1;
+      pass.drafts.clear();
       continue;
     }
     if (batch_.size() == 1) {
@@ -432,20 +436,27 @@ bool ServingEngine::ensure_kv_capacity(std::vector<std::size_t>& budgets) {
       admit_from_queue();
       // Pressure admissions restart at the single-token invariant; chunks
       // resume next step once the scheduler re-plans.
-      budgets.assign(batch_.size(), 1);
+      for (std::size_t i = 0; i < batch_.size(); ++i) {
+        passes_[i].rows = 1;
+        passes_[i].drafts.clear();
+      }
       continue;
     }
     // Recompute preemption of the scheduler's victim: cache its full block
     // columns (replay then restores them as a prefix hit, and the reclaim
     // above frees them LRU-first if pressure persists), then requeue at
     // the front so it reclaims a slot as soon as memory frees up (the
-    // scheduler still chooses whether something else jumps it).
+    // scheduler still chooses whether something else jumps it). Its pass
+    // moves to the end of passes_, so the later slots stay aligned with
+    // batch_ and every pass keeps its buffers' capacity.
     const std::size_t pick = scheduler_->pick_victim(sched_views(batch_));
     require(pick < batch_.size(),
             "ServingEngine: scheduler picked an out-of-range victim");
     Sequence victim = std::move(batch_[pick]);
     batch_.erase(batch_.begin() + static_cast<std::ptrdiff_t>(pick));
-    budgets.erase(budgets.begin() + static_cast<std::ptrdiff_t>(pick));
+    std::rotate(passes_.begin() + static_cast<std::ptrdiff_t>(pick),
+                passes_.begin() + static_cast<std::ptrdiff_t>(pick) + 1,
+                passes_.end());
     const std::size_t fed_before = victim.fed;
     release_sequence_kv(victim);
     victim.result.status = RequestStatus::kQueued;
@@ -541,151 +552,150 @@ void ServingEngine::preempt(RequestId id, std::size_t keep_positions) {
 std::size_t ServingEngine::step() {
   ++step_counter_;
   const std::uint64_t step_t0_us = trace_.now_us();
+  if (!plan()) return 0;
+  run_passes();
+  return commit(step_t0_us);
+}
+
+bool ServingEngine::plan() {
   admit_from_queue();
-
-  // Retire completed sequences a prior step could not retire (its observer
-  // threw after bookkeeping), and evict sequences whose KV cache is
-  // exhausted; freed slots refill from the queue within the same step
-  // (continuous batching).
-  for (;;) {
-    bool removed = false;
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      const bool was_done = batch_[i].done;
-      const bool exhausted =
-          batch_[i].state->position() >= batch_[i].state->max_seq_len();
-      if (was_done || exhausted) {
-        finish(std::move(batch_[i]), was_done ? RequestStatus::kFinished
-                                              : RequestStatus::kEvicted);
-        batch_.erase(batch_.begin() + static_cast<std::ptrdiff_t>(i));
-        removed = true;
-        break;
-      }
-    }
-    if (!removed) break;
-    admit_from_queue();
-  }
-
-  // Budget planning: the scheduler proposes per-sequence token counts; the
-  // engine clamps each to the tokens actually known, the configured chunk
-  // width, and the sequence's remaining KV space. Everything is >= 1, so
-  // every running sequence advances.
-  budgets_.assign(batch_.size(), 1);
-  if (!batch_.empty()) {
-    scheduler_->plan_budgets(sched_views(batch_), budgets_,
-                             config_.prefill_chunk_tokens);
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      const Sequence& seq = batch_[i];
-      const std::size_t known = seq.result.tokens.size() - seq.fed;
-      const std::size_t space =
-          seq.state->max_seq_len() - seq.state->position();
-      const std::size_t cap =
-          std::min({known, space, config_.prefill_chunk_tokens});
-      budgets_[i] = std::clamp<std::size_t>(budgets_[i], 1, cap);
-    }
-    // Speculative burst planning: a sequence at its generation frontier
-    // (exactly one known, unfed token and generation remaining) may widen
-    // its budget to a verify burst [frontier, d1..dk]. k is clamped so the
-    // burst can neither out-generate the request (each fed row commits at
-    // most one token) nor outgrow the KV cache; drafts are truncated at
-    // the first out-of-vocab token (a garbage drafter must not throw from
-    // the parallel decode phase). The widened budget flows through
-    // ensure_kv_capacity like any chunk, so all 1+k rows are block-reserved
-    // up front and pressure shrinks the burst back to a plain step.
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      Sequence& seq = batch_[i];
-      seq.spec_drafts.clear();
-      if (seq.drafter == nullptr) continue;
-      if (seq.result.tokens.size() - seq.fed != 1 ||
-          seq.result.tokens.size() >= seq.target_len) {
-        continue;
-      }
-      const std::size_t space =
-          seq.state->max_seq_len() - seq.state->position();
-      const std::size_t remaining =
-          seq.target_len - seq.result.tokens.size();
-      const std::size_t k = std::min({config_.speculative.draft_tokens,
-                                      remaining - 1, space - 1});
-      if (k == 0) continue;
-      seq.spec_drafts.push_back(seq.result.tokens[seq.fed]);  // frontier
-      seq.drafter->draft(seq.result.tokens, k, seq.spec_drafts);
-      ++drafter_calls_;
-      drafter_proposed_ += seq.spec_drafts.size() - 1;
-      const std::size_t vocab = model_->model_config().vocab;
-      std::size_t valid = 1;
-      while (valid < std::min(seq.spec_drafts.size(), 1 + k) &&
-             seq.spec_drafts[valid] < vocab) {
-        ++valid;
-      }
-      seq.spec_drafts.resize(valid);
-      if (seq.spec_drafts.size() == 1) {
-        seq.spec_drafts.clear();  // nothing proposed: plain decode
-        continue;
-      }
-      budgets_[i] = seq.spec_drafts.size();
-    }
-  }
-
+  retire_and_refill();
+  plan_budgets();
   // Memory pressure: make sure the pool covers every running sequence's
   // planned budget, shrinking budgets then preempting (then, for a lone
   // sequence, evicting) first. A false return means a shared pool's blocks
   // are transiently held by another engine — stall this step rather than
   // decode into exhaustion.
-  if (!ensure_kv_capacity(budgets_)) {
+  if (!ensure_kv_capacity()) {
     em_.stalls->add();
-    return 0;
+    return false;
   }
-  if (batch_.empty()) return 0;
+  if (batch_.empty()) return false;
+  reserve_passes();
+  return true;
+}
 
-  // Serial reservation phase: all pool allocation for this step happens
-  // here, so the parallel decode below never mutates shared pool state.
-  // Each slot's pass is typed here, once, and every later phase reads the
-  // SlotPass. Speculative bursts also open their rollback capture here —
-  // after reserve_for's copy-on-write, the boundary block is exclusively
-  // owned, which snapshot restore requires.
-  // Grow-only, so each slot's emitted-token buffer keeps its capacity.
-  if (passes_.size() < batch_.size()) passes_.resize(batch_.size());
+void ServingEngine::retire_and_refill() {
+  // Retire completed sequences a prior step could not retire (its observer
+  // threw after bookkeeping), and evict sequences whose KV cache is
+  // exhausted; freed slots refill from the queue within the same step
+  // (continuous batching), and admissions are checked in turn.
+  for (std::size_t i = 0; i < batch_.size();) {
+    const Sequence& seq = batch_[i];
+    if (!seq.done && seq.state->position() < seq.state->max_seq_len()) {
+      ++i;
+      continue;
+    }
+    const RequestStatus status =
+        seq.done ? RequestStatus::kFinished : RequestStatus::kEvicted;
+    finish(std::move(batch_[i]), status);
+    batch_.erase(batch_.begin() + static_cast<std::ptrdiff_t>(i));
+    admit_from_queue();
+  }
+}
+
+void ServingEngine::plan_budgets() {
+  if (batch_.empty()) return;
+  // The scheduler proposes per-sequence token counts; the engine clamps
+  // each to the tokens actually known, the configured chunk width, and the
+  // sequence's remaining KV space. Everything is >= 1, so every running
+  // sequence advances.
+  sched_budgets_.assign(batch_.size(), 1);
+  scheduler_->plan_budgets(sched_views(batch_), sched_budgets_,
+                           config_.prefill_chunk_tokens);
   for (std::size_t i = 0; i < batch_.size(); ++i) {
     Sequence& seq = batch_[i];
     SlotPass& pass = passes_[i];
-    const std::size_t n = budgets_[i];
+    const std::size_t known = seq.result.tokens.size() - seq.fed;
+    const std::size_t space = seq.state->max_seq_len() - seq.state->position();
+    const std::size_t cap =
+        std::min({known, space, config_.prefill_chunk_tokens});
+    pass.rows = std::clamp<std::size_t>(sched_budgets_[i], 1, cap);
+    pass.drafts.clear();
+    plan_drafts(seq, pass);
+  }
+}
+
+void ServingEngine::plan_drafts(Sequence& seq, SlotPass& pass) {
+  // A sequence at its generation frontier (exactly one known, unfed token
+  // and generation remaining) may widen its budget to a verify burst
+  // [frontier, d1..dk]. k is clamped so the burst can neither out-generate
+  // the request (each fed row commits at most one token) nor outgrow the
+  // KV cache; drafts are truncated at the first out-of-vocab token (a
+  // garbage drafter must not throw from the parallel phase). The widened
+  // budget flows through ensure_kv_capacity like any chunk, so all 1+k
+  // rows are block-reserved up front and pressure shrinks the burst back
+  // to a plain step.
+  const std::vector<std::size_t>& tokens = seq.result.tokens;
+  if (seq.drafter == nullptr || tokens.size() - seq.fed != 1 ||
+      tokens.size() >= seq.target_len) {
+    return;
+  }
+  const std::size_t space = seq.state->max_seq_len() - seq.state->position();
+  const std::size_t remaining = seq.target_len - tokens.size();
+  const std::size_t k =
+      std::min({config_.speculative.draft_tokens, remaining - 1, space - 1});
+  if (k == 0) return;
+  pass.drafts.push_back(tokens[seq.fed]);  // frontier
+  seq.drafter->draft(tokens, k, pass.drafts);
+  ++drafter_calls_;
+  drafter_proposed_ += pass.drafts.size() - 1;
+  const std::size_t vocab = model_->model_config().vocab;
+  std::size_t valid = 1;
+  while (valid < std::min(pass.drafts.size(), 1 + k) &&
+         pass.drafts[valid] < vocab) {
+    ++valid;
+  }
+  // Nothing proposed: a plain decode.
+  pass.drafts.resize(valid > 1 ? valid : 0);
+  if (!pass.drafts.empty()) pass.rows = pass.drafts.size();
+}
+
+void ServingEngine::reserve_passes() {
+  // All pool allocation for this step happens here. Speculative bursts
+  // also open their rollback capture here — after reserve_for's
+  // copy-on-write, the boundary block is exclusively owned, which snapshot
+  // restore requires.
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    Sequence& seq = batch_[i];
+    SlotPass& pass = passes_[i];
+    const std::size_t n = pass.rows;
     const std::span<const std::size_t> known(seq.result.tokens);
-    // A burst whose budget pressure shrank to 1 feeds spec_drafts[0] ==
-    // tokens[fed]: the plain decode of the frontier.
-    const bool spec = n > 1 && !seq.spec_drafts.empty();
+    const bool spec = !pass.drafts.empty();
     pass.kind = spec ? TraceEventKind::kSpecBurst
                 : n == 1 && seq.fed + 1 == known.size()
                     ? TraceEventKind::kDecode
                     : TraceEventKind::kChunk;
-    pass.feed = spec ? std::span<const std::size_t>(seq.spec_drafts).first(n)
+    pass.feed = spec ? std::span<const std::size_t>(pass.drafts)
                      : known.subspan(seq.fed, n);
     pass.pos = seq.fed;
-    // Only rows someone reads get logits: the sampling walk reads a
-    // burst's rows and a frontier pass's final row; an observer reads all.
+    // The sampling walk reads every row of a burst, and the final row of a
+    // plain pass that feeds every known token with generation remaining.
+    // Only rows someone reads get logits; an observer reads all of them.
     const bool frontier = seq.fed + n == known.size() &&
                           known.size() < seq.target_len;
-    pass.logit_rows = spec || observer_ ? n : frontier ? 1 : 0;
-    pass.emitted.clear();
+    pass.sample_from = spec       ? 0
+                       : frontier ? n - 1
+                                  : SlotPass::kNoSample;
+    pass.logit_rows = observer_ ? n
+                      : pass.sample_from == SlotPass::kNoSample
+                          ? 0
+                          : n - pass.sample_from;
+    pass.sampled = 0;
+    if (profiling_) pass.profile.clear();
     seq.state->reserve_for(n);
     if (spec) seq.state->begin_spec_capture(n);
   }
-  if (profiling_) {
-    // Per-slot profiling scratch, cleared in place (capacity is retained,
-    // so steady-state steps allocate nothing).
-    profile_slots_.resize(batch_.size());
-    for (KernelProfile& slot : profile_slots_) slot.clear();
-  }
+}
 
-  // Parallel phase: one prefill_chunk per slot over its planned feed — a
-  // one-row decode, a multi-row chunk (bitwise identical to that many
-  // one-row passes) or a verify burst alike. Disjoint SequenceStates
-  // against a const PreparedModel — safe and bitwise order-independent.
-  auto decode_one = [this](std::size_t i) {
+void ServingEngine::run_passes() {
+  // One prefill_chunk per slot over its planned feed — a one-row decode, a
+  // multi-row chunk (bitwise identical to that many one-row passes) or a
+  // verify burst alike. Each slot writes only its own SequenceState and
+  // SlotPass (timing, and the profiling samples bound for its model pass).
+  auto run_slot = [this](std::size_t i) {
     SlotPass& pass = passes_[i];
-    // Per-slot timing into the slot's own record: the registry itself is
-    // only touched later, on the serial phase. Profiling samples follow the
-    // same discipline: this thread's slot scratch is bound for exactly the
-    // model pass, merged serially below.
-    if (profiling_) KernelProfiler::bind_slot(&profile_slots_[i]);
+    if (profiling_) KernelProfiler::bind_slot(&pass.profile);
     const std::uint64_t t0 = trace_.now_us();
     model_->prefill_chunk(*batch_[i].state, pass.feed, nullptr,
                           pass.logit_rows);
@@ -694,186 +704,26 @@ std::size_t ServingEngine::step() {
     if (profiling_) KernelProfiler::bind_slot(nullptr);
   };
   if (pool_ != nullptr) {
-    pool_->parallel_for(batch_.size(), decode_one);
+    pool_->parallel_for(batch_.size(), run_slot);
   } else {
-    for (std::size_t i = 0; i < batch_.size(); ++i) decode_one(i);
+    for (std::size_t i = 0; i < batch_.size(); ++i) run_slot(i);
   }
-  if (profiling_) {
-    // Serial merge of the fan-out's per-slot samples: the run total
-    // advances only here, never off the serial phase.
-    for (const KernelProfile& slot : profile_slots_) {
-      profile_total_.merge(slot);
-    }
-  }
+}
 
-  // Serial bookkeeping, in slot order: advance fed counters and extend with
-  // sampled tokens. This runs to completion for the whole batch before any
-  // observer fires, so a throwing observer can never leave a sequence's fed
-  // counter out of sync with its already-advanced KV cache.
+std::size_t ServingEngine::commit(std::uint64_t step_t0_us) {
+  // Bookkeeping runs to completion for the whole batch before any observer
+  // fires, so a throwing observer can never leave a sequence's fed counter
+  // out of sync with its already-advanced KV cache.
   const std::size_t decoded = batch_.size();
   // One wall-clock anchor for the whole serial phase: queue-wait/TTFT/ITL
   // are request-level latencies, for which per-slot resolution is noise.
   const auto now_tp = std::chrono::steady_clock::now();
-  const auto to_ms = [](std::chrono::steady_clock::duration d) {
-    return std::chrono::duration<double, std::milli>(d).count();
-  };
   std::size_t rows_fed_total = 0;
   for (std::size_t i = 0; i < decoded; ++i) {
-    Sequence& seq = batch_[i];
-    SlotPass& pass = passes_[i];
-    const std::size_t n = pass.feed.size();
-    const bool spec = pass.kind == TraceEventKind::kSpecBurst;
-    em_.tokens_decoded->add(n);  // rows executed, incl. rejected verify rows
-    rows_fed_total += n;
-    auto& prio = prio_stats_[seq.priority];
-    if (!seq.wait_counted) {
-      seq.wait_counted = true;
-      prio.queue_wait_steps +=
-          static_cast<std::size_t>(step_counter_ - seq.submit_step - 1);
-      ++prio.first_decodes;
-      em_.queue_wait_ms->observe(to_ms(now_tp - seq.submit_tp));
-    }
-    // Sampling walk over the pass's chunk rows. Row j's logits are bitwise
-    // what a one-row pass at that position produces, and the request's own
-    // sampler draws from them (one draw per generated token, ever — replay
-    // never re-enters here for a token that already exists). A plain pass
-    // samples once, from its final row, when it fed every known token and
-    // generation remains. A verify burst samples row by row while the
-    // sample matches the next fed draft — rejected rows are never sampled
-    // from, so every committed token IS the non-speculative stream's token;
-    // the first mismatch (or stop) ends it and the unused fed rows roll
-    // back bitwise below.
-    const bool frontier = seq.fed + n == seq.result.tokens.size() &&
-                          seq.result.tokens.size() < seq.target_len;
-    if (spec || frontier) {
-      for (std::size_t j = spec ? 0 : n - 1; j < n; ++j) {
-        EmittedTok tok;
-        tok.token = seq.sampler->sample(seq.state->chunk_logits_row(j),
-                                        seq.result.tokens,
-                                        seq.state->sampler_state());
-        tok.row = j;
-        tok.draft_hit = spec && j + 1 < n && tok.token == pass.feed[j + 1];
-        seq.result.tokens.push_back(tok.token);
-        pass.emitted.push_back(tok);
-        if (!seq.ttft_counted) {
-          seq.ttft_counted = true;
-          prio.ttft_steps +=
-              static_cast<std::size_t>(step_counter_ - seq.submit_step);
-          ++prio.first_tokens;
-        }
-        // Stop conditions (eos / stop token / stop sequence / budget). The
-        // final generated token is pure output either way — feeding it
-        // would spend a KV slot and a forward pass on logits nobody reads.
-        seq.result.finish_reason =
-            check_stop(seq.sampling, seq.result.tokens,
-                       seq.result.prompt_len, seq.target_len);
-        if (seq.result.finish_reason != FinishReason::kNone) {
-          seq.done = true;
-          break;
-        }
-        if (!tok.draft_hit) break;
-      }
-    }
-    // Rows that stuck: every row of a plain pass, the sampled prefix of a
-    // verify burst.
-    const std::size_t committed = spec ? pass.emitted.size() : n;
-    if (spec) {
-      if (committed < n) {
-        // Rejected suffix: rewind the KV to the committed rows — bitwise,
-        // so the kept prefix stays canonical (prefix-cacheable, and no
-        // non_canonical_from watermark is spent).
-        seq.state->spec_rollback(seq.fed + committed);
-      } else {
-        seq.state->end_spec_capture();
-      }
-      em_.spec_bursts->add();
-      em_.spec_drafted->add(n - 1);
-      em_.spec_accepted->add(committed - 1);
-      em_.spec_rejected->add(n - committed);
-    }
-    seq.fed += committed;  // a burst lands on tokens.size() - 1, the frontier
-    if (seq.fed == seq.result.tokens.size() &&
-        seq.result.tokens.size() >= seq.target_len) {
-      seq.done = true;  // scoring request: every prompt token has been fed
-    }
-    // Served accounting is charged with tokens actually committed — a
-    // fair-share policy must not bill a request for rejected rows it never
-    // kept.
-    seq.tokens_served += committed;
-    prio.tokens_served += committed;
-    em_.tokens_committed->add(committed);
-    scheduler_->on_served(seq.id, committed);
-    // Wall-clock latency per sampled token: TTFT on the request's first
-    // generated token, ITL between consecutive ones. Tokens of one verify
-    // burst share the step's timestamp, so intra-burst ITL is ~0 — the
-    // stream really does arrive in bursts.
-    for (std::size_t j = 0; j < pass.emitted.size(); ++j) {
-      if (!seq.has_token) {
-        seq.has_token = true;
-        em_.ttft_ms->observe(to_ms(now_tp - seq.submit_tp));
-      } else {
-        em_.itl_ms->observe(to_ms(now_tp - seq.last_token_tp));
-      }
-      seq.last_token_tp = now_tp;
-    }
-    // Per-slot model-pass cost, in the histogram of the pass's kind.
-    Histogram* const pass_hist = spec ? em_.spec_verify_ms
-                                 : pass.kind == TraceEventKind::kChunk
-                                     ? em_.prefill_chunk_ms
-                                     : em_.decode_ms;
-    pass_hist->observe(static_cast<double>(pass.dur_us) / 1000.0);
-    trace_.emit({.kind = pass.kind,
-                 .ts_us = pass.end_us,
-                 .dur_us = pass.dur_us,
-                 .step = step_counter_,
-                 .request = seq.id,
-                 .a = n,
-                 .b = pass.pos,
-                 .c = n * kv_row_bytes_,
-                 .d = pass.emitted.size()});
+    rows_fed_total += passes_[i].rows;
+    commit_slot(batch_[i], passes_[i], now_tp);
   }
-
-  // Observer pass: sequence states (and their logits buffers) are all still
-  // alive. Within a chunk the observer sees every fed position in order,
-  // exactly as a token-by-token run would have reported it. A throw here
-  // propagates to the caller with the engine in a consistent state; the
-  // remaining observer calls of this step are skipped.
-  if (observer_ || token_observer_ || logprob_observer_) {
-    for (std::size_t i = 0; i < decoded; ++i) {
-      const Sequence& seq = batch_[i];
-      const SlotPass& pass = passes_[i];
-      // Rows that survived the step: the full feed on every plain path,
-      // only the committed prefix of a speculative burst — rejected rows'
-      // positions no longer exist, and a baseline run never fed them.
-      if (observer_) {
-        for (std::size_t j = 0; j < seq.fed - pass.pos; ++j) {
-          observer_(seq.id, pass.pos + j, seq.state->chunk_logits_row(j));
-        }
-      }
-      // Streamed tokens follow their positions' logits, in generation
-      // order; kNone reason means the stream continues past that token.
-      const std::size_t n_emitted = pass.emitted.size();
-      for (std::size_t j = 0; j < n_emitted; ++j) {
-        const EmittedTok& tok = pass.emitted[j];
-        const std::size_t gen_index = seq.result.generated() - n_emitted + j;
-        const FinishReason reason = j + 1 == n_emitted
-                                        ? seq.result.finish_reason
-                                        : FinishReason::kNone;
-        if (token_observer_) {
-          token_observer_(seq.id, gen_index, tok.token, reason);
-        }
-        if (logprob_observer_) {
-          TokenLogprobInfo info;
-          info.token = tok.token;
-          info.logprob = token_logprob(seq.state->chunk_logits_row(tok.row),
-                                       tok.token);
-          info.speculative = pass.kind == TraceEventKind::kSpecBurst;
-          info.draft_hit = tok.draft_hit;
-          logprob_observer_(seq.id, gen_index, info);
-        }
-      }
-    }
-  }
+  notify_observers(decoded);
 
   // Retire pass: stable in-place compaction, no per-step allocation.
   std::size_t keep = 0;
@@ -901,6 +751,165 @@ std::size_t ServingEngine::step() {
                .c = kv_pool_->blocks_in_use(),
                .d = kv_pool_->free_blocks()});
   return decoded;
+}
+
+void ServingEngine::sample_pass(Sequence& seq, SlotPass& pass) {
+  // Row j's logits are bitwise what a one-row pass at that position
+  // produces, and the request's own sampler draws from them (one draw per
+  // generated token, ever — replay never re-enters here for a token that
+  // already exists). A verify burst samples row by row while the sample
+  // matches the next fed draft — rejected rows are never sampled from, so
+  // every committed token IS the non-speculative stream's token; the first
+  // mismatch (or stop) ends it and the unused fed rows roll back bitwise.
+  if (pass.sample_from == SlotPass::kNoSample) return;
+  for (std::size_t j = pass.sample_from; j < pass.rows; ++j) {
+    const std::size_t token = seq.sampler->sample(
+        seq.state->chunk_logits_row(j), seq.result.tokens,
+        seq.state->sampler_state());
+    seq.result.tokens.push_back(token);
+    ++pass.sampled;
+    // Stop conditions (eos / stop token / stop sequence / budget). The
+    // final generated token is pure output either way — feeding it would
+    // spend a KV slot and a forward pass on logits nobody reads.
+    seq.result.finish_reason = check_stop(
+        seq.sampling, seq.result.tokens, seq.result.prompt_len, seq.target_len);
+    if (seq.result.finish_reason != FinishReason::kNone) {
+      seq.done = true;
+      return;
+    }
+    if (!pass.draft_hit(j, token)) return;
+  }
+}
+
+void ServingEngine::commit_slot(Sequence& seq, SlotPass& pass,
+                                std::chrono::steady_clock::time_point now_tp) {
+  const std::size_t n = pass.rows;
+  const bool spec = pass.kind == TraceEventKind::kSpecBurst;
+  sample_pass(seq, pass);
+  // Rows that stuck: every row of a plain pass, the sampled prefix of a
+  // verify burst.
+  const std::size_t committed = spec ? pass.sampled : n;
+  if (spec) {
+    if (committed < n) {
+      // Rejected suffix: rewind the KV to the committed rows — bitwise, so
+      // the kept prefix stays canonical (prefix-cacheable, and no
+      // non_canonical_from watermark is spent).
+      seq.state->spec_rollback(seq.fed + committed);
+    } else {
+      seq.state->end_spec_capture();
+    }
+  }
+
+  seq.fed += committed;  // a burst lands on tokens.size() - 1, the frontier
+  if (seq.fed == seq.result.tokens.size() &&
+      seq.result.tokens.size() >= seq.target_len) {
+    seq.done = true;  // scoring request: every prompt token has been fed
+  }
+  em_.tokens_decoded->add(n);  // rows executed, incl. rejected verify rows
+  if (spec) {
+    em_.spec_bursts->add();
+    em_.spec_drafted->add(n - 1);
+    em_.spec_accepted->add(committed - 1);
+    em_.spec_rejected->add(n - committed);
+  }
+  auto& prio = prio_stats_[seq.priority];
+  const bool first_decode = !seq.wait_counted;
+  if (first_decode) {
+    seq.wait_counted = true;
+    prio.queue_wait_steps +=
+        static_cast<std::size_t>(step_counter_ - seq.submit_step - 1);
+    ++prio.first_decodes;
+  }
+  if (!seq.ttft_counted && pass.sampled > 0) {
+    seq.ttft_counted = true;
+    prio.ttft_steps +=
+        static_cast<std::size_t>(step_counter_ - seq.submit_step);
+    ++prio.first_tokens;
+  }
+  // Served accounting is charged with tokens actually committed — a
+  // fair-share policy must not bill a request for rejected rows it never
+  // kept.
+  seq.tokens_served += committed;
+  prio.tokens_served += committed;
+  em_.tokens_committed->add(committed);
+  scheduler_->on_served(seq.id, committed);
+  if (profiling_) profile_total_.merge(pass.profile);
+
+  const auto to_ms = [](std::chrono::steady_clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  if (first_decode) em_.queue_wait_ms->observe(to_ms(now_tp - seq.submit_tp));
+  // Wall-clock latency per sampled token: TTFT on the request's first
+  // generated token, ITL between consecutive ones. Tokens of one verify
+  // burst share the step's timestamp, so intra-burst ITL is ~0 — the
+  // stream really does arrive in bursts.
+  for (std::size_t j = 0; j < pass.sampled; ++j) {
+    if (!seq.has_token) {
+      seq.has_token = true;
+      em_.ttft_ms->observe(to_ms(now_tp - seq.submit_tp));
+    } else {
+      em_.itl_ms->observe(to_ms(now_tp - seq.last_token_tp));
+    }
+    seq.last_token_tp = now_tp;
+  }
+  // Per-slot model-pass cost, in the histogram of the pass's kind.
+  Histogram* const pass_hist = spec ? em_.spec_verify_ms
+                               : pass.kind == TraceEventKind::kChunk
+                                   ? em_.prefill_chunk_ms
+                                   : em_.decode_ms;
+  pass_hist->observe(static_cast<double>(pass.dur_us) / 1000.0);
+  trace_.emit({.kind = pass.kind,
+               .ts_us = pass.end_us,
+               .dur_us = pass.dur_us,
+               .step = step_counter_,
+               .request = seq.id,
+               .a = n,
+               .b = pass.pos,
+               .c = n * kv_row_bytes_,
+               .d = pass.sampled});
+}
+
+void ServingEngine::notify_observers(std::size_t decoded) {
+  // Sequence states (and their logits buffers) are all still alive. Within
+  // a chunk the observer sees every fed position in order, exactly as a
+  // token-by-token run would have reported it. A throw here propagates to
+  // the caller with the engine in a consistent state; the remaining
+  // observer calls of this step are skipped.
+  if (!observer_ && !token_observer_ && !logprob_observer_) return;
+  for (std::size_t i = 0; i < decoded; ++i) {
+    const Sequence& seq = batch_[i];
+    const SlotPass& pass = passes_[i];
+    // Rows that survived the step: the full feed on every plain path, only
+    // the committed prefix of a speculative burst — rejected rows'
+    // positions no longer exist, and a baseline run never fed them.
+    if (observer_) {
+      for (std::size_t j = 0; j < seq.fed - pass.pos; ++j) {
+        observer_(seq.id, pass.pos + j, seq.state->chunk_logits_row(j));
+      }
+    }
+    // Streamed tokens follow their positions' logits, in generation order;
+    // kNone reason means the stream continues past that token.
+    // Token k of the pass was sampled from row sample_from + k.
+    for (std::size_t k = 0; k < pass.sampled; ++k) {
+      const std::size_t gen_index = seq.result.generated() - pass.sampled + k;
+      const std::size_t token =
+          seq.result.tokens[seq.result.prompt_len + gen_index];
+      const std::size_t row = pass.sample_from + k;
+      const FinishReason reason = k + 1 == pass.sampled
+                                      ? seq.result.finish_reason
+                                      : FinishReason::kNone;
+      if (token_observer_) token_observer_(seq.id, gen_index, token, reason);
+      if (logprob_observer_) {
+        TokenLogprobInfo info;
+        info.token = token;
+        info.logprob =
+            token_logprob(seq.state->chunk_logits_row(row), token);
+        info.speculative = pass.kind == TraceEventKind::kSpecBurst;
+        info.draft_hit = pass.draft_hit(row, token);
+        logprob_observer_(seq.id, gen_index, info);
+      }
+    }
+  }
 }
 
 void ServingEngine::run() {

@@ -7,10 +7,24 @@
 // in the same batch. A slot freed by a completed sequence is refilled from
 // the queue at the start of the next step (the newly admitted sequence
 // would not decode any earlier if admitted sooner); a KV-exhaustion
-// eviction refills within the same step. With n_threads > 0 the
-// per-sequence decodes fan out across a thread pool; because
-// PreparedModel::step is const and per-sequence state is disjoint, the
-// results are bitwise identical to the serial schedule.
+// eviction refills within the same step.
+//
+// A step is three phases over passes_, one SlotPass per running sequence
+// and the only per-slot state of the step:
+//   * plan() (serial) retires and evicts, admits, sets each slot's budget
+//     and drafts, resolves pool pressure, then reserves every KV block the
+//     step writes and types each pass (its feed, and the rows the sampling
+//     walk reads). It is the only phase that touches the KV pool or sizes a
+//     buffer the model pass writes.
+//   * run_passes() runs one PreparedModel::prefill_chunk per slot, fanned
+//     out across a thread pool when n_threads > 0. It touches neither the
+//     pool nor engine-wide state and allocates nothing; PreparedModel is
+//     const and each slot writes only its own SequenceState and SlotPass,
+//     so results are bitwise identical to the serial schedule.
+//   * commit() (serial), per slot: the sampling walk, speculative
+//     rollback, fed counters, Stats and Scheduler::on_served, histograms
+//     and the trace; then the observers, the only user code a step calls;
+//     then retirement and the step record.
 //
 // Scheduling is a pluggable policy (ServingConfig::scheduler, see
 // scheduler.h): each step the engine asks the scheduler which queued
@@ -32,7 +46,7 @@
 //     head-of-line semantics (nothing jumps the blocked candidate). A
 //     blocked candidate keeps its queue position and adopted prefix and is
 //     retried first on later steps;
-//   * scheduler hooks fire only from the engine's serial phase — never
+//   * scheduler hooks fire only from the serial plan() and commit() — never
 //     concurrently, never re-entrantly (see scheduler.h for the full
 //     contract, including what stateful policies may assume).
 // Because per-sequence computation is deterministic and preemption replays
@@ -88,9 +102,7 @@
 // The engine is memory-aware end to end:
 //   * admission requires free blocks for the candidate's next step, not
 //     just a free batch slot;
-//   * before each decode, every running sequence's blocks for its budget
-//     are reserved serially (the parallel decode phase never touches the
-//     pool);
+//   * plan() reserves every running sequence's blocks for its budget;
 //   * when the pool cannot cover the batch's next step even at budget 1,
 //     the scheduler's victim is preempted — its blocks return to the pool
 //     and it re-queues at the front for deterministic recompute — before
@@ -168,9 +180,9 @@
 // control flow, so an instrumented run is bitwise identical to an
 // uninstrumented one — metrics are always on (cheap integer bumps and a
 // handful of clock reads per step), tracing is opt-in and costs one
-// predictable branch per event when off. Timing of the parallel decode
-// phase is captured into per-slot scratch and observed serially, so the
-// registry needs no synchronization (see metrics.h).
+// predictable branch per event when off. run_passes() times each pass
+// into its SlotPass and commit() observes it, so the registry needs no
+// synchronization (see metrics.h).
 #pragma once
 
 #include <chrono>
@@ -466,8 +478,8 @@ class ServingEngine {
   [[nodiscard]] bool profiling() const { return profiling_; }
   /// The run's accumulated kernel/layer profile: per-kernel-kind
   /// call/element/wall-clock counts and per-layer phase timings, merged
-  /// serially from the decode fan-out's per-slot scratch each step. All
-  /// zero unless profiling(). Serial-phase only, like stats().
+  /// from each pass's SlotPass::profile in commit(). All zero unless
+  /// profiling(). Serial-phase only, like stats().
   [[nodiscard]] const KernelProfile& profile() const {
     return profile_total_;
   }
@@ -604,14 +616,9 @@ class ServingEngine {
     std::unique_ptr<Sampler> sampler;
     SamplerState sampler_ckpt;
     // Speculative decoding: the request's drafter (built once at submit,
-    // null when speculation is off) and this step's planned burst — the
-    // full feed list [frontier, d1..dk], so budgets_[i] ==
-    // spec_drafts.size() and a budget shrunk to 1 under pool pressure
-    // degrades to a plain decode of the frontier (spec_drafts[0]).
-    // Replanned (cleared) every step; rides on the Sequence so scheduler
-    // erases and preemption moves keep it aligned with its owner.
+    // null when speculation is off), consulted only from plan(). The burst
+    // it drafts belongs to the step's SlotPass, not to the sequence.
     std::unique_ptr<Drafter> drafter;
-    std::vector<std::size_t> spec_drafts;
     // Wall-clock observability (never read by any control path): when the
     // request was submitted, and when its latest sampled token was
     // produced — the anchors for the queue-wait/TTFT/ITL histograms. The
@@ -623,45 +630,65 @@ class ServingEngine {
     std::unique_ptr<SequenceState> state;  // kept across preemption
   };
 
-  /// One sampled token of the current step: the chunk logits row that
-  /// produced it and whether it matched the next fed draft — enough to
-  /// replay the observer cadence after bookkeeping.
-  struct EmittedTok {
-    std::size_t token = 0;
-    std::size_t row = 0;
-    bool draft_hit = false;
-  };
-
-  /// One slot's model pass this step (per-step scratch, reused). The serial
-  /// reservation phase decides everything but the results, once; the model
-  /// call, the sampling walk, the histograms, the trace and the observers
-  /// all read it from here.
+  /// One slot's model pass this step, the only per-slot step state:
+  /// passes_[i] belongs to batch_[i] from plan() through commit(). plan()
+  /// decides everything but the results, once; the other phases read it
+  /// here. Reused step after step, so steady-state steps allocate nothing.
   struct SlotPass {
+    static constexpr std::size_t kNoSample = static_cast<std::size_t>(-1);
+    std::size_t rows = 0;  // the budget: rows fed this step (>= 1)
+    /// A verify burst's feed [frontier, d1..dk]; empty for any other pass.
+    std::vector<std::size_t> drafts;
     /// kSpecBurst: a verify burst [frontier, drafts...]. kDecode: a single
     /// row that is the frontier (the last known token). kChunk: any other
     /// feed of known prompt or replayed tokens, one row or many.
     TraceEventKind kind = TraceEventKind::kDecode;
-    /// The rows fed, in order: a span of the request's tokens, valid until
-    /// the sampling walk extends them (only feed.size() is read after),
-    /// or, for a burst, of its spec_drafts, valid for the whole step.
+    /// The rows fed, in order: `drafts`, or a span of the request's tokens
+    /// valid until the sampling walk extends them.
     std::span<const std::size_t> feed;
     std::size_t pos = 0;  // first position fed (KV length before the pass)
-    /// Trailing rows whose logits the pass computes: every row of a burst
-    /// or when a logits observer is set, the final row of a plain pass
-    /// that reaches the frontier with generation remaining, else none.
+    /// The sampling walk's first row: 0 for a burst, the final row of a
+    /// plain pass that feeds every known token with generation remaining,
+    /// else kNoSample.
+    std::size_t sample_from = kNoSample;
+    /// Trailing rows whose logits the pass computes: all of them for a
+    /// logits observer, else those from sample_from on.
     std::size_t logit_rows = 0;
-    // Written by the parallel phase (distinct slots), observed serially.
+    // Written by run_passes() (each slot its own), read by commit().
+    KernelProfile profile;  // this pass's kernel samples when profiling
     std::uint64_t end_us = 0;
     std::uint64_t dur_us = 0;
-    std::vector<EmittedTok> emitted;  // tokens sampled from this pass
+    /// Written by commit(): tokens the sampling walk appended (the tail of
+    /// the request's tokens).
+    std::size_t sampled = 0;
+    /// Row j's sample matched the draft fed at row j + 1: a burst goes on.
+    [[nodiscard]] bool draft_hit(std::size_t j, std::size_t token) const {
+      return kind == TraceEventKind::kSpecBurst && j + 1 < rows &&
+             feed[j + 1] == token;
+    }
   };
 
+  // The step phases (see the header comment). plan() returns false when
+  // nothing runs this step: an empty batch, or a stall on a shared pool.
+  bool plan();
+  void retire_and_refill();
+  void plan_budgets();
+  void plan_drafts(Sequence& seq, SlotPass& pass);
+  void reserve_passes();
+  void run_passes();
+  /// Returns the number of sequences decoded.
+  std::size_t commit(std::uint64_t step_t0_us);
+  void sample_pass(Sequence& seq, SlotPass& pass);
+  void commit_slot(Sequence& seq, SlotPass& pass,
+                   std::chrono::steady_clock::time_point now_tp);
+  void notify_observers(std::size_t decoded);
+
   void admit_from_queue();
-  /// Resolves pool pressure for the planned budgets by budget-shrink, then
-  /// cache-reclaim/preemption/eviction. False: a shared pool's blocks are
-  /// transiently held by another engine and this step must stall (no
-  /// decode) until they free up.
-  bool ensure_kv_capacity(std::vector<std::size_t>& budgets);
+  /// Resolves pool pressure for the planned budgets (passes_[i].rows) by
+  /// budget-shrink, then cache-reclaim/preemption/eviction. False: a
+  /// shared pool's blocks are transiently held by another engine and this
+  /// step must stall (no decode) until they free up.
+  bool ensure_kv_capacity();
   /// Downgrades the youngest queued sequence still holding a kept KV
   /// prefix to full recompute, returning its blocks. False if none holds.
   bool reclaim_queued_prefix();
@@ -718,9 +745,7 @@ class ServingEngine {
   std::uint64_t drafter_calls_ = 0;
   std::uint64_t drafter_proposed_ = 0;
   bool profiling_ = false;
-  /// Per-slot profiling scratch (parallel decode phase, disjoint indices)
-  /// and the serial-phase run total the slots merge into.
-  std::vector<KernelProfile> profile_slots_;
+  /// The run total each SlotPass::profile merges into in commit().
   KernelProfile profile_total_;
   std::size_t kv_row_bytes_ = 0;  // KV bytes one fed row writes (all layers)
   std::shared_ptr<Scheduler> scheduler_;
@@ -729,10 +754,10 @@ class ServingEngine {
   std::unique_ptr<PrefixCache> prefix_cache_;  // null unless enabled
   std::deque<Sequence> queue_;
   std::vector<Sequence> batch_;
-  std::vector<std::size_t> budgets_;       // per-step scratch, reused
-  std::vector<SlotPass> passes_;           // one per batch slot, reused
+  std::vector<SlotPass> passes_;           // max_batch, reused every step
   std::vector<std::size_t> blocked_;       // admission candidates w/o blocks
   std::vector<SchedRequest> views_;        // scheduler-snapshot scratch
+  std::vector<std::size_t> sched_budgets_;  // plan_budgets() output scratch
   std::unordered_map<RequestId, RequestResult> done_;
   std::map<int, PriorityClassStats> prio_stats_;
   std::map<FinishReason, std::size_t> finish_counts_;
