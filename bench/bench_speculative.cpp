@@ -1,5 +1,7 @@
 // Speculative-decoding bench: how many tokens one model pass commits, and
-// what drafting costs, on a repetitive vs a varied generation workload.
+// how many engine steps and executed rows that saves, on a repetitive vs a
+// varied generation workload. It counts work only; the speed of
+// speculation is measured by servebench's quote-spec workload.
 //
 // Workloads (6 requests each, 32 generated tokens, fp32 paged KV, 4 slots,
 // 8-token prefill chunks):
@@ -17,8 +19,8 @@
 // penalized workload even self-drafting sheds accepts: the drafter argmaxes
 // raw logits while the engine penalizes before argmax.
 //
-// Reported per row: wall time, engine steps, executed rows, committed
-// tokens per verify burst, and draft accept rate. Persisted as
+// Reported per row: engine steps, executed rows, committed tokens per
+// verify burst, and draft accept rate. Persisted as
 // BENCH_speculative.json (path = argv[1]).
 //
 // Asserted (exit 1):
@@ -26,7 +28,6 @@
 //     same workload — speculation must never change output;
 //   * the self-drafting row commits > 1 token per model pass and finishes
 //     in fewer engine steps than the baseline on both workloads.
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -43,7 +44,6 @@ using namespace opal;
 struct SpecRun {
   std::string name;
   std::vector<std::vector<std::size_t>> streams;  // per request
-  double seconds = 0.0;
   ServingEngine::Stats stats;
 
   [[nodiscard]] double accept_rate() const {
@@ -61,11 +61,7 @@ SpecRun serve(const std::shared_ptr<const PreparedModel>& model,
   ServingEngine engine(model, cfg);
   std::vector<RequestId> ids;
   for (const auto& req : requests) ids.push_back(engine.submit(req));
-  const auto t0 = std::chrono::steady_clock::now();
   engine.run();
-  out.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
   out.stats = engine.stats();
   for (const RequestId id : ids) {
     out.streams.push_back(engine.result(id).tokens);
@@ -155,17 +151,16 @@ int main(int argc, char** argv) {
   std::vector<std::vector<SpecRun>> all;  // [workload][row]
   for (const auto& workload : workloads) {
     std::printf("\n%s workload\n", workload.name);
-    std::printf("%-12s %8s %10s %12s %12s %10s\n", "drafter", "steps",
-                "rows run", "tok/burst", "accept rate", "total s");
+    std::printf("%-12s %8s %10s %12s %12s\n", "drafter", "steps",
+                "rows run", "tok/burst", "accept rate");
     all.emplace_back();
     for (const auto& row : rows) {
       all.back().push_back(
           serve(prepared, *row.cfg, row.name, workload.requests));
       const SpecRun& run = all.back().back();
-      std::printf("%-12s %8zu %10zu %12.2f %11.1f%% %10.3f\n",
-                  run.name.c_str(), run.stats.steps,
-                  run.stats.tokens_decoded, run.stats.tokens_per_burst(),
-                  100.0 * run.accept_rate(), run.seconds);
+      std::printf("%-12s %8zu %10zu %12.2f %11.1f%%\n", run.name.c_str(),
+                  run.stats.steps, run.stats.tokens_decoded,
+                  run.stats.tokens_per_burst(), 100.0 * run.accept_rate());
       if (run.streams != all.back().front().streams) {
         std::printf("ERROR: %s/%s greedy streams diverged from baseline\n",
                     workload.name, run.name.c_str());
@@ -205,8 +200,7 @@ int main(int argc, char** argv) {
            << ", \"drafted\": " << run.stats.spec_drafted
            << ", \"accepted\": " << run.stats.spec_accepted
            << ", \"tokens_per_burst\": " << run.stats.tokens_per_burst()
-           << ", \"accept_rate\": " << run.accept_rate()
-           << ", \"seconds\": " << run.seconds << "}"
+           << ", \"accept_rate\": " << run.accept_rate() << "}"
            << (i + 1 < all[w].size() ? "," : "") << "\n";
     }
     json << "    }" << (w + 1 < all.size() ? "," : "") << "\n";

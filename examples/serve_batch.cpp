@@ -19,11 +19,13 @@
 //   -> 4 slots, 1/4 memory, chunked prefill -> round 1 (cold)
 //   -> round 2 (warm prefix cache) -> verify both
 //   -> sampled round (seeded, streamed) -> traced round (ServingConfig::
-//      trace, balanced event stream, Chrome trace on disk, results
-//      unchanged)
+//      trace, balanced event stream, Chrome trace written next to the
+//      executable as serve_batch_trace.json, results unchanged)
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "eval/schemes.h"
@@ -116,7 +118,7 @@ std::size_t serve_round(
 
 }  // namespace
 
-int main() {
+int main(int /*argc*/, char** argv) {
   using namespace opal;
 
   const auto cfg = scaled_for_eval(llama2_7b(), 128, 3, 256);
@@ -286,7 +288,11 @@ int main() {
                   step_records);
       return 1;
     }
-    const char* trace_path = "serve_batch_trace.json";
+    // Beside the executable (the build directory), not the working one.
+    const std::string trace_path =
+        (std::filesystem::path(argv[0]).parent_path() /
+         "serve_batch_trace.json")
+            .string();
     std::ofstream out(trace_path);
     traced.tracer().write_chrome_trace(out);
     out.close();
@@ -294,7 +300,7 @@ int main() {
                 "%zu finished + %zu evicted over %zu step records), Chrome "
                 "trace written to %s\n",
                 events.size(), enqueues, admits, finishes, evicts,
-                step_records, trace_path);
+                step_records, trace_path.c_str());
   }
 
   if (mismatches != 0) {
