@@ -139,14 +139,14 @@ RequestId ServingEngine::submit(Request request) {
   seq.target_len = seq.result.prompt_len +
                    resolve_max_new(request.sampling, request.max_new_tokens);
   seq.sampling = std::move(request.sampling);
-  // One sampler per request, consulted only from the serial bookkeeping
-  // phase. With the log2 softmax unit active, sampling probabilities run
-  // through the same unit (see sampler.h).
+  // One sampler per request, consulted only from the serial commit().
+  // With the log2 softmax unit active, sampling probabilities run through
+  // the same unit (see sampler.h).
   const auto& ecfg = model_->config();
   seq.sampler =
       make_sampler(seq.sampling, ecfg.log2_softmax ? ecfg.softmax_bits : 0);
   // One drafter per request, like the sampler: consulted only from the
-  // serial planning phase, so stateful drafters need no synchronization.
+  // serial plan(), so stateful drafters need no synchronization.
   if (config_.speculative.enabled()) {
     seq.drafter = make_drafter(config_.speculative);
   }
