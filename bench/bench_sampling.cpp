@@ -116,10 +116,10 @@ int main(int argc, char** argv) {
 
   SamplingParams greedy;  // defaults
   SamplingParams temp;
-  temp.policy = SamplePolicy::kTemperature;
+  temp.policy = SamplePolicy::kTopP;
   temp.temperature = 1.2f;
   SamplingParams topk;
-  topk.policy = SamplePolicy::kTopK;
+  topk.policy = SamplePolicy::kTopP;
   topk.temperature = 1.1f;
   topk.top_k = 20;
   SamplingParams topp;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/json.h"
+#include "llm/kv_block_pool.h"
 
 namespace opal {
 
@@ -30,6 +31,19 @@ TraceEventKind pass_kind_from_string(const std::string& kind) {
     if (to_string(k) == kind) return k;
   }
   throw std::invalid_argument("replay: unknown pass kind \"" + kind + "\"");
+}
+
+/// kv.mode must be a name to_string(KvQuantMode) gives, or empty (no
+/// StepTraceInfo was set): to_json writes the name without escaping it.
+const std::string& checked_kv_mode(const std::string& mode) {
+  for (const KvQuantMode m :
+       {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
+    if (to_string(m) == mode) return mode;
+  }
+  if (!mode.empty()) {
+    throw std::invalid_argument("replay: unknown kv.mode \"" + mode + "\"");
+  }
+  return mode;
 }
 
 }  // namespace
@@ -165,7 +179,7 @@ StepTrace parse_step_trace(std::string_view json_text) {
   trace.info.d_ffn = model.at("d_ffn").as_uint("model.d_ffn");
   trace.info.vocab = model.at("vocab").as_uint("model.vocab");
   const JsonValue& kv = root.at("kv");
-  trace.info.kv_mode = kv.at("mode").as_string("kv.mode");
+  trace.info.kv_mode = checked_kv_mode(kv.at("mode").as_string("kv.mode"));
   trace.info.kv_block_size = kv.at("block_size").as_uint("kv.block_size");
   trace.info.kv_bits_per_entry =
       kv.at("bits_per_entry").as_uint("kv.bits_per_entry");

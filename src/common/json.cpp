@@ -67,9 +67,14 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (++depth_ > kJsonMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+        }
+        JsonValue v = c == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -261,6 +266,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays/objects open around pos_
 };
 
 }  // namespace

@@ -9,9 +9,13 @@
 // and \uXXXX, encoded as UTF-8). Errors throw std::invalid_argument with
 // the 1-based line:column of the offending character.
 //
-// This is a READER for trusted, self-produced files — it favors clear
-// errors over speed, and it is not a streaming parser (the whole value
-// lives in memory).
+// Nesting: arrays and objects may nest at most kJsonMaxDepth deep (the
+// v3 step trace nests 4); deeper input throws std::invalid_argument
+// instead of exhausting the stack, since the reader recurses once per
+// level.
+//
+// It favors clear errors over speed, and it is not a streaming parser (the
+// whole value lives in memory).
 #pragma once
 
 #include <cstddef>
@@ -22,6 +26,10 @@
 #include <vector>
 
 namespace opal {
+
+/// Deepest array/object nesting parse_json accepts (the outermost value
+/// counts as depth 1).
+inline constexpr std::size_t kJsonMaxDepth = 128;
 
 class JsonValue {
  public:
@@ -66,7 +74,8 @@ class JsonValue {
 };
 
 /// Parses `text` as exactly one JSON value. Throws std::invalid_argument
-/// with a line:column position on any syntax error.
+/// with a line:column position on any syntax error or on nesting deeper
+/// than kJsonMaxDepth.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 }  // namespace opal

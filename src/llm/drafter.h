@@ -68,7 +68,6 @@ class SequenceState;
 class Drafter {
  public:
   virtual ~Drafter() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
 
   /// Proposes up to `max_tokens` continuation tokens for `tokens` (the
   /// request's full stream so far — prompt plus generated; its last element
@@ -125,7 +124,6 @@ struct SpeculativeConfig {
 class NgramDrafter final : public Drafter {
  public:
   NgramDrafter(std::size_t ngram_max, std::size_t ngram_min);
-  [[nodiscard]] std::string name() const override { return "ngram"; }
   void draft(std::span<const std::size_t> tokens, std::size_t max_tokens,
              std::vector<std::size_t>& out) override;
 
@@ -139,7 +137,6 @@ class NgramDrafter final : public Drafter {
 /// per burst otherwise.
 class RepeatDrafter final : public Drafter {
  public:
-  [[nodiscard]] std::string name() const override { return "repeat"; }
   void draft(std::span<const std::size_t> tokens, std::size_t max_tokens,
              std::vector<std::size_t>& out) override;
 };
@@ -157,7 +154,6 @@ class ModelDrafter final : public Drafter {
  public:
   explicit ModelDrafter(std::shared_ptr<const PreparedModel> draft_model);
   ~ModelDrafter() override;
-  [[nodiscard]] std::string name() const override { return "model"; }
   void draft(std::span<const std::size_t> tokens, std::size_t max_tokens,
              std::vector<std::size_t>& out) override;
 

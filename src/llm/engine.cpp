@@ -56,11 +56,9 @@ GenerationResult InferenceEngine::generate(
   GenerationResult out;
   out.tokens.assign(prompt.begin(), prompt.end());
   out.prompt_len = prompt.size();
-  const std::size_t target =
-      prompt.size() + resolve_max_new(params, max_new_tokens);
+  const std::size_t target = prompt.size() + max_new_tokens;
   const auto& cfg = prepared_->config();
-  auto sampler =
-      make_sampler(params, cfg.log2_softmax ? cfg.softmax_bits : 0);
+  Sampler sampler(params, cfg.log2_softmax ? cfg.softmax_bits : 0);
   // The facade drives the state's own sampler checkpoint, exactly like the
   // serving path — draw i of stream params.seed decides generated token i.
   state_.sampler_state().rng = CounterRng(params.seed);
@@ -70,7 +68,7 @@ GenerationResult InferenceEngine::generate(
     ++fed;
     if (fed == out.tokens.size() && out.tokens.size() < target) {
       out.tokens.push_back(
-          sampler->sample(logits, out.tokens, state_.sampler_state()));
+          sampler.sample(logits, out.tokens, state_.sampler_state()));
       out.finish_reason =
           check_stop(params, out.tokens, out.prompt_len, target);
       // A finishing token is pure output and is never fed back — the same

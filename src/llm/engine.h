@@ -54,9 +54,9 @@ class InferenceEngine {
 
   /// Generates a continuation through the same Sampler path ServingEngine
   /// uses (see sampler.h): resets the sequence, feeds the prompt, then
-  /// extends by up to resolve_max_new(params, max_new_tokens) tokens,
-  /// honoring params' policy, per-request seed, penalty/bias hooks, and
-  /// stop conditions. Default params reproduce the historical greedy loop
+  /// extends by up to max_new_tokens tokens, honoring params' policy,
+  /// per-request seed, penalty/bias hooks, and stop conditions (which may
+  /// end it sooner). Default params reproduce the historical greedy loop
   /// bitwise — and, because sampling is scheduling-invariant, the same
   /// (seed, params, prompt) here matches a ServingEngine run exactly.
   GenerationResult generate(std::span<const std::size_t> prompt,

@@ -45,7 +45,7 @@ std::string EngineConfig::label() const {
 PreparedModel::PreparedModel(const SyntheticModel& model, EngineConfig config,
                              const CalibrationSet* calibration)
     : model_(&model), config_(std::move(config)) {
-  prepare_layers(calibration);
+  prepare_layers(calibration, nullptr);
   finish_construction();
 }
 
@@ -54,7 +54,7 @@ PreparedModel::PreparedModel(const SyntheticModel& model, EngineConfig config,
     : model_(&model), config_(std::move(config)) {
   require(config_.weight_quant.has_value(),
           "PreparedModel: GPTQ requires weight_quant");
-  prepare_layers_gptq(hessians);
+  prepare_layers(nullptr, &hessians);
   finish_construction();
 }
 
@@ -106,47 +106,62 @@ KvBlockPool PreparedModel::make_kv_pool(double n_full_sequences) const {
                      model_->config().d_model, config_.kv_mode);
 }
 
-void PreparedModel::prepare_layers_gptq(const HessianSet& hessians) {
-  const auto& cfg = model_->config();
-  require(hessians.size() == cfg.n_layers,
-          "PreparedModel: Hessian layer count mismatch");
-  const auto& wq_cfg = *config_.weight_quant;
-  GptqConfig gcfg;
-  gcfg.bits = wq_cfg.bits;
-  gcfg.outlier_fraction = wq_cfg.outlier_fraction;
-  gcfg.group_size = wq_cfg.group_size;
-  gcfg.optimize_clip = wq_cfg.optimize_clip;
+namespace {
 
-  layers_.reserve(cfg.n_layers);
-  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    const auto& src = model_->layers()[l];
-    const auto& hess = hessians[l];
-    PreparedLayer layer;
-    layer.attn_norm = std::make_unique<Norm>(cfg.norm, src.attn_norm_gain);
-    layer.ffn_norm = std::make_unique<Norm>(cfg.norm, src.ffn_norm_gain);
-    layer.total_weight_values =
-        4 * cfg.d_model * cfg.d_model + 2 * cfg.d_ffn * cfg.d_model;
-    auto take = [&](OwqMatrix&& q, Matrix& dst) {
-      layer.fp_weight_values += q.fp_columns.size() * q.dequantized.rows();
-      layer.storage_bits += q.storage_bits;
-      dst = std::move(q.dequantized);
-    };
-    take(gptq_quantize(src.wq, hess.attn_in, gcfg), layer.wq);
-    take(gptq_quantize(src.wk, hess.attn_in, gcfg), layer.wk);
-    take(gptq_quantize(src.wv, hess.attn_in, gcfg), layer.wv);
-    take(gptq_quantize(src.wo, hess.proj_in, gcfg), layer.wo);
-    take(gptq_quantize(src.w_fc1, hess.fc1_in, gcfg), layer.w_fc1);
-    take(gptq_quantize(src.w_fc2, hess.fc2_in, gcfg), layer.w_fc2);
-    layers_.push_back(std::move(layer));
+/// BF16 baseline: weights stored (and multiplied) at bf16 precision, every
+/// column kept in floating point at 16 bits a value.
+OwqMatrix round_to_bf16(const Matrix& m) {
+  OwqMatrix out;
+  out.dequantized = Matrix(m.rows(), m.cols());
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    out.dequantized.flat()[i] = to_bf16(m.flat()[i]);
   }
+  out.fp_columns.resize(m.cols());
+  for (std::size_t c = 0; c < m.cols(); ++c) out.fp_columns[c] = c;
+  out.storage_bits = m.size() * 16;
+  return out;
 }
 
-void PreparedModel::prepare_layers(const CalibrationSet* calibration) {
+}  // namespace
+
+void PreparedModel::prepare_layers(const CalibrationSet* calibration,
+                                   const HessianSet* hessians) {
   const auto& cfg = model_->config();
   if (calibration != nullptr) {
     require(calibration->size() == cfg.n_layers,
             "PreparedModel: calibration layer count mismatch");
   }
+  if (hessians != nullptr) {
+    require(hessians->size() == cfg.n_layers,
+            "PreparedModel: Hessian layer count mismatch");
+  }
+  // The activation each matrix multiplies, as the field of LayerCalibration
+  // or LayerHessians (they name their per-input fields alike) its
+  // quantizer reads.
+  const auto attn_in = [](const auto& in) -> const auto& { return in.attn_in; };
+  const auto proj_in = [](const auto& in) -> const auto& { return in.proj_in; };
+  const auto fc1_in = [](const auto& in) -> const auto& { return in.fc1_in; };
+  const auto fc2_in = [](const auto& in) -> const auto& { return in.fc2_in; };
+  // The per-matrix quantize step: bf16 rounding without weight_quant, GPTQ
+  // against the input's full Hessian when given, else OWQ — sensitivity
+  // from the calibration's Hessian diagonal, or weight-only without one.
+  const auto quantize = [&](std::size_t l, const Matrix& w,
+                            const auto& input) -> OwqMatrix {
+    if (!config_.weight_quant) return round_to_bf16(w);
+    const OwqConfig& wq = *config_.weight_quant;
+    if (hessians != nullptr) {
+      return gptq_quantize(w, input((*hessians)[l]),
+                           {.bits = wq.bits,
+                            .outlier_fraction = wq.outlier_fraction,
+                            .group_size = wq.group_size,
+                            .optimize_clip = wq.optimize_clip});
+    }
+    if (calibration != nullptr) {
+      return owq_quantize(w, input((*calibration)[l]).hessian_diag(), wq);
+    }
+    return owq_quantize_weight_only(w, wq);
+  };
+
   layers_.reserve(cfg.n_layers);
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
     const auto& src = model_->layers()[l];
@@ -155,47 +170,18 @@ void PreparedModel::prepare_layers(const CalibrationSet* calibration) {
     layer.ffn_norm = std::make_unique<Norm>(cfg.norm, src.ffn_norm_gain);
     layer.total_weight_values =
         4 * cfg.d_model * cfg.d_model + 2 * cfg.d_ffn * cfg.d_model;
-
-    if (!config_.weight_quant) {
-      // BF16 baseline: weights stored (and multiplied) at bf16 precision.
-      auto round_matrix = [](const Matrix& m) {
-        Matrix out(m.rows(), m.cols());
-        for (std::size_t i = 0; i < m.size(); ++i) {
-          out.flat()[i] = to_bf16(m.flat()[i]);
-        }
-        return out;
-      };
-      layer.wq = round_matrix(src.wq);
-      layer.wk = round_matrix(src.wk);
-      layer.wv = round_matrix(src.wv);
-      layer.wo = round_matrix(src.wo);
-      layer.w_fc1 = round_matrix(src.w_fc1);
-      layer.w_fc2 = round_matrix(src.w_fc2);
-      layer.fp_weight_values = layer.total_weight_values;
-      layer.storage_bits = layer.total_weight_values * 16;
-    } else {
-      const auto& wq_cfg = *config_.weight_quant;
-      auto quantize = [&](const Matrix& m,
-                          const CalibrationStats* stats) -> OwqMatrix {
-        if (stats != nullptr) {
-          return owq_quantize(m, stats->hessian_diag(), wq_cfg);
-        }
-        return owq_quantize_weight_only(m, wq_cfg);
-      };
-      const LayerCalibration* cal =
-          calibration != nullptr ? &(*calibration)[l] : nullptr;
-      auto take = [&](OwqMatrix&& q, Matrix& dst) {
-        layer.fp_weight_values += q.fp_columns.size() * q.dequantized.rows();
-        layer.storage_bits += q.storage_bits;
-        dst = std::move(q.dequantized);
-      };
-      take(quantize(src.wq, cal ? &cal->attn_in : nullptr), layer.wq);
-      take(quantize(src.wk, cal ? &cal->attn_in : nullptr), layer.wk);
-      take(quantize(src.wv, cal ? &cal->attn_in : nullptr), layer.wv);
-      take(quantize(src.wo, cal ? &cal->proj_in : nullptr), layer.wo);
-      take(quantize(src.w_fc1, cal ? &cal->fc1_in : nullptr), layer.w_fc1);
-      take(quantize(src.w_fc2, cal ? &cal->fc2_in : nullptr), layer.w_fc2);
-    }
+    auto take = [&](const Matrix& w, const auto& input, Matrix& dst) {
+      OwqMatrix q = quantize(l, w, input);
+      layer.fp_weight_values += q.fp_columns.size() * q.dequantized.rows();
+      layer.storage_bits += q.storage_bits;
+      dst = std::move(q.dequantized);
+    };
+    take(src.wq, attn_in, layer.wq);
+    take(src.wk, attn_in, layer.wk);
+    take(src.wv, attn_in, layer.wv);
+    take(src.wo, proj_in, layer.wo);
+    take(src.w_fc1, fc1_in, layer.w_fc1);
+    take(src.w_fc2, fc2_in, layer.w_fc2);
     layers_.push_back(std::move(layer));
   }
 }

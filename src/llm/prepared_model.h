@@ -196,8 +196,11 @@ class PreparedModel {
   };
 
   void finish_construction();
-  void prepare_layers(const CalibrationSet* calibration);
-  void prepare_layers_gptq(const HessianSet& hessians);
+  /// Quantizes every layer's six weight matrices: GPTQ when `hessians` is
+  /// given, else OWQ (calibrated when `calibration` is given) or, without
+  /// EngineConfig::weight_quant, bf16 rounding.
+  void prepare_layers(const CalibrationSet* calibration,
+                      const HessianSet* hessians);
   void attend(std::size_t l, SequenceState& seq, std::span<const float> q,
               std::span<float> z, std::size_t len) const;
   /// Logits of chunk rows [first, first + count) into the chunk logits

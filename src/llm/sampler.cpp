@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/tensor.h"
 #include "softmax/softmax.h"
@@ -52,10 +51,6 @@ std::string to_string(SamplePolicy policy) {
   switch (policy) {
     case SamplePolicy::kGreedy:
       return "greedy";
-    case SamplePolicy::kTemperature:
-      return "temperature";
-    case SamplePolicy::kTopK:
-      return "top-k";
     case SamplePolicy::kTopP:
       return "top-p";
   }
@@ -78,45 +73,28 @@ std::string to_string(FinishReason reason) {
   return "?";
 }
 
-// --- GreedySampler ---
-
-GreedySampler::GreedySampler(SamplingParams params)
-    : params_(std::move(params)) {}
-
-std::size_t GreedySampler::sample(std::span<const float> logits,
-                                  std::span<const std::size_t> context,
-                                  SamplerState& state) {
-  (void)state;  // greedy consumes no draws
-  require(!logits.empty(), "GreedySampler: empty logits");
-  if (!hooks_active(params_)) return argmax(logits);
-  scratch_.assign(logits.begin(), logits.end());
-  apply_hooks(params_, context, scratch_, seen_);
-  return argmax(scratch_);
-}
-
-// --- PipelineSampler ---
-
-PipelineSampler::PipelineSampler(SamplingParams params, int log2_bits,
-                                 std::size_t top_k, float top_p)
-    : params_(std::move(params)),
-      log2_bits_(log2_bits),
-      top_k_(top_k),
-      top_p_(top_p) {
+Sampler::Sampler(SamplingParams params, int log2_bits)
+    : params_(std::move(params)), log2_bits_(log2_bits) {
+  if (params_.policy == SamplePolicy::kGreedy) return;
   require(params_.temperature >= 0.0f,
           "SamplingParams: temperature must be >= 0");
-  require(top_p_ >= 0.0f && top_p_ <= 1.0f,
+  require(params_.top_p >= 0.0f && params_.top_p <= 1.0f,
           "SamplingParams: top_p must be in [0, 1]");
   require(log2_bits_ >= 0 && log2_bits_ <= 8,
           "Sampler: log2_bits must be in [0, 8]");
 }
 
-std::size_t PipelineSampler::sample(std::span<const float> logits,
-                                    std::span<const std::size_t> context,
-                                    SamplerState& state) {
-  require(!logits.empty(), "PipelineSampler: empty logits");
-  const std::size_t n = logits.size();
+std::size_t Sampler::sample(std::span<const float> logits,
+                            std::span<const std::size_t> context,
+                            SamplerState& state) {
+  require(!logits.empty(), "Sampler: empty logits");
+  const bool greedy = params_.policy == SamplePolicy::kGreedy;
+  if (greedy && !hooks_active(params_)) return argmax(logits);
   scratch_.assign(logits.begin(), logits.end());
   apply_hooks(params_, context, scratch_, seen_);
+  if (greedy) return argmax(scratch_);  // greedy consumes no draws
+
+  const std::size_t n = logits.size();
 
   // Draw discipline: exactly one uniform per sampled token, consumed up
   // front — so the stream position depends only on how many tokens were
@@ -145,7 +123,8 @@ std::size_t PipelineSampler::sample(std::span<const float> logits,
   // ties — so a single-candidate limit picks the same token argmax would.
   order_.resize(n);
   for (std::size_t i = 0; i < n; ++i) order_[i] = i;
-  const std::size_t k = top_k_ == 0 ? n : std::min(top_k_, n);
+  const std::size_t k =
+      params_.top_k == 0 ? n : std::min(params_.top_k, n);
   const auto by_prob_desc = [this](std::size_t a, std::size_t b) {
     if (probs_[a] != probs_[b]) return probs_[a] > probs_[b];
     return a < b;
@@ -160,8 +139,8 @@ std::size_t PipelineSampler::sample(std::span<const float> logits,
   // Nucleus: smallest prefix of the top-k set whose renormalized mass
   // reaches top_p (always at least one candidate).
   std::size_t m = k;
-  if (top_p_ < 1.0f) {
-    const double threshold = static_cast<double>(top_p_) * mass_k;
+  if (params_.top_p < 1.0f) {
+    const double threshold = static_cast<double>(params_.top_p) * mass_k;
     double cum = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
       cum += probs_[order_[i]];
@@ -190,22 +169,7 @@ std::size_t PipelineSampler::sample(std::span<const float> logits,
 
 std::unique_ptr<Sampler> make_sampler(const SamplingParams& params,
                                       int log2_bits) {
-  switch (params.policy) {
-    case SamplePolicy::kGreedy:
-      return std::make_unique<GreedySampler>(params);
-    case SamplePolicy::kTemperature:
-      return std::make_unique<TemperatureSampler>(params, log2_bits);
-    case SamplePolicy::kTopK:
-      return std::make_unique<TopKSampler>(params, log2_bits);
-    case SamplePolicy::kTopP:
-      return std::make_unique<TopPSampler>(params, log2_bits);
-  }
-  throw std::invalid_argument("make_sampler: unknown policy");
-}
-
-std::size_t resolve_max_new(const SamplingParams& params,
-                            std::size_t request_max) {
-  return params.max_new_tokens != 0 ? params.max_new_tokens : request_max;
+  return std::make_unique<Sampler>(params, log2_bits);
 }
 
 float token_logprob(std::span<const float> logits, std::size_t token) {

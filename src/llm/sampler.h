@@ -1,18 +1,29 @@
-// Pluggable token sampling: the stage that turns one decode step's logits
-// into the next token, opening generation workloads beyond greedy scoring.
+// Token sampling: the stage that turns one decode step's logits into the
+// next token, opening generation workloads beyond greedy scoring.
 //
-// Design contract (mirrors scheduler.h):
+// One concrete Sampler, built from (SamplingParams, log2_bits), runs one of
+// two policies:
 //
-//   * A Sampler is a per-request policy object. sample(logits, context,
-//     state) reads one row of logits the model just produced — at the
-//     frontier, the pass's final row, which SequenceState::logits()
-//     returns after step() (a one-row pass) or prefill_chunk(); a verify
-//     burst samples each row it commits through chunk_logits_row() — plus
-//     the tokens decoded so far (for the repetition-penalty hook), and
-//     returns the chosen token.
+//   * kGreedy — argmax (first index among exact ties, std::max_element
+//     order) after the penalty/bias hooks. Takes no draw; with no hooks it
+//     reads the raw logits without a copy.
+//   * kTopP — the temperature -> top-k -> top-p pipeline: logits are
+//     scaled by 1/temperature before the softmax, restricted to the top_k
+//     highest-probability tokens (0 = all), then trimmed to the smallest
+//     nucleus whose renormalized mass reaches top_p (1 = no trimming). A
+//     pure-temperature sampler is kTopP with top_k = 0 and top_p = 1.
+//
+// Design contract:
+//
+//   * A Sampler is per request. sample(logits, context, state) reads one
+//     row of logits the model just produced — at the frontier, the pass's
+//     final row, which SequenceState::logits() returns after step() (a
+//     one-row pass) or prefill_chunk(); a verify burst samples each row it
+//     commits through chunk_logits_row() — plus the tokens decoded so far
+//     (for the repetition-penalty hook), and returns the chosen token.
 //     sample() mutates internal scratch, so one Sampler instance must not
-//     be shared between concurrently-sampled requests; ServingEngine builds
-//     one per request and only samples from its serial bookkeeping phase.
+//     be shared between concurrently-sampled requests; ServingEngine holds
+//     one per request and only samples from its serial commit phase.
 //
 //   * All randomness flows through the explicit SamplerState argument — a
 //     counter-based RNG stream (common/rng CounterRng) whose entire state
@@ -26,9 +37,9 @@
 //     identical regardless of batching, scheduling policy, kv_mode, or
 //     preemption (asserted in tests/test_sampler.cpp).
 //
-//   * Draw discipline: every non-greedy sample consumes EXACTLY one
-//     uniform draw, even when the outcome is forced (temperature 0, a
-//     single candidate after top-k/top-p). GreedySampler consumes none.
+//   * Draw discipline: every kTopP sample consumes EXACTLY one uniform
+//     draw, even when the outcome is forced (temperature 0, a single
+//     candidate after top-k/top-p). kGreedy consumes none.
 //     SamplerState::rng.counter() therefore equals the number of tokens
 //     sampled so far, and restoring a stream is CounterRng(seed, counter).
 //
@@ -40,18 +51,13 @@
 //     path uses, so sampling quantizes consistently with the datapath;
 //     log2_bits == 0 uses the FP softmax_reference.
 //
-// The samplers compose as a temperature -> top-k -> top-p pipeline:
-// TemperatureSampler scales logits by 1/T before the softmax; TopKSampler
-// restricts to the k highest-probability tokens; TopPSampler further trims
-// to the smallest nucleus whose renormalized mass reaches top_p. Each later
-// stage subsumes the earlier ones (TopPSampler honors temperature, top_k,
-// AND top_p), and all of them apply the repetition-penalty and logit-bias
-// hooks first. With the FP probability path (log2_bits == 0) the limits
-// collapse to greedy bitwise: temperature -> 0, top_k == 1, and top_p -> 0
-// each select the argmax (first index among exact ties, matching
-// GreedySampler and std::max_element). The log2 path quantizes
-// log-probabilities to integer codes, so tokens within half an octave of
-// the max tie at the smallest code and the lowest such index wins instead.
+// Both policies apply the repetition-penalty and logit-bias hooks first.
+// With the FP probability path (log2_bits == 0) the kTopP limits collapse
+// to greedy bitwise: temperature -> 0, top_k == 1, and top_p -> 0 each
+// select the argmax (first index among exact ties). The log2 path
+// quantizes log-probabilities to integer codes, so tokens within half an
+// octave of the max tie at the smallest code and the lowest such index
+// wins instead.
 #pragma once
 
 #include <cstddef>
@@ -66,12 +72,9 @@
 
 namespace opal {
 
-/// Which sampler make_sampler() builds; later entries subsume earlier ones'
-/// parameters (kTopP honors temperature, top_k, and top_p).
+/// Which of the two paths Sampler::sample() runs (see the header comment).
 enum class SamplePolicy : std::uint8_t {
   kGreedy,
-  kTemperature,
-  kTopK,
   kTopP,
 };
 
@@ -97,22 +100,19 @@ struct SamplingParams {
   static constexpr std::size_t kNoToken = static_cast<std::size_t>(-1);
 
   SamplePolicy policy = SamplePolicy::kGreedy;
-  /// Softmax temperature (non-greedy policies). 0 is the greedy limit: the
-  /// argmax is chosen (one draw still consumed — see the draw discipline).
+  /// Softmax temperature (kTopP). 0 is the greedy limit: the argmax is
+  /// chosen (one draw still consumed — see the draw discipline).
   float temperature = 1.0f;
   /// Keep only the top_k highest-probability tokens; 0 = full vocabulary.
-  /// Read by kTopK and kTopP.
+  /// Read by kTopP.
   std::size_t top_k = 0;
   /// Nucleus mass in (0, 1]; the candidate set is the smallest prefix of
   /// the (top-k-restricted, renormalized) distribution reaching top_p —
-  /// never empty. Read by kTopP only.
+  /// never empty; 1 = no trimming. Read by kTopP.
   float top_p = 1.0f;
   /// Seed of the request's CounterRng stream. Identical (seed, params,
   /// prompt) reproduce the identical token stream under any scheduler.
   std::uint64_t seed = 0;
-  /// Generation budget; 0 defers to Request::max_new_tokens (nonzero here
-  /// overrides it, so SamplingParams alone fully specifies a generation).
-  std::size_t max_new_tokens = 0;
   /// End-of-sequence token: sampling it appends it and finishes (kEos).
   std::size_t eos_token = kNoToken;
   /// Sampling any of these appends it and finishes (kStopToken).
@@ -141,93 +141,35 @@ struct SamplerState {
 
 class Sampler {
  public:
-  virtual ~Sampler() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
+  /// Throws std::invalid_argument for a kTopP config with temperature < 0,
+  /// top_p outside [0, 1], or log2_bits outside [0, 8]. `log2_bits` > 0
+  /// routes kTopP's probability transform through the log2 softmax unit
+  /// (see the header comment); 0 uses softmax_reference.
+  explicit Sampler(SamplingParams params = {}, int log2_bits = 0);
 
   /// Chooses the next token from `logits`. `context` is every token of the
   /// request so far (prompt + generated) — the repetition-penalty window.
   /// Advances `state` per the draw discipline in the header comment. Not
-  /// const: implementations reuse internal scratch across calls.
-  virtual std::size_t sample(std::span<const float> logits,
-                             std::span<const std::size_t> context,
-                             SamplerState& state) = 0;
-};
-
-/// Argmax (first index among exact ties — std::max_element order). Applies
-/// the penalty/bias hooks when configured; with default params it reads the
-/// raw logits and allocates nothing. Consumes no draws.
-class GreedySampler final : public Sampler {
- public:
-  explicit GreedySampler(SamplingParams params = {});
-  [[nodiscard]] std::string name() const override { return "greedy"; }
+  /// const: it reuses internal scratch across calls.
   std::size_t sample(std::span<const float> logits,
                      std::span<const std::size_t> context,
-                     SamplerState& state) override;
+                     SamplerState& state);
 
- private:
-  SamplingParams params_;
-  std::vector<float> scratch_;
-  std::vector<std::uint8_t> seen_;  // repetition-penalty scratch
-};
-
-/// Shared machinery of the temperature -> top-k -> top-p pipeline; the
-/// concrete samplers below choose which stages are live. `log2_bits` > 0
-/// routes the probability transform through the log2 softmax unit (see the
-/// header comment); 0 uses softmax_reference.
-class PipelineSampler : public Sampler {
- public:
-  std::size_t sample(std::span<const float> logits,
-                     std::span<const std::size_t> context,
-                     SamplerState& state) override;
-
- protected:
-  PipelineSampler(SamplingParams params, int log2_bits, std::size_t top_k,
-                  float top_p);
+  [[nodiscard]] const SamplingParams& params() const { return params_; }
 
  private:
   SamplingParams params_;
   int log2_bits_;
-  std::size_t top_k_;  // 0 = full vocabulary
-  float top_p_;        // 1 = no nucleus trimming
   std::vector<float> scratch_, probs_;
   std::vector<std::uint8_t> seen_;  // repetition-penalty scratch
   std::vector<std::size_t> order_;
 };
 
-/// Temperature-scaled sampling over the full vocabulary.
-class TemperatureSampler final : public PipelineSampler {
- public:
-  explicit TemperatureSampler(const SamplingParams& params, int log2_bits = 0)
-      : PipelineSampler(params, log2_bits, 0, 1.0f) {}
-  [[nodiscard]] std::string name() const override { return "temperature"; }
-};
-
-/// Temperature + top-k restriction.
-class TopKSampler final : public PipelineSampler {
- public:
-  explicit TopKSampler(const SamplingParams& params, int log2_bits = 0)
-      : PipelineSampler(params, log2_bits, params.top_k, 1.0f) {}
-  [[nodiscard]] std::string name() const override { return "top-k"; }
-};
-
-/// The full pipeline: temperature + top-k + top-p nucleus.
-class TopPSampler final : public PipelineSampler {
- public:
-  explicit TopPSampler(const SamplingParams& params, int log2_bits = 0)
-      : PipelineSampler(params, log2_bits, params.top_k, params.top_p) {}
-  [[nodiscard]] std::string name() const override { return "top-p"; }
-};
-
-/// Builds the sampler params.policy names. `log2_bits` — pass the engine's
+/// Builds the Sampler for `params`. `log2_bits` — pass the engine's
 /// log2-softmax code width (EngineConfig::softmax_bits when log2_softmax is
 /// on, else 0) so sampling uses the same probability datapath as attention.
 [[nodiscard]] std::unique_ptr<Sampler> make_sampler(
     const SamplingParams& params, int log2_bits = 0);
-
-/// The generation budget `params` implies: params.max_new_tokens when
-/// nonzero, else `request_max` (Request::max_new_tokens).
-[[nodiscard]] std::size_t resolve_max_new(const SamplingParams& params,
-                                          std::size_t request_max);
 
 /// Normalized log-probability of `token` under softmax(logits):
 /// logits[token] - logsumexp(logits), computed max-subtracted so it is
@@ -242,7 +184,7 @@ class TopPSampler final : public PipelineSampler {
 /// Stop-condition check for the token just appended at tokens.back().
 /// Returns the reason generation must stop, or kNone to continue. Priority:
 /// eos > stop token > stop sequence > max_new_tokens (target_len =
-/// prompt_len + resolved generation budget).
+/// prompt_len + the request's max_new_tokens).
 [[nodiscard]] FinishReason check_stop(const SamplingParams& params,
                                       std::span<const std::size_t> tokens,
                                       std::size_t prompt_len,

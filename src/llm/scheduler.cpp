@@ -6,11 +6,31 @@
 
 namespace opal {
 
+namespace {
+
+bool is_blocked(std::span<const std::size_t> blocked, std::size_t i) {
+  return std::binary_search(blocked.begin(), blocked.end(), i);
+}
+
+/// Counts a successful pick: a first pick of the step, or one made around
+/// memory-blocked candidates.
+std::size_t counted(Scheduler::Counts& counts,
+                    std::span<const std::size_t> blocked, std::size_t pick) {
+  if (pick != Scheduler::kNone) {
+    ++(blocked.empty() ? counts.admission_picks : counts.blocked_picks);
+  }
+  return pick;
+}
+
+}  // namespace
+
 // --- FifoScheduler ---
 
 std::size_t FifoScheduler::pick_admission(
-    std::span<const SchedRequest> queued) {
-  if (queued.empty()) return kNone;
+    std::span<const SchedRequest> queued,
+    std::span<const std::size_t> blocked) {
+  // Strict head-of-line: nothing admits around a blocked head.
+  if (queued.empty() || !blocked.empty()) return kNone;
   ++counts_.admission_picks;
   return 0;
 }
@@ -33,30 +53,15 @@ std::size_t FifoScheduler::pick_victim(
 // --- PriorityScheduler ---
 
 std::size_t PriorityScheduler::pick_admission(
-    std::span<const SchedRequest> queued) {
-  if (queued.empty()) return kNone;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < queued.size(); ++i) {
-    // Strictly higher priority wins; FIFO (lower index) within a level.
-    if (queued[i].priority > queued[best].priority) best = i;
-  }
-  ++counts_.admission_picks;
-  return best;
-}
-
-std::size_t PriorityScheduler::pick_admission_blocked(
     std::span<const SchedRequest> queued,
     std::span<const std::size_t> blocked) {
-  // Highest priority among candidates not yet found inadmissible; FIFO
-  // (lower index) within a level — the same order pick_admission uses,
-  // minus the blocked ones.
   std::size_t best = kNone;
   for (std::size_t i = 0; i < queued.size(); ++i) {
-    if (std::binary_search(blocked.begin(), blocked.end(), i)) continue;
+    if (is_blocked(blocked, i)) continue;
+    // Strictly higher priority wins; FIFO (lower index) within a level.
     if (best == kNone || queued[i].priority > queued[best].priority) best = i;
   }
-  if (best != kNone) ++counts_.blocked_picks;
-  return best;
+  return counted(counts_, blocked, best);
 }
 
 void PriorityScheduler::plan_budgets(std::span<const SchedRequest> running,
@@ -96,25 +101,14 @@ FairShareScheduler::FairShareScheduler(Config config) : config_(config) {
 }
 
 std::size_t FairShareScheduler::pick_admission(
-    std::span<const SchedRequest> queued) {
-  // Arrival order: admission fairness is starvation-freedom, and FIFO is
-  // the only order that gives every request a bounded wait unconditionally.
-  // The sharing happens in plan_budgets, between requests already running.
-  if (queued.empty()) return kNone;
-  ++counts_.admission_picks;
-  return 0;
-}
-
-std::size_t FairShareScheduler::pick_admission_blocked(
     std::span<const SchedRequest> queued,
     std::span<const std::size_t> blocked) {
-  // Arrival order, skipping the blocked: the oldest request that can
-  // actually start. The blocked ones stay first in line for later steps.
+  // Arrival order, skipping the blocked: admission fairness is
+  // starvation-freedom, and FIFO is the only order that gives every request
+  // a bounded wait unconditionally. The sharing happens in plan_budgets,
+  // between requests already running.
   for (std::size_t i = 0; i < queued.size(); ++i) {
-    if (!std::binary_search(blocked.begin(), blocked.end(), i)) {
-      ++counts_.blocked_picks;
-      return i;
-    }
+    if (!is_blocked(blocked, i)) return counted(counts_, blocked, i);
   }
   return kNone;
 }

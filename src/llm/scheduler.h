@@ -13,17 +13,19 @@
 // Contract (engine -> scheduler), in the order hooks fire within one
 // ServingEngine::step():
 //
-//   1. pick_admission(queued): which queued request the engine should try
-//      to admit next. Called repeatedly while slots and blocks last. When
-//      the chosen candidate's KV demand cannot be met, the engine calls
-//      pick_admission_blocked(queued, blocked) — blocked listing the queue
-//      indices already found inadmissible this step — and the policy may
-//      offer the next candidate, letting a small request admit around a
-//      memory-blocked large one. The default (and FifoScheduler) return
-//      kNone: strict head-of-line blocking, which FIFO's bitwise-default
-//      contract requires. A blocked candidate is never reordered: it keeps
-//      its queue position (and adopted prefix) and is offered first again
-//      next step; it can only be overtaken while it waits for blocks.
+//   1. pick_admission(queued, blocked): which queued request the engine
+//      should try to admit next, skipping the queue indices in `blocked`
+//      (those already found inadmissible for lack of KV blocks this step).
+//      Called repeatedly while slots and blocks last, first with `blocked`
+//      empty. When the chosen candidate's KV demand cannot be met, the
+//      engine adds it to `blocked` and calls again, so the policy may offer
+//      the next candidate and let a small request admit around a
+//      memory-blocked large one. FifoScheduler returns kNone once
+//      `blocked` is non-empty: strict head-of-line blocking, which FIFO's
+//      bitwise-default contract requires. A blocked candidate is never
+//      reordered: it keeps its queue position (and adopted prefix) and is
+//      offered first again next step; it can only be overtaken while it
+//      waits for blocks.
 //   2. plan_budgets(running, budgets, max_chunk): how many tokens each
 //      running sequence may process this step. Budgets apply to KNOWN
 //      tokens (prompt prefill and post-preemption replay); the engine
@@ -99,22 +101,10 @@ class Scheduler {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Index (into `queued`, never empty) of the next admission candidate,
-  /// or kNone to admit nothing more this step.
-  virtual std::size_t pick_admission(
-      std::span<const SchedRequest> queued) = 0;
-
-  /// The previously picked candidate could not get its KV blocks; `blocked`
-  /// holds every queue index already found inadmissible this step
-  /// (ascending). Return another index (not in `blocked`) to try admitting
-  /// around them, or kNone to stop admission for this step. Default: kNone
-  /// (strict head-of-line; see the contract comment).
-  virtual std::size_t pick_admission_blocked(
-      std::span<const SchedRequest> queued,
-      std::span<const std::size_t> blocked) {
-    (void)queued;
-    (void)blocked;
-    return kNone;
-  }
+  /// not in `blocked` — the queue indices already found inadmissible this
+  /// step (ascending) — or kNone to admit nothing more this step.
+  virtual std::size_t pick_admission(std::span<const SchedRequest> queued,
+                                     std::span<const std::size_t> blocked) = 0;
 
   /// Fills budgets[i] with the token budget for running[i] (same length,
   /// pre-filled with 1). `max_chunk` is ServingConfig::prefill_chunk_tokens;
@@ -145,8 +135,8 @@ class Scheduler {
   /// budget_plans. A scheduler shared between engines counts the decisions
   /// it made for every sharer.
   struct Counts {
-    std::uint64_t admission_picks = 0;  // pick_admission chose a candidate
-    std::uint64_t blocked_picks = 0;    // pick_admission_blocked chose one
+    std::uint64_t admission_picks = 0;  // chose one, nothing blocked yet
+    std::uint64_t blocked_picks = 0;    // chose one around blocked ones
     std::uint64_t victim_picks = 0;     // pick_victim chose a victim
     std::uint64_t budget_plans = 0;     // plan_budgets ran for a batch
   };
@@ -162,7 +152,8 @@ class Scheduler {
 class FifoScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "fifo"; }
-  std::size_t pick_admission(std::span<const SchedRequest> queued) override;
+  std::size_t pick_admission(std::span<const SchedRequest> queued,
+                             std::span<const std::size_t> blocked) override;
   void plan_budgets(std::span<const SchedRequest> running,
                     std::span<std::size_t> budgets,
                     std::size_t max_chunk) override;
@@ -173,12 +164,10 @@ class FifoScheduler final : public Scheduler {
 class PriorityScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string name() const override { return "priority"; }
-  std::size_t pick_admission(std::span<const SchedRequest> queued) override;
-  /// Admits around memory-blocked candidates: the highest-priority (then
-  /// oldest) request not yet found inadmissible.
-  std::size_t pick_admission_blocked(
-      std::span<const SchedRequest> queued,
-      std::span<const std::size_t> blocked) override;
+  /// The highest-priority (then oldest) request not blocked; admits around
+  /// memory-blocked candidates.
+  std::size_t pick_admission(std::span<const SchedRequest> queued,
+                             std::span<const std::size_t> blocked) override;
   void plan_budgets(std::span<const SchedRequest> running,
                     std::span<std::size_t> budgets,
                     std::size_t max_chunk) override;
@@ -203,13 +192,11 @@ class FairShareScheduler final : public Scheduler {
   explicit FairShareScheduler(Config config);
 
   [[nodiscard]] std::string name() const override { return "fair-share"; }
-  std::size_t pick_admission(std::span<const SchedRequest> queued) override;
-  /// Admits around memory-blocked candidates in arrival order: bounded
-  /// wait stays bounded — a blocked candidate is retried first next step —
-  /// while free blocks never idle behind one oversized request.
-  std::size_t pick_admission_blocked(
-      std::span<const SchedRequest> queued,
-      std::span<const std::size_t> blocked) override;
+  /// The oldest request not blocked: bounded wait stays bounded — a
+  /// blocked candidate is retried first next step — while free blocks
+  /// never idle behind one oversized request.
+  std::size_t pick_admission(std::span<const SchedRequest> queued,
+                             std::span<const std::size_t> blocked) override;
   void plan_budgets(std::span<const SchedRequest> running,
                     std::span<std::size_t> budgets,
                     std::size_t max_chunk) override;

@@ -136,15 +136,13 @@ RequestId ServingEngine::submit(Request request) {
   seq.result.status = RequestStatus::kQueued;
   seq.result.tokens = std::move(request.prompt);
   seq.result.prompt_len = seq.result.tokens.size();
-  seq.target_len = seq.result.prompt_len +
-                   resolve_max_new(request.sampling, request.max_new_tokens);
-  seq.sampling = std::move(request.sampling);
+  seq.target_len = seq.result.prompt_len + request.max_new_tokens;
   // One sampler per request, consulted only from the serial commit().
   // With the log2 softmax unit active, sampling probabilities run through
   // the same unit (see sampler.h).
   const auto& ecfg = model_->config();
-  seq.sampler =
-      make_sampler(seq.sampling, ecfg.log2_softmax ? ecfg.softmax_bits : 0);
+  seq.sampler = Sampler(std::move(request.sampling),
+                        ecfg.log2_softmax ? ecfg.softmax_bits : 0);
   // One drafter per request, like the sampler: consulted only from the
   // serial plan(), so stateful drafters need no synchronization.
   if (config_.speculative.enabled()) {
@@ -153,7 +151,7 @@ RequestId ServingEngine::submit(Request request) {
   // The RNG stream starts at draw 0 of the request's seed; the checkpoint
   // is moved into the SequenceState at admission and back here whenever the
   // KV is fully released (see Sequence::sampler_ckpt).
-  seq.sampler_ckpt.rng = CounterRng(seq.sampling.seed);
+  seq.sampler_ckpt.rng = CounterRng(seq.sampler.params().seed);
   ++prio_stats_[seq.priority].submitted;
   trace_.emit({.kind = TraceEventKind::kEnqueue,
                .step = step_counter_,
@@ -271,9 +269,11 @@ void ServingEngine::admit_from_queue() {
     for (const auto& seq : batch_) planned += blocks_needed(seq);
     while (batch_.size() < config_.max_batch && !queue_.empty()) {
       blocked_.clear();
-      std::size_t pick = scheduler_->pick_admission(sched_views(queue_));
       bool admitted = false;
-      while (pick != Scheduler::kNone) {
+      for (;;) {
+        const std::size_t pick =
+            scheduler_->pick_admission(sched_views(queue_), blocked_);
+        if (pick == Scheduler::kNone) break;
         require(pick < queue_.size(),
                 "ServingEngine: scheduler picked an out-of-range admission");
         require(!std::binary_search(blocked_.begin(), blocked_.end(), pick),
@@ -333,13 +333,11 @@ void ServingEngine::admit_from_queue() {
         // Memory-blocked candidate: it keeps its queue position and any
         // adopted prefix (retried first next step), but the policy may
         // offer the NEXT admissible candidate so a small request admits
-        // around it. The default — and FIFO, whose bitwise contract is
-        // strict arrival order — returns kNone: head-of-line blocking.
+        // around it. FIFO, whose bitwise contract is strict arrival order,
+        // returns kNone: head-of-line blocking.
         blocked_.push_back(pick);
         std::sort(blocked_.begin(), blocked_.end());
         if (blocked_.size() >= queue_.size()) break;
-        pick = scheduler_->pick_admission_blocked(sched_views(queue_),
-                                                  blocked_);
       }
       if (!admitted) break;  // nothing admissible this step
     }
@@ -763,7 +761,7 @@ void ServingEngine::sample_pass(Sequence& seq, SlotPass& pass) {
   // mismatch (or stop) ends it and the unused fed rows roll back bitwise.
   if (pass.sample_from == SlotPass::kNoSample) return;
   for (std::size_t j = pass.sample_from; j < pass.rows; ++j) {
-    const std::size_t token = seq.sampler->sample(
+    const std::size_t token = seq.sampler.sample(
         seq.state->chunk_logits_row(j), seq.result.tokens,
         seq.state->sampler_state());
     seq.result.tokens.push_back(token);
@@ -771,8 +769,9 @@ void ServingEngine::sample_pass(Sequence& seq, SlotPass& pass) {
     // Stop conditions (eos / stop token / stop sequence / budget). The
     // final generated token is pure output either way — feeding it would
     // spend a KV slot and a forward pass on logits nobody reads.
-    seq.result.finish_reason = check_stop(
-        seq.sampling, seq.result.tokens, seq.result.prompt_len, seq.target_len);
+    seq.result.finish_reason =
+        check_stop(seq.sampler.params(), seq.result.tokens,
+                   seq.result.prompt_len, seq.target_len);
     if (seq.result.finish_reason != FinishReason::kNone) {
       seq.done = true;
       return;

@@ -39,11 +39,11 @@
 //     the sequence's remaining KV space;
 //   * under pool pressure budgets shrink back to 1 BEFORE any sequence is
 //     preempted. When the scheduler's admission candidate cannot get its KV
-//     blocks, the engine asks the policy for the next admissible candidate
-//     (Scheduler::pick_admission_blocked) so a small request can admit
-//     around a memory-blocked large one; the default — and FIFO, whose
-//     bitwise contract requires strict arrival order — declines, keeping
-//     head-of-line semantics (nothing jumps the blocked candidate). A
+//     blocks, the engine asks the policy again, passing the blocked queue
+//     indices (Scheduler::pick_admission), so a small request can admit
+//     around a memory-blocked large one; FIFO, whose bitwise contract
+//     requires strict arrival order, declines, keeping head-of-line
+//     semantics (nothing jumps the blocked candidate). A
 //     blocked candidate keeps its queue position and adopted prefix and is
 //     retried first on later steps;
 //   * scheduler hooks fire only from the serial plan() and commit() — never
@@ -66,8 +66,9 @@
 // Sampling (Request::sampling, see sampler.h): once a sequence's known
 // tokens are fed, the frontier logits — after a chunk, the chunk-final
 // position's — go through the request's Sampler: greedy argmax by default
-// (bitwise identical to the historical engine), or seeded temperature /
-// top-k / top-p with repetition-penalty and logit-bias hooks. The
+// (bitwise identical to the historical engine), or the seeded temperature
+// -> top-k -> top-p pipeline, either one with repetition-penalty and
+// logit-bias hooks. The
 // per-request RNG stream is counter-based and rides in the sequence's
 // SequenceState (checkpointed across full KV release); replayed tokens are
 // fed as known tokens without re-sampling, so the emitted stream is
@@ -205,6 +206,7 @@
 #include "llm/kv_block_pool.h"
 #include "llm/prefix_cache.h"
 #include "llm/prepared_model.h"
+#include "llm/sampler.h"
 #include "llm/scheduler.h"
 #include "llm/sequence_state.h"
 
@@ -213,8 +215,8 @@ namespace opal {
 struct Request {
   /// Tokens fed verbatim (teacher-forced). Must be non-empty.
   std::vector<std::size_t> prompt;
-  /// Continuation length after the prompt (0 = pure scoring). Overridden by
-  /// sampling.max_new_tokens when that is nonzero.
+  /// Continuation length after the prompt (0 = pure scoring); stop
+  /// conditions in `sampling` may end it sooner.
   std::size_t max_new_tokens = 0;
   /// Scheduling class: higher runs sooner under PriorityScheduler (and any
   /// policy that reads it); FIFO ignores it. Stats are broken out per
@@ -606,14 +608,14 @@ class ServingEngine {
     // recompute (replay from scratch is canonical again).
     static constexpr std::size_t kCanonical = static_cast<std::size_t>(-1);
     std::size_t non_canonical_from = kCanonical;
-    // Per-request sampling: the policy object (built once at submit) and
-    // the RNG-stream checkpoint. While KV is held the live stream sits in
-    // state->sampler_state(); sampler_ckpt catches it across a full KV
+    // Per-request sampling: the sampler (built once at submit from the
+    // request's SamplingParams, which it keeps for the stop conditions)
+    // and the RNG-stream checkpoint. While KV is held the live stream sits
+    // in state->sampler_state(); sampler_ckpt catches it across a full KV
     // release (release_sequence_kv) and re-seeds the replacement state at
     // admission, so preempt -> readmit resumes the stream at the exact
     // draw (replayed tokens are known tokens and consume no draws).
-    SamplingParams sampling;
-    std::unique_ptr<Sampler> sampler;
+    Sampler sampler;
     SamplerState sampler_ckpt;
     // Speculative decoding: the request's drafter (built once at submit,
     // null when speculation is off), consulted only from plan(). The burst

@@ -172,7 +172,6 @@ TEST(Observability, CountersMirrorStats) {
 // keeps no counts, so every drafter.* series must come from the engine.
 class AppendOnlyDrafter final : public Drafter {
  public:
-  [[nodiscard]] std::string name() const override { return "append-only"; }
   void draft(std::span<const std::size_t> tokens, std::size_t max_tokens,
              std::vector<std::size_t>& out) override {
     out.insert(out.end(), max_tokens, tokens.back());

@@ -9,12 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "accel/device.h"
+#include "common/json.h"
+#include "common/rng.h"
 #include "eval/schemes.h"
 #include "llm/kv_block_pool.h"
 #include "llm/serving_engine.h"
@@ -407,6 +411,11 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   std::string v2 = one_step("1", burst("1", "2"));
   v2.replace(v2.find("/v3"), 3, "/v2");
   expect_rejected(v2, "opal.step_trace/v3");
+  // kv.mode is one of the engine's names: to_json writes it unescaped, so
+  // an escape in it would not survive a round trip.
+  std::string odd_mode = one_step("1", burst("1", "2"));
+  odd_mode.replace(odd_mode.find("int8"), 4, "in\\t8");
+  expect_rejected(odd_mode, "kv.mode");
   // Unknown pass kinds are named.
   expect_rejected(
       one_step("1",
@@ -441,6 +450,142 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   const StepTrace trace = step_trace_from_tracer(bare);
   EXPECT_THROW((void)replay_trace(make_bf16_device(), trace),
                std::invalid_argument);
+}
+
+// --- fuzzing the step-trace reader --------------------------------------
+
+/// `depth` nested arrays or objects, closed when `close` is set.
+std::string nested(std::size_t depth, bool objects, bool close) {
+  std::string out;
+  for (std::size_t i = 0; i < depth; ++i) out += objects ? "{\"a\": " : "[";
+  if (close) {
+    out += "0";
+    out += std::string(depth, objects ? '}' : ']');
+  }
+  return out;
+}
+
+TEST(StepTraceFuzz, DeepNestingThrowsInsteadOfExhaustingTheStack) {
+  EXPECT_THROW((void)parse_json(std::string(100000, '[')),
+               std::invalid_argument);
+  for (const bool objects : {false, true}) {
+    EXPECT_THROW((void)parse_json(nested(100000, objects, true)),
+                 std::invalid_argument);
+    EXPECT_THROW((void)parse_step_trace(nested(100000, objects, false)),
+                 std::invalid_argument);
+    // The limit itself still parses; one level more does not.
+    EXPECT_NO_THROW((void)parse_json(nested(kJsonMaxDepth, objects, true)));
+    EXPECT_THROW((void)parse_json(nested(kJsonMaxDepth + 1, objects, true)),
+                 std::invalid_argument);
+  }
+}
+
+/// One random edit of `text`: truncate; overwrite, insert or delete bytes;
+/// change or add a digit next to a digit (the edit most likely to keep a
+/// trace valid); insert an escape after a quote; or splice in nesting
+/// (sometimes deeper than kJsonMaxDepth, sometimes left unclosed).
+void mutate_once(std::string& text, Rng& rng) {
+  static const std::string kBytes =
+      std::string("{}[]\",:\\-+.0123456789eE tfnul\n\x7f\xff") +
+      std::string(1, '\0');
+  static const char* const kEscapes[] = {"\\t", "\\\"", "\\u0041",
+                                         "\\n", "\\/"};
+  const auto below = [&](std::size_t n) {
+    return n == 0 ? 0 : static_cast<std::size_t>(rng() % n);
+  };
+  const auto any_byte = [&] {
+    return rng() % 2 == 0 ? kBytes[below(kBytes.size())]
+                          : static_cast<char>(rng() & 0xFF);
+  };
+  const auto digit = [&] { return static_cast<char>('0' + below(10)); };
+  const std::size_t at = below(text.size() + 1);
+  switch (rng() % 7) {
+    case 0:
+      text.resize(at);
+      break;
+    case 1:
+      if (at < text.size()) text[at] = any_byte();
+      break;
+    case 2:
+      for (std::size_t n = 1 + below(3); n > 0; --n) {
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(at),
+                    any_byte());
+      }
+      break;
+    case 3:
+      text.erase(at, 1 + below(8));
+      break;
+    case 4: {
+      const std::size_t d = text.find_first_of("0123456789", at);
+      if (d == std::string::npos) break;
+      if (rng() % 2 == 0) {
+        text[d] = digit();
+      } else {
+        text.insert(text.begin() + static_cast<std::ptrdiff_t>(d), digit());
+      }
+      break;
+    }
+    case 5: {
+      // Just inside a string, where an escape stays valid JSON.
+      const std::size_t q = text.find('"', at);
+      if (q != std::string::npos) {
+        text.insert(q + 1, kEscapes[below(std::size(kEscapes))]);
+      }
+      break;
+    }
+    default: {
+      const std::size_t depth = 1 + below(2 * kJsonMaxDepth);
+      const bool objects = rng() % 2 == 0;
+      text.insert(at, nested(depth, objects, rng() % 2 == 0));
+      break;
+    }
+  }
+}
+
+TEST(StepTraceFuzz, MutantsAreRejectedOrRoundTrip) {
+  // A real v3 trace holding every pass kind: chunked prefill, decodes,
+  // speculative bursts and prefix-cache hits. Mutants are cut from its
+  // first 12 steps and from its first step alone, where the header's
+  // fields draw a larger share of the edits.
+  ServingConfig cfg = stressed_config();
+  cfg.speculative.policy = DraftPolicy::kRepeat;
+  cfg.speculative.draft_tokens = 3;
+  const StepTrace run = traced_run(cfg).trace;
+  ASSERT_GE(run.steps.size(), 12u);
+
+  std::size_t rejected = 0, parsed = 0;
+  for (const std::size_t n_steps : {12u, 1u}) {
+    StepTrace base = run;
+    base.steps.resize(n_steps);
+    const std::string text = base.to_json();
+    ASSERT_TRUE(parse_step_trace(text) == base);
+    for (std::uint64_t seed = 0; seed < 1500; ++seed) {
+      Rng rng = make_rng(seed);
+      std::string mutant = text;
+      for (std::uint64_t n = 1 + rng() % 3; n > 0; --n) {
+        mutate_once(mutant, rng);
+      }
+      StepTrace t;
+      try {
+        t = parse_step_trace(mutant);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      bool round_trips = false;
+      try {
+        round_trips = parse_step_trace(t.to_json()) == t;
+      } catch (const std::invalid_argument& e) {
+        ADD_FAILURE() << n_steps << " steps, seed " << seed
+                      << ": re-parse threw " << e.what();
+      }
+      EXPECT_TRUE(round_trips) << n_steps << " steps, seed " << seed;
+    }
+  }
+  // Both outcomes occur, so the mutations reach past the first byte.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(parsed, 0u);
 }
 
 TEST(Replay, DroppedStepsSurfaceInTheReport) {

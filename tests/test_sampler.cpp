@@ -1,5 +1,5 @@
 // Sampling subsystem: the greedy limits of every pipeline stage must equal
-// GreedySampler bitwise (temperature -> 0, top_k == 1, top_p -> 0); seeded
+// the greedy Sampler bitwise (temperature -> 0, top_k == 1, top_p -> 0); seeded
 // sampling must be scheduling-invariant — identical (seed, SamplingParams,
 // prompt) produce the identical token stream under every scheduler policy,
 // chunk width, kv_mode, thread count, prefix caching, pool pressure, and a
@@ -50,19 +50,19 @@ std::vector<float> random_logits(Rng& rng, std::size_t n, float spread) {
 
 TEST(Sampler, GreedyLimitsMatchGreedySamplerBitwise) {
   Rng rng = make_rng(11);
-  GreedySampler greedy;
+  Sampler greedy;
   for (int trial = 0; trial < 200; ++trial) {
     const auto logits = random_logits(rng, 64, 2.5f);
     SamplerState gstate;
     const std::size_t want = greedy.sample(logits, {}, gstate);
 
     SamplingParams temp0;
-    temp0.policy = SamplePolicy::kTemperature;
+    temp0.policy = SamplePolicy::kTopP;
     temp0.temperature = 0.0f;
     SamplingParams temp_tiny = temp0;
     temp_tiny.temperature = 1e-6f;
     SamplingParams k1;
-    k1.policy = SamplePolicy::kTopK;
+    k1.policy = SamplePolicy::kTopP;
     k1.temperature = 0.8f;
     k1.top_k = 1;
     SamplingParams p0;
@@ -100,7 +100,7 @@ TEST(Sampler, DrawDisciplineOneDrawPerSampledToken) {
     EXPECT_EQ(state.rng.counter(), i);
   }
 
-  GreedySampler greedy;
+  Sampler greedy;
   SamplerState gstate;
   for (int i = 0; i < 10; ++i) greedy.sample(logits, {}, gstate);
   EXPECT_EQ(gstate.rng.counter(), 0u);  // greedy never draws
@@ -109,7 +109,7 @@ TEST(Sampler, DrawDisciplineOneDrawPerSampledToken) {
 TEST(Sampler, StateSerializationRoundTripResumesStream) {
   Rng rng = make_rng(17);
   SamplingParams params;
-  params.policy = SamplePolicy::kTemperature;
+  params.policy = SamplePolicy::kTopP;
   params.temperature = 1.2f;
   params.seed = 99;
 
@@ -146,13 +146,13 @@ TEST(Sampler, RepetitionPenaltyAndLogitBiasHooks) {
   std::vector<float> logits = {1.0f, 2.0f, 3.0f, 5.0f, 4.0f, 0.5f};
   SamplerState state;
 
-  GreedySampler plain;
+  Sampler plain;
   EXPECT_EQ(plain.sample(logits, {}, state), 3u);
 
   // A huge penalty on a context that contains the winner demotes it.
   SamplingParams pen;
   pen.repetition_penalty = 1e6f;
-  GreedySampler penalized(pen);
+  Sampler penalized(pen);
   const std::vector<std::size_t> context = {3};
   EXPECT_EQ(penalized.sample(logits, context, state), 4u);
 
@@ -176,7 +176,7 @@ TEST(Sampler, Log2SoftmaxPathSamplesFromUnitCodes) {
   for (int trial = 0; trial < 50; ++trial) {
     const auto logits = random_logits(rng, 64, 2.5f);
     SamplingParams k1;
-    k1.policy = SamplePolicy::kTopK;
+    k1.policy = SamplePolicy::kTopP;
     k1.top_k = 1;
     auto log2 = make_sampler(k1, 7);
     SamplerState sb;
@@ -247,13 +247,6 @@ TEST(Sampler, CheckStopPriorityAndRegions) {
   EXPECT_EQ(check_stop(params, tokens, 2, 10), FinishReason::kStopSequence);
 }
 
-TEST(Sampler, ResolveMaxNewPrefersParams) {
-  SamplingParams params;
-  EXPECT_EQ(resolve_max_new(params, 8), 8u);
-  params.max_new_tokens = 3;
-  EXPECT_EQ(resolve_max_new(params, 8), 3u);
-}
-
 // --- serving integration: scheduling invariance of seeded streams ---
 
 std::vector<Request> sampled_requests() {
@@ -269,7 +262,7 @@ std::vector<Request> sampled_requests() {
   Request temp;
   temp.prompt = {2, 7};
   temp.max_new_tokens = 11;
-  temp.sampling.policy = SamplePolicy::kTemperature;
+  temp.sampling.policy = SamplePolicy::kTopP;
   temp.sampling.temperature = 0.8f;
   temp.sampling.seed = 5;
   requests.push_back(temp);
@@ -278,7 +271,7 @@ std::vector<Request> sampled_requests() {
   topk.prompt = {9, 2, 6, 5, 3, 5, 8};
   topk.max_new_tokens = 7;
   topk.priority = 2;
-  topk.sampling.policy = SamplePolicy::kTopK;
+  topk.sampling.policy = SamplePolicy::kTopP;
   topk.sampling.temperature = 0.9f;
   topk.sampling.top_k = 8;
   topk.sampling.seed = 9;
@@ -291,7 +284,7 @@ std::vector<Request> sampled_requests() {
   topp.sampling.top_k = 16;
   topp.sampling.top_p = 0.85f;
   topp.sampling.seed = 13;
-  topp.sampling.max_new_tokens = 12;  // overrides Request::max_new_tokens
+  topp.max_new_tokens = 12;
   requests.push_back(topp);
   return requests;
 }
@@ -510,7 +503,7 @@ TEST(SamplerServing, TokenObserverStreamsEachTokenExactlyOnceAcrossPreempt) {
   Request request;
   request.prompt = {2, 7, 2};
   request.max_new_tokens = 9;
-  request.sampling.policy = SamplePolicy::kTemperature;
+  request.sampling.policy = SamplePolicy::kTopP;
   request.sampling.temperature = 0.9f;
   request.sampling.seed = 33;
 

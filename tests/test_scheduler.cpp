@@ -509,12 +509,12 @@ TEST(SchedulerPolicy, FifoPicksFrontAndYoungestVictim) {
   FifoScheduler fifo;
   std::vector<SchedRequest> reqs(3);
   for (std::size_t i = 0; i < reqs.size(); ++i) reqs[i].id = i + 1;
-  EXPECT_EQ(fifo.pick_admission(reqs), 0u);
+  EXPECT_EQ(fifo.pick_admission(reqs, {}), 0u);
   EXPECT_EQ(fifo.pick_victim(reqs), 2u);
   std::vector<std::size_t> budgets(3, 1);
   fifo.plan_budgets(reqs, budgets, 8);
   EXPECT_EQ(budgets, (std::vector<std::size_t>{8, 8, 8}));
-  EXPECT_EQ(fifo.pick_admission({}), Scheduler::kNone);
+  EXPECT_EQ(fifo.pick_admission({}, {}), Scheduler::kNone);
 }
 
 TEST(SchedulerPolicy, PriorityTieBreaksFifoOnAdmissionYoungestOnVictim) {
@@ -524,7 +524,7 @@ TEST(SchedulerPolicy, PriorityTieBreaksFifoOnAdmissionYoungestOnVictim) {
   reqs[1].priority = 3;
   reqs[2].priority = 3;  // same level as 1: FIFO within the level
   reqs[3].priority = 0;
-  EXPECT_EQ(prio.pick_admission(reqs), 1u);
+  EXPECT_EQ(prio.pick_admission(reqs, {}), 1u);
   EXPECT_EQ(prio.pick_victim(reqs), 3u);  // lowest level
   reqs[3].priority = 1;  // two lowest-level runners: youngest loses
   EXPECT_EQ(prio.pick_victim(reqs), 3u);
@@ -564,15 +564,15 @@ TEST(SchedulerPolicy, BlockedAdmissionHooks) {
   reqs[2].priority = 1;
   const std::vector<std::size_t> blocked = {0};
 
-  FifoScheduler fifo;  // default: strict head-of-line
-  EXPECT_EQ(fifo.pick_admission_blocked(reqs, blocked), Scheduler::kNone);
+  FifoScheduler fifo;  // strict head-of-line
+  EXPECT_EQ(fifo.pick_admission(reqs, blocked), Scheduler::kNone);
   PriorityScheduler prio;  // next-highest level not blocked
-  EXPECT_EQ(prio.pick_admission_blocked(reqs, blocked), 2u);
+  EXPECT_EQ(prio.pick_admission(reqs, blocked), 2u);
   FairShareScheduler fair;  // arrival order, skipping the blocked
-  EXPECT_EQ(fair.pick_admission_blocked(reqs, blocked), 1u);
+  EXPECT_EQ(fair.pick_admission(reqs, blocked), 1u);
   const std::vector<std::size_t> all = {0, 1, 2};
-  EXPECT_EQ(prio.pick_admission_blocked(reqs, all), Scheduler::kNone);
-  EXPECT_EQ(fair.pick_admission_blocked(reqs, all), Scheduler::kNone);
+  EXPECT_EQ(prio.pick_admission(reqs, all), Scheduler::kNone);
+  EXPECT_EQ(fair.pick_admission(reqs, all), Scheduler::kNone);
 }
 
 // Builds the admission-around scenario: A runs mid-block; C was preempted

@@ -48,7 +48,6 @@ constexpr KvQuantMode kAllModes[] = {KvQuantMode::kFp32, KvQuantMode::kInt8,
 class ConstDrafter final : public Drafter {
  public:
   explicit ConstDrafter(std::size_t token) : token_(token) {}
-  [[nodiscard]] std::string name() const override { return "const"; }
   void draft(std::span<const std::size_t> tokens, std::size_t max_tokens,
              std::vector<std::size_t>& out) override {
     (void)tokens;
@@ -318,11 +317,12 @@ TEST(Speculative, SeededSampledStreamsBitwiseAndReplayAcrossPreempt) {
   topp.sampling.top_k = 16;
   topp.sampling.top_p = 0.85f;
   topp.sampling.seed = 13;
-  topp.sampling.max_new_tokens = 12;
+  topp.max_new_tokens = 12;
   requests.push_back(topp);
   Request temp = topp;
   temp.prompt = {3, 9, 27, 17};
-  temp.sampling.policy = SamplePolicy::kTemperature;
+  temp.sampling.top_k = 0;  // pure temperature: no top-k, no nucleus
+  temp.sampling.top_p = 1.0f;
   temp.sampling.seed = 99;
   requests.push_back(temp);
 
