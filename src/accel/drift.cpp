@@ -34,9 +34,7 @@ double nearest_rank(const std::vector<double>& sorted, double q) {
 DriftReport audit_drift(const DeviceConfig& device, const StepTrace& trace) {
   const ModelConfig model = trace.model();
   DeviceConfig dev = device;
-  if (trace.info.kv_block_size > 0) {
-    dev.kv_block_size = trace.info.kv_block_size;
-  }
+  dev.kv_block_size = trace.info.kv_block_size;
 
   DriftReport report;
   report.device = dev.name;

@@ -55,6 +55,11 @@ ModelConfig StepTrace::model() const {
         "replay: trace is not self-describing (zero model dims in the "
         "header; the producer never set Tracer::set_step_info)");
   }
+  if (info.kv_block_size == 0) {
+    throw std::invalid_argument(
+        "replay: kv.block_size must be > 0 (the serving layout sets the KV "
+        "DRAM granularity)");
+  }
   ModelConfig m;
   m.name = "traced";
   m.n_layers = info.n_layers;
@@ -181,6 +186,9 @@ StepTrace parse_step_trace(std::string_view json_text) {
   const JsonValue& kv = root.at("kv");
   trace.info.kv_mode = checked_kv_mode(kv.at("mode").as_string("kv.mode"));
   trace.info.kv_block_size = kv.at("block_size").as_uint("kv.block_size");
+  if (trace.info.kv_block_size == 0) {
+    throw std::invalid_argument("replay: \"kv.block_size\" must be > 0");
+  }
   trace.info.kv_bits_per_entry =
       kv.at("bits_per_entry").as_uint("kv.bits_per_entry");
   trace.dropped_steps = root.at("dropped_steps").as_uint("dropped_steps");
@@ -239,9 +247,7 @@ ReplayReport replay_trace(const DeviceConfig& device,
   const ModelConfig model = trace.model();
   // The serving layout decides KV DRAM granularity, not the device preset.
   DeviceConfig dev = device;
-  if (trace.info.kv_block_size > 0) {
-    dev.kv_block_size = trace.info.kv_block_size;
-  }
+  dev.kv_block_size = trace.info.kv_block_size;
 
   ReplayReport report;
   report.device = dev.name;

@@ -38,7 +38,7 @@
 //   model.{n_layers,d_model,    ModelConfig dims of the producing engine
 //          n_heads,d_ffn,vocab} (all 0 when no StepTraceInfo was set)
 //   kv.{mode,block_size,        serving KV layout: kv_mode name, positions
-//       bits_per_entry}         per block, stored bits per KV entry
+//       bits_per_entry}         per block (> 0), stored bits per KV entry
 //   dropped_steps               kStep records overwritten in the ring —
 //                               nonzero means the trace is INCOMPLETE
 //   truncated_events            total events overwritten in the ring
@@ -134,7 +134,8 @@ struct StepTrace {
 
   /// Rebuilds the producing model's config from the header dims. Throws
   /// std::invalid_argument when any dim is zero (trace not self-describing
-  /// — its producer never called Tracer::set_step_info).
+  /// — its producer never called Tracer::set_step_info) or kv.block_size
+  /// is zero.
   [[nodiscard]] ModelConfig model() const;
 
   /// The opal.step_trace/v3 document (schema table above).

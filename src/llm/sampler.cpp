@@ -1,8 +1,11 @@
 #include "llm/sampler.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 
+#include "common/float_bits.h"
 #include "common/tensor.h"
 #include "softmax/softmax.h"
 
@@ -28,8 +31,6 @@ void apply_hooks(const SamplingParams& params,
     if (token < logits.size()) logits[token] += bias;
   }
   if (params.repetition_penalty != 1.0f) {
-    require(params.repetition_penalty > 0.0f,
-            "SamplingParams: repetition_penalty must be > 0");
     seen.assign(logits.size(), 0);
     for (const std::size_t token : context) {
       if (token >= logits.size() || seen[token] != 0) continue;
@@ -44,6 +45,10 @@ void apply_hooks(const SamplingParams& params,
 bool hooks_active(const SamplingParams& params) {
   return params.repetition_penalty != 1.0f || !params.logit_bias.empty();
 }
+
+/// candidate_order's radix key: ascending keys are descending
+/// probabilities. Masking the sign bit ranks -0 with +0.
+std::uint32_t rank_key(float p) { return ~(f32_bits(p) & 0x7FFFFFFFu); }
 
 }  // namespace
 
@@ -73,15 +78,66 @@ std::string to_string(FinishReason reason) {
   return "?";
 }
 
+std::span<const std::uint32_t> candidate_order(std::span<const float> probs,
+                                               std::span<std::uint32_t> a,
+                                               std::span<std::uint32_t> b) {
+  const std::size_t n = probs.size();
+  require(a.size() >= n && b.size() >= n,
+          "candidate_order: scratch shorter than probs");
+  require(n <= std::numeric_limits<std::uint32_t>::max(),
+          "candidate_order: more than 2^32 - 1 candidates");
+  // Every digit's histogram in one pass: the counts do not depend on the
+  // order the keys are visited in.
+  std::array<std::array<std::uint32_t, 256>, 4> count{};
+  for (const float p : probs) {
+    const std::uint32_t key = rank_key(p);
+    for (std::size_t d = 0; d < 4; ++d) ++count[d][(key >> (8 * d)) & 0xFF];
+  }
+  std::span<std::uint32_t> src = a.first(n), dst = b.first(n);
+  for (std::size_t i = 0; i < n; ++i) src[i] = static_cast<std::uint32_t>(i);
+  // Least significant digit first; each pass is stable, so the identity
+  // start leaves exact ties in index order.
+  for (std::size_t d = 0; d < 4 && n > 0; ++d) {
+    const std::size_t shift = 8 * d;
+    const auto& hist = count[d];
+    if (hist[(rank_key(probs[0]) >> shift) & 0xFF] == n) continue;
+    std::array<std::uint32_t, 256> next{};
+    std::uint32_t start = 0;
+    for (std::size_t v = 0; v < 256; ++v) {
+      next[v] = start;
+      start += hist[v];
+    }
+    for (const std::uint32_t i : src) {
+      dst[next[(rank_key(probs[i]) >> shift) & 0xFF]++] = i;
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
 Sampler::Sampler(SamplingParams params, int log2_bits)
     : params_(std::move(params)), log2_bits_(log2_bits) {
-  if (params_.policy == SamplePolicy::kGreedy) return;
+  // Checked for both policies, so a bad request is refused where it is
+  // built rather than failing every later sample().
   require(params_.temperature >= 0.0f,
           "SamplingParams: temperature must be >= 0");
   require(params_.top_p >= 0.0f && params_.top_p <= 1.0f,
           "SamplingParams: top_p must be in [0, 1]");
+  require(params_.repetition_penalty > 0.0f,
+          "SamplingParams: repetition_penalty must be > 0");
   require(log2_bits_ >= 0 && log2_bits_ <= 8,
           "Sampler: log2_bits must be in [0, 8]");
+}
+
+void Sampler::reserve(std::size_t vocab) {
+  const bool top_p = params_.policy == SamplePolicy::kTopP;
+  if (top_p || hooks_active(params_)) scratch_.reserve(vocab);
+  if (params_.repetition_penalty != 1.0f) seen_.reserve(vocab);
+  if (top_p) {
+    probs_.reserve(vocab);
+    order_.reserve(vocab);
+    spare_.reserve(vocab);
+  }
 }
 
 std::size_t Sampler::sample(std::span<const float> logits,
@@ -121,20 +177,16 @@ std::size_t Sampler::sample(std::span<const float> logits,
 
   // Candidate order: probability descending, index ascending among exact
   // ties — so a single-candidate limit picks the same token argmax would.
+  // The top-k set is its first k entries.
   order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) order_[i] = i;
+  spare_.resize(n);
+  const std::span<const std::uint32_t> order =
+      candidate_order(probs_, order_, spare_);
   const std::size_t k =
       params_.top_k == 0 ? n : std::min(params_.top_k, n);
-  const auto by_prob_desc = [this](std::size_t a, std::size_t b) {
-    if (probs_[a] != probs_[b]) return probs_[a] > probs_[b];
-    return a < b;
-  };
-  std::partial_sort(order_.begin(),
-                    order_.begin() + static_cast<std::ptrdiff_t>(k),
-                    order_.end(), by_prob_desc);
 
   double mass_k = 0.0;
-  for (std::size_t i = 0; i < k; ++i) mass_k += probs_[order_[i]];
+  for (std::size_t i = 0; i < k; ++i) mass_k += probs_[order[i]];
 
   // Nucleus: smallest prefix of the top-k set whose renormalized mass
   // reaches top_p (always at least one candidate).
@@ -143,7 +195,7 @@ std::size_t Sampler::sample(std::span<const float> logits,
     const double threshold = static_cast<double>(params_.top_p) * mass_k;
     double cum = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
-      cum += probs_[order_[i]];
+      cum += probs_[order[i]];
       if (cum >= threshold) {
         m = i + 1;
         break;
@@ -152,17 +204,17 @@ std::size_t Sampler::sample(std::span<const float> logits,
   }
 
   double mass_m = 0.0;
-  for (std::size_t i = 0; i < m; ++i) mass_m += probs_[order_[i]];
-  if (mass_m <= 0.0) return order_[0];  // fully underflowed: argmax
+  for (std::size_t i = 0; i < m; ++i) mass_m += probs_[order[i]];
+  if (mass_m <= 0.0) return order[0];  // fully underflowed: argmax
 
   // Inverse-CDF over the candidate order.
   const double point = u * mass_m;
   double cum = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
-    cum += probs_[order_[i]];
-    if (point < cum) return order_[i];
+    cum += probs_[order[i]];
+    if (point < cum) return order[i];
   }
-  return order_[m - 1];  // fp rounding fallback
+  return order[m - 1];  // fp rounding fallback
 }
 
 // --- factory / stop conditions ---

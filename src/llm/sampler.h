@@ -22,8 +22,14 @@
 //     commits through chunk_logits_row() — plus the tokens decoded so far
 //     (for the repetition-penalty hook), and returns the chosen token.
 //     sample() mutates internal scratch, so one Sampler instance must not
-//     be shared between concurrently-sampled requests; ServingEngine holds
-//     one per request and only samples from its serial commit phase.
+//     be shared between concurrently-sampled requests. ServingEngine holds
+//     one per request, sizes its scratch with reserve() on the serial
+//     plan() path, and samples from the parallel pass that produced the
+//     logits, each request on the worker that ran its model pass.
+//
+//   * Validation happens once, in the constructor: every SamplingParams
+//     field either policy could read is checked there, for both policies.
+//     sample() then throws only for an empty logits row.
 //
 //   * All randomness flows through the explicit SamplerState argument — a
 //     counter-based RNG stream (common/rng CounterRng) whose entire state
@@ -50,6 +56,14 @@
 //     same log2 unit weights (log2_softmax_weights: 2^-code) the attention
 //     path uses, so sampling quantizes consistently with the datapath;
 //     log2_bits == 0 uses the FP softmax_reference.
+//
+// Candidate order (kTopP): one strict order over every token —
+// probability descending, then index ascending among exact ties (-0 ties
+// with +0) — built by candidate_order() below for every top_k. The top_k
+// restriction is its first k entries, and the nucleus and the inverse-CDF
+// walk run over that prefix in that order, so the order, the masses and
+// the drawn token are bitwise what a comparator sort in the same order
+// gives.
 //
 // Both policies apply the repetition-penalty and logit-bias hooks first.
 // With the FP probability path (log2_bits == 0) the kTopP limits collapse
@@ -141,16 +155,23 @@ struct SamplerState {
 
 class Sampler {
  public:
-  /// Throws std::invalid_argument for a kTopP config with temperature < 0,
-  /// top_p outside [0, 1], or log2_bits outside [0, 8]. `log2_bits` > 0
-  /// routes kTopP's probability transform through the log2 softmax unit
-  /// (see the header comment); 0 uses softmax_reference.
+  /// Throws std::invalid_argument, for either policy, for temperature < 0,
+  /// top_p outside [0, 1], repetition_penalty <= 0, or log2_bits outside
+  /// [0, 8] (NaN fails every check). `log2_bits` > 0 routes kTopP's
+  /// probability transform through the log2 softmax unit (see the header
+  /// comment); 0 uses softmax_reference.
   explicit Sampler(SamplingParams params = {}, int log2_bits = 0);
+
+  /// Sizes the scratch sample() needs for a `vocab`-entry logits row, so
+  /// that such a sample() allocates nothing. Optional: sample() grows what
+  /// is still missing.
+  void reserve(std::size_t vocab);
 
   /// Chooses the next token from `logits`. `context` is every token of the
   /// request so far (prompt + generated) — the repetition-penalty window.
   /// Advances `state` per the draw discipline in the header comment. Not
-  /// const: it reuses internal scratch across calls.
+  /// const: it reuses internal scratch across calls. Throws only for empty
+  /// `logits` (or a row past candidate_order's 2^32 - 1 entries).
   std::size_t sample(std::span<const float> logits,
                      std::span<const std::size_t> context,
                      SamplerState& state);
@@ -162,8 +183,20 @@ class Sampler {
   int log2_bits_;
   std::vector<float> scratch_, probs_;
   std::vector<std::uint8_t> seen_;  // repetition-penalty scratch
-  std::vector<std::size_t> order_;
+  std::vector<std::uint32_t> order_, spare_;  // candidate_order buffers
 };
+
+/// The kTopP candidate order over `probs` (each >= 0, not NaN): token
+/// indices by probability descending, then index ascending among exact
+/// ties, -0 tying with +0. A stable LSD radix sort on the key
+/// ~(f32_bits(p) & 0x7FFFFFFF) in 8-bit digits, skipping a digit every key
+/// shares: log2 unit weights 2^-code have zero mantissas, so they take two
+/// passes. `a` and `b` are scratch of at least probs.size() entries; the
+/// returned order (probs.size() entries) lives in one of them. Throws
+/// std::invalid_argument for short scratch or more than 2^32 - 1 probs.
+[[nodiscard]] std::span<const std::uint32_t> candidate_order(
+    std::span<const float> probs, std::span<std::uint32_t> a,
+    std::span<std::uint32_t> b);
 
 /// Builds the Sampler for `params`. `log2_bits` — pass the engine's
 /// log2-softmax code width (EngineConfig::softmax_bits when log2_softmax is

@@ -128,6 +128,13 @@ RequestId ServingEngine::submit(Request request) {
   for (const std::size_t token : request.prompt) {
     require(token < vocab, "ServingEngine::submit: prompt token out of range");
   }
+  // One sampler per request, built first: its constructor validates the
+  // SamplingParams, so a bad request is refused here and never reaches a
+  // step. With the log2 softmax unit active, sampling probabilities run
+  // through the same unit (see sampler.h).
+  const auto& ecfg = model_->config();
+  Sampler sampler(std::move(request.sampling),
+                  ecfg.log2_softmax ? ecfg.softmax_bits : 0);
   Sequence seq;
   seq.id = next_id_++;
   seq.priority = request.priority;
@@ -137,14 +144,14 @@ RequestId ServingEngine::submit(Request request) {
   seq.result.tokens = std::move(request.prompt);
   seq.result.prompt_len = seq.result.tokens.size();
   seq.target_len = seq.result.prompt_len + request.max_new_tokens;
-  // One sampler per request, consulted only from the serial commit().
-  // With the log2 softmax unit active, sampling probabilities run through
-  // the same unit (see sampler.h).
-  const auto& ecfg = model_->config();
-  seq.sampler = Sampler(std::move(request.sampling),
-                        ecfg.log2_softmax ? ecfg.softmax_bits : 0);
-  // One drafter per request, like the sampler: consulted only from the
-  // serial plan(), so stateful drafters need no synchronization.
+  // The sampling walk appends tokens from the parallel pass, which must not
+  // allocate: reserve every token the request can hold — its target, or
+  // one past a full KV cache, where it is evicted.
+  seq.result.tokens.reserve(
+      std::min(seq.target_len, ecfg.max_seq_len + 1));
+  seq.sampler = std::move(sampler);
+  // One drafter per request, consulted only from the serial plan(), so
+  // stateful drafters need no synchronization.
   if (config_.speculative.enabled()) {
     seq.drafter = make_drafter(config_.speculative);
   }
@@ -650,10 +657,12 @@ void ServingEngine::plan_drafts(Sequence& seq, SlotPass& pass) {
 }
 
 void ServingEngine::reserve_passes() {
-  // All pool allocation for this step happens here. Speculative bursts
-  // also open their rollback capture here — after reserve_for's
-  // copy-on-write, the boundary block is exclusively owned, which snapshot
-  // restore requires.
+  // All pool allocation for this step happens here, and every buffer the
+  // parallel pass fills is sized here: the KV blocks and the sampler's
+  // scratch. Speculative bursts also open their rollback capture here —
+  // after reserve_for's copy-on-write, the boundary block is exclusively
+  // owned, which snapshot restore requires.
+  const std::size_t vocab = model_->model_config().vocab;
   for (std::size_t i = 0; i < batch_.size(); ++i) {
     Sequence& seq = batch_[i];
     SlotPass& pass = passes_[i];
@@ -681,6 +690,7 @@ void ServingEngine::reserve_passes() {
                           : n - pass.sample_from;
     pass.sampled = 0;
     if (profiling_) pass.profile.clear();
+    if (pass.sample_from != SlotPass::kNoSample) seq.sampler.reserve(vocab);
     seq.state->reserve_for(n);
     if (spec) seq.state->begin_spec_capture(n);
   }
@@ -689,17 +699,21 @@ void ServingEngine::reserve_passes() {
 void ServingEngine::run_passes() {
   // One prefill_chunk per slot over its planned feed — a one-row decode, a
   // multi-row chunk (bitwise identical to that many one-row passes) or a
-  // verify burst alike. Each slot writes only its own SequenceState and
-  // SlotPass (timing, and the profiling samples bound for its model pass).
+  // verify burst alike — then the slot's sampling walk over the rows it
+  // produced. Each slot writes only its own Sequence (state, tokens,
+  // sampler) and SlotPass (timing, the profiling samples bound for its
+  // model pass, the sampled count). The pass is timed without the walk, so
+  // dur_us stays the model's time.
   auto run_slot = [this](std::size_t i) {
+    Sequence& seq = batch_[i];
     SlotPass& pass = passes_[i];
     if (profiling_) KernelProfiler::bind_slot(&pass.profile);
     const std::uint64_t t0 = trace_.now_us();
-    model_->prefill_chunk(*batch_[i].state, pass.feed, nullptr,
-                          pass.logit_rows);
+    model_->prefill_chunk(*seq.state, pass.feed, nullptr, pass.logit_rows);
     pass.end_us = trace_.now_us();
     pass.dur_us = pass.end_us - t0;
     if (profiling_) KernelProfiler::bind_slot(nullptr);
+    sample_pass(seq, pass);
   };
   if (pool_ != nullptr) {
     pool_->parallel_for(batch_.size(), run_slot);
@@ -784,7 +798,6 @@ void ServingEngine::commit_slot(Sequence& seq, SlotPass& pass,
                                 std::chrono::steady_clock::time_point now_tp) {
   const std::size_t n = pass.rows;
   const bool spec = pass.kind == TraceEventKind::kSpecBurst;
-  sample_pass(seq, pass);
   // Rows that stuck: every row of a plain pass, the sampled prefix of a
   // verify burst.
   const std::size_t committed = spec ? pass.sampled : n;

@@ -15,13 +15,15 @@
 //     and drafts, resolves pool pressure, then reserves every KV block the
 //     step writes and types each pass (its feed, and the rows the sampling
 //     walk reads). It is the only phase that touches the KV pool or sizes a
-//     buffer the model pass writes.
-//   * run_passes() runs one PreparedModel::prefill_chunk per slot, fanned
-//     out across a thread pool when n_threads > 0. It touches neither the
-//     pool nor engine-wide state and allocates nothing; PreparedModel is
-//     const and each slot writes only its own SequenceState and SlotPass,
-//     so results are bitwise identical to the serial schedule.
-//   * commit() (serial), per slot: the sampling walk, speculative
+//     buffer the parallel pass writes (KV blocks, sampler scratch).
+//   * run_passes() runs, per slot, one PreparedModel::prefill_chunk and
+//     then the sampling walk over the rows it produced — the request's own
+//     sampler, RNG stream, tokens and stop check — fanned out across a
+//     thread pool when n_threads > 0. It touches neither the pool nor
+//     engine-wide state and allocates nothing; PreparedModel is const and
+//     each slot writes only its own Sequence and SlotPass, so results are
+//     bitwise identical to the serial schedule.
+//   * commit() (serial) applies the outcome, per slot: speculative
 //     rollback, fed counters, Stats and Scheduler::on_served, histograms
 //     and the trace; then the observers, the only user code a step calls;
 //     then retirement and the step record.
@@ -82,7 +84,7 @@
 // per-request Drafter proposes k continuation tokens for a sequence at its
 // generation frontier; the engine feeds [frontier, d1..dk] through
 // prefill_chunk as one verify burst — block reservation covers all k+1 rows
-// up front — and then walks the per-row logits serially, running the
+// up front — and then walks the per-row logits in order, running the
 // request's own sampler on each row (one draw per generated token, exactly
 // the non-speculative discipline). Each sampled token is committed
 // unconditionally; the burst continues only while the sample matches the
@@ -646,7 +648,7 @@ class ServingEngine {
     /// feed of known prompt or replayed tokens, one row or many.
     TraceEventKind kind = TraceEventKind::kDecode;
     /// The rows fed, in order: `drafts`, or a span of the request's tokens
-    /// valid until the sampling walk extends them.
+    /// (reserved at submit, so the sampling walk's appends never move them).
     std::span<const std::size_t> feed;
     std::size_t pos = 0;  // first position fed (KV length before the pass)
     /// The sampling walk's first row: 0 for a burst, the final row of a
@@ -658,10 +660,10 @@ class ServingEngine {
     std::size_t logit_rows = 0;
     // Written by run_passes() (each slot its own), read by commit().
     KernelProfile profile;  // this pass's kernel samples when profiling
-    std::uint64_t end_us = 0;
+    std::uint64_t end_us = 0;  // model pass only, not the sampling walk
     std::uint64_t dur_us = 0;
-    /// Written by commit(): tokens the sampling walk appended (the tail of
-    /// the request's tokens).
+    /// Tokens the sampling walk appended (the tail of the request's
+    /// tokens).
     std::size_t sampled = 0;
     /// Row j's sample matched the draft fed at row j + 1: a burst goes on.
     [[nodiscard]] bool draft_hit(std::size_t j, std::size_t token) const {

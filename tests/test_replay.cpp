@@ -416,6 +416,15 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   std::string odd_mode = one_step("1", burst("1", "2"));
   odd_mode.replace(odd_mode.find("int8"), 4, "in\\t8");
   expect_rejected(odd_mode, "kv.mode");
+  // A zero block size has no KV DRAM granularity to replay at; the engine
+  // always writes its own, nonzero one.
+  std::string no_block = one_step("1", burst("1", "2"));
+  no_block.replace(no_block.find("\"block_size\": 8"), 15,
+                   "\"block_size\": 0");
+  expect_rejected(no_block, "kv.block_size");
+  StepTrace no_block_trace = good;
+  no_block_trace.info.kv_block_size = 0;
+  EXPECT_THROW((void)no_block_trace.model(), std::invalid_argument);
   // Unknown pass kinds are named.
   expect_rejected(
       one_step("1",

@@ -4,12 +4,18 @@
 // prompt) produce the identical token stream under every scheduler policy,
 // chunk width, kv_mode, thread count, prefix caching, pool pressure, and a
 // forced preempt -> readmit replay; stop conditions and the streaming token
-// observer must report each generated token exactly once.
+// observer must report each generated token exactly once. The radix
+// candidate order and the draws over it must equal the old comparator
+// pipeline (sampler_reference.h) exactly, and a request with invalid
+// SamplingParams must be refused at submit.
 #include "llm/sampler.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -18,6 +24,7 @@
 #include "llm/engine.h"
 #include "llm/scheduler.h"
 #include "llm/serving_engine.h"
+#include "sampler_reference.h"
 #include "softmax/softmax.h"
 
 namespace opal {
@@ -218,6 +225,119 @@ TEST(Sampler, Log2EightBitUnderflowedTokenNeverSampled) {
     state.rng = CounterRng(seed);
     EXPECT_NE(sampler->sample(logits, {}, state), 1u) << "seed " << seed;
   }
+}
+
+// --- candidate order: the radix order is the comparator order ---
+
+/// Probability rows of every shape the order ranks: fp32 softmax at three
+/// spreads and over coarse logits (exact ties), log2 unit weights at 5, 7
+/// and 8 bits (at spread 40, 8-bit codes >= 127 weigh 0), all tied, all
+/// zero, a single nonzero, and subnormals mixed with +0 and -0.
+std::vector<std::vector<float>> order_inputs(Rng& rng, std::size_t n) {
+  std::vector<std::vector<float>> rows;
+  std::vector<float> p(n);
+  for (const float spread : {0.5f, 2.5f, 40.0f}) {
+    const auto logits = random_logits(rng, n, spread);
+    softmax_reference(logits, p);
+    rows.push_back(p);
+    for (const int bits : {5, 7, 8}) {
+      log2_softmax_weights(logits, Log2SoftmaxConfig{bits}, p);
+      if (bits == 8 && spread == 40.0f && n >= 512) {
+        EXPECT_GT(std::count(p.begin(), p.end(), 0.0f), 0);  // codes >= 127
+      }
+      rows.push_back(p);
+    }
+  }
+  auto coarse = random_logits(rng, n, 2.0f);
+  for (auto& v : coarse) v = std::round(v * 2.0f) / 2.0f;
+  softmax_reference(coarse, p);
+  rows.push_back(p);
+  rows.emplace_back(n, 1.0f / static_cast<float>(n));
+  rows.emplace_back(n, 0.0f);
+  rows.emplace_back(n, 0.0f);
+  rows.back()[n / 2] = 0.25f;
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  for (float& v : p) {
+    switch (rng() % 4) {
+      case 0: v = 0.0f; break;
+      case 1: v = -0.0f; break;
+      case 2: v = kDenorm * static_cast<float>(1 + rng() % 64); break;
+      default: v = std::numeric_limits<float>::min() * 0.5f; break;
+    }
+  }
+  rows.push_back(p);
+  return rows;
+}
+
+TEST(Sampler, CandidateOrderMatchesComparatorReference) {
+  // The radix order's first k entries must be byte-for-byte what the old
+  // comparator partial_sort returned, for every top_k the pipeline uses.
+  Rng rng = make_rng(31);
+  for (const std::size_t n : {1, 7, 512, 4096}) {
+    std::vector<std::uint32_t> a(n), b(n);
+    const auto rows = order_inputs(rng, n);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const auto& probs = rows[r];
+      const std::span<const std::uint32_t> order =
+          candidate_order(probs, a, b);
+      ASSERT_EQ(order.size(), n);
+      for (const std::size_t top_k : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{5}, n - 1, n}) {
+        const auto want = sampler_reference::candidate_order(probs, top_k);
+        const std::vector<std::uint32_t> want32(want.begin(), want.end());
+        EXPECT_EQ(std::memcmp(order.data(), want32.data(),
+                              want32.size() * sizeof(std::uint32_t)),
+                  0)
+            << "n " << n << " row " << r << " top_k " << top_k;
+      }
+    }
+  }
+}
+
+TEST(Sampler, SampleDrawsTheComparatorReferenceToken) {
+  // Same order, same masses, same threshold: the drawn token is the old
+  // pipeline's over 100k seeded draws, with and without the log2 unit.
+  Rng rng = make_rng(37);
+  std::vector<std::vector<float>> rows;
+  for (int r = 0; r < 32; ++r) {
+    auto logits = random_logits(rng, 64, 2.5f);
+    if (r % 2 == 1) {
+      for (auto& v : logits) v = std::round(v * 4.0f) / 4.0f;  // ties
+    }
+    rows.push_back(std::move(logits));
+  }
+  const std::vector<std::size_t> context = {3, 17, 17, 40};
+  std::vector<SamplingParams> configs(4);
+  for (auto& c : configs) c.policy = SamplePolicy::kTopP;
+  configs[1].temperature = 0.8f;
+  configs[1].top_p = 0.9f;
+  configs[2].temperature = 1.3f;
+  configs[2].top_k = 20;
+  configs[2].top_p = 0.95f;
+  configs[3].temperature = 0.7f;
+  configs[3].top_k = 5;
+  configs[3].repetition_penalty = 1.2f;
+  configs[3].logit_bias = {{9, 1.5f}};
+  constexpr std::size_t kDraws = 12500;
+  std::size_t draws = 0;
+  for (const int bits : {0, 7}) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      SamplingParams params = configs[c];
+      params.seed = 100 + c;
+      Sampler sampler(params, bits);
+      SamplerState got, want;
+      got.rng = want.rng = CounterRng(params.seed);
+      for (std::size_t i = 0; i < kDraws; ++i, ++draws) {
+        const auto& logits = rows[i % rows.size()];
+        ASSERT_EQ(sampler.sample(logits, context, got),
+                  sampler_reference::sample(params, bits, logits, context,
+                                            want))
+            << "bits " << bits << " config " << c << " draw " << i;
+      }
+      EXPECT_EQ(got, want);
+    }
+  }
+  EXPECT_GE(draws, 100000u);
 }
 
 // --- stop conditions ---
@@ -427,6 +547,41 @@ TEST(SamplerServing, FacadeGenerateMatchesServingEngine) {
   greedy_engine.run();
   const auto greedy_gen = facade.generate({{4, 8, 15}}, 6);
   EXPECT_EQ(greedy_gen.tokens, greedy_engine.result(gid).tokens);
+}
+
+TEST(SamplerServing, InvalidParamsRefusedAtSubmitAndServingGoesOn) {
+  // Every field either policy reads is validated when the Sampler is
+  // built, greedy included: a greedy request with repetition_penalty 0
+  // used to be accepted, and then every later step threw from its sample.
+  auto model = std::make_shared<const PreparedModel>(
+      tiny_model(), engine_config(KvQuantMode::kFp32));
+  ServingConfig cfg;
+  cfg.max_batch = 2;
+  ServingEngine engine(model, cfg);
+  Request good;
+  good.prompt = {4, 8, 15};
+  good.max_new_tokens = 6;
+  const RequestId id = engine.submit(good);
+
+  std::vector<Request> bad(5, good);
+  bad[0].sampling.repetition_penalty = 0.0f;
+  bad[1].sampling.repetition_penalty =
+      std::numeric_limits<float>::quiet_NaN();
+  bad[2].sampling.temperature = -1.0f;
+  bad[3].sampling.policy = SamplePolicy::kTopP;
+  bad[3].sampling.top_p = 1.5f;
+  bad[4].sampling.policy = SamplePolicy::kTopP;
+  bad[4].sampling.repetition_penalty = -2.0f;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW((void)Sampler(bad[i].sampling), std::invalid_argument) << i;
+    EXPECT_THROW((void)engine.submit(bad[i]), std::invalid_argument) << i;
+  }
+
+  EXPECT_NO_THROW(engine.run());
+  const auto result = engine.result(id);
+  EXPECT_EQ(result.status, RequestStatus::kFinished);
+  InferenceEngine facade(model);
+  EXPECT_EQ(result.tokens, facade.generate(good.prompt, 6).tokens);
 }
 
 TEST(SamplerServing, StopConditionsFinishEarlyWithReasonAndStats) {
