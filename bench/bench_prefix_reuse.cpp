@@ -1,17 +1,18 @@
-// Prefix-cache reuse bench: how much decode work and wall time a warm
-// radix prefix index saves when traffic shares a long system prompt.
+// Prefix-cache reuse bench: how much decode work a warm radix prefix index
+// saves when traffic shares a long system prompt.
 //
 // One PreparedModel serves the same 8-request, shared-32-token-prefix
 // workload three ways: prefix cache off (every request prefills its own
 // prompt), cache on but cold (round 1 populates the index as sequences
 // retire), and cache on warm (round 2 resubmits the workload against the
-// populated index). Reported per run: token-decodes executed, wall time,
-// and tokens/s. The warm run's decode count drops by ~the shared prefill
-// — repeated-prompt serving goes from O(prompt x requests) towards
-// O(prompt) — while outputs stay bitwise identical across all three runs.
+// populated index). Reported per run, all exact: token-decodes executed,
+// prefix hits, and positions restored from the cache. The warm run's
+// decode count drops by ~the shared prefill — repeated-prompt serving goes
+// from O(prompt x requests) towards O(prompt) — while outputs stay bitwise
+// identical across all three runs. Its wall-clock effect is servebench's
+// (chat-poisson serves shared histories through a warmed cache).
 // Exits nonzero unless outputs match and the warm round hits the cache and
 // runs fewer decodes; prints a PASS line otherwise.
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -23,20 +24,16 @@ namespace {
 struct RunResult {
   std::vector<std::vector<std::size_t>> tokens;
   std::size_t decodes = 0;
-  double seconds = 0.0;
   opal::ServingEngine::Stats stats;
 };
 
 RunResult serve(opal::ServingEngine& engine,
                 const std::vector<opal::Request>& requests) {
-  using clock = std::chrono::steady_clock;
   RunResult out;
   std::vector<opal::RequestId> ids;
-  const auto t0 = clock::now();
   for (const auto& req : requests) ids.push_back(engine.submit(req));
   std::size_t n;
   while ((n = engine.step()) > 0) out.decodes += n;
-  out.seconds = std::chrono::duration<double>(clock::now() - t0).count();
   for (const auto id : ids) {
     out.tokens.push_back(engine.result(id).tokens);
     engine.release(id);
@@ -91,12 +88,11 @@ int main() {
   std::printf("8 requests x (%zu-token shared prefix + 2) prompt, 12 new "
               "tokens each; %zu unshared prompt decodes per round\n\n",
               prefix.size(), prefill);
-  std::printf("%-18s %12s %10s %12s %12s %12s\n", "run", "decodes", "sec",
-              "tokens/s", "prefix hits", "skipped");
+  std::printf("%-18s %12s %12s %12s\n", "run", "decodes", "prefix hits",
+              "skipped");
   const auto row = [](const char* name, const RunResult& r,
                       std::size_t hits_before, std::size_t skip_before) {
-    std::printf("%-18s %12zu %10.3f %12.1f %12zu %12zu\n", name, r.decodes,
-                r.seconds, static_cast<double>(r.decodes) / r.seconds,
+    std::printf("%-18s %12zu %12zu %12zu\n", name, r.decodes,
                 r.stats.prefix_hits - hits_before,
                 r.stats.prefix_hit_tokens - skip_before);
   };

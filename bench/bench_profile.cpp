@@ -11,7 +11,7 @@
 //     kernels — the profiler is how that substitution is made visible.
 //   * per-layer breakdown — the same runs' norm/qkv/attend/ffn phase split,
 //     per layer and aggregated (logits accrues model-level only).
-//   * drift summary — the int8 run is traced (opal.step_trace/v3) and its
+//   * drift summary — the int8 run is traced (opal.step_trace/v4) and its
 //     measured step wall times audited against the device model's
 //     predicted latency (accel/drift.h) on the BF16, OWQ-W4, and OPAL
 //     presets: run ratio, per-step percentiles, compute/memory-bound split.

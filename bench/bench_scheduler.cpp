@@ -15,13 +15,15 @@
 //                       metered beside the shorts instead of spending a
 //                       full chunk per step.
 //
-// Reported per policy: p50/p95 short-request TTFT in steps (deterministic)
-// and wall ms, makespan, and the engine's per-priority stats. Asserted
-// (exit 1): every policy returns bitwise identical tokens; chunked prefill
-// cuts the shorts' p50 step-TTFT vs the token-by-token baseline; priority
-// and fair-share cut it further or equal vs FIFO order.
+// Reported per policy: p50/p95 short-request TTFT in steps, makespan in
+// steps, and the engine's per-priority stats. Every field is exact, so the
+// committed BENCH_scheduler.json is regenerated byte-identical unless a
+// scheduling decision moved; wall-clock TTFT is measured by servebench
+// (ttft_ms_p50/p90 on chat-poisson). Asserted (exit 1): every policy
+// returns bitwise identical tokens; chunked prefill cuts the shorts' p50
+// step-TTFT vs the token-by-token baseline; priority and fair-share cut it
+// further or equal vs FIFO order.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -40,14 +42,11 @@ struct PolicyResult {
   std::string name;
   std::vector<std::vector<std::size_t>> tokens;  // per request
   std::vector<std::size_t> short_ttft_steps;
-  std::vector<double> short_ttft_ms;
   std::size_t steps = 0;
-  double seconds = 0.0;
   ServingEngine::Stats stats;
 };
 
-template <typename T>
-T percentile(std::vector<T> values, double p) {
+std::size_t percentile(std::vector<std::size_t> values, double p) {
   std::sort(values.begin(), values.end());
   const std::size_t idx = std::min(
       values.size() - 1,
@@ -59,7 +58,6 @@ PolicyResult serve(const std::shared_ptr<const PreparedModel>& model,
                    ServingConfig cfg, std::string name,
                    const std::vector<Request>& requests,
                    std::size_t n_long) {
-  using clock = std::chrono::steady_clock;
   PolicyResult out;
   out.name = std::move(name);
   ServingEngine engine(model, cfg);
@@ -67,20 +65,15 @@ PolicyResult serve(const std::shared_ptr<const PreparedModel>& model,
   for (const auto& req : requests) ids.push_back(engine.submit(req));
 
   std::vector<bool> seen(requests.size(), false);
-  const auto t0 = clock::now();
   while (engine.step() > 0) {
     ++out.steps;
     for (std::size_t r = n_long; r < requests.size(); ++r) {
       if (!seen[r] && engine.result(ids[r]).generated() > 0) {
         seen[r] = true;
         out.short_ttft_steps.push_back(out.steps);
-        out.short_ttft_ms.push_back(
-            std::chrono::duration<double, std::milli>(clock::now() - t0)
-                .count());
       }
     }
   }
-  out.seconds = std::chrono::duration<double>(clock::now() - t0).count();
   for (const RequestId id : ids) out.tokens.push_back(engine.result(id).tokens);
   out.stats = engine.stats();
   return out;
@@ -155,20 +148,17 @@ int main(int argc, char** argv) {
   std::printf("%zu long (160-token prompt, prio 0) + %zu short (12-token "
               "prompt, prio 1) requests, %zu slots, int8 paged KV\n\n",
               kLongs, kShorts, base.max_batch);
-  std::printf("%-20s %10s %10s %10s %10s %8s %9s\n", "policy", "ttft p50",
-              "ttft p95", "p50 ms", "p95 ms", "steps", "total s");
+  std::printf("%-20s %10s %10s %8s\n", "policy", "ttft p50", "ttft p95",
+              "steps");
   for (const auto& r : results) {
-    std::printf("%-20s %7zu st %7zu st %10.1f %10.1f %8zu %9.2f\n",
-                r.name.c_str(), percentile(r.short_ttft_steps, 0.5),
-                percentile(r.short_ttft_steps, 0.95),
-                percentile(r.short_ttft_ms, 0.5),
-                percentile(r.short_ttft_ms, 0.95), r.steps, r.seconds);
+    std::printf("%-20s %7zu st %7zu st %8zu\n", r.name.c_str(),
+                percentile(r.short_ttft_steps, 0.5),
+                percentile(r.short_ttft_steps, 0.95), r.steps);
   }
   {
     const std::string path = argc > 1 ? argv[1] : "BENCH_scheduler.json";
     std::ofstream json(path);
-    json.precision(4);
-    json << std::fixed << "{\n  \"bench\": \"scheduler\",\n"
+    json << "{\n  \"bench\": \"scheduler\",\n"
          << "  \"policies\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];
@@ -177,10 +167,8 @@ int main(int argc, char** argv) {
            << percentile(r.short_ttft_steps, 0.5)
            << ", \"short_ttft_p95_steps\": "
            << percentile(r.short_ttft_steps, 0.95)
-           << ", \"short_ttft_p50_ms\": " << percentile(r.short_ttft_ms, 0.5)
-           << ", \"short_ttft_p95_ms\": " << percentile(r.short_ttft_ms, 0.95)
-           << ", \"steps\": " << r.steps << ", \"wall_s\": " << r.seconds
-           << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+           << ", \"steps\": " << r.steps << "}"
+           << (i + 1 < results.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
   }

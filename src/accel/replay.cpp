@@ -131,14 +131,15 @@ StepTrace step_trace_from_tracer(const Tracer& tracer) {
 
 std::string StepTrace::to_json() const {
   std::ostringstream out;
-  out << "{\"schema\": \"opal.step_trace/v3\",\n"
+  out << "{\"schema\": \"opal.step_trace/v4\",\n"
       << " \"model\": {\"n_layers\": " << info.n_layers
       << ", \"d_model\": " << info.d_model
       << ", \"n_heads\": " << info.n_heads << ", \"d_ffn\": " << info.d_ffn
       << ", \"vocab\": " << info.vocab << "},\n"
       << " \"kv\": {\"mode\": \"" << info.kv_mode
       << "\", \"block_size\": " << info.kv_block_size
-      << ", \"bits_per_entry\": " << info.kv_bits_per_entry << "},\n"
+      << ", \"bits_per_entry\": " << info.kv_bits_per_entry
+      << ", \"max_seq_len\": " << info.max_seq_len << "},\n"
       << " \"dropped_steps\": " << dropped_steps
       << ", \"truncated_events\": " << truncated_events << ",\n"
       << " \"steps\": [";
@@ -172,9 +173,9 @@ std::string StepTrace::to_json() const {
 StepTrace parse_step_trace(std::string_view json_text) {
   const JsonValue root = parse_json(json_text);
   const std::string& schema = root.at("schema").as_string("schema");
-  if (schema != "opal.step_trace/v3") {
+  if (schema != "opal.step_trace/v4") {
     throw std::invalid_argument("replay: unsupported schema \"" + schema +
-                                "\" (want opal.step_trace/v3)");
+                                "\" (want opal.step_trace/v4)");
   }
   StepTrace trace;
   const JsonValue& model = root.at("model");
@@ -191,6 +192,7 @@ StepTrace parse_step_trace(std::string_view json_text) {
   }
   trace.info.kv_bits_per_entry =
       kv.at("bits_per_entry").as_uint("kv.bits_per_entry");
+  trace.info.max_seq_len = kv.at("max_seq_len").as_uint("kv.max_seq_len");
   trace.dropped_steps = root.at("dropped_steps").as_uint("dropped_steps");
   trace.truncated_events =
       root.at("truncated_events").as_uint("truncated_events");
@@ -217,6 +219,15 @@ StepTrace parse_step_trace(std::string_view json_text) {
       pass.kind = pass_kind_from_string(q.at("kind").as_string("seqs[].kind"));
       pass.pos = q.at("pos").as_uint("seqs[].pos");
       pass.rows = q.at("rows").as_uint("seqs[].rows");
+      // No pass reaches past the KV a sequence can hold; replay would
+      // price attention at whatever depth the file claims.
+      if (pass.pos + pass.rows > trace.info.max_seq_len) {
+        throw std::invalid_argument(
+            "replay: \"seqs[].pos\" + \"seqs[].rows\" must be <= "
+            "kv.max_seq_len " + std::to_string(trace.info.max_seq_len) +
+            " (got " + std::to_string(pass.pos) + " + " +
+            std::to_string(pass.rows) + ")");
+      }
       pass.kv_bytes = q.at("kv_bytes").as_uint("seqs[].kv_bytes");
       pass.dur_us = q.at("dur_us").as_uint("seqs[].dur_us");
       if (pass.kind != TraceEventKind::kPrefixHit) {

@@ -1,5 +1,5 @@
 // Hardware-in-the-loop trace replay: feeds a serving step trace
-// (common/trace.h, opal.step_trace/v3) back through the accelerator device
+// (common/trace.h, opal.step_trace/v4) back through the accelerator device
 // model (accel/device.h) to attribute energy, device latency, and DRAM
 // traffic per step, per request, and per run — for any device family, from
 // a single serving run.
@@ -25,20 +25,21 @@
 //
 // Sources: step_trace_from_tracer() lifts the trace straight out of an
 // in-process Tracer — the one place events are grouped into steps;
-// StepTrace::to_json() writes it as an opal.step_trace/v3 JSON file and
+// StepTrace::to_json() writes it as an opal.step_trace/v4 JSON file and
 // parse_step_trace() reads one back (via common/json.h). The file is
 // self-describing — the header carries the model dims and KV layout, so it
 // replays without the producing process. parse_step_trace(t.to_json())
 // equals t, hence yields the same report.
 //
-// Step-trace schema (opal.step_trace/v3) — what StepTrace::to_json emits:
+// Step-trace schema (opal.step_trace/v4) — what StepTrace::to_json emits:
 //
 //   field                       meaning
-//   schema                      "opal.step_trace/v3"
+//   schema                      "opal.step_trace/v4"
 //   model.{n_layers,d_model,    ModelConfig dims of the producing engine
 //          n_heads,d_ffn,vocab} (all 0 when no StepTraceInfo was set)
 //   kv.{mode,block_size,        serving KV layout: kv_mode name, positions
-//       bits_per_entry}         per block (> 0), stored bits per KV entry
+//       bits_per_entry,         per block (> 0), stored bits per KV entry,
+//       max_seq_len}            KV positions one sequence can hold
 //   dropped_steps               kStep records overwritten in the ring —
 //                               nonzero means the trace is INCOMPLETE
 //   truncated_events            total events overwritten in the ring
@@ -54,7 +55,8 @@
 //                               0 for prefix_hit
 //       rows                    rows fed this pass; for prefix_hit, the
 //                               positions restored from the cache (decodes
-//                               SKIPPED, not executed)
+//                               SKIPPED, not executed); pos + rows is at
+//                               most kv.max_seq_len
 //       kv_bytes                KV bytes written by the pass (0: prefix_hit)
 //       dur_us                  model-pass wall duration (0: prefix_hit)
 //       generated               tokens the pass generated (every kind but
@@ -138,7 +140,7 @@ struct StepTrace {
   /// is zero.
   [[nodiscard]] ModelConfig model() const;
 
-  /// The opal.step_trace/v3 document (schema table above).
+  /// The opal.step_trace/v4 document (schema table above).
   [[nodiscard]] std::string to_json() const;
 
   bool operator==(const StepTrace&) const = default;
@@ -151,11 +153,12 @@ struct StepTrace {
 /// the loss is counted in dropped_steps / truncated_events).
 [[nodiscard]] StepTrace step_trace_from_tracer(const Tracer& tracer);
 
-/// Parses an opal.step_trace/v3 JSON document. Throws
+/// Parses an opal.step_trace/v4 JSON document. Throws
 /// std::invalid_argument naming the offending field / position on any
-/// schema violation (wrong schema string — v2 included, missing keys, type
-/// mismatches, integers above 2^53, unknown pass kinds, a generated count
-/// above 1 for a chunk / decode or outside [1, rows] for a spec_burst).
+/// schema violation (wrong schema string — v3 included, missing keys, type
+/// mismatches, integers above 2^53, unknown pass kinds, a pass with pos +
+/// rows above kv.max_seq_len, a generated count above 1 for a chunk /
+/// decode or outside [1, rows] for a spec_burst).
 [[nodiscard]] StepTrace parse_step_trace(std::string_view json_text);
 
 /// Whole-run attribution for one request.

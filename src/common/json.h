@@ -1,5 +1,5 @@
 // Minimal strict JSON reader — just enough to parse the repo's own trace
-// and bench artifacts (opal.step_trace/v3 in particular) without a
+// and bench artifacts (opal.step_trace/v4 in particular) without a
 // dependency.
 //
 // Strictness: the full input must be exactly one JSON value (trailing
@@ -10,7 +10,7 @@
 // the 1-based line:column of the offending character.
 //
 // Nesting: arrays and objects may nest at most kJsonMaxDepth deep (the
-// v3 step trace nests 4); deeper input throws std::invalid_argument
+// v4 step trace nests 4); deeper input throws std::invalid_argument
 // instead of exhausting the stack, since the reader recurses once per
 // level.
 //

@@ -97,6 +97,7 @@ struct StepTraceInfo {
   std::string kv_mode;             // to_string(KvQuantMode)
   std::size_t kv_block_size = 0;   // positions per KV block
   std::size_t kv_bits_per_entry = 0;
+  std::size_t max_seq_len = 0;     // KV positions one sequence can hold
 
   bool operator==(const StepTraceInfo&) const = default;
 };

@@ -56,7 +56,7 @@ GenerationResult InferenceEngine::generate(
   GenerationResult out;
   out.tokens.assign(prompt.begin(), prompt.end());
   out.prompt_len = prompt.size();
-  const std::size_t target = prompt.size() + max_new_tokens;
+  const std::size_t target = generation_target(prompt.size(), max_new_tokens);
   const auto& cfg = prepared_->config();
   Sampler sampler(params, cfg.log2_softmax ? cfg.softmax_bits : 0);
   // The facade drives the state's own sampler checkpoint, exactly like the

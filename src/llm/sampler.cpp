@@ -236,6 +236,13 @@ float token_logprob(std::span<const float> logits, std::size_t token) {
   return logits[token] - max - std::log(sum);
 }
 
+std::size_t generation_target(std::size_t prompt_len,
+                              std::size_t max_new_tokens) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  return max_new_tokens > kMax - prompt_len ? kMax
+                                            : prompt_len + max_new_tokens;
+}
+
 FinishReason check_stop(const SamplingParams& params,
                         std::span<const std::size_t> tokens,
                         std::size_t prompt_len, std::size_t target_len) {

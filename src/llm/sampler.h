@@ -214,10 +214,16 @@ class Sampler {
 [[nodiscard]] float token_logprob(std::span<const float> logits,
                                   std::size_t token);
 
+/// The token count at which a request with `prompt_len` prompt tokens has
+/// generated its `max_new_tokens`: their sum, saturated at SIZE_MAX, so
+/// SIZE_MAX ("until a stop or the KV limit") never wraps below the prompt.
+[[nodiscard]] std::size_t generation_target(std::size_t prompt_len,
+                                            std::size_t max_new_tokens);
+
 /// Stop-condition check for the token just appended at tokens.back().
 /// Returns the reason generation must stop, or kNone to continue. Priority:
 /// eos > stop token > stop sequence > max_new_tokens (target_len =
-/// prompt_len + the request's max_new_tokens).
+/// generation_target(prompt_len, the request's max_new_tokens)).
 [[nodiscard]] FinishReason check_stop(const SamplingParams& params,
                                       std::span<const std::size_t> tokens,
                                       std::size_t prompt_len,

@@ -85,7 +85,7 @@ struct SchedRequest {
   RequestId id = 0;
   int priority = 0;             // Request::priority; higher is more urgent
   std::size_t prompt_len = 0;
-  std::size_t target_len = 0;   // prompt_len + max_new_tokens
+  std::size_t target_len = 0;   // generation_target(prompt_len, max_new)
   std::size_t fed = 0;          // tokens already decoded into the KV cache
   std::size_t known = 0;        // known-but-unfed tokens (prefill / replay)
   std::size_t tokens_served = 0;   // cumulative decodes for this request

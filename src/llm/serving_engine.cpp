@@ -78,7 +78,7 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   trace_.set_step_info({mcfg.n_layers, mcfg.d_model, mcfg.n_heads,
                         mcfg.d_ffn, mcfg.vocab, to_string(ecfg.kv_mode),
                         ecfg.kv_block_size,
-                        kv_bits_per_entry(ecfg.kv_mode)});
+                        kv_bits_per_entry(ecfg.kv_mode), ecfg.max_seq_len});
   em_.stalls = &registry_.counter("serving.stalls");
   em_.admissions = &registry_.counter("serving.admissions");
   em_.preemptions = &registry_.counter("serving.preemptions");
@@ -143,7 +143,8 @@ RequestId ServingEngine::submit(Request request) {
   seq.result.status = RequestStatus::kQueued;
   seq.result.tokens = std::move(request.prompt);
   seq.result.prompt_len = seq.result.tokens.size();
-  seq.target_len = seq.result.prompt_len + request.max_new_tokens;
+  seq.target_len =
+      generation_target(seq.result.prompt_len, request.max_new_tokens);
   // The sampling walk appends tokens from the parallel pass, which must not
   // allocate: reserve every token the request can hold — its target, or
   // one past a full KV cache, where it is evicted.

@@ -583,7 +583,7 @@ class ServingEngine {
     RequestId id = 0;
     RequestResult result;
     int priority = 0;
-    std::size_t target_len = 0;  // prompt_len + max_new_tokens
+    std::size_t target_len = 0;  // generation_target(prompt_len, max_new)
     std::size_t fed = 0;         // tokens already decoded into the KV cache
     std::size_t tokens_served = 0;  // cumulative decodes (incl. replays)
     std::uint64_t submit_step = 0;  // step counter at submit()

@@ -225,7 +225,7 @@ TEST(Trace, StepTraceGroupsSequenceEventsUnderTheirStep) {
           .c = 5,
           .d = 3});
   const std::string json = step_trace_from_tracer(t).to_json();
-  EXPECT_NE(json.find("\"opal.step_trace/v3\""), std::string::npos);
+  EXPECT_NE(json.find("\"opal.step_trace/v4\""), std::string::npos);
   EXPECT_NE(json.find("\"step\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"chunk\""), std::string::npos);
   EXPECT_NE(json.find("\"spec_burst\""), std::string::npos);
@@ -235,7 +235,7 @@ TEST(Trace, StepTraceGroupsSequenceEventsUnderTheirStep) {
 
 TEST(Trace, StepTraceHeaderCarriesInfoAndDropCounts) {
   Tracer t(true, 2);
-  t.set_step_info({3, 128, 4, 344, 256, "int8", 16, 8});
+  t.set_step_info({3, 128, 4, 344, 256, "int8", 16, 8, 64});
   EXPECT_EQ(t.step_info().d_model, 128u);
   // Fill the 2-slot ring, then overwrite both slots: the overwritten kStep
   // counts as a dropped step, the other event as plain truncation.
@@ -246,10 +246,11 @@ TEST(Trace, StepTraceHeaderCarriesInfoAndDropCounts) {
   EXPECT_EQ(t.truncated_events(), 2u);
   EXPECT_EQ(t.dropped_steps(), 1u);
   const std::string json = step_trace_from_tracer(t).to_json();
-  EXPECT_NE(json.find("\"opal.step_trace/v3\""), std::string::npos);
+  EXPECT_NE(json.find("\"opal.step_trace/v4\""), std::string::npos);
   EXPECT_NE(json.find("\"d_model\": 128"), std::string::npos);
   EXPECT_NE(json.find("\"mode\": \"int8\""), std::string::npos);
   EXPECT_NE(json.find("\"bits_per_entry\": 8"), std::string::npos);
+  EXPECT_NE(json.find("\"max_seq_len\": 64"), std::string::npos);
   EXPECT_NE(json.find("\"dropped_steps\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"truncated_events\": 2"), std::string::npos);
   t.clear();

@@ -1,7 +1,7 @@
 // Hardware-in-the-loop replay invariants: a lone pass owns its whole step,
 // batching amortizes weight streaming, per-sequence attribution sums to the
 // step totals, replay is deterministic and conserves the trace's row/KV
-// accounting, the v3 JSON round-trips to the in-process replay, replay's
+// accounting, the v4 JSON round-trips to the in-process replay, replay's
 // generated-token count balances against the engine's under any schedule,
 // and malformed traces are rejected with useful errors.
 #include "accel/replay.h"
@@ -360,11 +360,11 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("opal.step_trace/v1"), std::string::npos);
-    EXPECT_NE(what.find("opal.step_trace/v3"), std::string::npos);
+    EXPECT_NE(what.find("opal.step_trace/v4"), std::string::npos);
   }
   // Missing keys are named.
   try {
-    (void)parse_step_trace("{\"schema\": \"opal.step_trace/v3\"}");
+    (void)parse_step_trace("{\"schema\": \"opal.step_trace/v4\"}");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("model"), std::string::npos);
@@ -372,11 +372,11 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   // A well-formed one-step trace around one pass, with `step` as the step
   // counter's literal.
   const auto one_step = [](const std::string& step, const std::string& pass) {
-    return "{\"schema\": \"opal.step_trace/v3\","
+    return "{\"schema\": \"opal.step_trace/v4\","
            " \"model\": {\"n_layers\": 2, \"d_model\": 128, \"n_heads\": 4,"
            " \"d_ffn\": 344, \"vocab\": 64},"
            " \"kv\": {\"mode\": \"int8\", \"block_size\": 8,"
-           " \"bits_per_entry\": 8},"
+           " \"bits_per_entry\": 8, \"max_seq_len\": 32},"
            " \"dropped_steps\": 0, \"truncated_events\": 0,"
            " \"steps\": [{\"step\": " +
            step +
@@ -406,11 +406,41 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   ASSERT_EQ(good.steps.size(), 1u);
   EXPECT_EQ(good.steps[0].passes[0].generated, 2u);
   EXPECT_EQ(replay_trace(make_bf16_device(), good).tokens_generated, 2u);
-  // The v2 layout (no per-pass generated count) is refused by name, and
-  // the error points at the supported version.
-  std::string v2 = one_step("1", burst("1", "2"));
-  v2.replace(v2.find("/v3"), 3, "/v2");
-  expect_rejected(v2, "opal.step_trace/v3");
+  // The v3 layout (no kv.max_seq_len) is refused by name, and the error
+  // points at the supported version.
+  std::string v3 = one_step("1", burst("1", "2"));
+  v3.replace(v3.find("/v4"), 3, "/v3");
+  expect_rejected(v3, "opal.step_trace/v4");
+  // No pass reaches past the KV a sequence holds: the 4-row burst at pos 9
+  // fits a max_seq_len of 13, not 12, nor a pos of 2^53 (which replayed at
+  // ~4e8 J before the bound); a prefix hit restores at most max_seq_len.
+  const auto with_max_seq_len = [&](const std::string& max_seq_len,
+                                    const std::string& pass) {
+    std::string json = one_step("1", pass);
+    json.replace(json.find("\"max_seq_len\": 32"), 17,
+                 "\"max_seq_len\": " + max_seq_len);
+    return json;
+  };
+  EXPECT_NO_THROW((void)parse_step_trace(
+      with_max_seq_len("13", burst("1", "2"))));
+  expect_rejected(with_max_seq_len("12", burst("1", "2")), "kv.max_seq_len");
+  std::string far_burst = burst("1", "2");
+  far_burst.replace(far_burst.find("\"pos\": 9"), 8,
+                    "\"pos\": 9007199254740992");
+  expect_rejected(one_step("1", far_burst), "seqs[].pos");
+  const std::string hit =
+      "{\"request\": 1, \"kind\": \"prefix_hit\", \"pos\": 0,"
+      " \"rows\": 33, \"kv_bytes\": 0, \"dur_us\": 0}";
+  expect_rejected(one_step("1", hit), "kv.max_seq_len");
+  const auto decode_at = [](const std::string& pos) {
+    return "{\"request\": 1, \"kind\": \"decode\", \"pos\": " + pos +
+           ", \"rows\": 1, \"kv_bytes\": 0, \"dur_us\": 3, \"generated\": 1}";
+  };
+  EXPECT_NO_THROW((void)parse_step_trace(one_step("1", decode_at("31"))));
+  expect_rejected(one_step("1", decode_at("32")), "kv.max_seq_len");
+  std::string no_max = one_step("1", burst("1", "2"));
+  no_max.replace(no_max.find(", \"max_seq_len\": 32"), 19, "");
+  expect_rejected(no_max, "max_seq_len");
   // kv.mode is one of the engine's names: to_json writes it unescaped, so
   // an escape in it would not survive a round trip.
   std::string odd_mode = one_step("1", burst("1", "2"));
@@ -552,7 +582,7 @@ void mutate_once(std::string& text, Rng& rng) {
 }
 
 TEST(StepTraceFuzz, MutantsAreRejectedOrRoundTrip) {
-  // A real v3 trace holding every pass kind: chunked prefill, decodes,
+  // A real v4 trace holding every pass kind: chunked prefill, decodes,
   // speculative bursts and prefix-cache hits. Mutants are cut from its
   // first 12 steps and from its first step alone, where the header's
   // fields draw a larger share of the edits.

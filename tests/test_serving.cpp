@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -236,6 +237,18 @@ TEST(ServingEngine, EvictsWhenKvCacheExhausted) {
   EXPECT_EQ(engine.result(longer).tokens.size(), 7u);  // 6 fed + 1 generated
   EXPECT_EQ(engine.result(fits).status, RequestStatus::kFinished);
   EXPECT_EQ(engine.result(fits).tokens.size(), 4u);
+  // max_new_tokens SIZE_MAX means "until a stop or the KV limit": the
+  // target saturates instead of wrapping below the prompt, so the request
+  // runs to eviction at max_seq_len, token-equal to the facade's stream.
+  const std::vector<std::size_t> prompt = {1, 2, 3};
+  constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+  const RequestId unbounded = engine.submit(Request{prompt, kUnbounded});
+  engine.run();
+  const RequestResult res = engine.result(unbounded);
+  EXPECT_EQ(res.status, RequestStatus::kEvicted);
+  EXPECT_EQ(res.tokens.size(), cfg.max_seq_len + 1);
+  InferenceEngine facade(model);
+  EXPECT_EQ(res.tokens, facade.generate(prompt, kUnbounded).tokens);
 }
 
 TEST(ServingEngine, ThrowingObserverLeavesEngineConsistent) {

@@ -8,7 +8,11 @@
 // exactly the reclaimable ones) and the token observer has fired exactly
 // once, in order, per generated token. At the end: every finished stream
 // equals its solo decode bitwise (an evicted one is a prefix of it), and
-// releasing every id and destroying the engine returns every block.
+// releasing every id and destroying the engine returns every block. Every
+// other seed is traced: its step trace must read back from its JSON form
+// and balance on replay (the replayed generated tokens are the requests'
+// generated tokens, and the replayed rows are the engine's
+// tokens_decoded).
 //
 // The solo decode is the InferenceEngine facade under fp32 KV. The facade's
 // own KV is always fp32, so under int8 / log2 KV the reference is the same
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/replay.h"
 #include "eval/schemes.h"
 #include "llm/engine.h"
 #include "llm/serving_engine.h"
@@ -121,6 +126,10 @@ FuzzCase random_case(Draw& draw, std::uint64_t seed) {
   }
   c.scfg.enable_prefix_cache = draw.chance(50);
   c.observe_logits = draw.chance(50);
+  // Parity, not a draw, so tracing leaves every seed's op sequence as it
+  // was. The ring holds the 2000-step cap at 32 events a step.
+  c.scfg.trace = seed % 2 == 0;
+  c.scfg.trace_capacity = 1 << 16;
   // One block column (2 * n_layers blocks) up to the dense footprint.
   static constexpr std::size_t kColumns[] = {1, 2, 3, 5, 8, 32};
   c.pool_blocks = 4 * kColumns[draw.below(6)];
@@ -133,7 +142,8 @@ FuzzCase random_case(Draw& draw, std::uint64_t seed) {
                std::to_string(c.scfg.speculative.draft_tokens *
                               c.scfg.speculative.enabled()) +
                " prefix " + std::to_string(c.scfg.enable_prefix_cache) +
-               " pool " + std::to_string(c.pool_blocks);
+               " pool " + std::to_string(c.pool_blocks) + " trace " +
+               std::to_string(c.scfg.trace);
   return c;
 }
 
@@ -269,6 +279,17 @@ void run_case(std::uint64_t seed) {
       if (!harvested.contains(id)) harvest(id);
     }
     ASSERT_EQ(harvested.size(), requests.size());
+    if (c.scfg.trace) {
+      const StepTrace trace = step_trace_from_tracer(engine.tracer());
+      ASSERT_EQ(trace.truncated_events, 0u);
+      // Every pass stays within max_seq_len, so the file form reads back.
+      EXPECT_TRUE(parse_step_trace(trace.to_json()) == trace);
+      std::size_t generated = 0;
+      for (const auto& [id, res] : harvested) generated += res.generated();
+      const ReplayReport rep = replay_trace(make_bf16_device(), trace);
+      EXPECT_EQ(rep.tokens_generated, generated);
+      EXPECT_EQ(rep.rows_fed, engine.stats().tokens_decoded);
+    }
   }
   EXPECT_EQ(pool->blocks_in_use(), 0u) << "blocks outlived the engine";
 
