@@ -341,38 +341,6 @@ std::span<const std::int8_t> KvBlockPool::block_codes(BlockId id) const {
       id * block_size_ * d_model_, block_size_ * d_model_);
 }
 
-void KvBlockPool::register_reclaimer(const void* owner,
-                                     CacheReclaimer reclaim) {
-  require(owner != nullptr && reclaim != nullptr,
-          "KvBlockPool::register_reclaimer: null owner or callback");
-  for (const auto& [existing, fn] : reclaimers_) {
-    require(existing != owner,
-            "KvBlockPool::register_reclaimer: owner already registered");
-  }
-  reclaimers_.emplace_back(owner, std::move(reclaim));
-}
-
-void KvBlockPool::unregister_reclaimer(const void* owner) {
-  for (auto it = reclaimers_.begin(); it != reclaimers_.end(); ++it) {
-    if (it->first == owner) {
-      reclaimers_.erase(it);
-      return;
-    }
-  }
-}
-
-std::size_t KvBlockPool::request_reclaim(std::size_t min_blocks,
-                                         const void* skip) {
-  std::size_t freed = 0;
-  ++counts_.reclaim_requests;
-  for (const auto& [owner, reclaim] : reclaimers_) {
-    if (freed >= min_blocks) break;
-    if (owner == skip) continue;
-    freed += reclaim(min_blocks - freed);
-  }
-  return freed;
-}
-
 float KvBlockPool::block_scale(BlockId id) const {
   check_block(id, "KvBlockPool::block_scale: bad or free block");
   return scales_[id];

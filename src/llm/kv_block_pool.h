@@ -1,4 +1,4 @@
-// Shared block pool for paged KV caches (vLLM-style block allocation).
+// Block pool for paged KV caches (vLLM-style block allocation).
 //
 // A KvBlockPool owns a fixed set of equal-sized blocks, each holding
 // `block_size` positions x `d_model` K or V entries for one layer. Blocks are
@@ -37,18 +37,17 @@
 // peak_blocks_in_use() records the in-use high-water mark.
 //
 // The pool itself is not internally synchronized: allocate/free/write must
-// be externally serialized (ServingEngine reserves blocks in its serial
-// phase; the parallel decode phase only reads and writes rows of blocks
-// owned by distinct sequences, which touch disjoint storage).
+// be externally serialized (a ServingEngine owns its pool and reserves
+// blocks in its serial phase; the parallel decode phase only reads and
+// writes rows of blocks owned by distinct sequences, which touch disjoint
+// storage).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace opal {
@@ -195,32 +194,13 @@ class KvBlockPool {
     return n_blocks_ * bytes_per_block();
   }
 
-  /// Cross-engine cache reclaim. A serving layer that pins blocks in a
-  /// prefix cache registers a reclaimer (keyed by `owner`, typically the
-  /// engine's `this`); when ANY sharer of the pool runs short, it calls
-  /// request_reclaim(), which asks every registered reclaimer except `skip`
-  /// to release unreferenced cached blocks until `min_blocks` were freed.
-  /// This is what lets an idle engine's cached blocks flow to a busy
-  /// sibling without the caller manually driving reclaim() on each cache.
-  /// Like every other pool operation, registration and reclaim requests
-  /// must be externally serialized with all other pool use; a reclaimer
-  /// callback must not call back into request_reclaim().
-  using CacheReclaimer = std::function<std::size_t(std::size_t min_blocks)>;
-  void register_reclaimer(const void* owner, CacheReclaimer reclaim);
-  void unregister_reclaimer(const void* owner);
-  /// Returns the number of blocks the invoked reclaimers reported freed.
-  std::size_t request_reclaim(std::size_t min_blocks,
-                              const void* skip = nullptr);
-
   /// Lifetime event counts, published by ServingEngine::metrics() as
-  /// kv_pool.allocations / frees / cow_clones / reclaim_requests (next to
-  /// the kv_pool.blocks_in_use gauge, read from blocks_in_use()). A pool
-  /// shared between engines counts the traffic of every sharer.
+  /// kv_pool.allocations / frees / cow_clones (next to the
+  /// kv_pool.blocks_in_use gauge, read from blocks_in_use()).
   struct Counts {
-    std::uint64_t allocations = 0;       // allocate(), clone_rows included
-    std::uint64_t frees = 0;             // blocks returned to the free list
-    std::uint64_t cow_clones = 0;        // clone_rows()
-    std::uint64_t reclaim_requests = 0;  // request_reclaim()
+    std::uint64_t allocations = 0;  // allocate(), clone_rows included
+    std::uint64_t frees = 0;        // blocks returned to the free list
+    std::uint64_t cow_clones = 0;   // clone_rows()
   };
   [[nodiscard]] const Counts& counts() const { return counts_; }
 
@@ -239,7 +219,6 @@ class KvBlockPool {
   std::vector<BlockId> free_list_;  // LIFO free stack
   std::vector<std::uint32_t> refs_;    // holders per block; 0 = free
   std::vector<std::uint8_t> cached_;   // indexed by a PrefixCache
-  std::vector<std::pair<const void*, CacheReclaimer>> reclaimers_;
   std::size_t reclaimable_ = 0;        // cached && refcount == 1
   std::size_t peak_in_use_ = 0;
   Counts counts_;

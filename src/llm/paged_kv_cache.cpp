@@ -251,15 +251,6 @@ std::size_t PagedKvCache::blocks_held() const {
   return held;
 }
 
-void PagedKvCache::append_held_block_ids(
-    std::vector<KvBlockPool::BlockId>& out) const {
-  for (const auto* tables : {&k_blocks_, &v_blocks_}) {
-    for (const auto& blocks : *tables) {
-      out.insert(out.end(), blocks.begin(), blocks.end());
-    }
-  }
-}
-
 std::size_t matrix_bytes(std::size_t d_model, std::size_t len,
                          std::size_t bits_per_value, std::size_t block_size) {
   require(block_size >= 1,

@@ -157,11 +157,6 @@ class PagedKvCache {
   [[nodiscard]] std::size_t n_layers() const { return k_blocks_.size(); }
   /// Pool blocks currently held (K and V, all layers, incl. reservations).
   [[nodiscard]] std::size_t blocks_held() const;
-  /// Appends the id of every held block (same set blocks_held() counts) to
-  /// `out`. With prefix sharing one physical block can sit in several
-  /// sequences' tables, so a serving layer that needs pool-level accounting
-  /// must count distinct ids rather than summing blocks_held().
-  void append_held_block_ids(std::vector<KvBlockPool::BlockId>& out) const;
 
   [[nodiscard]] const KvBlockPool& pool() const { return *pool_; }
 

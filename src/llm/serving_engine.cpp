@@ -20,10 +20,33 @@ std::string to_string(RequestStatus status) {
   return "?";
 }
 
+namespace {
+
+// The engine's private pool: dense-equivalent capacity by default (max_batch
+// full sequences), or the caller's explicit block budget, never below one
+// block column (under which no sequence could ever start).
+KvBlockPool make_engine_pool(const PreparedModel* model,
+                             const ServingConfig& config) {
+  require(model != nullptr, "ServingEngine: null model");
+  const auto& mcfg = model->model_config();
+  const auto& ecfg = model->config();
+  const std::size_t blocks =
+      config.kv_pool_blocks != 0
+          ? config.kv_pool_blocks
+          : config.max_batch * model->kv_blocks_per_sequence();
+  return KvBlockPool(
+      std::max(blocks, PagedKvCache::blocks_for(mcfg.n_layers, 1,
+                                                ecfg.kv_block_size)),
+      ecfg.kv_block_size, mcfg.d_model, ecfg.kv_mode);
+}
+
+}  // namespace
+
 ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
                              ServingConfig config)
-    : model_(std::move(model)), config_(std::move(config)) {
-  require(model_ != nullptr, "ServingEngine: null model");
+    : model_(std::move(model)),
+      config_(std::move(config)),
+      kv_pool_(make_engine_pool(model_.get(), config_)) {
   require(config_.max_batch >= 1, "ServingEngine: max_batch must be >= 1");
   require(config_.prefill_chunk_tokens >= 1,
           "ServingEngine: prefill_chunk_tokens must be >= 1");
@@ -36,37 +59,9 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
   passes_.resize(config_.max_batch);
   const auto& mcfg = model_->model_config();
   const auto& ecfg = model_->config();
-  if (config_.kv_pool != nullptr) {
-    kv_pool_ = config_.kv_pool;
-    require(kv_pool_->d_model() == mcfg.d_model &&
-                kv_pool_->block_size() == ecfg.kv_block_size &&
-                kv_pool_->mode() == ecfg.kv_mode,
-            "ServingEngine: shared pool does not match the model's KV config");
-  } else {
-    // Private pool: dense-equivalent capacity by default (max_batch full
-    // sequences), or the caller's explicit block budget.
-    std::size_t blocks = config_.kv_pool_blocks != 0
-                             ? config_.kv_pool_blocks
-                             : config_.max_batch *
-                                   model_->kv_blocks_per_sequence();
-    // Below one block column no sequence could ever start.
-    blocks = std::max(
-        blocks, PagedKvCache::blocks_for(mcfg.n_layers, 1,
-                                         ecfg.kv_block_size));
-    kv_pool_ = std::make_shared<KvBlockPool>(blocks, ecfg.kv_block_size,
-                                             mcfg.d_model, ecfg.kv_mode);
-  }
-  require(kv_pool_->n_blocks() >=
-              PagedKvCache::blocks_for(mcfg.n_layers, 1, ecfg.kv_block_size),
-          "ServingEngine: pool smaller than one block column");
   if (config_.enable_prefix_cache) {
     prefix_cache_ =
-        std::make_unique<PrefixCache>(model_->make_prefix_cache(*kv_pool_));
-    // Let siblings on a shared pool pull this engine's unreferenced cached
-    // blocks under pressure instead of stalling on them.
-    kv_pool_->register_reclaimer(this, [this](std::size_t min_blocks) {
-      return reclaim_cached(min_blocks);
-    });
+        std::make_unique<PrefixCache>(model_->make_prefix_cache(kv_pool_));
   }
   // Observability (see the header's Observability block): register the
   // engine's own series once and cache the handles. None of it is ever
@@ -79,7 +74,6 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
                         mcfg.d_ffn, mcfg.vocab, to_string(ecfg.kv_mode),
                         ecfg.kv_block_size,
                         kv_bits_per_entry(ecfg.kv_mode), ecfg.max_seq_len});
-  em_.stalls = &registry_.counter("serving.stalls");
   em_.admissions = &registry_.counter("serving.admissions");
   em_.preemptions = &registry_.counter("serving.preemptions");
   em_.evictions = &registry_.counter("serving.evictions");
@@ -116,7 +110,6 @@ ServingEngine::ServingEngine(const PreparedModel& model, ServingConfig config)
 
 ServingEngine::~ServingEngine() {
   if (profiling_) KernelProfiler::disable();
-  if (prefix_cache_ != nullptr) kv_pool_->unregister_reclaimer(this);
 }
 
 RequestId ServingEngine::submit(Request request) {
@@ -204,23 +197,13 @@ std::size_t ServingEngine::blocks_needed(const Sequence& seq) const {
                                   model_->config().kv_block_size);
 }
 
-std::size_t ServingEngine::reclaim_cached(std::size_t min_blocks) {
-  return prefix_cache_ != nullptr ? prefix_cache_->reclaim(min_blocks) : 0;
-}
-
 bool ServingEngine::ensure_free_blocks(std::size_t target) {
-  if (kv_pool_->free_blocks() >= target) return true;
-  if (prefix_cache_ != nullptr) {
-    // Unreferenced cached prefixes are free capacity in waiting: reclaim
-    // LRU entries before letting pressure disturb any sequence.
-    prefix_cache_->reclaim(target - kv_pool_->free_blocks());
-    if (kv_pool_->free_blocks() >= target) return true;
-  }
-  // Sibling engines' unreferenced cached blocks on a shared pool are free
-  // capacity too: ask them to let go before this engine preempts or stalls
-  // (no-op on a private pool — nobody else is registered).
-  kv_pool_->request_reclaim(target - kv_pool_->free_blocks(), this);
-  return kv_pool_->free_blocks() >= target;
+  if (kv_pool_.free_blocks() >= target) return true;
+  if (prefix_cache_ == nullptr) return false;
+  // Unreferenced cached prefixes are free capacity in waiting: reclaim LRU
+  // entries before letting pressure disturb any sequence.
+  prefix_cache_->reclaim(target - kv_pool_.free_blocks());
+  return kv_pool_.free_blocks() >= target;
 }
 
 void ServingEngine::restore_cached_prefix(Sequence& seq) {
@@ -296,7 +279,7 @@ void ServingEngine::admit_from_queue() {
         // extreme pressure.
         if (head.state == nullptr) {
           head.state = std::make_unique<SequenceState>(
-              model_->make_sequence(*kv_pool_));
+              model_->make_sequence(kv_pool_));
           // Resume the request's RNG stream at its checkpoint (draw 0 for
           // a fresh request, the exact mid-stream draw after preemption).
           head.state->sampler_state() = head.sampler_ckpt;
@@ -352,9 +335,9 @@ void ServingEngine::admit_from_queue() {
     if (!batch_.empty() || queue_.empty()) return;
     // Nothing is running yet no candidate can start: queued sequences
     // keeping preempted prefixes hold the blocks. Downgrade the youngest
-    // holder to full recompute (so a startable candidate always exists
-    // against a private pool) and retry.
-    if (!reclaim_queued_prefix()) return;  // blocks are held outside us
+    // holder to full recompute (so a startable candidate always exists)
+    // and retry.
+    if (!reclaim_queued_prefix()) return;
   }
 }
 
@@ -375,16 +358,15 @@ bool ServingEngine::reclaim_queued_prefix() {
   return false;
 }
 
-bool ServingEngine::ensure_kv_capacity() {
+void ServingEngine::ensure_kv_capacity() {
   for (;;) {
     std::size_t need = 0;
     for (std::size_t i = 0; i < batch_.size(); ++i) {
       need += batch_[i].state->blocks_needed_for(passes_[i].rows);
     }
-    // Reclaims LRU cached prefixes first (ours, then siblings'): the prefix
-    // cache never costs a running sequence its blocks. True covers the
-    // empty batch too.
-    if (ensure_free_blocks(need)) return true;
+    // Reclaims LRU cached prefixes first: the prefix cache never costs a
+    // running sequence its blocks. True covers the empty batch too.
+    if (ensure_free_blocks(need)) return;
     // A chunk is a luxury, a running sequence is a commitment: shrink the
     // widest budget to single-token stepping (ties to the highest slot,
     // the youngest) before disturbing anyone. Single-token budgets are the
@@ -414,29 +396,9 @@ bool ServingEngine::ensure_kv_capacity() {
       // No running sequence left to preempt: first reclaim kept prefixes
       // of queued (manually preempted) sequences — they replay anyway.
       if (reclaim_queued_prefix()) continue;
-      // If another engine on a shared pool holds the missing blocks, the
-      // shortfall is transient — stall this step instead of destroying
-      // the sequence; they free up as the other engine retires work.
-      // (Reclaimable cache entries anywhere on the pool are already gone:
-      // ensure_free_blocks drained ours and every sibling's, so whatever
-      // survives is held by live sequences.)
-      // Count distinct blocks: with prefix sharing the same physical
-      // block can sit in several of our sequences' tables, and summing
-      // blocks_held() would inflate `ours` past blocks_in_use() and
-      // misread a sibling engine's transient hold as an unservable pool.
-      std::vector<KvBlockPool::BlockId> held;
-      batch_.front().state->paged_cache().append_held_block_ids(held);
-      for (const auto& seq : queue_) {
-        if (seq.state != nullptr) {
-          seq.state->paged_cache().append_held_block_ids(held);
-        }
-      }
-      std::sort(held.begin(), held.end());
-      const std::size_t ours = static_cast<std::size_t>(
-          std::unique(held.begin(), held.end()) - held.begin());
-      if (kv_pool_->blocks_in_use() > ours) return false;
-      // The pool itself is too small for this sequence: retire it as
-      // kEvicted (forward-progress guarantee for private pools).
+      // The cache is drained and every block still in use is this
+      // sequence's own: the pool is too small for it. Retire it as
+      // kEvicted (the forward-progress guarantee).
       finish(std::move(batch_.front()), RequestStatus::kEvicted);
       batch_.clear();
       admit_from_queue();
@@ -569,13 +531,8 @@ bool ServingEngine::plan() {
   plan_budgets();
   // Memory pressure: make sure the pool covers every running sequence's
   // planned budget, shrinking budgets then preempting (then, for a lone
-  // sequence, evicting) first. A false return means a shared pool's blocks
-  // are transiently held by another engine — stall this step rather than
-  // decode into exhaustion.
-  if (!ensure_kv_capacity()) {
-    em_.stalls->add();
-    return false;
-  }
+  // sequence, evicting) first.
+  ensure_kv_capacity();
   if (batch_.empty()) return false;
   reserve_passes();
   return true;
@@ -761,8 +718,8 @@ std::size_t ServingEngine::commit(std::uint64_t step_t0_us) {
                .step = step_counter_,
                .a = decoded,
                .b = rows_fed_total,
-               .c = kv_pool_->blocks_in_use(),
-               .d = kv_pool_->free_blocks()});
+               .c = kv_pool_.blocks_in_use(),
+               .d = kv_pool_.free_blocks()});
   return decoded;
 }
 
@@ -949,12 +906,11 @@ MetricsRegistry::Snapshot ServingEngine::metrics() const {
   counter("scheduler.blocked_picks", sched.blocked_picks);
   counter("scheduler.victim_picks", sched.victim_picks);
   counter("scheduler.budget_plans", sched.budget_plans);
-  const KvBlockPool::Counts& kv = kv_pool_->counts();
+  const KvBlockPool::Counts& kv = kv_pool_.counts();
   counter("kv_pool.allocations", kv.allocations);
   counter("kv_pool.frees", kv.frees);
   counter("kv_pool.cow_clones", kv.cow_clones);
-  counter("kv_pool.reclaim_requests", kv.reclaim_requests);
-  gauge("kv_pool.blocks_in_use", kv_pool_->blocks_in_use());
+  gauge("kv_pool.blocks_in_use", kv_pool_.blocks_in_use());
   if (prefix_cache_ != nullptr) {
     const PrefixCache::Stats p = prefix_cache_->stats();
     counter("prefix_cache.lookups", p.lookups);
@@ -990,10 +946,10 @@ MetricsRegistry::Snapshot ServingEngine::metrics() const {
 
 ServingEngine::Stats ServingEngine::stats() const {
   Stats s;
-  s.blocks_in_use = kv_pool_->blocks_in_use();
-  s.blocks_free = kv_pool_->free_blocks();
-  s.blocks_peak = kv_pool_->peak_blocks_in_use();
-  s.blocks_reclaimable = kv_pool_->reclaimable_blocks();
+  s.blocks_in_use = kv_pool_.blocks_in_use();
+  s.blocks_free = kv_pool_.free_blocks();
+  s.blocks_peak = kv_pool_.peak_blocks_in_use();
+  s.blocks_reclaimable = kv_pool_.reclaimable_blocks();
   s.running = batch_.size();
   s.queued = queue_.size();
   s.evictions = static_cast<std::size_t>(em_.evictions->value());

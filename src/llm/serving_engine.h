@@ -99,9 +99,9 @@
 // per-draft accept/reject outcomes; Scheduler::on_served is charged only
 // tokens actually committed.
 //
-// KV memory is paged: every sequence allocates fixed-size blocks from a
-// KvBlockPool (engine-owned by default, or shared across engines via
-// ServingConfig::kv_pool), quantized per the model's EngineConfig::kv_mode.
+// KV memory is paged: every sequence allocates fixed-size blocks from the
+// engine's own KvBlockPool (ServingConfig::kv_pool_blocks), quantized per
+// the model's EngineConfig::kv_mode.
 // The engine is memory-aware end to end:
 //   * admission requires free blocks for the candidate's next step, not
 //     just a free batch slot;
@@ -112,11 +112,9 @@
 //     any hard eviction;
 //   * with nothing left to preempt, kept prefixes of queued (manually
 //     preempted) sequences are reclaimed next — they replay regardless —
-//     and only a lone sequence that a *private* pool still cannot grow is
-//     evicted (kEvicted), which guarantees forward progress for any pool
-//     that holds at least one block column (2 * n_layers blocks). When the
-//     missing blocks are held by another engine on a shared pool, step()
-//     stalls (returns 0) instead of evicting: the shortfall is transient.
+//     and only a lone sequence that the pool still cannot grow is evicted
+//     (kEvicted), which guarantees forward progress: the pool always holds
+//     at least one block column (2 * n_layers blocks).
 // Because full preemption replays the exact token prefix through fresh
 // blocks, serving under memory pressure returns the same tokens as serving
 // with an unbounded pool (bitwise in fp32 mode; see test_serving.cpp).
@@ -132,20 +130,17 @@
 // — it indexes the sequence's full block columns instead of discarding
 // them, which also turns preemption replay into a cache hit. Cached blocks
 // no sequence references stay reclaimable: under pool pressure the engine
-// reclaims LRU cache entries *before* preempting anything — first its own,
-// then (through KvBlockPool::request_reclaim) any sibling engine's on a
-// shared pool, so an idle engine's cached blocks flow to a busy one
-// instead of stalling it (reclaim_cached() is the hook the pool drives).
-// Prefix-cache hits skip the skipped positions' decodes entirely — the
-// logits observer does not fire for them — so leave the cache off for
-// teacher-forced scoring that must see every position
-// (evaluate_perplexity_batched does). Outputs are bitwise identical to a
-// cache-off run in every kv_mode for block-aligned sharing, since a cached
-// block holds exactly the codes a replay would recompute. The one way
-// quantized KV could break that purity — preempt(id, keep>0) truncating
-// mid-block, which leaves the boundary block's grow-only scale reflecting
-// discarded rows — is fenced off: columns at or past such a truncation are
-// never indexed (see Sequence::non_canonical_from).
+// reclaims LRU cache entries *before* preempting anything. Prefix-cache
+// hits skip the skipped positions' decodes entirely — the logits observer
+// does not fire for them — so leave the cache off for teacher-forced
+// scoring that must see every position (evaluate_perplexity_batched
+// does). Outputs are bitwise identical to a cache-off run in every kv_mode
+// for block-aligned sharing, since a cached block holds exactly the codes
+// a replay would recompute. The one way quantized KV could break that
+// purity — preempt(id, keep>0) truncating mid-block, which leaves the
+// boundary block's grow-only scale reflecting discarded rows — is fenced
+// off: columns at or past such a truncation are never indexed (see
+// Sequence::non_canonical_from).
 //
 // Observability (common/metrics.h, common/trace.h): every serving event
 // is counted once, by whoever owns it, and metrics() snapshots the whole
@@ -153,9 +148,9 @@
 // own series:
 //   * deterministic event counters (serving.tokens_decoded /
 //     tokens_committed / admissions / preemptions / evictions / finished /
-//     stalls / budget_shrinks / spec_*); stats() reads its evictions,
-//     preemptions, tokens_decoded and spec_* fields straight from them,
-//     so the two views cannot drift;
+//     budget_shrinks / spec_*); stats() reads its evictions, preemptions,
+//     tokens_decoded and spec_* fields straight from them, so the two
+//     views cannot drift;
 //   * wall-clock latency histograms (serving.queue_wait_ms / ttft_ms /
 //     itl_ms / step_ms / decode_ms / prefill_chunk_ms / spec_verify_ms)
 //     with p50/p95/p99 extraction — TTFT and inter-token latency are
@@ -171,8 +166,8 @@
 // and blocks_in_use(); prefix_cache.* from PrefixCache::stats();
 // drafter.calls / proposed, counted at the engine's one draft() call site,
 // and drafter.accepted, which is serving.spec_accepted; profile.* from
-// profile(). A pool or scheduler shared between engines keeps one set of
-// lifetime counts, so every sharer reports the traffic of all of them.
+// profile(). A scheduler shared between engines keeps one set of lifetime
+// counts, so every sharer reports the traffic of all of them.
 // Structured tracing (ServingConfig::trace) records per-request lifecycle
 // events (enqueue, admit, prefix-hit, chunk, decode, spec-burst,
 // budget-shrink, preempt, evict, finish) and one engine-scoped record per
@@ -259,26 +254,17 @@ struct RequestResult {
 struct ServingConfig {
   /// Maximum concurrently running sequences (batch slots).
   std::size_t max_batch = 8;
-  /// Worker threads for the per-step decode fan-out; 0 = serial decode on
-  /// the calling thread.
+  /// Worker threads for the per-step pass fan-out; 0 = serial passes on
+  /// the calling thread. The calling thread also runs passes while the
+  /// workers do (ThreadPool::parallel_for), so n_threads workers give
+  /// n_threads + 1 executors.
   std::size_t n_threads = 0;
-  /// KV block budget when the engine builds its own pool: 0 sizes the pool
-  /// for max_batch sequences at full max_seq_len (no preemption possible —
-  /// the dense-equivalent footprint); a smaller count serves the same batch
-  /// in less memory at the cost of preemptions under pressure.
+  /// The engine's KV pool size in blocks: 0 sizes it for max_batch
+  /// sequences at full max_seq_len (no preemption possible — the
+  /// dense-equivalent footprint); a smaller count serves the same batch in
+  /// less memory at the cost of preemptions under pressure. Never below one
+  /// block column (2 * n_layers blocks), so a sequence can always start.
   std::size_t kv_pool_blocks = 0;
-  /// Optional pool shared with other engines (block_size/d_model/mode must
-  /// match the model). Null: the engine creates a private pool. Size a
-  /// shared pool to hold at least one full-length sequence per sharing
-  /// engine: below that, engines whose lone sequences all need new block
-  /// columns can hold each other's blocks and stall mutually — step()
-  /// returns 0 with running() > 0 (distinguishable from a drained engine,
-  /// where running() and queued() are both 0), and the caller must
-  /// preempt() or resize to make progress. Engines with prefix caches
-  /// enabled reclaim each other's unreferenced cached blocks automatically
-  /// under pressure (KvBlockPool::request_reclaim), so only blocks held by
-  /// live sequences can sustain such a stall.
-  std::shared_ptr<KvBlockPool> kv_pool;
   /// Reuse KV blocks across requests that share token prefixes (see the
   /// header comment). Off by default because restored positions skip their
   /// decodes, which silences the logits observer for those positions.
@@ -318,10 +304,10 @@ struct ServingConfig {
   /// real table, accumulating per-kernel-kind call/element/wall-clock
   /// counts and per-layer phase timings (ServingEngine::profile(), which
   /// metrics() publishes as the profile.* counters). The profile holds
-  /// this engine's passes only, unlike the kv_pool.* and scheduler.*
-  /// counts of a pool or scheduler shared between engines, which cover
-  /// every sharer over the subsystem's lifetime. Off (the default), the
-  /// wrapper is not installed — the hot path is untouched.
+  /// this engine's passes only, unlike the scheduler.* counts of a
+  /// scheduler shared between engines, which cover every sharer over its
+  /// lifetime. Off (the default), the wrapper is not installed — the hot
+  /// path is untouched.
   /// The wrapper calls the underlying kernels with unchanged arguments, so
   /// profiled runs are bitwise identical in every kv_mode.
   bool profile = false;
@@ -346,12 +332,11 @@ class ServingEngine {
   /// Advances every running sequence by its scheduled token budget
   /// (admitting queued requests into free slots first, resolving KV
   /// pressure by budget-shrink then preemption). Returns the number of
-  /// sequences decoded; 0 means no sequence can make progress — all work
-  /// has drained, or (with a shared pool) every free block is held
-  /// elsewhere.
+  /// sequences decoded; 0 only once all work has drained (running() and
+  /// queued() are both 0).
   std::size_t step();
 
-  /// Steps until no sequence can make progress (see step()).
+  /// Steps until all work has drained (see step()).
   void run();
 
   /// Evicts a running sequence back to the queue. With the default
@@ -414,8 +399,7 @@ class ServingEngine {
     std::size_t first_tokens = 0;
   };
 
-  /// Point-in-time serving counters. Block counts read the underlying pool,
-  /// so with a shared pool they include other engines' usage.
+  /// Point-in-time serving counters; block counts read the engine's pool.
   struct Stats {
     std::size_t blocks_in_use = 0;
     std::size_t blocks_free = 0;
@@ -491,17 +475,9 @@ class ServingEngine {
   /// The active scheduling policy (never null; FifoScheduler by default).
   [[nodiscard]] const Scheduler& scheduler() const { return *scheduler_; }
 
-  /// Releases up to `min_blocks` of this engine's unreferenced cached
-  /// prefix blocks back to the pool; returns the blocks freed (0 when the
-  /// prefix cache is off or nothing is reclaimable). Invoked automatically
-  /// — for the engine's own pressure, and by sibling engines through
-  /// KvBlockPool::request_reclaim when a shared pool runs short — and
-  /// callable directly by servers that want to shed cache ahead of load.
-  std::size_t reclaim_cached(std::size_t min_blocks);
-
   /// The engine's prefix cache (null unless enable_prefix_cache). Exposed
-  /// so callers can reclaim()/clear() explicitly — e.g. to release a shared
-  /// pool's cached blocks to a sibling engine.
+  /// so callers can reclaim()/clear() explicitly — e.g. to shed cache ahead
+  /// of load, or to check that no block leaks once the cache is cleared.
   [[nodiscard]] PrefixCache* prefix_cache() { return prefix_cache_.get(); }
   [[nodiscard]] const PrefixCache* prefix_cache() const {
     return prefix_cache_.get();
@@ -576,7 +552,7 @@ class ServingEngine {
   }
 
   [[nodiscard]] const PreparedModel& model() const { return *model_; }
-  [[nodiscard]] const KvBlockPool& kv_pool() const { return *kv_pool_; }
+  [[nodiscard]] const KvBlockPool& kv_pool() const { return kv_pool_; }
 
  private:
   struct Sequence {
@@ -673,7 +649,7 @@ class ServingEngine {
   };
 
   // The step phases (see the header comment). plan() returns false when
-  // nothing runs this step: an empty batch, or a stall on a shared pool.
+  // nothing runs this step: an empty batch.
   bool plan();
   void retire_and_refill();
   void plan_budgets();
@@ -689,16 +665,13 @@ class ServingEngine {
 
   void admit_from_queue();
   /// Resolves pool pressure for the planned budgets (passes_[i].rows) by
-  /// budget-shrink, then cache-reclaim/preemption/eviction. False: a
-  /// shared pool's blocks are transiently held by another engine and this
-  /// step must stall (no decode) until they free up.
-  bool ensure_kv_capacity();
+  /// budget-shrink, then cache-reclaim/preemption/eviction.
+  void ensure_kv_capacity();
   /// Downgrades the youngest queued sequence still holding a kept KV
   /// prefix to full recompute, returning its blocks. False if none holds.
   bool reclaim_queued_prefix();
   /// True once the pool has `target` free blocks, reclaiming LRU prefix
-  /// cache entries (this engine's first, then siblings' via the pool) to
-  /// get there if needed.
+  /// cache entries to get there if needed.
   bool ensure_free_blocks(std::size_t target);
   /// Maps the longest cached prefix of seq's tokens into its fresh state.
   void restore_cached_prefix(Sequence& seq);
@@ -723,7 +696,6 @@ class ServingEngine {
   /// The counters are the only copy of Stats' cumulative event counts:
   /// stats() reads them back.
   struct EngineMetrics {
-    Counter* stalls = nullptr;
     Counter* admissions = nullptr;
     Counter* preemptions = nullptr;
     Counter* evictions = nullptr;
@@ -754,7 +726,9 @@ class ServingEngine {
   std::size_t kv_row_bytes_ = 0;  // KV bytes one fed row writes (all layers)
   std::shared_ptr<Scheduler> scheduler_;
   std::unique_ptr<ThreadPool> pool_;  // null when n_threads == 0
-  std::shared_ptr<KvBlockPool> kv_pool_;
+  // Declared before every holder of its blocks (the prefix cache and the
+  // sequences), so it is destroyed after them.
+  KvBlockPool kv_pool_;
   std::unique_ptr<PrefixCache> prefix_cache_;  // null unless enabled
   std::deque<Sequence> queue_;
   std::vector<Sequence> batch_;

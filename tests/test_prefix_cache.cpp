@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "eval/schemes.h"
@@ -151,33 +150,6 @@ TEST(PrefixCache, ReclaimEvictsLruUnreferencedLeavesOnly) {
   EXPECT_EQ(pool.blocks_in_use(), 0u);
 }
 
-TEST(PrefixCache, HeldBlockIdsCountDistinctAcrossSharers) {
-  const std::size_t n_layers = 1, d = 4, bs = 4;
-  KvBlockPool pool(16, bs, d);
-  PrefixCache pc(pool, n_layers);
-  const std::vector<std::size_t> tokens = {1, 2, 3, 4, 5, 6, 7, 8};
-  PagedKvCache donor(pool, n_layers, 8);
-  fill_from_tokens(donor, tokens, d);
-  pc.insert(tokens, 8, donor);
-
-  PagedKvCache reader(pool, n_layers, 8);
-  const auto match = pc.lookup(tokens, 8);
-  reader.map_shared(match.columns, match.positions);
-
-  // Both sequences hold the same 4 physical blocks: the naive blocks_held
-  // sum counts them twice, while distinct ids match the pool's usage (the
-  // accounting ServingEngine's shared-pool stall heuristic relies on).
-  std::vector<KvBlockPool::BlockId> ids;
-  donor.append_held_block_ids(ids);
-  reader.append_held_block_ids(ids);
-  EXPECT_EQ(ids.size(), donor.blocks_held() + reader.blocks_held());
-  EXPECT_EQ(ids.size(), 8u);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  EXPECT_EQ(ids.size(), 4u);
-  EXPECT_EQ(pool.blocks_in_use(), 4u);
-}
-
 TEST(PrefixCache, DestructorUnpinsEvenWhileReferenced) {
   const std::size_t n_layers = 1, d = 4, bs = 4;
   KvBlockPool pool(8, bs, d);
@@ -197,12 +169,10 @@ TEST(PrefixCache, DestructorUnpinsEvenWhileReferenced) {
 
 // --- ServingEngine acceptance ---
 
-ServingConfig serving_config(std::size_t max_batch, bool prefix_cache,
-                             std::shared_ptr<KvBlockPool> pool = nullptr) {
+ServingConfig serving_config(std::size_t max_batch, bool prefix_cache) {
   ServingConfig cfg;
   cfg.max_batch = max_batch;
   cfg.enable_prefix_cache = prefix_cache;
-  cfg.kv_pool = std::move(pool);
   return cfg;
 }
 
@@ -232,8 +202,8 @@ TEST(PrefixCacheServing, SharedPromptPrefixRunsFromOneCopy) {
     requests.push_back(Request{std::move(prompt), 6});
   }
 
-  auto run = [&](bool prefix_cache, std::shared_ptr<KvBlockPool> pool) {
-    ServingEngine engine(model, serving_config(4, prefix_cache, pool));
+  auto run = [&](bool prefix_cache) {
+    ServingEngine engine(model, serving_config(4, prefix_cache));
     std::vector<RequestId> ids;
     ids.push_back(engine.submit(requests[0]));
     engine.run();  // warm-up completes before the sharing wave arrives
@@ -247,12 +217,17 @@ TEST(PrefixCacheServing, SharedPromptPrefixRunsFromOneCopy) {
       EXPECT_EQ(result.status, RequestStatus::kFinished) << "request " << r;
       tokens.push_back(result.tokens);
     }
-    return std::make_pair(tokens, engine.stats());
+    const auto stats = engine.stats();
+    // After every sequence released, only the cache may still hold blocks;
+    // clearing it must return the pool to empty — no leaked references.
+    if (engine.prefix_cache() != nullptr) engine.prefix_cache()->clear();
+    EXPECT_EQ(engine.kv_pool().blocks_in_use(), 0u);
+    EXPECT_EQ(engine.kv_pool().free_blocks(), engine.kv_pool().n_blocks());
+    return std::make_pair(tokens, stats);
   };
 
-  auto pool = std::make_shared<KvBlockPool>(model->make_kv_pool(4.0));
-  const auto [cached_tokens, cached_stats] = run(true, pool);
-  const auto [plain_tokens, plain_stats] = run(false, nullptr);
+  const auto [cached_tokens, cached_stats] = run(true);
+  const auto [plain_tokens, plain_stats] = run(false);
 
   // Outputs are bitwise identical to both the cache-off paged run and the
   // dense fp32 single-sequence baseline.
@@ -278,13 +253,10 @@ TEST(PrefixCacheServing, SharedPromptPrefixRunsFromOneCopy) {
   EXPECT_LT(cached_stats.blocks_peak, 5 * prefix_blocks);
   EXPECT_LT(cached_stats.blocks_peak, plain_stats.blocks_peak);
 
-  // After every sequence released, only the cache still holds blocks, all
-  // of them reclaimable; destroying the engine (and its cache) below must
-  // return the pool to empty — no leaked references.
+  // After every sequence released, only the cache still held blocks, all
+  // of them reclaimable (run() checked that clearing it empties the pool).
   EXPECT_EQ(cached_stats.blocks_in_use, cached_stats.prefix_cached_blocks);
   EXPECT_EQ(cached_stats.blocks_reclaimable, cached_stats.blocks_in_use);
-  EXPECT_EQ(pool->blocks_in_use(), 0u);
-  EXPECT_EQ(pool->free_blocks(), pool->n_blocks());
 }
 
 TEST(PrefixCacheServing, QuantizedModesMatchTheCacheOffRunExactly) {
@@ -416,90 +388,6 @@ TEST(PrefixCacheServing, PressurePreemptionStaysLosslessWithCacheOn) {
   }
   EXPECT_EQ(engine.stats().blocks_in_use,
             engine.stats().prefix_cached_blocks);
-}
-
-TEST(PrefixCacheServing, AdmissionDoesNotLivelockWhenSiblingHoldsTheSlack) {
-  // Regression: the queue head adopts a cached prefix that, together with a
-  // sibling engine's column, consumes the whole shared pool. Admission
-  // finds no free column, reclaim finds nothing evictable (every cached
-  // entry sits on the head's adopted path), and downgrading the head used
-  // to be undone by an immediate re-adoption on the next admission attempt
-  // — step() spun forever instead of making progress or stalling.
-  EngineConfig cfg;
-  cfg.max_seq_len = 16;
-  cfg.kv_block_size = 4;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  // 3 block columns: 2 for the warmed prefix, 1 for the sibling engine.
-  auto pool = std::make_shared<KvBlockPool>(12, 4, tiny_config().d_model);
-  ServingEngine a(model, serving_config(1, true, pool));
-  ServingEngine b(model, serving_config(1, false, pool));
-
-  const auto prefix = shared_prefix(8);
-  const RequestId warm = a.submit(Request{prefix, 0});
-  a.run();  // caches the 2 prefix columns (8 blocks, reclaimable)
-  EXPECT_EQ(a.result(warm).status, RequestStatus::kFinished);
-  EXPECT_EQ(a.stats().prefix_cached_blocks, 8u);
-
-  const RequestId rb = b.submit(Request{{2, 7}, 1});
-  EXPECT_EQ(b.step(), 1u);  // the sibling takes the last free column
-  EXPECT_EQ(pool->free_blocks(), 0u);
-
-  auto prompt = prefix;
-  prompt.push_back(60);
-  const RequestId ra = a.submit(Request{prompt, 3});
-  // Pre-fix this call never returned. Now the head is downgraded once to
-  // full recompute, its formerly adopted entries become reclaimable, and
-  // admission proceeds.
-  EXPECT_EQ(a.step(), 1u);
-  EXPECT_GE(a.stats().preemptions, 1u);  // the downgrade
-  a.run();  // decodes until A needs the column B holds, then stalls
-  EXPECT_EQ(a.result(ra).status, RequestStatus::kRunning);
-  EXPECT_EQ(a.stats().evictions, 0u);
-
-  b.run();  // the sibling drains and returns its column
-  EXPECT_EQ(b.result(rb).status, RequestStatus::kFinished);
-  a.run();  // A resumes where it stalled
-  EXPECT_EQ(a.result(ra).status, RequestStatus::kFinished);
-  EXPECT_EQ(a.result(ra).tokens, reference_tokens(model, prompt, 3));
-  EXPECT_EQ(a.stats().evictions, 0u);
-}
-
-TEST(PrefixCacheServing, IdleSiblingCacheIsReclaimedAcrossEngines) {
-  // Two engines on one shared pool. Engine A serves a prompt, goes idle,
-  // and its prefix cache pins most of the pool (reclaimable, but only A's
-  // own pressure path used to reclaim it). Engine B then needs those
-  // blocks: before cross-engine reclaim B stalled (step() == 0) until the
-  // caller manually drove a.prefix_cache()->reclaim(); now B's
-  // ensure_free_blocks asks every reclaimer registered on the pool
-  // (ServingEngine::reclaim_cached) and proceeds on its own.
-  EngineConfig cfg;
-  cfg.max_seq_len = 16;
-  cfg.kv_block_size = 4;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  // 3 block columns: 2 cached by idle A, 1 free for B's start.
-  auto pool = std::make_shared<KvBlockPool>(12, 4, tiny_config().d_model);
-  ServingEngine a(model, serving_config(1, true, pool));
-  ServingEngine b(model, serving_config(1, false, pool));
-
-  const RequestId warm = a.submit(Request{shared_prefix(8), 0});
-  a.run();  // A retires and indexes 2 columns, then sits idle
-  EXPECT_EQ(a.result(warm).status, RequestStatus::kFinished);
-  EXPECT_EQ(a.stats().prefix_cached_blocks, 8u);
-  EXPECT_EQ(pool->free_blocks(), 4u);
-
-  // B needs 3 columns (9 fed positions); 2 are pinned by A's idle cache.
-  const std::vector<std::size_t> prompt_b = {2, 7, 9, 2, 6};
-  const auto ref_b = reference_tokens(model, prompt_b, 5);
-  const RequestId rb = b.submit(Request{prompt_b, 5});
-  while (b.result(rb).status != RequestStatus::kFinished) {
-    ASSERT_GT(b.step(), 0u) << "B stalled on A's idle cache";
-  }
-  EXPECT_EQ(b.result(rb).tokens, ref_b);
-  EXPECT_EQ(b.stats().evictions, 0u);
-  EXPECT_GE(a.stats().prefix_reclaimed_blocks, 4u);  // A's cache gave way
-  // A's remaining cached entries (if any) are still reclaimable, and no
-  // block leaked: everything in use is accounted to the cache.
-  EXPECT_EQ(pool->blocks_in_use(), a.stats().prefix_cached_blocks);
 }
 
 TEST(PrefixCacheServing, DowngradedSequenceStillHitsTheCacheOncePressureClears) {

@@ -626,67 +626,6 @@ TEST(ServingEngine, QuantizedKvModesAreDeterministic) {
   }
 }
 
-TEST(ServingEngine, SharedPoolAcrossTwoEngines) {
-  EngineConfig cfg;
-  cfg.max_seq_len = 16;
-  cfg.kv_block_size = 4;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  auto pool = std::make_shared<KvBlockPool>(model->make_kv_pool(2.0));
-
-  ServingConfig shared_cfg = scfg(2, 0);
-  shared_cfg.kv_pool = pool;
-  ServingEngine a(model, shared_cfg);
-  ServingEngine b(model, shared_cfg);
-  const RequestId ra = a.submit(Request{{3, 1}, 4});
-  const RequestId rb = b.submit(Request{{9, 2, 6}, 3});
-  // Interleave: both engines draw blocks from the same pool.
-  while (a.step() + b.step() > 0) {
-  }
-  EXPECT_EQ(a.result(ra).status, RequestStatus::kFinished);
-  EXPECT_EQ(b.result(rb).status, RequestStatus::kFinished);
-  EXPECT_EQ(pool->blocks_in_use(), 0u);
-  // Each engine's stats read the shared pool.
-  EXPECT_EQ(a.stats().blocks_free, pool->n_blocks());
-  EXPECT_EQ(b.stats().blocks_free, pool->n_blocks());
-}
-
-TEST(ServingEngine, SharedPoolTransientPressureStallsInsteadOfEvicting) {
-  // Engine B holds the shared pool's remaining column when engine A's lone
-  // sequence hits a block boundary. That shortfall is transient — A must
-  // stall (step() == 0, sequence intact) rather than hard-evict, and then
-  // finish identically once B drains.
-  EngineConfig cfg;
-  cfg.max_seq_len = 16;
-  cfg.kv_block_size = 4;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  // Two block columns total: one for A's first 4 positions, one for B.
-  auto pool = std::make_shared<KvBlockPool>(8, 4, tiny_config().d_model);
-  ServingConfig shared_cfg = scfg(1, 0);
-  shared_cfg.kv_pool = pool;
-  ServingEngine a(model, shared_cfg);
-  ServingEngine b(model, shared_cfg);
-
-  const std::vector<std::size_t> prompt_a = {3, 1, 4};
-  const auto ref_a = reference_decode(model, prompt_a, 4);  // 6 fed positions
-  const RequestId ra = a.submit(Request{prompt_a, 4});
-  const RequestId rb = b.submit(Request{{2, 7}, 1});
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.step(), 1u);  // A fills column 1
-  EXPECT_EQ(b.step(), 1u);                              // B takes column 2
-  EXPECT_EQ(pool->free_blocks(), 0u);
-
-  EXPECT_EQ(a.step(), 0u);  // stalled, not evicted
-  EXPECT_EQ(a.result(ra).status, RequestStatus::kRunning);
-  EXPECT_EQ(a.stats().evictions, 0u);
-
-  b.run();  // B finishes and returns its column
-  EXPECT_EQ(b.result(rb).status, RequestStatus::kFinished);
-  a.run();  // A resumes exactly where it stalled
-  EXPECT_EQ(a.result(ra).status, RequestStatus::kFinished);
-  EXPECT_EQ(a.result(ra).tokens, ref_a.tokens);
-  EXPECT_EQ(a.stats().evictions, 0u);
-  EXPECT_EQ(pool->blocks_in_use(), 0u);
-}
-
 TEST(Perplexity, QuantizedKvStaysCloseToFp32) {
   std::vector<std::vector<std::size_t>> streams;
   {

@@ -6,9 +6,10 @@
 // After every step: the pool's accounting balances (every in-use block has
 // a holder, allocations - frees == blocks in use, the cache-only blocks are
 // exactly the reclaimable ones) and the token observer has fired exactly
-// once, in order, per generated token. At the end: every finished stream
-// equals its solo decode bitwise (an evicted one is a prefix of it), and
-// releasing every id and destroying the engine returns every block. Every
+// once, in order, per generated token; a step that decodes nothing leaves
+// nothing running or queued. At the end: every finished stream equals its
+// solo decode bitwise (an evicted one is a prefix of it), and releasing
+// every id and clearing the prefix cache returns every block. Every
 // other seed is traced: its step trace must read back from its JSON form
 // and balance on replay (the replayed generated tokens are the requests'
 // generated tokens, and the replayed rows are the engine's
@@ -97,7 +98,6 @@ Request random_request(Draw& draw) {
 struct FuzzCase {
   KvQuantMode mode = KvQuantMode::kFp32;
   ServingConfig scfg;
-  std::size_t pool_blocks = 0;
   bool observe_logits = false;
   std::string describe;
 };
@@ -132,7 +132,7 @@ FuzzCase random_case(Draw& draw, std::uint64_t seed) {
   c.scfg.trace_capacity = 1 << 16;
   // One block column (2 * n_layers blocks) up to the dense footprint.
   static constexpr std::size_t kColumns[] = {1, 2, 3, 5, 8, 32};
-  c.pool_blocks = 4 * kColumns[draw.below(6)];
+  c.scfg.kv_pool_blocks = 4 * kColumns[draw.below(6)];
   c.describe = "seed " + std::to_string(seed) + " kv " + to_string(c.mode) +
                " batch " + std::to_string(c.scfg.max_batch) + " threads " +
                std::to_string(c.scfg.n_threads) + " chunk " +
@@ -142,7 +142,7 @@ FuzzCase random_case(Draw& draw, std::uint64_t seed) {
                std::to_string(c.scfg.speculative.draft_tokens *
                               c.scfg.speculative.enabled()) +
                " prefix " + std::to_string(c.scfg.enable_prefix_cache) +
-               " pool " + std::to_string(c.pool_blocks) + " trace " +
+               " pool " + std::to_string(c.scfg.kv_pool_blocks) + " trace " +
                std::to_string(c.scfg.trace);
   return c;
 }
@@ -191,10 +191,6 @@ void run_case(std::uint64_t seed) {
   FuzzCase c = random_case(draw, seed);
   SCOPED_TRACE(c.describe);
   const auto model = prepared(c.mode);
-  auto pool = std::make_shared<KvBlockPool>(c.pool_blocks, kBlockSize,
-                                            model->model_config().d_model,
-                                            c.mode);
-  c.scfg.kv_pool = pool;
 
   std::map<RequestId, Request> requests;
   std::map<RequestId, RequestResult> harvested;
@@ -262,10 +258,15 @@ void run_case(std::uint64_t seed) {
         if (!harvested.contains(it->first)) harvest(it->first);
       } else {
         kv_len.clear();
-        engine.step();
+        const std::size_t decoded = engine.step();
         ++steps;
         const std::string what = "after step " + std::to_string(steps);
-        expect_pool_balanced(*pool, engine.stats(), what);
+        if (decoded == 0) {
+          // A zero step means the engine has drained, never a stall.
+          ASSERT_EQ(engine.running(), 0u) << what;
+          ASSERT_EQ(engine.queued(), 0u) << what;
+        }
+        expect_pool_balanced(engine.kv_pool(), engine.stats(), what);
         for (const auto& [id, req] : requests) {
           if (harvested.contains(id)) continue;
           const RequestResult res = engine.result(id);
@@ -290,8 +291,9 @@ void run_case(std::uint64_t seed) {
       EXPECT_EQ(rep.tokens_generated, generated);
       EXPECT_EQ(rep.rows_fed, engine.stats().tokens_decoded);
     }
+    if (engine.prefix_cache() != nullptr) engine.prefix_cache()->clear();
+    EXPECT_EQ(engine.kv_pool().blocks_in_use(), 0u) << "blocks leaked";
   }
-  EXPECT_EQ(pool->blocks_in_use(), 0u) << "blocks outlived the engine";
 
   for (const auto& [id, req] : requests) {
     const RequestResult& res = harvested.at(id);
