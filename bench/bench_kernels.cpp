@@ -2,13 +2,14 @@
 // table (common/kernels.h) on the serving hot path's shapes — GEMV, the
 // attention score kernel and its fused dequantize twins per kv_mode, and
 // attention score/accumulate over realistic block-segment shapes — plus the
-// dispatched table's row-blocking and multi-row matvec ratios. Every timed
+// dispatched table's row-blocking, multi-row and served-shape grouping
+// matvec ratios. Every timed
 // number is a same-process ratio: the median over 15 repeats of two loops
 // timed back to back, so host speed cancels out. Absolute kernel rates are
 // servebench's (kernel.matvec.gmac_per_s and ns_per_call, --trace 1).
 // Persisted as BENCH_kernels.json (path = argv[1], default
 // ./BENCH_kernels.json): the dispatch table's name, the parity verdict,
-// scalar-over-dispatched ratios per kernel, and the two matvec ratios.
+// scalar-over-dispatched ratios per kernel, and the three matvec ratios.
 //
 // Asserted (exit 1): every dispatched kernel matches the scalar reference
 // within reduction-reorder tolerance; the fused dequant score kernels match
@@ -17,7 +18,9 @@
 // 128 one-row matvec calls take at least 1.3x the time of one 128-row call
 // (matvec_blocked_over_rowwise), and 16 one-input-row matvec calls over
 // 256x128 weights at least 1.2x the time of one 16-input-row call
-// (matvec_multirow_over_rowwise).
+// (matvec_multirow_over_rowwise), and 8 one-row walks over the served
+// model's 25 weight matrices at least 1.5x the time of 2 four-row walks
+// (matvec_group4_over_rowwise).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -285,6 +288,48 @@ int main(int argc, char** argv) {
                 multirow_over_rowwise);
   }
 
+  // Decode-batch grouping: 8 one-row walks over the served model's weight
+  // set (4 layers of Wq/Wk/Wv/Wo 128x128, fc1 256x128, fc2 128x256, plus
+  // the 512x128 tied head, ~2.25 MB of fp32, over a 2 MiB L2) against 2
+  // four-row walks, as the serving engine runs 8 one-row slots in 2 pass
+  // groups.
+  double group4_over_rowwise = 0.0;
+  {
+    struct Shape {
+      std::size_t rows, cols;
+    };
+    std::vector<Shape> shapes;
+    for (int l = 0; l < 4; ++l) {
+      shapes.insert(shapes.end(),
+                    {{128, 128}, {128, 128}, {128, 128}, {128, 128},
+                     {256, 128}, {128, 256}});
+    }
+    shapes.push_back({512, 128});
+    std::vector<std::vector<float>> weights;
+    for (const Shape& sh : shapes) weights.push_back(rand_vec(sh.rows * sh.cols));
+    const std::size_t slots = 8, group = 4;
+    const auto x = rand_vec(slots * 256);
+    std::vector<float> y(slots * 512);
+    const auto walk = [&](std::size_t first, std::size_t n) {
+      for (std::size_t m = 0; m < shapes.size(); ++m) {
+        dispatched.matvec(weights[m].data(), shapes[m].rows, shapes[m].cols,
+                          x.data() + first * shapes[m].cols, n,
+                          y.data() + first * shapes[m].rows);
+      }
+    };
+    group4_over_rowwise = median_ratio(
+        [&] {
+          for (std::size_t s = 0; s < slots; ++s) walk(s, 1);
+        },
+        [&] {
+          for (std::size_t s = 0; s < slots; s += group) walk(s, group);
+        },
+        10);
+    g_sink += y[0];
+    std::printf("%-26s %8.2fx\n", "matvec group4/rowwise",
+                group4_over_rowwise);
+  }
+
   if (simd != nullptr) {
     check(gemv_speedup >= 1.0, "dispatched GEMV not slower than scalar");
   }
@@ -297,6 +342,10 @@ int main(int argc, char** argv) {
     // Four input rows share each widened weight vector.
     check(multirow_over_rowwise >= 1.2,
           "AVX2 matvec_multirow_over_rowwise >= 1.2");
+    // Two 4-row walks stream the weight set twice where 8 one-row walks
+    // stream it 8 times.
+    check(group4_over_rowwise >= 1.5,
+          "AVX2 matvec_group4_over_rowwise >= 1.5");
   }
 
   // --- persist --------------------------------------------------------------
@@ -316,6 +365,8 @@ int main(int argc, char** argv) {
        << "  \"matvec_blocked_over_rowwise\": " << blocked_over_rowwise
        << ",\n"
        << "  \"matvec_multirow_over_rowwise\": " << multirow_over_rowwise
+       << ",\n"
+       << "  \"matvec_group4_over_rowwise\": " << group4_over_rowwise
        << "\n}\n";
   std::printf("\nwrote %s\n", path.c_str());
 
@@ -328,6 +379,9 @@ int main(int argc, char** argv) {
     std::printf("PASS: matvec_multirow_over_rowwise %.2f (%s)\n",
                 multirow_over_rowwise,
                 gate_blocking ? ">= 1.2 on avx2" : "not gated on this table");
+    std::printf("PASS: matvec_group4_over_rowwise %.2f (%s)\n",
+                group4_over_rowwise,
+                gate_blocking ? ">= 1.5 on avx2" : "not gated on this table");
     return 0;
   }
   return 1;

@@ -13,8 +13,8 @@
 //     elems / ns stays a true MAC rate;
 //   * per-layer phase counters — the decoder pass split the way a serving
 //     profiler reports it (norm / qkv / attend / ffn / logits), per layer
-//     and aggregated, filled in by PreparedModel::prefill_chunk once per
-//     phase per layer for all of a pass's rows. The logits phase is
+//     and aggregated, filled in by PreparedModel::prefill_group once per
+//     phase per layer for all of a group pass's rows. The logits phase is
 //     model-level (final norm + embedding GEMV), so it accrues only in the
 //     aggregate row.
 //
@@ -40,11 +40,10 @@
 // ## Thread discipline (the serving engine's parallel decode fan-out)
 //
 // Samples land in a thread-local KernelProfile* slot (bind_slot). The
-// engine gives every batch slot its own scratch KernelProfile, binds it at
-// the top of that slot's decode closure, and merges all slots into the run
-// total on the serial phase — the same per-slot-scratch pattern as the
-// decode timing vectors, so no synchronization is needed anywhere. With no
-// slot bound, a wrapped kernel skips the clock reads entirely and just
+// engine gives every pass group its own KernelProfile, binds it around
+// that group's pass, and merges every group into the run total on the
+// serial phase, so no synchronization is needed anywhere. With no slot
+// bound, a wrapped kernel skips the clock reads entirely and just
 // delegates.
 //
 // Helper calls inside one table (e.g. scalar_matvec looping over its
@@ -118,8 +117,8 @@ struct PhaseStat {
   }
 };
 
-/// One profiling domain's accumulated samples: a decode slot's scratch, or
-/// the run total the slots merge into.
+/// One profiling domain's accumulated samples: a pass group's, or the run
+/// total the groups merge into.
 struct KernelProfile {
   std::array<KernelStat, kKernelKindCount> kernels{};
   /// Aggregate over layers (the only row where kLogits accrues).
@@ -149,8 +148,8 @@ class KernelProfiler {
   static void disable();
 
   /// Binds `slot` as this thread's sample destination (nullptr unbinds).
-  /// The serving engine binds each batch slot's scratch inside its decode
-  /// closure; standalone callers (benches, tests) bind one slot around a
+  /// The serving engine binds each pass group's profile around its group
+  /// pass; standalone callers (benches, tests) bind one slot around a
   /// model pass on their own thread.
   static void bind_slot(KernelProfile* slot);
   /// This thread's bound slot, or nullptr (samples are dropped cheaply).

@@ -27,6 +27,10 @@
 //   kStep         engine    batch size / rows fed / blocks in use /
 //                           blocks free                             step us
 //
+// A pass event's dur_us is the slot's share of its group pass, apportioned
+// by rows (see SlotPass::dur_us in llm/serving_engine.h); every member of
+// one group pass ends at the same ts_us.
+//
 // Pass kinds: the engine types each slot's pass once per step. kSpecBurst
 // is a verify burst [frontier, drafts...]; kDecode is a single row that is
 // the frontier (the last known token); kChunk is any other feed of known

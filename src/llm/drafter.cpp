@@ -86,6 +86,7 @@ void ModelDrafter::draft(std::span<const std::size_t> tokens,
   if (max_tokens == 0 || tokens.empty()) return;
   if (!state_) {
     state_ = std::make_unique<SequenceState>(model_->make_sequence());
+    scratch_ = std::make_unique<PassScratch>(model_->make_scratch());
   }
   // Resync: keep the cached common prefix (accepted drafts stay fed),
   // truncate the rest — rejected drafts roll back here exactly as they do
@@ -111,7 +112,7 @@ void ModelDrafter::draft(std::span<const std::size_t> tokens,
   const bool reaches_frontier = end == tokens.size();
   if (end > first) {
     model_->prefill_chunk(*state_, tokens.subspan(first, end - first),
-                          nullptr, reaches_frontier ? 1 : 0);
+                          *scratch_, nullptr, reaches_frontier ? 1 : 0);
     history_.insert(history_.end(), tokens.begin() + first,
                     tokens.begin() + end);
   }
@@ -120,7 +121,7 @@ void ModelDrafter::draft(std::span<const std::size_t> tokens,
   for (std::size_t produced = 1; produced < max_tokens; ++produced) {
     const std::size_t feed = out.back();
     if (history_.size() >= limit || feed >= vocab) return;
-    model_->step(*state_, feed);
+    model_->step(*state_, feed, *scratch_);
     history_.push_back(feed);
     out.push_back(argmax_logits());
   }

@@ -5,10 +5,11 @@
 // How a burst works (ServingEngine::step, speculation enabled): a sequence
 // at its generation frontier holds exactly one known-but-unfed token t0
 // (tokens.back()). The drafter proposes d1..dk; the engine feeds
-// [t0, d1, .., dk] through PreparedModel::prefill_chunk — bitwise identical
-// to k+1 single steps — and walks the per-row logits: row j's logits are
-// exactly what a non-speculative run would see when sampling generated
-// token j+1 of the burst.
+// [t0, d1, .., dk] as one member of its group pass
+// (PreparedModel::prefill_group) — bitwise identical to k+1 single steps —
+// and walks the per-row logits: row j's logits are exactly what a
+// non-speculative run would see when sampling generated token j+1 of the
+// burst.
 //
 // Accept rule (the verification contract):
 //   * At each row j the engine runs the request's OWN sampler on that
@@ -59,6 +60,7 @@
 
 namespace opal {
 
+class PassScratch;
 class PreparedModel;
 class SequenceState;
 
@@ -163,6 +165,7 @@ class ModelDrafter final : public Drafter {
 
   std::shared_ptr<const PreparedModel> model_;
   std::unique_ptr<SequenceState> state_;      // private KV, lazily created
+  std::unique_ptr<PassScratch> scratch_;      // created with state_
   std::vector<std::size_t> history_;          // tokens fed into state_
 };
 

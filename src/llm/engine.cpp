@@ -23,21 +23,24 @@ InferenceEngine::InferenceEngine(const SyntheticModel& model,
                                  const CalibrationSet* calibration)
     : prepared_(std::make_shared<const PreparedModel>(model, std::move(config),
                                                       calibration)),
-      state_(prepared_->make_sequence()) {}
+      state_(prepared_->make_sequence()),
+      scratch_(prepared_->make_scratch()) {}
 
 InferenceEngine::InferenceEngine(const SyntheticModel& model,
                                  EngineConfig config,
                                  const HessianSet& hessians)
     : prepared_(std::make_shared<const PreparedModel>(model, std::move(config),
                                                       hessians)),
-      state_(prepared_->make_sequence()) {}
+      state_(prepared_->make_sequence()),
+      scratch_(prepared_->make_scratch()) {}
 
 InferenceEngine::InferenceEngine(std::shared_ptr<const PreparedModel> prepared)
     : prepared_(std::move(prepared)),
-      state_(deref_prepared(prepared_).make_sequence()) {}
+      state_(deref_prepared(prepared_).make_sequence()),
+      scratch_(prepared_->make_scratch()) {}
 
 std::span<const float> InferenceEngine::step(std::size_t token) {
-  return prepared_->step(state_, token, recorder_);
+  return prepared_->step(state_, token, scratch_, recorder_);
 }
 
 std::span<const float> InferenceEngine::prefill(

@@ -3,7 +3,8 @@
 // InferenceEngine is the batch-of-1 convenience view the eval harness,
 // calibration loops, benches, and examples use: it bundles one immutable
 // PreparedModel (built at construction, or shared via the shared_ptr
-// constructor) with one SequenceState and forwards step()/prefill()/reset().
+// constructor) with one SequenceState and the PassScratch its passes run
+// on, and forwards step()/prefill()/reset().
 // Batched serving lives in llm/serving_engine.h; the Fig 5 compute flow
 // itself lives in llm/prepared_model.cpp.
 #pragma once
@@ -92,6 +93,7 @@ class InferenceEngine {
  private:
   std::shared_ptr<const PreparedModel> prepared_;
   SequenceState state_;
+  PassScratch scratch_;
   ActivationRecorder* recorder_ = nullptr;
 };
 

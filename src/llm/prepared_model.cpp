@@ -205,7 +205,7 @@ void PreparedModel::maybe_quantize(ActivationSite site,
 
 void PreparedModel::attend(std::size_t l, SequenceState& seq,
                            std::span<const float> q, std::span<float> z,
-                           std::size_t len) const {
+                           std::size_t len, PassScratch& scratch) const {
   const auto& cfg = model_->config();
   const std::size_t d_head = cfg.d_head();
   const std::size_t d_model = cfg.d_model;
@@ -220,8 +220,9 @@ void PreparedModel::attend(std::size_t l, SequenceState& seq,
   const KernelOps& ops = kernels();
 
   std::fill(z.begin(), z.end(), 0.0f);
-  const std::span<float> scores = std::span<float>(seq.scores_).first(len);
-  const std::span<float> probs = std::span<float>(seq.probs_).first(len);
+  const std::span<float> scores =
+      std::span<float>(scratch.scores_).first(len);
+  const std::span<float> probs = std::span<float>(scratch.probs_).first(len);
   for (std::size_t head = 0; head < cfg.n_heads; ++head) {
     const std::size_t base = head * d_head;
     const float* q_head = q.data() + base;
@@ -286,73 +287,165 @@ std::span<float> rows_of(std::vector<float>& buf, std::size_t width,
   return std::span<float>(buf).subspan(first * width, count * width);
 }
 
+// Rows of `m`'s feed that get logits: its trailing logit_rows, at most all.
+std::size_t logit_rows_of(const PassMember& m) {
+  return std::min(m.logit_rows, m.feed.size());
+}
+
 }  // namespace
 
-void PreparedModel::finish_logits(SequenceState& seq, std::size_t first,
-                                  std::size_t count) const {
+PassScratch::PassScratch(const ModelConfig& config, std::size_t max_seq_len)
+    : d_model_(config.d_model), d_ffn_(config.d_ffn), vocab_(config.vocab) {
+  scores_.resize(max_seq_len);
+  probs_.resize(max_seq_len);
+  reserve(1, 1);  // every one-row pass runs on construction-time storage
+}
+
+void PassScratch::reserve(std::size_t rows, std::size_t logit_rows) {
+  auto grow = [](std::vector<float>& buf, std::size_t size) {
+    if (buf.size() < size) buf.resize(size);
+  };
+  for (auto* buf : {&x_, &h_, &q_, &k_, &v_, &z_, &attn_out_, &ffn_out_}) {
+    grow(*buf, rows * d_model_);
+  }
+  grow(hidden_, rows * d_ffn_);
+  grow(head_in_, logit_rows * d_model_);
+  grow(logits_, logit_rows * vocab_);
+}
+
+PassScratch PreparedModel::make_scratch() const {
+  return PassScratch(model_->config(), config_.max_seq_len);
+}
+
+void PreparedModel::finish_logits(std::span<const PassMember> members,
+                                  std::size_t count,
+                                  PassScratch& scratch) const {
   if (count == 0) return;
   PhaseScope phase(KernelProfiler::slot(), LayerPhase::kLogits);
   const std::size_t d = model_->config().d_model;
   const std::size_t vocab = model_->config().vocab;
-  for (std::size_t t = first; t < first + count; ++t) {
-    final_norm_->apply(rows_of(seq.chunk_x_, d, t, 1),
-                       rows_of(seq.h_, d, t, 1));
+  // Each member's trailing rows, normed into consecutive head input rows.
+  std::size_t r = 0, k = 0;
+  for (const PassMember& m : members) {
+    const std::size_t n = m.feed.size();
+    for (std::size_t t = n - logit_rows_of(m); t < n; ++t) {
+      final_norm_->apply(rows_of(scratch.x_, d, r + t, 1),
+                         rows_of(scratch.head_in_, d, k++, 1));
+    }
+    r += n;
   }
-  // Tied embedding head: logit[v] = E[v,:] . h, one pass for every row.
-  const std::span<float> out = rows_of(seq.chunk_logits_, vocab, first, count);
-  matvec(model_->embedding(), rows_of(seq.h_, d, first, count), out);
+  // Tied embedding head: logit[v] = E[v,:] . h, one pass for every row of
+  // every member.
+  const std::span<float> out = rows_of(scratch.logits_, vocab, 0, count);
+  matvec(model_->embedding(), rows_of(scratch.head_in_, d, 0, count), out);
   kernels().scale(model_->logit_scale(), out.data(), out.size());
+  k = 0;
+  for (const PassMember& m : members) {
+    const std::size_t n = m.feed.size();
+    const std::size_t km = logit_rows_of(m);
+    const std::span<const float> src = rows_of(scratch.logits_, vocab, k, km);
+    std::copy(src.begin(), src.end(),
+              rows_of(m.seq->chunk_logits_, vocab, n - km, km).begin());
+    k += km;
+  }
 }
 
 std::span<const float> PreparedModel::step(SequenceState& seq,
                                            std::size_t token,
+                                           PassScratch& scratch,
                                            ActivationRecorder* recorder) const {
-  return prefill_chunk(seq, {&token, 1}, recorder);
+  return prefill_chunk(seq, {&token, 1}, scratch, recorder);
 }
 
 std::span<const float> PreparedModel::prefill_chunk(
     SequenceState& seq, std::span<const std::size_t> tokens,
-    ActivationRecorder* recorder, std::size_t logit_rows) const {
+    PassScratch& scratch, ActivationRecorder* recorder,
+    std::size_t logit_rows) const {
+  const PassMember member{&seq, tokens, logit_rows};
+  prefill_group({&member, 1}, scratch, recorder);
+  return seq.logits();
+}
+
+void PreparedModel::prefill_group(std::span<const PassMember> members,
+                                  PassScratch& scratch,
+                                  ActivationRecorder* recorder) const {
   const auto& cfg = model_->config();
-  const std::size_t n = tokens.size();
-  require(n >= 1, "PreparedModel::prefill_chunk: empty chunk");
-  for (const std::size_t token : tokens) {
-    require(token < cfg.vocab,
-            "PreparedModel::prefill_chunk: token out of range");
+  require(!members.empty(), "PreparedModel::prefill_group: empty group");
+  require(scratch.d_model_ == cfg.d_model && scratch.d_ffn_ == cfg.d_ffn &&
+              scratch.vocab_ == cfg.vocab,
+          "PreparedModel::prefill_group: scratch sized for a different model");
+  std::size_t rows = 0, logit_rows = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const PassMember& m = members[i];
+    require(m.seq != nullptr, "PreparedModel::prefill_group: null sequence");
+    require(!m.feed.empty(), "PreparedModel::prefill_group: empty feed");
+    for (const std::size_t token : m.feed) {
+      require(token < cfg.vocab,
+              "PreparedModel::prefill_group: token out of range");
+    }
+    require(m.seq->d_model_ == cfg.d_model && m.seq->vocab_ == cfg.vocab,
+            "PreparedModel::prefill_group: state sized for a different model");
+    require(m.seq->max_seq_len() <= scratch.scores_.size(),
+            "PreparedModel::prefill_group: scratch shorter than a sequence");
+    for (std::size_t j = 0; j < i; ++j) {
+      require(members[j].seq != m.seq,
+              "PreparedModel::prefill_group: a sequence appears twice");
+    }
+    rows += m.feed.size();
+    logit_rows += logit_rows_of(m);
   }
-  require(seq.d_model_ == cfg.d_model && seq.vocab_ == cfg.vocab,
-          "PreparedModel::prefill_chunk: state sized for a different model");
+  // Open every member's KV for its whole feed (reserving blocks unless
+  // reserve_for did), all-or-nothing: a dry pool rolls back the members
+  // already opened before the throw leaves.
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    try {
+      members[i].seq->advance_cache_by(members[i].feed.size());
+    } catch (...) {
+      for (std::size_t j = 0; j < i; ++j) {
+        SequenceState& opened = *members[j].seq;
+        opened.truncate(opened.position() - members[j].feed.size());
+      }
+      throw;
+    }
+  }
+  scratch.reserve(rows, logit_rows);
+  for (const PassMember& m : members) {
+    m.seq->begin_chunk(m.feed.size(), logit_rows_of(m));
+  }
 
-  const std::size_t p0 = seq.position();
-  const std::size_t k = std::min(logit_rows, n);
-  seq.advance_cache_by(n);  // opens (and reserves) the whole chunk's KV
-  seq.begin_chunk(n, k);
   const std::size_t d = cfg.d_model;
-  auto row = [](std::vector<float>& buf, std::size_t width, std::size_t t) {
-    return rows_of(buf, width, t, 1);
+  auto row = [](std::vector<float>& buf, std::size_t width, std::size_t r) {
+    return rows_of(buf, width, r, 1);
   };
-  auto all = [n](std::vector<float>& buf, std::size_t width) {
-    return rows_of(buf, width, 0, n);
+  auto all = [rows](std::vector<float>& buf, std::size_t width) {
+    return rows_of(buf, width, 0, rows);
   };
-  auto each_row = [n](auto&& fn) {
-    for (std::size_t t = 0; t < n; ++t) fn(t);
+  auto each_row = [rows](auto&& fn) {
+    for (std::size_t r = 0; r < rows; ++r) fn(r);
   };
-  each_row([&](std::size_t t) {
-    const auto emb = model_->embedding().row(tokens[t]);
-    std::copy(emb.begin(), emb.end(), row(seq.chunk_x_, d, t).begin());
-  });
+  PassScratch& s = scratch;
+  {
+    std::size_t r = 0;
+    for (const PassMember& m : members) {
+      for (const std::size_t token : m.feed) {
+        const auto emb = model_->embedding().row(token);
+        std::copy(emb.begin(), emb.end(), row(s.x_, d, r++).begin());
+      }
+    }
+  }
 
-  // Layer-major sweep, each layer's weights streamed once for all n rows
-  // (one multi-row matvec per weight matrix). Every row's own ops run in
-  // the order a one-row pass runs them, and an n-row matvec is bitwise n
-  // one-row calls, so the results are bitwise identical to n one-row
-  // passes. Phase attribution: a nullptr slot (the common case) makes
-  // every scope a no-op, and the scopes only wrap statements, so the
+  // Layer-major sweep, each layer's weights streamed once for all the
+  // group's rows (one multi-row matvec per weight matrix). Every row's own
+  // ops run in the order a one-row pass runs them, an n-row matvec is
+  // bitwise n one-row calls, and only the attend phase touches a sequence
+  // (its own), so each member's results are bitwise identical to its own
+  // one-row passes. Phase attribution: a nullptr slot (the common case)
+  // makes every scope a no-op, and the scopes only wrap statements, so the
   // output bits are unchanged.
   KernelProfile* prof = KernelProfiler::slot();
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
     const auto& layer = layers_[l];
-    // The recorder sees each site's rows in row order.
+    // The recorder sees each site's rows in member then row order.
     auto maybe_record = [&](RecordSite site, std::span<const float> v) {
       if (recorder != nullptr) recorder->record(l, site, v);
     };
@@ -360,9 +453,9 @@ std::span<const float> PreparedModel::prefill_chunk(
     // --- Attention block (Fig 5(c)) ---
     {
       PhaseScope phase(prof, LayerPhase::kNorm, l);
-      each_row([&](std::size_t t) {
-        const std::span<float> h = row(seq.h_, d, t);
-        layer.attn_norm->apply(row(seq.chunk_x_, d, t), h);
+      each_row([&](std::size_t r) {
+        const std::span<float> h = row(s.h_, d, r);
+        layer.attn_norm->apply(row(s.x_, d, r), h);
         maybe_record(RecordSite::kAttnIn, h);
         maybe_quantize(ActivationSite::kPostLayerNorm, h);
       });
@@ -370,50 +463,57 @@ std::span<const float> PreparedModel::prefill_chunk(
 
     {
       PhaseScope phase(prof, LayerPhase::kQkv, l);
-      matvec(layer.wq, all(seq.h_, d), all(seq.q_, d));
-      matvec(layer.wk, all(seq.h_, d), all(seq.k_, d));
-      matvec(layer.wv, all(seq.h_, d), all(seq.v_, d));
+      matvec(layer.wq, all(s.h_, d), all(s.q_, d));
+      matvec(layer.wk, all(s.h_, d), all(s.k_, d));
+      matvec(layer.wv, all(s.h_, d), all(s.v_, d));
       // Q, K enter Q.K^T and V enters Attn.V at the high bit-width.
       const std::pair<RecordSite, std::vector<float>*> qkv[] = {
-          {RecordSite::kQuery, &seq.q_},
-          {RecordSite::kKey, &seq.k_},
-          {RecordSite::kValue, &seq.v_}};
+          {RecordSite::kQuery, &s.q_},
+          {RecordSite::kKey, &s.k_},
+          {RecordSite::kValue, &s.v_}};
       for (const auto& [site, buf] : qkv) {
-        each_row([&](std::size_t t) {
-          maybe_record(site, row(*buf, d, t));
-          maybe_quantize(ActivationSite::kAttentionInput, row(*buf, d, t));
+        each_row([&](std::size_t r) {
+          maybe_record(site, row(*buf, d, r));
+          maybe_quantize(ActivationSite::kAttentionInput, row(*buf, d, r));
         });
       }
     }
 
     {
       PhaseScope phase(prof, LayerPhase::kAttend, l);
-      // Token t writes its K/V at p0+t, then attends over [0, p0+t], as a
-      // one-row pass at that position does. Quantized blocks' scales only
-      // grow, so writing row t+1 before row t attends would change the
-      // bits. Attention reads the blocks' live storage, so a rescale caused
-      // by a write is already visible to the attend after it.
-      each_row([&](std::size_t t) {
-        seq.write_kv_at(l, p0 + t, row(seq.k_, d, t), row(seq.v_, d, t));
-        attend(l, seq, row(seq.q_, d, t), row(seq.z_, d, t), p0 + t + 1);
+      // A member's token t writes its K/V at p0+t, then attends over
+      // [0, p0+t], as a one-row pass at that position does. Quantized
+      // blocks' scales only grow, so writing row t+1 before row t attends
+      // would change the bits. Attention reads the blocks' live storage, so
+      // a rescale caused by a write is already visible to the attend after
+      // it.
+      std::size_t r = 0;
+      for (const PassMember& m : members) {
+        SequenceState& seq = *m.seq;
+        const std::size_t n = m.feed.size();
+        const std::size_t p0 = seq.position() - n;
+        for (std::size_t t = 0; t < n; ++t, ++r) {
+          seq.write_kv_at(l, p0 + t, row(s.k_, d, r), row(s.v_, d, r));
+          attend(l, seq, row(s.q_, d, r), row(s.z_, d, r), p0 + t + 1, s);
+        }
+      }
+      each_row([&](std::size_t r) {
+        maybe_record(RecordSite::kProjIn, row(s.z_, d, r));
+        maybe_quantize(ActivationSite::kGeneral, row(s.z_, d, r));
       });
-      each_row([&](std::size_t t) {
-        maybe_record(RecordSite::kProjIn, row(seq.z_, d, t));
-        maybe_quantize(ActivationSite::kGeneral, row(seq.z_, d, t));
-      });
-      matvec(layer.wo, all(seq.z_, d), all(seq.attn_out_, d));
-      each_row([&](std::size_t t) {
-        kernels().axpy(1.0f, row(seq.attn_out_, d, t).data(),
-                       row(seq.chunk_x_, d, t).data(), d);
+      matvec(layer.wo, all(s.z_, d), all(s.attn_out_, d));
+      each_row([&](std::size_t r) {
+        kernels().axpy(1.0f, row(s.attn_out_, d, r).data(),
+                       row(s.x_, d, r).data(), d);
       });
     }
 
     // --- FFN block (Fig 5(b)) ---
     {
       PhaseScope phase(prof, LayerPhase::kNorm, l);
-      each_row([&](std::size_t t) {
-        const std::span<float> h = row(seq.h_, d, t);
-        layer.ffn_norm->apply(row(seq.chunk_x_, d, t), h);
+      each_row([&](std::size_t r) {
+        const std::span<float> h = row(s.h_, d, r);
+        layer.ffn_norm->apply(row(s.x_, d, r), h);
         maybe_record(RecordSite::kFc1In, h);
         maybe_quantize(ActivationSite::kPostLayerNorm, h);
       });
@@ -421,22 +521,21 @@ std::span<const float> PreparedModel::prefill_chunk(
 
     {
       PhaseScope phase(prof, LayerPhase::kFfn, l);
-      matvec(layer.w_fc1, all(seq.h_, d), all(seq.hidden_, cfg.d_ffn));
-      each_row([&](std::size_t t) {
-        const std::span<float> hidden = row(seq.hidden_, cfg.d_ffn, t);
+      matvec(layer.w_fc1, all(s.h_, d), all(s.hidden_, cfg.d_ffn));
+      each_row([&](std::size_t r) {
+        const std::span<float> hidden = row(s.hidden_, cfg.d_ffn, r);
         apply_activation(cfg.activation, hidden);
         maybe_record(RecordSite::kFc2In, hidden);
         maybe_quantize(ActivationSite::kGeneral, hidden);
       });
-      matvec(layer.w_fc2, all(seq.hidden_, cfg.d_ffn), all(seq.ffn_out_, d));
-      each_row([&](std::size_t t) {
-        kernels().axpy(1.0f, row(seq.ffn_out_, d, t).data(),
-                       row(seq.chunk_x_, d, t).data(), d);
+      matvec(layer.w_fc2, all(s.hidden_, cfg.d_ffn), all(s.ffn_out_, d));
+      each_row([&](std::size_t r) {
+        kernels().axpy(1.0f, row(s.ffn_out_, d, r).data(),
+                       row(s.x_, d, r).data(), d);
       });
     }
   }
-  finish_logits(seq, n - k, k);
-  return seq.logits();
+  finish_logits(members, logit_rows, scratch);
 }
 
 double PreparedModel::fp_weight_fraction() const {

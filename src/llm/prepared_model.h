@@ -3,10 +3,12 @@
 // A PreparedModel is built once per EngineConfig: it quantizes (OWQ or GPTQ)
 // or bf16-rounds every decoder weight, instantiates the norms and the
 // activation quantizers, and records the storage accounting. After
-// construction it is strictly read-only: prefill_chunk() (and step(), its
-// one-row case) is const and touches no member state, so any number of
-// sequences (threads) can decode against one PreparedModel concurrently.
-// All per-sequence mutability lives in SequenceState.
+// construction it is strictly read-only: prefill_group() (and
+// prefill_chunk() / step(), its one-member cases) is const and touches no
+// member state, so any number of threads can run passes against one
+// PreparedModel concurrently. All mutability lives outside it: a
+// sequence's KV, sampler state and logits rows in its SequenceState, a
+// pass's activation rows in the caller's PassScratch.
 #pragma once
 
 #include <cstddef>
@@ -97,6 +99,48 @@ struct EngineConfig {
   [[nodiscard]] std::string label() const;
 };
 
+/// A member's default `logit_rows`: logits for every row.
+inline constexpr std::size_t kAllLogitRows = static_cast<std::size_t>(-1);
+
+/// One member of a group pass (PreparedModel::prefill_group): the sequence,
+/// the known tokens it feeds at its current position, and how many of its
+/// trailing rows get logits (a value above feed.size() means all).
+struct PassMember {
+  SequenceState* seq = nullptr;
+  std::span<const std::size_t> feed;
+  std::size_t logit_rows = kAllLogitRows;
+};
+
+/// The activation rows of one model pass, row-major with one row per fed
+/// token of every member (residuals, layer scratch, the logits rows before
+/// they are copied out to their sequences), plus one attend's scores.
+/// Grow-only: a pass that fits the high-water mark allocates nothing.
+/// Whoever runs passes owns one and never shares it between two passes
+/// running at once: the serving engine holds one per group and sizes them
+/// before its parallel phase; the facade and ModelDrafter hold one each.
+/// Built by PreparedModel::make_scratch().
+class PassScratch {
+ public:
+  /// Grows every buffer to hold a pass of `rows` rows, `logit_rows` of
+  /// which get logits. The only place the buffers grow.
+  void reserve(std::size_t rows, std::size_t logit_rows);
+
+ private:
+  friend class PreparedModel;
+  PassScratch(const ModelConfig& config, std::size_t max_seq_len);
+
+  std::size_t d_model_ = 0;
+  std::size_t d_ffn_ = 0;
+  std::size_t vocab_ = 0;
+  std::vector<float> x_;                   // [rows x d_model] residuals
+  std::vector<float> h_, q_, k_, v_, z_;   // [rows x d_model]
+  std::vector<float> attn_out_, ffn_out_;  // [rows x d_model]
+  std::vector<float> hidden_;              // [rows x d_ffn]
+  std::vector<float> head_in_;             // [logit rows x d_model]
+  std::vector<float> logits_;              // [logit rows x vocab]
+  std::vector<float> scores_, probs_;      // max_seq_len, one attend
+};
+
 class PreparedModel {
  public:
   /// `calibration`, when given, drives OWQ's FP-column selection; otherwise
@@ -109,51 +153,61 @@ class PreparedModel {
   PreparedModel(const SyntheticModel& model, EngineConfig config,
                 const HessianSet& hessians);
 
+  /// The one model pass, over a group of members (distinct sequences, each
+  /// at its own position): per layer, every row of every member is normed
+  /// and quantized, then Wq, Wk and Wv each run ONE multi-row matvec over
+  /// all the group's rows; each member's tokens write their K/V and attend
+  /// in that member's row order; then one Wo call, one fc1 call and one
+  /// fc2 call cover all rows. Last, one embedding matvec computes every
+  /// member's logits rows (final norm, the tied head, then the logit
+  /// scale), which are copied into the members' sequences. So each weight
+  /// matrix runs one matvec call per group, not one per row or per member.
+  ///
+  /// Bits: every row's own arithmetic (and, in quantized kv_modes, every
+  /// block-scale update and read-back) happens in the order a loop of
+  /// one-row passes over that member would produce, an n-row matvec is
+  /// bitwise n one-row calls, and no op reads across members. So each
+  /// member's results — its cache contents and every computed logits row —
+  /// are bitwise identical to a prefill_chunk() of that member alone, and
+  /// to feed.size() step() calls, in every kv_mode.
+  ///
+  /// Member m's position i logits are at m.seq->chunk_logits_row(i) for i
+  /// in [n - logit_rows, n); the other rows' logits are never computed.
+  /// Every member's blocks are acquired up front, all-or-nothing across the
+  /// group (KvPoolExhausted on a dry pool, with no member advanced), unless
+  /// SequenceState::reserve_for() pre-acquired them. `scratch` grows to the
+  /// group's rows unless reserve() already sized it. `recorder`, when
+  /// given, observes activations layer-major, each site's rows in member
+  /// then row order. Const and thread-safe: concurrent calls are fine as
+  /// long as no sequence or scratch is in two calls at once.
+  void prefill_group(std::span<const PassMember> members,
+                     PassScratch& scratch,
+                     ActivationRecorder* recorder = nullptr) const;
+
+  /// The one-member group: feeds `tokens` — the next known tokens at
+  /// `seq`'s current position — with logits for the trailing `logit_rows`
+  /// rows. Returns the final row (seq.logits(), empty when logit_rows is
+  /// 0), so a sampler extending the sequence (llm/sampler.h) reads the same
+  /// handoff whether the frontier was reached by single steps or a chunk.
+  std::span<const float> prefill_chunk(
+      SequenceState& seq, std::span<const std::size_t> tokens,
+      PassScratch& scratch, ActivationRecorder* recorder = nullptr,
+      std::size_t logit_rows = kAllLogitRows) const;
+
   /// One decode step for `seq`: exactly prefill_chunk(seq, {token}), a
   /// one-row chunk. Returns logits over the vocabulary (seq.logits(), the
   /// chunk's only row), valid until the next pass with the same state.
-  /// Const and thread-safe: concurrent calls are fine as long as each
-  /// thread passes a distinct SequenceState.
   std::span<const float> step(SequenceState& seq, std::size_t token,
+                              PassScratch& scratch,
                               ActivationRecorder* recorder = nullptr) const;
 
-  /// prefill_chunk's default `logit_rows`: logits for every row.
-  static constexpr std::size_t kAllLogitRows = static_cast<std::size_t>(-1);
-
-  /// The one model pass: feeds `tokens` — the next known tokens at `seq`'s
-  /// current position — processing the chunk layer by layer with one
-  /// row-batched layer body: per layer, every row is normed and quantized,
-  /// then Wq, Wk and Wv each run ONE multi-row matvec over all the rows,
-  /// each token writes its K/V and attends in row order, then one Wo call,
-  /// one fc1 call and one fc2 call cover all rows. So each weight matrix is
-  /// streamed once per chunk, not once per row. Every row's own arithmetic
-  /// (and, in quantized kv_modes, every block-scale update and read-back)
-  /// happens in the order a loop of one-row passes would produce, and a
-  /// multi-row matvec is bitwise one-row calls, so the results — cache
-  /// contents and every computed logits row — are bitwise identical to
-  /// tokens.size() step() calls in every kv_mode.
-  ///
-  /// `logit_rows` is how many trailing rows get logits (final norm, one
-  /// multi-row embedding matvec, then the logit scale); a value above
-  /// tokens.size() means all rows. Position i's logits are at
-  /// seq.chunk_logits_row(i) for i in [n - logit_rows, n); the other rows'
-  /// logits are never computed. Returns the final row (seq.logits(), empty
-  /// when logit_rows is 0), so a sampler extending the sequence
-  /// (llm/sampler.h) reads the same handoff whether the frontier was
-  /// reached by single steps or a chunk.
-  /// Blocks for the whole chunk are acquired up front (all-or-nothing
-  /// KvPoolExhausted on a dry pool, unless reserve_for() pre-acquired
-  /// them). `recorder`, when given, observes activations layer-major
-  /// (layer 0 for all chunk tokens, then layer 1, ...), each site's rows
-  /// in row order. Const and thread-safe like step().
-  std::span<const float> prefill_chunk(
-      SequenceState& seq, std::span<const std::size_t> tokens,
-      ActivationRecorder* recorder = nullptr,
-      std::size_t logit_rows = kAllLogitRows) const;
+  /// Pass scratch sized for this model and one-row passes; reserve() grows
+  /// it for wider ones.
+  [[nodiscard]] PassScratch make_scratch() const;
 
   /// Fresh per-sequence state sized for this model, owning a private fp32
   /// pool of kv_blocks_per_sequence() blocks (one sequence at
-  /// config().max_seq_len) plus scratch buffers — the batch-of-1 facade.
+  /// config().max_seq_len) — the batch-of-1 facade.
   [[nodiscard]] SequenceState make_sequence() const;
 
   /// Shared-pool variant: the sequence allocates KV blocks from `pool` on
@@ -202,11 +256,13 @@ class PreparedModel {
   void prepare_layers(const CalibrationSet* calibration,
                       const HessianSet* hessians);
   void attend(std::size_t l, SequenceState& seq, std::span<const float> q,
-              std::span<float> z, std::size_t len) const;
-  /// Logits of chunk rows [first, first + count) into the chunk logits
-  /// buffer: final norm, one multi-row embedding matvec, then the scale.
-  void finish_logits(SequenceState& seq, std::size_t first,
-                     std::size_t count) const;
+              std::span<float> z, std::size_t len,
+              PassScratch& scratch) const;
+  /// Every member's logits rows, `count` in all: final norm into the
+  /// head's input rows, one multi-row embedding matvec, the scale, then
+  /// each member's rows copied into its sequence.
+  void finish_logits(std::span<const PassMember> members, std::size_t count,
+                     PassScratch& scratch) const;
   void maybe_quantize(ActivationSite site, std::span<float> v) const;
 
   const SyntheticModel* model_;

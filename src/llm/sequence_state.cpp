@@ -7,14 +7,12 @@ namespace opal {
 SequenceState::SequenceState(const ModelConfig& config,
                              std::size_t max_seq_len, KvBlockPool& pool)
     : max_seq_len_(max_seq_len), n_layers_(config.n_layers),
-      d_model_(config.d_model), d_ffn_(config.d_ffn), vocab_(config.vocab),
+      d_model_(config.d_model), vocab_(config.vocab),
       kv_(pool, config.n_layers, max_seq_len) {
   require(pool.d_model() == config.d_model,
           "SequenceState: pool d_model does not match the model");
   // Sized once so the segment list never allocates mid-decode.
   segments_.reserve(max_seq_len / pool.block_size() + 1);
-  scores_.resize(max_seq_len_);
-  probs_.resize(max_seq_len_);
   grow_chunk(1);  // every one-row pass runs on construction-time storage
 }
 
@@ -97,16 +95,9 @@ void SequenceState::reserve_for(std::size_t n) {
 }
 
 void SequenceState::grow_chunk(std::size_t n) {
-  // Grow-only: chunk buffers keep their high-water capacity across chunks.
-  auto grow = [n](std::vector<float>& buf, std::size_t width) {
-    if (buf.size() < n * width) buf.resize(n * width);
-  };
-  for (auto* buf : {&chunk_x_, &h_, &q_, &k_, &v_, &z_, &attn_out_,
-                    &ffn_out_}) {
-    grow(*buf, d_model_);
-  }
-  grow(hidden_, d_ffn_);
-  grow(chunk_logits_, vocab_);
+  // Grow-only: the logits rows keep their high-water capacity across
+  // chunks.
+  if (chunk_logits_.size() < n * vocab_) chunk_logits_.resize(n * vocab_);
 }
 
 void SequenceState::begin_chunk(std::size_t n, std::size_t logit_rows) {

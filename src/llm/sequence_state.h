@@ -1,7 +1,9 @@
-// Per-sequence mutable decode state: the KV cache plus the scratch buffers
-// one decode step writes through. Cheap to create and reset, so a serving
-// layer can keep one per in-flight request while every sequence shares a
-// single immutable PreparedModel.
+// Per-sequence mutable decode state: the KV cache, the sampler checkpoint
+// and the logits rows of the latest pass. Cheap to create and reset, so a
+// serving layer can keep one per in-flight request while every sequence
+// shares a single immutable PreparedModel. A pass's activation rows are not
+// here: they live in the PassScratch of whoever runs the pass (see
+// prepared_model.h), so one scratch serves a whole group of sequences.
 //
 // The KV backend is always a PagedKvCache. Serving sequences draw its
 // fixed-size blocks from a shared KvBlockPool (fp32, int8 or log2); the
@@ -99,10 +101,12 @@ class SequenceState {
   [[nodiscard]] std::size_t blocks_needed_for(std::size_t n) const {
     return kv_.blocks_needed_for(n);
   }
-  /// Pre-acquires everything an `n`-token pass needs (idempotent): its KV
-  /// blocks and its chunk buffers. Lets a serving layer keep pool mutation
-  /// and heap allocation out of its parallel decode phase, so every buffer
-  /// a pass touches comes from the serial thread's heap, run after run.
+  /// Pre-acquires everything an `n`-token pass needs on this sequence
+  /// (idempotent): its KV blocks and its logits rows. Lets a serving layer
+  /// keep pool mutation and heap allocation out of its parallel decode
+  /// phase, so every buffer a pass touches comes from the serial thread's
+  /// heap, run after run (the pass's activation rows come from a
+  /// PassScratch the caller reserves).
   void reserve_for(std::size_t n);
 
   /// Logits of the most recent pass's final row — chunk_logits_row(
@@ -118,7 +122,7 @@ class SequenceState {
   /// Logits of chunk position `i` (the logits observed after feeding the
   /// chunk's i-th token); valid until the next step()/prefill_chunk() with
   /// this state, and only for the rows that pass computed logits for: the
-  /// last `logit_rows` of its chunk (PreparedModel::prefill_chunk; all rows
+  /// last `logit_rows` of its chunk (PreparedModel::prefill_group; all rows
   /// by default). Throws std::invalid_argument for any other row.
   [[nodiscard]] std::span<const float> chunk_logits_row(std::size_t i) const {
     require(i < chunk_tokens_,
@@ -152,12 +156,11 @@ class SequenceState {
     return segments_;
   }
 
-  /// Grows every n-row chunk buffer (residuals, layer scratch, logits) to
-  /// hold `n` rows. The only place they grow.
+  /// Grows the logits rows to hold `n` rows. The only place they grow.
   void grow_chunk(std::size_t n);
   /// Opens an `n`-token pass whose last `logit_rows` rows get logits,
-  /// growing the chunk buffers unless reserve_for(n) already did
-  /// (PreparedModel::prefill_chunk).
+  /// growing the logits rows unless reserve_for(n) already did
+  /// (PreparedModel::prefill_group).
   void begin_chunk(std::size_t n, std::size_t logit_rows);
 
   void advance_cache_by(std::size_t n) { kv_.advance_by(n); }
@@ -169,7 +172,6 @@ class SequenceState {
   std::size_t max_seq_len_;
   std::size_t n_layers_ = 0;
   std::size_t d_model_ = 0;
-  std::size_t d_ffn_ = 0;
   std::size_t vocab_ = 0;
   SamplerState sampler_state_;
   std::unique_ptr<KvBlockPool> own_pool_;  // facade only; outlives kv_
@@ -187,16 +189,10 @@ class SequenceState {
   std::vector<KvSegment> segments_;  // attend_view scratch
   std::size_t chunk_tokens_ = 0;
   std::size_t chunk_logit_rows_ = 0;
-  // Chunk buffers, row-major with one row per chunk token, grow-only (see
-  // grow_chunk); a pass that fits the high-water mark allocates nothing.
-  std::vector<float> chunk_x_;       // [chunk_tokens x d_model] residuals
+  // The latest pass's logits, row-major with one row per chunk token,
+  // grow-only (see grow_chunk); a pass that fits the high-water mark
+  // allocates nothing.
   std::vector<float> chunk_logits_;  // [chunk_tokens x vocab]
-  std::vector<float> h_, q_, k_, v_, z_;   // [chunk_tokens x d_model]
-  std::vector<float> attn_out_, ffn_out_;  // [chunk_tokens x d_model]
-  std::vector<float> hidden_;              // [chunk_tokens x d_ffn]
-  // Attention scratch, one token's attend at a time (sized at
-  // construction).
-  std::vector<float> scores_, probs_;      // max_seq_len
 };
 
 }  // namespace opal

@@ -57,6 +57,13 @@ ServingEngine::ServingEngine(std::shared_ptr<const PreparedModel> model,
     pool_ = std::make_unique<ThreadPool>(config_.n_threads);
   }
   passes_.resize(config_.max_batch);
+  // One group per executor at most (see ServingConfig::n_threads), each
+  // with its own scratch, sized to the step's rows in reserve_passes().
+  const std::size_t executors = config_.n_threads + 1;
+  for (std::size_t g = 0; g < std::min(executors, config_.max_batch); ++g) {
+    groups_.emplace_back(model_->make_scratch());
+    groups_.back().members.reserve(config_.max_batch);
+  }
   const auto& mcfg = model_->model_config();
   const auto& ecfg = model_->config();
   if (config_.enable_prefix_cache) {
@@ -647,36 +654,85 @@ void ServingEngine::reserve_passes() {
                           ? 0
                           : n - pass.sample_from;
     pass.sampled = 0;
-    if (profiling_) pass.profile.clear();
     if (pass.sample_from != SlotPass::kNoSample) seq.sampler.reserve(vocab);
     seq.state->reserve_for(n);
     if (spec) seq.state->begin_spec_capture(n);
   }
+  plan_groups();
+}
+
+void ServingEngine::plan_groups() {
+  // min(executors, ceil(rows / 4), slots) groups: the AVX2 matvec shares
+  // each weight vector across 4 input rows, so a group under 4 rows streams
+  // its weights for less than a full block. Each group is a contiguous slot
+  // range that grows while it stays within its cumulative share of the
+  // rows (at least one slot, leaving one for every later group; the last
+  // group's share is every row), so commit, the observers and the trace
+  // keep slot order.
+  const std::size_t slots = batch_.size();
+  std::size_t rows = 0;
+  for (std::size_t i = 0; i < slots; ++i) rows += passes_[i].rows;
+  n_groups_ = std::min({groups_.size(), (rows + 3) / 4, slots});
+  std::size_t begin = 0, acc = 0;
+  for (std::size_t g = 0; g < n_groups_; ++g) {
+    PassGroup& group = groups_[g];
+    const std::size_t target = (rows * (g + 1) + n_groups_ - 1) / n_groups_;
+    const std::size_t last = slots - (n_groups_ - 1 - g);  // end's bound
+    std::size_t end = begin;
+    do {
+      acc += passes_[end++].rows;
+    } while (end < last && acc + passes_[end].rows <= target);
+    group.begin = begin;
+    group.end = end;
+    group.rows = 0;
+    group.members.clear();
+    std::size_t logit_rows = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const SlotPass& pass = passes_[i];
+      group.members.push_back(
+          {batch_[i].state.get(), pass.feed, pass.logit_rows});
+      group.rows += pass.rows;
+      logit_rows += pass.logit_rows;
+    }
+    group.scratch.reserve(group.rows, logit_rows);
+    if (profiling_) group.profile.clear();
+    begin = end;
+  }
 }
 
 void ServingEngine::run_passes() {
-  // One prefill_chunk per slot over its planned feed — a one-row decode, a
-  // multi-row chunk (bitwise identical to that many one-row passes) or a
-  // verify burst alike — then the slot's sampling walk over the rows it
-  // produced. Each slot writes only its own Sequence (state, tokens,
-  // sampler) and SlotPass (timing, the profiling samples bound for its
-  // model pass, the sampled count). The pass is timed without the walk, so
-  // dur_us stays the model's time.
-  auto run_slot = [this](std::size_t i) {
-    Sequence& seq = batch_[i];
-    SlotPass& pass = passes_[i];
-    if (profiling_) KernelProfiler::bind_slot(&pass.profile);
+  // One prefill_group per group over its members' planned feeds — one-row
+  // decodes, multi-row chunks and verify bursts alike, each bitwise its
+  // own one-row passes — then each member's sampling walk over the rows it
+  // produced, in slot order. A group writes only its members' Sequence
+  // (state, tokens, sampler) and SlotPass (timing, sampled count) and its
+  // own scratch and profile. The pass is timed without the walks, so
+  // dur_us stays model time: each member's share of the group's time, by
+  // rows, in integers that sum exactly to it.
+  auto run_group = [this](std::size_t g) {
+    PassGroup& group = groups_[g];
+    if (profiling_) KernelProfiler::bind_slot(&group.profile);
     const std::uint64_t t0 = trace_.now_us();
-    model_->prefill_chunk(*seq.state, pass.feed, nullptr, pass.logit_rows);
-    pass.end_us = trace_.now_us();
-    pass.dur_us = pass.end_us - t0;
+    model_->prefill_group(group.members, group.scratch);
+    const std::uint64_t end_us = trace_.now_us();
     if (profiling_) KernelProfiler::bind_slot(nullptr);
-    sample_pass(seq, pass);
+    const std::uint64_t dur = end_us - t0;
+    std::uint64_t before = 0;
+    for (std::size_t i = group.begin; i < group.end; ++i) {
+      SlotPass& pass = passes_[i];
+      const std::uint64_t from = dur * before / group.rows;
+      before += pass.rows;
+      pass.end_us = end_us;
+      pass.dur_us = dur * before / group.rows - from;
+    }
+    for (std::size_t i = group.begin; i < group.end; ++i) {
+      sample_pass(batch_[i], passes_[i]);
+    }
   };
   if (pool_ != nullptr) {
-    pool_->parallel_for(batch_.size(), run_slot);
+    pool_->parallel_for(n_groups_, run_group);
   } else {
-    for (std::size_t i = 0; i < batch_.size(); ++i) run_slot(i);
+    for (std::size_t g = 0; g < n_groups_; ++g) run_group(g);
   }
 }
 
@@ -692,6 +748,11 @@ std::size_t ServingEngine::commit(std::uint64_t step_t0_us) {
   for (std::size_t i = 0; i < decoded; ++i) {
     rows_fed_total += passes_[i].rows;
     commit_slot(batch_[i], passes_[i], now_tp);
+  }
+  if (profiling_) {
+    for (std::size_t g = 0; g < n_groups_; ++g) {
+      profile_total_.merge(groups_[g].profile);
+    }
   }
   notify_observers(decoded);
 
@@ -803,7 +864,6 @@ void ServingEngine::commit_slot(Sequence& seq, SlotPass& pass,
   prio.tokens_served += committed;
   em_.tokens_committed->add(committed);
   scheduler_->on_served(seq.id, committed);
-  if (profiling_) profile_total_.merge(pass.profile);
 
   const auto to_ms = [](std::chrono::steady_clock::duration d) {
     return std::chrono::duration<double, std::milli>(d).count();

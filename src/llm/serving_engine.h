@@ -13,16 +13,22 @@
 // and the only per-slot state of the step:
 //   * plan() (serial) retires and evicts, admits, sets each slot's budget
 //     and drafts, resolves pool pressure, then reserves every KV block the
-//     step writes and types each pass (its feed, and the rows the sampling
-//     walk reads). It is the only phase that touches the KV pool or sizes a
-//     buffer the parallel pass writes (KV blocks, sampler scratch).
-//   * run_passes() runs, per slot, one PreparedModel::prefill_chunk and
-//     then the sampling walk over the rows it produced — the request's own
-//     sampler, RNG stream, tokens and stop check — fanned out across a
-//     thread pool when n_threads > 0. It touches neither the pool nor
-//     engine-wide state and allocates nothing; PreparedModel is const and
-//     each slot writes only its own Sequence and SlotPass, so results are
-//     bitwise identical to the serial schedule.
+//     step writes, types each pass (its feed, and the rows the sampling
+//     walk reads) and splits the batch into pass groups: contiguous slot
+//     ranges balanced by rows (see ServingConfig::n_threads). It is the
+//     only phase that touches the KV pool or sizes a buffer the parallel
+//     pass writes (KV blocks, logits rows, each group's PassScratch,
+//     sampler scratch).
+//   * run_passes() runs, per group, one PreparedModel::prefill_group over
+//     its members — so each weight matrix is streamed once per group, not
+//     once per slot — and then each member's sampling walk over the rows
+//     its pass produced, in slot order: the request's own sampler, RNG
+//     stream, tokens and stop check. Groups fan out across a thread pool
+//     when n_threads > 0. It touches neither the pool nor engine-wide state
+//     and allocates nothing; PreparedModel is const, a group pass is
+//     bitwise each member's pass alone, and each group writes only its own
+//     members' Sequence and SlotPass and its own scratch and profile, so
+//     results are bitwise identical to the serial schedule.
 //   * commit() (serial) applies the outcome, per slot: speculative
 //     rollback, fed counters, Stats and Scheduler::on_served, histograms
 //     and the trace; then the observers, the only user code a step calls;
@@ -56,9 +62,9 @@
 // request; policies only reorder who gets them first.
 //
 // Chunked prefill (ServingConfig::prefill_chunk_tokens > 1): sequences
-// with multiple known tokens feed them through
-// PreparedModel::prefill_chunk — one multi-token pass per step, bitwise
-// identical to that many single steps in every kv_mode — so a long prompt
+// with multiple known tokens feed them as one multi-row member of the
+// step's group pass (PreparedModel::prefill_group), bitwise identical to
+// that many single steps in every kv_mode — so a long prompt
 // reaches its first generated token in prompt/chunk steps instead of
 // prompt steps, and short requests interleave with it instead of waiting
 // behind a token-by-token prefill. The logits observer still fires once
@@ -82,9 +88,9 @@
 //
 // Speculative decoding (ServingConfig::speculative, see drafter.h): a
 // per-request Drafter proposes k continuation tokens for a sequence at its
-// generation frontier; the engine feeds [frontier, d1..dk] through
-// prefill_chunk as one verify burst — block reservation covers all k+1 rows
-// up front — and then walks the per-row logits in order, running the
+// generation frontier; the engine feeds [frontier, d1..dk] as one
+// multi-row group member, a verify burst — block reservation covers all
+// k+1 rows up front — and then walks the per-row logits in order, running the
 // request's own sampler on each row (one draw per generated token, exactly
 // the non-speculative discipline). Each sampled token is committed
 // unconditionally; the burst continues only while the sample matches the
@@ -155,10 +161,11 @@
 //     itl_ms / step_ms / decode_ms / prefill_chunk_ms / spec_verify_ms)
 //     with p50/p95/p99 extraction — TTFT and inter-token latency are
 //     measured per sampled token, step_ms per decoding step, and each
-//     model pass lands in the histogram of its kind (SlotPass::kind):
-//     decode_ms holds one-row passes of the frontier token, prefill_chunk_ms
-//     every other prompt or replay feed (one row or many), spec_verify_ms
-//     verify bursts.
+//     slot's model pass lands in the histogram of its kind
+//     (SlotPass::kind): decode_ms holds one-row passes of the frontier
+//     token, prefill_chunk_ms every other prompt or replay feed (one row or
+//     many), spec_verify_ms verify bursts. A slot's pass time is its share
+//     of its group pass, apportioned by rows (SlotPass::dur_us).
 // The rest are plain counts their owners keep, which metrics() copies into
 // the snapshot when it is called: serving.steps and the serving.running /
 // serving.queued gauges from the engine's step counter and queues;
@@ -178,9 +185,9 @@
 // control flow, so an instrumented run is bitwise identical to an
 // uninstrumented one — metrics are always on (cheap integer bumps and a
 // handful of clock reads per step), tracing is opt-in and costs one
-// predictable branch per event when off. run_passes() times each pass
-// into its SlotPass and commit() observes it, so the registry needs no
-// synchronization (see metrics.h).
+// predictable branch per event when off. run_passes() times each group
+// pass into its members' SlotPasses and commit() observes them, so the
+// registry needs no synchronization (see metrics.h).
 #pragma once
 
 #include <chrono>
@@ -258,6 +265,17 @@ struct ServingConfig {
   /// the calling thread. The calling thread also runs passes while the
   /// workers do (ThreadPool::parallel_for), so n_threads workers give
   /// n_threads + 1 executors.
+  ///
+  /// Each step splits the batch into groups, contiguous slot ranges
+  /// balanced by rows, and runs one group pass per group (each weight
+  /// matrix streamed once for all its rows): min(executors,
+  /// ceil(rows / 4), slots) groups, since the AVX2 matvec body shares each
+  /// weight vector across blocks of 4 input rows. So n_threads 0 runs one
+  /// group of every slot, and 8 one-row decodes on n_threads 2 run as 2
+  /// groups of 4 while the third executor idles. On a 4-vCPU x86 host that
+  /// served servebench's decode-batch ~15% more output tok/s than one
+  /// group per executor (a 3/3/2 split; 6 of 6 alternating pairs).
+  /// Grouping never changes a bit.
   std::size_t n_threads = 0;
   /// The engine's KV pool size in blocks: 0 sizes it for max_batch
   /// sequences at full max_seq_len (no preemption possible — the
@@ -276,10 +294,10 @@ struct ServingConfig {
   /// Upper bound on tokens one sequence may process in one step (its
   /// prefill chunk). 1 (the default) reproduces single-token stepping
   /// decision-for-decision; larger values let prompts prefill in
-  /// multi-token chunks (PreparedModel::prefill_chunk — bitwise identical
-  /// results in every kv_mode and fewer steps; each weight matrix runs one
-  /// multi-row matvec per chunk, and prompt rows nobody samples from skip
-  /// the vocab GEMV).
+  /// multi-token chunks (multi-row members of a group pass — bitwise
+  /// identical results in every kv_mode and fewer steps; each weight matrix
+  /// runs one multi-row matvec per group, and prompt rows nobody samples
+  /// from skip the vocab GEMV).
   std::size_t prefill_chunk_tokens = 1;
   /// Speculative multi-token decoding (see drafter.h and the header
   /// comment): when enabled(), sequences at their generation frontier
@@ -466,7 +484,7 @@ class ServingEngine {
   [[nodiscard]] bool profiling() const { return profiling_; }
   /// The run's accumulated kernel/layer profile: per-kernel-kind
   /// call/element/wall-clock counts and per-layer phase timings, merged
-  /// from each pass's SlotPass::profile in commit(). All zero unless
+  /// from each group pass's profile in commit(). All zero unless
   /// profiling(). Serial-phase only, like stats().
   [[nodiscard]] const KernelProfile& profile() const {
     return profile_total_;
@@ -634,9 +652,12 @@ class ServingEngine {
     /// Trailing rows whose logits the pass computes: all of them for a
     /// logits observer, else those from sample_from on.
     std::size_t logit_rows = 0;
-    // Written by run_passes() (each slot its own), read by commit().
-    KernelProfile profile;  // this pass's kernel samples when profiling
-    std::uint64_t end_us = 0;  // model pass only, not the sampling walk
+    // Written by run_passes() (each group its members'), read by commit().
+    /// When the group pass holding this slot ended (the model pass only,
+    /// not the sampling walks).
+    std::uint64_t end_us = 0;
+    /// This slot's share of its group pass's duration, apportioned by rows
+    /// in integers: the members' shares sum exactly to the group's time.
     std::uint64_t dur_us = 0;
     /// Tokens the sampling walk appended (the tail of the request's
     /// tokens).
@@ -648,6 +669,19 @@ class ServingEngine {
     }
   };
 
+  /// One group pass of a step: the slots [begin, end) of batch_ and
+  /// passes_, run as one PreparedModel::prefill_group. groups_[g] belongs
+  /// to one executor from plan() through run_passes().
+  struct PassGroup {
+    explicit PassGroup(PassScratch s) : scratch(std::move(s)) {}
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t rows = 0;  // fed by all members
+    std::vector<PassMember> members;  // one per slot, reserved max_batch
+    PassScratch scratch;  // sized in reserve_passes()
+    KernelProfile profile;  // the group pass's samples when profiling
+  };
+
   // The step phases (see the header comment). plan() returns false when
   // nothing runs this step: an empty batch.
   bool plan();
@@ -655,6 +689,9 @@ class ServingEngine {
   void plan_budgets();
   void plan_drafts(Sequence& seq, SlotPass& pass);
   void reserve_passes();
+  /// Splits the batch into groups_ (see ServingConfig::n_threads) and
+  /// sizes each group's scratch.
+  void plan_groups();
   void run_passes();
   /// Returns the number of sequences decoded.
   std::size_t commit(std::uint64_t step_t0_us);
@@ -721,7 +758,7 @@ class ServingEngine {
   std::uint64_t drafter_calls_ = 0;
   std::uint64_t drafter_proposed_ = 0;
   bool profiling_ = false;
-  /// The run total each SlotPass::profile merges into in commit().
+  /// The run total each PassGroup::profile merges into in commit().
   KernelProfile profile_total_;
   std::size_t kv_row_bytes_ = 0;  // KV bytes one fed row writes (all layers)
   std::shared_ptr<Scheduler> scheduler_;
@@ -733,6 +770,10 @@ class ServingEngine {
   std::deque<Sequence> queue_;
   std::vector<Sequence> batch_;
   std::vector<SlotPass> passes_;           // max_batch, reused every step
+  /// One per executor (at most max_batch), reused every step; the first
+  /// n_groups_ run this step.
+  std::vector<PassGroup> groups_;
+  std::size_t n_groups_ = 0;
   std::vector<std::size_t> blocked_;       // admission candidates w/o blocks
   std::vector<SchedRequest> views_;        // scheduler-snapshot scratch
   std::vector<std::size_t> sched_budgets_;  // plan_budgets() output scratch

@@ -264,9 +264,10 @@ TEST(Engine, PrefillMatchesStepByStep) {
 TEST(Engine, StepIsAOneRowChunk) {
   const PreparedModel model(tiny_model(), EngineConfig{});
   SequenceState state = model.make_sequence();
+  PassScratch scratch = model.make_scratch();
   EXPECT_TRUE(state.logits().empty());  // no pass yet
   for (const std::size_t token : {3u, 1u, 4u}) {
-    const auto returned = model.step(state, token);
+    const auto returned = model.step(state, token, scratch);
     ASSERT_EQ(state.chunk_tokens(), 1u);
     const auto row = state.chunk_logits_row(0);
     const auto logits = state.logits();

@@ -5,14 +5,18 @@
 // per request and one inter-token sample per non-first generated token.
 // Subsystem counts are the subsystem's own: drafter.* holds for a custom
 // drafter that counts nothing, and every engine on a shared pool reports
-// the pool's lifetime traffic.
+// the pool's lifetime traffic. A group pass streams each weight once for
+// all its members and apportions its time to them by rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/kernel_profiler.h"
 #include "eval/schemes.h"
 #include "llm/drafter.h"
 #include "llm/scheduler.h"
@@ -238,6 +242,129 @@ TEST(Observability, LatencyHistogramCountsExact) {
   EXPECT_GT(step->count, 0u);
   EXPECT_GE(ttft->p99, ttft->p50);
   EXPECT_GT(step->max, 0.0);
+}
+
+// --- a group pass streams each weight once and apportions its time ---
+
+TEST(Observability, GroupPassesShareWeightPassesAndApportionTime) {
+  // Eight one-row decodes on two workers: every step runs two group
+  // passes of four slots (ServingConfig::n_threads), so the profile counts
+  // 6L+1 matvec calls (six weight matrices per layer plus the tied head)
+  // per group, not per slot.
+  const auto model = prepared(KvQuantMode::kLog2);
+  ServingConfig cfg;
+  cfg.max_batch = 8;
+  cfg.n_threads = 2;
+  const auto requests = [] {
+    std::vector<Request> out;
+    for (std::size_t r = 0; r < 8; ++r) {
+      Request req;
+      req.prompt = {(r * 7 + 2) % 64};
+      req.max_new_tokens = 6;
+      req.sampling.policy = SamplePolicy::kTopP;
+      req.sampling.top_p = 0.9f;
+      req.sampling.seed = 40 + r;
+      out.push_back(std::move(req));
+    }
+    return out;
+  }();
+  const auto run = [&](ServingConfig c) {
+    auto engine = std::make_unique<ServingEngine>(model, c);
+    for (const Request& req : requests) engine->submit(req);
+    engine->run();
+    return engine;
+  };
+  const auto silent = run(cfg);
+  ServingConfig observed_cfg = cfg;
+  observed_cfg.profile = true;
+  observed_cfg.trace = true;
+  const auto observed = run(observed_cfg);
+  for (RequestId id = 1; id <= 8; ++id) {
+    EXPECT_EQ(observed->result(id).tokens, silent->result(id).tokens);
+  }
+
+  const std::size_t layers = tiny_config().n_layers;
+  const std::size_t steps = observed->stats().tokens_decoded / 8;
+  ASSERT_EQ(steps, 6u);  // every step decoded all eight slots
+  const KernelStat& mv =
+      observed->profile().kernels[static_cast<std::size_t>(
+          KernelKind::kMatvec)];
+  EXPECT_EQ(mv.calls, steps * 2 * (6 * layers + 1));
+
+  // Each step's eight pass events, in slot order: two groups of four,
+  // each group's members ending together, with shares of one-row members
+  // at most 1 us apart that sum to no more than the step.
+  std::vector<TraceEvent> passes;
+  for (const TraceEvent& e : observed->tracer().events()) {
+    if (e.kind == TraceEventKind::kDecode) {
+      passes.push_back(e);
+      continue;
+    }
+    if (e.kind != TraceEventKind::kStep) continue;
+    ASSERT_EQ(passes.size(), 8u) << "step " << e.step;
+    std::uint64_t total = 0;
+    for (std::size_t g = 0; g < 2; ++g) {
+      std::uint64_t lo = passes[4 * g].dur_us, hi = lo;
+      for (std::size_t i = 4 * g; i < 4 * g + 4; ++i) {
+        EXPECT_EQ(passes[i].ts_us, passes[4 * g].ts_us) << "step " << e.step;
+        lo = std::min(lo, passes[i].dur_us);
+        hi = std::max(hi, passes[i].dur_us);
+        total += passes[i].dur_us;
+      }
+      EXPECT_LE(hi - lo, 1u) << "step " << e.step << " group " << g;
+    }
+    EXPECT_LE(total, 2 * e.dur_us) << "step " << e.step;
+    passes.clear();
+  }
+}
+
+TEST(Observability, OneGroupApportionsTimeByRows) {
+  // Serial (one group of every slot) with chunked prefill: members of
+  // different widths share one group pass, and each gets the floor-
+  // cumulative share of its rows: |share * R - D * rows| < R over the
+  // group's R rows and D microseconds (the shares' sum, which fits in the
+  // step).
+  const auto model = prepared(KvQuantMode::kInt8);
+  ServingConfig cfg;
+  cfg.max_batch = 4;
+  cfg.prefill_chunk_tokens = 4;
+  cfg.trace = true;
+  ServingEngine engine(model, cfg);
+  for (const std::size_t len : {1, 6, 11, 3}) {
+    Request req;
+    for (std::size_t i = 0; i < len; ++i) req.prompt.push_back(i * 5 % 64);
+    req.max_new_tokens = 5;
+    engine.submit(std::move(req));
+  }
+  engine.run();
+  std::vector<TraceEvent> passes;
+  std::size_t mixed_steps = 0;
+  for (const TraceEvent& e : engine.tracer().events()) {
+    if (e.kind == TraceEventKind::kDecode || e.kind == TraceEventKind::kChunk ||
+        e.kind == TraceEventKind::kSpecBurst) {
+      passes.push_back(e);
+      continue;
+    }
+    if (e.kind != TraceEventKind::kStep || passes.empty()) continue;
+    std::uint64_t rows = 0, dur = 0;
+    bool mixed = false;
+    for (const TraceEvent& p : passes) {
+      EXPECT_EQ(p.ts_us, passes.front().ts_us) << "step " << e.step;
+      rows += p.a;
+      dur += p.dur_us;
+      mixed = mixed || p.a != passes.front().a;
+    }
+    EXPECT_LE(dur, e.dur_us) << "step " << e.step;
+    for (const TraceEvent& p : passes) {
+      const auto share = static_cast<double>(p.dur_us * rows);
+      const auto exact = static_cast<double>(dur * p.a);
+      EXPECT_LT(std::abs(share - exact), static_cast<double>(rows))
+          << "step " << e.step;
+    }
+    mixed_steps += mixed;
+    passes.clear();
+  }
+  EXPECT_GT(mixed_steps, 0u);
 }
 
 // --- scheduler policy swap leaves outputs alone, counters follow policy ---

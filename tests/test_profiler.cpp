@@ -187,12 +187,13 @@ TEST(Profiler, CountsMatchHandCountedInvocations) {
   const std::size_t H = mc.n_heads;
   const std::size_t d = mc.d_model;
   const auto model = prepared(KvQuantMode::kFp32);
+  PassScratch scratch = model->make_scratch();
 
   SequenceState silent_seq = model->make_sequence();
   std::vector<std::vector<float>> silent_logits;
   for (const std::size_t tok : {std::size_t{3}, std::size_t{17},
                                 std::size_t{42}}) {
-    const auto out = model->step(silent_seq, tok);
+    const auto out = model->step(silent_seq, tok, scratch);
     silent_logits.emplace_back(out.begin(), out.end());
   }
 
@@ -203,7 +204,7 @@ TEST(Profiler, CountsMatchHandCountedInvocations) {
   std::vector<std::vector<float>> logits;
   for (const std::size_t tok : {std::size_t{3}, std::size_t{17},
                                 std::size_t{42}}) {
-    const auto out = model->step(seq, tok);
+    const auto out = model->step(seq, tok, scratch);
     logits.emplace_back(out.begin(), out.end());
   }
   KernelProfiler::bind_slot(nullptr);
@@ -265,16 +266,17 @@ TEST(Profiler, ChunkCountsMatchHandCountedInvocations) {
   const std::size_t d = mc.d_model;
   const auto model = prepared(KvQuantMode::kFp32);
   const std::vector<std::size_t> tokens = {3, 17, 42};
+  PassScratch scratch = model->make_scratch();
 
   SequenceState silent_seq = model->make_sequence();
-  const auto silent = model->prefill_chunk(silent_seq, tokens, nullptr, 1);
+  const auto silent = model->prefill_chunk(silent_seq, tokens, scratch, nullptr, 1);
   const std::vector<float> silent_logits(silent.begin(), silent.end());
 
   KernelProfile prof;
   KernelProfiler::enable();
   KernelProfiler::bind_slot(&prof);
   SequenceState seq = model->make_sequence();
-  const auto out = model->prefill_chunk(seq, tokens, nullptr, 1);
+  const auto out = model->prefill_chunk(seq, tokens, scratch, nullptr, 1);
   const std::vector<float> logits(out.begin(), out.end());
   KernelProfiler::bind_slot(nullptr);
   KernelProfiler::disable();

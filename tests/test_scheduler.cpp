@@ -119,12 +119,13 @@ TEST(PrefillChunk, MatchesTokenByTokenBitwise_AllKvModes) {
        {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
     const PreparedModel model(tiny_model(), engine_config(mode));
     auto pool = model.make_kv_pool(2.0);
+    PassScratch scratch = model.make_scratch();
 
     // Reference: 19 single steps, logits copied per position.
     SequenceState ref = model.make_sequence(pool);
     std::vector<std::vector<float>> ref_logits;
     for (const std::size_t token : tokens) {
-      const auto logits = model.step(ref, token);
+      const auto logits = model.step(ref, token, scratch);
       ref_logits.emplace_back(logits.begin(), logits.end());
     }
 
@@ -134,7 +135,8 @@ TEST(PrefillChunk, MatchesTokenByTokenBitwise_AllKvModes) {
     std::size_t fed = 0;
     for (const std::size_t n : cuts) {
       const auto last = model.prefill_chunk(
-          chunked, std::span<const std::size_t>(tokens).subspan(fed, n));
+          chunked, std::span<const std::size_t>(tokens).subspan(fed, n),
+          scratch);
       ASSERT_EQ(chunked.chunk_tokens(), n);
       for (std::size_t j = 0; j < n; ++j) {
         const auto row = chunked.chunk_logits_row(j);
@@ -154,14 +156,15 @@ TEST(PrefillChunk, MatchesTokenByTokenBitwise_AllKvModes) {
 TEST(PrefillChunk, WholePromptInOneChunkMatchesOnPrivatePool) {
   const auto tokens = prompt_tokens(13);
   const PreparedModel model(tiny_model(), engine_config(KvQuantMode::kFp32));
+  PassScratch scratch = model.make_scratch();
   SequenceState ref = model.make_sequence();  // facade's private pool
   std::vector<std::vector<float>> ref_logits;
   for (const std::size_t token : tokens) {
-    const auto logits = model.step(ref, token);
+    const auto logits = model.step(ref, token, scratch);
     ref_logits.emplace_back(logits.begin(), logits.end());
   }
   SequenceState chunked = model.make_sequence();
-  model.prefill_chunk(chunked, tokens);
+  model.prefill_chunk(chunked, tokens, scratch);
   for (std::size_t j = 0; j < tokens.size(); ++j) {
     const auto row = chunked.chunk_logits_row(j);
     EXPECT_EQ(ref_logits[j], std::vector<float>(row.begin(), row.end()))
@@ -182,25 +185,26 @@ TEST(PrefillChunk, TrailingLogitRowsMatchAllRowsAndSteps_AllKvModes) {
        {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
     const PreparedModel model(tiny_model(), engine_config(mode));
     auto pool = model.make_kv_pool(3.0);
+    PassScratch scratch = model.make_scratch();
     SequenceState ref = model.make_sequence(pool);
     std::vector<std::vector<float>> step_logits;
     for (const std::size_t token : tokens) {
-      const auto logits = model.step(ref, token);
+      const auto logits = model.step(ref, token, scratch);
       step_logits.emplace_back(logits.begin(), logits.end());
     }
-    const auto ref_next = model.step(ref, next);
+    const auto ref_next = model.step(ref, next, scratch);
     const std::vector<float> want_next(ref_next.begin(), ref_next.end());
 
     SequenceState all_rows = model.make_sequence(pool);
-    model.prefill_chunk(all_rows, first);
-    model.prefill_chunk(all_rows, chunk);
+    model.prefill_chunk(all_rows, first, scratch);
+    model.prefill_chunk(all_rows, chunk, scratch);
 
     for (const std::size_t k : {std::size_t{0}, std::size_t{1}, n}) {
       const std::string what =
           to_string(mode) + " logit_rows=" + std::to_string(k);
       SequenceState seq = model.make_sequence(pool);
-      model.prefill_chunk(seq, first);
-      const auto last = model.prefill_chunk(seq, chunk, nullptr, k);
+      model.prefill_chunk(seq, first, scratch);
+      const auto last = model.prefill_chunk(seq, chunk, scratch, nullptr, k);
       ASSERT_EQ(seq.chunk_tokens(), n) << what;
       for (std::size_t j = 0; j < n; ++j) {
         if (j + k < n) {
@@ -224,7 +228,7 @@ TEST(PrefillChunk, TrailingLogitRowsMatchAllRowsAndSteps_AllKvModes) {
             << what;
       }
       // Skipping logits leaves the KV cache exactly as the steps left it.
-      const auto after = model.step(seq, next);
+      const auto after = model.step(seq, next, scratch);
       EXPECT_EQ(std::vector<float>(after.begin(), after.end()), want_next)
           << what;
     }

@@ -133,6 +133,47 @@ TEST(ServingEngine, ThreadPoolDecodeIsBitwiseDeterministic) {
   cfg.max_seq_len = 32;
   auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
   run_equivalence(model, scfg(4, 3), "bf16 batch=4 threads=3");
+
+  // Log2 KV with seeded top-p, as servebench's decode-batch serves it:
+  // every batch width and thread count splits the batch into different
+  // pass groups, and every split must serve the streams of a batch of one.
+  EngineConfig log2_cfg;
+  log2_cfg.max_seq_len = 32;
+  log2_cfg.kv_block_size = 4;
+  log2_cfg.kv_mode = KvQuantMode::kLog2;
+  auto log2_model =
+      std::make_shared<const PreparedModel>(tiny_model(), log2_cfg);
+  std::vector<Request> requests;
+  for (std::size_t r = 0; r < 11; ++r) {
+    Request req;
+    for (std::size_t i = 0; i < 1 + (r * 5) % 9; ++i) {
+      req.prompt.push_back((r * 17 + i * 7 + 1) % 64);
+    }
+    req.max_new_tokens = 3 + (r * 7) % 11;
+    req.sampling.policy = SamplePolicy::kTopP;
+    req.sampling.temperature = 0.9f;
+    req.sampling.top_p = 0.9f;
+    req.sampling.seed = 100 + r;
+    requests.push_back(std::move(req));
+  }
+  const auto streams = [&](std::size_t max_batch, std::size_t n_threads) {
+    ServingConfig c = scfg(max_batch, n_threads);
+    c.prefill_chunk_tokens = 4;  // chunks and decodes share groups
+    ServingEngine engine(log2_model, c);
+    std::vector<RequestId> ids;
+    for (const Request& req : requests) ids.push_back(engine.submit(req));
+    engine.run();
+    std::vector<std::vector<std::size_t>> out;
+    for (const RequestId id : ids) out.push_back(engine.result(id).tokens);
+    return out;
+  };
+  const auto solo = streams(1, 0);
+  for (std::size_t max_batch = 1; max_batch <= 8; ++max_batch) {
+    for (std::size_t n_threads = 0; n_threads <= 3; ++n_threads) {
+      EXPECT_EQ(streams(max_batch, n_threads), solo)
+          << "log2 top-p batch=" << max_batch << " threads=" << n_threads;
+    }
+  }
 }
 
 TEST(ServingEngine, PreemptTruncateReplayMatchesUninterrupted) {
