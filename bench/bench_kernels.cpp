@@ -1,15 +1,16 @@
 // Kernel-layer micro bench: scalar reference vs the runtime-dispatched SIMD
 // table (common/kernels.h) on the serving hot path's shapes — GEMV, the
-// attention score kernel and its fused dequantize twins per kv_mode, and
-// attention score/accumulate over realistic block-segment shapes — plus the
-// dispatched table's row-blocking, multi-row and served-shape grouping
-// matvec ratios. Every timed
-// number is a same-process ratio: the median over 15 repeats of two loops
-// timed back to back, so host speed cancels out. Absolute kernel rates are
+// attention score kernel and its fused dequantize twins per kv_mode,
+// attention score/accumulate over realistic block-segment shapes, and the
+// MX-OPAL activation fake-quant — plus the dispatched table's row-blocking,
+// multi-row and served-shape grouping matvec ratios. Every timed number is
+// a same-process ratio: the median over 15 repeats of two loops timed back
+// to back, so host speed cancels out. Absolute kernel rates are
 // servebench's (kernel.matvec.gmac_per_s and ns_per_call, --trace 1).
 // Persisted as BENCH_kernels.json (path = argv[1], default
 // ./BENCH_kernels.json): the dispatch table's name, the parity verdict,
-// scalar-over-dispatched ratios per kernel, and the three matvec ratios.
+// scalar-over-dispatched ratios per kernel, the three matvec ratios and
+// the mx_quantize gate ratio.
 //
 // Asserted (exit 1): every dispatched kernel matches the scalar reference
 // within reduction-reorder tolerance; the fused dequant score kernels match
@@ -20,11 +21,17 @@
 // 256x128 weights at least 1.2x the time of one 16-input-row call
 // (matvec_multirow_over_rowwise), and 8 one-row walks over the served
 // model's 25 weight matrices at least 1.5x the time of 2 four-row walks
-// (matvec_group4_over_rowwise).
+// (matvec_group4_over_rowwise); the dispatched mx_quantize matches the
+// scalar table by memcmp, and on AVX2 the scalar table takes at least 2x
+// the time of the dispatched one on both served MX shapes
+// (mx_quantize_over_scalar, the lower of mx_quantize_128_a4 and
+// mx_quantize_256_a7).
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -128,8 +135,27 @@ int main(int argc, char** argv) {
       check(got == want,
             "fused log2 dequant-scores bitwise == decode-then-attend_scores");
     }
-    std::printf("parity: dispatched-vs-scalar tolerance and fused-vs-decoded "
-                "bitwise checks %s\n\n",
+    // MX fake-quant is exact in every table: 16 rows of 256 at A4 and A7,
+    // both roundings, over arbitrary bit patterns (NaN, inf, subnormals).
+    std::vector<float> mx_in(16 * 256);
+    for (float& x : mx_in) {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      x = std::bit_cast<float>(static_cast<std::uint32_t>(lcg >> 32));
+    }
+    std::vector<float> mx_got(mx_in.size()), mx_want(mx_in.size());
+    for (const int bits : {4, 7}) {
+      for (const bool truncate : {false, true}) {
+        dispatched.mx_quantize(mx_in.data(), 16, 256, 128, bits, 4, truncate,
+                               mx_got.data());
+        scalar.mx_quantize(mx_in.data(), 16, 256, 128, bits, 4, truncate,
+                           mx_want.data());
+        check(std::memcmp(mx_got.data(), mx_want.data(),
+                          mx_in.size() * sizeof(float)) == 0,
+              "dispatched mx_quantize bitwise == scalar");
+      }
+    }
+    std::printf("parity: dispatched-vs-scalar tolerance, fused-vs-decoded and "
+                "mx_quantize bitwise checks %s\n\n",
                 g_ok ? "PASS" : "FAIL");
   }
 
@@ -142,6 +168,7 @@ int main(int argc, char** argv) {
                                       [&] { run(dispatched); }, iters);
     std::printf("%-26s %8.2fx\n", name.c_str(), ratio);
     speedups.emplace_back(std::move(name), ratio);
+    return ratio;
   };
 
   // GEMV: the wo projection of a d_model=512 model, then the shapes
@@ -240,6 +267,37 @@ int main(int argc, char** argv) {
             g_sink += z[0];
           },
           50);
+
+  // MX-OPAL fake-quant (k 128, 4 outliers) over 16 served rows: the
+  // low-precision site (A4, d_model 128) and the fc1 output (A7, d_ffn
+  // 256, two blocks a row), activation-like: two 24x outliers a block.
+  auto mx_rows = [](std::size_t width) {
+    std::vector<float> v = rand_vec(16 * width);
+    for (std::size_t b = 0; b < v.size(); b += 128) {
+      v[b + 17] *= 24.0f;
+      v[b + 90] *= 24.0f;
+    }
+    return v;
+  };
+  const auto mx_in_128 = mx_rows(128), mx_in_256 = mx_rows(256);
+  std::vector<float> mx_out(16 * 256);
+  const double mx_128_a4 = speedup(
+      "mx_quantize_128_a4",
+      [&](const KernelOps& ops) {
+        ops.mx_quantize(mx_in_128.data(), 16, 128, 128, 4, 4, false,
+                        mx_out.data());
+        g_sink += mx_out[0];
+      },
+      200);
+  const double mx_256_a7 = speedup(
+      "mx_quantize_256_a7",
+      [&](const KernelOps& ops) {
+        ops.mx_quantize(mx_in_256.data(), 16, 256, 128, 7, 4, false,
+                        mx_out.data());
+        g_sink += mx_out[0];
+      },
+      100);
+  const double mx_over_scalar = std::min(mx_128_a4, mx_256_a7);
 
   // --- dispatched-table ratios -----------------------------------------------
   // Row blocking: 128 one-row matvec calls over 128x128 weights against one
@@ -346,6 +404,9 @@ int main(int argc, char** argv) {
     // stream it 8 times.
     check(group4_over_rowwise >= 1.5,
           "AVX2 matvec_group4_over_rowwise >= 1.5");
+    // The vector selection and branch-free shifter against the scalar
+    // block kernel, the lower of the two served shapes.
+    check(mx_over_scalar >= 2.0, "AVX2 mx_quantize_over_scalar >= 2.0");
   }
 
   // --- persist --------------------------------------------------------------
@@ -367,7 +428,8 @@ int main(int argc, char** argv) {
        << "  \"matvec_multirow_over_rowwise\": " << multirow_over_rowwise
        << ",\n"
        << "  \"matvec_group4_over_rowwise\": " << group4_over_rowwise
-       << "\n}\n";
+       << ",\n"
+       << "  \"mx_quantize_over_scalar\": " << mx_over_scalar << "\n}\n";
   std::printf("\nwrote %s\n", path.c_str());
 
   if (g_ok) {
@@ -382,6 +444,8 @@ int main(int argc, char** argv) {
     std::printf("PASS: matvec_group4_over_rowwise %.2f (%s)\n",
                 group4_over_rowwise,
                 gate_blocking ? ">= 1.5 on avx2" : "not gated on this table");
+    std::printf("PASS: mx_quantize_over_scalar %.2f (%s)\n", mx_over_scalar,
+                gate_blocking ? ">= 2.0 on avx2" : "not gated on this table");
     return 0;
   }
   return 1;

@@ -129,6 +129,19 @@ void prof_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
   record(KernelKind::kDequantAccumLog2, rows * d_head, now_ns() - t0);
 }
 
+void prof_mx_quantize(const float* in, std::size_t n, std::size_t width,
+                      std::size_t block_size, int bits, std::size_t outliers,
+                      bool truncate, float* out) {
+  if (t_slot == nullptr) {
+    return g_underlying->mx_quantize(in, n, width, block_size, bits, outliers,
+                                     truncate, out);
+  }
+  const std::uint64_t t0 = now_ns();
+  g_underlying->mx_quantize(in, n, width, block_size, bits, outliers, truncate,
+                            out);
+  record(KernelKind::kMxQuantize, n * width, now_ns() - t0);
+}
+
 // One KernelKind per KernelOps entry (the table is `name` + function
 // pointers): a new entry must bring its kind and wrapper with it.
 static_assert(sizeof(KernelOps) == (kKernelKindCount + 1) * sizeof(void*));
@@ -144,6 +157,7 @@ constexpr KernelOps kProfiledOps = {
     prof_dequant_scores_log2,
     prof_dequant_accum_int8,
     prof_dequant_accum_log2,
+    prof_mx_quantize,
 };
 
 }  // namespace
@@ -159,6 +173,7 @@ std::string to_string(KernelKind kind) {
     case KernelKind::kDequantScoresLog2: return "dequant_scores_log2";
     case KernelKind::kDequantAccumInt8: return "dequant_accum_int8";
     case KernelKind::kDequantAccumLog2: return "dequant_accum_log2";
+    case KernelKind::kMxQuantize: return "mx_quantize";
   }
   return "unknown";
 }

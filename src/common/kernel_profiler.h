@@ -8,7 +8,8 @@
 //   * per-kernel-kind counters — one row per KernelOps entry (matvec,
 //     attend_scores, fused dequant kernels, ...) holding call count, element
 //     count (MAC-shaped work: n x rows x cols for an n-input-row GEMV,
-//     rows x d_head for an attend primitive), and wall-clock nanoseconds.
+//     rows x d_head for an attend primitive, n x width elements for an
+//     n-row mx_quantize), and wall-clock nanoseconds.
 //     A multi-row matvec is one call, so calls count weight passes and
 //     elems / ns stays a true MAC rate;
 //   * per-layer phase counters — the decoder pass split the way a serving
@@ -74,8 +75,9 @@ enum class KernelKind : std::uint8_t {
   kDequantScoresLog2,
   kDequantAccumInt8,
   kDequantAccumLog2,
+  kMxQuantize,
 };
-inline constexpr std::size_t kKernelKindCount = 9;
+inline constexpr std::size_t kKernelKindCount = 10;
 
 [[nodiscard]] std::string to_string(KernelKind kind);
 

@@ -140,6 +140,7 @@ constexpr KernelOps kScalarOps = {
     scalar_dequant_scores_log2,
     scalar_dequant_accum_int8,
     scalar_dequant_accum_log2,
+    mx_quantize_scalar,
 };
 
 // --- dispatch ---------------------------------------------------------------

@@ -1,7 +1,8 @@
-// SIMD kernel layer for the serving hot path: the nine primitives a decode
+// SIMD kernel layer for the serving hot path: the ten primitives a decode
 // step runs — vectorized GEMV, axpy and scale, the attention score /
-// weighted-sum kernels over row-major KV segments, and their fused
-// dequantize twins that consume quantized KV block codes directly.
+// weighted-sum kernels over row-major KV segments, their fused dequantize
+// twins that consume quantized KV block codes directly, and the MX
+// (MXINT / MX-OPAL) activation fake-quant.
 //
 // ## Dispatch rules
 //
@@ -25,9 +26,10 @@
 // * The scalar table is the reference. kernels.cpp is compiled with
 //   -ffp-contract=off, so its arithmetic is exactly the source-order IEEE
 //   sequence written there.
-// * SIMD tables are *tolerance*-equal to scalar (vector lanes change the
-//   reduction order of dot products), and every table is deterministic: the
-//   same inputs through the same table give the same bits, every time.
+// * SIMD tables' arithmetic kernels are *tolerance*-equal to scalar
+//   (vector lanes change the reduction order of dot products; mx_quantize,
+//   below, is exact), and every table is deterministic: the same inputs
+//   through the same table give the same bits, every time.
 // * Within one table, `matvec`, `attend_scores` and `dequant_scores_*` are
 //   built on file-local dot bodies with one accumulation structure (vector
 //   body + sequential scalar tail), in double in every table.
@@ -47,6 +49,11 @@
 //     dequant_accum_*  == attend_accum,   bitwise —
 //   fusion removes the fp32 scratch materialization, never a bit of the
 //   result.
+// * `mx_quantize` is integer work (selection on magnitude bits, shifts,
+//   one exact float multiply per element), so it has no tolerance: every
+//   table's entry is BITWISE equal to the scalar table's, on every input
+//   (NaN, infinities and subnormals included), and an n-row call equals n
+//   one-row calls.
 //
 // ## Adding an ISA variant
 //
@@ -56,6 +63,8 @@
 //    each dequant_accum_* mirroring attend_accum's, blocked across rows or
 //    columns only as the contract above allows, guarded by the
 //    architecture's predefine (e.g. #if defined(__riscv_vector)).
+//    `mx_quantize` must be bitwise the scalar body's; until a vector body
+//    is written and tested, point the entry at mx_quantize_scalar.
 // 2. Give the TU its ISA flags in CMakeLists.txt (-ffp-contract=off is
 //    tree-wide), keyed on CMAKE_SYSTEM_PROCESSOR, and declare its
 //    `const KernelOps* opal_<isa>_kernels()` probe in kernels.cpp's resolve
@@ -132,7 +141,28 @@ struct KernelOps {
   void (*dequant_accum_log2)(const float* w, const std::int8_t* v_codes,
                              std::size_t rows, std::size_t stride,
                              std::size_t d_head, int exponent, float* z);
+
+  // --- activation quantization ----------------------------------------------
+
+  /// MX fake-quant (quantize then dequantize, quant/mx_block.h) of n
+  /// independent rows of `width` floats: row i is in[i*width, (i+1)*width),
+  /// written to the same range of `out`, and is its own tensor with its own
+  /// global scale. The format is block_size elements per block, `bits`
+  /// per code (2..15), the top `outliers` magnitudes per block kept at
+  /// bf16 (0: MXINT), and shifted-out bits truncated or rounded half away
+  /// from zero. `in == out` is allowed. Bitwise equal to
+  /// mx_quantize_scalar in every table.
+  void (*mx_quantize)(const float* in, std::size_t n, std::size_t width,
+                      std::size_t block_size, int bits, std::size_t outliers,
+                      bool truncate, float* out);
 };
+
+/// The scalar table's mx_quantize: quant/mx_block.cpp's block kernel, one
+/// row after another. It is the reference every table's entry equals
+/// bitwise. No allocation for up to 16 outliers per block.
+void mx_quantize_scalar(const float* in, std::size_t n, std::size_t width,
+                        std::size_t block_size, int bits, std::size_t outliers,
+                        bool truncate, float* out);
 
 /// The active kernel table (resolved once per the dispatch rules above).
 [[nodiscard]] const KernelOps& kernels();

@@ -23,6 +23,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <climits>
+
+#include "common/float_bits.h"
 #include "common/kernels.h"
 
 namespace opal {
@@ -411,6 +415,258 @@ void avx2_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
   accum_rows(w, Log2Rows{v_codes, stride, exponent}, rows, d_head, z);
 }
 
+// --- MX fake-quant ----------------------------------------------------------
+// Bitwise mx_quantize_scalar (quant/mx_block.cpp), with no tolerance: the
+// selection is integer work, and every float step of the shifter is exact
+// (scaling by powers of two, saturating, flooring).
+//
+// Selection, per block: keys[i] = (bits(x_i) & 0x7FFFFFFF) + 1, and 0 past
+// the block's end. Each of the min(n, len) picks takes the largest key and
+// zeroes its first index, which is select_block_outliers' order (magnitude
+// bits, ties to the lower index); a zero key then marks an outlier. The
+// largest key left, minus 1 (0 when none is left), is the rest key, whose
+// bf16 exponent is the block's shared scale.
+//
+// Shifter, 8 lanes at a time and branch-free: round to bf16 (NaN kept
+// quiet), q = floor(min(|bf16| / step, max_code) + half) with half 1/2
+// (nearest) or 0 (truncate), NaN to 0, and q * step with x's sign (a zero
+// code is +0); an outlier lane takes its bf16 value instead.
+
+// Blocks longer than this run the scalar body (the keys live on the stack).
+constexpr std::size_t kMxMaxBlock = 256;
+// Keys one row keeps on the stack between its two passes: 32 blocks of 128.
+constexpr std::size_t kMxRowKeys = 4096;
+// bf16_exponent_of's value for zero and subnormals (format.h's
+// kZeroExponent): the scale an all-zero block reports.
+constexpr int kMxZeroScale = -127;
+
+// bf16_exponent_of(f32_from_bits(key)) for a magnitude key.
+int mx_key_scale(std::uint32_t key) {
+  if (key > 0x7F800000u) return 127;  // NaN
+  const std::uint32_t biased =
+      ((key + 0x7FFFu + ((key >> 16) & 1u)) >> 16) >> kBF16MantissaBits;
+  if (biased == 0) return kMxZeroScale;
+  if (biased == 0xFF) return 127;  // inf, or rounded up to it
+  return static_cast<int>(biased) - kBF16ExponentBias;
+}
+
+// Lanes [0, len) of 8 set, for a block's last partial vector.
+inline __m256i mx_lanes(std::size_t len) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(len)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+inline __m256i mx_load(const std::uint32_t* keys) {
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(keys));
+}
+
+// Lane-wise max of the four key vectors of one 32-key group.
+inline __m256i mx_group_max(const std::uint32_t* group) {
+  return _mm256_max_epu32(
+      _mm256_max_epu32(mx_load(group), mx_load(group + 8)),
+      _mm256_max_epu32(mx_load(group + 16), mx_load(group + 24)));
+}
+
+// The largest lane of v, in every lane.
+inline __m256i mx_broadcast_max(__m256i v) {
+  v = _mm256_max_epu32(v, _mm256_permute2x128_si256(v, v, 1));
+  v = _mm256_max_epu32(v, _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm256_max_epu32(v, _mm256_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
+}
+
+// One bit per lane of v equal to `top`, 8 bits per vector.
+inline std::uint32_t mx_hits(__m256i v, __m256i top) {
+  return static_cast<std::uint32_t>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, top))));
+}
+
+// Fills keys[0, 32 * ceil(len / 32)) for the block x[0, len), zeroes its
+// min(n, len) outliers' keys and returns its shared scale. The keys sit in
+// groups of 32 whose lane-wise maxima `group_max` tracks, so a pick is
+// branch-free: the first group holding the largest key, then its first
+// lane holding it.
+int mx_select(const float* x, std::size_t len, std::size_t n,
+              std::uint32_t* keys) {
+  const __m256i magnitude = _mm256_set1_epi32(0x7FFFFFFF);
+  const __m256i one = _mm256_set1_epi32(1);
+  const std::size_t groups = (len + 31) / 32;
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const __m256i b =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(keys + i),
+                       _mm256_add_epi32(_mm256_and_si256(b, magnitude), one));
+  }
+  if (i < len) {
+    const __m256i lanes = mx_lanes(len - i);
+    const __m256i b = _mm256_castps_si256(_mm256_maskload_ps(x + i, lanes));
+    _mm256_store_si256(
+        reinterpret_cast<__m256i*>(keys + i),
+        _mm256_and_si256(
+            _mm256_add_epi32(_mm256_and_si256(b, magnitude), one), lanes));
+    i += 8;
+  }
+  for (; i < 32 * groups; i += 8) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(keys + i),
+                       _mm256_setzero_si256());
+  }
+  __m256i group_max[kMxMaxBlock / 32];
+  for (std::size_t g = 0; g < groups; ++g) {
+    group_max[g] = mx_group_max(keys + 32 * g);
+  }
+  const auto largest = [&] {
+    __m256i m = _mm256_setzero_si256();
+    for (std::size_t g = 0; g < groups; ++g) {
+      m = _mm256_max_epu32(m, group_max[g]);
+    }
+    return mx_broadcast_max(m);
+  };
+  for (std::size_t j = 0; j < std::min(n, len); ++j) {
+    const __m256i top = largest();
+    std::uint64_t group_hits = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      group_hits |= std::uint64_t{mx_hits(group_max[g], top)} << (8 * g);
+    }
+    const auto g = static_cast<std::size_t>(__builtin_ctzll(group_hits)) / 8;
+    std::uint32_t* group = keys + 32 * g;
+    __m256i v[4];
+    std::uint32_t hits = 0;
+    for (int q = 0; q < 4; ++q) {
+      v[q] = mx_load(group + 8 * q);
+      hits |= mx_hits(v[q], top) << (8 * q);
+    }
+    // Zero the first hit's key in registers, then refresh the group's max
+    // from them; the stores stay off the next pick's path.
+    const __m256i at =
+        _mm256_set1_epi32(static_cast<int>(__builtin_ctz(hits)));
+    for (int q = 0; q < 4; ++q) {
+      v[q] = _mm256_andnot_si256(
+          _mm256_cmpeq_epi32(at, _mm256_setr_epi32(8 * q, 8 * q + 1,
+                                                   8 * q + 2, 8 * q + 3,
+                                                   8 * q + 4, 8 * q + 5,
+                                                   8 * q + 6, 8 * q + 7)),
+          v[q]);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(group + 8 * q), v[q]);
+    }
+    group_max[g] = _mm256_max_epu32(_mm256_max_epu32(v[0], v[1]),
+                                    _mm256_max_epu32(v[2], v[3]));
+  }
+  const auto rest = static_cast<std::uint32_t>(
+      _mm256_cvtsi256_si32(largest()));
+  return mx_key_scale(rest == 0 ? 0 : rest - 1);
+}
+
+// Writes the block x[0, len) to y: each element's code on the grid of step
+// 2^step_exp times the step, or its bf16 value where its key is 0. The code
+// is mx_code_of_bf16's, computed in float where every step is exact: the
+// bf16 magnitude times 2^-step_exp is sig * 2^-shift exactly (overflow
+// only past every code, underflow only below 1/2), saturated, plus 1/2
+// (nearest) or 0 (truncate), floored.
+void mx_shift_block(const float* x, std::size_t len,
+                    const std::uint32_t* keys, int step_exp, int max_code,
+                    bool truncate, float* y) {
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i high16 = _mm256_set1_epi32(static_cast<int>(0xFFFF0000u));
+  const __m256i magnitude = _mm256_set1_epi32(0x7FFFFFFF);
+  const __m256 sign_bit = _mm256_castsi256_ps(
+      _mm256_set1_epi32(static_cast<int>(0x80000000u)));
+  const __m256 max_q = _mm256_set1_ps(static_cast<float>(max_code));
+  const __m256 half = _mm256_set1_ps(truncate ? 0.0f : 0.5f);
+  // 1 / step as two powers of two: 2^139 is past float's range.
+  const __m256 inv1 = _mm256_set1_ps(exp2i_subnormal(std::min(-step_exp, 127)));
+  const __m256 inv2 = _mm256_set1_ps(exp2i(std::max(-step_exp - 127, 0)));
+  const __m256 step = _mm256_set1_ps(exp2i_subnormal(step_exp));
+  for (std::size_t i = 0; i < len; i += 8) {
+    const bool tail = len - i < 8;
+    const __m256i lanes = tail ? mx_lanes(len - i) : _mm256_set1_epi32(-1);
+    const __m256i b = _mm256_castps_si256(
+        tail ? _mm256_maskload_ps(x + i, lanes) : _mm256_loadu_ps(x + i));
+    // to_bf16(x) as binary32 bits: NaN keeps its sign and top payload with
+    // the quiet bit set, the rest round to nearest even.
+    const __m256i nan =
+        _mm256_cmpgt_epi32(_mm256_and_si256(b, magnitude),
+                           _mm256_set1_epi32(0x7F800000));
+    const __m256i bias = _mm256_add_epi32(
+        _mm256_set1_epi32(0x7FFF),
+        _mm256_and_si256(_mm256_srli_epi32(b, 16), one));
+    const __m256i rounded =
+        _mm256_and_si256(_mm256_add_epi32(b, bias), high16);
+    const __m256i quiet = _mm256_and_si256(
+        _mm256_or_si256(b, _mm256_set1_epi32(0x00400000)), high16);
+    const __m256i h = _mm256_blendv_epi8(rounded, quiet, nan);
+    // |h| / step, saturated, rounded to its code; NaN codes to 0.
+    const __m256 t = _mm256_min_ps(
+        _mm256_mul_ps(
+            _mm256_mul_ps(
+                _mm256_castsi256_ps(_mm256_and_si256(h, magnitude)), inv1),
+            inv2),
+        max_q);
+    const __m256 q = _mm256_andnot_ps(
+        _mm256_castsi256_ps(nan),
+        _mm256_round_ps(_mm256_add_ps(t, half),
+                        _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC));
+    // q * step with x's sign; adding +0 turns a -0 into the +0 that
+    // float(code) * step gives for code 0.
+    const __m256 signed_step =
+        _mm256_xor_ps(step, _mm256_and_ps(_mm256_castsi256_ps(b), sign_bit));
+    const __m256 value =
+        _mm256_add_ps(_mm256_mul_ps(q, signed_step), _mm256_setzero_ps());
+    const __m256i key =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(keys + i));
+    const __m256 out = _mm256_blendv_ps(
+        value, _mm256_castsi256_ps(h),
+        _mm256_castsi256_ps(
+            _mm256_cmpeq_epi32(key, _mm256_setzero_si256())));
+    if (tail) {
+      _mm256_maskstore_ps(y + i, lanes, out);
+    } else {
+      _mm256_storeu_ps(y + i, out);
+    }
+  }
+}
+
+void avx2_mx_quantize(const float* in, std::size_t n, std::size_t width,
+                      std::size_t block_size, int bits, std::size_t outliers,
+                      bool truncate, float* out) {
+  if (block_size > kMxMaxBlock) {
+    return mx_quantize_scalar(in, n, width, block_size, bits, outliers,
+                              truncate, out);
+  }
+  // Each block's keys take whole 32-key groups. A row whose keys all fit
+  // keeps them from the scale pass for the write pass; a longer one
+  // selects each block again before writing it.
+  alignas(32) std::uint32_t keys[kMxRowKeys];
+  int scales[kMxRowKeys / 32];
+  const std::size_t k = block_size;
+  const std::size_t stride = (k + 31) / 32 * 32;
+  const std::size_t blocks = (width + k - 1) / k;
+  const bool kept = blocks * stride <= kMxRowKeys;
+  const int max_code = (1 << (bits - 1)) - 1;
+  for (std::size_t r = 0; r < n; ++r, in += width, out += width) {
+    // The global scale is the lowest nonzero block scale (0 if none).
+    int lowest = INT_MAX;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const int scale = mx_select(in + b * k, std::min(k, width - b * k),
+                                  outliers, kept ? keys + b * stride : keys);
+      if (kept) scales[b] = scale;
+      if (scale != kMxZeroScale) lowest = std::min(lowest, scale);
+    }
+    const int global = lowest == INT_MAX ? 0 : lowest;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t len = std::min(k, width - b * k);
+      std::uint32_t* block_keys = kept ? keys + b * stride : keys;
+      const int scale = kept ? scales[b]
+                             : mx_select(in + b * k, len, outliers, block_keys);
+      // effective_block_scale: a 4-bit offset over the global scale.
+      const int effective = scale == kMxZeroScale
+                                ? global
+                                : global + std::clamp(scale - global, 0, 15);
+      mx_shift_block(in + b * k, len, block_keys, effective - (bits - 2),
+                     max_code, truncate, out + b * k);
+    }
+  }
+}
+
 constexpr KernelOps kAvx2Ops = {
     "avx2",
     avx2_matvec,
@@ -422,6 +678,7 @@ constexpr KernelOps kAvx2Ops = {
     avx2_dequant_scores_log2,
     avx2_dequant_accum_int8,
     avx2_dequant_accum_log2,
+    avx2_mx_quantize,
 };
 
 }  // namespace

@@ -249,6 +249,7 @@ constexpr KernelOps kNeonOps = {
     neon_dequant_scores_log2,
     neon_dequant_accum_int8,
     neon_dequant_accum_log2,
+    mx_quantize_scalar,  // no NEON body yet: the scalar reference
 };
 
 }  // namespace

@@ -186,8 +186,8 @@ void PreparedModel::prepare_layers(const CalibrationSet* calibration,
   }
 }
 
-void PreparedModel::maybe_quantize(ActivationSite site,
-                                   std::span<float> v) const {
+void PreparedModel::maybe_quantize(ActivationSite site, std::span<float> rows,
+                                   std::size_t width) const {
   const Quantizer* q = nullptr;
   switch (site) {
     case ActivationSite::kPostLayerNorm:
@@ -200,7 +200,7 @@ void PreparedModel::maybe_quantize(ActivationSite site,
       q = quant_general_.get();
       break;
   }
-  if (q != nullptr) q->quantize_dequantize(v, v);
+  if (q != nullptr) q->quantize_dequantize_rows(rows, rows, width);
 }
 
 void PreparedModel::attend(std::size_t l, SequenceState& seq,
@@ -445,20 +445,29 @@ void PreparedModel::prefill_group(std::span<const PassMember> members,
   KernelProfile* prof = KernelProfiler::slot();
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
     const auto& layer = layers_[l];
-    // The recorder sees each site's rows in member then row order.
-    auto maybe_record = [&](RecordSite site, std::span<const float> v) {
-      if (recorder != nullptr) recorder->record(l, site, v);
+    // The recorder sees each site's rows, pre-quantize, in member then row
+    // order; then one quantizer call covers every row (each row its own
+    // tensor), so a layer makes seven quantizer calls per group.
+    auto record_and_quantize = [&](RecordSite record_site,
+                                   ActivationSite site,
+                                   std::vector<float>& buf,
+                                   std::size_t width) {
+      if (recorder != nullptr) {
+        each_row([&](std::size_t r) {
+          recorder->record(l, record_site, row(buf, width, r));
+        });
+      }
+      maybe_quantize(site, all(buf, width), width);
     };
 
     // --- Attention block (Fig 5(c)) ---
     {
       PhaseScope phase(prof, LayerPhase::kNorm, l);
       each_row([&](std::size_t r) {
-        const std::span<float> h = row(s.h_, d, r);
-        layer.attn_norm->apply(row(s.x_, d, r), h);
-        maybe_record(RecordSite::kAttnIn, h);
-        maybe_quantize(ActivationSite::kPostLayerNorm, h);
+        layer.attn_norm->apply(row(s.x_, d, r), row(s.h_, d, r));
       });
+      record_and_quantize(RecordSite::kAttnIn, ActivationSite::kPostLayerNorm,
+                          s.h_, d);
     }
 
     {
@@ -472,10 +481,7 @@ void PreparedModel::prefill_group(std::span<const PassMember> members,
           {RecordSite::kKey, &s.k_},
           {RecordSite::kValue, &s.v_}};
       for (const auto& [site, buf] : qkv) {
-        each_row([&](std::size_t r) {
-          maybe_record(site, row(*buf, d, r));
-          maybe_quantize(ActivationSite::kAttentionInput, row(*buf, d, r));
-        });
+        record_and_quantize(site, ActivationSite::kAttentionInput, *buf, d);
       }
     }
 
@@ -497,10 +503,8 @@ void PreparedModel::prefill_group(std::span<const PassMember> members,
           attend(l, seq, row(s.q_, d, r), row(s.z_, d, r), p0 + t + 1, s);
         }
       }
-      each_row([&](std::size_t r) {
-        maybe_record(RecordSite::kProjIn, row(s.z_, d, r));
-        maybe_quantize(ActivationSite::kGeneral, row(s.z_, d, r));
-      });
+      record_and_quantize(RecordSite::kProjIn, ActivationSite::kGeneral, s.z_,
+                          d);
       matvec(layer.wo, all(s.z_, d), all(s.attn_out_, d));
       each_row([&](std::size_t r) {
         kernels().axpy(1.0f, row(s.attn_out_, d, r).data(),
@@ -512,22 +516,20 @@ void PreparedModel::prefill_group(std::span<const PassMember> members,
     {
       PhaseScope phase(prof, LayerPhase::kNorm, l);
       each_row([&](std::size_t r) {
-        const std::span<float> h = row(s.h_, d, r);
-        layer.ffn_norm->apply(row(s.x_, d, r), h);
-        maybe_record(RecordSite::kFc1In, h);
-        maybe_quantize(ActivationSite::kPostLayerNorm, h);
+        layer.ffn_norm->apply(row(s.x_, d, r), row(s.h_, d, r));
       });
+      record_and_quantize(RecordSite::kFc1In, ActivationSite::kPostLayerNorm,
+                          s.h_, d);
     }
 
     {
       PhaseScope phase(prof, LayerPhase::kFfn, l);
       matvec(layer.w_fc1, all(s.h_, d), all(s.hidden_, cfg.d_ffn));
       each_row([&](std::size_t r) {
-        const std::span<float> hidden = row(s.hidden_, cfg.d_ffn, r);
-        apply_activation(cfg.activation, hidden);
-        maybe_record(RecordSite::kFc2In, hidden);
-        maybe_quantize(ActivationSite::kGeneral, hidden);
+        apply_activation(cfg.activation, row(s.hidden_, cfg.d_ffn, r));
       });
+      record_and_quantize(RecordSite::kFc2In, ActivationSite::kGeneral,
+                          s.hidden_, cfg.d_ffn);
       matvec(layer.w_fc2, all(s.hidden_, cfg.d_ffn), all(s.ffn_out_, d));
       each_row([&](std::size_t r) {
         kernels().axpy(1.0f, row(s.ffn_out_, d, r).data(),

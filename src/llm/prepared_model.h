@@ -154,8 +154,10 @@ class PreparedModel {
                 const HessianSet& hessians);
 
   /// The one model pass, over a group of members (distinct sequences, each
-  /// at its own position): per layer, every row of every member is normed
-  /// and quantized, then Wq, Wk and Wv each run ONE multi-row matvec over
+  /// at its own position): per layer, every row of every member is normed,
+  /// then quantized in one quantizer call for all rows (as are Q, K, V, the
+  /// attention output and the FFN hidden: seven calls per layer, each row
+  /// its own tensor), then Wq, Wk and Wv each run ONE multi-row matvec over
   /// all the group's rows; each member's tokens write their K/V and attend
   /// in that member's row order; then one Wo call, one fc1 call and one
   /// fc2 call cover all rows. Last, one embedding matvec computes every
@@ -263,7 +265,10 @@ class PreparedModel {
   /// each member's rows copied into its sequence.
   void finish_logits(std::span<const PassMember> members, std::size_t count,
                      PassScratch& scratch) const;
-  void maybe_quantize(ActivationSite site, std::span<float> v) const;
+  /// The site's activation quantizer over `rows` (in place, each row of
+  /// `width` its own tensor); BF16 activations pass through.
+  void maybe_quantize(ActivationSite site, std::span<float> rows,
+                      std::size_t width) const;
 
   const SyntheticModel* model_;
   EngineConfig config_;

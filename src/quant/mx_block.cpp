@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bfloat16.h"
+#include "common/kernels.h"
 #include "common/tensor.h"
 #include "quant/mxint.h"
 
@@ -82,17 +83,14 @@ QuantizedTensor mx_encode(const BlockFormat& format,
   return qt;
 }
 
-void mx_quantize_dequantize(const BlockFormat& format,
-                            std::span<const float> in, std::span<float> out) {
-  require(in.size() == out.size(), "MX quantize_dequantize: size mismatch");
+namespace {
+
+// One row (one tensor) of mx_quantize_scalar; `top` holds format.outliers
+// slots.
+void mx_quantize_row(const BlockFormat& format, std::span<const float> in,
+                     std::span<float> out, std::span<OutlierSlot> top) {
   const std::size_t k = format.block_size;
   const std::size_t n = format.outliers;
-  constexpr std::size_t kInlineOutliers = 16;
-  std::array<OutlierSlot, kInlineOutliers> inline_top;
-  std::vector<OutlierSlot> heap_top(n > kInlineOutliers ? n : 0);
-  const std::span<OutlierSlot> top =
-      n > kInlineOutliers ? std::span<OutlierSlot>(heap_top)
-                          : std::span<OutlierSlot>(inline_top).first(n);
   const auto block_at = [&](std::size_t off) {
     return in.subspan(off, std::min(k, in.size() - off));
   };
@@ -130,6 +128,39 @@ void mx_quantize_dequantize(const BlockFormat& format,
       dst[o.index] = to_bf16(o.value);
     }
   }
+}
+
+}  // namespace
+
+void mx_quantize_scalar(const float* in, std::size_t n, std::size_t width,
+                        std::size_t block_size, int bits, std::size_t outliers,
+                        bool truncate, float* out) {
+  const BlockFormat format{
+      block_size, bits, outliers,
+      truncate ? RoundingMode::kTruncate : RoundingMode::kNearest};
+  constexpr std::size_t kInlineOutliers = 16;
+  std::array<OutlierSlot, kInlineOutliers> inline_top;
+  std::vector<OutlierSlot> heap_top(outliers > kInlineOutliers ? outliers : 0);
+  const std::span<OutlierSlot> top =
+      outliers > kInlineOutliers
+          ? std::span<OutlierSlot>(heap_top)
+          : std::span<OutlierSlot>(inline_top).first(outliers);
+  for (std::size_t r = 0; r < n; ++r) {
+    mx_quantize_row(format, {in + r * width, width}, {out + r * width, width},
+                    top);
+  }
+}
+
+void mx_quantize_dequantize(const BlockFormat& format,
+                            std::span<const float> in, std::span<float> out,
+                            std::size_t width) {
+  require(in.size() == out.size(), "MX quantize_dequantize: size mismatch");
+  require(in.empty() || (width > 0 && in.size() % width == 0),
+          "MX quantize_dequantize: size not a whole number of rows");
+  kernels().mx_quantize(in.data(), in.empty() ? 0 : in.size() / width, width,
+                        format.block_size, format.bits, format.outliers,
+                        format.rounding == RoundingMode::kTruncate,
+                        out.data());
 }
 
 }  // namespace opal

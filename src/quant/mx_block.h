@@ -2,6 +2,13 @@
 // scan per block, and the fused quantize -> dequantize both formats'
 // quantize_dequantize() run.
 //
+// The fake-quant is a KernelOps entry (common/kernels.h, `mx_quantize`).
+// Its scalar body, mx_quantize_scalar in mx_block.cpp (the selection below
+// and the shared shifter, one row after another), is the reference every
+// table equals bitwise; the AVX2 table runs a vector body.
+// mx_quantize_dequantize is the dispatch wrapper: one kernels().mx_quantize
+// call for one row, or for many.
+//
 // Selection ranks elements by their binary32 magnitude bits
 // (f32_bits(v) & 0x7FFFFFFF), ties to the lower index. That is the order of
 // |v| on every non-NaN input (+0 and -0 tie) and a strict weak ordering on
@@ -58,13 +65,17 @@ int select_block_outliers(std::span<const float> block,
 [[nodiscard]] QuantizedTensor mx_encode(const BlockFormat& format,
                                         std::span<const float> in);
 
-/// decode(encode(in)) of MXINT (format.outliers == 0) or MX-OPAL, written
-/// into `out` in one selection scan per block (two when the tensor has more
-/// than one block: the global scale needs every block's scale first) and
-/// one write pass: outliers come back at bf16, everything else as
+/// decode(encode(row)) of MXINT (format.outliers == 0) or MX-OPAL for each
+/// of the in.size() / width rows of `in` (row-major), every row its own
+/// tensor with its own global scale, written into `out` by one
+/// kernels().mx_quantize call; a one-row tensor passes width = in.size().
+/// The scalar body makes one selection scan per block (two when the row has
+/// more than one block: the global scale needs every block's scale first)
+/// and one write pass: outliers come back at bf16, everything else as
 /// code * 2^step from the shared shifter. No division, no libm call, no
 /// allocation for up to 16 outliers per block; `in` and `out` may alias.
 void mx_quantize_dequantize(const BlockFormat& format,
-                            std::span<const float> in, std::span<float> out);
+                            std::span<const float> in, std::span<float> out,
+                            std::size_t width);
 
 }  // namespace opal

@@ -36,7 +36,13 @@ QuantizedTensor MxOpalQuantizer::encode(std::span<const float> in) const {
 
 void MxOpalQuantizer::quantize_dequantize(std::span<const float> in,
                                           std::span<float> out) const {
-  mx_quantize_dequantize(format_, in, out);
+  mx_quantize_dequantize(format_, in, out, in.size());
+}
+
+void MxOpalQuantizer::quantize_dequantize_rows(std::span<const float> in,
+                                               std::span<float> out,
+                                               std::size_t width) const {
+  mx_quantize_dequantize(format_, in, out, width);
 }
 
 std::size_t MxOpalQuantizer::storage_bits(std::size_t count) const {

@@ -31,6 +31,9 @@ class MxOpalQuantizer final : public Quantizer {
   [[nodiscard]] std::string name() const override;
   void quantize_dequantize(std::span<const float> in,
                            std::span<float> out) const override;
+  void quantize_dequantize_rows(std::span<const float> in,
+                                std::span<float> out,
+                                std::size_t width) const override;
   /// Eq. (1) numerator accounting: (k-n)*b + 16n + 4 per block (plus the
   /// amortized global scale and outlier indices reported by
   /// QuantizedTensor::storage_bits on real encodings).

@@ -69,7 +69,13 @@ std::vector<float> decode(const QuantizedTensor& qt) {
 
 void MxIntQuantizer::quantize_dequantize(std::span<const float> in,
                                          std::span<float> out) const {
-  mx_quantize_dequantize(format_, in, out);
+  mx_quantize_dequantize(format_, in, out, in.size());
+}
+
+void MxIntQuantizer::quantize_dequantize_rows(std::span<const float> in,
+                                              std::span<float> out,
+                                              std::size_t width) const {
+  mx_quantize_dequantize(format_, in, out, width);
 }
 
 std::size_t MxIntQuantizer::storage_bits(std::size_t count) const {

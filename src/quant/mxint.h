@@ -19,6 +19,9 @@ class MxIntQuantizer final : public Quantizer {
   [[nodiscard]] std::string name() const override;
   void quantize_dequantize(std::span<const float> in,
                            std::span<float> out) const override;
+  void quantize_dequantize_rows(std::span<const float> in,
+                                std::span<float> out,
+                                std::size_t width) const override;
   /// k*b element bits + one 8-bit shared scale per block.
   [[nodiscard]] std::size_t storage_bits(std::size_t count) const override;
 

@@ -11,6 +11,8 @@
 #include <span>
 #include <string>
 
+#include "common/tensor.h"
+
 namespace opal {
 
 class Quantizer {
@@ -30,6 +32,21 @@ class Quantizer {
   /// functions of (in, format)).
   virtual void quantize_dequantize(std::span<const float> in,
                                    std::span<float> out) const = 0;
+
+  /// quantize_dequantize on each of the in.size() / width rows of `in`
+  /// (row-major), every row its own tensor; in/out may alias. Bitwise one
+  /// quantize_dequantize call per row, which is the default; MXINT and
+  /// MX-OPAL override it with one multi-row kernel call. Same const
+  /// contract as quantize_dequantize.
+  virtual void quantize_dequantize_rows(std::span<const float> in,
+                                        std::span<float> out,
+                                        std::size_t width) const {
+    require(in.size() == out.size() && width > 0 && in.size() % width == 0,
+            "Quantizer::quantize_dequantize_rows: not whole rows");
+    for (std::size_t off = 0; off < in.size(); off += width) {
+      quantize_dequantize(in.subspan(off, width), out.subspan(off, width));
+    }
+  }
 
   /// Exact storage footprint in bits for `count` elements in this format.
   [[nodiscard]] virtual std::size_t storage_bits(std::size_t count) const = 0;

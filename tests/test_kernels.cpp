@@ -18,12 +18,17 @@
 //    table;
 //  * the in-register log2/int8 decodes match KvBlockPool's scalar decode
 //    exactly for every byte value;
+//  * mx_quantize is BITWISE equal in every table to the scalar body (and
+//    that to tests/mx_reference.h) on every input, NaN and inf included,
+//    and an n-row call equals n one-row calls;
 //  * end-to-end: ServingEngine token streams agree between SIMD and
 //    forced-scalar kernels in every kv_mode.
 #include "common/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -34,6 +39,7 @@
 #include "eval/schemes.h"
 #include "llm/paged_kv_cache.h"
 #include "llm/serving_engine.h"
+#include "mx_reference.h"
 
 namespace opal {
 namespace {
@@ -565,6 +571,243 @@ TEST(KernelsFused, SimdInt8DecodeExactForAllCodes) {
                                 &got);
       const float want = static_cast<float>(c) * s;
       EXPECT_EQ(got, want) << "code=" << c << " s=" << s;
+    }
+  }
+}
+
+// --- MX fake-quant: bitwise equal in every table ----------------------------
+
+struct MxFormat {
+  std::size_t block_size;
+  int bits;
+  std::size_t outliers;
+  bool truncate;
+
+  [[nodiscard]] BlockFormat block_format() const {
+    return {block_size, bits, outliers,
+            truncate ? RoundingMode::kTruncate : RoundingMode::kNearest};
+  }
+  [[nodiscard]] std::string str() const {
+    return "block=" + std::to_string(block_size) +
+           " bits=" + std::to_string(bits) +
+           " outliers=" + std::to_string(outliers) +
+           (truncate ? " truncate" : " nearest");
+  }
+};
+
+// n rows of `width` through one table's mx_quantize, out of place.
+std::vector<float> mx_run(const KernelOps& ops, const MxFormat& f,
+                          const std::vector<float>& in, std::size_t n,
+                          std::size_t width) {
+  std::vector<float> out(in.size(), -7.0f);
+  ops.mx_quantize(in.data(), n, width, f.block_size, f.bits, f.outliers,
+                  f.truncate, out.data());
+  return out;
+}
+
+enum class MxInput { kRandom, kBitPatterns, kTied, kZero, kNanFlood, kGrid };
+constexpr MxInput kMxInputs[] = {MxInput::kRandom,   MxInput::kBitPatterns,
+                                 MxInput::kTied,     MxInput::kZero,
+                                 MxInput::kNanFlood, MxInput::kGrid};
+
+// One tensor of `len` floats. kRandom is mx_reference::random_tensor
+// (Gaussian bulk, planted outliers, exact ties, zeros, subnormals, inf);
+// kBitPatterns draws arbitrary binary32 bits and plants NaNs whose payload
+// sits only in the low 16 bits (they round to inf unless kept quiet),
+// infinities and subnormals; kTied is one magnitude with random signs;
+// kZero is +0 and -0; kNanFlood puts outliers + 2 NaNs in every block;
+// kGrid is small integers times nearby powers of two, so many elements
+// land exactly on a grid point or halfway between two (rounding ties).
+std::vector<float> mx_input(MxInput kind, Rng& rng, std::size_t len,
+                            std::size_t block_size, std::size_t outliers) {
+  std::uniform_int_distribution<std::uint32_t> any_bits;
+  const auto sign = [&] { return (any_bits(rng) & 1u) << 31; };
+  switch (kind) {
+    case MxInput::kRandom:
+      return mx_reference::random_tensor(rng, len, block_size);
+    case MxInput::kBitPatterns: {
+      std::vector<float> v(len);
+      const std::uint32_t planted[] = {0x7F800001u, 0x7F80FFFFu, 0x7FC00000u,
+                                       0x7F800000u, 0x00000001u, 0x007FFFFFu,
+                                       0x7F7FFFFFu, 0x7F7F8000u, 0x00008000u};
+      for (auto& x : v) {
+        const std::uint32_t r = any_bits(rng);
+        x = std::bit_cast<float>(r % 4 == 0 ? planted[(r >> 8) % 9] | sign()
+                                            : any_bits(rng));
+      }
+      return v;
+    }
+    case MxInput::kTied: {
+      // Half the time the magnitude sits one below a bf16 rounding tie that
+      // carries into the exponent (bf16 mantissa all ones, low bits 0x7FFF).
+      const std::uint32_t exponent = 1 + any_bits(rng) % 250;
+      const float mag =
+          any_bits(rng) % 2 == 0
+              ? std::bit_cast<float>((exponent << 23) | 0x7F7FFFu)
+              : std::ldexp(
+                    1.0f + static_cast<float>(any_bits(rng) % 128) / 128.0f,
+                    static_cast<int>(exponent % 60) - 30);
+      std::vector<float> v(len);
+      for (auto& x : v) {
+        x = std::bit_cast<float>(std::bit_cast<std::uint32_t>(mag) | sign());
+      }
+      return v;
+    }
+    case MxInput::kZero: {
+      std::vector<float> v(len);
+      for (auto& x : v) x = std::bit_cast<float>(sign());
+      return v;
+    }
+    case MxInput::kGrid: {
+      const int top = static_cast<int>(any_bits(rng) % 200) - 100;
+      std::vector<float> v(len);
+      for (auto& x : v) {
+        const auto m = static_cast<float>(any_bits(rng) % 256);
+        const int octave = top - static_cast<int>(any_bits(rng) % 16);
+        x = std::bit_cast<float>(std::bit_cast<std::uint32_t>(
+                                     std::ldexp(m, octave)) |
+                                 sign());
+      }
+      return v;
+    }
+    case MxInput::kNanFlood: {
+      std::vector<float> v = mx_reference::random_tensor(rng, len, block_size);
+      for (std::size_t off = 0; off < len; off += block_size) {
+        const std::size_t blen = std::min(block_size, len - off);
+        for (std::size_t j = 0; j < outliers + 2; ++j) {
+          const std::uint32_t nan = 0x7FC00000u | (any_bits(rng) & 0xFFFFu);
+          v[off + any_bits(rng) % blen] = std::bit_cast<float>(nan | sign());
+        }
+      }
+      return v;
+    }
+  }
+  return {};
+}
+
+bool mx_has_nan(const std::vector<float>& v) {
+  return std::any_of(v.begin(), v.end(), [](float x) { return std::isnan(x); });
+}
+
+// One tensor of `kind` in format `f`: 1..5 blocks, half of them with a
+// partial final block. `ops` equals the scalar table by memcmp, out of
+// place and in place, and on NaN-free inputs the scalar table equals the
+// decode(encode()) reference.
+void check_mx_tensor(const KernelOps& ops, const MxFormat& f, MxInput kind,
+                     Rng& rng) {
+  const std::size_t block = f.block_size;
+  const std::size_t blocks = 1 + rng() % 5;
+  const std::size_t tail = rng() % 2 == 0 ? 0 : 1 + rng() % block;
+  const std::size_t len =
+      tail != 0 && tail < block ? (blocks - 1) * block + tail : blocks * block;
+  const std::vector<float> in = mx_input(kind, rng, len, block, f.outliers);
+  const std::string what = std::string(ops.name) + " " + f.str() +
+                           " len=" + std::to_string(len) +
+                           " input=" + std::to_string(static_cast<int>(kind));
+  const std::vector<float> want = mx_run(scalar_kernels(), f, in, 1, len);
+  expect_same_bits(mx_run(ops, f, in, 1, len), want, what);
+  std::vector<float> aliased = in;
+  ops.mx_quantize(aliased.data(), 1, len, f.block_size, f.bits, f.outliers,
+                  f.truncate, aliased.data());
+  expect_same_bits(aliased, want, "in place " + what);
+  if (!mx_has_nan(in)) {
+    expect_same_bits(want,
+                     mx_reference::quantize_dequantize(f.block_format(), in),
+                     "reference " + what);
+  }
+}
+
+// check_mx_tensor twice for every input kind in every format of bits
+// 2..15 x outliers {0, 1, 4, 16} x the block sizes below x both roundings.
+void check_mx_against_scalar(const KernelOps& ops) {
+  Rng rng = make_rng(2718);
+  for (const std::size_t block : {1u, 3u, 8u, 17u, 100u, 128u, 256u}) {
+    for (const std::size_t outliers : {0u, 1u, 4u, 16u}) {
+      for (int bits = 2; bits <= 15; ++bits) {
+        for (const bool truncate : {false, true}) {
+          const MxFormat f{block, bits, outliers, truncate};
+          for (const MxInput kind : kMxInputs) {
+            check_mx_tensor(ops, f, kind, rng);
+            check_mx_tensor(ops, f, kind, rng);
+          }
+        }
+      }
+    }
+  }
+}
+
+// n-row calls, n in 1..9 and 16, rows of 1..5 blocks (some with a partial
+// last block), equal n one-row calls in `ops` by memcmp, and the scalar
+// table's n-row call; in place too.
+void check_mx_rows(const KernelOps& ops) {
+  Rng rng = make_rng(3141);
+  const MxFormat formats[] = {{128, 4, 4, false}, {128, 7, 4, false},
+                              {17, 3, 1, true}, {8, 15, 16, false},
+                              {100, 5, 0, true}};
+  for (const MxFormat& f : formats) {
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u}) {
+      const std::size_t partial = rng() % 2 == 0 ? 0 : rng() % f.block_size;
+      const std::size_t width = (1 + rng() % 5) * f.block_size - partial;
+      std::vector<float> in;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto row = mx_input(kMxInputs[rng() % 6], rng, width,
+                                  f.block_size, f.outliers);
+        in.insert(in.end(), row.begin(), row.end());
+      }
+      const std::string what = std::string(ops.name) + " " + f.str() +
+                               " n=" + std::to_string(n) +
+                               " width=" + std::to_string(width);
+      std::vector<float> one_row(in.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        ops.mx_quantize(in.data() + i * width, 1, width, f.block_size, f.bits,
+                        f.outliers, f.truncate, one_row.data() + i * width);
+      }
+      const std::vector<float> got = mx_run(ops, f, in, n, width);
+      expect_same_bits(got, one_row, "n rows vs one-row calls " + what);
+      expect_same_bits(got, mx_run(scalar_kernels(), f, in, n, width),
+                       "vs scalar " + what);
+      std::vector<float> aliased = in;
+      ops.mx_quantize(aliased.data(), n, width, f.block_size, f.bits,
+                      f.outliers, f.truncate, aliased.data());
+      expect_same_bits(aliased, got, "in place " + what);
+    }
+  }
+}
+
+TEST(KernelsMxQuantize, ScalarMatchesReferenceBitwise) {
+  check_mx_against_scalar(scalar_kernels());
+}
+
+TEST(KernelsMxQuantize, SimdMatchesScalarBitwise) {
+  const KernelOps* simd = simd_kernels();
+  if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
+  check_mx_against_scalar(*simd);
+}
+
+TEST(KernelsMxQuantize, ScalarRowsEqualOneRowCallsBitwise) {
+  check_mx_rows(scalar_kernels());
+}
+
+TEST(KernelsMxQuantize, SimdRowsEqualOneRowCallsBitwise) {
+  const KernelOps* simd = simd_kernels();
+  if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
+  check_mx_rows(*simd);
+}
+
+// Past the inline limits: more than 16 outliers (the scalar body's heap
+// slots) and a block longer than any SIMD body's stack keys.
+TEST(KernelsMxQuantize, WideFormatsMatchScalarBitwise) {
+  const KernelOps* simd = simd_kernels();
+  if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
+  Rng rng = make_rng(1618);
+  const MxFormat formats[] = {{64, 6, 20, false}, {300, 4, 4, false},
+                              {1024, 7, 40, true}};
+  for (const MxFormat& f : formats) {
+    for (const MxInput kind : kMxInputs) {
+      const std::size_t len = 2 * f.block_size + 5;
+      const auto in = mx_input(kind, rng, len, f.block_size, f.outliers);
+      expect_same_bits(mx_run(*simd, f, in, 1, len),
+                       mx_run(scalar_kernels(), f, in, 1, len), f.str());
     }
   }
 }

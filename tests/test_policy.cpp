@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <vector>
+
 #include "quant/minmax.h"
 #include "quant/mx_opal.h"
 #include "quant/mxint.h"
@@ -47,6 +51,42 @@ TEST(Policy, MinMaxAndMxIntFactories) {
   const auto mx = policy_a4_7(QuantScheme::kMxInt)
                       .make_quantizer(ActivationSite::kGeneral);
   EXPECT_NE(dynamic_cast<const MxIntQuantizer*>(mx.get()), nullptr);
+}
+
+TEST(Policy, RowsEqualOneCallPerRowBitwise) {
+  // quantize_dequantize_rows treats each row as its own tensor: MinMax's
+  // default loop and the MX schemes' one multi-row kernel call both equal
+  // one quantize_dequantize call per row, out of place and in place.
+  std::mt19937 rng(5);
+  std::normal_distribution<float> gauss(0.0f, 1.0f);
+  for (const QuantScheme scheme :
+       {QuantScheme::kMinMax, QuantScheme::kMxInt, QuantScheme::kMxOpal}) {
+    const auto q = policy_a4_7(scheme).make_quantizer(ActivationSite::kGeneral);
+    for (const std::size_t width : {128u, 256u, 200u}) {
+      const std::size_t rows = 5;
+      std::vector<float> in(rows * width);
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        // Rows at different scales, so a shared scale would show.
+        in[i] = gauss(rng) * static_cast<float>(1u << (i / width * 3));
+      }
+      std::vector<float> want(in.size()), got(in.size());
+      for (std::size_t r = 0; r < rows; ++r) {
+        q->quantize_dequantize(std::span(in).subspan(r * width, width),
+                               std::span(want).subspan(r * width, width));
+      }
+      q->quantize_dequantize_rows(in, got, width);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), in.size() * 4), 0)
+          << q->name() << " width " << width;
+      std::vector<float> aliased = in;
+      q->quantize_dequantize_rows(aliased, aliased, width);
+      EXPECT_EQ(std::memcmp(aliased.data(), want.data(), in.size() * 4), 0)
+          << q->name() << " width " << width << " in place";
+    }
+    std::vector<float> ragged(130);
+    EXPECT_THROW(q->quantize_dequantize_rows(ragged, ragged, 128),
+                 std::invalid_argument)
+        << q->name();
+  }
 }
 
 TEST(Policy, Bf16ReturnsNull) {

@@ -291,6 +291,41 @@ TEST(Profiler, ChunkCountsMatchHandCountedInvocations) {
       prof.kernels[static_cast<std::size_t>(KernelKind::kScale)];
   EXPECT_EQ(sc.calls, 1u);
   EXPECT_EQ(sc.elems, mc.vocab);
+
+  // BF16 activations quantize nothing. Under MX-OPAL A4/7 each layer makes
+  // one mx_quantize call per site over all three rows: post-norm twice,
+  // Q, K, V, the attention output and the FFN hidden, 6 * d + d_ffn
+  // (1024) elements a row.
+  EXPECT_EQ(
+      prof.kernels[static_cast<std::size_t>(KernelKind::kMxQuantize)].calls,
+      0u);
+  EngineConfig mx_cfg;
+  mx_cfg.act_policy = policy_a4_7(QuantScheme::kMxOpal);
+  mx_cfg.max_seq_len = 64;
+  mx_cfg.kv_block_size = 8;
+  const PreparedModel mx_model(tiny_model(), mx_cfg);
+  PassScratch mx_scratch = mx_model.make_scratch();
+  SequenceState mx_silent_seq = mx_model.make_sequence();
+  const auto mx_silent =
+      mx_model.prefill_chunk(mx_silent_seq, tokens, mx_scratch, nullptr, 1);
+  const std::vector<float> mx_silent_logits(mx_silent.begin(),
+                                            mx_silent.end());
+  KernelProfile mx_prof;
+  KernelProfiler::enable();
+  KernelProfiler::bind_slot(&mx_prof);
+  SequenceState mx_seq = mx_model.make_sequence();
+  const auto mx_out =
+      mx_model.prefill_chunk(mx_seq, tokens, mx_scratch, nullptr, 1);
+  const std::vector<float> mx_logits(mx_out.begin(), mx_out.end());
+  KernelProfiler::bind_slot(nullptr);
+  KernelProfiler::disable();
+
+  EXPECT_EQ(mx_logits, mx_silent_logits);
+  const KernelStat& mq =
+      mx_prof.kernels[static_cast<std::size_t>(KernelKind::kMxQuantize)];
+  EXPECT_EQ(mq.calls, 7 * L);
+  EXPECT_EQ(mq.elems, 3 * L * (6 * d + mc.d_ffn));
+  EXPECT_EQ(6 * d + mc.d_ffn, 1024u);
 }
 
 // --- zero overhead when off, restore on disable ---
