@@ -193,6 +193,14 @@ StepTrace parse_step_trace(std::string_view json_text) {
   trace.info.kv_bits_per_entry =
       kv.at("bits_per_entry").as_uint("kv.bits_per_entry");
   trace.info.max_seq_len = kv.at("max_seq_len").as_uint("kv.max_seq_len");
+  // The engine refuses a block longer than a sequence can fill.
+  if (trace.info.kv_block_size > trace.info.max_seq_len) {
+    throw std::invalid_argument(
+        "replay: \"kv.block_size\" " +
+        std::to_string(trace.info.kv_block_size) +
+        " must be <= kv.max_seq_len " +
+        std::to_string(trace.info.max_seq_len));
+  }
   trace.dropped_steps = root.at("dropped_steps").as_uint("dropped_steps");
   trace.truncated_events =
       root.at("truncated_events").as_uint("truncated_events");

@@ -1,5 +1,7 @@
 #include "eval/mse_analysis.h"
 
+#include <algorithm>
+
 #include "common/error_metrics.h"
 #include "common/tensor.h"
 #include "eval/perplexity.h"
@@ -31,6 +33,7 @@ SiteCapture capture_layer_activations(const SyntheticModel& model,
                                       std::uint64_t seed) {
   EngineConfig bf16;
   bf16.max_seq_len = n_tokens + 1;
+  bf16.kv_block_size = std::min(bf16.kv_block_size, bf16.max_seq_len);
   InferenceEngine engine(model, bf16);
   SiteCapture capture(layer);
   engine.set_recorder(&capture);

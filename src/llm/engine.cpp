@@ -150,6 +150,7 @@ Set record_activations(const SyntheticModel& model, std::size_t n_tokens,
   }
   EngineConfig bf16;
   bf16.max_seq_len = n_tokens + 1;
+  bf16.kv_block_size = std::min(bf16.kv_block_size, bf16.max_seq_len);
   InferenceEngine engine(model, bf16);
   SetRecorder<Set> recorder(set);
   engine.set_recorder(&recorder);
@@ -179,6 +180,7 @@ void calibrate_logit_scale(SyntheticModel& model, std::size_t n_tokens,
                            std::uint64_t seed, float target_std) {
   EngineConfig bf16;
   bf16.max_seq_len = n_tokens + 1;
+  bf16.kv_block_size = std::min(bf16.kv_block_size, bf16.max_seq_len);
   InferenceEngine engine(model, bf16);
   Rng rng = make_rng(seed);
   std::size_t token = 0;

@@ -59,15 +59,11 @@ std::size_t kv_bits_per_entry(KvQuantMode mode) {
 KvBlockPool::KvBlockPool(std::size_t n_blocks, std::size_t block_size,
                          std::size_t d_model, KvQuantMode mode)
     : n_blocks_(n_blocks), block_size_(block_size), d_model_(d_model),
-      mode_(mode) {
+      mode_(mode), row_bytes_(d_model * kv_bits_per_entry(mode) / 8),
+      block_bytes_(block_size * row_bytes_) {
   require(n_blocks >= 1 && block_size >= 1 && d_model >= 1,
           "KvBlockPool: n_blocks, block_size, d_model must be >= 1");
-  const std::size_t entries = n_blocks * block_size * d_model;
-  if (mode_ == KvQuantMode::kFp32) {
-    fdata_.resize(entries);
-  } else {
-    qdata_.resize(entries);
-  }
+  storage_.resize(n_blocks);
   scales_.assign(n_blocks, 0.0f);
   fill_.assign(n_blocks, 0);
   refs_.assign(n_blocks, 0);
@@ -85,6 +81,11 @@ KvBlockPool::BlockId KvBlockPool::allocate() {
   }
   const BlockId id = free_list_.back();
   free_list_.pop_back();
+  if (!storage_[id]) {
+    // First hand-out of this id: commit its storage, zeroed, for good.
+    storage_[id] = std::make_unique<std::byte[]>(block_bytes_);
+    ++committed_;
+  }
   refs_[id] = 1;
   cached_[id] = 0;
   scales_[id] = 0.0f;
@@ -125,14 +126,8 @@ KvBlockPool::BlockId KvBlockPool::clone_rows(BlockId src, std::size_t n_rows) {
   check_block(src, "KvBlockPool::clone_rows: bad or free block");
   require(n_rows <= block_size_, "KvBlockPool::clone_rows: too many rows");
   const BlockId id = allocate();
-  const std::size_t n = n_rows * d_model_;
-  if (mode_ == KvQuantMode::kFp32) {
-    std::copy_n(fdata_.begin() + src * block_size_ * d_model_, n,
-                fdata_.begin() + id * block_size_ * d_model_);
-  } else {
-    std::copy_n(qdata_.begin() + src * block_size_ * d_model_, n,
-                qdata_.begin() + id * block_size_ * d_model_);
-  }
+  std::copy_n(block_ptr<std::byte>(src), n_rows * row_bytes_,
+              block_ptr<std::byte>(id));
   scales_[id] = scales_[src];
   fill_[id] = n_rows;
   ++counts_.cow_clones;
@@ -173,14 +168,15 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
           "KvBlockPool::write_row: shared block (copy-on-write required)");
   require(row < block_size_, "KvBlockPool::write_row: row out of range");
   require(v.size() == d_model_, "KvBlockPool::write_row: dim mismatch");
-  const std::size_t base = (id * block_size_ + row) * d_model_;
+  const std::size_t base = row * d_model_;
 
   switch (mode_) {
     case KvQuantMode::kFp32:
-      std::copy(v.begin(), v.end(), fdata_.begin() + base);
+      std::copy(v.begin(), v.end(), block_ptr<float>(id) + base);
       break;
 
     case KvQuantMode::kInt8: {
+      std::int8_t* codes = block_ptr<std::int8_t>(id);
       const float ra = row_amax(v);
       float amax = scales_[id];
       if (ra > amax) {
@@ -188,23 +184,21 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
         // amax so one scale covers every row.
         if (amax > 0.0f) {
           const float factor = amax / ra;
-          const std::size_t block_base = id * block_size_ * d_model_;
           const std::size_t live = fill_[id] * d_model_;
           for (std::size_t i = 0; i < live; ++i) {
-            qdata_[block_base + i] = static_cast<std::int8_t>(
-                std::lround(qdata_[block_base + i] * factor));
+            codes[i] = static_cast<std::int8_t>(std::lround(codes[i] * factor));
           }
         }
         amax = ra;
         scales_[id] = amax;
       }
       if (amax == 0.0f) {
-        std::fill_n(qdata_.begin() + base, d_model_, std::int8_t{0});
+        std::fill_n(codes + base, d_model_, std::int8_t{0});
       } else {
         const float inv_s = 127.0f / amax;
         for (std::size_t c = 0; c < d_model_; ++c) {
           const long q = std::lround(v[c] * inv_s);
-          qdata_[base + c] =
+          codes[base + c] =
               static_cast<std::int8_t>(std::clamp(q, -127L, 127L));
         }
       }
@@ -212,6 +206,7 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
     }
 
     case KvQuantMode::kLog2: {
+      std::int8_t* codes = block_ptr<std::int8_t>(id);
       const float ra = row_amax(v);
       int exponent = static_cast<int>(scales_[id]);
       if (ra > 0.0f) {
@@ -224,14 +219,12 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
           // Power-of-two scale growth: an integer add on every live code
           // (a right-shift of the stored values in hardware).
           const int delta = needed - exponent;
-          const std::size_t block_base = id * block_size_ * d_model_;
           const std::size_t live = fill_[id] * d_model_;
           for (std::size_t i = 0; i < live; ++i) {
-            const auto byte =
-                static_cast<std::uint8_t>(qdata_[block_base + i]);
+            const auto byte = static_cast<std::uint8_t>(codes[i]);
             const int code =
                 std::min(kLog2CodeMax, (byte & kLog2CodeMax) + delta);
-            qdata_[block_base + i] = static_cast<std::int8_t>(
+            codes[i] = static_cast<std::int8_t>(
                 code == kLog2CodeMax
                     ? kLog2CodeMax  // saturated codes flush to +0
                     : ((byte & kSignBit) | code));
@@ -241,7 +234,7 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
         }
       }
       for (std::size_t c = 0; c < d_model_; ++c) {
-        qdata_[base + c] = encode_log2(v[c], exponent);
+        codes[base + c] = encode_log2(v[c], exponent);
       }
       break;
     }
@@ -251,16 +244,11 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
 
 void KvBlockPool::save_block(BlockId id, BlockSnapshot& out) const {
   check_block(id, "KvBlockPool::save_block: bad or free block");
-  const std::size_t entries = block_size_ * d_model_;
-  const std::size_t base = id * entries;
   // The whole block is captured, not just the fill rows: stale bytes past
   // the fill can become live again after a later mid-block truncate, and a
   // bitwise restore must reproduce them too.
-  if (mode_ == KvQuantMode::kFp32) {
-    out.floats.assign(fdata_.begin() + base, fdata_.begin() + base + entries);
-  } else {
-    out.codes.assign(qdata_.begin() + base, qdata_.begin() + base + entries);
-  }
+  const std::byte* bytes = block_ptr<std::byte>(id);
+  out.bytes.assign(bytes, bytes + block_bytes_);
   out.scale = scales_[id];
   out.fill = fill_[id];
 }
@@ -269,18 +257,10 @@ void KvBlockPool::restore_block(BlockId id, const BlockSnapshot& snapshot) {
   check_block(id, "KvBlockPool::restore_block: bad or free block");
   require(refs_[id] == 1,
           "KvBlockPool::restore_block: shared block (copy-on-write required)");
-  const std::size_t entries = block_size_ * d_model_;
-  if (mode_ == KvQuantMode::kFp32) {
-    require(snapshot.floats.size() == entries,
-            "KvBlockPool::restore_block: snapshot does not match this pool");
-    std::copy(snapshot.floats.begin(), snapshot.floats.end(),
-              fdata_.begin() + id * entries);
-  } else {
-    require(snapshot.codes.size() == entries,
-            "KvBlockPool::restore_block: snapshot does not match this pool");
-    std::copy(snapshot.codes.begin(), snapshot.codes.end(),
-              qdata_.begin() + id * entries);
-  }
+  require(snapshot.bytes.size() == block_bytes_,
+          "KvBlockPool::restore_block: snapshot does not match this pool");
+  std::copy(snapshot.bytes.begin(), snapshot.bytes.end(),
+            block_ptr<std::byte>(id));
   scales_[id] = snapshot.scale;
   fill_[id] = snapshot.fill;
 }
@@ -300,23 +280,25 @@ void KvBlockPool::read_row(BlockId id, std::size_t row,
   check_block(id, "KvBlockPool::read_row: bad or free block");
   require(row < block_size_, "KvBlockPool::read_row: row out of range");
   require(out.size() == d_model_, "KvBlockPool::read_row: dim mismatch");
-  const std::size_t base = (id * block_size_ + row) * d_model_;
+  const std::size_t base = row * d_model_;
 
   switch (mode_) {
     case KvQuantMode::kFp32:
-      std::copy_n(fdata_.begin() + base, d_model_, out.begin());
+      std::copy_n(block_ptr<const float>(id) + base, d_model_, out.begin());
       break;
     case KvQuantMode::kInt8: {
+      const std::int8_t* codes = block_ptr<const std::int8_t>(id) + base;
       const float s = scales_[id] / 127.0f;
       for (std::size_t c = 0; c < d_model_; ++c) {
-        out[c] = static_cast<float>(qdata_[base + c]) * s;
+        out[c] = static_cast<float>(codes[c]) * s;
       }
       break;
     }
     case KvQuantMode::kLog2: {
+      const std::int8_t* codes = block_ptr<const std::int8_t>(id) + base;
       const int exponent = static_cast<int>(scales_[id]);
       for (std::size_t c = 0; c < d_model_; ++c) {
-        out[c] = kv_decode_log2(qdata_[base + c], exponent);
+        out[c] = kv_decode_log2(codes[c], exponent);
       }
       break;
     }
@@ -328,8 +310,7 @@ std::span<const float> KvBlockPool::block_data(BlockId id) const {
   require(mode_ == KvQuantMode::kFp32,
           "KvBlockPool::block_data: raw block views are fp32-only "
           "(quantized entries must be read through read_row)");
-  return std::span<const float>(fdata_).subspan(id * block_size_ * d_model_,
-                                                block_size_ * d_model_);
+  return {block_ptr<const float>(id), block_size_ * d_model_};
 }
 
 std::span<const std::int8_t> KvBlockPool::block_codes(BlockId id) const {
@@ -337,8 +318,7 @@ std::span<const std::int8_t> KvBlockPool::block_codes(BlockId id) const {
   require(mode_ != KvQuantMode::kFp32,
           "KvBlockPool::block_codes: raw code views are quantized-only "
           "(fp32 storage holds floats — read through block_data)");
-  return std::span<const std::int8_t>(qdata_).subspan(
-      id * block_size_ * d_model_, block_size_ * d_model_);
+  return {block_ptr<const std::int8_t>(id), block_size_ * d_model_};
 }
 
 float KvBlockPool::block_scale(BlockId id) const {
@@ -347,9 +327,7 @@ float KvBlockPool::block_scale(BlockId id) const {
 }
 
 std::size_t KvBlockPool::bytes_per_block() const {
-  const std::size_t payload =
-      block_size_ * d_model_ * kv_bits_per_entry(mode_) / 8;
-  return payload + (mode_ == KvQuantMode::kFp32 ? 0 : sizeof(float));
+  return block_bytes_ + (mode_ == KvQuantMode::kFp32 ? 0 : sizeof(float));
 }
 
 }  // namespace opal

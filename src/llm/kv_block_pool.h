@@ -36,6 +36,14 @@
 // *pinned*; reclaimable_blocks()/pinned_blocks() expose that split and
 // peak_blocks_in_use() records the in-use high-water mark.
 //
+// Storage is committed lazily: the constructor reserves only the per-block
+// bookkeeping, and allocate() commits a block's storage (zeroed) the first
+// time it hands out that block id, keeping it for the pool's lifetime. The
+// free list is LIFO and hands out block 0 first, so a never-used id is handed
+// out only when every committed block is in use: committed_blocks() equals
+// peak_blocks_in_use() at all times, and the resident KV is that peak times
+// bytes_per_block(), not the pool's capacity (storage_bytes()).
+//
 // The pool itself is not internally synchronized: allocate/free/write must
 // be externally serialized (a ServingEngine owns its pool and reserves
 // blocks in its serial phase; the parallel decode phase only reads and
@@ -45,6 +53,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -76,7 +85,9 @@ class KvBlockPool {
               std::size_t d_model, KvQuantMode mode = KvQuantMode::kFp32);
 
   /// O(1). Returns a block with reset quantization state (scale 0, no rows)
-  /// and refcount 1. Throws KvPoolExhausted when no block is free.
+  /// and refcount 1. Throws KvPoolExhausted when no block is free. The first
+  /// hand-out of an id commits its storage, zeroed; a reused block keeps the
+  /// stale bytes of its last holder.
   [[nodiscard]] BlockId allocate();
 
   /// O(1). Drops one reference; the block returns to the free list when the
@@ -121,6 +132,10 @@ class KvBlockPool {
   /// prefix sharing observable (N sequences over one shared prefix peak far
   /// below N private copies).
   [[nodiscard]] std::size_t peak_blocks_in_use() const { return peak_in_use_; }
+  /// Blocks whose storage has been committed (each on its first allocate()).
+  /// Always equals peak_blocks_in_use(): this, not n_blocks(), is what the
+  /// pool keeps resident.
+  [[nodiscard]] std::size_t committed_blocks() const { return committed_; }
   [[nodiscard]] std::size_t block_size() const { return block_size_; }
   [[nodiscard]] std::size_t d_model() const { return d_model_; }
   [[nodiscard]] KvQuantMode mode() const { return mode_; }
@@ -142,8 +157,7 @@ class KvBlockPool {
   /// SequenceState::spec_rollback). Snapshot buffers are grow-only and
   /// reusable across blocks of one pool.
   struct BlockSnapshot {
-    std::vector<std::int8_t> codes;  // kInt8/kLog2: block_size * d_model
-    std::vector<float> floats;       // kFp32: block_size * d_model
+    std::vector<std::byte> bytes;  // the block's whole storage
     float scale = 0.0f;
     std::size_t fill = 0;
   };
@@ -189,7 +203,9 @@ class KvBlockPool {
 
   /// Payload bytes of one block (quantized entries + per-block scale).
   [[nodiscard]] std::size_t bytes_per_block() const;
-  /// Payload bytes of the whole pool.
+  /// Payload bytes of the whole pool at capacity. Storage is committed per
+  /// block on first allocation, so committed_blocks() * bytes_per_block() is
+  /// what is resident.
   [[nodiscard]] std::size_t storage_bytes() const {
     return n_blocks_ * bytes_per_block();
   }
@@ -207,13 +223,23 @@ class KvBlockPool {
  private:
   void check_block(BlockId id, const char* what) const;
 
+  /// Block `id`'s committed storage as [block_size x d_model] entries of T:
+  /// float in kFp32 mode, std::int8_t codes otherwise (std::byte for copies).
+  template <typename T>
+  [[nodiscard]] T* block_ptr(BlockId id) const {
+    return reinterpret_cast<T*>(storage_[id].get());
+  }
+
   std::size_t n_blocks_;
   std::size_t block_size_;
   std::size_t d_model_;
   KvQuantMode mode_;
+  std::size_t row_bytes_;    // storage bytes of one row (d_model entries)
+  std::size_t block_bytes_;  // storage bytes of one block
 
-  std::vector<float> fdata_;        // kFp32: n_blocks * block_size * d_model
-  std::vector<std::int8_t> qdata_;  // kInt8/kLog2 codes, same extent
+  // Per block: null until the block's first allocate(), then its storage.
+  std::vector<std::unique_ptr<std::byte[]>> storage_;
+  std::size_t committed_ = 0;       // non-null entries of storage_
   std::vector<float> scales_;       // per block: amax (int8) or exponent (log2)
   std::vector<std::size_t> fill_;   // rows written since allocate (for rescale)
   std::vector<BlockId> free_list_;  // LIFO free stack

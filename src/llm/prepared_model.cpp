@@ -42,16 +42,33 @@ std::string EngineConfig::label() const {
   return out;
 }
 
+namespace {
+
+/// Refuses a KV block no serving pool can size: a zero block size divides
+/// by zero in block counts, and a block longer than max_seq_len commits
+/// rows no sequence can fill.
+EngineConfig checked_kv_layout(EngineConfig config) {
+  require(config.kv_block_size >= 1 &&
+              config.kv_block_size <= config.max_seq_len,
+          "PreparedModel: kv_block_size " +
+              std::to_string(config.kv_block_size) +
+              " must be in [1, max_seq_len " +
+              std::to_string(config.max_seq_len) + "]");
+  return config;
+}
+
+}  // namespace
+
 PreparedModel::PreparedModel(const SyntheticModel& model, EngineConfig config,
                              const CalibrationSet* calibration)
-    : model_(&model), config_(std::move(config)) {
+    : model_(&model), config_(checked_kv_layout(std::move(config))) {
   prepare_layers(calibration, nullptr);
   finish_construction();
 }
 
 PreparedModel::PreparedModel(const SyntheticModel& model, EngineConfig config,
                              const HessianSet& hessians)
-    : model_(&model), config_(std::move(config)) {
+    : model_(&model), config_(checked_kv_layout(std::move(config))) {
   require(config_.weight_quant.has_value(),
           "PreparedModel: GPTQ requires weight_quant");
   prepare_layers(nullptr, &hessians);

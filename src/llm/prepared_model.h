@@ -92,7 +92,8 @@ struct EngineConfig {
   /// kFp32 stores the written bits exactly; kInt8/kLog2 trade a small
   /// perplexity delta for 4x less KV memory (see bench_table1_ppl).
   KvQuantMode kv_mode = KvQuantMode::kFp32;
-  /// Positions per KV block (block-granular allocation unit).
+  /// Positions per KV block (block-granular allocation unit), in
+  /// [1, max_seq_len]; PreparedModel refuses any other value.
   std::size_t kv_block_size = 16;
 
   /// Scheme label in the paper's notation, e.g. "W4A4/7 (MX-OPAL)".

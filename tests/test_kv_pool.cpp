@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -214,6 +217,140 @@ TEST(KvBlockPool, StorageAccounting) {
   // int8 blocks are 4x smaller up to the per-block scale: the
   // sequences-per-host multiplier.
   EXPECT_LE(4 * q8.bytes_per_block(), fp.bytes_per_block() + 4 * 4);
+}
+
+constexpr KvQuantMode kAllModes[] = {KvQuantMode::kFp32, KvQuantMode::kInt8,
+                                     KvQuantMode::kLog2};
+
+/// Block `id`'s storage as raw bytes, through the mode's raw view.
+std::vector<std::uint8_t> block_bytes(const KvBlockPool& pool,
+                                      KvBlockPool::BlockId id) {
+  std::vector<std::uint8_t> out;
+  if (pool.mode() == KvQuantMode::kFp32) {
+    const auto data = pool.block_data(id);
+    out.resize(data.size_bytes());
+    std::memcpy(out.data(), data.data(), out.size());
+  } else {
+    const auto codes = pool.block_codes(id);
+    out.resize(codes.size_bytes());
+    std::memcpy(out.data(), codes.data(), out.size());
+  }
+  return out;
+}
+
+TEST(KvBlockPool, CommitsStorageOnFirstAllocationOnly) {
+  for (const KvQuantMode mode : kAllModes) {
+    SCOPED_TRACE(to_string(mode));
+    KvBlockPool pool(1024, 4, 8, mode);
+    EXPECT_EQ(pool.committed_blocks(), 0u);
+    const auto a = pool.allocate();
+    const auto b = pool.allocate();
+    const auto c = pool.allocate();
+    EXPECT_EQ(pool.committed_blocks(), 3u);
+    EXPECT_EQ(pool.peak_blocks_in_use(), 3u);
+    // Capacity accounting is unchanged; only residency follows use.
+    EXPECT_EQ(pool.storage_bytes(), 1024u * pool.bytes_per_block());
+    // A fresh block reads zero: floats in fp32, codes otherwise.
+    for (const auto id : {a, b, c}) {
+      const auto bytes = block_bytes(pool, id);
+      EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(),
+                              [](std::uint8_t v) { return v == 0; }));
+    }
+    // A reused block keeps its last holder's bytes; it commits nothing new.
+    Rng rng = make_rng(7);
+    pool.write_row(b, 1, random_row(rng, 8));
+    const auto written = block_bytes(pool, b);
+    pool.free(b);
+    const auto again = pool.allocate();
+    ASSERT_EQ(again, b);
+    EXPECT_EQ(block_bytes(pool, again), written);
+    EXPECT_EQ(pool.rows_written(again), 0u);
+    EXPECT_EQ(pool.committed_blocks(), 3u);
+  }
+}
+
+TEST(KvBlockPool, CommittedBlocksEqualPeakAcrossEveryOp) {
+  for (const KvQuantMode mode : kAllModes) {
+    SCOPED_TRACE(to_string(mode));
+    // At most kHeld blocks are held at once, so a third of the pool is never
+    // handed out and must stay uncommitted.
+    constexpr std::size_t kBlocks = 24, kHeld = 16, kRows = 4, kDim = 8;
+    KvBlockPool pool(kBlocks, kRows, kDim, mode);
+    Rng rng = make_rng(11);
+    std::uniform_int_distribution<int> op_dist(0, 6);
+    std::vector<KvBlockPool::BlockId> held;
+    KvBlockPool::BlockSnapshot snap;
+    bool snap_valid = false;
+    const auto pick = [&]() -> KvBlockPool::BlockId& {
+      std::uniform_int_distribution<std::size_t> d(0, held.size() - 1);
+      return held[d(rng)];
+    };
+    for (int step = 0; step < 2000; ++step) {
+      const int op = op_dist(rng);
+      if (held.empty() || (op == 0 && held.size() < kHeld)) {
+        held.push_back(pool.allocate());
+      } else if (op <= 2) {
+        auto& id = pick();
+        pool.free(id);
+        id = held.back();
+        held.pop_back();
+      } else if (op == 3 && held.size() < kHeld) {
+        const auto src = pick();
+        held.push_back(pool.clone_rows(src, pool.rows_written(src)));
+      } else if (op == 4) {
+        const auto id = pick();
+        const std::size_t row =
+            std::min(pool.rows_written(id), kRows - 1);
+        pool.write_row(id, row, random_row(rng, kDim, 4.0f));
+      } else if (op == 5) {
+        pool.reset_block(pick());
+      } else {
+        const auto id = pick();
+        if (snap_valid) pool.restore_block(id, snap);
+        pool.save_block(id, snap);
+        snap_valid = true;
+      }
+      ASSERT_EQ(pool.committed_blocks(), pool.peak_blocks_in_use())
+          << "op " << op << " at step " << step;
+    }
+    // The peak climbed well past the start while frees kept handing back
+    // committed blocks, and the ids never held stayed uncommitted.
+    EXPECT_GT(pool.committed_blocks(), kHeld / 2);
+    EXPECT_LE(pool.committed_blocks(), kHeld);
+    EXPECT_GT(pool.counts().allocations, 4 * pool.committed_blocks());
+  }
+}
+
+TEST(KvBlockPool, SaveScribbleRestoreIsBitwise) {
+  for (const KvQuantMode mode : kAllModes) {
+    SCOPED_TRACE(to_string(mode));
+    KvBlockPool pool(2, 4, 8, mode);
+    Rng rng = make_rng(3);
+    const auto id = pool.allocate();
+    pool.write_row(id, 0, random_row(rng, 8, 1.0f));
+    pool.write_row(id, 1, random_row(rng, 8, 1.0f));
+    KvBlockPool::BlockSnapshot before;
+    pool.save_block(id, before);
+    const auto bytes = block_bytes(pool, id);
+    const float scale = pool.block_scale(id);
+    // Scribble: a larger row grows the scale (rescaling rows 0-1 in the
+    // quantized modes) and rows 2-3 fill the block.
+    pool.write_row(id, 2, random_row(rng, 8, 64.0f));
+    pool.write_row(id, 3, random_row(rng, 8, 1.0f));
+    ASSERT_NE(block_bytes(pool, id), bytes);
+    pool.restore_block(id, before);
+    EXPECT_EQ(block_bytes(pool, id), bytes);
+    EXPECT_EQ(pool.block_scale(id), scale);
+    EXPECT_EQ(pool.rows_written(id), 2u);
+    KvBlockPool::BlockSnapshot after;
+    pool.save_block(id, after);
+    EXPECT_EQ(after.bytes, before.bytes);
+    // A snapshot from a differently shaped pool is refused.
+    KvBlockPool other(1, 2, 8, mode);
+    KvBlockPool::BlockSnapshot foreign;
+    other.save_block(other.allocate(), foreign);
+    EXPECT_THROW(pool.restore_block(id, foreign), std::invalid_argument);
+  }
 }
 
 TEST(PagedKvCache, AdvanceAllocatesPerBlockColumn) {

@@ -452,6 +452,15 @@ TEST(Replay, MalformedTracesRejectedWithUsefulErrors) {
   no_block.replace(no_block.find("\"block_size\": 8"), 15,
                    "\"block_size\": 0");
   expect_rejected(no_block, "kv.block_size");
+  // Nor a block longer than a sequence: the engine refuses that layout.
+  const auto with_block_size = [&](const std::string& block_size) {
+    std::string json = one_step("1", burst("1", "2"));
+    json.replace(json.find("\"block_size\": 8"), 15,
+                 "\"block_size\": " + block_size);
+    return json;
+  };
+  EXPECT_NO_THROW((void)parse_step_trace(with_block_size("32")));
+  expect_rejected(with_block_size("33"), "kv.block_size");
   StepTrace no_block_trace = good;
   no_block_trace.info.kv_block_size = 0;
   EXPECT_THROW((void)no_block_trace.model(), std::invalid_argument);

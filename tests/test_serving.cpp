@@ -269,6 +269,7 @@ TEST(ServingEngine, DefaultPreemptReleasesKvAndReplaysFromScratch) {
 TEST(ServingEngine, EvictsWhenKvCacheExhausted) {
   EngineConfig cfg;
   cfg.max_seq_len = 6;
+  cfg.kv_block_size = 6;  // one block column per sequence
   auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
   ServingEngine engine(model, scfg(2, 0));
   const RequestId longer = engine.submit(Request{{1, 2, 3}, 10});  // wants 13
@@ -346,6 +347,7 @@ TEST(ServingEngine, CompletesAtExactKvCapacityBoundary) {
   // kEvicted.
   EngineConfig cfg;
   cfg.max_seq_len = 6;
+  cfg.kv_block_size = 6;  // one block column per sequence
   auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
   ServingEngine engine(model, scfg(1, 0));
   const RequestId id = engine.submit(Request{{1, 2, 3}, 4});  // target 7
@@ -444,6 +446,7 @@ TEST(Perplexity, BatchedEvaluationMatchesPerStream) {
 TEST(Perplexity, BatchedEvaluationRejectsOverlongStream) {
   EngineConfig cfg;
   cfg.max_seq_len = 8;
+  cfg.kv_block_size = 8;
   const PreparedModel model(tiny_model(), cfg);
   // 9 predictions need 9 cached positions > 8: must fail loudly instead of
   // silently scoring a truncated prefix.
@@ -456,6 +459,34 @@ TEST(Perplexity, BatchedEvaluationRejectsOverlongStream) {
   streams[0].pop_back();
   const auto ppl = evaluate_perplexity_batched(model, streams);
   EXPECT_TRUE(std::isfinite(ppl[0]));
+}
+
+TEST(PreparedModel, RefusesKvBlockOutsideOneToMaxSeqLen) {
+  // A zero block once reached ServingEngine, whose pool sizing divided by
+  // it (SIGFPE); a block past max_seq_len commits rows no sequence fills.
+  const auto expect_refused = [](auto&& build) {
+    try {
+      build();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("kv_block_size"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  EngineConfig cfg = scheme_owq(4);
+  cfg.max_seq_len = 8;
+  for (const std::size_t bad : {std::size_t{0}, std::size_t{9}}) {
+    cfg.kv_block_size = bad;
+    expect_refused([&] { PreparedModel m(tiny_model(), cfg); });
+    expect_refused([&] { PreparedModel m(tiny_model(), cfg, HessianSet{}); });
+  }
+  cfg.kv_block_size = 8;
+  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
+  ServingEngine engine(model, scfg(1, 0));
+  const RequestId id = engine.submit(Request{{1, 2}, 3});
+  engine.run();
+  EXPECT_EQ(engine.result(id).status, RequestStatus::kFinished);
 }
 
 // --- Paged KV / memory-aware serving ---

@@ -3,17 +3,18 @@
 // that vary the pool (down to one block column), kv_mode, scheduler, chunk
 // width, speculation, the prefix cache and the thread count.
 //
-// After every step: the pool's accounting balances (every in-use block has
-// a holder, allocations - frees == blocks in use, the cache-only blocks are
-// exactly the reclaimable ones) and the token observer has fired exactly
-// once, in order, per generated token; a step that decodes nothing leaves
-// nothing running or queued. At the end: every finished stream equals its
-// solo decode bitwise (an evicted one is a prefix of it), and releasing
-// every id and clearing the prefix cache returns every block. Every
-// other seed is traced: its step trace must read back from its JSON form
-// and balance on replay (the replayed generated tokens are the requests'
-// generated tokens, and the replayed rows are the engine's
-// tokens_decoded).
+// After every op the pool's committed block storage equals its in-use peak
+// (storage is committed on first allocation). After every step: the pool's
+// accounting balances (every in-use block has a holder, allocations - frees
+// == blocks in use, the cache-only blocks are exactly the reclaimable ones)
+// and the token observer has fired exactly once, in order, per generated
+// token; a step that decodes nothing leaves nothing running or queued. At
+// the end: every finished stream equals its solo decode bitwise (an evicted
+// one is a prefix of it), and releasing every id and clearing the prefix
+// cache returns every block. Every other seed is traced: its step trace
+// must read back from its JSON form and balance on replay (the replayed
+// generated tokens are the requests' generated tokens, and the replayed
+// rows are the engine's tokens_decoded).
 //
 // The solo decode is the InferenceEngine facade under fp32 KV. The facade's
 // own KV is always fp32, so under int8 / log2 KV the reference is the same
@@ -274,6 +275,9 @@ void run_case(std::uint64_t seed) {
               << what << " request " << id;
         }
       }
+      ASSERT_EQ(engine.kv_pool().committed_blocks(),
+                engine.kv_pool().peak_blocks_in_use())
+          << "after op " << op;
       if (::testing::Test::HasFatalFailure()) return;
     }
     for (const auto& [id, req] : requests) {
