@@ -21,7 +21,7 @@
 //   kSpecBurst    request   rows fed / start position / KV bytes /
 //                           tokens generated (rows committed)       verify us
 //   kBudgetShrink request   budget before / 1 / 0 / 0               -
-//   kPreempt      request   kept positions / fed before / 0 / 0     -
+//   kPreempt      request   0 / fed before / 0 / 0                  -
 //   kEvict        request   generated so far / 0 / 0 / 0            -
 //   kFinish       request   generated / finish reason / 0 / 0       -
 //   kStep         engine    batch size / rows fed / blocks in use /

@@ -41,8 +41,7 @@
 // boundary-block snapshot/replay (see sequence_state.h) that rewinds the
 // grow-only block scale bitwise. The kept prefix is therefore byte-for-byte
 // what a non-speculative run produces: it stays a pure function of the
-// token prefix, the prefix cache may index it, and no
-// Sequence::non_canonical_from watermark is spent on speculation.
+// token prefix, and the prefix cache may index it.
 //
 // Drafters never affect WHAT is generated — only how many model passes it
 // takes. A drafter that proposes garbage costs wasted verify rows; a

@@ -75,7 +75,7 @@ class SequenceState {
   //     write_at(). Block state is a pure function of the rows written
   //     since allocation, so the result is bit-identical to having fed
   //     only the committed tokens — the prefix stays canonical and
-  //     prefix-cacheable, no non_canonical_from watermark needed;
+  //     prefix-cacheable;
   //   * end_spec_capture() — when every row was committed (no rollback).
   // Capture is a no-op in fp32 mode, where spec_rollback() is just
   // truncate(). Buffers are grow-only and reused across bursts.

@@ -1,6 +1,7 @@
 #include "llm/serving_engine.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/tensor.h"
 
@@ -193,15 +194,10 @@ std::span<const SchedRequest> ServingEngine::sched_views(
 }
 
 std::size_t ServingEngine::blocks_needed(const Sequence& seq) const {
-  // A sequence preempted with a kept prefix still owns its blocks and may
-  // need none (nor any at a full cache, where it evicts instead of
-  // decoding); a fresh (or fully released) sequence needs one block column.
-  if (seq.state != nullptr) {
-    return seq.state->blocks_needed_for(std::min<std::size_t>(
-        1, seq.state->max_seq_len() - seq.state->position()));
-  }
-  return PagedKvCache::blocks_for(model_->model_config().n_layers, 1,
-                                  model_->config().kv_block_size);
+  // The blocks seq's next single-token advance takes (none at a full cache,
+  // where it evicts instead of decoding).
+  return seq.state->blocks_needed_for(std::min<std::size_t>(
+      1, seq.state->max_seq_len() - seq.state->position()));
 }
 
 bool ServingEngine::ensure_free_blocks(std::size_t target) {
@@ -237,11 +233,7 @@ void ServingEngine::restore_cached_prefix(Sequence& seq) {
 void ServingEngine::maybe_cache_prefix(const Sequence& seq) {
   if (prefix_cache_ == nullptr || seq.state == nullptr) return;
   const std::size_t bs = model_->config().kv_block_size;
-  // Full columns only, capped at the canonical watermark: columns at or
-  // past a quantized mid-block truncation would index KV that is not a
-  // pure function of the token prefix (see Sequence::non_canonical_from).
-  const std::size_t aligned =
-      std::min((seq.fed / bs) * bs, seq.non_canonical_from);
+  const std::size_t aligned = (seq.fed / bs) * bs;  // full columns only
   if (aligned == 0) return;
   prefix_cache_->insert(seq.result.tokens, aligned, seq.state->paged_cache());
 }
@@ -254,119 +246,100 @@ void ServingEngine::release_sequence_kv(Sequence& seq) {
   if (seq.state != nullptr) seq.sampler_ckpt = seq.state->sampler_state();
   seq.state.reset();
   seq.fed = 0;
-  // Full recompute replays from scratch, so the rebuilt KV is canonical.
-  seq.non_canonical_from = Sequence::kCanonical;
 }
 
 void ServingEngine::admit_from_queue() {
-  for (;;) {
-    // Blocks the current batch will take on its next advance: admission
-    // must leave room for them, or the pressure loop would immediately
-    // preempt the sequence we just admitted.
-    std::size_t planned = 0;
-    for (const auto& seq : batch_) planned += blocks_needed(seq);
-    while (batch_.size() < config_.max_batch && !queue_.empty()) {
-      blocked_.clear();
-      bool admitted = false;
-      for (;;) {
-        const std::size_t pick =
-            scheduler_->pick_admission(sched_views(queue_), blocked_);
-        if (pick == Scheduler::kNone) break;
-        require(pick < queue_.size(),
-                "ServingEngine: scheduler picked an out-of-range admission");
-        require(!std::binary_search(blocked_.begin(), blocked_.end(), pick),
-                "ServingEngine: scheduler re-offered a blocked admission");
-        Sequence& head = queue_[pick];
-        // Restore the candidate's cached prefix BEFORE checking capacity:
-        // adoption consumes no free blocks, and its references protect the
-        // matched entries from the reclaim pass below (which would
-        // otherwise evict the very prefix this request is about to reuse).
-        // If admission then blocks, the candidate just waits in the queue
-        // holding its prefix — reclaim_queued_prefix downgrades it under
-        // extreme pressure.
-        if (head.state == nullptr) {
-          head.state = std::make_unique<SequenceState>(
-              model_->make_sequence(kv_pool_));
-          // Resume the request's RNG stream at its checkpoint (draw 0 for
-          // a fresh request, the exact mid-stream draw after preemption).
-          head.state->sampler_state() = head.sampler_ckpt;
-          restore_cached_prefix(head);
-        } else if (head.downgraded && head.state->blocks_held() == 0) {
-          // A downgraded candidate whose adoption was dropped on an
-          // earlier failed attempt: retry the restore — the entries may
-          // still be cached, and adoption consumes no free blocks.
-          restore_cached_prefix(head);
-        }
-        std::size_t need = blocks_needed(head);
-        bool ok = ensure_free_blocks(planned + need);
-        if (!ok && head.downgraded && head.fed != 0) {
-          // A downgraded candidate must not hold its re-adoption through
-          // the failure: it would shield the very entries the reclaim pass
-          // above needed and recreate the exact shortfall its downgrade
-          // resolved, forever. Drop the adoption and retry once with those
-          // entries reclaimable.
-          head.state->reset();
-          head.fed = 0;
-          need = blocks_needed(head);
-          ok = ensure_free_blocks(planned + need);
-        }
-        if (ok) {
-          planned += need;
-          Sequence seq = std::move(queue_[pick]);
-          queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
-          seq.downgraded = false;
-          seq.result.status = RequestStatus::kRunning;
-          batch_.push_back(std::move(seq));
-          em_.admissions->add();
-          const Sequence& adm = batch_.back();
-          trace_.emit({.kind = TraceEventKind::kAdmit,
-                       .step = step_counter_,
-                       .request = adm.id,
-                       .a = step_counter_ - adm.submit_step,
-                       .b = adm.fed,
-                       .c = adm.state->blocks_held()});
-          admitted = true;
-          break;
-        }
-        // Memory-blocked candidate: it keeps its queue position and any
-        // adopted prefix (retried first next step), but the policy may
-        // offer the NEXT admissible candidate so a small request admits
-        // around it. FIFO, whose bitwise contract is strict arrival order,
-        // returns kNone: head-of-line blocking.
-        blocked_.push_back(pick);
-        std::sort(blocked_.begin(), blocked_.end());
-        if (blocked_.size() >= queue_.size()) break;
+  // Blocks the current batch will take on its next advance: admission
+  // must leave room for them, or the pressure loop would immediately
+  // preempt the sequence we just admitted.
+  std::size_t planned = 0;
+  for (const auto& seq : batch_) planned += blocks_needed(seq);
+  while (batch_.size() < config_.max_batch && !queue_.empty()) {
+    blocked_.clear();
+    bool admitted = false;
+    // Bounded: each round admits (and ends the loop) or adds a distinct
+    // queue index to blocked_ (the second require), so it runs at most
+    // queue_.size() rounds.
+    for (;;) {
+      const std::size_t pick =
+          scheduler_->pick_admission(sched_views(queue_), blocked_);
+      if (pick == Scheduler::kNone) break;
+      require(pick < queue_.size(),
+              "ServingEngine: scheduler picked an out-of-range admission");
+      require(!std::binary_search(blocked_.begin(), blocked_.end(), pick),
+              "ServingEngine: scheduler re-offered a blocked admission");
+      Sequence& head = queue_[pick];
+      // Adopt the candidate's cached prefix BEFORE checking capacity:
+      // adoption consumes no free blocks, and its references protect the
+      // matched entries from the reclaim pass below (which would otherwise
+      // evict the very prefix this request is about to reuse).
+      if (head.state == nullptr) {
+        head.state = std::make_unique<SequenceState>(
+            model_->make_sequence(kv_pool_));
+        // Resume the request's RNG stream at its checkpoint (draw 0 for
+        // a fresh request, the exact mid-stream draw after preemption).
+        head.state->sampler_state() = head.sampler_ckpt;
       }
-      if (!admitted) break;  // nothing admissible this step
+      restore_cached_prefix(head);
+      std::size_t need = blocks_needed(head);
+      bool ok = ensure_free_blocks(planned + need);
+      if (!ok && head.fed != 0) {
+        // Blocked: drop the adoption, so no queued sequence holds blocks
+        // and its match stays reclaimable (it is looked up again on the
+        // next attempt). With nothing running, the match may be what
+        // blocks it — e.g. a one-column pool whose only cached column is
+        // its own match — so retry once without it: forward progress.
+        head.state->reset();
+        head.fed = 0;
+        if (batch_.empty()) {
+          need = blocks_needed(head);
+          ok = ensure_free_blocks(need);
+        }
+      }
+      if (ok) {
+        planned += need;
+        Sequence seq = std::move(queue_[pick]);
+        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+        seq.result.status = RequestStatus::kRunning;
+        batch_.push_back(std::move(seq));
+        em_.admissions->add();
+        const Sequence& adm = batch_.back();
+        trace_.emit({.kind = TraceEventKind::kAdmit,
+                     .step = step_counter_,
+                     .request = adm.id,
+                     .a = step_counter_ - adm.submit_step,
+                     .b = adm.fed,
+                     .c = adm.state->blocks_held()});
+        admitted = true;
+        break;
+      }
+      // Memory-blocked candidate: it keeps its queue position (retried
+      // first next step), but the policy may offer the NEXT admissible
+      // candidate so a small request admits around it. FIFO, whose bitwise
+      // contract is strict arrival order, returns kNone: head-of-line
+      // blocking.
+      blocked_.push_back(pick);
+      std::sort(blocked_.begin(), blocked_.end());
+      if (blocked_.size() >= queue_.size()) break;
     }
-    if (!batch_.empty() || queue_.empty()) return;
-    // Nothing is running yet no candidate can start: queued sequences
-    // keeping preempted prefixes hold the blocks. Downgrade the youngest
-    // holder to full recompute (so a startable candidate always exists)
-    // and retry.
-    if (!reclaim_queued_prefix()) return;
+    if (!admitted) break;  // nothing admissible this step
   }
-}
-
-bool ServingEngine::reclaim_queued_prefix() {
-  for (auto it = queue_.rbegin(); it != queue_.rend(); ++it) {
-    if (it->state != nullptr && it->state->blocks_held() > 0) {
-      it->downgraded = true;  // must not hold a re-adoption through failure
-      const std::size_t fed_before = it->fed;
-      release_sequence_kv(*it);
-      em_.preemptions->add();
-      trace_.emit({.kind = TraceEventKind::kPreempt,
-                   .step = step_counter_,
-                   .request = it->id,
-                   .b = fed_before});
-      return true;
-    }
-  }
-  return false;
 }
 
 void ServingEngine::ensure_kv_capacity() {
-  for (;;) {
+  // Every round that does not return shrinks a budget to 1, preempts a
+  // running victim (the batch shrinks) or evicts the lone sequence (a
+  // request retires for good). Between two evictions that is at most
+  // max_batch shrinks (the sequences admitted after an eviction start at
+  // budget 1) and max_batch - 1 preemptions, and there are at most as many
+  // evictions as live requests.
+  const std::size_t max_rounds =
+      (batch_.size() + queue_.size() + 1) * 2 * config_.max_batch;
+  for (std::size_t round = 0;; ++round) {
+    if (round > max_rounds) {
+      throw std::logic_error(
+          "ServingEngine::ensure_kv_capacity: loop exceeded its round bound");
+    }
     std::size_t need = 0;
     for (std::size_t i = 0; i < batch_.size(); ++i) {
       need += batch_[i].state->blocks_needed_for(passes_[i].rows);
@@ -400,10 +373,8 @@ void ServingEngine::ensure_kv_capacity() {
       continue;
     }
     if (batch_.size() == 1) {
-      // No running sequence left to preempt: first reclaim kept prefixes
-      // of queued (manually preempted) sequences — they replay anyway.
-      if (reclaim_queued_prefix()) continue;
-      // The cache is drained and every block still in use is this
+      // No running sequence left to preempt, the cache is drained and no
+      // queued sequence holds blocks, so every block still in use is this
       // sequence's own: the pool is too small for it. Retire it as
       // kEvicted (the forward-progress guarantee).
       finish(std::move(batch_.front()), RequestStatus::kEvicted);
@@ -417,30 +388,13 @@ void ServingEngine::ensure_kv_capacity() {
       }
       continue;
     }
-    // Recompute preemption of the scheduler's victim: cache its full block
-    // columns (replay then restores them as a prefix hit, and the reclaim
-    // above frees them LRU-first if pressure persists), then requeue at
-    // the front so it reclaims a slot as soon as memory frees up (the
-    // scheduler still chooses whether something else jumps it). Its pass
-    // moves to the end of passes_, so the later slots stay aligned with
-    // batch_ and every pass keeps its buffers' capacity.
+    // The scheduler's victim goes back to the front of the queue, so it
+    // reclaims a slot as soon as memory frees up (the scheduler still
+    // chooses whether something else jumps it).
     const std::size_t pick = scheduler_->pick_victim(sched_views(batch_));
     require(pick < batch_.size(),
             "ServingEngine: scheduler picked an out-of-range victim");
-    Sequence victim = std::move(batch_[pick]);
-    batch_.erase(batch_.begin() + static_cast<std::ptrdiff_t>(pick));
-    std::rotate(passes_.begin() + static_cast<std::ptrdiff_t>(pick),
-                passes_.begin() + static_cast<std::ptrdiff_t>(pick) + 1,
-                passes_.end());
-    const std::size_t fed_before = victim.fed;
-    release_sequence_kv(victim);
-    victim.result.status = RequestStatus::kQueued;
-    em_.preemptions->add();
-    trace_.emit({.kind = TraceEventKind::kPreempt,
-                 .step = step_counter_,
-                 .request = victim.id,
-                 .b = fed_before});
-    queue_.push_front(std::move(victim));
+    preempt_slot(pick, /*to_front=*/true);
   }
 }
 
@@ -471,57 +425,38 @@ void ServingEngine::finish(Sequence&& seq, RequestStatus status) {
   done_.emplace(seq.id, std::move(seq.result));
 }
 
-ServingEngine::Sequence* ServingEngine::find_running(RequestId id) {
-  for (auto& seq : batch_) {
-    if (seq.id == id) return &seq;
-  }
-  return nullptr;
-}
-
-void ServingEngine::preempt(RequestId id, std::size_t keep_positions) {
-  Sequence* seq = find_running(id);
-  require(seq != nullptr, "ServingEngine::preempt: request is not running");
-  const std::size_t fed_before = seq->fed;
-  if (keep_positions == 0) {
-    // Full preemption releases every KV block (the point of preempting
-    // under memory pressure); the full columns are indexed first so a
-    // replay restores them as a prefix hit, and readmission recreates the
-    // state.
-    release_sequence_kv(*seq);
-  } else {
-    // Index the full columns before truncating: blocks the truncate below
-    // releases stay reclaimable instead of vanishing. The columns indexed
-    // here predate the truncation, so they are canonical in every mode.
-    maybe_cache_prefix(*seq);
-    seq->state->truncate(keep_positions);  // throws if keep > position
-    const std::size_t bs = model_->config().kv_block_size;
-    if (keep_positions % bs != 0) {
-      if (model_->config().kv_mode != KvQuantMode::kFp32) {
-        // The partially-kept boundary block retains the grow-only scale
-        // its discarded rows produced, so everything re-decoded from this
-        // block on is no longer the pure function of the token prefix the
-        // cache requires — fence it off from future indexing.
-        seq->non_canonical_from =
-            std::min(seq->non_canonical_from, (keep_positions / bs) * bs);
-      }
-    } else if (keep_positions <= seq->non_canonical_from) {
-      // A block-aligned truncate at or below the watermark discards every
-      // tainted block; the replay from here reads only canonical rows, so
-      // the sequence is a pure function of the token prefix again.
-      seq->non_canonical_from = Sequence::kCanonical;
-    }
-  }
-  seq->fed = keep_positions;  // replay the rest on readmission
-  seq->result.status = RequestStatus::kQueued;
+void ServingEngine::preempt_slot(std::size_t slot, bool to_front) {
+  // Recompute preemption: cache the full block columns (replay then
+  // restores them as a prefix hit, and pressure reclaims them LRU-first),
+  // release every block, and requeue. The pass moves to the end of
+  // passes_, so the later slots stay aligned with batch_ and every pass
+  // keeps its buffers' capacity.
+  Sequence seq = std::move(batch_[slot]);
+  batch_.erase(batch_.begin() + static_cast<std::ptrdiff_t>(slot));
+  std::rotate(passes_.begin() + static_cast<std::ptrdiff_t>(slot),
+              passes_.begin() + static_cast<std::ptrdiff_t>(slot) + 1,
+              passes_.end());
+  const std::size_t fed_before = seq.fed;
+  release_sequence_kv(seq);
+  seq.result.status = RequestStatus::kQueued;
   em_.preemptions->add();
   trace_.emit({.kind = TraceEventKind::kPreempt,
                .step = step_counter_,
-               .request = seq->id,
-               .a = keep_positions,
+               .request = seq.id,
                .b = fed_before});
-  const std::ptrdiff_t index = seq - batch_.data();
-  queue_.push_back(std::move(*seq));
-  batch_.erase(batch_.begin() + index);
+  if (to_front) {
+    queue_.push_front(std::move(seq));
+  } else {
+    queue_.push_back(std::move(seq));
+  }
+}
+
+void ServingEngine::preempt(RequestId id) {
+  const auto it = std::find_if(batch_.begin(), batch_.end(),
+                               [id](const Sequence& s) { return s.id == id; });
+  require(it != batch_.end(), "ServingEngine::preempt: request is not running");
+  preempt_slot(static_cast<std::size_t>(it - batch_.begin()),
+               /*to_front=*/false);
 }
 
 std::size_t ServingEngine::step() {
@@ -823,8 +758,7 @@ void ServingEngine::commit_slot(Sequence& seq, SlotPass& pass,
   if (spec) {
     if (committed < n) {
       // Rejected suffix: rewind the KV to the committed rows — bitwise, so
-      // the kept prefix stays canonical (prefix-cacheable, and no
-      // non_canonical_from watermark is spent).
+      // the kept prefix stays canonical (prefix-cacheable).
       seq.state->spec_rollback(seq.fed + committed);
     } else {
       seq.state->end_spec_capture();

@@ -52,8 +52,9 @@
 //     around a memory-blocked large one; FIFO, whose bitwise contract
 //     requires strict arrival order, declines, keeping head-of-line
 //     semantics (nothing jumps the blocked candidate). A
-//     blocked candidate keeps its queue position and adopted prefix and is
-//     retried first on later steps;
+//     blocked candidate keeps its queue position but drops any prefix it
+//     adopted (no queued request holds KV blocks), and is retried first on
+//     later steps;
 //   * scheduler hooks fire only from the serial plan() and commit() — never
 //     concurrently, never re-entrantly (see scheduler.h for the full
 //     contract, including what stateful policies may assume).
@@ -116,14 +117,13 @@
 //     the scheduler's victim is preempted — its blocks return to the pool
 //     and it re-queues at the front for deterministic recompute — before
 //     any hard eviction;
-//   * with nothing left to preempt, kept prefixes of queued (manually
-//     preempted) sequences are reclaimed next — they replay regardless —
-//     and only a lone sequence that the pool still cannot grow is evicted
-//     (kEvicted), which guarantees forward progress: the pool always holds
-//     at least one block column (2 * n_layers blocks).
-// Because full preemption replays the exact token prefix through fresh
-// blocks, serving under memory pressure returns the same tokens as serving
-// with an unbounded pool (bitwise in fp32 mode; see test_serving.cpp).
+//   * with nothing left to preempt, a lone sequence that the pool still
+//     cannot grow is evicted (kEvicted), which guarantees forward progress:
+//     queued requests hold no KV blocks, and the pool always holds at least
+//     one block column (2 * n_layers blocks).
+// Because preemption replays the exact token prefix through fresh blocks,
+// serving under memory pressure returns the same tokens as serving with an
+// unbounded pool (bitwise in fp32 mode; see test_serving.cpp).
 //
 // Prefix caching (ServingConfig::enable_prefix_cache): full KV blocks are
 // immutable and their contents are a pure function of the token prefix
@@ -140,13 +140,10 @@
 // hits skip the skipped positions' decodes entirely — the logits observer
 // does not fire for them — so leave the cache off for teacher-forced
 // scoring that must see every position (evaluate_perplexity_batched
-// does). Outputs are bitwise identical to a cache-off run in every kv_mode
-// for block-aligned sharing, since a cached block holds exactly the codes
-// a replay would recompute. The one way quantized KV could break that
-// purity — preempt(id, keep>0) truncating mid-block, which leaves the
-// boundary block's grow-only scale reflecting discarded rows — is fenced
-// off: columns at or past such a truncation are never indexed (see
-// Sequence::non_canonical_from).
+// does). Outputs are bitwise identical to a cache-off run in every kv_mode,
+// since a cached block holds exactly the codes a replay would recompute.
+// The cache is the only way KV outlives a preemption: a preempted sequence
+// releases every block, and its indexed columns come back as a hit.
 //
 // Observability (common/metrics.h, common/trace.h): every serving event
 // is counted once, by whoever owns it, and metrics() snapshots the whole
@@ -357,23 +354,13 @@ class ServingEngine {
   /// Steps until all work has drained (see step()).
   void run();
 
-  /// Evicts a running sequence back to the queue. With the default
-  /// `keep_positions == 0` every KV block returns to the pool; a nonzero
-  /// value keeps the blocks covering the first `keep_positions` cached
-  /// positions for partial recompute. Decoded tokens are kept either way
-  /// and replayed from `keep_positions` on readmission. With keep 0 (the
-  /// only form the engine itself uses under memory pressure) replay is
-  /// deterministic in every kv_mode; a kept prefix is additionally exact
-  /// under fp32 KV, while in quantized modes the boundary block keeps the
-  /// grow-only scale its truncated rows produced, so results can differ
-  /// slightly from an uninterrupted run — prefer keep_positions == 0 when
-  /// strict reproducibility matters there. With the prefix cache on, the
-  /// sequence's full block columns are indexed before anything is released,
-  /// so replay typically restores them as a cache hit; columns at or past a
-  /// mid-block truncation boundary in a quantized mode are excluded from
-  /// indexing (they are no longer a pure function of the token prefix), so
-  /// the cache itself stays exact for unrelated sharers.
-  void preempt(RequestId id, std::size_t keep_positions = 0);
+  /// Preempts a running sequence back to the end of the queue, exactly as
+  /// memory pressure does: every KV block returns to the pool, and the
+  /// decoded tokens are kept and replayed on readmission, deterministically
+  /// in every kv_mode. With the prefix cache on, the sequence's full block
+  /// columns are indexed first, so replay typically restores them as a
+  /// cache hit.
+  void preempt(RequestId id);
 
   /// Snapshot of a request's current result (returned by value: step(),
   /// submit(), and preempt() move sequences between the queue, the batch,
@@ -587,23 +574,6 @@ class ServingEngine {
     // observer throwing on the finishing step cannot strand a completed
     // sequence in the batch and have the next step feed past tokens.end().
     bool done = false;
-    // Set when reclaim_queued_prefix downgrades this queued sequence to
-    // full recompute. A downgraded admission candidate still re-adopts its
-    // cached prefix optimistically (the entries often survive until
-    // pressure clears), but must not hold the adoption through a failed
-    // capacity check — admit_from_queue drops it and retries — or it
-    // would re-pin the very entries it just gave back, fail the same
-    // check, downgrade again, and loop forever. Cleared on admission.
-    bool downgraded = false;
-    // First position (block-aligned) whose KV is no longer a pure function
-    // of the token prefix: a keep>0 preemption that truncated mid-block in
-    // a quantized kv_mode leaves the boundary block with the grow-only
-    // scale its discarded rows produced, which taints every re-decoded
-    // position after it. maybe_cache_prefix never indexes columns at or
-    // past this watermark; reset when the KV is released for full
-    // recompute (replay from scratch is canonical again).
-    static constexpr std::size_t kCanonical = static_cast<std::size_t>(-1);
-    std::size_t non_canonical_from = kCanonical;
     // Per-request sampling: the sampler (built once at submit from the
     // request's SamplingParams, which it keeps for the stop conditions)
     // and the RNG-stream checkpoint. While KV is held the live stream sits
@@ -625,7 +595,9 @@ class ServingEngine {
     std::chrono::steady_clock::time_point submit_tp{};
     std::chrono::steady_clock::time_point last_token_tp{};
     bool has_token = false;  // last_token_tp is valid
-    std::unique_ptr<SequenceState> state;  // kept across preemption
+    // Null until first admitted and after every release; a queued
+    // sequence's state, if any, holds no KV blocks.
+    std::unique_ptr<SequenceState> state;
   };
 
   /// One slot's model pass this step, the only per-slot step state:
@@ -702,15 +674,16 @@ class ServingEngine {
 
   void admit_from_queue();
   /// Resolves pool pressure for the planned budgets (passes_[i].rows) by
-  /// budget-shrink, then cache-reclaim/preemption/eviction.
+  /// budget-shrink, then cache-reclaim/preemption/eviction. Throws
+  /// std::logic_error past its round bound (a bug, never a pool state).
   void ensure_kv_capacity();
-  /// Downgrades the youngest queued sequence still holding a kept KV
-  /// prefix to full recompute, returning its blocks. False if none holds.
-  bool reclaim_queued_prefix();
+  /// Releases batch_[slot]'s KV (caching its prefix first) and requeues it
+  /// at the front or the back of the queue.
+  void preempt_slot(std::size_t slot, bool to_front);
   /// True once the pool has `target` free blocks, reclaiming LRU prefix
   /// cache entries to get there if needed.
   bool ensure_free_blocks(std::size_t target);
-  /// Maps the longest cached prefix of seq's tokens into its fresh state.
+  /// Maps the longest cached prefix of seq's tokens into its empty state.
   void restore_cached_prefix(Sequence& seq);
   /// Indexes seq's full block columns in the prefix cache (no-op when the
   /// cache is off or nothing block-aligned was fed).
@@ -718,7 +691,6 @@ class ServingEngine {
   /// Releases seq's KV (caching its prefix first) for full recompute.
   void release_sequence_kv(Sequence& seq);
   void finish(Sequence&& seq, RequestStatus status);
-  Sequence* find_running(RequestId id);
   [[nodiscard]] std::size_t blocks_needed(const Sequence& seq) const;
   /// Rebuilds views_ as a SchedRequest snapshot of `container`.
   template <typename Container>

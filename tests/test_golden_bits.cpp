@@ -21,6 +21,7 @@
 #include "eval/schemes.h"
 #include "llm/engine.h"
 #include "llm/serving_engine.h"
+#include "serving_invariants.h"
 
 namespace opal {
 namespace {
@@ -201,25 +202,28 @@ TEST_P(GoldenBits, ServingDecisionTrace) {
     }
     return req;
   };
+  std::vector<Request> requests;
   std::vector<RequestId> ids;
+  const auto submit = [&](Request req) {
+    requests.push_back(req);
+    ids.push_back(engine.submit(std::move(req)));
+  };
   for (std::size_t r = 0; r < 5; ++r) {
-    ids.push_back(engine.submit(
-        request(r % 2, 3 + r, static_cast<int>(r % 2), r % 3 == 1)));
+    submit(request(r % 2, 3 + r, static_cast<int>(r % 2), r % 3 == 1));
   }
   bool manual_preempt = false;
   for (std::size_t s = 0; s < 400; ++s) {
     if (s == 6) {
       // Late arrivals over the same histories: prefix hits.
       for (std::size_t r = 5; r < 9; ++r) {
-        ids.push_back(engine.submit(
-            request(r % 2, 2 + r, static_cast<int>(r % 2), r % 3 == 0)));
+        submit(request(r % 2, 2 + r, static_cast<int>(r % 2), r % 3 == 0));
       }
     }
     if (s == 4) {
       for (const RequestId id : ids) {
         const RequestResult res = engine.result(id);
         if (res.status == RequestStatus::kRunning && res.tokens.size() > 6) {
-          engine.preempt(id, 5);  // mid-block: the kept prefix is tainted
+          engine.preempt(id);
           manual_preempt = true;
           break;
         }
@@ -264,7 +268,15 @@ TEST_P(GoldenBits, ServingDecisionTrace) {
     fnv_mix(h, static_cast<std::uint64_t>(res.finish_reason));
     for (const std::size_t t : res.tokens) fnv_mix(h, t);
   }
-  EXPECT_EQ(h, 0x0407fe2010f84861ull);
+  EXPECT_EQ(h, 0x95ff042390db9430ull);
+
+  // Every stream, the preempted one included, is its solo decode: one slot,
+  // an unbounded pool, no speculation and no prefix cache.
+  for (std::size_t r = 0; r < ids.size(); ++r) {
+    EXPECT_EQ(engine.result(ids[r]).tokens,
+              solo_serve_tokens(model, requests[r]))
+        << "request " << r;
+  }
 }
 
 // --- the batch-of-1 facade ---

@@ -390,88 +390,62 @@ TEST(PrefixCacheServing, PressurePreemptionStaysLosslessWithCacheOn) {
             engine.stats().prefix_cached_blocks);
 }
 
-TEST(PrefixCacheServing, DowngradedSequenceStillHitsTheCacheOncePressureClears) {
-  // A queued sequence whose kept prefix is reclaimed under pressure
-  // (downgraded to full recompute) re-adopts its cached prefix at
-  // admission once the pressure has cleared: the downgrade only forbids
-  // holding a re-adoption through a failed capacity check, it is not a
-  // permanent opt-out of the cache.
+TEST(PrefixCacheServing, BlockedCandidateDropsItsMatchAndHitsOncePressureClears) {
+  // A candidate that adopts its cached prefix and then cannot get the block
+  // column its next position needs drops the adoption: queued requests
+  // hold no KV, so its match stays reclaimable. It looks the prefix up
+  // again on every attempt, and once pressure clears it admits with the
+  // full hit.
   EngineConfig cfg;
   cfg.max_seq_len = 32;
   cfg.kv_block_size = 4;
   auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
   ServingConfig scfg = serving_config(2, true);
-  scfg.kv_pool_blocks = 16;  // 4 block columns
+  scfg.kv_pool_blocks = 12;  // 3 block columns
+  scfg.trace = true;
   ServingEngine engine(model, scfg);
 
-  const std::vector<std::size_t> prompt_a = {3, 1, 4, 1};
-  const auto prompt_b = shared_prefix(8);
-  const RequestId ra = engine.submit(Request{prompt_a, 8});
-  const RequestId rb = engine.submit(Request{prompt_b, 2});
-  for (int i = 0; i < 8; ++i) engine.step();  // both fill 2 columns each
-  // B is preempted keeping its full prefix; its columns are also indexed.
-  engine.preempt(rb, 8);
-  // A now needs a third column: the pool is exhausted, B's kept prefix is
-  // reclaimed (B downgraded), and A runs to completion.
+  // W leaves its two prompt columns in the cache; the third is free.
+  const auto history = shared_prefix(8);
+  const RequestId w = engine.submit(Request{history, 1});
   engine.run();
-  EXPECT_EQ(engine.result(ra).status, RequestStatus::kFinished);
-  EXPECT_EQ(engine.result(rb).status, RequestStatus::kFinished);
-  EXPECT_EQ(engine.result(ra).tokens, reference_tokens(model, prompt_a, 8));
-  EXPECT_EQ(engine.result(rb).tokens, reference_tokens(model, prompt_b, 2));
-  // B's readmission found free capacity and restored its cached prefix —
-  // the downgrade did not permanently silence the cache for it.
-  EXPECT_EQ(engine.stats().prefix_hits, 1u);
-  EXPECT_GT(engine.stats().prefix_hit_tokens, 0u);
+  ASSERT_EQ(engine.result(w).status, RequestStatus::kFinished);
+  ASSERT_EQ(engine.stats().prefix_cached_blocks, 8u);
+
+  // A takes the free column and never needs another (4 fed positions).
+  const std::vector<std::size_t> prompt_a = {5, 9, 2};
+  const RequestId a = engine.submit(Request{prompt_a, 2});
+  engine.step();
+  auto prompt_b = history;
+  prompt_b.push_back(11);
+  const RequestId b = engine.submit(Request{prompt_b, 3});
+  engine.step();
+  // B matched 8 positions but position 8 needs a new column: blocked, and
+  // holding nothing, so the whole cache is reclaimable again.
+  EXPECT_EQ(engine.result(b).status, RequestStatus::kQueued);
+  EXPECT_EQ(engine.stats().blocks_reclaimable, 8u);
+  EXPECT_EQ(engine.stats().blocks_in_use, 12u);
+
+  engine.run();
+  EXPECT_EQ(engine.result(a).tokens, reference_tokens(model, prompt_a, 2));
+  EXPECT_EQ(engine.result(b).tokens, reference_tokens(model, prompt_b, 3));
+  EXPECT_EQ(engine.stats().preemptions, 0u);
   EXPECT_EQ(engine.stats().evictions, 0u);
-  EXPECT_EQ(engine.stats().preemptions, 2u);  // manual + downgrade
-}
-
-TEST(PrefixCacheServing, MidBlockKeepPreemptionNeverPoisonsTheCache) {
-  // A keep>0 preemption that truncates mid-block in a quantized mode
-  // leaves the boundary block's grow-only scale reflecting its discarded
-  // rows, so every position the replay re-decodes after it is not the pure
-  // function of the token prefix the cache requires. Such columns must
-  // never be indexed: a later request sharing the longer history has to
-  // decode exactly like a cache-off run.
-  for (const KvQuantMode mode : {KvQuantMode::kInt8, KvQuantMode::kLog2}) {
-    EngineConfig cfg;
-    cfg.max_seq_len = 32;
-    cfg.kv_block_size = 4;
-    cfg.kv_mode = mode;
-    auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-    ServingEngine engine(model, serving_config(2, true));
-
-    const auto prompt = shared_prefix(10);
-    const RequestId first = engine.submit(Request{prompt, 6});
-    for (int i = 0; i < 9; ++i) engine.step();
-    engine.preempt(first, 6);  // mid-block: block 1 covers positions 4..7
-    engine.run();
-    ASSERT_EQ(engine.result(first).status, RequestStatus::kFinished);
-    const auto full = engine.result(first).tokens;  // 16 tokens, 15 fed
-
-    // The two columns indexed at preempt time predate the truncation and
-    // stay cached; everything the replay recomputed past the position-4
-    // watermark must not be indexed at finish, despite 15 fed positions.
-    const auto match = engine.prefix_cache()->lookup(full, full.size());
-    EXPECT_LE(match.positions, 8u) << to_string(mode);
-
-    // A follow-up over the full 16-token history decodes bitwise like a
-    // cache-off engine: nothing poisoned is served from the cache.
-    const RequestId second = engine.submit(Request{full, 4});
-    engine.run();
-    ServingEngine plain(model, serving_config(2, false));
-    const RequestId ref = plain.submit(Request{full, 4});
-    plain.run();
-    EXPECT_EQ(engine.result(second).tokens, plain.result(ref).tokens)
-        << to_string(mode);
+  // B admitted once, restoring all 8 positions.
+  std::size_t admits = 0;
+  for (const TraceEvent& e : engine.tracer().events()) {
+    if (e.kind != TraceEventKind::kAdmit || e.request != b) continue;
+    ++admits;
+    EXPECT_EQ(e.b, 8u);
   }
+  EXPECT_EQ(admits, 1u);
 }
 
-TEST(PrefixCacheServing, BlockAlignedRetruncationRestoresCacheability) {
-  // A later block-aligned preempt at (or below) the watermark discards
-  // every tainted block, so the replayed sequence is a pure function of
-  // the token prefix again: the watermark resets and the finish-time
-  // insert indexes the whole replayed history — without losing exactness.
+TEST(PrefixCacheServing, QuantizedPreemptReplayIndexesItsWholeHistory) {
+  // A preempted sequence releases every block and replays from its cached
+  // full columns, so in every quantized mode its KV stays a pure function
+  // of the token prefix: the finish-time insert indexes the whole replayed
+  // history, and a follow-up over it decodes exactly like a cache-off run.
   for (const KvQuantMode mode : {KvQuantMode::kInt8, KvQuantMode::kLog2}) {
     EngineConfig cfg;
     cfg.max_seq_len = 32;
@@ -479,25 +453,26 @@ TEST(PrefixCacheServing, BlockAlignedRetruncationRestoresCacheability) {
     cfg.kv_mode = mode;
     auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
     ServingEngine engine(model, serving_config(2, true));
+    ServingEngine plain(model, serving_config(2, false));
 
     const auto prompt = shared_prefix(10);
     const RequestId first = engine.submit(Request{prompt, 6});
     for (int i = 0; i < 9; ++i) engine.step();
-    engine.preempt(first, 6);  // mid-block: taints from position 4
-    EXPECT_EQ(engine.step(), 1u);  // readmitted, decodes one token
-    engine.preempt(first, 4);  // block-aligned at the watermark: de-taints
+    engine.preempt(first);  // mid-block: 9 fed, 8 of them in full columns
     engine.run();
     ASSERT_EQ(engine.result(first).status, RequestStatus::kFinished);
     const auto full = engine.result(first).tokens;  // 16 tokens, 15 fed
+    const RequestId first_ref = plain.submit(Request{prompt, 6});
+    plain.run();
+    EXPECT_EQ(full, plain.result(first_ref).tokens) << to_string(mode);
+    EXPECT_EQ(engine.stats().prefix_hit_tokens, 8u) << to_string(mode);
 
-    // All 12 aligned positions of the replayed history are indexed again.
+    // All 12 aligned positions of the replayed history are indexed.
     const auto match = engine.prefix_cache()->lookup(full, full.size());
     EXPECT_EQ(match.positions, 12u) << to_string(mode);
 
-    // And the cache stays exact for a follow-up over the full history.
     const RequestId second = engine.submit(Request{full, 4});
     engine.run();
-    ServingEngine plain(model, serving_config(2, false));
     const RequestId ref = plain.submit(Request{full, 4});
     plain.run();
     EXPECT_EQ(engine.result(second).tokens, plain.result(ref).tokens)

@@ -579,14 +579,15 @@ TEST(SchedulerPolicy, BlockedAdmissionHooks) {
   EXPECT_EQ(fair.pick_admission(reqs, all), Scheduler::kNone);
 }
 
-// Builds the admission-around scenario: A runs mid-block; C was preempted
-// with a kept prefix (holds its blocks, needs none to restart); fresh B —
-// submitted before C re-queued, so the queue is [B, C] — needs a whole
-// block column the pool cannot supply. Returns the engine with one step
-// taken past that state.
+// Builds the admission-around scenario on a pool of three block columns.
+// W's run leaves two columns cached; A runs in the third. Urgent H matches
+// W's columns, but its next position needs a new column: adoption pins its
+// own match, so H is memory-blocked and drops the adoption. L, submitted
+// after H with no match, can then reclaim those cached columns. Returns
+// the engine one step past that state.
 struct AroundScenario {
   std::unique_ptr<ServingEngine> engine;
-  RequestId a = 0, b = 0, c = 0;
+  RequestId a = 0, h = 0, l = 0;
 };
 
 AroundScenario run_around_scenario(
@@ -594,20 +595,23 @@ AroundScenario run_around_scenario(
     std::shared_ptr<Scheduler> scheduler) {
   ServingConfig cfg;
   cfg.max_batch = 2;
-  cfg.kv_pool_blocks = 10;  // A (4) + C's kept prefix (4) + 2 free < 4
+  cfg.kv_pool_blocks = 12;  // 3 block columns of 4 blocks
+  cfg.enable_prefix_cache = true;
   cfg.scheduler = std::move(scheduler);
   AroundScenario out;
   out.engine = std::make_unique<ServingEngine>(model, cfg);
-  Request base;
-  base.prompt = {3, 1, 4, 1};
-  base.max_new_tokens = 2;
-  out.a = out.engine->submit(base);
-  out.c = out.engine->submit(base);
-  for (int i = 0; i < 3; ++i) out.engine->step();  // both at position 3
-  Request big = base;
-  big.priority = 1;  // more urgent than A/C — and memory-blocked
-  out.b = out.engine->submit(big);
-  out.engine->preempt(out.c, 3);  // queue is now [B, C]
+  const std::vector<std::size_t> history = prompt_tokens(8);
+  out.engine->submit(Request{history, 1});
+  out.engine->run();  // W: two full columns cached
+  out.a = out.engine->submit(Request{{5, 9, 2}, 2});
+  out.engine->step();  // A holds the free column
+  Request urgent;
+  urgent.prompt = history;
+  urgent.prompt.push_back(11);
+  urgent.max_new_tokens = 2;
+  urgent.priority = 1;
+  out.h = out.engine->submit(urgent);
+  out.l = out.engine->submit(Request{{7}, 3});
   out.engine->step();
   return out;
 }
@@ -615,30 +619,44 @@ AroundScenario run_around_scenario(
 TEST(SchedulerServing, PriorityAdmitsSmallRequestAroundBlockedCandidate) {
   auto model = std::make_shared<const PreparedModel>(
       tiny_model(), engine_config(KvQuantMode::kFp32));
-  // Priority picks high-priority B first; B cannot get a block column, so
-  // the policy offers C — whose kept prefix needs no new blocks — and C
-  // admits around B. B keeps its queue position.
+  // Priority picks urgent H first; H cannot get a block column, so the
+  // policy offers L, which reclaims H's dropped match and admits around H.
+  // H keeps its queue position and holds no blocks.
   const auto prio =
       run_around_scenario(model, std::make_shared<PriorityScheduler>());
   EXPECT_EQ(prio.engine->running(), 2u);
   EXPECT_EQ(prio.engine->queued(), 1u);
-  EXPECT_EQ(prio.engine->result(prio.b).status, RequestStatus::kQueued);
-  EXPECT_EQ(prio.engine->result(prio.c).status, RequestStatus::kRunning);
+  EXPECT_EQ(prio.engine->result(prio.h).status, RequestStatus::kQueued);
+  EXPECT_EQ(prio.engine->result(prio.l).status, RequestStatus::kRunning);
+  EXPECT_GT(prio.engine->stats().prefix_reclaimed_blocks, 0u);
 
   // Fair share admits around in arrival order.
   const auto fair =
       run_around_scenario(model, std::make_shared<FairShareScheduler>());
-  EXPECT_EQ(fair.engine->result(fair.b).status, RequestStatus::kQueued);
-  EXPECT_EQ(fair.engine->result(fair.c).status, RequestStatus::kRunning);
+  EXPECT_EQ(fair.engine->result(fair.h).status, RequestStatus::kQueued);
+  EXPECT_EQ(fair.engine->result(fair.l).status, RequestStatus::kRunning);
 
   // FIFO's bitwise-default contract is strict arrival order: the blocked
-  // head of the queue blocks everything behind it.
+  // head of the queue blocks everything behind it, and the cache keeps
+  // H's whole match, unpinned.
   const auto fifo =
       run_around_scenario(model, std::make_shared<FifoScheduler>());
   EXPECT_EQ(fifo.engine->running(), 1u);
   EXPECT_EQ(fifo.engine->queued(), 2u);
-  EXPECT_EQ(fifo.engine->result(fifo.b).status, RequestStatus::kQueued);
-  EXPECT_EQ(fifo.engine->result(fifo.c).status, RequestStatus::kQueued);
+  EXPECT_EQ(fifo.engine->result(fifo.h).status, RequestStatus::kQueued);
+  EXPECT_EQ(fifo.engine->result(fifo.l).status, RequestStatus::kQueued);
+  EXPECT_EQ(fifo.engine->stats().blocks_reclaimable, 8u);
+
+  // Every policy still drains with the solo tokens.
+  std::vector<std::size_t> prompt_h = prompt_tokens(8);
+  prompt_h.push_back(11);
+  const auto ref_h = reference_decode(model, prompt_h, 2).tokens;
+  const auto ref_l = reference_decode(model, {7}, 3).tokens;
+  for (const AroundScenario* run : {&prio, &fair, &fifo}) {
+    run->engine->run();
+    EXPECT_EQ(run->engine->result(run->h).tokens, ref_h);
+    EXPECT_EQ(run->engine->result(run->l).tokens, ref_l);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Batching equivalence: a ServingEngine running N interleaved sequences
 // must produce logits bitwise identical to N independent single-sequence
 // InferenceEngine runs — under BF16, under OWQ weights + log2 softmax, with
-// the thread pool on, and across preemption (truncate + replay).
+// the thread pool on, and across preemption (release + replay).
 #include "llm/serving_engine.h"
 
 #include <gtest/gtest.h>
@@ -176,7 +176,43 @@ TEST(ServingEngine, ThreadPoolDecodeIsBitwiseDeterministic) {
   }
 }
 
-TEST(ServingEngine, PreemptTruncateReplayMatchesUninterrupted) {
+TEST(ServingEngine, PreemptReplayPreservesSampledStream) {
+  // The replay guarantee extends to seeded sampling: a preempted-and-
+  // readmitted request must emit the identical continuation, because the
+  // RNG stream is checkpointed across the KV release and replayed tokens
+  // are fed as known tokens (no draws consumed).
+  EngineConfig cfg;
+  cfg.max_seq_len = 32;
+  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
+  Request request;
+  request.prompt = {3, 1, 4, 1, 5};
+  request.max_new_tokens = 9;
+  request.sampling.policy = SamplePolicy::kTopP;
+  request.sampling.temperature = 0.9f;
+  request.sampling.top_k = 16;
+  request.sampling.top_p = 0.9f;
+  request.sampling.seed = 77;
+
+  ServingEngine uninterrupted(model, scfg(2, 0));
+  const RequestId ref_id = uninterrupted.submit(request);
+  uninterrupted.run();
+  const auto ref = uninterrupted.result(ref_id);
+  ASSERT_EQ(ref.status, RequestStatus::kFinished);
+  ASSERT_EQ(ref.generated(), 9u);
+
+  ServingEngine engine(model, scfg(2, 0));
+  const RequestId id = engine.submit(request);
+  for (int i = 0; i < 7; ++i) engine.step();  // two tokens generated
+  ASSERT_GT(engine.result(id).generated(), 0u);
+  engine.preempt(id);
+  engine.run();
+  const auto result = engine.result(id);
+  EXPECT_EQ(result.status, RequestStatus::kFinished);
+  EXPECT_EQ(result.tokens, ref.tokens);
+  EXPECT_EQ(result.finish_reason, ref.finish_reason);
+}
+
+TEST(ServingEngine, PreemptReleasesKvAndReplaysBitwise) {
   EngineConfig cfg;
   cfg.max_seq_len = 32;
   auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
@@ -199,71 +235,18 @@ TEST(ServingEngine, PreemptTruncateReplayMatchesUninterrupted) {
     captured.logits_at[pos] = std::move(now);
   });
 
-  // Decode 4 steps, evict back to a 2-token KV prefix, then finish.
-  for (int i = 0; i < 4; ++i) engine.step();
-  engine.preempt(id, 2);
+  for (int i = 0; i < 6; ++i) engine.step();  // one token generated
+  ASSERT_GT(engine.result(id).generated(), 0u);
+  engine.preempt(id);
+  // The queued sequence holds no KV: every block is back in the pool.
   EXPECT_EQ(engine.queued(), 1u);
+  EXPECT_EQ(engine.stats().blocks_in_use, 0u);
   engine.run();
 
-  const auto& result = engine.result(id);
-  EXPECT_EQ(result.status, RequestStatus::kFinished);
-  expect_bitwise_equal(ref, result.tokens, captured, "preempt/resume");
-}
-
-TEST(ServingEngine, PreemptReplayPreservesSampledStream) {
-  // The replay guarantee extends to seeded sampling: a preempted-and-
-  // readmitted request must emit the identical continuation, because the
-  // RNG stream is checkpointed across the KV release and replayed tokens
-  // are fed as known tokens (no draws consumed). Both preemption forms.
-  EngineConfig cfg;
-  cfg.max_seq_len = 32;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  Request request;
-  request.prompt = {3, 1, 4, 1, 5};
-  request.max_new_tokens = 9;
-  request.sampling.policy = SamplePolicy::kTopP;
-  request.sampling.temperature = 0.9f;
-  request.sampling.top_k = 16;
-  request.sampling.top_p = 0.9f;
-  request.sampling.seed = 77;
-
-  ServingEngine uninterrupted(model, scfg(2, 0));
-  const RequestId ref_id = uninterrupted.submit(request);
-  uninterrupted.run();
-  const auto ref = uninterrupted.result(ref_id);
-  ASSERT_EQ(ref.status, RequestStatus::kFinished);
-  ASSERT_EQ(ref.generated(), 9u);
-
-  for (const std::size_t keep : {std::size_t{0}, std::size_t{2}}) {
-    ServingEngine engine(model, scfg(2, 0));
-    const RequestId id = engine.submit(request);
-    for (int i = 0; i < 7; ++i) engine.step();  // two tokens generated
-    ASSERT_GT(engine.result(id).generated(), 0u);
-    engine.preempt(id, keep);
-    engine.run();
-    const auto result = engine.result(id);
-    EXPECT_EQ(result.status, RequestStatus::kFinished);
-    EXPECT_EQ(result.tokens, ref.tokens) << "keep=" << keep;
-    EXPECT_EQ(result.finish_reason, ref.finish_reason) << "keep=" << keep;
-  }
-}
-
-TEST(ServingEngine, DefaultPreemptReleasesKvAndReplaysFromScratch) {
-  EngineConfig cfg;
-  cfg.max_seq_len = 32;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  const std::vector<std::size_t> prompt = {9, 2, 6};
-  const auto ref = reference_decode(model, prompt, 5);
-
-  ServingEngine engine(model, scfg(2, 0));
-  const RequestId id = engine.submit(Request{prompt, 5});
-  for (int i = 0; i < 3; ++i) engine.step();
-  engine.preempt(id);  // keep_positions = 0: KV allocation dropped
-  EXPECT_EQ(engine.queued(), 1u);
-  engine.run();
   const auto result = engine.result(id);
   EXPECT_EQ(result.status, RequestStatus::kFinished);
-  EXPECT_EQ(result.tokens, ref.tokens);
+  expect_bitwise_equal(ref, result.tokens, captured, "preempt/replay");
+  EXPECT_EQ(engine.stats().preemptions, 1u);
 }
 
 TEST(ServingEngine, EvictsWhenKvCacheExhausted) {
@@ -588,38 +571,6 @@ TEST(ServingEngine, LoneSequenceThePoolCannotGrowIsEvicted) {
   EXPECT_EQ(result.status, RequestStatus::kEvicted);
   EXPECT_EQ(result.tokens.size(), 5u);  // 4 fed positions + 1 generated
   EXPECT_EQ(engine.stats().evictions, 1u);
-  EXPECT_EQ(engine.stats().blocks_in_use, 0u);
-}
-
-TEST(ServingEngine, QueuedKeptPrefixIsReclaimedBeforeLoneEviction) {
-  // A manually preempted sequence parked in the queue with a kept prefix
-  // still owns its blocks. When the lone running sequence needs a new
-  // column and the pool is dry, that prefix must be downgraded to full
-  // recompute (blocks reclaimed) instead of evicting the runner.
-  EngineConfig cfg;
-  cfg.max_seq_len = 32;
-  cfg.kv_block_size = 4;
-  auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);
-  // 3 block columns total (2 layers * 2 * 3 = 12 blocks); A alone needs
-  // all three for its 12 fed positions.
-  ServingEngine engine(model, scfg(2, 0, 12));
-  const std::vector<std::size_t> prompt_a = {3, 1, 4};
-  const auto ref_a = reference_decode(model, prompt_a, 10);
-  const RequestId a = engine.submit(Request{prompt_a, 10});
-  const RequestId b = engine.submit(Request{{2, 7}, 6});
-  const RequestId c = engine.submit(Request{{5}, 2});
-  for (int i = 0; i < 2; ++i) engine.step();
-  // B parks in the queue holding one column; C takes its slot, so B stays
-  // queued (both slots busy) while A grows toward the whole pool.
-  engine.preempt(b, 2);
-  engine.run();
-  EXPECT_EQ(engine.result(a).status, RequestStatus::kFinished);
-  EXPECT_EQ(engine.result(a).tokens, ref_a.tokens);
-  EXPECT_EQ(engine.result(b).status, RequestStatus::kFinished);
-  EXPECT_EQ(engine.result(c).status, RequestStatus::kFinished);
-  EXPECT_EQ(engine.stats().evictions, 0u);
-  // Manual preempt of B, pressure preempt of C, and B's prefix reclaim.
-  EXPECT_GE(engine.stats().preemptions, 3u);
   EXPECT_EQ(engine.stats().blocks_in_use, 0u);
 }
 

@@ -1,17 +1,17 @@
 // Randomized differential harness over ServingEngine: seeded random
-// sequences of submit / step / preempt(keep) / release against engines
+// sequences of submit / step / preempt / release against engines
 // that vary the pool (down to one block column), kv_mode, scheduler, chunk
 // width, speculation, the prefix cache and the thread count.
 //
-// After every op the pool's committed block storage equals its in-use peak
-// (storage is committed on first allocation). After every step: the pool's
-// accounting balances (every in-use block has a holder, allocations - frees
-// == blocks in use, the cache-only blocks are exactly the reclaimable ones)
-// and the token observer has fired exactly once, in order, per generated
-// token; a step that decodes nothing leaves nothing running or queued. At
-// the end: every finished stream equals its solo decode bitwise (an evicted
-// one is a prefix of it), and releasing every id and clearing the prefix
-// cache returns every block. Every other seed is traced: its step trace
+// After every op the pool's accounting balances (every in-use block has a
+// holder, allocations - frees == blocks in use, the cache-only blocks are
+// exactly the reclaimable ones, committed storage equals the in-use peak).
+// After every step the token observer has fired exactly once, in order, per
+// generated token, every preemption is a scheduler victim pick or a manual
+// preempt(), and a step that decodes nothing leaves nothing running or
+// queued. At the end: every finished stream equals its solo decode bitwise
+// (an evicted one is a prefix of it), and releasing every id and clearing
+// the prefix cache returns every block. Every other seed is traced: its step trace
 // must read back from its JSON form and balance on replay (the replayed
 // generated tokens are the requests' generated tokens, and the replayed
 // rows are the engine's tokens_decoded).
@@ -19,9 +19,7 @@
 // The solo decode is the InferenceEngine facade under fp32 KV. The facade's
 // own KV is always fp32, so under int8 / log2 KV the reference is the same
 // request served alone by a one-slot engine with an unbounded pool, no
-// speculation and no prefix cache. Kept-prefix preemptions are
-// block-aligned there: a mid-block truncation keeps the boundary block's
-// grow-only scale, which the engine documents as inexact in those modes.
+// speculation and no prefix cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +35,7 @@
 #include "eval/schemes.h"
 #include "llm/engine.h"
 #include "llm/serving_engine.h"
+#include "serving_invariants.h"
 
 namespace opal {
 namespace {
@@ -148,27 +147,6 @@ FuzzCase random_case(Draw& draw, std::uint64_t seed) {
   return c;
 }
 
-void expect_pool_balanced(const KvBlockPool& pool,
-                          const ServingEngine::Stats& stats,
-                          const std::string& what) {
-  std::size_t held = 0, cached = 0, cache_only = 0;
-  for (KvBlockPool::BlockId id = 0; id < pool.n_blocks(); ++id) {
-    if (pool.ref_count(id) == 0) continue;
-    ++held;
-    if (pool.is_cached(id)) {
-      ++cached;
-      cache_only += pool.ref_count(id) == 1;
-    }
-  }
-  ASSERT_EQ(held, pool.blocks_in_use()) << what;
-  ASSERT_EQ(pool.counts().allocations - pool.counts().frees,
-            pool.blocks_in_use())
-      << what;
-  ASSERT_EQ(cache_only, pool.reclaimable_blocks()) << what;
-  ASSERT_EQ(cached, stats.prefix_cached_blocks) << what;
-  ASSERT_EQ(stats.blocks_in_use, pool.blocks_in_use()) << what;
-}
-
 /// The request served with nobody else around.
 std::vector<std::size_t> solo_tokens(
     const std::shared_ptr<const PreparedModel>& model, const Request& req) {
@@ -177,14 +155,7 @@ std::vector<std::size_t> solo_tokens(
     return facade.generate(req.prompt, req.max_new_tokens, req.sampling)
         .tokens;
   }
-  ServingConfig scfg;
-  scfg.max_batch = 1;
-  ServingEngine solo(model, scfg);
-  const RequestId id = solo.submit(req);
-  solo.run();
-  const RequestResult res = solo.result(id);
-  EXPECT_EQ(res.status, RequestStatus::kFinished);
-  return res.tokens;
+  return solo_serve_tokens(model, req);
 }
 
 void run_case(std::uint64_t seed) {
@@ -197,9 +168,7 @@ void run_case(std::uint64_t seed) {
   std::map<RequestId, RequestResult> harvested;
   std::map<RequestId, std::vector<std::size_t>> streamed;
   std::map<RequestId, FinishReason> last_reason;
-  // KV length after the latest step, for the sequences it decoded: one past
-  // the highest position the logits observer reported for each.
-  std::map<RequestId, std::size_t> kv_len;
+  std::size_t manual_preempts = 0;
   {
     ServingEngine engine(model, c.scfg);
     engine.set_token_observer([&](RequestId id, std::size_t index,
@@ -211,10 +180,9 @@ void run_case(std::uint64_t seed) {
       last_reason[id] = reason;
     });
     if (c.observe_logits) {
+      // Widens every pass to logits for all its rows.
       engine.set_logits_observer(
-          [&](RequestId id, std::size_t pos, std::span<const float>) {
-            kv_len[id] = std::max(kv_len[id], pos + 1);
-          });
+          [](RequestId, std::size_t, std::span<const float>) {});
     }
     const auto harvest = [&](RequestId id) {
       if (!engine.finished(id)) return;
@@ -233,8 +201,6 @@ void run_case(std::uint64_t seed) {
         const Request req = random_request(draw);
         requests.emplace(engine.submit(req), req);
       } else if (kind == 3) {
-        // Preempt a running sequence. Keep a prefix only when its KV length
-        // is known: the last step decoded it with the logits observer on.
         std::vector<RequestId> running;
         for (const auto& [id, req] : requests) {
           if (!harvested.contains(id) &&
@@ -243,22 +209,14 @@ void run_case(std::uint64_t seed) {
           }
         }
         if (running.empty()) continue;
-        const RequestId id = running[draw.below(running.size())];
-        const auto len = kv_len.find(id);
-        std::size_t keep = 0;
-        if (len != kv_len.end() && draw.chance(50)) {
-          keep = draw.below(len->second + 1);
-          if (c.mode != KvQuantMode::kFp32) keep -= keep % kBlockSize;
-        }
-        engine.preempt(id, keep);
-        kv_len.erase(id);
+        engine.preempt(running[draw.below(running.size())]);
+        ++manual_preempts;
       } else if (kind == 4 && !requests.empty()) {
         auto it = requests.begin();
         std::advance(it,
                      static_cast<std::ptrdiff_t>(draw.below(requests.size())));
         if (!harvested.contains(it->first)) harvest(it->first);
       } else {
-        kv_len.clear();
         const std::size_t decoded = engine.step();
         ++steps;
         const std::string what = "after step " + std::to_string(steps);
@@ -267,7 +225,9 @@ void run_case(std::uint64_t seed) {
           ASSERT_EQ(engine.running(), 0u) << what;
           ASSERT_EQ(engine.queued(), 0u) << what;
         }
-        expect_pool_balanced(engine.kv_pool(), engine.stats(), what);
+        ASSERT_EQ(engine.stats().preemptions,
+                  engine.scheduler().counts().victim_picks + manual_preempts)
+            << what;
         for (const auto& [id, req] : requests) {
           if (harvested.contains(id)) continue;
           const RequestResult res = engine.result(id);
@@ -275,9 +235,8 @@ void run_case(std::uint64_t seed) {
               << what << " request " << id;
         }
       }
-      ASSERT_EQ(engine.kv_pool().committed_blocks(),
-                engine.kv_pool().peak_blocks_in_use())
-          << "after op " << op;
+      expect_pool_balanced(engine.kv_pool(), engine.stats(),
+                           "after op " + std::to_string(op));
       if (::testing::Test::HasFatalFailure()) return;
     }
     for (const auto& [id, req] : requests) {
