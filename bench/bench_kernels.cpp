@@ -10,7 +10,7 @@
 // Persisted as BENCH_kernels.json (path = argv[1], default
 // ./BENCH_kernels.json): the dispatch table's name, the parity verdict,
 // scalar-over-dispatched ratios per kernel, the three matvec ratios and
-// the mx_quantize gate ratio.
+// the mx_quantize and log2-attend gate ratios.
 //
 // Asserted (exit 1): every dispatched kernel matches the scalar reference
 // within reduction-reorder tolerance; the fused dequant score kernels match
@@ -25,7 +25,9 @@
 // scalar table by memcmp, and on AVX2 the scalar table takes at least 2x
 // the time of the dispatched one on both served MX shapes
 // (mx_quantize_over_scalar, the lower of mx_quantize_128_a4 and
-// mx_quantize_256_a7).
+// mx_quantize_256_a7); and on AVX2 the fused log2 scores + accum take at
+// most 3x the time of fp32 attend_scores + attend_accum on the served
+// attend shape (log2_attend_over_fp32).
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -388,6 +390,43 @@ int main(int argc, char** argv) {
                 group4_over_rowwise);
   }
 
+  // Quantized-KV attend cost: fused log2 scores + accum over fp32 scores +
+  // accum in the dispatched table, on the served shape (one head of 128,
+  // context 256 in 16-row segments, block exponent 4).
+  double log2_attend_over_fp32 = 0.0;
+  {
+    const std::size_t n_segs = 16, rows = 16, d = 128, block = rows * d;
+    const auto k = rand_vec(n_segs * block), v = rand_vec(n_segs * block);
+    const auto k_codes = rand_codes(n_segs * block);
+    const auto v_codes = rand_codes(n_segs * block);
+    const auto qh = rand_vec(d), w = rand_vec(n_segs * rows);
+    std::vector<float> out(n_segs * rows), zh(d);
+    const auto attend = [&](bool log2) {
+      std::fill(zh.begin(), zh.end(), 0.0f);
+      for (std::size_t sg = 0; sg < n_segs; ++sg) {
+        const std::size_t at = sg * block;
+        if (log2) {
+          dispatched.dequant_scores_log2(qh.data(), k_codes.data() + at, rows,
+                                         d, d, 4, 0.088f,
+                                         out.data() + sg * rows);
+          dispatched.dequant_accum_log2(w.data() + sg * rows,
+                                        v_codes.data() + at, rows, d, d, 4,
+                                        zh.data());
+        } else {
+          dispatched.attend_scores(qh.data(), k.data() + at, rows, d, d,
+                                   0.088f, out.data() + sg * rows);
+          dispatched.attend_accum(w.data() + sg * rows, v.data() + at, rows,
+                                  d, d, zh.data());
+        }
+      }
+      g_sink += zh[0] + out[0];
+    };
+    log2_attend_over_fp32 =
+        median_ratio([&] { attend(true); }, [&] { attend(false); }, 50);
+    std::printf("%-26s %8.2fx\n", "log2 attend/fp32 attend",
+                log2_attend_over_fp32);
+  }
+
   if (simd != nullptr) {
     check(gemv_speedup >= 1.0, "dispatched GEMV not slower than scalar");
   }
@@ -407,6 +446,10 @@ int main(int argc, char** argv) {
     // The vector selection and branch-free shifter against the scalar
     // block kernel, the lower of the two served shapes.
     check(mx_over_scalar >= 2.0, "AVX2 mx_quantize_over_scalar >= 2.0");
+    // Log2 codes decode with integer ops only (normal-range body at the
+    // served exponents), so the fused attend stays within 3x of fp32's.
+    check(log2_attend_over_fp32 <= 3.0,
+          "AVX2 log2_attend_over_fp32 <= 3.0");
   }
 
   // --- persist --------------------------------------------------------------
@@ -429,7 +472,9 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"matvec_group4_over_rowwise\": " << group4_over_rowwise
        << ",\n"
-       << "  \"mx_quantize_over_scalar\": " << mx_over_scalar << "\n}\n";
+       << "  \"mx_quantize_over_scalar\": " << mx_over_scalar << ",\n"
+       << "  \"log2_attend_over_fp32\": " << log2_attend_over_fp32
+       << "\n}\n";
   std::printf("\nwrote %s\n", path.c_str());
 
   if (g_ok) {
@@ -446,6 +491,9 @@ int main(int argc, char** argv) {
                 gate_blocking ? ">= 1.5 on avx2" : "not gated on this table");
     std::printf("PASS: mx_quantize_over_scalar %.2f (%s)\n", mx_over_scalar,
                 gate_blocking ? ">= 2.0 on avx2" : "not gated on this table");
+    std::printf("PASS: log2_attend_over_fp32 %.2f (%s)\n",
+                log2_attend_over_fp32,
+                gate_blocking ? "<= 3.0 on avx2" : "not gated on this table");
     return 0;
   }
   return 1;

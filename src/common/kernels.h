@@ -48,7 +48,10 @@
 //     dequant_scores_* == attend_scores   and
 //     dequant_accum_*  == attend_accum,   bitwise —
 //   fusion removes the fp32 scratch materialization, never a bit of the
-//   result.
+//   result. A fused decoder may pick its body once per segment from the
+//   block scale (AVX2's log2 decode has a normal-range body for exponents
+//   0..127, where no code decodes to a denormal or an infinity), provided
+//   every body yields the same floats.
 // * `mx_quantize` is integer work (selection on magnitude bits, shifts,
 //   one exact float multiply per element), so it has no tolerance: every
 //   table's entry is BITWISE equal to the scalar table's, on every input

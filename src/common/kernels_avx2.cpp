@@ -78,6 +78,23 @@ inline __m256 decode8_log2(const std::int8_t* c, __m256i ebias) {
       _mm256_cmpeq_epi32(code, _mm256_set1_epi32(kKvLog2CodeMax)), bits));
 }
 
+// decode8_log2 for a block exponent in [0, 127], where every code 0..126
+// has a biased exponent (exponent+127) - code in [1, 254]: a normal float,
+// no denormal or inf select. The sign-extending widen leaves the byte's sign
+// bit in bit 31; code 127 is still exactly +0. Same bits as decode8_log2.
+inline __m256 decode8_log2_normal(const std::int8_t* c, __m256i ebias) {
+  const __m128i bytes =
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(c));
+  const __m256i b32 = _mm256_cvtepi8_epi32(bytes);
+  const __m256i code =
+      _mm256_and_si256(b32, _mm256_set1_epi32(kKvLog2CodeMax));
+  const __m256i sign = _mm256_and_si256(b32, _mm256_set1_epi32(INT_MIN));
+  const __m256i bits = _mm256_or_si256(
+      _mm256_slli_epi32(_mm256_sub_epi32(ebias, code), 23), sign);
+  return _mm256_castsi256_ps(_mm256_andnot_si256(
+      _mm256_cmpeq_epi32(code, _mm256_set1_epi32(kKvLog2CodeMax)), bits));
+}
+
 // Row sources shared by both kernel families: load8 gives eight values of a
 // row exactly as read_row produces them, load8_pd the same widened to
 // double, at one value for a scalar tail.
@@ -107,13 +124,18 @@ struct Int8Rows {
   float at(const std::int8_t* p) const { return static_cast<float>(*p) * s; }
 };
 
+// Normal selects decode8_log2_normal, for a block exponent in [0, 127].
+template <bool Normal>
 struct Log2Rows {
   const std::int8_t* base;
   std::size_t stride;
   int exponent;
   __m256i ebias = _mm256_set1_epi32(exponent + 127);
   const std::int8_t* row(std::size_t r) const { return base + r * stride; }
-  __m256 load8(const std::int8_t* p) const { return decode8_log2(p, ebias); }
+  __m256 load8(const std::int8_t* p) const {
+    if constexpr (Normal) return decode8_log2_normal(p, ebias);
+    return decode8_log2(p, ebias);
+  }
   void load8_pd(const std::int8_t* p, __m256d& lo, __m256d& hi) const {
     widen8(load8(p), lo, hi);
   }
@@ -395,12 +417,23 @@ void avx2_dequant_scores_int8(const float* q, const std::int8_t* k_codes,
   scores_rows(q, Int8Rows{k_codes, stride, s}, rows, d_head, scale, out);
 }
 
+// Whether every code 0..126 decodes to a normal float under `exponent`,
+// so a segment can take the normal-range Log2Rows body.
+inline bool log2_normal_range(int exponent) {
+  return exponent >= 0 && exponent <= 127;
+}
+
 void avx2_dequant_scores_log2(const float* q, const std::int8_t* k_codes,
                               std::size_t rows, std::size_t stride,
                               std::size_t d_head, int exponent, float scale,
                               float* out) {
-  scores_rows(q, Log2Rows{k_codes, stride, exponent}, rows, d_head, scale,
-              out);
+  if (log2_normal_range(exponent)) {
+    scores_rows(q, Log2Rows<true>{k_codes, stride, exponent}, rows, d_head,
+                scale, out);
+  } else {
+    scores_rows(q, Log2Rows<false>{k_codes, stride, exponent}, rows, d_head,
+                scale, out);
+  }
 }
 
 void avx2_dequant_accum_int8(const float* w, const std::int8_t* v_codes,
@@ -412,7 +445,11 @@ void avx2_dequant_accum_int8(const float* w, const std::int8_t* v_codes,
 void avx2_dequant_accum_log2(const float* w, const std::int8_t* v_codes,
                              std::size_t rows, std::size_t stride,
                              std::size_t d_head, int exponent, float* z) {
-  accum_rows(w, Log2Rows{v_codes, stride, exponent}, rows, d_head, z);
+  if (log2_normal_range(exponent)) {
+    accum_rows(w, Log2Rows<true>{v_codes, stride, exponent}, rows, d_head, z);
+  } else {
+    accum_rows(w, Log2Rows<false>{v_codes, stride, exponent}, rows, d_head, z);
+  }
 }
 
 // --- MX fake-quant ----------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "llm/kv_block_pool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/kernels.h"
@@ -21,7 +22,10 @@ float row_amax(std::span<const float> v) {
   return amax;
 }
 
-std::int8_t encode_log2(float v, int exponent) {
+// The libm encoder: code = lround(-(log2(|v|) - e)), clamped to 0..127,
+// plus the sign. encode_log2 below equals it bitwise and runs it for the
+// inputs its integer form does not cover.
+std::int8_t encode_log2_libm(float v, int exponent) {
   const float mag = std::fabs(v);
   std::uint8_t byte;
   if (mag == 0.0f) {
@@ -36,6 +40,51 @@ std::int8_t encode_log2(float v, int exponent) {
     if (v < 0.0f) byte |= kSignBit;
   }
   return static_cast<std::int8_t>(byte);
+}
+
+// Mantissa bits of sqrt(2) (0x3504F3 < frac(sqrt 2) * 2^23 < 0x3504F4), and
+// the half-width of the band around it that takes the libm encoder: within
+// it, log2f's and the float subtraction's rounding can land either side of
+// the .5 between two codes.
+constexpr std::uint32_t kSqrt2Mantissa = 0x3504F3;
+constexpr std::uint32_t kSqrt2Guard = 1024;
+
+// encode_log2_libm in integer work. A normal |v| = 2^E * 1.m has
+// -log2(|v| / 2^e) = e - E - log2(1.m), with log2(1.m) in [0, 1): it
+// rounds to e - E, or to e - E - 1 once 1.m passes sqrt(2). Zeros,
+// subnormals, inf, NaN and mantissas in the guard band take the libm form.
+std::int8_t encode_log2(float v, int exponent) {
+  const auto bits = std::bit_cast<std::uint32_t>(v);
+  const std::uint32_t biased = (bits >> 23) & 0xFF;
+  const std::uint32_t mantissa = bits & 0x7FFFFF;
+  if (biased == 0 || biased == 0xFF ||
+      mantissa - (kSqrt2Mantissa - kSqrt2Guard) <= 2 * kSqrt2Guard) {
+    return encode_log2_libm(v, exponent);
+  }
+  const int code = exponent - (static_cast<int>(biased) - 127) -
+                   (mantissa > kSqrt2Mantissa ? 1 : 0);
+  const auto byte = static_cast<std::uint8_t>(
+      std::clamp(code, 0, kLog2CodeMax) | ((bits >> 24) & kSignBit));
+  return static_cast<std::int8_t>(byte);
+}
+
+// std::lround for a float, without the libm call where |x| < 2^23: the
+// truncation and the fraction x - trunc(x) are exact there, so rounding
+// half away from zero is two compares. Larger values, inf and NaN take
+// std::lround.
+long round_half_away(float x) {
+  if (!(std::fabs(x) < 0x1p23f)) return std::lround(x);
+  const long t = static_cast<long>(x);
+  const float frac = x - static_cast<float>(t);
+  return t + (frac >= 0.5f ? 1 : 0) - (frac <= -0.5f ? 1 : 0);
+}
+
+// The exponent of a log2 block whose rows have amax `ra` > 0: the least e
+// with ra <= 2^e by log2f, and 128 for an infinite amax, whose entries then
+// encode as code 0 and decode back to +-inf.
+int log2_block_exponent(float ra) {
+  if (std::isinf(ra)) return 128;
+  return static_cast<int>(std::ceil(std::log2(ra)));
 }
 
 }  // namespace
@@ -186,7 +235,8 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
           const float factor = amax / ra;
           const std::size_t live = fill_[id] * d_model_;
           for (std::size_t i = 0; i < live; ++i) {
-            codes[i] = static_cast<std::int8_t>(std::lround(codes[i] * factor));
+            codes[i] =
+                static_cast<std::int8_t>(round_half_away(codes[i] * factor));
           }
         }
         amax = ra;
@@ -197,7 +247,7 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
       } else {
         const float inv_s = 127.0f / amax;
         for (std::size_t c = 0; c < d_model_; ++c) {
-          const long q = std::lround(v[c] * inv_s);
+          const long q = round_half_away(v[c] * inv_s);
           codes[base + c] =
               static_cast<std::int8_t>(std::clamp(q, -127L, 127L));
         }
@@ -210,8 +260,7 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
       const float ra = row_amax(v);
       int exponent = static_cast<int>(scales_[id]);
       if (ra > 0.0f) {
-        const int needed =
-            static_cast<int>(std::ceil(std::log2(ra)));
+        const int needed = log2_block_exponent(ra);
         if (fill_[id] == 0) {
           exponent = needed;
           scales_[id] = static_cast<float>(exponent);

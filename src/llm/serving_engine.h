@@ -419,10 +419,13 @@ class ServingEngine {
     std::size_t preemptions = 0;     // cumulative (manual + memory pressure)
     std::size_t tokens_decoded = 0;  // cumulative decode positions executed
     std::size_t steps = 0;           // cumulative step() calls
-    // Prefix-cache counters (all 0 when enable_prefix_cache is off).
-    std::size_t prefix_hits = 0;        // admissions that restored a prefix
-    std::size_t prefix_misses = 0;      // admissions that found nothing
-    std::size_t prefix_hit_tokens = 0;  // cumulative prefill decodes skipped
+    // Prefix-cache counters (all 0 when enable_prefix_cache is off). The
+    // first three count cache lookups, one per admission attempt, not
+    // admissions: a candidate blocked on KV memory looks up again on each
+    // later attempt, so one admitted request can count several times.
+    std::size_t prefix_hits = 0;        // lookups that matched a prefix
+    std::size_t prefix_misses = 0;      // lookups that found nothing
+    std::size_t prefix_hit_tokens = 0;  // cumulative positions matched
     std::size_t prefix_cached_blocks = 0;     // currently pinned by the cache
     std::size_t prefix_reclaimed_blocks = 0;  // cumulative freed under pressure
     // Speculative-decoding counters (all 0 when speculation is off).

@@ -222,10 +222,10 @@ TEST(KernelsSimd, AttendPrimitivesMatchScalar) {
 
 void check_fused_bitwise(const KernelOps& ops) {
   // Strided score/accum forms over every d_head in kLengths: vector body
-  // only, tail only, and both.
+  // only, tail only, and both. Log2 codes decode under exponent -2 and 3,
+  // so both AVX2 log2 bodies run.
   const std::size_t rows = 7;
   const float s = 0.004f;
-  const int exponent = -2;
   for (const std::size_t d_head : kLengths) {
     const std::size_t stride = d_head + 5;
     const auto q = rand_vec(d_head);
@@ -250,22 +250,26 @@ void check_fused_bitwise(const KernelOps& ops) {
                      z_want.data());
     EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_int8 d=" << d_head;
 
-    for (std::size_t i = 0; i < kdec.size(); ++i) {
-      kdec[i] = kv_decode_log2(klg[i], exponent);
-    }
-    ops.dequant_scores_log2(q.data(), klg.data(), rows, stride, d_head,
-                            exponent, 0.5f, got.data());
-    ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
-                      want.data());
-    EXPECT_EQ(got, want) << ops.name << " dequant_scores_log2 d=" << d_head;
+    for (const int exponent : {-2, 3}) {
+      for (std::size_t i = 0; i < kdec.size(); ++i) {
+        kdec[i] = kv_decode_log2(klg[i], exponent);
+      }
+      ops.dequant_scores_log2(q.data(), klg.data(), rows, stride, d_head,
+                              exponent, 0.5f, got.data());
+      ops.attend_scores(q.data(), kdec.data(), rows, stride, d_head, 0.5f,
+                        want.data());
+      EXPECT_EQ(got, want) << ops.name << " dequant_scores_log2 d=" << d_head
+                           << " exponent=" << exponent;
 
-    std::fill(z_got.begin(), z_got.end(), 0.0f);
-    std::fill(z_want.begin(), z_want.end(), 0.0f);
-    ops.dequant_accum_log2(w.data(), klg.data(), rows, stride, d_head,
-                           exponent, z_got.data());
-    ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
-                     z_want.data());
-    EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_log2 d=" << d_head;
+      std::fill(z_got.begin(), z_got.end(), 0.0f);
+      std::fill(z_want.begin(), z_want.end(), 0.0f);
+      ops.dequant_accum_log2(w.data(), klg.data(), rows, stride, d_head,
+                             exponent, z_got.data());
+      ops.attend_accum(w.data(), kdec.data(), rows, stride, d_head,
+                       z_want.data());
+      EXPECT_EQ(z_got, z_want) << ops.name << " dequant_accum_log2 d="
+                               << d_head << " exponent=" << exponent;
+    }
   }
 }
 
@@ -379,13 +383,14 @@ void expect_same_bits(const std::vector<float>& got,
 void check_blocking_bitwise(const KernelOps& ops) {
   // Row counts cover whole row blocks, every remainder and both at once;
   // widths cover the 8-wide body, the scalar tail and register-held column
-  // blocks with and without leftover columns.
+  // blocks with and without leftover columns. Log2 codes decode under
+  // exponent -2 for odd row counts and 3 (the normal-range body) for even.
   const float s = 0.004f;
-  const int exponent = -2;
   for (const std::size_t n : {1u, 3u, 8u, 17u, 20u, 63u, 64u, 65u, 128u, 130u,
                               136u, 200u}) {
     for (const std::size_t rows :
          {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u, 17u}) {
+      const int exponent = rows % 2 == 0 ? 3 : -2;
       const std::size_t stride = n + 3;
       const std::string shape = std::string(ops.name) + " rows=" +
                                 std::to_string(rows) +
@@ -539,21 +544,41 @@ TEST(KernelsBlocked, SimdRowsEqualOneRowCallsBitwise) {
 TEST(KernelsFused, SimdLog2DecodeExactForAllByteValues) {
   const KernelOps* simd = simd_kernels();
   if (simd == nullptr) GTEST_SKIP() << "no SIMD table on this CPU";
-  // One-hot probes through one fused score row with scale 1: with q = e_i
-  // the score is decode(codes[i]) exactly (single product in double, cast
-  // once, times 1.0f).
-  // Exponents cover normals, deep denormals (exponent - 127 down to -137),
-  // and the flush-to-zero region.
-  for (const int exponent : {-10, -3, 0, 7, 40}) {
+  // Exponents cover deep denormals and the flush to zero (-24, -23: code
+  // 126 lands on 2^-150 and 2^-149), the boundary of the normal-range body
+  // (-1 | 0, 127 | 128) and infinities (128: code 0 is 2^128).
+  for (const int exponent : {-24, -23, -10, -3, -1, 0, 1, 7, 40, 126, 127,
+                             128}) {
     for (int b = 0; b < 256; ++b) {
-      std::vector<std::int8_t> codes(8, static_cast<std::int8_t>(b));
-      std::vector<float> a(8, 0.0f);
-      a[3] = 1.0f;  // lands in the 8-wide vector body, not the tail
-      float got = 0.0f;
-      simd->dequant_scores_log2(a.data(), codes.data(), 1, 8, 8, exponent,
-                                1.0f, &got);
-      const float want = kv_decode_log2(static_cast<std::int8_t>(b), exponent);
-      EXPECT_EQ(got, want) << "byte=" << b << " exponent=" << exponent;
+      const auto byte = static_cast<std::int8_t>(b);
+      const float want = kv_decode_log2(byte, exponent);
+      const std::string what =
+          "byte=" + std::to_string(b) + " exponent=" + std::to_string(exponent);
+      // Scores: row r holds the byte in lane r % 8 and +0 (code 127)
+      // elsewhere, so with q all ones each score is the one decoded value,
+      // through the 4-row interleaved body (rows 0-7) and the one-row body
+      // (row 8). The sum starts at +0, so a -0 decode scores +0.
+      constexpr std::size_t kRows = 9;
+      std::vector<std::int8_t> onehot(kRows * 8, std::int8_t{kKvLog2CodeMax});
+      for (std::size_t r = 0; r < kRows; ++r) onehot[r * 8 + r % 8] = byte;
+      const std::vector<float> q(8, 1.0f);
+      std::vector<float> scores(kRows);
+      simd->dequant_scores_log2(q.data(), onehot.data(), kRows, 8, 8, exponent,
+                                1.0f, scores.data());
+      expect_same_bits(scores, std::vector<float>(kRows, want + 0.0f),
+                       "scores " + what);
+      // Accum: one row of the byte, weight 1, onto z = -0, so each z is the
+      // decoded value with its sign of zero. 8 columns take the row loop, 64
+      // the register-blocked body.
+      for (const std::size_t d : {std::size_t{8}, std::size_t{64}}) {
+        const std::vector<std::int8_t> codes(d, byte);
+        const float w = 1.0f;
+        std::vector<float> z(d, -0.0f);
+        simd->dequant_accum_log2(&w, codes.data(), 1, d, d, exponent,
+                                 z.data());
+        expect_same_bits(z, std::vector<float>(d, want),
+                         "accum d=" + std::to_string(d) + " " + what);
+      }
     }
   }
 }

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "kv_encode_reference.h"
 #include "llm/paged_kv_cache.h"
 
 namespace opal {
@@ -350,6 +354,246 @@ TEST(KvBlockPool, SaveScribbleRestoreIsBitwise) {
     KvBlockPool::BlockSnapshot foreign;
     other.save_block(other.allocate(), foreign);
     EXPECT_THROW(pool.restore_block(id, foreign), std::invalid_argument);
+  }
+}
+
+TEST(KvBlockPool, InfiniteRowsEncodeWithoutOverflow) {
+  const float inf = std::numeric_limits<float>::infinity();
+  // log2: an infinite amax gives block exponent 128, so +-inf is code 0
+  // with its sign and reads back as +-inf; 2^100 is code 28 and exact, and
+  // 1.0 (code 128, clamped to 127) flushes to +0.
+  {
+    KvBlockPool pool(1, 2, 5, KvQuantMode::kLog2);
+    const auto id = pool.allocate();
+    pool.write_row(id, 0, std::vector<float>{0.5f, -1.0f, 2.0f, 0.0f, 3.0f});
+    EXPECT_EQ(pool.block_scale(id), 2.0f);  // 3.0 is code 0, 2^2
+    const std::vector<float> row = {inf, -inf, 0x1p100f, -0x1p100f, 1.0f};
+    pool.write_row(id, 1, row);
+    EXPECT_EQ(pool.block_scale(id), 128.0f);
+    const auto codes = pool.block_codes(id);
+    EXPECT_EQ(static_cast<std::uint8_t>(codes[5]), 0x00);
+    EXPECT_EQ(static_cast<std::uint8_t>(codes[6]), 0x80);
+    std::vector<float> out(5);
+    pool.read_row(id, 1, out);
+    const std::vector<float> want = {inf, -inf, 0x1p100f, -0x1p100f, 0.0f};
+    EXPECT_EQ(std::memcmp(out.data(), want.data(), sizeof(float) * 5), 0);
+    // Growth to 128 adds 126 to row 0's codes: code 0 (4.0) becomes 126,
+    // still 4.0, and the rest saturate to +0.
+    pool.read_row(id, 0, out);
+    const std::vector<float> row0 = {0.0f, 0.0f, 0.0f, 0.0f, 4.0f};
+    EXPECT_EQ(std::memcmp(out.data(), row0.data(), sizeof(float) * 5), 0);
+  }
+  // int8: the block scale becomes inf, so every entry reads back non-finite
+  // (0 * inf is NaN); the finite entries' codes are 0.
+  {
+    KvBlockPool pool(1, 1, 4, KvQuantMode::kInt8);
+    const auto id = pool.allocate();
+    pool.write_row(id, 0, std::vector<float>{inf, 1.0f, -2.0f, 0.0f});
+    EXPECT_EQ(pool.block_scale(id), inf);
+    const auto codes = pool.block_codes(id);
+    for (std::size_t c = 1; c < 4; ++c) EXPECT_EQ(codes[c], 0);
+    std::vector<float> out(4);
+    pool.read_row(id, 0, out);
+    for (const float x : out) EXPECT_FALSE(std::isfinite(x));
+  }
+}
+
+// --- encoders: bitwise the libm reference (kv_encode_reference.h) ----------
+
+// Writes `values` through one-row blocks of a pool of width 4096 in the
+// given mode, each row led by `pin` (the row amax that fixes the block
+// scale), and counts codes that differ from the reference block's; the
+// first mismatch is reported.
+void expect_codes_match(KvQuantMode mode, float pin,
+                        const std::vector<float>& values) {
+  constexpr std::size_t kWidth = 4096;
+  KvBlockPool pool(1, 1, kWidth, mode);
+  std::vector<float> row(kWidth);
+  std::size_t mismatches = 0;
+  for (std::size_t first = 0; first < values.size(); first += kWidth - 1) {
+    const std::size_t n = std::min(kWidth - 1, values.size() - first);
+    row[0] = pin;
+    std::copy_n(values.begin() + static_cast<long>(first), n, row.begin() + 1);
+    std::fill(row.begin() + 1 + static_cast<long>(n), row.end(), 0.0f);
+    kv_encode_reference::Block ref(mode, kWidth, 1);
+    ref.write_row(0, row);
+    const auto id = pool.allocate();
+    pool.write_row(id, 0, row);
+    ASSERT_EQ(pool.block_scale(id), ref.scale);
+    const auto got = pool.block_codes(id);
+    for (std::size_t c = 0; c < kWidth; ++c) {
+      if (got[c] == ref.codes[c]) continue;
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << "value bits 0x" << std::hex
+                      << std::bit_cast<std::uint32_t>(row[c]) << std::dec
+                      << " scale " << ref.scale << ": code "
+                      << int{got[c]} << ", reference " << int{ref.codes[c]};
+      }
+    }
+    pool.free(id);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
+}
+
+// The row amax that pins a log2 block to exponent e (128: an infinity).
+float log2_pin(int exponent) {
+  return exponent == 128 ? std::numeric_limits<float>::infinity()
+                         : std::ldexp(1.0f, exponent);
+}
+
+float from_bits(std::uint32_t bits) { return std::bit_cast<float>(bits); }
+
+constexpr int kLog2Exponents[] = {-30, -1, 0, 4, 127, 128};
+constexpr std::uint32_t kSqrt2Mantissa = 0x3504F3;
+
+TEST(KvEncode, Log2EveryMantissaOfBinadesMatchesReference) {
+  // Binade E = e - 1 (codes 0..1) at every exponent and E = e - 64 (codes
+  // 63..64) at two, every mantissa, the sign alternating with the
+  // mantissa's low bit.
+  for (const int e : kLog2Exponents) {
+    std::vector<int> binades = {e - 1};
+    if (e == 0 || e == 127) binades.push_back(e - 64);
+    for (const int binade : binades) {
+      SCOPED_TRACE("exponent " + std::to_string(e) + " binade " +
+                   std::to_string(binade));
+      const auto biased = static_cast<std::uint32_t>(binade + 127);
+      std::vector<float> values(1u << 23);
+      for (std::uint32_t m = 0; m < (1u << 23); ++m) {
+        values[m] = from_bits(((m & 1u) << 31) | (biased << 23) | m);
+      }
+      expect_codes_match(KvQuantMode::kLog2, log2_pin(e), values);
+    }
+  }
+}
+
+TEST(KvEncode, Log2GuardBandOfEveryBinadeMatchesReference) {
+  // Mantissas within 1100 of sqrt(2)'s, both signs, in every normal binade,
+  // at the exponents that give it codes near 1 and near 100.
+  for (std::uint32_t biased = 1; biased <= 254; ++biased) {
+    const int binade = static_cast<int>(biased) - 127;
+    for (const int e : {binade + 1, std::min(binade + 100, 128)}) {
+      std::vector<float> values;
+      for (std::uint32_t m = kSqrt2Mantissa - 1100; m <= kSqrt2Mantissa + 1100;
+           ++m) {
+        for (const std::uint32_t sign : {0u, 1u << 31}) {
+          values.push_back(from_bits(sign | (biased << 23) | m));
+        }
+      }
+      SCOPED_TRACE("exponent " + std::to_string(e) + " binade " +
+                   std::to_string(binade));
+      expect_codes_match(KvQuantMode::kLog2, log2_pin(e), values);
+    }
+  }
+}
+
+TEST(KvEncode, Log2SpecialValuesMatchReference) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> specials = {0.0f, -0.0f,
+                                 std::numeric_limits<float>::quiet_NaN(),
+                                 -std::numeric_limits<float>::quiet_NaN(),
+                                 from_bits(0x7F800001u), from_bits(0xFFBFFFFFu)};
+  // Subnormals (every 61st mantissa and each power of two) at exponents
+  // whose codes for them are unclamped; a sparser sample, plus +-0 and
+  // NaNs, at every tested exponent.
+  for (const int e : {-30, -140}) {
+    SCOPED_TRACE("subnormals, exponent " + std::to_string(e));
+    std::vector<float> values(specials);
+    for (std::uint32_t m = 1; m < (1u << 23); m += 61) {
+      values.push_back(from_bits(((m & 1u) << 31) | m));
+    }
+    for (std::uint32_t m = 1; m < (1u << 23); m <<= 1) {
+      values.insert(values.end(), {from_bits(m), from_bits((1u << 31) | m)});
+    }
+    expect_codes_match(KvQuantMode::kLog2, log2_pin(e), values);
+  }
+  for (const int e : kLog2Exponents) {
+    SCOPED_TRACE("specials, exponent " + std::to_string(e));
+    std::vector<float> values(specials);
+    for (std::uint32_t m = 1; m < (1u << 23); m += 4099) {
+      values.push_back(from_bits(m));
+      values.push_back(from_bits((1u << 31) | m));
+    }
+    if (e == 128) values.insert(values.end(), {inf, -inf});
+    expect_codes_match(KvQuantMode::kLog2, log2_pin(e), values);
+  }
+}
+
+TEST(KvEncode, Int8TiesAndNeighboursMatchReference) {
+  // Pinned at amax 127 the code is v * 1 rounded, so each x.5 the encoder
+  // can see (|v * 127 / amax| <= 127) and its two float neighbours, plus
+  // the integers, hit the rounding exactly.
+  std::vector<float> values;
+  for (int k = -254; k <= 254; ++k) {
+    const float x = 0.5f * static_cast<float>(k);
+    for (const float v : {std::nextafter(x, -200.0f), x,
+                          std::nextafter(x, 200.0f)}) {
+      if (std::fabs(v) <= 127.0f) values.push_back(v);
+    }
+  }
+  values.push_back(std::numeric_limits<float>::quiet_NaN());
+  expect_codes_match(KvQuantMode::kInt8, 127.0f, values);
+}
+
+// Rows of random magnitude into blocks of 8, so scales grow (int8 rescales
+// every live code, log2 adds to every live code) and stay put, compared
+// with the reference block after every write. Some rows double the amax
+// (int8 rescale factor 0.5, landing codes on x.5) and some hold an
+// infinity (log2 growth to exponent 128).
+TEST(KvEncode, GrowOnlyRescalesMatchReference) {
+  constexpr std::size_t kD = 64, kRows = 8;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const KvQuantMode mode : {KvQuantMode::kInt8, KvQuantMode::kLog2}) {
+    SCOPED_TRACE(to_string(mode));
+    Rng rng = make_rng(11);
+    std::uniform_int_distribution<int> pick(0, 5);
+    KvBlockPool pool(1, kRows, kD, mode);
+    for (int seq = 0; seq < 300; ++seq) {
+      const auto id = pool.allocate();
+      kv_encode_reference::Block ref(mode, kD, kRows);
+      float amax = 1.0f;
+      for (std::size_t r = 0; r < kRows; ++r) {
+        std::vector<float> row;
+        switch (pick(rng)) {
+          case 0:
+            amax *= 2.0f;  // exact doubling
+            row = random_row(rng, kD, 1.0f);
+            for (std::size_t c = 0; c < kD; ++c) {
+              row[c] = std::round(row[c] * 127.0f) / 127.0f * amax;
+            }
+            row[0] = amax;
+            break;
+          case 1:
+            row = random_row(rng, kD, amax * 37.0f);
+            break;
+          case 2:
+            row = random_row(rng, kD, amax / 16.0f);
+            break;
+          case 3:
+            row = random_row(rng, kD, amax);
+            row[5] = 0.0f;
+            row[9] = -0.0f;
+            break;
+          case 4:
+            row = random_row(rng, kD, 0x1p-120f);
+            break;
+          default:
+            row = random_row(rng, kD, amax);
+            if (mode == KvQuantMode::kLog2 && seq % 7 == 0) row[3] = -inf;
+            break;
+        }
+        for (const float x : row) {
+          if (std::isfinite(x)) amax = std::max(amax, std::fabs(x));
+        }
+        pool.write_row(id, r, row);
+        ref.write_row(r, row);
+        ASSERT_EQ(pool.block_scale(id), ref.scale) << "seq " << seq;
+        const auto got = pool.block_codes(id);
+        ASSERT_TRUE(std::equal(ref.codes.begin(),
+                               ref.codes.begin() + (r + 1) * kD, got.begin()))
+            << "seq " << seq << " row " << r;
+      }
+      pool.free(id);
+    }
   }
 }
 
