@@ -5,24 +5,6 @@
 
 namespace opal {
 
-EnergyBreakdown& EnergyBreakdown::operator+=(const EnergyBreakdown& other) {
-  int_mac += other.int_mac;
-  fp_mac += other.fp_mac;
-  adder_trees += other.adder_trees;
-  distributor += other.distributor;
-  softmax += other.softmax;
-  quantizer += other.quantizer;
-  return *this;
-}
-
-OpStats& OpStats::operator+=(const OpStats& other) {
-  cycles += other.cycles;
-  int_macs += other.int_macs;
-  fp_macs += other.fp_macs;
-  energy += other.energy;
-  return *this;
-}
-
 OpalCore::OpalCore(CoreConfig config, TechParams tech)
     : config_(config), tech_(tech), cost_(core_cost(config, tech)) {}
 

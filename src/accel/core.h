@@ -33,7 +33,6 @@ struct EnergyBreakdown {
   [[nodiscard]] double total() const {
     return int_mac + fp_mac + adder_trees + distributor + softmax + quantizer;
   }
-  EnergyBreakdown& operator+=(const EnergyBreakdown& other);
 };
 
 /// Cost + routing statistics of one core-level operation.
@@ -44,7 +43,6 @@ struct OpStats {
   MuMode mode = MuMode::kHighHigh;
   EnergyBreakdown energy;
 
-  OpStats& operator+=(const OpStats& other);
   [[nodiscard]] double int_fraction() const {
     const auto total = int_macs + fp_macs;
     return total == 0 ? 1.0
@@ -64,6 +62,9 @@ class OpalCore {
   /// Functional MxV: y = W x with `act` the MX-OPAL encoding of x and
   /// `w_dequant` the OWQ-dequantized weights with bf16 columns
   /// `fp_weight_cols`. Returns cost stats; writes the result to `out`.
+  /// A functional hardware model of the paper's core: only tests call it,
+  /// checking its output against a float MxV; the device model uses the
+  /// cost-only mxv_cost below.
   OpStats run_mxv(const QuantizedTensor& act, const Matrix& w_dequant,
                   std::span<const std::size_t> fp_weight_cols,
                   int weight_bits, std::span<float> out) const;

@@ -34,7 +34,9 @@ struct RoutedBlock {
 
 /// Routes one encoded activation block. `base_col` is the block's first
 /// column in the weight matrix; `fp_weight_cols` is the sorted list of bf16
-/// weight columns (from OWQ).
+/// weight columns (from OWQ). route_block and route_tensor are functional
+/// hardware models of the paper's data distributor: only tests call them,
+/// since the device model prices routing without running it.
 [[nodiscard]] RoutedBlock route_block(
     const QuantizedBlock& block, std::size_t base_col,
     std::span<const std::size_t> fp_weight_cols);

@@ -40,7 +40,6 @@
 
 #include "accel/device.h"
 #include "accel/replay.h"
-#include "common/metrics.h"
 
 namespace opal {
 
@@ -78,17 +77,6 @@ struct DriftReport {
   [[nodiscard]] double run_ratio() const {
     return predicted_s == 0.0 ? 0.0 : measured_s / predicted_s;
   }
-
-  /// Deterministic JSON (17-significant-digit doubles): run totals,
-  /// percentiles, boundedness split, per_step[].
-  [[nodiscard]] std::string to_json() const;
-
-  /// Binds the run totals into `registry`: <prefix>.steps,
-  /// .skipped_steps, .compute_bound_steps, .dram_bound_steps (counters);
-  /// <prefix>.measured_s, .predicted_s, .predicted_dram_bytes,
-  /// .run_ratio, .ratio_p50, .ratio_p95, .ratio_p99 (gauges).
-  void export_metrics(MetricsRegistry& registry,
-                      const std::string& prefix = "drift") const;
 };
 
 /// Audits `trace` against `device`. Prediction costs each step's

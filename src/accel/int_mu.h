@@ -28,7 +28,9 @@ enum class MuMode : std::uint8_t { kLowLow, kLowHigh, kHighHigh };
 /// Functional model of one reconfigurable multiply: splits the wide operand
 /// into low-bit slices, multiplies each against the narrow operand on a
 /// low-bit array, and recombines with shifts — verifying that the composed
-/// result equals the direct product (the Fig 7 datapath).
+/// result equals the direct product (the Fig 7 datapath). A functional
+/// hardware model of the paper: only tests call it, since the device model
+/// prices a multiply by mode_for / mu_throughput and never runs one.
 [[nodiscard]] std::int32_t composed_multiply(std::int16_t a, std::int16_t b,
                                              int a_bits, int b_bits,
                                              int low_bits);

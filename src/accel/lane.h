@@ -32,7 +32,10 @@ struct LaneBlockResult {
 ///
 /// `w_row` is the dequantized weight row segment (exact products of codes
 /// and power-of-two or bf16 scales, so float arithmetic on it is exact);
-/// the split between INT and FP paths follows `routed`.
+/// the split between INT and FP paths follows `routed`. lane_block_dot and
+/// lane_cycles are functional hardware models of the paper's lane: only
+/// tests call them (lane_block_dot also through OpalCore::run_mxv), since
+/// the device model prices a lane from OpalCore's cost tables.
 [[nodiscard]] LaneBlockResult lane_block_dot(
     const QuantizedBlock& block, int block_scale, int act_bits,
     std::span<const float> w_row, const RoutedBlock& routed);

@@ -422,22 +422,4 @@ std::string ReplayReport::to_json() const {
   return out.str();
 }
 
-void ReplayReport::export_metrics(MetricsRegistry& registry,
-                                  const std::string& prefix) const {
-  registry.counter(prefix + ".steps").add(n_steps);
-  registry.counter(prefix + ".rows_fed").add(rows_fed);
-  registry.counter(prefix + ".tokens_generated").add(tokens_generated);
-  registry.counter(prefix + ".dram_bound_steps").add(dram_bound_steps);
-  registry.counter(prefix + ".dropped_steps").add(dropped_steps);
-  registry.counter(prefix + ".total_macs").add(total_macs);
-  registry.gauge(prefix + ".latency_s").set(latency_s);
-  registry.gauge(prefix + ".core_area_mm2").set(core_area_mm2);
-  registry.gauge(prefix + ".tops_per_watt").set(tops_per_watt());
-  registry.gauge(prefix + ".energy_j").set(energy_j);
-  registry.gauge(prefix + ".energy_per_token_j").set(energy_per_token_j());
-  registry.gauge(prefix + ".dram_bytes").set(dram_bytes);
-  registry.gauge(prefix + ".prefix_saved_j").set(prefix_saved_j);
-  registry.gauge(prefix + ".spec_saved_j").set(spec_saved_j);
-}
-
 }  // namespace opal

@@ -85,7 +85,6 @@
 #include <vector>
 
 #include "accel/device.h"
-#include "common/metrics.h"
 #include "common/trace.h"
 #include "llm/model_config.h"
 
@@ -228,15 +227,6 @@ struct ReplayReport {
   /// Deterministic JSON (17-significant-digit doubles): run totals, energy
   /// breakdown, saved-energy attribution, per_step[], per_request[].
   [[nodiscard]] std::string to_json() const;
-
-  /// Binds the run totals into `registry` under the repo's dotted naming
-  /// scheme: <prefix>.steps, .rows_fed, .tokens_generated,
-  /// .dram_bound_steps, .dropped_steps, .total_macs (counters);
-  /// <prefix>.latency_s, .energy_j, .energy_per_token_j, .dram_bytes,
-  /// .prefix_saved_j, .spec_saved_j, .core_area_mm2, .tops_per_watt
-  /// (gauges).
-  void export_metrics(MetricsRegistry& registry,
-                      const std::string& prefix = "hw_replay") const;
 };
 
 /// Replays `trace` through `device`. The trace's KV block size overrides

@@ -15,21 +15,9 @@ SramModel::SramModel(std::size_t capacity_bytes, SramParams params)
   require(capacity_bytes > 0, "SramModel: capacity must be positive");
 }
 
-double SramModel::area_mm2() const {
-  const double ratio = static_cast<double>(capacity_) / kAnchorBytes;
-  // Slightly super-linear: peripheral overhead amortizes, then routing
-  // dominates; CACTI trends are close to linear for 16KB-8MB.
-  return params_.area_mm2_at_64kb * ratio;
-}
-
 double SramModel::read_energy_pj() const {
   const double ratio = static_cast<double>(capacity_) / kAnchorBytes;
   return params_.read_energy_pj_at_64kb * std::sqrt(ratio);
-}
-
-double SramModel::write_energy_pj() const {
-  const double ratio = static_cast<double>(capacity_) / kAnchorBytes;
-  return params_.write_energy_pj_at_64kb * std::sqrt(ratio);
 }
 
 double SramModel::leakage_mw() const {
@@ -40,11 +28,6 @@ double SramModel::leakage_mw() const {
 double SramModel::read_energy_j(std::size_t bytes) const {
   const double accesses = static_cast<double>(bytes) / 8.0;  // 64-bit words
   return accesses * read_energy_pj() * 1e-12;
-}
-
-double SramModel::write_energy_j(std::size_t bytes) const {
-  const double accesses = static_cast<double>(bytes) / 8.0;
-  return accesses * write_energy_pj() * 1e-12;
 }
 
 double SramModel::leakage_energy_j(double seconds) const {

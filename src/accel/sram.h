@@ -3,9 +3,11 @@
 // The paper uses CACTI to size the 512 KB global buffer and 2 KB softmax
 // buffer and to charge their leakage into the per-token energy (leakage is
 // the dominant on-chip term because single-batch generation is
-// latency-bound). We fit the standard CACTI trends at 65 nm: area and
-// leakage grow ~linearly with capacity, access energy grows ~sqrt(capacity)
-// (wordline/bitline halves per doubling of subarrays).
+// latency-bound). We fit the standard CACTI trends at 65 nm: leakage grows
+// ~linearly with capacity, read energy grows ~sqrt(capacity)
+// (wordline/bitline halves per doubling of subarrays). Buffers are only
+// read and leak in the device model, so area and write energy are not
+// modeled (the core's area comes from tech.h).
 #pragma once
 
 #include <cstddef>
@@ -17,9 +19,7 @@ struct SramParams {
   // follows CACTI's high-performance 65 nm cells (~0.9 mW/KB), which is what
   // makes buffer leakage a first-order term of Fig 8 at multi-second
   // per-token latencies.
-  double area_mm2_at_64kb = 0.45;
-  double read_energy_pj_at_64kb = 18.0;   // per 64-bit access
-  double write_energy_pj_at_64kb = 20.0;  // per 64-bit access
+  double read_energy_pj_at_64kb = 18.0;  // per 64-bit access
   double leakage_mw_at_64kb = 56.0;
 };
 
@@ -28,15 +28,12 @@ class SramModel {
   SramModel(std::size_t capacity_bytes, SramParams params = {});
 
   [[nodiscard]] std::size_t capacity_bytes() const { return capacity_; }
-  [[nodiscard]] double area_mm2() const;
-  /// Energy of one 64-bit read/write access, pJ.
+  /// Energy of one 64-bit read access, pJ.
   [[nodiscard]] double read_energy_pj() const;
-  [[nodiscard]] double write_energy_pj() const;
   [[nodiscard]] double leakage_mw() const;
 
   /// Dynamic energy to stream `bytes` through the array (reads), joules.
   [[nodiscard]] double read_energy_j(std::size_t bytes) const;
-  [[nodiscard]] double write_energy_j(std::size_t bytes) const;
   /// Leakage energy over `seconds`, joules.
   [[nodiscard]] double leakage_energy_j(double seconds) const;
 

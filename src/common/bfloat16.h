@@ -9,7 +9,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <iosfwd>
 
 #include "common/float_bits.h"
 
@@ -96,7 +95,5 @@ inline bfloat16 operator/(bfloat16 a, bfloat16 b) {
 inline bfloat16 operator-(bfloat16 a) {
   return bfloat16::from_bits(static_cast<std::uint16_t>(a.bits() ^ 0x8000u));
 }
-
-std::ostream& operator<<(std::ostream& os, bfloat16 v);
 
 }  // namespace opal

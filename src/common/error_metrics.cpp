@@ -1,6 +1,5 @@
 #include "common/error_metrics.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -18,15 +17,6 @@ double mse(std::span<const float> ref, std::span<const float> test) {
   return acc / static_cast<double>(ref.size());
 }
 
-double mae(std::span<const float> ref, std::span<const float> test) {
-  require(ref.size() == test.size() && !ref.empty(), "mae: bad spans");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    acc += std::abs(static_cast<double>(ref[i]) - test[i]);
-  }
-  return acc / static_cast<double>(ref.size());
-}
-
 double sqnr_db(std::span<const float> ref, std::span<const float> test) {
   require(ref.size() == test.size() && !ref.empty(), "sqnr_db: bad spans");
   double signal = 0.0, noise = 0.0;
@@ -38,15 +28,6 @@ double sqnr_db(std::span<const float> ref, std::span<const float> test) {
   }
   if (noise == 0.0) return std::numeric_limits<double>::infinity();
   return 10.0 * std::log10(signal / noise);
-}
-
-double max_abs_err(std::span<const float> ref, std::span<const float> test) {
-  require(ref.size() == test.size() && !ref.empty(), "max_abs_err: bad spans");
-  double worst = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    worst = std::max(worst, std::abs(static_cast<double>(ref[i]) - test[i]));
-  }
-  return worst;
 }
 
 }  // namespace opal

@@ -1,4 +1,4 @@
-// Error metrics (MSE / MAE / SQNR) shared by the quantization-quality
+// Error metrics (MSE / SQNR) shared by the quantization-quality
 // experiments (Fig 3/4, Tables 1-2) and by tests asserting relative
 // quantizer ordering. Serving-side observability (counters, latency
 // histograms) lives in common/metrics.h.
@@ -12,16 +12,8 @@ namespace opal {
 [[nodiscard]] double mse(std::span<const float> ref,
                          std::span<const float> test);
 
-/// Mean absolute error.
-[[nodiscard]] double mae(std::span<const float> ref,
-                         std::span<const float> test);
-
 /// Signal-to-quantization-noise ratio in dB; +inf when test == ref exactly.
 [[nodiscard]] double sqnr_db(std::span<const float> ref,
                              std::span<const float> test);
-
-/// Largest absolute elementwise difference.
-[[nodiscard]] double max_abs_err(std::span<const float> ref,
-                                 std::span<const float> test);
 
 }  // namespace opal

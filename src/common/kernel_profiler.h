@@ -140,7 +140,9 @@ struct KernelProfile {
 /// the wrapper table's function pointers cannot carry instance state.
 class KernelProfiler {
  public:
-  /// True while the wrapper table is installed.
+  /// True while the wrapper table is installed. Only tests call it (and
+  /// underlying()): they check enable/disable restore the dispatch, which
+  /// no profile shows.
   [[nodiscard]] static bool enabled();
 
   /// Captures the active kernel table and installs the timing wrapper
@@ -157,7 +159,8 @@ class KernelProfiler {
   /// This thread's bound slot, or nullptr (samples are dropped cheaply).
   [[nodiscard]] static KernelProfile* slot();
 
-  /// The table the wrapper delegates to (nullptr while disabled).
+  /// The table the wrapper delegates to (nullptr while disabled). Only
+  /// tests call it, as enabled().
   [[nodiscard]] static const KernelOps* underlying();
 };
 

@@ -58,9 +58,10 @@ void scalar_attend_accum(const float* w, const float* v, std::size_t rows,
   }
 }
 
-// Fused dequantize kernels: decode one element to the exact read_row float,
-// then accumulate with the same structure as the plain kernel above, so
-// fused == decode-then-plain bitwise within this table.
+// Fused dequantize kernels: decode one element to the exact float the
+// read-back reference (common/kernels.h) gives, then accumulate with the
+// same structure as the plain kernel above, so fused == decode-then-plain
+// bitwise within this table.
 
 float scalar_dequant_dot_int8(const float* a, const std::int8_t* codes,
                               std::size_t n, float s) {

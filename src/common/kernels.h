@@ -42,8 +42,8 @@
 //   R rows as R successive one-row calls on the same z. Likewise an
 //   `n`-input-row `matvec` equals n `n = 1` calls, one per input row.
 // * Fused dequantize kernels decode quantized codes to *exactly* the floats
-//   KvBlockPool::read_row produces (int8: float(code) * (scale/127); log2:
-//   kv_decode_log2 below) and accumulate them with exactly the structure of
+//   the read-back reference in tests/kv_read_reference.h produces (int8:
+//   float(code) * (scale/127); log2: kv_decode_log2 below) and accumulate them with exactly the structure of
 //   their plain twin. Hence within ANY single table, over the decoded rows:
 //     dequant_scores_* == attend_scores   and
 //     dequant_accum_*  == attend_accum,   bitwise —
@@ -121,7 +121,7 @@ struct KernelOps {
 
   /// attend_scores against int8 K codes: each code decodes in-register to
   /// float(code) * s (s = block amax / 127, pre-divided by the caller, the
-  /// exact value KvBlockPool::read_row multiplies by).
+  /// exact value the read-back reference multiplies by).
   void (*dequant_scores_int8)(const float* q, const std::int8_t* k_codes,
                               std::size_t rows, std::size_t stride,
                               std::size_t d_head, float s, float scale,
@@ -180,8 +180,10 @@ void mx_quantize_scalar(const float* in, std::size_t n, std::size_t width,
 
 /// Pins (true) or releases (false) the scalar reference table, overriding
 /// both the CPU probe and the OPAL_FORCE_SCALAR_KERNELS environment switch.
-/// Intended for tests and benches; not thread-safe against concurrent
-/// kernel use (flip it between runs, not during one).
+/// Only tests call it (the benches read scalar_kernels() directly, and a
+/// binary uses the OPAL_FORCE_SCALAR_KERNELS switch): it pins the scalar
+/// table for one test without touching the environment. Not thread-safe
+/// against concurrent kernel use (flip it between runs, not during one).
 void set_force_scalar_kernels(bool force);
 
 /// Installs `table` as the active dispatch target, bypassing the resolve
@@ -192,8 +194,9 @@ void set_force_scalar_kernels(bool force);
 void set_active_kernels(const KernelOps* table);
 
 // --- log2-7bit KV code layout -----------------------------------------------
-// Shared between KvBlockPool (encode/rescale/read_row) and the fused kernels
-// (in-register decode): one definition, so "fused == gather" stays bitwise.
+// Shared between KvBlockPool (encode/rescale) and the fused kernels
+// (in-register decode): one definition, so "fused == gather" (the reference
+// in tests/kv_read_reference.h) stays bitwise.
 
 inline constexpr int kKvLog2CodeBits = 7;
 inline constexpr int kKvLog2CodeMax = (1 << kKvLog2CodeBits) - 1;  // 127

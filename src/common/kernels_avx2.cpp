@@ -7,9 +7,10 @@
 // dequant_scores_* share one dot body per output row — 8 floats per
 // iteration into two 4-wide double FMA accumulators, hsum, then a
 // sequential scalar tail for n % 8 leftovers — and the fused decode
-// produces exactly KvBlockPool::read_row's floats. That keeps "fused ==
-// decode-then-plain" bitwise within this table; only scalar-vs-AVX2 is
-// tolerance-level (lane reduction reorders the double sums).
+// produces exactly the read-back reference's floats (common/kernels.h).
+// That keeps "fused == decode-then-plain" bitwise within this table; only
+// scalar-vs-AVX2 is tolerance-level (lane reduction reorders the double
+// sums).
 //
 // Latency hiding never reorders one output's accumulation: the dot bodies
 // run four rows interleaved (independent FMA chains, the shared vector
@@ -46,7 +47,8 @@ inline double hsum(__m256d acc0, __m256d acc1) {
   return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
 }
 
-// Eight int8 codes dequantized to read_row's exact floats: float(code) * s.
+// Eight int8 codes dequantized to the reference's exact floats:
+// float(code) * s.
 inline __m256 decode8_int8(const std::int8_t* c, __m256 sv) {
   const __m128i bytes =
       _mm_loadl_epi64(reinterpret_cast<const __m128i*>(c));
@@ -96,7 +98,7 @@ inline __m256 decode8_log2_normal(const std::int8_t* c, __m256i ebias) {
 }
 
 // Row sources shared by both kernel families: load8 gives eight values of a
-// row exactly as read_row produces them, load8_pd the same widened to
+// row exactly as the read-back reference decodes them, load8_pd the same widened to
 // double, at one value for a scalar tail.
 struct F32Rows {
   const float* base;

@@ -4,7 +4,7 @@
 // matvec, attend_scores and the fused dequant_scores_* consume 8 floats per
 // iteration through the same pair of 2-wide double FMA accumulator vectors
 // and finish with the same sequential scalar tail for n % 8 leftovers, and
-// the fused decodes reproduce KvBlockPool::read_row's floats exactly, so
+// the fused decodes reproduce the read-back reference's floats exactly, so
 // "fused == decode-then-plain" stays bitwise within this table. Compiled
 // with -ffp-contract=off like the others.
 
@@ -35,7 +35,8 @@ struct F32x8 {
   float32x4_t lo, hi;
 };
 
-// Eight int8 codes dequantized to read_row's exact floats: float(code) * s.
+// Eight int8 codes dequantized to the reference's exact floats:
+// float(code) * s.
 inline F32x8 decode8_int8(const std::int8_t* c, float32x4_t sv) {
   const int16x8_t w = vmovl_s8(vld1_s8(c));
   return {vmulq_f32(vcvtq_f32_s32(vmovl_s16(vget_low_s16(w))), sv),

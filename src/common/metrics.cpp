@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <sstream>
 
 #include "common/tensor.h"
 
@@ -74,15 +73,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return counters_.back();
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  for (const Named& n : gauge_names_) {
-    if (n.name == name) return gauges_[n.index];
-  }
-  gauges_.emplace_back();
-  gauge_names_.push_back({std::string(name), gauges_.size() - 1});
-  return gauges_.back();
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::span<const double> bounds) {
   for (const Named& n : histogram_names_) {
@@ -99,10 +89,6 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
   s.counters.reserve(counter_names_.size());
   for (const Named& n : counter_names_) {
     s.counters.push_back({n.name, counters_[n.index].value()});
-  }
-  s.gauges.reserve(gauge_names_.size());
-  for (const Named& n : gauge_names_) {
-    s.gauges.push_back({n.name, gauges_[n.index].value()});
   }
   s.histograms.reserve(histogram_names_.size());
   for (const Named& n : histogram_names_) {
@@ -145,33 +131,6 @@ MetricsRegistry::Snapshot::find_histogram(std::string_view name) const {
     if (h.name == name) return &h;
   }
   return nullptr;
-}
-
-std::string MetricsRegistry::Snapshot::to_json() const {
-  std::ostringstream out;
-  out.precision(6);
-  out << std::fixed;
-  out << "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << counters[i].name
-        << "\": " << counters[i].value;
-  }
-  out << (counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << gauges[i].name
-        << "\": " << gauges[i].value;
-  }
-  out << (gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramValue& h = histograms[i];
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << h.name << "\": {\"count\": "
-        << h.count << ", \"sum\": " << h.sum << ", \"min\": " << h.min
-        << ", \"max\": " << h.max << ", \"mean\": " << h.mean()
-        << ", \"p50\": " << h.p50 << ", \"p95\": " << h.p95
-        << ", \"p99\": " << h.p99 << "}";
-  }
-  out << (histograms.empty() ? "" : "\n  ") << "}\n}\n";
-  return out.str();
 }
 
 namespace {

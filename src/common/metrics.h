@@ -1,5 +1,5 @@
-// Serving metrics registry: counters, gauges, and fixed-bucket latency
-// histograms with p50/p95/p99 extraction.
+// Serving metrics registry: counters and fixed-bucket latency histograms
+// with p50/p95/p99 extraction; its snapshot also carries gauges.
 //
 // This is the wall-clock side of the stack's observability layer (the
 // structured event tracer is common/trace.h). ServingEngine owns one
@@ -56,16 +56,6 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Last-written point-in-time value.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  [[nodiscard]] double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
 /// Default latency bucket upper bounds in milliseconds: ~1us to 10s on a
 /// 1-2.5-5 decade grid — wide enough for a microbenchmark step and a
 /// multi-second SLO breach in the same histogram.
@@ -85,9 +75,6 @@ class Histogram {
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double min() const { return min_; }  // 0 when empty
   [[nodiscard]] double max() const { return max_; }  // 0 when empty
-  [[nodiscard]] double mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
   /// Quantile q in [0, 1] (0.5 = p50) by in-bucket linear interpolation,
   /// clamped to [min(), max()]. 0 when empty.
   [[nodiscard]] double quantile(double q) const;
@@ -112,7 +99,6 @@ class MetricsRegistry {
   /// Returns the counter registered under `name`, creating it on first use.
   /// The reference stays valid for the registry's lifetime.
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   /// First use fixes the bucket layout; empty `bounds` means
   /// default_latency_bounds_ms(). Later calls with the same name return the
   /// existing histogram regardless of `bounds`.
@@ -140,12 +126,11 @@ class MetricsRegistry {
     /// entries, last = overflow) — what to_prometheus renders cumulatively.
     std::vector<double> bounds;
     std::vector<std::uint64_t> buckets;
-    [[nodiscard]] double mean() const {
-      return count == 0 ? 0.0 : sum / static_cast<double>(count);
-    }
   };
 
   /// Point-in-time copy of every registered metric, in registration order.
+  /// The registry registers no gauges: `gauges` holds what a producer
+  /// appends (ServingEngine::metrics() copies in its point-in-time values).
   struct Snapshot {
     std::vector<CounterValue> counters;
     std::vector<GaugeValue> gauges;
@@ -154,6 +139,7 @@ class MetricsRegistry {
     /// nullptr when `name` is not registered.
     [[nodiscard]] const CounterValue* find_counter(
         std::string_view name) const;
+    /// Only tests read a gauge back by name; to_prometheus walks them all.
     [[nodiscard]] const GaugeValue* find_gauge(std::string_view name) const;
     [[nodiscard]] const HistogramValue* find_histogram(
         std::string_view name) const;
@@ -163,11 +149,6 @@ class MetricsRegistry {
       const CounterValue* c = find_counter(name);
       return c != nullptr ? c->value : 0;
     }
-
-    /// {"counters": {...}, "gauges": {...}, "histograms": {name:
-    /// {count, sum, min, max, mean, p50, p95, p99}}} — the machine-readable
-    /// form the SLO bench persists.
-    [[nodiscard]] std::string to_json() const;
 
     /// Prometheus text exposition format (version 0.0.4): counters as
     /// `<name>_total`, gauges verbatim, histograms in the cumulative form —
@@ -186,10 +167,8 @@ class MetricsRegistry {
     std::size_t index = 0;
   };
   std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
   std::vector<Named> counter_names_;
-  std::vector<Named> gauge_names_;
   std::vector<Named> histogram_names_;
 };
 

@@ -29,11 +29,6 @@ void fill_laplace(Rng& rng, std::span<float> out, float scale) {
   }
 }
 
-bool OutlierChannelProfile::contains(std::size_t channel) const {
-  return std::find(channels.begin(), channels.end(), channel) !=
-         channels.end();
-}
-
 OutlierChannelProfile make_outlier_profile(Rng& rng, std::size_t dim,
                                            std::size_t count, float min_mag,
                                            float max_mag) {

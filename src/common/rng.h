@@ -76,8 +76,6 @@ void fill_laplace(Rng& rng, std::span<float> out, float scale = 1.0f);
 struct OutlierChannelProfile {
   std::vector<std::size_t> channels;
   std::vector<float> magnitudes;
-
-  [[nodiscard]] bool contains(std::size_t channel) const;
 };
 
 /// Chooses `count` distinct outlier channels in [0, dim) with amplification

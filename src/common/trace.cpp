@@ -60,8 +60,6 @@ void Tracer::emit(TraceEvent event) {
   ++total_;
 }
 
-std::size_t Tracer::size() const { return ring_.size(); }
-
 void Tracer::clear() {
   ring_.clear();
   head_ = 0;

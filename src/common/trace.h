@@ -130,8 +130,6 @@ class Tracer {
   /// kStep records overwritten in the ring: nonzero means the step trace
   /// is INCOMPLETE (replays must check the header).
   [[nodiscard]] std::uint64_t dropped_steps() const { return dropped_steps_; }
-  /// Events currently held (<= capacity).
-  [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
   void clear();
 

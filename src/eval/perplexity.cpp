@@ -124,25 +124,4 @@ std::vector<double> evaluate_perplexity_batched(
   return ppl;
 }
 
-double evaluate_mean_kl(InferenceEngine& teacher, InferenceEngine& student,
-                        std::span<const std::size_t> tokens) {
-  require(tokens.size() >= 2, "evaluate_mean_kl: need >= 2 tokens");
-  teacher.reset();
-  student.reset();
-  double kl = 0.0;
-  std::vector<double> lp_t, lp_s;
-  for (std::size_t t = 0; t + 1 < tokens.size(); ++t) {
-    const auto logits_t = teacher.step(tokens[t]);
-    const auto logits_s = student.step(tokens[t]);
-    lp_t.resize(logits_t.size());
-    lp_s.resize(logits_s.size());
-    log_softmax(logits_t, lp_t);
-    log_softmax(logits_s, lp_s);
-    for (std::size_t i = 0; i < lp_t.size(); ++i) {
-      kl += std::exp(lp_t[i]) * (lp_t[i] - lp_s[i]);
-    }
-  }
-  return kl / static_cast<double>(tokens.size() - 1);
-}
-
 }  // namespace opal

@@ -27,12 +27,6 @@ namespace opal {
 [[nodiscard]] double evaluate_perplexity(InferenceEngine& engine,
                                          std::span<const std::size_t> tokens);
 
-/// Mean KL divergence D(teacher || student) over a token stream — a
-/// finer-grained fidelity signal used by ablation benches.
-[[nodiscard]] double evaluate_mean_kl(InferenceEngine& teacher,
-                                      InferenceEngine& student,
-                                      std::span<const std::size_t> tokens);
-
 /// Teacher-forced perplexity of every stream in one continuously-batched
 /// ServingEngine pass over a shared PreparedModel (all streams decode
 /// concurrently; n_threads > 0 additionally fans the per-step decodes

@@ -9,22 +9,6 @@
 
 namespace opal {
 
-std::string to_string(DraftPolicy policy) {
-  switch (policy) {
-    case DraftPolicy::kNone:
-      return "none";
-    case DraftPolicy::kNgram:
-      return "ngram";
-    case DraftPolicy::kRepeat:
-      return "repeat";
-    case DraftPolicy::kModel:
-      return "model";
-    case DraftPolicy::kCustom:
-      return "custom";
-  }
-  return "?";
-}
-
 // --- NgramDrafter ---
 
 NgramDrafter::NgramDrafter(std::size_t ngram_max, std::size_t ngram_min)

@@ -92,8 +92,6 @@ enum class DraftPolicy : std::uint8_t {
   kCustom,  // SpeculativeConfig::make_custom builds the drafter (tests)
 };
 
-[[nodiscard]] std::string to_string(DraftPolicy policy);
-
 /// Engine-level speculation settings, carried on ServingConfig.
 struct SpeculativeConfig {
   DraftPolicy policy = DraftPolicy::kNone;

@@ -26,14 +26,6 @@ InferenceEngine::InferenceEngine(const SyntheticModel& model,
       state_(prepared_->make_sequence()),
       scratch_(prepared_->make_scratch()) {}
 
-InferenceEngine::InferenceEngine(const SyntheticModel& model,
-                                 EngineConfig config,
-                                 const HessianSet& hessians)
-    : prepared_(std::make_shared<const PreparedModel>(model, std::move(config),
-                                                      hessians)),
-      state_(prepared_->make_sequence()),
-      scratch_(prepared_->make_scratch()) {}
-
 InferenceEngine::InferenceEngine(std::shared_ptr<const PreparedModel> prepared)
     : prepared_(std::move(prepared)),
       state_(deref_prepared(prepared_).make_sequence()),
@@ -41,14 +33,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const PreparedModel> prepared)
 
 std::span<const float> InferenceEngine::step(std::size_t token) {
   return prepared_->step(state_, token, scratch_, recorder_);
-}
-
-std::span<const float> InferenceEngine::prefill(
-    std::span<const std::size_t> tokens) {
-  require(!tokens.empty(), "InferenceEngine::prefill: empty prompt");
-  std::span<const float> logits;
-  for (const std::size_t token : tokens) logits = step(token);
-  return logits;
 }
 
 GenerationResult InferenceEngine::generate(
@@ -87,11 +71,10 @@ void InferenceEngine::reset() { state_.reset(); }
 namespace {
 
 /// Accumulates each recorded site into the matching field of one layer's
-/// entry in a CalibrationSet or a HessianSet (same fields, same sites).
-template <typename Set>
-class SetRecorder final : public ActivationRecorder {
+/// entry in a CalibrationSet.
+class CalibrationRecorder final : public ActivationRecorder {
  public:
-  explicit SetRecorder(Set& set) : set_(&set) {}
+  explicit CalibrationRecorder(CalibrationSet& set) : set_(&set) {}
   void record(std::size_t layer, RecordSite site,
               std::span<const float> values) override {
     auto& entry = (*set_)[layer];
@@ -114,7 +97,7 @@ class SetRecorder final : public ActivationRecorder {
   }
 
  private:
-  Set* set_;
+  CalibrationSet* set_;
 };
 
 /// Greedy-free token stream: samples from the model's own softmax so the
@@ -137,13 +120,12 @@ std::size_t sample_token(std::span<const float> logits, Rng& rng) {
   return probs.size() - 1;
 }
 
-/// Runs the BF16 model over `n_tokens` self-sampled tokens and records the
-/// activations at every quantized site into a fresh `Set`.
-template <typename Set>
-Set record_activations(const SyntheticModel& model, std::size_t n_tokens,
-                       std::uint64_t seed) {
+}  // namespace
+
+CalibrationSet calibrate_model(const SyntheticModel& model,
+                               std::size_t n_tokens, std::uint64_t seed) {
   const auto& cfg = model.config();
-  Set set;
+  CalibrationSet set;
   set.reserve(cfg.n_layers);
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
     set.emplace_back(cfg.d_model, cfg.d_ffn);
@@ -152,7 +134,7 @@ Set record_activations(const SyntheticModel& model, std::size_t n_tokens,
   bf16.max_seq_len = n_tokens + 1;
   bf16.kv_block_size = std::min(bf16.kv_block_size, bf16.max_seq_len);
   InferenceEngine engine(model, bf16);
-  SetRecorder<Set> recorder(set);
+  CalibrationRecorder recorder(set);
   engine.set_recorder(&recorder);
   Rng rng = make_rng(seed);
   std::size_t token = 0;
@@ -161,19 +143,6 @@ Set record_activations(const SyntheticModel& model, std::size_t n_tokens,
     token = sample_token(logits, rng);
   }
   return set;
-}
-
-}  // namespace
-
-HessianSet calibrate_model_hessians(const SyntheticModel& model,
-                                    std::size_t n_tokens,
-                                    std::uint64_t seed) {
-  return record_activations<HessianSet>(model, n_tokens, seed);
-}
-
-CalibrationSet calibrate_model(const SyntheticModel& model,
-                               std::size_t n_tokens, std::uint64_t seed) {
-  return record_activations<CalibrationSet>(model, n_tokens, seed);
 }
 
 void calibrate_logit_scale(SyntheticModel& model, std::size_t n_tokens,

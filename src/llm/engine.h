@@ -4,7 +4,7 @@
 // calibration loops, benches, and examples use: it bundles one immutable
 // PreparedModel (built at construction, or shared via the shared_ptr
 // constructor) with one SequenceState and the PassScratch its passes run
-// on, and forwards step()/prefill()/reset().
+// on, and forwards step()/generate()/reset().
 // Batched serving lives in llm/serving_engine.h; the Fig 5 compute flow
 // itself lives in llm/prepared_model.cpp.
 #pragma once
@@ -36,11 +36,6 @@ class InferenceEngine {
   InferenceEngine(const SyntheticModel& model, EngineConfig config,
                   const CalibrationSet* calibration = nullptr);
 
-  /// GPTQ variant: weights are quantized with full OPTQ error compensation
-  /// against the per-layer Hessians (requires config.weight_quant).
-  InferenceEngine(const SyntheticModel& model, EngineConfig config,
-                  const HessianSet& hessians);
-
   /// Batch-of-1 view over an existing prepared model; weight preparation is
   /// NOT repeated, so facades over a shared model are cheap to create.
   explicit InferenceEngine(std::shared_ptr<const PreparedModel> prepared);
@@ -48,10 +43,6 @@ class InferenceEngine {
   /// Runs one decode step; returns logits over the vocabulary. The returned
   /// span is valid until the next step() call.
   std::span<const float> step(std::size_t token);
-
-  /// Feeds a prompt token by token; returns the logits after the last
-  /// token (single-batch prefill).
-  std::span<const float> prefill(std::span<const std::size_t> tokens);
 
   /// Generates a continuation through the same Sampler path ServingEngine
   /// uses (see sampler.h): resets the sequence, feeds the prompt, then
@@ -102,12 +93,6 @@ class InferenceEngine {
 [[nodiscard]] CalibrationSet calibrate_model(const SyntheticModel& model,
                                              std::size_t n_tokens,
                                              std::uint64_t seed);
-
-/// Like calibrate_model, but accumulates the full per-layer Hessians GPTQ
-/// needs (O(d^2) per token per site — intended for eval-scale models).
-[[nodiscard]] HessianSet calibrate_model_hessians(const SyntheticModel& model,
-                                                  std::size_t n_tokens,
-                                                  std::uint64_t seed);
 
 /// Measures the BF16 logit spread over a short run and rescales the model's
 /// logit_scale so logits have stddev ~= `target_std` (non-degenerate

@@ -22,6 +22,16 @@ float row_amax(std::span<const float> v) {
   return amax;
 }
 
+// True when no entry is NaN or +-inf: every magnitude's bits stay below the
+// all-ones exponent.
+bool row_finite(std::span<const float> v) {
+  std::uint32_t worst = 0;
+  for (const float x : v) {
+    worst = std::max(worst, std::bit_cast<std::uint32_t>(x) & 0x7FFFFFFFu);
+  }
+  return worst < 0x7F800000u;
+}
+
 // The libm encoder: code = lround(-(log2(|v|) - e)), clamped to 0..127,
 // plus the sign. encode_log2 below equals it bitwise and runs it for the
 // inputs its integer form does not cover.
@@ -225,6 +235,11 @@ void KvBlockPool::write_row(BlockId id, std::size_t row,
       break;
 
     case KvQuantMode::kInt8: {
+      // An infinite amax would make the block scale inf, so every entry of
+      // the block would decode to NaN or +-inf, and row_amax skips a NaN.
+      // Refused before the block changes.
+      require(row_finite(v),
+              "KvBlockPool::write_row: int8 KV entries must be finite");
       std::int8_t* codes = block_ptr<std::int8_t>(id);
       const float ra = row_amax(v);
       float amax = scales_[id];
@@ -324,41 +339,11 @@ void KvBlockPool::reset_block(BlockId id) {
   fill_[id] = 0;
 }
 
-void KvBlockPool::read_row(BlockId id, std::size_t row,
-                           std::span<float> out) const {
-  check_block(id, "KvBlockPool::read_row: bad or free block");
-  require(row < block_size_, "KvBlockPool::read_row: row out of range");
-  require(out.size() == d_model_, "KvBlockPool::read_row: dim mismatch");
-  const std::size_t base = row * d_model_;
-
-  switch (mode_) {
-    case KvQuantMode::kFp32:
-      std::copy_n(block_ptr<const float>(id) + base, d_model_, out.begin());
-      break;
-    case KvQuantMode::kInt8: {
-      const std::int8_t* codes = block_ptr<const std::int8_t>(id) + base;
-      const float s = scales_[id] / 127.0f;
-      for (std::size_t c = 0; c < d_model_; ++c) {
-        out[c] = static_cast<float>(codes[c]) * s;
-      }
-      break;
-    }
-    case KvQuantMode::kLog2: {
-      const std::int8_t* codes = block_ptr<const std::int8_t>(id) + base;
-      const int exponent = static_cast<int>(scales_[id]);
-      for (std::size_t c = 0; c < d_model_; ++c) {
-        out[c] = kv_decode_log2(codes[c], exponent);
-      }
-      break;
-    }
-  }
-}
-
 std::span<const float> KvBlockPool::block_data(BlockId id) const {
   check_block(id, "KvBlockPool::block_data: bad or free block");
   require(mode_ == KvQuantMode::kFp32,
           "KvBlockPool::block_data: raw block views are fp32-only "
-          "(quantized entries must be read through read_row)");
+          "(quantized entries must be read through block_codes)");
   return {block_ptr<const float>(id), block_size_ * d_model_};
 }
 

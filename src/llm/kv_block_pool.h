@@ -13,11 +13,14 @@
 //   * kInt8 — symmetric int8 with one fp32 scale per block (scale =
 //     amax / 127). The block's amax only grows: when a newly written row
 //     exceeds it, the block's existing codes are rescaled to the new amax.
+//     A row holding NaN or +-inf is refused (std::invalid_argument) and
+//     leaves the block unchanged.
 //   * kLog2 — the paper's 7-bit log2 form: each entry is a sign bit plus a
 //     7-bit code c with |v| ~= 2^e * 2^-c where 2^e is the block's
 //     power-of-two scale. Code 127 decodes to exactly 0. Scale growth is an
 //     integer add on the codes (a hardware shift), matching the log2-domain
-//     attention path of Section 4.2.
+//     attention path of Section 4.2. +-inf is kept exactly (block exponent
+//     128, code 0 with its sign).
 //
 // Quantization state is per block and depends only on the sequence of rows
 // written into the block since it was allocated, so replaying the same rows
@@ -111,6 +114,8 @@ class KvBlockPool {
   /// Reverses pin_cached: clears the cached flag and drops the cache's
   /// reference (freeing the block when the cache was the last holder).
   void release_cached(BlockId id);
+  /// Whether a prefix cache pins `id`. Only tests call it: the pool's
+  /// counts show how many blocks are cached, not which.
   [[nodiscard]] bool is_cached(BlockId id) const;
 
   /// Rows written into `id` since it was allocated (or cloned).
@@ -143,7 +148,8 @@ class KvBlockPool {
   /// Quantizes one position's d_model-long vector into row `row` of `id`,
   /// growing the block scale (and rescaling earlier rows) if needed.
   /// Requires exclusive ownership (refcount 1): shared blocks are immutable
-  /// and must be copy-on-written via clone_rows() first.
+  /// and must be copy-on-written via clone_rows() first. kInt8 mode throws
+  /// std::invalid_argument on a NaN or +-inf entry, before the block changes.
   void write_row(BlockId id, std::size_t row, std::span<const float> v);
 
   /// Verbatim copy of one block's quantization state — storage bytes, block
@@ -177,15 +183,11 @@ class KvBlockPool {
   /// ownership (refcount 1).
   void reset_block(BlockId id);
 
-  /// Dequantizes row `row` of `id` into `out` (d_model floats). In kFp32
-  /// mode this returns the written bits verbatim.
-  void read_row(BlockId id, std::size_t row, std::span<float> out) const;
-
   /// Raw storage of an in-use block as a [block_size x d_model] row-major
   /// span — the zero-copy attend path for fp32 pools, where stored entries
   /// ARE the written floats (no per-row dequantization exists to skip).
   /// kFp32 mode only; quantized modes throw (their raw bytes are codes, not
-  /// floats — read through read_row). The span stays valid while the block
+  /// floats — read through block_codes). The span stays valid while the block
   /// is held; rows past rows_written(id) are stale or zero.
   [[nodiscard]] std::span<const float> block_data(BlockId id) const;
 

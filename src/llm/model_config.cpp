@@ -12,14 +12,6 @@ std::size_t ModelConfig::param_count() const {
   return n_layers * (attn + ffn) + vocab * d_model;
 }
 
-std::size_t ModelConfig::macs_per_token(std::size_t seq_len) const {
-  const std::size_t proj = 4 * d_model * d_model;
-  const std::size_t ffn = 2 * d_ffn * d_model;
-  // Q.K^T and Attn.V over the cached sequence, all heads.
-  const std::size_t attn = 2 * seq_len * d_model;
-  return n_layers * (proj + ffn + attn) + vocab * d_model;
-}
-
 ModelConfig llama2_7b() {
   return {"Llama2-7B", 32, 4096, 32, 11008, 32000, NormKind::kRmsNorm,
           ActivationKind::kSiLU};

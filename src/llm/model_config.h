@@ -30,9 +30,6 @@ struct ModelConfig {
   /// Total parameter count of the decoder stack + tied embedding (no biases;
   /// our synthetic models are bias-free).
   [[nodiscard]] std::size_t param_count() const;
-
-  /// MACs to generate one token at KV-cache length `seq_len`.
-  [[nodiscard]] std::size_t macs_per_token(std::size_t seq_len) const;
 };
 
 /// Published shapes.

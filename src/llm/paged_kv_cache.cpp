@@ -200,21 +200,6 @@ void PagedKvCache::reset_block_column(std::size_t layer, std::size_t column) {
   pool_->reset_block(v_blocks_[layer][column]);
 }
 
-void PagedKvCache::gather(std::size_t layer, std::span<float> k_out,
-                          std::span<float> v_out) const {
-  require(layer < k_blocks_.size(), "PagedKvCache::gather: bad layer");
-  const std::size_t d = pool_->d_model();
-  require(k_out.size() >= len_ * d && v_out.size() >= len_ * d,
-          "PagedKvCache::gather: output spans too small");
-  const std::size_t bs = pool_->block_size();
-  for (std::size_t t = 0; t < len_; ++t) {
-    pool_->read_row(k_blocks_[layer][t / bs], t % bs,
-                    k_out.subspan(t * d, d));
-    pool_->read_row(v_blocks_[layer][t / bs], t % bs,
-                    v_out.subspan(t * d, d));
-  }
-}
-
 void PagedKvCache::append_segments(std::size_t layer, std::size_t len,
                                    std::vector<KvSegment>& out) const {
   require(layer < k_blocks_.size(),

@@ -13,9 +13,8 @@
 // Attention reads through append_segments(): one KvSegment per block over
 // the pool's live storage — float spans in fp32 mode, quantized codes plus
 // the block's decode scale in int8/log2 mode — so no prefix is ever copied.
-// gather() dequantizes one layer into caller scratch; it is the read-back
-// reference the fused kernels are tested against, and in fp32 mode it
-// reproduces the written bits exactly.
+// The read-back reference the fused kernels are tested against decodes these
+// segments entry by entry (tests/kv_read_reference.h).
 //
 // Prefix sharing: map_shared() adopts full, already-written block columns
 // (a PrefixCache hit) as this cache's leading positions, taking a pool
@@ -134,12 +133,6 @@ class PagedKvCache {
   /// the rollback path for a column whose every row was written inside the
   /// span being rewound.
   void reset_block_column(std::size_t layer, std::size_t column);
-
-  /// Dequantizes layer `layer`'s cached keys and values into `k_out` /
-  /// `v_out` as row-major [length() x d_model] data (spans must hold at
-  /// least length()*d_model floats; only that prefix is written).
-  void gather(std::size_t layer, std::span<float> k_out,
-              std::span<float> v_out) const;
 
   /// Appends one KvSegment per block covering positions [0, len) of
   /// `layer`, spanning the pool's storage directly: float spans for fp32

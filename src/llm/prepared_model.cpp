@@ -62,16 +62,7 @@ EngineConfig checked_kv_layout(EngineConfig config) {
 PreparedModel::PreparedModel(const SyntheticModel& model, EngineConfig config,
                              const CalibrationSet* calibration)
     : model_(&model), config_(checked_kv_layout(std::move(config))) {
-  prepare_layers(calibration, nullptr);
-  finish_construction();
-}
-
-PreparedModel::PreparedModel(const SyntheticModel& model, EngineConfig config,
-                             const HessianSet& hessians)
-    : model_(&model), config_(checked_kv_layout(std::move(config))) {
-  require(config_.weight_quant.has_value(),
-          "PreparedModel: GPTQ requires weight_quant");
-  prepare_layers(nullptr, &hessians);
+  prepare_layers(calibration);
   finish_construction();
 }
 
@@ -113,13 +104,10 @@ PrefixCache PreparedModel::make_prefix_cache(KvBlockPool& pool) const {
   return PrefixCache(pool, model_->config().n_layers);
 }
 
-KvBlockPool PreparedModel::make_kv_pool(double n_full_sequences) const {
-  const auto want = static_cast<std::size_t>(
-      n_full_sequences * static_cast<double>(kv_blocks_per_sequence()));
-  // A pool must at least fit one block column, or no sequence can start.
+KvBlockPool PreparedModel::make_kv_pool(std::size_t blocks) const {
   const std::size_t floor_blocks = PagedKvCache::blocks_for(
       model_->config().n_layers, 1, config_.kv_block_size);
-  return KvBlockPool(std::max(want, floor_blocks), config_.kv_block_size,
+  return KvBlockPool(std::max(blocks, floor_blocks), config_.kv_block_size,
                      model_->config().d_model, config_.kv_mode);
 }
 
@@ -141,40 +129,23 @@ OwqMatrix round_to_bf16(const Matrix& m) {
 
 }  // namespace
 
-void PreparedModel::prepare_layers(const CalibrationSet* calibration,
-                                   const HessianSet* hessians) {
+void PreparedModel::prepare_layers(const CalibrationSet* calibration) {
   const auto& cfg = model_->config();
   if (calibration != nullptr) {
     require(calibration->size() == cfg.n_layers,
             "PreparedModel: calibration layer count mismatch");
   }
-  if (hessians != nullptr) {
-    require(hessians->size() == cfg.n_layers,
-            "PreparedModel: Hessian layer count mismatch");
-  }
-  // The activation each matrix multiplies, as the field of LayerCalibration
-  // or LayerHessians (they name their per-input fields alike) its
-  // quantizer reads.
-  const auto attn_in = [](const auto& in) -> const auto& { return in.attn_in; };
-  const auto proj_in = [](const auto& in) -> const auto& { return in.proj_in; };
-  const auto fc1_in = [](const auto& in) -> const auto& { return in.fc1_in; };
-  const auto fc2_in = [](const auto& in) -> const auto& { return in.fc2_in; };
-  // The per-matrix quantize step: bf16 rounding without weight_quant, GPTQ
-  // against the input's full Hessian when given, else OWQ — sensitivity
-  // from the calibration's Hessian diagonal, or weight-only without one.
+  // The per-matrix quantize step: bf16 rounding without weight_quant, else
+  // OWQ — sensitivity from the calibration's Hessian diagonal of the
+  // matrix's input (`input`, the LayerCalibration field its quantizer
+  // reads), or weight-only without one.
+  using Input = CalibrationStats LayerCalibration::*;
   const auto quantize = [&](std::size_t l, const Matrix& w,
-                            const auto& input) -> OwqMatrix {
+                            Input input) -> OwqMatrix {
     if (!config_.weight_quant) return round_to_bf16(w);
     const OwqConfig& wq = *config_.weight_quant;
-    if (hessians != nullptr) {
-      return gptq_quantize(w, input((*hessians)[l]),
-                           {.bits = wq.bits,
-                            .outlier_fraction = wq.outlier_fraction,
-                            .group_size = wq.group_size,
-                            .optimize_clip = wq.optimize_clip});
-    }
     if (calibration != nullptr) {
-      return owq_quantize(w, input((*calibration)[l]).hessian_diag(), wq);
+      return owq_quantize(w, ((*calibration)[l].*input).hessian_diag(), wq);
     }
     return owq_quantize_weight_only(w, wq);
   };
@@ -187,18 +158,18 @@ void PreparedModel::prepare_layers(const CalibrationSet* calibration,
     layer.ffn_norm = std::make_unique<Norm>(cfg.norm, src.ffn_norm_gain);
     layer.total_weight_values =
         4 * cfg.d_model * cfg.d_model + 2 * cfg.d_ffn * cfg.d_model;
-    auto take = [&](const Matrix& w, const auto& input, Matrix& dst) {
+    auto take = [&](const Matrix& w, Input input, Matrix& dst) {
       OwqMatrix q = quantize(l, w, input);
       layer.fp_weight_values += q.fp_columns.size() * q.dequantized.rows();
       layer.storage_bits += q.storage_bits;
       dst = std::move(q.dequantized);
     };
-    take(src.wq, attn_in, layer.wq);
-    take(src.wk, attn_in, layer.wk);
-    take(src.wv, attn_in, layer.wv);
-    take(src.wo, proj_in, layer.wo);
-    take(src.w_fc1, fc1_in, layer.w_fc1);
-    take(src.w_fc2, fc2_in, layer.w_fc2);
+    take(src.wq, &LayerCalibration::attn_in, layer.wq);
+    take(src.wk, &LayerCalibration::attn_in, layer.wk);
+    take(src.wv, &LayerCalibration::attn_in, layer.wv);
+    take(src.wo, &LayerCalibration::proj_in, layer.wo);
+    take(src.w_fc1, &LayerCalibration::fc1_in, layer.w_fc1);
+    take(src.w_fc2, &LayerCalibration::fc2_in, layer.w_fc2);
     layers_.push_back(std::move(layer));
   }
 }
@@ -230,8 +201,8 @@ void PreparedModel::attend(std::size_t l, SequenceState& seq,
   // spans for fp32 pools, code spans for quantized pools (decoded
   // in-register by the fused kernels below). Iterating segments outer /
   // rows inner visits positions 0..len-1 in order, so within one kernel
-  // table the result is bitwise equal to attending over gather()'s floats
-  // as one contiguous segment.
+  // table the result is bitwise equal to attending over the decoded floats
+  // as one contiguous segment (tests/kv_read_reference.h's gather).
   const std::span<const KvSegment> kv = seq.attend_view(l, len);
   const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(d_head));
   const KernelOps& ops = kernels();

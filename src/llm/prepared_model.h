@@ -1,7 +1,7 @@
 // Immutable prepared model — the shareable half of the old InferenceEngine.
 //
-// A PreparedModel is built once per EngineConfig: it quantizes (OWQ or GPTQ)
-// or bf16-rounds every decoder weight, instantiates the norms and the
+// A PreparedModel is built once per EngineConfig: it quantizes (OWQ) or
+// bf16-rounds every decoder weight, instantiates the norms and the
 // activation quantizers, and records the storage accounting. After
 // construction it is strictly read-only: prefill_group() (and
 // prefill_chunk() / step(), its one-member cases) is const and touches no
@@ -23,7 +23,6 @@
 #include "llm/prefix_cache.h"
 #include "llm/synthetic.h"
 #include "owq/calibration.h"
-#include "owq/gptq.h"
 #include "owq/owq.h"
 #include "quant/policy.h"
 
@@ -66,20 +65,6 @@ struct LayerCalibration {
 };
 
 using CalibrationSet = std::vector<LayerCalibration>;
-
-/// Full second-moment matrices per layer, for GPTQ weight quantization.
-struct LayerHessians {
-  HessianAccumulator attn_in;
-  HessianAccumulator proj_in;
-  HessianAccumulator fc1_in;
-  HessianAccumulator fc2_in;
-
-  LayerHessians(std::size_t d_model, std::size_t d_ffn)
-      : attn_in(d_model), proj_in(d_model), fc1_in(d_model),
-        fc2_in(d_ffn) {}
-};
-
-using HessianSet = std::vector<LayerHessians>;
 
 struct EngineConfig {
   PrecisionPolicy act_policy = policy_bf16();
@@ -149,11 +134,6 @@ class PreparedModel {
   PreparedModel(const SyntheticModel& model, EngineConfig config,
                 const CalibrationSet* calibration = nullptr);
 
-  /// GPTQ variant: weights are quantized with full OPTQ error compensation
-  /// against the per-layer Hessians (requires config.weight_quant).
-  PreparedModel(const SyntheticModel& model, EngineConfig config,
-                const HessianSet& hessians);
-
   /// The one model pass, over a group of members (distinct sequences, each
   /// at its own position): per layer, every row of every member is normed,
   /// then quantized in one quantizer call for all rows (as are Q, K, V, the
@@ -217,11 +197,11 @@ class PreparedModel {
   /// demand, quantized per the pool's mode.
   [[nodiscard]] SequenceState make_sequence(KvBlockPool& pool) const;
 
-  /// A pool whose blocks match this model (kv_block_size positions x
-  /// d_model, config().kv_mode), sized to hold `n_full_sequences` sequences
-  /// at full max_seq_len. Serving layers can carve smaller pools by scaling
-  /// the block count down.
-  [[nodiscard]] KvBlockPool make_kv_pool(double n_full_sequences) const;
+  /// A pool of `blocks` blocks matching this model (kv_block_size
+  /// positions x d_model, config().kv_mode), never below one block column
+  /// (2 * n_layers blocks), under which no sequence could ever start.
+  /// kv_blocks_per_sequence() blocks hold one sequence at max_seq_len.
+  [[nodiscard]] KvBlockPool make_kv_pool(std::size_t blocks) const;
 
   /// A prefix cache indexing full KV block columns of `pool` (which must
   /// match this model's KV layout) by their token-id prefix; admission maps
@@ -253,11 +233,10 @@ class PreparedModel {
   };
 
   void finish_construction();
-  /// Quantizes every layer's six weight matrices: GPTQ when `hessians` is
-  /// given, else OWQ (calibrated when `calibration` is given) or, without
-  /// EngineConfig::weight_quant, bf16 rounding.
-  void prepare_layers(const CalibrationSet* calibration,
-                      const HessianSet* hessians);
+  /// Quantizes every layer's six weight matrices: OWQ (calibrated when
+  /// `calibration` is given) or, without EngineConfig::weight_quant, bf16
+  /// rounding.
+  void prepare_layers(const CalibrationSet* calibration);
   void attend(std::size_t l, SequenceState& seq, std::span<const float> q,
               std::span<float> z, std::size_t len,
               PassScratch& scratch) const;

@@ -208,7 +208,8 @@ class FairShareScheduler final : public Scheduler {
   /// so a drained engine leaves this at 0).
   [[nodiscard]] std::size_t account_count() const { return credit_.size(); }
   /// Largest |balance| across live accounts — the boundedness invariant:
-  /// never exceeds max(cap, quantum) + max_chunk of the last plan.
+  /// never exceeds max(cap, quantum) + max_chunk of the last plan. Only
+  /// tests call it: no scheduling result shows a balance.
   [[nodiscard]] long long max_abs_credit() const;
 
  private:

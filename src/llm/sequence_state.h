@@ -16,7 +16,8 @@
 //     nothing to dequantize and nothing to copy;
 //   * int8/log2 — code spans plus the per-block decode scales; the fused
 //     dequantize-dot kernels (common/kernels.h) decode in-register, bitwise
-//     equal to attending over PagedKvCache::gather()'s floats.
+//     equal to attending over the decoded floats (the read-back reference
+//     in tests/kv_read_reference.h).
 // Segments read live storage, so chunked prefill needs no bookkeeping: a
 // quantized write that rescales its block is seen by the next attend, which
 // is exactly what a token-by-token run reads.

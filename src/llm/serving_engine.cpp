@@ -24,21 +24,14 @@ std::string to_string(RequestStatus status) {
 namespace {
 
 // The engine's private pool: dense-equivalent capacity by default (max_batch
-// full sequences), or the caller's explicit block budget, never below one
-// block column (under which no sequence could ever start).
+// full sequences), or the caller's explicit block budget.
 KvBlockPool make_engine_pool(const PreparedModel* model,
                              const ServingConfig& config) {
   require(model != nullptr, "ServingEngine: null model");
-  const auto& mcfg = model->model_config();
-  const auto& ecfg = model->config();
-  const std::size_t blocks =
+  return model->make_kv_pool(
       config.kv_pool_blocks != 0
           ? config.kv_pool_blocks
-          : config.max_batch * model->kv_blocks_per_sequence();
-  return KvBlockPool(
-      std::max(blocks, PagedKvCache::blocks_for(mcfg.n_layers, 1,
-                                                ecfg.kv_block_size)),
-      ecfg.kv_block_size, mcfg.d_model, ecfg.kv_mode);
+          : config.max_batch * model->kv_blocks_per_sequence());
 }
 
 }  // namespace

@@ -359,7 +359,8 @@ class ServingEngine {
   /// decoded tokens are kept and replayed on readmission, deterministically
   /// in every kv_mode. With the prefix cache on, the sequence's full block
   /// columns are indexed first, so replay typically restores them as a
-  /// cache hit.
+  /// cache hit. Only tests call it: it forces the preemption path at a
+  /// chosen step, where memory pressure picks its own victim.
   void preempt(RequestId id);
 
   /// Snapshot of a request's current result (returned by value: step(),

@@ -1,8 +1,5 @@
 #include "owq/calibration.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "common/tensor.h"
 
 namespace opal {
@@ -14,23 +11,6 @@ void CalibrationStats::accumulate(std::span<const float> activation) {
     sum_sq_[j] += static_cast<double>(activation[j]) * activation[j];
   }
   ++tokens_;
-}
-
-std::vector<std::size_t> CalibrationStats::ranked_channels() const {
-  std::vector<std::size_t> idx(sum_sq_.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return sum_sq_[a] > sum_sq_[b];
-  });
-  return idx;
-}
-
-std::vector<std::size_t> CalibrationStats::top_channels(
-    std::size_t count) const {
-  auto ranked = ranked_channels();
-  ranked.resize(std::min(count, ranked.size()));
-  std::sort(ranked.begin(), ranked.end());
-  return ranked;
 }
 
 }  // namespace opal

@@ -26,12 +26,6 @@ class CalibrationStats {
     return sum_sq_;
   }
 
-  /// Channels sorted by descending sensitivity.
-  [[nodiscard]] std::vector<std::size_t> ranked_channels() const;
-
-  /// The `count` most sensitive channels, sorted by index.
-  [[nodiscard]] std::vector<std::size_t> top_channels(std::size_t count) const;
-
   [[nodiscard]] std::size_t dim() const { return sum_sq_.size(); }
   [[nodiscard]] std::size_t tokens_seen() const { return tokens_; }
 

@@ -18,8 +18,7 @@
 // the block's (n+1)-th highest exponent — the shared scale — and one scan
 // yields both.
 //
-// encode(), select_shared_scale and top_n_magnitude_indices select through
-// the same helper, and mx_encode()'s codes come from the same per-element
+// encode() and select_shared_scale select through the same helper, and mx_encode()'s codes come from the same per-element
 // shifter (format.h), so the simulator's encoded form and the fake-quant
 // path cannot disagree.
 #pragma once

@@ -19,17 +19,6 @@ std::string MxOpalQuantizer::name() const {
   return "MX-OPAL" + std::to_string(format_.bits);
 }
 
-std::vector<std::size_t> top_n_magnitude_indices(std::span<const float> block,
-                                                 std::size_t n) {
-  std::vector<OutlierSlot> top(std::min(n, block.size()));
-  select_block_outliers(block, top);
-  std::vector<std::size_t> idx;
-  idx.reserve(top.size());
-  for (const OutlierSlot& o : top) idx.push_back(o.index);
-  std::sort(idx.begin(), idx.end());
-  return idx;
-}
-
 QuantizedTensor MxOpalQuantizer::encode(std::span<const float> in) const {
   return mx_encode(format_, in);
 }

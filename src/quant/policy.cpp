@@ -20,20 +20,6 @@ std::string to_string(QuantScheme scheme) {
   return "?";
 }
 
-std::string to_string(ActivationSite site) {
-  switch (site) {
-    case ActivationSite::kPostLayerNorm:
-      return "post-LN";
-    case ActivationSite::kAttentionInput:
-      return "attn-in";
-    case ActivationSite::kAttentionProb:
-      return "attn-prob";
-    case ActivationSite::kGeneral:
-      return "general";
-  }
-  return "?";
-}
-
 std::string PrecisionPolicy::label() const {
   if (scheme == QuantScheme::kNone) return "A16";
   std::string out = "A";
@@ -58,18 +44,6 @@ QuantizerPtr PrecisionPolicy::make_quantizer(ActivationSite site) const {
       return std::make_unique<MxOpalQuantizer>(block_size, bits, outliers);
   }
   return nullptr;
-}
-
-PrecisionPolicy policy_a4_7(QuantScheme scheme) {
-  return {scheme, /*low=*/4, /*high=*/7, 128, 4};
-}
-
-PrecisionPolicy policy_a3_5(QuantScheme scheme) {
-  return {scheme, /*low=*/3, /*high=*/5, 128, 4};
-}
-
-PrecisionPolicy policy_uniform(QuantScheme scheme, int bits) {
-  return {scheme, bits, bits, 128, 4};
 }
 
 PrecisionPolicy policy_bf16() {

@@ -25,7 +25,6 @@ enum class ActivationSite : std::uint8_t {
 enum class QuantScheme : std::uint8_t { kNone, kMinMax, kMxInt, kMxOpal };
 
 [[nodiscard]] std::string to_string(QuantScheme scheme);
-[[nodiscard]] std::string to_string(ActivationSite site);
 
 /// An activation-precision operating point, e.g. A4/7 = {low=4, high=7}.
 struct PrecisionPolicy {
@@ -47,11 +46,6 @@ struct PrecisionPolicy {
   [[nodiscard]] QuantizerPtr make_quantizer(ActivationSite site) const;
 };
 
-/// The paper's named operating points.
-[[nodiscard]] PrecisionPolicy policy_a4_7(QuantScheme scheme);
-[[nodiscard]] PrecisionPolicy policy_a3_5(QuantScheme scheme);
-/// Uniform high-bit activations (used by the W4A7 rows of Table 1).
-[[nodiscard]] PrecisionPolicy policy_uniform(QuantScheme scheme, int bits);
 /// BF16 activations (the OWQ / baseline rows).
 [[nodiscard]] PrecisionPolicy policy_bf16();
 

@@ -4,18 +4,6 @@
 
 namespace opal {
 
-std::string to_string(GemmKind kind) {
-  switch (kind) {
-    case GemmKind::kW16A16_hgemm:
-      return "W FP16 & A FP16 (hGEMM)";
-    case GemmKind::kW4A16_hgemm:
-      return "W INT4 & A FP16 (hGEMM)";
-    case GemmKind::kW4A8_igemm:
-      return "W INT4 & A INT8 (iGEMM)";
-  }
-  return "?";
-}
-
 GemvShape mlp0_shape(const ModelConfig& model) {
   return {model.name + " mlp.0", model.d_ffn, model.d_model};
 }
@@ -67,27 +55,6 @@ Fig1Row fig1_row(const GpuModel& gpu, const ModelConfig& model) {
   row.w4a16_us = gemv_latency_us(gpu, shape, GemmKind::kW4A16_hgemm);
   row.w4a8_us = gemv_latency_us(gpu, shape, GemmKind::kW4A8_igemm);
   return row;
-}
-
-double arithmetic_intensity(const GemvShape& shape, GemmKind kind) {
-  const auto elems =
-      static_cast<double>(shape.rows) * static_cast<double>(shape.cols);
-  double weight_bytes = 2.0, act_bytes = 2.0;
-  switch (kind) {
-    case GemmKind::kW16A16_hgemm:
-      break;
-    case GemmKind::kW4A16_hgemm:
-      weight_bytes = 0.5;
-      break;
-    case GemmKind::kW4A8_igemm:
-      weight_bytes = 0.5;
-      act_bytes = 1.0;
-      break;
-  }
-  const double bytes =
-      elems * weight_bytes +
-      static_cast<double>(shape.cols + shape.rows) * act_bytes;
-  return 2.0 * elems / bytes;
 }
 
 }  // namespace opal

@@ -33,8 +33,6 @@ enum class GemmKind : std::uint8_t {
   kW4A8_igemm,    // INT4 weights, INT8 activations, INT8 units
 };
 
-[[nodiscard]] std::string to_string(GemmKind kind);
-
 struct GemvShape {
   std::string name;
   std::size_t rows = 0;  // output features
@@ -61,10 +59,5 @@ struct Fig1Row {
 };
 
 [[nodiscard]] Fig1Row fig1_row(const GpuModel& gpu, const ModelConfig& model);
-
-/// Arithmetic intensity (flops/byte) of a GEMV under a kernel kind, used by
-/// tests to verify the memory-bound -> compute-bound movement.
-[[nodiscard]] double arithmetic_intensity(const GemvShape& shape,
-                                          GemmKind kind);
 
 }  // namespace opal

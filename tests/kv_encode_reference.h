@@ -7,7 +7,9 @@
 // One edge the old code left undefined is pinned the way the pool now
 // resolves it: a row whose amax is infinite gives a log2 block exponent of
 // 128 (the old int cast of log2(inf) was undefined), so +-inf encodes as
-// code 0 with its sign and decodes back to +-inf.
+// code 0 with its sign and decodes back to +-inf. The pool refuses an int8
+// row holding NaN or +-inf, so the int8 half is compared on finite rows
+// only.
 #pragma once
 
 #include <algorithm>

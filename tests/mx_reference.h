@@ -26,10 +26,26 @@
 #include "common/bfloat16.h"
 #include "common/rng.h"
 #include "quant/format.h"
+#include "quant/mx_block.h"
 #include "quant/mxint.h"
 
 namespace opal::mx_reference {
 
+/// The indices select_block_outliers keeps for the top-n magnitudes of
+/// `block` (n clamped to the block), in ascending index order.
+inline std::vector<std::size_t> outlier_indices(std::span<const float> block,
+                                                std::size_t n) {
+  std::vector<OutlierSlot> top(std::min(n, block.size()));
+  select_block_outliers(block, top);
+  std::vector<std::size_t> idx;
+  idx.reserve(top.size());
+  for (const OutlierSlot& o : top) idx.push_back(o.index);
+  std::sort(idx.begin(), idx.end());
+  return idx;
+}
+
+/// The pre-fusion selection: partial_sort on |v| (ties to the lower
+/// index), in ascending index order.
 inline std::vector<std::size_t> top_n_magnitude_indices(
     std::span<const float> block, std::size_t n) {
   n = std::min(n, block.size());

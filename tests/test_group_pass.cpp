@@ -14,11 +14,14 @@
 
 #include "common/kernels.h"
 #include "eval/schemes.h"
+#include "kv_read_reference.h"
 #include "llm/prepared_model.h"
 #include "llm/sequence_state.h"
 
 namespace opal {
 namespace {
+
+using kv_read_reference::gather;
 
 ModelConfig tiny_config() {
   return scaled_for_eval(llama2_7b(), 128, 2, 64);
@@ -113,7 +116,7 @@ Outcome finish_member(SequenceState& seq, const Recipe& r,
   const std::size_t len = seq.position();
   std::vector<float> k_rows(len * d_model), v_rows(len * d_model);
   for (std::size_t l = 0; l < tiny_config().n_layers; ++l) {
-    seq.paged_cache().gather(l, k_rows, v_rows);
+    gather(seq.paged_cache(), l, k_rows, v_rows);
     out.kv.insert(out.kv.end(), k_rows.begin(), k_rows.end());
     out.kv.insert(out.kv.end(), v_rows.begin(), v_rows.end());
   }
@@ -136,7 +139,7 @@ TEST_P(GroupPass, EqualsEachMemberAloneBitwise) {
   for (const KvQuantMode mode :
        {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
     const PreparedModel model(tiny_model(), engine_config(mode));
-    auto pool = model.make_kv_pool(16.0);
+    auto pool = model.make_kv_pool(16 * model.kv_blocks_per_sequence());
     PassScratch solo_scratch = model.make_scratch();
     // One scratch for every group size: later groups run over the rows
     // earlier, larger or smaller groups left behind.
@@ -210,7 +213,7 @@ TEST(GroupPassErrors, DryPoolOpensNoMember) {
 
 TEST(GroupPassErrors, RejectsASequenceTwice) {
   const PreparedModel model(tiny_model(), engine_config(KvQuantMode::kFp32));
-  auto pool = model.make_kv_pool(1.0);
+  auto pool = model.make_kv_pool(model.kv_blocks_per_sequence());
   PassScratch scratch = model.make_scratch();
   SequenceState a = model.make_sequence(pool);
   const auto one = tokens_from(1, 0);

@@ -37,12 +37,15 @@
 #include <vector>
 
 #include "eval/schemes.h"
+#include "kv_read_reference.h"
 #include "llm/paged_kv_cache.h"
 #include "llm/serving_engine.h"
 #include "mx_reference.h"
 
 namespace opal {
 namespace {
+
+using kv_read_reference::gather;
 
 // Deterministic LCG so test data is identical across runs and platforms.
 std::uint64_t lcg_state = 0x9e3779b97f4a7c15ull;
@@ -315,7 +318,7 @@ TEST(KernelsFused, BlockSegmentsEqualGatheredSegmentBitwise) {
     ASSERT_EQ(segs.size(), 3u);
     ASSERT_EQ(segs.back().rows, 2u);
     std::vector<float> gk(len * d), gv(len * d);
-    cache.gather(0, gk, gv);
+    gather(cache, 0, gk, gv);
 
     const auto q = rand_vec(d);
     const auto w = rand_vec(len);

@@ -10,10 +10,13 @@
 #include <vector>
 
 #include "eval/schemes.h"
+#include "kv_read_reference.h"
 #include "llm/engine.h"
 
 namespace opal {
 namespace {
+
+using kv_read_reference::gather;
 
 TEST(Fp32PagedKvCache, WriteBeforeAdvanceThrows) {
   KvBlockPool pool(4, 2, 2);
@@ -48,7 +51,7 @@ TEST(Fp32PagedKvCache, DimChecks) {
   EXPECT_THROW(cache.write_at(0, 0, bad, bad), std::invalid_argument);
   EXPECT_THROW(cache.write_at(5, 0, good, good), std::invalid_argument);
   std::vector<float> k(4), v(4);
-  EXPECT_THROW(cache.gather(5, k, v), std::invalid_argument);
+  EXPECT_THROW(gather(cache, 5, k, v), std::invalid_argument);
 }
 
 TEST(Fp32PagedKvCache, OverwriteWithinStep) {
@@ -60,7 +63,7 @@ TEST(Fp32PagedKvCache, OverwriteWithinStep) {
   cache.write_at(0, cache.length() - 1, a, a);
   cache.write_at(0, cache.length() - 1, b, b);
   std::vector<float> k(2), v(2);
-  cache.gather(0, k, v);
+  gather(cache, 0, k, v);
   EXPECT_EQ(k, b);
 }
 

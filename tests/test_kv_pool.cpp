@@ -15,10 +15,14 @@
 
 #include "common/rng.h"
 #include "kv_encode_reference.h"
+#include "kv_read_reference.h"
 #include "llm/paged_kv_cache.h"
 
 namespace opal {
 namespace {
+
+using kv_read_reference::gather;
+using kv_read_reference::read_row;
 
 std::vector<float> random_row(Rng& rng, std::size_t d, float scale = 1.0f) {
   std::uniform_real_distribution<float> uni(-scale, scale);
@@ -71,7 +75,7 @@ TEST(KvBlockPool, Fp32RoundTripIsBitwise) {
   }
   std::vector<float> out(8);
   for (std::size_t r = 0; r < 4; ++r) {
-    pool.read_row(id, r, out);
+    read_row(pool, id, r, out);
     for (std::size_t c = 0; c < 8; ++c) EXPECT_EQ(out[c], rows[r][c]);
   }
 }
@@ -93,11 +97,11 @@ TEST(KvBlockPool, Int8RoundTripBoundedErrorAcrossScaleGrowth) {
   std::vector<float> out(8);
   // Row 1 quantization error is within half a step of the final scale.
   const float step = 4.0f / 127.0f;
-  pool.read_row(id, 1, out);
+  read_row(pool, id, 1, out);
   for (std::size_t c = 0; c < 8; ++c) EXPECT_NEAR(out[c], big[c], 0.5f * step);
   // Row 0 carries its original error plus one requantization: still within
   // 1.5 steps of the grown scale.
-  pool.read_row(id, 0, out);
+  read_row(pool, id, 0, out);
   for (std::size_t c = 0; c < 8; ++c) {
     EXPECT_NEAR(out[c], small[c], 1.5f * step);
   }
@@ -109,16 +113,16 @@ TEST(KvBlockPool, Log2PowersOfTwoAreExactAcrossScaleGrowth) {
   const std::vector<float> row0 = {1.0f, 0.5f, -0.25f, 0.0f};
   pool.write_row(id, 0, row0);
   std::vector<float> out(4);
-  pool.read_row(id, 0, out);
+  read_row(pool, id, 0, out);
   for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(out[c], row0[c]);
 
   // Scale growth to 2^1 shifts every live code by an integer; powers of two
   // stay exact.
   const std::vector<float> row1 = {2.0f, -1.0f, 0.0f, 0.125f};
   pool.write_row(id, 1, row1);
-  pool.read_row(id, 0, out);
+  read_row(pool, id, 0, out);
   for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(out[c], row0[c]);
-  pool.read_row(id, 1, out);
+  read_row(pool, id, 1, out);
   for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(out[c], row1[c]);
 }
 
@@ -128,7 +132,7 @@ TEST(KvBlockPool, Log2NonPowersStayWithinOneOctave) {
   const std::vector<float> row = {0.7f, -0.3f, 1.9f, 0.051f};
   pool.write_row(id, 0, row);
   std::vector<float> out(4);
-  pool.read_row(id, 0, out);
+  read_row(pool, id, 0, out);
   for (std::size_t c = 0; c < 4; ++c) {
     ASSERT_NE(out[c], 0.0f);
     EXPECT_EQ(std::signbit(out[c]), std::signbit(row[c]));
@@ -198,8 +202,8 @@ TEST(KvBlockPool, SharedBlocksAreImmutableUntilCloned) {
   EXPECT_EQ(pool.block_scale(copy), pool.block_scale(id));
   EXPECT_EQ(pool.rows_written(copy), 1u);
   std::vector<float> a(4), b(4);
-  pool.read_row(id, 0, a);
-  pool.read_row(copy, 0, b);
+  read_row(pool, id, 0, a);
+  read_row(pool, copy, 0, b);
   for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(a[c], b[c]);
   std::vector<float> row(4, 0.5f);
   pool.write_row(copy, 1, row);  // private copy accepts writes
@@ -374,27 +378,51 @@ TEST(KvBlockPool, InfiniteRowsEncodeWithoutOverflow) {
     EXPECT_EQ(static_cast<std::uint8_t>(codes[5]), 0x00);
     EXPECT_EQ(static_cast<std::uint8_t>(codes[6]), 0x80);
     std::vector<float> out(5);
-    pool.read_row(id, 1, out);
+    read_row(pool, id, 1, out);
     const std::vector<float> want = {inf, -inf, 0x1p100f, -0x1p100f, 0.0f};
     EXPECT_EQ(std::memcmp(out.data(), want.data(), sizeof(float) * 5), 0);
     // Growth to 128 adds 126 to row 0's codes: code 0 (4.0) becomes 126,
     // still 4.0, and the rest saturate to +0.
-    pool.read_row(id, 0, out);
+    read_row(pool, id, 0, out);
     const std::vector<float> row0 = {0.0f, 0.0f, 0.0f, 0.0f, 4.0f};
     EXPECT_EQ(std::memcmp(out.data(), row0.data(), sizeof(float) * 5), 0);
   }
-  // int8: the block scale becomes inf, so every entry reads back non-finite
-  // (0 * inf is NaN); the finite entries' codes are 0.
+  // int8: a row holding +-inf or NaN is refused before the block changes
+  // (an inf scale would turn every entry of the block non-finite, and the
+  // row amax skips a NaN); the earlier row, its codes, the scale and the
+  // fill read back as they were.
   {
-    KvBlockPool pool(1, 1, 4, KvQuantMode::kInt8);
+    KvBlockPool pool(2, 2, 4, KvQuantMode::kInt8);
     const auto id = pool.allocate();
-    pool.write_row(id, 0, std::vector<float>{inf, 1.0f, -2.0f, 0.0f});
-    EXPECT_EQ(pool.block_scale(id), inf);
+    const std::vector<float> row0 = {0.5f, -1.0f, 2.0f, 0.0f};
+    pool.write_row(id, 0, row0);
+    const float scale = pool.block_scale(id);
+    EXPECT_EQ(scale, 2.0f);
     const auto codes = pool.block_codes(id);
-    for (std::size_t c = 1; c < 4; ++c) EXPECT_EQ(codes[c], 0);
-    std::vector<float> out(4);
-    pool.read_row(id, 0, out);
-    for (const float x : out) EXPECT_FALSE(std::isfinite(x));
+    const std::vector<std::int8_t> codes0(codes.begin(), codes.end());
+    std::vector<float> before(4);
+    read_row(pool, id, 0, before);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const std::vector<float>& bad :
+         {std::vector<float>{inf, 1.0f, -2.0f, 0.0f},
+          std::vector<float>{1.0f, -inf, 0.0f, 0.0f},
+          std::vector<float>{1.0f, nan, 0.0f, 0.0f},
+          std::vector<float>{nan, nan, nan, nan}}) {
+      EXPECT_THROW(pool.write_row(id, 1, bad), std::invalid_argument);
+      EXPECT_EQ(pool.block_scale(id), scale);
+      EXPECT_EQ(pool.rows_written(id), 1u);
+      EXPECT_TRUE(std::equal(codes0.begin(), codes0.end(),
+                             pool.block_codes(id).begin()));
+      std::vector<float> out(4);
+      read_row(pool, id, 0, out);
+      EXPECT_EQ(std::memcmp(out.data(), before.data(), sizeof(float) * 4), 0);
+    }
+    // A refused first row leaves a fresh block at scale 0.
+    const auto fresh = pool.allocate();
+    EXPECT_THROW(pool.write_row(fresh, 0, std::vector<float>{nan, 0, 0, 0}),
+                 std::invalid_argument);
+    EXPECT_EQ(pool.block_scale(fresh), 0.0f);
+    EXPECT_EQ(pool.rows_written(fresh), 0u);
   }
 }
 
@@ -521,7 +549,8 @@ TEST(KvEncode, Log2SpecialValuesMatchReference) {
 TEST(KvEncode, Int8TiesAndNeighboursMatchReference) {
   // Pinned at amax 127 the code is v * 1 rounded, so each x.5 the encoder
   // can see (|v * 127 / amax| <= 127) and its two float neighbours, plus
-  // the integers, hit the rounding exactly.
+  // the integers, hit the rounding exactly. A NaN is refused by the pool
+  // (InfiniteRowsEncodeWithoutOverflow), so none is fed here.
   std::vector<float> values;
   for (int k = -254; k <= 254; ++k) {
     const float x = 0.5f * static_cast<float>(k);
@@ -530,7 +559,6 @@ TEST(KvEncode, Int8TiesAndNeighboursMatchReference) {
       if (std::fabs(v) <= 127.0f) values.push_back(v);
     }
   }
-  values.push_back(std::numeric_limits<float>::quiet_NaN());
   expect_codes_match(KvQuantMode::kInt8, 127.0f, values);
 }
 
@@ -694,7 +722,7 @@ TEST(PagedKvCache, Fp32GatherReturnsWrittenRowsBitwise) {
   }
   std::vector<float> gk(len * d), gv(len * d);
   for (std::size_t l = 0; l < n_layers; ++l) {
-    paged.gather(l, gk, gv);
+    gather(paged, l, gk, gv);
     EXPECT_EQ(gk, want_k[l]);
     EXPECT_EQ(gv, want_v[l]);
   }
@@ -723,8 +751,8 @@ TEST(PagedKvCache, MapSharedAliasesBlocksAndCopiesOnWrite) {
   // Shared reads are bitwise identical to the donor's.
   std::vector<float> dk(bs * d), dv(bs * d), rk(bs * d), rv(bs * d);
   for (std::size_t l = 0; l < n_layers; ++l) {
-    donor.gather(l, dk, dv);
-    reader.gather(l, rk, rv);
+    gather(donor, l, dk, dv);
+    gather(reader, l, rk, rv);
     EXPECT_EQ(dk, rk);
     EXPECT_EQ(dv, rv);
   }
@@ -746,8 +774,8 @@ TEST(PagedKvCache, MapSharedAliasesBlocksAndCopiesOnWrite) {
   for (std::size_t l = 0; l < n_layers; ++l) {
     reader.write_at(l, 2, fresh, fresh);
   }
-  donor.gather(0, dk, dv);  // donor sees its original rows
-  reader.gather(0, rk, rv);
+  gather(donor, 0, dk, dv);  // donor sees its original rows
+  gather(reader, 0, rk, rv);
   for (std::size_t i = 0; i < 2 * d; ++i) {
     EXPECT_EQ(rk[i], dk[i]);  // the copied prefix is bitwise preserved
     EXPECT_EQ(rv[i], dv[i]);
@@ -797,7 +825,7 @@ TEST(PagedKvCache, MidBlockTruncateThenReadvanceIsDeterministicQuantized) {
         cache.write_at(0, cache.length() - 1, row, row);
       }
       std::vector<float> k(6 * d), v(6 * d);
-      cache.gather(0, k, v);
+      gather(cache, 0, k, v);
       k.insert(k.end(), v.begin(), v.end());
       return k;
     };
@@ -850,8 +878,8 @@ TEST(PagedKvCache, AdvanceByWriteAtMatchesStepwiseAllModes) {
     std::vector<float> k_a(n_tokens * d), v_a(n_tokens * d);
     std::vector<float> k_b(n_tokens * d), v_b(n_tokens * d);
     for (std::size_t l = 0; l < n_layers; ++l) {
-      stepwise.gather(l, k_a, v_a);
-      chunked.gather(l, k_b, v_b);
+      gather(stepwise, l, k_a, v_a);
+      gather(chunked, l, k_b, v_b);
       EXPECT_EQ(k_a, k_b) << to_string(mode) << " layer " << l;
       EXPECT_EQ(v_a, v_b) << to_string(mode) << " layer " << l;
     }
@@ -921,12 +949,12 @@ TEST(PagedKvCache, ReserveForIsAllOrNothingAndCopyOnWritesSharedBlocks) {
   }
   // The donor's blocks kept their original contents (COW protected them).
   std::vector<float> k(8 * d), v(8 * d);
-  donor.gather(0, k, v);
+  gather(donor, 0, k, v);
   for (std::size_t t = 6; t < 8; ++t) {
     EXPECT_EQ(k[t * d], 1.5f) << "donor row " << t << " clobbered";
   }
   std::vector<float> ka(8 * d), va(8 * d);
-  adopter.gather(0, ka, va);
+  gather(adopter, 0, ka, va);
   EXPECT_EQ(ka[5 * d], 1.5f);  // kept shared prefix rows survive
   EXPECT_EQ(ka[6 * d], 6.0f);  // rewritten rows are private
 }

@@ -21,14 +21,6 @@ TEST(Counter, StartsAtZeroAndAccumulates) {
   EXPECT_EQ(c.value(), 42u);
 }
 
-TEST(Gauge, HoldsLastWrite) {
-  Gauge g;
-  EXPECT_EQ(g.value(), 0.0);
-  g.set(3.5);
-  g.set(-1.25);
-  EXPECT_EQ(g.value(), -1.25);
-}
-
 TEST(Histogram, RejectsBadBounds) {
   EXPECT_THROW(Histogram(std::vector<double>{}), std::invalid_argument);
   EXPECT_THROW(Histogram(std::vector<double>{1.0, 1.0}),
@@ -50,7 +42,6 @@ TEST(Histogram, CountSumMinMaxExact) {
   EXPECT_DOUBLE_EQ(h.sum(), 505.5);
   EXPECT_DOUBLE_EQ(h.min(), 0.5);
   EXPECT_DOUBLE_EQ(h.max(), 500.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 505.5 / 3.0);
   // bucket layout: (-inf,1], (1,10], (10,100], overflow
   ASSERT_EQ(h.buckets().size(), 4u);
   EXPECT_EQ(h.buckets()[0], 1u);
@@ -97,7 +88,6 @@ TEST(Histogram, DefaultBoundsCoverMicrosecondsToSeconds) {
 TEST(Registry, HandlesAreStableAndNamed) {
   MetricsRegistry reg;
   Counter& a = reg.counter("a");
-  Gauge& g = reg.gauge("g");
   Histogram& h = reg.histogram("h");
   // Registering more metrics must not move earlier handles.
   for (int i = 0; i < 100; ++i) {
@@ -106,19 +96,20 @@ TEST(Registry, HandlesAreStableAndNamed) {
     reg.histogram("h" + n);
   }
   EXPECT_EQ(&reg.counter("a"), &a);
-  EXPECT_EQ(&reg.gauge("g"), &g);
   EXPECT_EQ(&reg.histogram("h"), &h);
   // Same name, different bounds: first registration wins.
   Histogram& h2 = reg.histogram("h", std::vector<double>{1.0});
   EXPECT_EQ(&h2, &h);
 }
 
-TEST(Registry, SnapshotFindsAndSerializes) {
+TEST(Registry, SnapshotFindsByName) {
   MetricsRegistry reg;
   reg.counter("steps").add(7);
-  reg.gauge("running").set(3.0);
   reg.histogram("lat_ms").observe(2.5);
-  const auto snap = reg.snapshot();
+  auto snap = reg.snapshot();
+  // Gauges are appended by the snapshot's producer, as
+  // ServingEngine::metrics() does.
+  snap.gauges.push_back({"running", 3.0});
   ASSERT_NE(snap.find_counter("steps"), nullptr);
   EXPECT_EQ(snap.counter_value("steps"), 7u);
   EXPECT_EQ(snap.counter_value("missing"), 0u);
@@ -129,10 +120,6 @@ TEST(Registry, SnapshotFindsAndSerializes) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 1u);
   EXPECT_DOUBLE_EQ(h->p50, 2.5);  // single sample: clamped to min == max
-  const std::string json = snap.to_json();
-  EXPECT_NE(json.find("\"steps\""), std::string::npos);
-  EXPECT_NE(json.find("\"lat_ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
 TEST(Trace, DisabledTracerDropsEverything) {
@@ -156,7 +143,6 @@ TEST(Trace, RingOverwritesOldestFirst) {
     EXPECT_EQ(events[i].step, i + 2);
   }
   t.clear();
-  EXPECT_EQ(t.size(), 0u);
   EXPECT_TRUE(t.events().empty());
 }
 
@@ -261,13 +247,14 @@ TEST(Trace, StepTraceHeaderCarriesInfoAndDropCounts) {
 TEST(Registry, PrometheusExposition) {
   MetricsRegistry reg;
   reg.counter("serving.steps").add(7);
-  reg.gauge("serving.running").set(3.0);
   Histogram& h = reg.histogram("lat_ms", std::vector<double>{1.0, 10.0});
   h.observe(0.5);
   h.observe(0.7);
   h.observe(5.0);
   h.observe(500.0);  // overflow
-  const std::string text = reg.snapshot().to_prometheus();
+  auto snap = reg.snapshot();
+  snap.gauges.push_back({"serving.running", 3.0});
+  const std::string text = snap.to_prometheus();
   // Names are sanitized to the Prometheus charset; counters get _total.
   EXPECT_NE(text.find("# TYPE serving_steps_total counter"),
             std::string::npos);
@@ -286,13 +273,14 @@ TEST(Registry, PrometheusExposition) {
 TEST(Registry, PrometheusHelpLinesAndDuplicateGuard) {
   MetricsRegistry reg;
   reg.counter("serving.steps").add(7);
-  reg.gauge("serving.running").set(3.0);
+  auto snap = reg.snapshot();
+  snap.gauges.push_back({"serving.running", 3.0});
   // Sanitization collides these two distinct dotted names onto the single
   // family "drift_run_ratio"; exposing it twice is a format violation, so
-  // the first registration wins and the collision is dropped.
-  reg.gauge("drift.run_ratio").set(1.5);
-  reg.gauge("drift_run.ratio").set(9.9);
-  const std::string text = reg.snapshot().to_prometheus();
+  // the first entry wins and the collision is dropped.
+  snap.gauges.push_back({"drift.run_ratio", 1.5});
+  snap.gauges.push_back({"drift_run.ratio", 9.9});
+  const std::string text = snap.to_prometheus();
   // Every surviving family leads with a # HELP naming the dotted original.
   EXPECT_NE(text.find("# HELP serving_steps_total OPAL metric "
                       "serving.steps\n"),

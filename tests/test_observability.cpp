@@ -216,7 +216,9 @@ INSTANTIATE_TEST_SUITE_P(Observability, SpecCountersMirrorStats,
                          ::testing::Values(DraftPolicy::kRepeat,
                                            DraftPolicy::kCustom),
                          [](const ::testing::TestParamInfo<DraftPolicy>& i) {
-                           return to_string(i.param);
+                           return std::string(i.param == DraftPolicy::kRepeat
+                                                  ? "repeat"
+                                                  : "custom");
                          });
 
 // --- latency histograms hold exactly the right sample counts ---

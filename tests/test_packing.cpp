@@ -1,13 +1,18 @@
-#include "quant/packing.h"
-
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "packing_reference.h"
 #include "quant/mx_opal.h"
 #include "quant/mxint.h"
 
 namespace opal {
 namespace {
+
+using packing_reference::BitReader;
+using packing_reference::BitWriter;
+using packing_reference::pack;
+using packing_reference::packed_bits;
+using packing_reference::unpack;
 
 TEST(BitStream, WriteReadRoundTrip) {
   BitWriter writer;

@@ -96,25 +96,5 @@ TEST(Perplexity, RequiresTwoTokens) {
                std::invalid_argument);
 }
 
-TEST(MeanKl, ZeroAgainstSelf) {
-  EngineConfig cfg;
-  cfg.max_seq_len = 64;
-  InferenceEngine teacher(eval_model(), cfg);
-  InferenceEngine same(eval_model(), cfg);
-  const auto tokens = generate_stream(teacher, 32, 15);
-  EXPECT_NEAR(evaluate_mean_kl(teacher, same, tokens), 0.0, 1e-9);
-}
-
-TEST(MeanKl, PositiveForQuantizedStudent) {
-  EngineConfig cfg;
-  cfg.max_seq_len = 64;
-  InferenceEngine teacher(eval_model(), cfg);
-  auto quant = scheme_mx_opal(4, 4, 7);
-  quant.max_seq_len = 64;
-  InferenceEngine student(eval_model(), quant);
-  const auto tokens = generate_stream(teacher, 48, 17);
-  EXPECT_GT(evaluate_mean_kl(teacher, student, tokens), 0.0);
-}
-
 }  // namespace
 }  // namespace opal

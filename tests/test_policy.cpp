@@ -14,7 +14,9 @@ namespace opal {
 namespace {
 
 TEST(Policy, A47BitsPerSite) {
-  const auto policy = policy_a4_7(QuantScheme::kMxOpal);
+  const PrecisionPolicy policy{.scheme = QuantScheme::kMxOpal,
+                               .low_bits = 4,
+                               .high_bits = 7};
   EXPECT_EQ(policy.bits_for(ActivationSite::kPostLayerNorm), 4);
   EXPECT_EQ(policy.bits_for(ActivationSite::kAttentionInput), 7);
   EXPECT_EQ(policy.bits_for(ActivationSite::kGeneral), 7);
@@ -22,19 +24,25 @@ TEST(Policy, A47BitsPerSite) {
 }
 
 TEST(Policy, A35BitsPerSite) {
-  const auto policy = policy_a3_5(QuantScheme::kMinMax);
+  const PrecisionPolicy policy{.scheme = QuantScheme::kMinMax,
+                               .low_bits = 3,
+                               .high_bits = 5};
   EXPECT_EQ(policy.bits_for(ActivationSite::kPostLayerNorm), 3);
   EXPECT_EQ(policy.bits_for(ActivationSite::kGeneral), 5);
   EXPECT_EQ(policy.label(), "A3/5");
 }
 
 TEST(Policy, UniformLabel) {
-  EXPECT_EQ(policy_uniform(QuantScheme::kMxOpal, 7).label(), "A7");
+  const PrecisionPolicy uniform{
+      .scheme = QuantScheme::kMxOpal, .low_bits = 7, .high_bits = 7};
+  EXPECT_EQ(uniform.label(), "A7");
   EXPECT_EQ(policy_bf16().label(), "A16");
 }
 
 TEST(Policy, FactoryBuildsMatchingQuantizer) {
-  const auto policy = policy_a4_7(QuantScheme::kMxOpal);
+  const PrecisionPolicy policy{.scheme = QuantScheme::kMxOpal,
+                               .low_bits = 4,
+                               .high_bits = 7};
   const auto low = policy.make_quantizer(ActivationSite::kPostLayerNorm);
   const auto high = policy.make_quantizer(ActivationSite::kGeneral);
   ASSERT_NE(low, nullptr);
@@ -45,10 +53,10 @@ TEST(Policy, FactoryBuildsMatchingQuantizer) {
 }
 
 TEST(Policy, MinMaxAndMxIntFactories) {
-  const auto mm = policy_a4_7(QuantScheme::kMinMax)
+  const auto mm = PrecisionPolicy{.scheme = QuantScheme::kMinMax}
                       .make_quantizer(ActivationSite::kGeneral);
   EXPECT_NE(dynamic_cast<const MinMaxQuantizer*>(mm.get()), nullptr);
-  const auto mx = policy_a4_7(QuantScheme::kMxInt)
+  const auto mx = PrecisionPolicy{.scheme = QuantScheme::kMxInt}
                       .make_quantizer(ActivationSite::kGeneral);
   EXPECT_NE(dynamic_cast<const MxIntQuantizer*>(mx.get()), nullptr);
 }
@@ -61,7 +69,8 @@ TEST(Policy, RowsEqualOneCallPerRowBitwise) {
   std::normal_distribution<float> gauss(0.0f, 1.0f);
   for (const QuantScheme scheme :
        {QuantScheme::kMinMax, QuantScheme::kMxInt, QuantScheme::kMxOpal}) {
-    const auto q = policy_a4_7(scheme).make_quantizer(ActivationSite::kGeneral);
+    const auto q = PrecisionPolicy{.scheme = scheme}.make_quantizer(
+        ActivationSite::kGeneral);
     for (const std::size_t width : {128u, 256u, 200u}) {
       const std::size_t rows = 5;
       std::vector<float> in(rows * width);
@@ -100,11 +109,6 @@ TEST(Policy, SchemeNames) {
   EXPECT_EQ(to_string(QuantScheme::kMinMax), "MinMax");
   EXPECT_EQ(to_string(QuantScheme::kMxInt), "MXINT");
   EXPECT_EQ(to_string(QuantScheme::kMxOpal), "MX-OPAL");
-}
-
-TEST(Policy, SiteNames) {
-  EXPECT_EQ(to_string(ActivationSite::kPostLayerNorm), "post-LN");
-  EXPECT_EQ(to_string(ActivationSite::kGeneral), "general");
 }
 
 }  // namespace

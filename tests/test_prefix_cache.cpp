@@ -10,12 +10,15 @@
 #include <vector>
 
 #include "eval/schemes.h"
+#include "kv_read_reference.h"
 #include "llm/engine.h"
 #include "llm/serving_engine.h"
 #include "reference_decode.h"
 
 namespace opal {
 namespace {
+
+using kv_read_reference::gather;
 
 ModelConfig tiny_config() {
   return scaled_for_eval(llama2_7b(), 128, 2, 64);
@@ -92,7 +95,7 @@ TEST(PrefixCache, CachedBlocksOutliveTheDonorAndMapBitwise) {
   {
     PagedKvCache donor(pool, n_layers, 8);
     fill_from_tokens(donor, tokens, d);
-    donor.gather(0, donor_k, donor_v);
+    gather(donor, 0, donor_k, donor_v);
     pc.insert(tokens, 4, donor);
   }
   // The donor is gone; its indexed column lives on, held by the cache.
@@ -105,7 +108,7 @@ TEST(PrefixCache, CachedBlocksOutliveTheDonorAndMapBitwise) {
   reader.map_shared(match.columns, match.positions);
   EXPECT_EQ(pool.reclaimable_blocks(), 0u);  // referenced again
   std::vector<float> rk(bs * d), rv(bs * d);
-  reader.gather(0, rk, rv);
+  gather(reader, 0, rk, rv);
   EXPECT_EQ(rk, donor_k);
   EXPECT_EQ(rv, donor_v);
 }

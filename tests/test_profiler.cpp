@@ -300,7 +300,9 @@ TEST(Profiler, ChunkCountsMatchHandCountedInvocations) {
       prof.kernels[static_cast<std::size_t>(KernelKind::kMxQuantize)].calls,
       0u);
   EngineConfig mx_cfg;
-  mx_cfg.act_policy = policy_a4_7(QuantScheme::kMxOpal);
+  mx_cfg.act_policy = PrecisionPolicy{.scheme = QuantScheme::kMxOpal,
+                                      .low_bits = 4,
+                                      .high_bits = 7};
   mx_cfg.max_seq_len = 64;
   mx_cfg.kv_block_size = 8;
   const PreparedModel mx_model(tiny_model(), mx_cfg);
@@ -355,6 +357,35 @@ TEST(Profiler, DispatchTableUntouchedWhenOffAndRestoredAfter) {
 
 // --- drift auditor: deterministic across trace serialization ---
 
+/// Every field of two drift reports is the same bits.
+void expect_same_drift(const DriftReport& a, const DriftReport& b) {
+  EXPECT_EQ(a.device, b.device);
+  EXPECT_EQ(a.n_steps, b.n_steps);
+  EXPECT_EQ(a.skipped_steps, b.skipped_steps);
+  EXPECT_EQ(a.measured_s, b.measured_s);
+  EXPECT_EQ(a.predicted_s, b.predicted_s);
+  EXPECT_EQ(a.predicted_dram_bytes, b.predicted_dram_bytes);
+  EXPECT_EQ(a.compute_bound_steps, b.compute_bound_steps);
+  EXPECT_EQ(a.dram_bound_steps, b.dram_bound_steps);
+  EXPECT_EQ(a.ratio_p50, b.ratio_p50);
+  EXPECT_EQ(a.ratio_p95, b.ratio_p95);
+  EXPECT_EQ(a.ratio_p99, b.ratio_p99);
+  EXPECT_EQ(a.ratio_min, b.ratio_min);
+  EXPECT_EQ(a.ratio_max, b.ratio_max);
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (std::size_t i = 0; i < a.steps.size(); ++i) {
+    const DriftStepRecord& x = a.steps[i];
+    const DriftStepRecord& y = b.steps[i];
+    EXPECT_EQ(x.step, y.step) << i;
+    EXPECT_EQ(x.rows, y.rows) << i;
+    EXPECT_EQ(x.measured_s, y.measured_s) << i;
+    EXPECT_EQ(x.predicted_s, y.predicted_s) << i;
+    EXPECT_EQ(x.predicted_dram_bytes, y.predicted_dram_bytes) << i;
+    EXPECT_EQ(x.ratio, y.ratio) << i;
+    EXPECT_EQ(x.dram_bound, y.dram_bound) << i;
+  }
+}
+
 TEST(Profiler, DriftAuditDeterministicAcrossSerialization) {
   const auto model = prepared(KvQuantMode::kInt8);
   ServingConfig cfg;
@@ -373,8 +404,8 @@ TEST(Profiler, DriftAuditDeterministicAcrossSerialization) {
   const DriftReport b = audit_drift(dev, parsed);
   // Steps either audit or are skipped — none vanish.
   EXPECT_EQ(a.n_steps + a.skipped_steps, lifted.steps.size());
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.to_json(), audit_drift(dev, lifted).to_json());
+  expect_same_drift(a, b);
+  expect_same_drift(a, audit_drift(dev, lifted));
   // Percentiles are nearest-rank: always observed ratios.
   if (a.n_steps > 0) {
     EXPECT_GE(a.ratio_p50, a.ratio_min);
@@ -382,12 +413,6 @@ TEST(Profiler, DriftAuditDeterministicAcrossSerialization) {
     EXPECT_GT(a.run_ratio(), 0.0);
     EXPECT_EQ(a.compute_bound_steps + a.dram_bound_steps, a.n_steps);
   }
-  // The registry surface lands under the given prefix.
-  MetricsRegistry reg;
-  a.export_metrics(reg, "drift");
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("drift.steps"), a.n_steps);
-  EXPECT_NE(snap.find_gauge("drift.run_ratio"), nullptr);
 }
 
 }  // namespace

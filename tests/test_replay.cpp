@@ -647,21 +647,22 @@ TEST(Replay, DroppedStepsSurfaceInTheReport) {
   EXPECT_LT(rep.rows_fed, run.stats.tokens_decoded);
 }
 
-TEST(Replay, MetricsExportUsesTheNamingScheme) {
+TEST(Replay, RunTotalsSumTheStepSummaries) {
   const TracedRun run = traced_run(stressed_config());
   const ReplayReport rep = replay_trace(make_opal_device(4, 7, 4), run.trace);
-  MetricsRegistry reg;
-  rep.export_metrics(reg);
-  const auto snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("hw_replay.rows_fed"), rep.rows_fed);
-  EXPECT_EQ(snap.counter_value("hw_replay.steps"), rep.n_steps);
-  const auto* energy = snap.find_gauge("hw_replay.energy_per_token_j");
-  ASSERT_NE(energy, nullptr);
-  EXPECT_EQ(energy->value, rep.energy_per_token_j());
-  // And the Prometheus exposition renders them.
-  const std::string text = snap.to_prometheus();
-  EXPECT_NE(text.find("hw_replay_rows_fed_total"), std::string::npos);
-  EXPECT_NE(text.find("hw_replay_energy_per_token_j"), std::string::npos);
+  EXPECT_EQ(rep.n_steps, rep.steps.size());
+  std::size_t rows = 0;
+  for (const ReplayStepSummary& s : rep.steps) rows += s.rows;
+  EXPECT_EQ(rep.rows_fed, rows);
+  ASSERT_GT(rep.tokens_generated, 0u);
+  EXPECT_EQ(rep.energy_per_token_j(),
+            rep.energy_j / static_cast<double>(rep.tokens_generated));
+  // The persisted JSON carries the same totals.
+  const std::string json = rep.to_json();
+  EXPECT_NE(json.find("\"rows_fed\": " + std::to_string(rep.rows_fed)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"n_steps\": " + std::to_string(rep.n_steps)),
+            std::string::npos);
 }
 
 }  // namespace

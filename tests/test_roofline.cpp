@@ -13,20 +13,20 @@ TEST(Roofline, Mlp0Shapes) {
 
 TEST(Roofline, GemvIsMemoryBound) {
   // Single-batch GEMV arithmetic intensity (~1 flop/byte at FP16) sits far
-  // below the A100 ridge point (~200 flops/byte).
+  // below the A100 ridge point (~200 flops/byte), so its latency is the
+  // HBM leg: every fp16 weight and activation byte over the bandwidth.
   const GpuModel gpu;
   const auto shape = mlp0_shape(llama2_70b());
-  EXPECT_LT(arithmetic_intensity(shape, GemmKind::kW16A16_hgemm), 2.0);
+  const double rows = static_cast<double>(shape.rows);
+  const double cols = static_cast<double>(shape.cols);
+  const double bytes = 2.0 * rows * cols + 2.0 * (rows + cols);
+  EXPECT_LT(2.0 * rows * cols / bytes, 2.0);
+  EXPECT_DOUBLE_EQ(
+      gemv_latency_us(gpu, shape, GemmKind::kW16A16_hgemm),
+      bytes / (gpu.hbm_bandwidth_gbps * 1e9) * 1e6 + gpu.kernel_overhead_us);
   const double ridge =
       gpu.fp16_peak_tflops * 1e12 / (gpu.hbm_bandwidth_gbps * 1e9);
   EXPECT_GT(ridge, 100.0);
-}
-
-TEST(Roofline, QuantizationRaisesIntensity) {
-  const auto shape = mlp0_shape(llama2_13b());
-  const double fp16 = arithmetic_intensity(shape, GemmKind::kW16A16_hgemm);
-  const double w4 = arithmetic_intensity(shape, GemmKind::kW4A16_hgemm);
-  EXPECT_NEAR(w4 / fp16, 4.0, 0.1);
 }
 
 TEST(Roofline, LatencyDecreasesWithQuantization) {
@@ -69,11 +69,6 @@ TEST(Roofline, OverheadDominatesTinyKernels) {
   const GemvShape tiny{"tiny", 64, 64};
   const double t = gemv_latency_us(gpu, tiny, GemmKind::kW16A16_hgemm);
   EXPECT_NEAR(t, gpu.kernel_overhead_us, 1.0);
-}
-
-TEST(Roofline, KindNames) {
-  EXPECT_EQ(to_string(GemmKind::kW16A16_hgemm), "W FP16 & A FP16 (hGEMM)");
-  EXPECT_EQ(to_string(GemmKind::kW4A8_igemm), "W INT4 & A INT8 (iGEMM)");
 }
 
 }  // namespace

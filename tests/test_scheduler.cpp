@@ -118,7 +118,7 @@ TEST(PrefillChunk, MatchesTokenByTokenBitwise_AllKvModes) {
   for (const KvQuantMode mode :
        {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
     const PreparedModel model(tiny_model(), engine_config(mode));
-    auto pool = model.make_kv_pool(2.0);
+    auto pool = model.make_kv_pool(2 * model.kv_blocks_per_sequence());
     PassScratch scratch = model.make_scratch();
 
     // Reference: 19 single steps, logits copied per position.
@@ -184,7 +184,7 @@ TEST(PrefillChunk, TrailingLogitRowsMatchAllRowsAndSteps_AllKvModes) {
   for (const KvQuantMode mode :
        {KvQuantMode::kFp32, KvQuantMode::kInt8, KvQuantMode::kLog2}) {
     const PreparedModel model(tiny_model(), engine_config(mode));
-    auto pool = model.make_kv_pool(3.0);
+    auto pool = model.make_kv_pool(3 * model.kv_blocks_per_sequence());
     PassScratch scratch = model.make_scratch();
     SequenceState ref = model.make_sequence(pool);
     std::vector<std::vector<float>> step_logits;

@@ -462,7 +462,6 @@ TEST(PreparedModel, RefusesKvBlockOutsideOneToMaxSeqLen) {
   for (const std::size_t bad : {std::size_t{0}, std::size_t{9}}) {
     cfg.kv_block_size = bad;
     expect_refused([&] { PreparedModel m(tiny_model(), cfg); });
-    expect_refused([&] { PreparedModel m(tiny_model(), cfg, HessianSet{}); });
   }
   cfg.kv_block_size = 8;
   auto model = std::make_shared<const PreparedModel>(tiny_model(), cfg);

@@ -10,21 +10,18 @@ namespace {
 TEST(Sram, AnchorsReproduced) {
   const SramModel m(64 * 1024);
   const SramParams p;
-  EXPECT_DOUBLE_EQ(m.area_mm2(), p.area_mm2_at_64kb);
   EXPECT_DOUBLE_EQ(m.read_energy_pj(), p.read_energy_pj_at_64kb);
   EXPECT_DOUBLE_EQ(m.leakage_mw(), p.leakage_mw_at_64kb);
 }
 
-TEST(Sram, AreaAndLeakageLinear) {
+TEST(Sram, LeakageLinear) {
   const SramModel small(64 * 1024), big(256 * 1024);
-  EXPECT_NEAR(big.area_mm2() / small.area_mm2(), 4.0, 1e-9);
   EXPECT_NEAR(big.leakage_mw() / small.leakage_mw(), 4.0, 1e-9);
 }
 
 TEST(Sram, AccessEnergySqrtScaling) {
   const SramModel small(64 * 1024), big(256 * 1024);
   EXPECT_NEAR(big.read_energy_pj() / small.read_energy_pj(), 2.0, 1e-9);
-  EXPECT_NEAR(big.write_energy_pj() / small.write_energy_pj(), 2.0, 1e-9);
 }
 
 TEST(Sram, StreamingEnergyProportionalToBytes) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "model_reference.h"
+
 namespace opal {
 namespace {
 
@@ -75,7 +77,7 @@ TEST(Workload, TotalMacsMatchModelFormula) {
   const auto model = scaled_for_eval(llama2_7b(), 256, 2, 128);
   const std::size_t seq = 48;
   const auto ops = step_ops(model, decode_at(seq), 4, {4, 7}, true, true);
-  EXPECT_EQ(total_macs(ops), model.macs_per_token(seq));
+  EXPECT_EQ(total_macs(ops), model_reference::macs_per_token(model, seq));
 }
 
 TEST(Workload, PrefillBatchesWeightOps) {
